@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import socket
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -147,7 +146,7 @@ def get(port: int, path: str, **kwargs) -> Response:
 
 @dataclass
 class LoadResult:
-    """What the closed loop measured, merged over its client threads."""
+    """What the closed loop measured."""
 
     wall_s: float = 0.0
     attempted: int = 0
@@ -163,7 +162,7 @@ class LoadResult:
 
 
 class _Expect:
-    """What every response must satisfy, shared by the client threads.
+    """What every response must satisfy.
 
     The body length of a route in one encoding never changes (renders are
     deterministic), so the first length seen — or the one given up front —
@@ -193,96 +192,73 @@ class _Expect:
 
 def run_load(
     port: int,
-    schedules: Sequence[Sequence[Request]],
+    schedule: Sequence[Request],
     seconds: float,
     lengths: Optional[Dict[Tuple[str, bool], int]] = None,
-    etag_shared: Optional[Dict[str, str]] = None,
     cpus: Optional[Set[int]] = None,
     once: bool = False,
 ) -> LoadResult:
-    """Closed loop: one thread and spinning keep-alive connection per schedule.
+    """Closed loop on one spinning keep-alive connection, on the calling thread.
 
-    Each thread cycles through its schedule until ``seconds`` pass, or
-    makes one pass with ``once``, pinned to ``cpus`` when given.  A
-    refused connection, a timeout or a 5xx counts as a failed request (its
-    latency is the timeout) and the thread reconnects; a wrong status or
-    body is also recorded as a correctness mismatch.  Conditional requests
-    whose ``etag`` is ``""`` send the last ETag this run saw for the route
-    (``etag_shared`` seeds them).
+    Cycles through ``schedule`` until ``seconds`` pass, or makes one pass
+    with ``once``; meanwhile the calling thread is pinned to ``cpus`` when
+    given.  A refused connection, a timeout or a 5xx counts as a failed
+    request (its latency is the timeout) and the loop reconnects; a wrong
+    status or body is also recorded as a correctness mismatch.  A
+    conditional request (``etag`` of ``""``) sends the last ETag this load
+    saw for its route, as a browser revalidating its copy would, and goes
+    unconditional while it has seen none.
     """
     expect = _Expect(lengths)
-    etags: Dict[str, str] = dict(etag_shared or {})
-    results = [LoadResult() for _ in schedules]
-    encodings = [[None if r.etag == "" else r.encode() for r in s] for s in schedules]
-    start = time.perf_counter()
+    etags: Dict[str, str] = {}
+    out = LoadResult()
+    encoded = [None if r.etag == "" else r.encode() for r in schedule]
+    saved_cpus = os.sched_getaffinity(0)
+    if cpus:
+        os.sched_setaffinity(0, cpus)  # this thread only
+    clock = time.perf_counter
+    conn: Optional[Connection] = None
+    start = clock()
     deadline = start + seconds
-
-    def client(schedule: Sequence[Request], encoded, out: LoadResult) -> None:
+    i = 0
+    try:
+        while clock() < deadline and not (once and i == len(schedule)):
+            request = schedule[i % len(schedule)]
+            raw = encoded[i % len(schedule)]
+            i += 1
+            if raw is None:
+                request = Request(request.method, request.path, request.gzip,
+                                  etags.get(request.path))
+                raw = request.encode()
+            out.attempted += 1
+            t0 = clock()
+            try:
+                if conn is None:
+                    conn = Connection(port, spin=True)
+                response = conn.send(raw)
+            except (OSError, HttpError):
+                out.failed += 1
+                out.latencies.append(REQUEST_TIMEOUT_S)
+                if conn is not None:
+                    conn.close()
+                conn = None
+                continue
+            out.wire_bytes += response.wire_bytes
+            problem = None if response.status >= 500 else expect.check(request, response)
+            if response.status >= 500 or problem is not None:
+                out.failed += 1
+                out.latencies.append(REQUEST_TIMEOUT_S)
+                if problem is not None and len(out.mismatches) < 5:
+                    out.mismatches.append(problem)
+                continue
+            out.latencies.append(clock() - t0)
+            if "etag" in response.headers:
+                etags[request.path] = response.headers["etag"]
+    finally:
+        out.wall_s = clock() - start
+        if conn is not None:
+            conn.close()
         if cpus:
-            os.sched_setaffinity(0, cpus)  # this thread only
-        clock = time.perf_counter
-        conn: Optional[Connection] = None
-        i = 0
-        try:
-            while clock() < deadline and not (once and i == len(schedule)):
-                request = schedule[i % len(schedule)]
-                raw = encoded[i % len(schedule)]
-                i += 1
-                if raw is None:
-                    request = Request(request.method, request.path, request.gzip,
-                                      etags.get(request.path))
-                    raw = request.encode()
-                out.attempted += 1
-                t0 = clock()
-                try:
-                    if conn is None:
-                        conn = Connection(port, spin=True)
-                    response = conn.send(raw)
-                except (OSError, HttpError):
-                    out.failed += 1
-                    out.latencies.append(REQUEST_TIMEOUT_S)
-                    if conn is not None:
-                        conn.close()
-                    conn = None
-                    continue
-                out.wire_bytes += response.wire_bytes
-                problem = None if response.status >= 500 else expect.check(request, response)
-                if response.status >= 500 or problem is not None:
-                    out.failed += 1
-                    out.latencies.append(REQUEST_TIMEOUT_S)
-                    if problem is not None and len(out.mismatches) < 5:
-                        out.mismatches.append(problem)
-                    continue
-                out.latencies.append(clock() - t0)
-                if "etag" in response.headers:
-                    etags[request.path] = response.headers["etag"]
-        finally:
-            out.wall_s = clock() - start
-            if conn is not None:
-                conn.close()
+            os.sched_setaffinity(0, saved_cpus)
+    return out
 
-    threads = [
-        threading.Thread(target=client, args=(schedule, encoded, out), daemon=True)
-        for schedule, encoded, out in zip(schedules, encodings, results)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(seconds + 2 * REQUEST_TIMEOUT_S)
-        if thread.is_alive():
-            raise RuntimeError("load client did not finish")
-    return merge(results)
-
-
-def merge(results: Sequence[LoadResult], sequential: bool = False) -> LoadResult:
-    """One result for loads that ran side by side, or one after another."""
-    merged = LoadResult()
-    for out in results:
-        merged.wall_s = (merged.wall_s + out.wall_s if sequential
-                         else max(merged.wall_s, out.wall_s))
-        merged.attempted += out.attempted
-        merged.failed += out.failed
-        merged.latencies.extend(out.latencies)
-        merged.wire_bytes += out.wire_bytes
-        merged.mismatches.extend(out.mismatches)
-    return merged

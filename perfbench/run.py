@@ -3,14 +3,15 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload serve_hot --seed 20230701 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload serve_hot --seed 20230701 --seconds 20 --trace 0
 
-Each set-up generates the ``bench`` city from ``--seed``
-(``SynthConfig(n_users=300, n_venues=2500)``), writes it with
-``write_foursquare_tsv`` and cold-starts ``perfbench/server.py``, which
-builds and serves it on a loopback port.  The timed cold start is
-``read_foursquare_tsv -> run_pipeline -> CrowdWebApp -> warm() -> first
-tile``.  Then one keep-alive client drives a closed loop:
+Each run generates the ``bench`` city from ``--seed``
+(``SynthConfig(n_users=300, n_venues=2500)``) and writes it with
+``write_foursquare_tsv``.  Each of its set-ups then cold-starts
+``perfbench/server.py``, which builds and serves that file on a loopback
+port.  The timed cold start is ``read_foursquare_tsv -> run_pipeline ->
+CrowdWebApp -> warm() -> first tile``.  Then one keep-alive client drives
+a closed loop:
 
 ``serve_hot``
     over keys that all stay in the response cache;
@@ -57,16 +58,12 @@ WORK = ROOT / ".perfbench-work"
 #: The ``bench`` city every workload serves.
 N_USERS, N_VENUES = 300, 2500
 DEFAULT_SEED = 20230701
-#: Set-ups per run: ``setup_s`` and ``build_s`` are their medians.
-SETUP_REPEATS = 2
+#: Cold starts per untraced run: ``setup_s`` and ``build_s`` are their medians.
+SETUP_REPEATS = 4
 #: Requests in the one-connection replay that isolates ``http.server``.
 OVERHEAD_REPLAY = 2000
 #: Refresh-and-render rounds of the render probe.
 RENDER_ROUNDS = 3
-#: Keep-alive client connections (one thread each).  Two connections on
-#: two cores put client and server threads into GIL convoys: throughput
-#: drops and p99 swings 3x between runs, so the loop uses one.
-CONNECTIONS = 1
 #: A whole run must finish well inside the 180 s the harness allows.
 RUN_BUDGET_S = 165.0
 #: Seconds a server may take from launch to ``READY``.
@@ -74,12 +71,17 @@ READY_TIMEOUT_S = 60.0
 
 
 class Plan(NamedTuple):
-    """A load's request schedules and what its responses must match."""
+    """A load's request schedule and what its responses must match.
 
-    schedules: List[List[client.Request]]
+    The load runs on one connection: two connections on two cores put
+    client and server threads into GIL convoys, so throughput drops and
+    p99 swings 3x between runs.
+    """
+
+    schedule: List[client.Request]
     #: Body length per (route, gzip-encoded); None learns them on first sight.
     lengths: Optional[Dict[Tuple[str, bool], int]]
-    #: The ETag per route for conditional requests drawn up front.
+    #: The hot keys' ETags, which must not move while no refresh is sent.
     etags: Optional[Dict[str, str]]
 
 
@@ -186,6 +188,8 @@ class ServerChild:
         self._reader.start()
         self.port = 0
         self.ready: Dict = {}
+        #: The child's peak resident memory up to READY: the timed path's.
+        self.ready_peak_rss_mb = 0.0
 
     def _read(self) -> None:
         for line in self.proc.stdout:
@@ -222,6 +226,7 @@ class ServerChild:
                 raise BenchError(f"server build failed: {response.body[:200]!r}")
             time.sleep(min(0.1, float(response.headers.get("retry-after", "1"))))
         self.ready = self._expect("READY", deadline - time.perf_counter())
+        self.ready_peak_rss_mb = _proc_peak_rss_mb(self.proc.pid)
         return self.ready
 
     def command(self, message: Dict, timeout: float = 60.0):
@@ -243,9 +248,6 @@ class ServerChild:
 
     def cpu_s(self) -> float:
         return _proc_cpu_s(self.proc.pid)
-
-    def peak_rss_mb(self) -> float:
-        return _proc_peak_rss_mb(self.proc.pid)
 
     def close(self) -> None:
         """Ask the child to stop, then terminate or kill it; always reaps it."""
@@ -328,8 +330,7 @@ class Run:
         keys = schedules.hot_keys(len(crowd), list(users))
         problems, etags, lengths = checks.verify_keys(port, keys)
         self.problems += problems
-        return Plan(schedules.hot_schedules(keys, etags, self.seed, CONNECTIONS),
-                    lengths, etags)
+        return Plan(schedules.hot_schedule(keys, self.seed), lengths, etags)
 
     def churn_setup(self, port: int) -> Plan:
         """The churn key space, its ETag behaviour checked, and its schedule."""
@@ -338,15 +339,14 @@ class Run:
         sample = [keys[i] for keys in families.values() for i in (0, len(keys) // 2)]
         self.problems += checks.refresh_changes_etags(port, sample
                                                       + list(schedules.CHURN_SINGLES))
-        return Plan(schedules.churn_schedules(families, self.seed, CONNECTIONS), None, None)
+        return Plan(schedules.churn_schedule(families, self.seed), None, None)
 
     def load(self, child: ServerChild, plan: Plan, seconds: float):
         """One measured closed-loop window; returns (LoadResult, cpu seconds)."""
         with child.under_load() as client_cpus:
             cpu0 = child.cpu_s()
-            result = client.run_load(child.port, plan.schedules, seconds,
-                                     lengths=plan.lengths, etag_shared=plan.etags,
-                                     cpus=client_cpus)
+            result = client.run_load(child.port, plan.schedule, seconds,
+                                     lengths=plan.lengths, cpus=client_cpus)
             cpu = child.cpu_s() - cpu0
         self.problems += result.mismatches
         return result, cpu
@@ -403,9 +403,9 @@ class Run:
     def probes(self, child: ServerChild, layers: Dict[str, float]) -> None:
         """``http.server`` overhead on a hot replay, then refresh and renders."""
         plan = self.hot_setup(child.port)
-        replay = plan.schedules[0][:OVERHEAD_REPLAY]
+        replay = plan.schedule[:OVERHEAD_REPLAY]
         with child.under_load() as client_cpus:
-            replayed = client.run_load(child.port, [replay], self.remaining(),
+            replayed = client.run_load(child.port, replay, self.remaining(),
                                        lengths=plan.lengths, cpus=client_cpus, once=True)
         self.problems += replayed.mismatches
         self.attempted += replayed.attempted
@@ -452,40 +452,45 @@ class Run:
     def plan(self, port: int) -> Plan:
         return self.hot_setup(port) if self.workload == "serve_hot" else self.churn_setup(port)
 
-    def set_up(self, traced: bool):
-        """Generate and write the city, then cold-start a server on it.
+    def cold_start(self, traced: bool):
+        """Cold-start a server on the run's TSV; returns its time and the child.
 
-        Returns the set-up time, the dataset timings and the ready child.
-        The first set-up of a run also checks what the server built.
+        The first cold start of a run also checks what the server built.
         """
         start = time.perf_counter()
-        timings = make_dataset(self.seed, self.tsv)
         child = self.start_server(traced)
         took = time.perf_counter() - start
         if not self.checked_build:
             self.checked_build = True
             self.problems += checks.build_checks(child.port, self.tsv)
-        return took, timings, child
+        return took, child
 
     def run_untraced(self) -> None:
-        """Two set-ups, each followed by half of the measured load."""
-        setup_s, readies, rss, results = [], [], [], []
+        """One city, then cold starts, each followed by one load window.
+
+        Every set-up time is the city's generation and write plus one cold
+        start, so ``setup_s`` is still a whole set-up's time.  Every metric
+        is a median over the cold starts or their load windows.
+        """
+        city_s = sum(make_dataset(self.seed, self.tsv).values())
+        setup_s, readies, rss, windows = [], [], [], []
         for _ in range(SETUP_REPEATS):
-            took, _timings, child = self.set_up(traced=False)
-            setup_s.append(took)
+            took, child = self.cold_start(traced=False)
+            setup_s.append(city_s + took)
             readies.append(child.ready)
+            rss.append(child.ready_peak_rss_mb)
             plan = self.plan(child.port)
             result, _cpu = self.load(child, plan, self.seconds / SETUP_REPEATS)
             if self.workload == "serve_hot":
                 self.problems += checks.etags_unchanged(child.port, plan.etags)
-            rss.append(child.peak_rss_mb())
-            results.append(result)
+            self.attempted += result.attempted
+            self.failed += result.failed
+            windows.append(self.serve_metrics(result))
             child.close()
-        result = client.merge(results, sequential=True)
-        self.attempted += result.attempted
-        self.failed += result.failed
+        # The median window, so one window caught in a burst of host noise
+        # does not set a run's figure.
         self.metrics = dict(
-            self.serve_metrics(result),
+            {name: statistics.median(w[name] for w in windows) for name in windows[0]},
             setup_s=statistics.median(setup_s),
             build_s=statistics.median(r["build_s"] for r in readies),
             peak_rss_mb=statistics.median(rss),
@@ -494,7 +499,8 @@ class Run:
     def run_traced(self) -> None:
         """One traced set-up, the traced load windows, then the probes."""
         layers: Dict[str, float] = {}
-        _took, timings, child = self.set_up(traced=True)
+        timings = make_dataset(self.seed, self.tsv)
+        _took, child = self.cold_start(traced=True)
         if not child.command({"cmd": "verify"}, timeout=self.remaining())["same"]:
             self.problems.append("staged build differs from run_pipeline")
         self.build_layers(child.ready, layers)
