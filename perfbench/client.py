@@ -8,11 +8,10 @@ process instead of to ``http.client`` parsing.
 
 from __future__ import annotations
 
-import os
 import socket
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Seconds one response may take before it counts as a failed request.
 REQUEST_TIMEOUT_S = 10.0
@@ -190,75 +189,82 @@ class _Expect:
         return None
 
 
-def run_load(
-    port: int,
-    schedule: Sequence[Request],
-    seconds: float,
-    lengths: Optional[Dict[Tuple[str, bool], int]] = None,
-    cpus: Optional[Set[int]] = None,
-    once: bool = False,
-) -> LoadResult:
-    """Closed loop on one spinning keep-alive connection, on the calling thread.
+class ClosedLoop:
+    """A closed loop on one spinning keep-alive connection, run in windows.
 
-    Cycles through ``schedule`` until ``seconds`` pass, or makes one pass
-    with ``once``; meanwhile the calling thread is pinned to ``cpus`` when
-    given.  A refused connection, a timeout or a 5xx counts as a failed
-    request (its latency is the timeout) and the loop reconnects; a wrong
-    status or body is also recorded as a correctness mismatch.  A
-    conditional request (``etag`` of ``""``) sends the last ETag this load
-    saw for its route, as a browser revalidating its copy would, and goes
+    Each :meth:`window` call cycles on through ``schedule`` from where the
+    last one stopped, on the calling thread, until ``seconds`` pass or, with
+    ``once``, until the schedule's end.  The connection, the ETags seen and
+    the body lengths learnt carry over from window to window, so splitting
+    a load into windows leaves the requests it sends unchanged.
+
+    A refused connection, a timeout or a 5xx counts as a failed request
+    (its latency is the timeout) and the loop reconnects; a wrong status
+    or body is also recorded as a correctness mismatch.  A conditional
+    request (``etag`` of ``""``) sends the last ETag this loop saw for its
+    route, as a browser revalidating its copy would, and goes
     unconditional while it has seen none.
     """
-    expect = _Expect(lengths)
-    etags: Dict[str, str] = {}
-    out = LoadResult()
-    encoded = [None if r.etag == "" else r.encode() for r in schedule]
-    saved_cpus = os.sched_getaffinity(0)
-    if cpus:
-        os.sched_setaffinity(0, cpus)  # this thread only
-    clock = time.perf_counter
-    conn: Optional[Connection] = None
-    start = clock()
-    deadline = start + seconds
-    i = 0
-    try:
-        while clock() < deadline and not (once and i == len(schedule)):
-            request = schedule[i % len(schedule)]
-            raw = encoded[i % len(schedule)]
-            i += 1
-            if raw is None:
-                request = Request(request.method, request.path, request.gzip,
-                                  etags.get(request.path))
-                raw = request.encode()
-            out.attempted += 1
-            t0 = clock()
-            try:
-                if conn is None:
-                    conn = Connection(port, spin=True)
-                response = conn.send(raw)
-            except (OSError, HttpError):
-                out.failed += 1
-                out.latencies.append(REQUEST_TIMEOUT_S)
-                if conn is not None:
-                    conn.close()
-                conn = None
-                continue
-            out.wire_bytes += response.wire_bytes
-            problem = None if response.status >= 500 else expect.check(request, response)
-            if response.status >= 500 or problem is not None:
-                out.failed += 1
-                out.latencies.append(REQUEST_TIMEOUT_S)
-                if problem is not None and len(out.mismatches) < 5:
-                    out.mismatches.append(problem)
-                continue
-            out.latencies.append(clock() - t0)
-            if "etag" in response.headers:
-                etags[request.path] = response.headers["etag"]
-    finally:
-        out.wall_s = clock() - start
-        if conn is not None:
-            conn.close()
-        if cpus:
-            os.sched_setaffinity(0, saved_cpus)
-    return out
 
+    def __init__(self, port: int, schedule: Sequence[Request],
+                 lengths: Optional[Dict[Tuple[str, bool], int]] = None) -> None:
+        self.port = port
+        self.schedule = schedule
+        self._encoded = [None if r.etag == "" else r.encode() for r in schedule]
+        self._expect = _Expect(lengths)
+        self._etags: Dict[str, str] = {}
+        self._conn: Optional[Connection] = None
+        self._i = 0
+
+    def close(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def __enter__(self) -> "ClosedLoop":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def window(self, seconds: float, once: bool = False) -> LoadResult:
+        schedule, encoded, etags = self.schedule, self._encoded, self._etags
+        out = LoadResult()
+        clock = time.perf_counter
+        start = clock()
+        deadline = start + seconds
+        try:
+            while clock() < deadline and not (once and self._i == len(schedule)):
+                request = schedule[self._i % len(schedule)]
+                raw = encoded[self._i % len(schedule)]
+                self._i += 1
+                if raw is None:
+                    request = Request(request.method, request.path, request.gzip,
+                                      etags.get(request.path))
+                    raw = request.encode()
+                out.attempted += 1
+                t0 = clock()
+                try:
+                    if self._conn is None:
+                        self._conn = Connection(self.port, spin=True)
+                    response = self._conn.send(raw)
+                except (OSError, HttpError):
+                    out.failed += 1
+                    out.latencies.append(REQUEST_TIMEOUT_S)
+                    self.close()
+                    continue
+                out.wire_bytes += response.wire_bytes
+                problem = (None if response.status >= 500
+                           else self._expect.check(request, response))
+                if response.status >= 500 or problem is not None:
+                    out.failed += 1
+                    out.latencies.append(REQUEST_TIMEOUT_S)
+                    if problem is not None and len(out.mismatches) < 5:
+                        out.mismatches.append(problem)
+                    continue
+                out.latencies.append(clock() - t0)
+                if "etag" in response.headers:
+                    etags[request.path] = response.headers["etag"]
+        finally:
+            out.wall_s = clock() - start
+        return out

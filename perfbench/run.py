@@ -3,15 +3,15 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload serve_hot --seed 20230701 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload serve_hot --seed 20230701 --seconds 12 --trace 0
 
-Each run generates the ``bench`` city from ``--seed``
-(``SynthConfig(n_users=300, n_venues=2500)``) and writes it with
-``write_foursquare_tsv``.  Each of its set-ups then cold-starts
-``perfbench/server.py``, which builds and serves that file on a loopback
-port.  The timed cold start is ``read_foursquare_tsv -> run_pipeline ->
-CrowdWebApp -> warm() -> first tile``.  Then one keep-alive client drives
-a closed loop:
+Each set-up of a run generates a ``bench`` city
+(``SynthConfig(n_users=300, n_venues=2500)``), the first from ``--seed``
+and the others from seeds drawn from it, and writes it with
+``write_foursquare_tsv``.  It then cold-starts ``perfbench/server.py``,
+which builds and serves that file on a loopback port.  The timed cold
+start is ``read_foursquare_tsv -> run_pipeline -> CrowdWebApp -> warm()
+-> first tile``.  Then one keep-alive client drives a closed loop:
 
 ``serve_hot``
     over keys that all stay in the response cache;
@@ -19,8 +19,10 @@ a closed loop:
     over a long-tail key space, refreshing the cache after a fixed number
     of reads, so most reads render.
 
-``--trace 0`` reports the end-to-end metrics; ``--trace 1`` is a separate
-run with ``repro.obs`` on that reports the per-layer metrics.  Outputs are
+``--trace 0`` reports the end-to-end metrics, with every time scaled to
+a reference host speed that is probed on the same CPU meanwhile (see
+``hostspeed``); ``--trace 1`` is a separate run with ``repro.obs`` on that
+reports the per-layer metrics as measured.  Outputs are
 checked on every run.  The last stdout line is one JSON object with keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``; the line before it
 records the host.  Exits non-zero, printing no result, when the source
@@ -30,10 +32,12 @@ tree is missing or a run cannot complete.  See ``perfbench/README.md``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
 import queue
+import random
 import shutil
 import signal
 import statistics
@@ -48,6 +52,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import checks
 import client
+import hostspeed
 import schedules
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,11 +60,9 @@ HERE = Path(__file__).resolve().parent
 SRC = ROOT / "src"
 WORK = ROOT / ".perfbench-work"
 
-#: The ``bench`` city every workload serves.
-N_USERS, N_VENUES = 300, 2500
 DEFAULT_SEED = 20230701
-#: Cold starts per untraced run: ``setup_s`` and ``build_s`` are their medians.
-SETUP_REPEATS = 4
+#: Set-ups per untraced run, each on its own city (see ``city_seed``).
+SETUP_REPEATS = 3
 #: Requests in the one-connection replay that isolates ``http.server``.
 OVERHEAD_REPLAY = 2000
 #: Refresh-and-render rounds of the render probe.
@@ -68,6 +71,13 @@ RENDER_ROUNDS = 3
 RUN_BUDGET_S = 165.0
 #: Seconds a server may take from launch to ``READY``.
 READY_TIMEOUT_S = 60.0
+#: Seconds between two host-speed probes while a server builds.
+BUILD_PROBE_S = 0.1
+#: Seconds of load between two host-speed probes.
+LOAD_WINDOW_S = 0.25
+#: Requests a block of windows holds at least for its own p99, so that at
+#: least 20 lie beyond it (see ``Load.p99``).
+P99_BLOCK = 2000
 
 
 class Plan(NamedTuple):
@@ -83,6 +93,64 @@ class Plan(NamedTuple):
     lengths: Optional[Dict[Tuple[str, bool], int]]
     #: The hot keys' ETags, which must not move while no refresh is sent.
     etags: Optional[Dict[str, str]]
+
+
+class Load(NamedTuple):
+    """A measured load, its times scaled to the reference host speed."""
+
+    attempted: int
+    failed: int
+    #: Seconds of load at the reference speed (``hostspeed``).
+    ref_s: float
+    #: Per-request latencies in seconds at the reference speed, by window.
+    windows: List[List[float]]
+    wire_bytes: int
+    #: The server's CPU seconds, as measured.
+    cpu_s: float
+    #: Wall seconds, as measured.
+    wall_s: float
+
+    @property
+    def completed(self) -> int:
+        return self.attempted - self.failed
+
+    def metrics(self) -> Dict[str, float]:
+        return {
+            "rps": self.completed / self.ref_s,
+            "p50_ms": statistics.median(itertools.chain(*self.windows)) * 1e3,
+            "p99_ms": self.p99() * 1e3,
+            "wire_bytes_per_req": self.wire_bytes / max(1, self.completed),
+        }
+
+    def p99(self) -> float:
+        """The median p99 of consecutive blocks of windows of ``P99_BLOCK`` requests or more.
+
+        The host's hiccups come in bursts, and one burst puts a few hundred
+        extra requests past the pooled p99 of a whole run.  Over five
+        ``serve_hot`` runs the pooled p99 spread by 0.15 (quartile
+        distance over median), the median over blocks by 0.07 to 0.10; on
+        ``serve_churn`` the two agree.
+        """
+        blocks, block = [], []
+        for latencies in self.windows:
+            block += latencies
+            if len(block) >= P99_BLOCK:
+                blocks.append(_quantile(block, 0.99))
+                block = []
+        return statistics.median(blocks or [_quantile(block, 0.99)])
+
+
+def _pool(loads: List[Load]) -> Load:
+    """Several loads as one."""
+    return Load(
+        attempted=sum(load.attempted for load in loads),
+        failed=sum(load.failed for load in loads),
+        ref_s=sum(load.ref_s for load in loads),
+        windows=[window for load in loads for window in load.windows],
+        wire_bytes=sum(load.wire_bytes for load in loads),
+        cpu_s=sum(load.cpu_s for load in loads),
+        wall_s=sum(load.wall_s for load in loads),
+    )
 
 
 class BenchError(Exception):
@@ -102,15 +170,56 @@ def _log(message: str) -> None:
 # --------------------------------------------------------------------- setup
 
 
-def make_dataset(seed: int, tsv: Path) -> Dict[str, float]:
-    """Generate the city and write it as a Foursquare TSV; returns timings."""
-    from repro.data import SynthConfig, generate, write_foursquare_tsv
+def city_seed(seed: int, k: int) -> int:
+    """The seed of a run's ``k``-th city: ``seed`` itself, then ones drawn from it.
 
+    The amount of data varies with the seed (59.5k to 72.6k check-ins over
+    five seeds, and ``build_s`` with it), so a run averages its figures over
+    several cities instead of betting them on one.
+    """
+    return seed if k == 0 else random.Random(f"{seed}/{k}").randrange(2 ** 31)
+
+
+def _child_env() -> Dict[str, str]:
+    return dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+
+
+def make_city(seed: int, tsv: Path, timeout: float) -> Tuple[Dict, float]:
+    """Generate a city and write it to ``tsv`` in ``perfbench/city.py``.
+
+    The child runs on the server's CPU, whose speed is probed every
+    ``BUILD_PROBE_S`` meanwhile.  Returns the child's timings and its wall
+    time at the reference speed.
+    """
+    _client_cpus, cpus = _cpu_split()
     start = time.perf_counter()
-    dataset = generate(SynthConfig(seed=seed, n_users=N_USERS, n_venues=N_VENUES)).dataset
-    generated = time.perf_counter()
-    write_foursquare_tsv(dataset, tsv)
-    return {"generate_s": generated - start, "write_s": time.perf_counter() - generated}
+    proc = subprocess.Popen([sys.executable, str(HERE / "city.py"), "--seed", str(seed),
+                             "--tsv", str(tsv)], cwd=ROOT, env=_child_env(),
+                            stdout=subprocess.PIPE, text=True)
+    try:
+        if cpus:
+            _pin(proc.pid, cpus)
+        speeds = []
+        while True:
+            speeds.append(hostspeed.probe(cpus))
+            try:
+                proc.wait(timeout=BUILD_PROBE_S)
+                break
+            except subprocess.TimeoutExpired:
+                if time.perf_counter() - start > timeout:
+                    raise BenchError("city generation did not finish in time") from None
+        wall = time.perf_counter() - start
+        out = proc.stdout.read()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    if proc.returncode != 0:
+        raise BenchError(f"city generation failed with code {proc.returncode}")
+    timings = json.loads(out)
+    _log(f"city {seed}: {timings['checkins']} check-ins")
+    return timings, wall * statistics.fmean(speeds) / hostspeed.REFERENCE
 
 
 # -------------------------------------------------------------- server child
@@ -123,7 +232,7 @@ def _proc_cpu_s(pid: int) -> float:
 
 
 def _cpu_split():
-    """(client CPUs, server CPUs) for the load: one CPU each, when there are two."""
+    """(client CPUs, server CPUs): one CPU each, when there are two."""
     cpus = sorted(os.sched_getaffinity(0))
     if len(cpus) < 2:
         return None, None
@@ -158,7 +267,11 @@ def _keep_awake(cpus):
 
 def _pin(pid: int, cpus) -> None:
     """Pin every thread of a process; threads it starts later inherit."""
-    for tid in os.listdir(f"/proc/{pid}/task"):
+    try:
+        tids = os.listdir(f"/proc/{pid}/task")
+    except FileNotFoundError:
+        return  # the process ended; its caller finds out on reading from it
+    for tid in tids:
         try:
             os.sched_setaffinity(int(tid), cpus)
         except ProcessLookupError:
@@ -177,12 +290,13 @@ class ServerChild:
     """``perfbench/server.py`` in a child process, always reaped on exit."""
 
     def __init__(self, tsv: Path, traced: bool) -> None:
-        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+        env = _child_env()
         command = [sys.executable, str(HERE / "server.py"), "--tsv", str(tsv)]
         if traced:
             command.append("--traced")
         self.proc = subprocess.Popen(command, cwd=ROOT, env=env, text=True, bufsize=1,
                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        self.client_cpus, self.cpus = _cpu_split()
         self._lines: "queue.Queue[Optional[str]]" = queue.Queue()
         self._reader = threading.Thread(target=self._read, daemon=True)
         self._reader.start()
@@ -190,17 +304,27 @@ class ServerChild:
         self.ready: Dict = {}
         #: The child's peak resident memory up to READY: the timed path's.
         self.ready_peak_rss_mb = 0.0
+        #: Mean host speed (``hostspeed.probe``) on the child's CPU while it built.
+        self.build_speed = 0.0
 
     def _read(self) -> None:
         for line in self.proc.stdout:
             self._lines.put(line.rstrip("\n"))
         self._lines.put(None)
 
-    def _expect(self, tag: str, timeout: float):
-        try:
-            line = self._lines.get(timeout=max(0.1, timeout))
-        except queue.Empty:
-            raise BenchError(f"server sent no {tag} within {timeout:.0f} s") from None
+    def _expect(self, tag: str, timeout: float, tick=None):
+        """The child's next line, which must be ``tag``; calls ``tick`` while waiting."""
+        deadline = time.perf_counter() + timeout
+        step = BUILD_PROBE_S if tick else timeout
+        while True:
+            try:
+                line = self._lines.get(
+                    timeout=max(0.01, min(step, deadline - time.perf_counter())))
+                break
+            except queue.Empty:
+                if tick is None or time.perf_counter() >= deadline:
+                    raise BenchError(f"server sent no {tag} within {timeout:.0f} s") from None
+                tick()
         if line is None:
             raise BenchError(f"server exited (code {self.proc.wait()}) before {tag}")
         got, _, payload = line.partition(" ")
@@ -209,24 +333,35 @@ class ServerChild:
         return json.loads(payload)
 
     def wait_ready(self, timeout: float) -> Dict:
-        """Port, then readiness polled through the 503 window, then READY."""
+        """Port, then readiness polled through the 503 window, then READY.
+
+        Meanwhile the host speed on the child's CPU is probed every
+        ``BUILD_PROBE_S``; each probe preempts the build for about 2 ms.
+        """
         deadline = time.perf_counter() + timeout
+        if self.cpus:
+            # The build runs on the CPU whose speed is probed.
+            _pin(self.proc.pid, self.cpus)
+        speeds = []
         self.port = self._expect("PORT", timeout)
         while True:
             if time.perf_counter() > deadline:
                 raise BenchError("server did not become ready in time")
+            speeds.append(hostspeed.probe(self.cpus))
             try:
                 response = client.get(self.port, "/api/cache")
             except (OSError, client.HttpError):
-                time.sleep(0.05)
+                time.sleep(BUILD_PROBE_S)
                 continue
             if response.status == 200:
                 break
             if response.status != 503:
                 raise BenchError(f"server build failed: {response.body[:200]!r}")
-            time.sleep(min(0.1, float(response.headers.get("retry-after", "1"))))
-        self.ready = self._expect("READY", deadline - time.perf_counter())
+            time.sleep(min(BUILD_PROBE_S, float(response.headers.get("retry-after", "1"))))
+        self.ready = self._expect("READY", deadline - time.perf_counter(),
+                                  tick=lambda: speeds.append(hostspeed.probe(self.cpus)))
         self.ready_peak_rss_mb = _proc_peak_rss_mb(self.proc.pid)
+        self.build_speed = statistics.fmean(speeds)
         return self.ready
 
     def command(self, message: Dict, timeout: float = 60.0):
@@ -239,12 +374,15 @@ class ServerChild:
 
     @contextmanager
     def under_load(self):
-        """Pin the server to its CPU and keep that CPU awake; yields the client's."""
-        client_cpus, server_cpus = _cpu_split()
-        if server_cpus:
-            _pin(self.proc.pid, server_cpus)
-        with _keep_awake(server_cpus):
-            yield client_cpus
+        """Pin the calling thread to the client's CPU and keep the server's awake."""
+        saved = os.sched_getaffinity(0)
+        if self.client_cpus:
+            os.sched_setaffinity(0, self.client_cpus)  # this thread only
+        try:
+            with _keep_awake(self.cpus):
+                yield
+        finally:
+            os.sched_setaffinity(0, saved)
 
     def cpu_s(self) -> float:
         return _proc_cpu_s(self.proc.pid)
@@ -324,41 +462,59 @@ class Run:
         return ([w["n_users"] for w in json.loads(crowd.body)["windows"]],
                 {row["user_id"]: row["n_patterns"] for row in rows})
 
-    def hot_setup(self, port: int) -> Plan:
+    def hot_setup(self, port: int, seed: int) -> Plan:
         """The hot key set, verified and left cached, and its schedule."""
         crowd, users = self.key_space(port)
         keys = schedules.hot_keys(len(crowd), list(users))
         problems, etags, lengths = checks.verify_keys(port, keys)
         self.problems += problems
-        return Plan(schedules.hot_schedule(keys, self.seed), lengths, etags)
+        return Plan(schedules.hot_schedule(keys, seed), lengths, etags)
 
-    def churn_setup(self, port: int) -> Plan:
+    def churn_setup(self, port: int, seed: int) -> Plan:
         """The churn key space, its ETag behaviour checked, and its schedule."""
         crowd, users = self.key_space(port)
         families = schedules.churn_families(len(crowd), list(users))
         sample = [keys[i] for keys in families.values() for i in (0, len(keys) // 2)]
         self.problems += checks.refresh_changes_etags(port, sample
                                                       + list(schedules.CHURN_SINGLES))
-        return Plan(schedules.churn_schedule(families, self.seed), None, None)
+        return Plan(schedules.churn_schedule(families, seed), None, None)
 
-    def load(self, child: ServerChild, plan: Plan, seconds: float):
-        """One measured closed-loop window; returns (LoadResult, cpu seconds)."""
-        with child.under_load() as client_cpus:
+    def load(self, child: ServerChild, plan: Plan, seconds: float) -> Load:
+        """``seconds`` of closed-loop load, in windows between host-speed probes.
+
+        A request's time is spent on both CPUs: on the server's for the
+        share of the load the server was busy (its CPU time over the wall
+        time), on the client's for the rest.  Each window's host speed is
+        that mix of the two CPUs' speeds, averaged over the probes before
+        and after it.
+        """
+        windows = []
+        with child.under_load(), client.ClosedLoop(child.port, plan.schedule,
+                                                   plan.lengths) as loop:
             cpu0 = child.cpu_s()
-            result = client.run_load(child.port, plan.schedule, seconds,
-                                     lengths=plan.lengths, cpus=client_cpus)
+            before = (hostspeed.probe(child.cpus), hostspeed.probe(child.client_cpus))
+            end = time.perf_counter() + seconds
+            while time.perf_counter() < end:
+                result = loop.window(min(LOAD_WINDOW_S, end - time.perf_counter()))
+                after = (hostspeed.probe(child.cpus), hostspeed.probe(child.client_cpus))
+                windows.append((result, [(a + b) / 2 for a, b in zip(before, after)]))
+                before = after
             cpu = child.cpu_s() - cpu0
-        self.problems += result.mismatches
-        return result, cpu
-
-    @staticmethod
-    def serve_metrics(result) -> Dict[str, float]:
-        return {
-            "rps": result.completed / result.wall_s,
-            "p50_ms": statistics.median(result.latencies) * 1e3,
-            "p99_ms": _quantile(result.latencies, 0.99) * 1e3,
-            "wire_bytes_per_req": result.wire_bytes / max(1, result.completed),
-        }
+        wall = sum(result.wall_s for result, _speeds in windows)
+        busy = min(1.0, cpu / wall)
+        ref_s, scaled = 0.0, []
+        for result, (server, client_) in windows:
+            scale = (busy * server + (1 - busy) * client_) / hostspeed.REFERENCE
+            ref_s += result.wall_s * scale
+            scaled.append([latency * scale for latency in result.latencies])
+            self.problems += result.mismatches
+        return Load(
+            attempted=sum(result.attempted for result, _speeds in windows),
+            failed=sum(result.failed for result, _speeds in windows),
+            ref_s=ref_s, windows=scaled,
+            wire_bytes=sum(result.wire_bytes for result, _speeds in windows),
+            cpu_s=cpu, wall_s=wall,
+        )
 
     # --------------------------------------------------------------- layers
 
@@ -370,43 +526,38 @@ class Run:
         the ``repro_web_*`` counters; their throughput ratio is the cost of
         tracing.
         """
-        plain_n = plain_s = traced_n = traced_s = plain_cpu = 0.0
+        plains, traceds = [], []
         totals: Dict[str, float] = {}
         for _ in range(2):
             child.command({"cmd": "obs", "on": False})
-            plain, cpu = self.load(child, plan, seconds / 4)
+            plains.append(self.load(child, plan, seconds / 4))
             child.command({"cmd": "obs", "on": True})
-            traced, _cpu = self.load(child, plan, seconds / 4)
+            traceds.append(self.load(child, plan, seconds / 4))
             counters = json.loads(client.get(child.port, "/metrics").body)["counters"]
             child.command({"cmd": "obs", "on": False})
             for name, series in counters.items():
                 for label, value in series.items():
                     if label not in ("/api/refresh", "/metrics"):
                         totals[name] = totals.get(name, 0.0) + value
-            for result in (plain, traced):
-                self.attempted += result.attempted
-                self.failed += result.failed
-            plain_n += plain.completed
-            plain_s += plain.wall_s
-            plain_cpu += cpu
-            traced_n += traced.completed
-            traced_s += traced.wall_s
+        plain, traced = _pool(plains), _pool(traceds)
+        for result in (plain, traced):
+            self.attempted += result.attempted
+            self.failed += result.failed
 
         requests = max(1.0, totals.get("repro_web_requests_total", 0.0))
-        layers["web.server.cpu_us_per_req"] = plain_cpu / max(1.0, plain_n) * 1e6
+        layers["web.server.cpu_us_per_req"] = plain.cpu_s / max(1, plain.completed) * 1e6
         layers["web.cache.hit_ratio"] = 1.0 - totals.get("repro_web_renders_total", 0.0) / requests
         layers["web.not_modified_share"] = (
             totals.get("repro_web_not_modified_total", 0.0) / requests)
         layers["web.gzip_share"] = totals.get("repro_web_gzip_responses_total", 0.0) / requests
-        layers["obs.overhead_ratio"] = (traced_n / traced_s) / (plain_n / plain_s)
+        layers["obs.overhead_ratio"] = traced.metrics()["rps"] / plain.metrics()["rps"]
 
     def probes(self, child: ServerChild, layers: Dict[str, float]) -> None:
         """``http.server`` overhead on a hot replay, then refresh and renders."""
-        plan = self.hot_setup(child.port)
+        plan = self.hot_setup(child.port, self.seed)
         replay = plan.schedule[:OVERHEAD_REPLAY]
-        with child.under_load() as client_cpus:
-            replayed = client.run_load(child.port, replay, self.remaining(),
-                                       lengths=plan.lengths, cpus=client_cpus, once=True)
+        with child.under_load(), client.ClosedLoop(child.port, replay, plan.lengths) as loop:
+            replayed = loop.window(self.remaining(), once=True)
         self.problems += replayed.mismatches
         self.attempted += replayed.attempted
         self.failed += replayed.failed
@@ -449,11 +600,12 @@ class Run:
 
     # ------------------------------------------------------------ workloads
 
-    def plan(self, port: int) -> Plan:
-        return self.hot_setup(port) if self.workload == "serve_hot" else self.churn_setup(port)
+    def plan(self, port: int, seed: int) -> Plan:
+        setup = self.hot_setup if self.workload == "serve_hot" else self.churn_setup
+        return setup(port, seed)
 
     def cold_start(self, traced: bool):
-        """Cold-start a server on the run's TSV; returns its time and the child.
+        """Cold-start a server on the run's current TSV; returns its time and the child.
 
         The first cold start of a run also checks what the server built.
         """
@@ -466,45 +618,53 @@ class Run:
         return took, child
 
     def run_untraced(self) -> None:
-        """One city, then cold starts, each followed by one load window.
+        """Set-ups on cities of their own, each followed by its share of the load.
 
-        Every set-up time is the city's generation and write plus one cold
-        start, so ``setup_s`` is still a whole set-up's time.  Every metric
-        is a median over the cold starts or their load windows.
+        A set-up is the city's generation and TSV write plus one cold
+        start; ``setup_s`` is the median set-up.  ``build_s`` is the mean
+        of the cold starts' timed paths, and the serving metrics pool all
+        the load windows.  All times are at the reference host speed (see
+        ``hostspeed``).
         """
-        city_s = sum(make_dataset(self.seed, self.tsv).values())
-        setup_s, readies, rss, windows = [], [], [], []
-        for _ in range(SETUP_REPEATS):
+        setup_s, builds, raw_builds, rss, loads = [], [], [], [], []
+        for k in range(SETUP_REPEATS):
+            seed = city_seed(self.seed, k)
+            _timings, city_s = make_city(seed, self.tsv, self.remaining())
             took, child = self.cold_start(traced=False)
-            setup_s.append(city_s + took)
-            readies.append(child.ready)
+            scale = child.build_speed / hostspeed.REFERENCE
+            setup_s.append(city_s + took * scale)
+            raw_builds.append(child.ready["build_s"])
+            builds.append(child.ready["build_s"] * scale)
+            _log(f"city {seed}: build_s {child.ready['build_s']:.3f} as measured, "
+                 f"{builds[-1]:.3f} at the reference speed")
             rss.append(child.ready_peak_rss_mb)
-            plan = self.plan(child.port)
-            result, _cpu = self.load(child, plan, self.seconds / SETUP_REPEATS)
+            plan = self.plan(child.port, seed)
+            loads.append(self.load(child, plan, self.seconds / SETUP_REPEATS))
             if self.workload == "serve_hot":
                 self.problems += checks.etags_unchanged(child.port, plan.etags)
-            self.attempted += result.attempted
-            self.failed += result.failed
-            windows.append(self.serve_metrics(result))
             child.close()
-        # The median window, so one window caught in a burst of host noise
-        # does not set a run's figure.
+        load = _pool(loads)
+        self.attempted += load.attempted
+        self.failed += load.failed
         self.metrics = dict(
-            {name: statistics.median(w[name] for w in windows) for name in windows[0]},
+            load.metrics(),
             setup_s=statistics.median(setup_s),
-            build_s=statistics.median(r["build_s"] for r in readies),
-            peak_rss_mb=statistics.median(rss),
+            build_s=statistics.fmean(builds),
+            peak_rss_mb=statistics.fmean(rss),
         )
+        _log(f"as measured: build_s {statistics.fmean(raw_builds):.3f}, "
+             f"rps {load.completed / load.wall_s:.1f}, host speed "
+             f"{load.ref_s / load.wall_s * hostspeed.REFERENCE:.0f} loops/s under load")
 
     def run_traced(self) -> None:
         """One traced set-up, the traced load windows, then the probes."""
         layers: Dict[str, float] = {}
-        timings = make_dataset(self.seed, self.tsv)
+        timings, _city_s = make_city(self.seed, self.tsv, self.remaining())
         _took, child = self.cold_start(traced=True)
         if not child.command({"cmd": "verify"}, timeout=self.remaining())["same"]:
             self.problems.append("staged build differs from run_pipeline")
         self.build_layers(child.ready, layers)
-        self.serving_layers(child, self.plan(child.port), self.seconds, layers)
+        self.serving_layers(child, self.plan(child.port, self.seed), self.seconds, layers)
         self.probes(child, layers)
         layers["data.synth.generate_s"] = timings["generate_s"]
         layers["data.io.write_tsv_s"] = timings["write_s"]

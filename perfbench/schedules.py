@@ -44,7 +44,7 @@ CONDITIONAL_SHARE = 0.2
 #: encodings equally, so a change that speeds one by slowing the other
 #: shows in ``p50_ms`` and ``wire_bytes_per_req``.
 GZIP_SHARE = 0.5
-#: Requests in the hot schedule before it repeats; more than one load window sends.
+#: Requests in the hot schedule before it repeats; more than one set-up's load sends.
 HOT_SCHEDULE_LEN = 60_000
 #: Reads between two ``POST /api/refresh`` (churn).  A code-path value: a
 #: run holds a few dozen refreshes, enough for invalidation to show in
