@@ -13,7 +13,10 @@ asserts, at the engine level (no interpreter startup noise):
 4. the whole-program facts ride the cached summaries: a project rebuilt
    warm from the same cache extracts zero summaries and still discovers
    the tree's thread roots, exception summaries, and resource facts from
-   the cached payloads.
+   the cached payloads, and fills its records table from them;
+5. a cold ``--jobs 2`` run, whose workers receive the project's records
+   table instead of re-solving anything, reports exactly the serial run's
+   findings.
 
 Work done is counted structurally (files re-analyzed, summaries rebuilt),
 never by wall-clock: a loaded CI runner can stall either run arbitrarily,
@@ -57,17 +60,10 @@ def _warm_facts_probe(cache: LintCache):
         if not isinstance(summary.get(fact), dict)
     ]
     exceptions = project.exceptions()
-    may_raise = sum(
-        1
-        for module_key in project.summaries
-        for qualname in (
-            project.summaries[module_key].get("exceptions", {})
-            .get("functions", {})
-        )
-        if exceptions.may_raise(module_key, qualname)
-    )
-    project.lifecycle()  # the resource pass must also run clean off the cache
-    return project.summaries_built, missing, project.threads().n_roots, may_raise
+    may_raise = sum(1 for node in exceptions.nodes if exceptions.may_raise(*node))
+    for module_key in project.summaries:
+        project.records(module_key)  # every analysis must also run clean off the cache
+    return project.summaries_built, missing, len(project.threads().roots), may_raise
 
 
 def main() -> int:
@@ -89,6 +85,12 @@ def main() -> int:
             _warm_facts_probe(cache)
         )
 
+        engine = LintEngine()
+        t0 = time.perf_counter()
+        jobs = engine.lint_paths(PATHS, jobs=2)
+        jobs_s = time.perf_counter() - t0
+        jobs_stats = engine.last_stats
+
     ratio = (
         cold_stats.analyzed / warm_stats.analyzed
         if warm_stats.analyzed
@@ -107,6 +109,10 @@ def main() -> int:
     print(
         f"facts: {thread_roots} thread roots and {may_raise} may-raise "
         f"functions from cached facts, {facts_rebuilds} summaries rebuilt"
+    )
+    print(
+        f"jobs=2 cold: {jobs_stats.analyzed} analyzed on workers sent the "
+        f"records table, {jobs_s * 1000:.0f} ms"
     )
 
     problems = []
@@ -135,6 +141,10 @@ def main() -> int:
         )
     if [f.as_dict() for f in cold] != [f.as_dict() for f in warm]:
         problems.append("cached findings differ from analyzed findings")
+    if jobs_stats.analyzed != jobs_stats.files:
+        problems.append("cold --jobs 2 run did not analyze every file")
+    if [f.as_dict() for f in jobs] != [f.as_dict() for f in cold]:
+        problems.append("--jobs 2 findings differ from the serial run's")
     if ratio < MIN_WORK_RATIO:
         problems.append(
             f"warm relint did {ratio:.1f}x less analysis (need {MIN_WORK_RATIO}x)"

@@ -1,25 +1,31 @@
-"""Whole-program call graph and the project analysis orchestrator.
+"""Whole-program call graph and the project analysis core.
 
-``domains.extract_summary`` reduces each module to a symbolic digest; this
-module stitches the digests together.  :class:`ProjectAnalysis` resolves the
-symbolic callee forms across module boundaries — through imports and their
-aliases, module attributes, ``functools.partial`` wrappers, ``self`` dispatch,
-and methods on locally-constructed instances — then solves the interprocedural
-:class:`~repro.devtools.domains.DomainEnv` fixpoint over the resolved edges.
+``domains.extract_summary`` reduces each module to a symbolic digest in one
+definition walk; this module stitches the digests together.
+:class:`ProjectAnalysis` resolves the symbolic callee forms across module
+boundaries — through imports and their aliases, module attributes,
+``functools.partial`` wrappers, ``self`` dispatch, and methods on
+locally-constructed instances — links each analysis's call sites through one
+target resolver, and runs the domain, thread, exception and lifecycle
+analyses, whose fixpoints all share :func:`~repro.devtools.solver.solve`.
 
-Three consumers sit on top:
+What the analyses find lands once in a per-module **records table**; each
+record carries the ``rule`` id that reads it (CW601–CW603 records are the
+resolved calls whose parameter expects a known domain, and their rules
+report the mismatches; every other record is a finding).  Three consumers
+sit on top:
 
-* the **CW6xx rules** read :meth:`ProjectAnalysis.call_conflicts` (known
-  actual domain vs. known, different expected domain at a resolved call) and
-  :meth:`ProjectAnalysis.dead_exports` (``__all__`` entries no other module
-  references or imports);
-* the **engine/cache** read :meth:`ProjectAnalysis.dep_key`, a digest of
-  everything a module's findings can observe about the rest of the project —
-  a file is re-analyzed only when its content *or* that digest changes;
-* the **CLI** renders :class:`CallGraph` (``--callgraph``, ``--dot``).
+* the **whole-program rules** (CW6xx–CW8xx) read :meth:`ProjectAnalysis.
+  records` and keep the records of their own rule;
+* the **engine/cache** read :meth:`ProjectAnalysis.dep_key`, the digest of a
+  module's records — the only project-dependent input of its findings — so a
+  file is re-analyzed only when its content *or* that digest changes, and
+  ``--jobs`` workers receive the records instead of re-solving anything;
+* the **CLI** renders :class:`CallGraph` (``--callgraph``, ``--dot``) and the
+  ``--threads``/``--raises`` views.
 
 Resolution is deliberately conservative: a call that cannot be pinned to a
-single definition produces no edge, no conflict, and no cache dependency.
+single definition produces no edge, no record, and no cache dependency.
 """
 
 from __future__ import annotations
@@ -27,20 +33,27 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-
-from .domains import (
-    CONFLICT,
-    FAMILIES,
-    DomainEnv,
-    FunctionRef,
-    extract_summary,
+from typing import (
+    Callable,
+    Container,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
 )
+
+from .domains import DomainEnv, FunctionRef, extract_summary
 from .exceptions import ExceptionAnalysis
 from .resources import LifecycleAnalysis
 from .threads import ThreadAnalysis
 
 __all__ = ["CallGraph", "ProjectAnalysis"]
+
+Node = Tuple[str, str]  # (module key, function qualname)
 
 #: ``("func", ref)`` / ``("class", cref)`` / ``("module", name)`` — what a
 #: name resolves to before call semantics (constructor vs. plain call) apply.
@@ -69,9 +82,6 @@ class CallGraph:
         return sorted(
             (src, dst) for src, dsts in self._out.items() for dst in dsts
         )
-
-    def callees(self, node: str) -> Set[str]:
-        return set(self._out.get(node, set()))
 
     def callers(self, node: str) -> Set[str]:
         return set(self._in.get(node, set()))
@@ -119,11 +129,11 @@ class CallGraph:
 
 
 class ProjectAnalysis:
-    """Summaries + resolution + solved domains for one lint invocation.
+    """Summaries + resolution + analyses + records for one lint invocation.
 
     Construct via :meth:`build` (extracts or cache-loads summaries, then
-    solves the domain fixpoint) or :meth:`from_dict` (rehydrates a solved
-    analysis shipped to a worker process — no re-solving).
+    solves the domain fixpoint); the other analyses and the records table
+    are built on first use.
     """
 
     _MAX_CHASE = 6  # import/alias chains longer than this stay unresolved
@@ -134,12 +144,9 @@ class ProjectAnalysis:
         self.summaries_built = 0
         self.summaries_cached = 0
         self._resolve_cache: Dict[Tuple[str, str, str], Optional[Tuple[FunctionRef, bool]]] = {}
-        self._conflicts: Dict[str, List[Dict[str, object]]] = {}
-        self._dead: Dict[str, List[Dict[str, object]]] = {}
-        self._dep_keys: Dict[str, str] = {}
-        self._thread_analysis: Optional["ThreadAnalysis"] = None
-        self._exception_analysis: Optional["ExceptionAnalysis"] = None
-        self._lifecycle_analysis: Optional["LifecycleAnalysis"] = None
+        self._table: Optional[Dict[str, List[Dict[str, object]]]] = None
+        self._thread_analysis: Optional[ThreadAnalysis] = None
+        self._exception_analysis: Optional[ExceptionAnalysis] = None
 
     # ------------------------------------------------------------ lifecycle
 
@@ -177,37 +184,6 @@ class ProjectAnalysis:
         project.summaries_built = built
         project.summaries_cached = cached
         project.env.solve(summaries, project.resolve)
-        return project
-
-    def to_dict(self) -> Dict[str, object]:
-        """A JSON-safe snapshot (summaries + solved fixpoint) for workers."""
-        return {
-            "summaries": self.summaries,
-            "expected": {
-                _ref_key(ref): slots for ref, slots in self.env.expected.items()
-            },
-            "ret": {_ref_key(ref): slots for ref, slots in self.env.ret.items()},
-            "seeded": {
-                _ref_key(ref): {param: sorted(families) for param, families in per.items()}
-                for ref, per in self.env.seeded.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ProjectAnalysis":
-        project = cls(data["summaries"])  # type: ignore[arg-type]
-        project.env.expected = {
-            _ref_from_key(key): slots
-            for key, slots in data["expected"].items()  # type: ignore[union-attr]
-        }
-        project.env.ret = {
-            _ref_from_key(key): slots
-            for key, slots in data["ret"].items()  # type: ignore[union-attr]
-        }
-        project.env.seeded = {
-            _ref_from_key(key): {param: set(families) for param, families in per.items()}
-            for key, per in data["seeded"].items()  # type: ignore[union-attr]
-        }
         return project
 
     # ------------------------------------------------------------ resolution
@@ -408,112 +384,122 @@ class ProjectAnalysis:
             return None
         return summary["functions"].get(qualname)  # type: ignore[union-attr]
 
+    def _resolve_target(
+        self,
+        module_key: str,
+        caller: str,
+        sym: Optional[Sequence[object]],
+        nodes: Container[Node],
+    ) -> Optional[Node]:
+        """Pin a call site to one of an analysis's ``nodes``, or ``None``.
+
+        :meth:`resolve` first; then a ``self.m()`` sibling method and a bare
+        name defined in the same module, which cover definitions that only
+        the thread and exception facts model (nested functions, classes
+        nested in functions).
+        """
+        if not sym:
+            return None
+        resolved = self.resolve(module_key, caller, sym)
+        if resolved is not None and resolved[0] in nodes:
+            return resolved[0]
+        if sym[0] == "self" and "." in caller:
+            sibling = (module_key, caller.rsplit(".", 1)[0] + "." + str(sym[1]))
+            if sibling in nodes:
+                return sibling
+        if sym[0] == "name":
+            direct = (module_key, str(sym[1]))
+            if direct in nodes:
+                return direct
+        return None
+
+    def function_facts(self, section: str) -> Dict[Node, Dict[str, object]]:
+        """Every function record of one fact section, keyed by node."""
+        return {
+            (module_key, qualname): record
+            for module_key in sorted(self.summaries)
+            for qualname, record in self.summaries[module_key][section]["functions"].items()  # type: ignore[index]
+        }
+
+    def linked_calls(
+        self, nodes: Dict[Node, Dict[str, object]]
+    ) -> Iterator[Tuple[Node, Dict[str, object], Node]]:
+        """``(caller, call record, callee)`` for each call site in ``nodes``
+        that :meth:`_resolve_target` pins to another of ``nodes``."""
+        for node, record in nodes.items():
+            for call in record["calls"]:  # type: ignore[union-attr]
+                target = self._resolve_target(node[0], node[1], call["sym"], nodes)
+                if target is not None:
+                    yield node, call, target
+
     # ------------------------------------------------------------ call graph
 
     def call_graph(self) -> CallGraph:
         graph = CallGraph()
         for module_key in sorted(self.summaries):
-            for qualname in self.summaries[module_key]["functions"]:  # type: ignore[union-attr]
+            summary = self.summaries[module_key]
+            for qualname in summary["functions"]:  # type: ignore[union-attr]
                 graph.add_node(f"{module_key}:{qualname}")
-        for module_key, call, ref, _bound in self._resolved_calls():
-            graph.add_edge(
-                f"{module_key}:{call['caller']}", f"{ref[0]}:{ref[1]}"
-            )
-        return graph
-
-    def _resolved_calls(
-        self, only_module: Optional[str] = None
-    ) -> Iterator[Tuple[str, Dict[str, object], FunctionRef, bool]]:
-        keys = [only_module] if only_module is not None else sorted(self.summaries)
-        for module_key in keys:
-            summary = self.summaries.get(module_key)
-            if summary is None:
-                continue
-            for call in summary["calls"]:  # type: ignore[index]
+            for call in summary["calls"]:  # type: ignore[union-attr]
                 resolved = self.resolve(module_key, call["caller"], call["callee"])
                 if resolved is not None:
-                    yield module_key, call, resolved[0], resolved[1]
+                    ref = resolved[0]
+                    graph.add_edge(f"{module_key}:{call['caller']}", f"{ref[0]}:{ref[1]}")
+        return graph
 
-    # ------------------------------------------------------------ rule feeds
+    # ------------------------------------------------------------ records
 
-    def call_conflicts(self, module_key: str) -> List[Dict[str, object]]:
-        """Known-vs-known domain disagreements at calls made *by* a module.
+    def records(self, module_key: str) -> List[Dict[str, object]]:
+        """The records anchored in one module, each tagged with its ``rule``.
 
-        Each record carries everything the CW6xx rules need to phrase and
-        anchor a finding; conflicted (``CONFLICT``) and unknown slots are
-        filtered before this point, so every record is a definite claim.
+        Built once for the whole project.  They are the only input any rule
+        reads from the project, so they alone decide what a module's
+        whole-program findings are.
         """
-        if module_key in self._conflicts:
-            return self._conflicts[module_key]
-        records: List[Dict[str, object]] = []
-        for _, call, ref, bound in self._resolved_calls(module_key):
-            info = self._function_info(ref[0], ref[1])
-            if info is None:
-                continue
-            positional = list(info["positional"])  # type: ignore[arg-type]
-            if bound and positional:
-                positional = positional[1:]
-            pairs: List[Tuple[str, List[object], str]] = []
-            base = int(call["offset"])  # type: ignore[arg-type]
-            for index, hint in enumerate(call["args"]):  # type: ignore[arg-type]
-                slot = base + index
-                if slot >= len(positional):
-                    break
-                pairs.append((positional[slot], hint, call["texts"][index]))  # type: ignore[index]
-            for kw_name, hint in sorted(call["kwargs"].items()):  # type: ignore[union-attr]
-                if kw_name in info["params"]:  # type: ignore[operator]
-                    pairs.append((kw_name, hint, call["kw_texts"][kw_name]))  # type: ignore[index]
-            for param, hint, text in pairs:
-                actual = (
-                    self.env.hint_domains(module_key, call["caller"], hint, self.resolve)
-                    or {}
-                )
-                expected = self.env.expected_domains(ref, param)
-                for family in FAMILIES:
-                    have = actual.get(family)
-                    want = expected.get(family)
-                    if not have or not want or have == want:
-                        continue
-                    if CONFLICT in (have, want):
-                        continue
-                    records.append(
-                        {
-                            "family": family,
-                            "line": call["line"],
-                            "col": call["col"],
-                            "caller": call["caller"],
-                            "callee": f"{ref[0]}.{ref[1]}",
-                            "param": param,
-                            "expected": want,
-                            "actual": have,
-                            "arg": text,
-                        }
-                    )
-        self._conflicts[module_key] = records
-        return records
+        if self._table is None:
+            table: Dict[str, List[Dict[str, object]]] = {}
 
-    def dead_exports(self, module_key: str) -> List[Dict[str, object]]:
-        """``__all__`` entries of a module no other module references.
+            def emit(key: str, record: Dict[str, object]) -> None:
+                table.setdefault(key, []).append(record)
+
+            self.env.emit_records(self.summaries, self.resolve, emit)
+            self._emit_dead_exports(emit)
+            for analysis in (self.threads(), self.exceptions(), LifecycleAnalysis(self)):
+                analysis.emit_records(emit)
+            for records in table.values():
+                records.sort(key=lambda r: (r["line"], r["col"], r["rule"]))
+            self._table = table
+        return self._table.get(module_key, [])
+
+    def dep_key(self, module_key: str) -> str:
+        """Digest of a module's records: all its findings observe outside it.
+
+        Unchanged digest + unchanged content ⇒ cached findings stay valid.
+        """
+        payload = json.dumps(
+            self.records(module_key), sort_keys=True, separators=(",", ":"), default=str
+        )
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    def _emit_dead_exports(self, emit: Callable[[str, Dict[str, object]], None]) -> None:
+        """CW604: ``__all__`` entries of a module no other module references.
 
         Conservative: ``__init__.py`` re-export surfaces and ``_``-prefixed
         names are exempt, and any textual reference (call, attribute, or
         import) from another module keeps a symbol alive.
         """
-        if module_key in self._dead:
-            return self._dead[module_key]
-        summary = self.summaries.get(module_key, {})
-        exports = summary.get("exports")
-        records: List[Dict[str, object]] = []
-        if exports and not summary.get("is_init"):
-            for name in exports:
-                if name.startswith("_"):
-                    continue
-                if self._referenced_elsewhere(module_key, name):
+        for module_key in sorted(self.summaries):
+            summary = self.summaries[module_key]
+            if not summary["exports"] or summary["is_init"]:
+                continue
+            for name in summary["exports"]:  # type: ignore[union-attr]
+                if name.startswith("_") or self._referenced_elsewhere(module_key, name):
                     continue
                 info = summary["functions"].get(name) or summary["classes"].get(name)  # type: ignore[union-attr]
-                records.append({"name": name, "line": info["line"] if info else 1})
-        self._dead[module_key] = records
-        return records
+                emit(
+                    module_key,
+                    {"rule": "CW604", "name": name, "line": info["line"] if info else 1, "col": 0},
+                )
 
     def _referenced_elsewhere(self, module_key: str, name: str) -> bool:
         for other_key, other in self.summaries.items():
@@ -530,92 +516,16 @@ class ProjectAnalysis:
                     return True
         return False
 
-    # ------------------------------------------------------------ cache keys
-
-    def dep_key(self, module_key: str) -> str:
-        """Digest of everything outside a module its findings depend on.
-
-        Covers the solved signature of every function the module calls (and
-        its own — their expected domains feed call-site checks inside the
-        module) plus which of its exports the rest of the project references.
-        Unchanged digest + unchanged content ⇒ cached findings stay valid.
-        """
-        if module_key in self._dep_keys:
-            return self._dep_keys[module_key]
-        refs: Set[FunctionRef] = set()
-        for _, _call, ref, _bound in self._resolved_calls(module_key):
-            refs.add(ref)
-        summary = self.summaries.get(module_key, {})
-        for qualname in summary.get("functions", {}):
-            if qualname != "<module>":
-                refs.add((module_key, qualname))
-        signatures = {}
-        for ref in refs:
-            info = self._function_info(ref[0], ref[1])
-            if info is not None:
-                signatures[_ref_key(ref)] = self.env.signature(
-                    ref, info["positional"]  # type: ignore[arg-type]
-                )
-        payload = {
-            "signatures": signatures,
-            "dead": sorted(record["name"] for record in self.dead_exports(module_key)),  # type: ignore[misc]
-            "threads": self.threads().dep_digest(module_key),
-            "exceptions": self.exceptions().dep_digest(module_key),
-            "lifecycle": self.lifecycle().dep_digest(module_key),
-        }
-        digest = hashlib.sha256(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        ).hexdigest()
-        self._dep_keys[module_key] = digest
-        return digest
-
-    # ------------------------------------------------------------ threads
+    # ------------------------------------------------------------ views
 
     def threads(self) -> ThreadAnalysis:
-        """The race-detection view (roots, domains, locksets), built lazily.
-
-        Derived entirely from the summaries plus :meth:`resolve`, so worker
-        projects rehydrated via :meth:`from_dict` rebuild it on demand.
-        """
+        """The race-detection view (roots, domains, locksets), built lazily."""
         if self._thread_analysis is None:
-            self._thread_analysis = ThreadAnalysis(self.summaries, self.resolve)
+            self._thread_analysis = ThreadAnalysis(self)
         return self._thread_analysis
-
-    def thread_records(self, module_key: str) -> List[Dict[str, object]]:
-        """CW7xx finding records anchored in ``module_key``."""
-        return self.threads().records_for(module_key)
-
-    # ------------------------------------------------------------ exceptions
 
     def exceptions(self) -> ExceptionAnalysis:
         """The interprocedural may-raise view, built lazily like threads()."""
         if self._exception_analysis is None:
-            self._exception_analysis = ExceptionAnalysis(self.summaries, self.resolve)
+            self._exception_analysis = ExceptionAnalysis(self)
         return self._exception_analysis
-
-    def exception_records(self, module_key: str) -> List[Dict[str, object]]:
-        """CW803 finding records anchored in ``module_key``."""
-        return self.exceptions().records_for(module_key)
-
-    # ------------------------------------------------------------ lifecycle
-
-    def lifecycle(self) -> LifecycleAnalysis:
-        """Resource-lifetime + cache-coherence view, built lazily."""
-        if self._lifecycle_analysis is None:
-            self._lifecycle_analysis = LifecycleAnalysis(
-                self.summaries, self.resolve, self.exceptions(), self.threads()
-            )
-        return self._lifecycle_analysis
-
-    def lifecycle_records(self, module_key: str) -> List[Dict[str, object]]:
-        """CW801/802/804/805/806 finding records anchored in ``module_key``."""
-        return self.lifecycle().records_for(module_key)
-
-
-def _ref_key(ref: FunctionRef) -> str:
-    return f"{ref[0]}\n{ref[1]}"
-
-
-def _ref_from_key(key: str) -> FunctionRef:
-    module_key, _, qualname = key.partition("\n")
-    return (module_key, qualname)

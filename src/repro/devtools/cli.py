@@ -168,8 +168,9 @@ def _list_rules(as_json: bool) -> int:
     return 0
 
 
-def _print_callgraph(paths: List[Path], as_dot: bool) -> int:
-    """``--callgraph``: build the whole-program graph and print it."""
+def _load_project(paths: List[Path]):
+    """The whole-program analysis of every file under ``paths``, or ``None``
+    (after a message on stderr) when a file cannot be read."""
     from .callgraph import ProjectAnalysis  # deferred: lint runs may skip it
 
     files = []
@@ -178,52 +179,39 @@ def _print_callgraph(paths: List[Path], as_dot: bool) -> int:
             source = file_path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             print(f"crowdweb-lint: unreadable file {file_path}: {exc}", file=sys.stderr)
-            return 2
+            return None
         files.append(
             (str(file_path), source, module_name_for(file_path),
              file_path.name == "__init__.py")
         )
-    graph = ProjectAnalysis.build(files).call_graph()
+    return ProjectAnalysis.build(files)
+
+
+def _print_callgraph(paths: List[Path], as_dot: bool) -> int:
+    """``--callgraph``: build the whole-program graph and print it."""
+    project = _load_project(paths)
+    if project is None:
+        return 2
+    graph = project.call_graph()
     print(graph.to_dot() if as_dot else graph.render())
     return 0
 
 
 def _print_threads(paths: List[Path]) -> int:
     """``--threads``: the race-detector's view — roots, shared state, locks."""
-    from .callgraph import ProjectAnalysis  # deferred: lint runs may skip it
-
-    files = []
-    for file_path in iter_python_files(paths):
-        try:
-            source = file_path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"crowdweb-lint: unreadable file {file_path}: {exc}", file=sys.stderr)
-            return 2
-        files.append(
-            (str(file_path), source, module_name_for(file_path),
-             file_path.name == "__init__.py")
-        )
-    print(ProjectAnalysis.build(files).threads().render())
+    project = _load_project(paths)
+    if project is None:
+        return 2
+    print(project.threads().render())
     return 0
 
 
 def _print_raises(paths: List[Path], symbol: str) -> int:
     """``--raises``: one function's inferred may-raise propagation chain."""
-    from .callgraph import ProjectAnalysis  # deferred: lint runs may skip it
-
-    files = []
-    for file_path in iter_python_files(paths):
-        try:
-            source = file_path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"crowdweb-lint: unreadable file {file_path}: {exc}", file=sys.stderr)
-            return 2
-        files.append(
-            (str(file_path), source, module_name_for(file_path),
-             file_path.name == "__init__.py")
-        )
-    analysis = ProjectAnalysis.build(files).exceptions()
-    rendered = analysis.render_chain(symbol)
+    project = _load_project(paths)
+    if project is None:
+        return 2
+    rendered = project.exceptions().render_chain(symbol)
     print(rendered)
     return 2 if rendered.startswith("--raises: unknown symbol") else 0
 

@@ -29,17 +29,21 @@ This module provides the value-domain half of the whole-program layer:
 * **Module summaries** — a per-module, JSON-serializable digest of exactly
   the facts interprocedural analysis needs: functions with parameter seeds,
   symbolic call records with per-argument hints, imports, classes, exports,
-  and referenced identifiers.  Summaries depend only on the module's own
-  source, so they cache by content hash (see ``cache.SummaryCache``).
+  and referenced identifiers, plus the thread, exception and resource
+  facts.  :func:`extract_summary` makes **one** definition walk per module
+  (``_walk_definitions``) and hands every function and class to the four
+  fact producers.  Summaries depend only on the module's own source, so
+  they cache by content hash (see ``cache.LintCache.get_summary``).
 
 * **Propagation** — :class:`DomainEnv` solves two fixpoints over the
-  resolved call graph: *expected* parameter domains flow **backward** (a
-  parameter that is passed straight through to a ``microcell_id`` parameter
-  is itself expected to be a microcell id), and *return* domains flow
-  **forward** (a function returning a ``user_id`` confers that domain on
-  every call result).  Anything ambiguous collapses to unknown or an
-  explicit conflict sentinel, and neither is ever reported on — the CW6xx
-  rules flag only a *known* actual against a *known, different* expected.
+  resolved call graph on the shared worklist solver: *expected* parameter
+  domains flow **backward** (a parameter that is passed straight through to
+  a ``microcell_id`` parameter is itself expected to be a microcell id),
+  and *return* domains flow **forward** (a function returning a ``user_id``
+  confers that domain on every call result).  Anything ambiguous collapses
+  to unknown or an explicit conflict sentinel, and neither is ever reported
+  on — the CW6xx records flag only a *known* actual against a *known,
+  different* expected.
 
 Like the rest of ``repro.devtools`` this is stdlib-only and never imports
 the code it analyzes.
@@ -48,17 +52,17 @@ the code it analyzes.
 from __future__ import annotations
 
 import ast
-import json
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .exceptions import extract_exception_facts
+from .exceptions import ExceptionFacts
 from .layers import resolve_import
-from .resources import extract_resource_facts
-from .threads import extract_thread_facts
+from .resources import ResourceFacts
+from .solver import solve
+from .threads import ThreadFacts, _attr_chain, _blocks, _call_sym, _scope_nodes
 
 __all__ = [
     "CONFLICT",
-    "FAMILIES",
+    "Definition",
     "DomainEnv",
     "FunctionRef",
     "axis_of",
@@ -73,13 +77,13 @@ __all__ = [
 #: The independent value families tracked per slot.
 FAMILIES = ("axis", "unit", "id", "dt")
 
+#: The rule each family's cross-call conflicts are reported under.
+FAMILY_RULES = {"id": "CW601", "axis": "CW602", "unit": "CW603", "dt": "CW603"}
+
 #: Sentinel for a slot two propagation sources disagreed about.  A conflict
 #: is never reported (the disagreement usually *is* upstream of the bug the
 #: call-site check already flags) and never propagates further.
 CONFLICT = "<conflict>"
-
-#: Bumped when the summary JSON schema changes; part of the summary cache key.
-SUMMARY_FORMAT = "3"
 
 
 # ---------------------------------------------------------------------------
@@ -249,18 +253,6 @@ def _is_partial_call(node: ast.Call) -> bool:
     return False
 
 
-def _attr_chain(node: ast.AST) -> Optional[List[str]]:
-    """``a.b.c`` → ``["a", "b", "c"]`` when the chain is plain names."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return list(reversed(parts))
-    return None
-
-
 class _Scope:
     """Per-function extraction state: params, single-assignment values."""
 
@@ -279,85 +271,131 @@ class _Scope:
         self.assigns: Dict[str, Optional[ast.expr]] = {}
 
 
-def _scope_nodes(body: Sequence[ast.stmt]) -> Iterator[ast.AST]:
-    """Every node in ``body`` excluding nested function/class subtrees."""
-    stack: List[ast.AST] = list(body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
-        ):
-            continue  # nested scopes are summarized separately
-        stack.extend(ast.iter_child_nodes(node))
+class Definition(NamedTuple):
+    """One ``def`` or ``class`` statement as the extraction walk meets it."""
+
+    node: ast.AST
+    qualname: str
+    #: ``"C"``/``"F"`` per enclosing definition, outermost first, then this
+    #: one: a method is ``"CF"``, a class inside a function ``"FC"``.
+    kinds: str
+    #: No function's if/with/try/loop block lies on the way here.
+    direct: bool
+    #: Qualname of the innermost enclosing class (``self`` dispatch).
+    owner: Optional[str]
+
+    @property
+    def is_class(self) -> bool:
+        return isinstance(self.node, ast.ClassDef)
+
+
+def _walk_definitions(tree: ast.Module) -> Iterator[Definition]:
+    """Every function and class of a module, pre-order: the one extraction walk.
+
+    Module and class bodies are read statement by statement; function
+    bodies are also read through their if/with/try/loop blocks.  Each fact
+    producer picks the definitions it models by ``kinds`` and ``direct``.
+    """
+
+    def visit(
+        body: Sequence[ast.stmt], prefix: str, kinds: str, direct: bool, owner: Optional[str]
+    ) -> Iterator[Definition]:
+        for stmt in body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                is_class = isinstance(stmt, ast.ClassDef)
+                qualname = prefix + stmt.name
+                here = kinds + ("C" if is_class else "F")
+                yield Definition(stmt, qualname, here, direct, owner)
+                inner_owner = qualname if is_class else owner
+                yield from visit(stmt.body, qualname + ".", here, direct, inner_owner)
+            elif kinds.endswith("F"):
+                for block in _blocks(stmt):
+                    yield from visit(block, prefix, kinds, False, owner)
+
+    return visit(tree.body, "", "", True, None)
 
 
 def extract_summary(
     tree: ast.Module, module: Optional[str], path: str, is_init: bool
 ) -> Dict[str, object]:
-    """The whole-program-relevant digest of one module, as plain JSON data."""
-    summary: Dict[str, object] = {
-        "format": SUMMARY_FORMAT,
-        "module": module,
-        "path": path,
-        "is_init": is_init,
-        "functions": {},
-        "classes": {},
-        "calls": [],
-        "imports": {},
-        "aliases": {},
-        "exports": None,
-        "refs": [],
-    }
-    extractor = _SummaryExtractor(summary, module, is_init)
-    extractor.run(tree)
-    # Thread, exception, and resource facts ride inside the summary so they
-    # share its content-addressed cache entry and ship to --jobs workers
-    # for free.
-    summary["threads"] = extract_thread_facts(tree)
-    summary["exceptions"] = extract_exception_facts(tree)
-    summary["resources"] = extract_resource_facts(tree)
+    """The whole-program-relevant digest of one module, as plain JSON data.
+
+    The thread, exception, and resource facts ride inside the summary, so
+    they share its content-addressed cache entry.
+    """
+    defs = list(_walk_definitions(tree))
+    domain = _SummaryExtractor(tree, module, path, is_init)
+    threads, exceptions, resources = ThreadFacts(tree, defs), ExceptionFacts(), ResourceFacts()
+    for defn in defs:
+        for producer in (domain, threads, exceptions, resources):
+            producer.add(defn)
+    summary = domain.summary
+    summary["threads"] = threads.facts
+    summary["exceptions"] = exceptions.facts
+    summary["resources"] = resources.facts
     return summary
 
 
 class _SummaryExtractor:
-    def __init__(self, summary: Dict[str, object], module: Optional[str], is_init: bool):
-        self.summary = summary
+    """The domain-fact producer: the summary's functions, classes, calls,
+    imports, aliases, exports, and referenced identifiers."""
+
+    def __init__(self, tree: ast.Module, module: Optional[str], path: str, is_init: bool):
         self.module = module
         self.is_init = is_init
-        self.functions: Dict[str, Dict[str, object]] = summary["functions"]  # type: ignore[assignment]
-        self.classes: Dict[str, Dict[str, object]] = summary["classes"]  # type: ignore[assignment]
-        self.calls: List[Dict[str, object]] = summary["calls"]  # type: ignore[assignment]
-        self.imports: Dict[str, List[object]] = summary["imports"]  # type: ignore[assignment]
-        self.aliases: Dict[str, str] = summary["aliases"]  # type: ignore[assignment]
-        self.refs: Set[str] = set()
-
-    # ------------------------------------------------------------- driver
-
-    def run(self, tree: ast.Module) -> None:
+        self.functions: Dict[str, Dict[str, object]] = {}
+        self.classes: Dict[str, Dict[str, object]] = {}
+        self.calls: List[Dict[str, object]] = []
+        self.imports: Dict[str, List[object]] = {}
+        self.aliases: Dict[str, str] = {}
+        self.summary: Dict[str, object] = {
+            "module": module,
+            "path": path,
+            "is_init": is_init,
+            "functions": self.functions,
+            "classes": self.classes,
+            "calls": self.calls,
+            "imports": self.imports,
+            "aliases": self.aliases,
+            "exports": None,
+            "refs": [],
+        }
+        refs: Set[str] = set()
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 self._record_import(node)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                self.refs.add(node.id)
+                refs.add(node.id)
             elif isinstance(node, ast.Attribute):
-                self.refs.add(node.attr)
+                refs.add(node.attr)
+        self.summary["refs"] = sorted(refs)
         module_scope = _Scope("<module>", None)
         self._collect_assigns(tree.body, module_scope)
         self._record_function_like(tree.body, module_scope, line=1)
         for stmt in tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._extract_function(stmt, stmt.name)
-            elif isinstance(stmt, ast.ClassDef):
-                self._extract_class(stmt)
-            elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
                 target = stmt.targets[0]
                 if isinstance(target, ast.Name):
                     if target.id == "__all__":
                         self.summary["exports"] = _literal_strings(stmt.value)
                     elif isinstance(stmt.value, ast.Name):
                         self.aliases[target.id] = stmt.value.id
-        self.summary["refs"] = sorted(self.refs)
+
+    def add(self, defn: Definition) -> None:
+        """Model module-level classes, their methods, and plain nested defs."""
+        if defn.is_class:
+            if defn.kinds == "C":
+                self._extract_class(defn.node)  # type: ignore[arg-type]
+        elif defn.direct and "C" not in defn.kinds[1:]:
+            node = defn.node
+            scope = _Scope(defn.qualname, node)
+            self._collect_assigns(node.body, scope)  # type: ignore[attr-defined]
+            self._record_function_like(
+                node.body,  # type: ignore[attr-defined]
+                scope,
+                line=node.lineno,  # type: ignore[attr-defined]
+                class_name=defn.owner if defn.kinds == "CF" else None,
+            )
 
     # ------------------------------------------------------- imports
 
@@ -380,16 +418,6 @@ class _SummaryExtractor:
 
     # ------------------------------------------------------- functions
 
-    def _extract_function(
-        self, node: ast.AST, qualname: str, class_name: Optional[str] = None
-    ) -> None:
-        scope = _Scope(qualname, node)
-        self._collect_assigns(node.body, scope)
-        self._record_function_like(node.body, scope, line=node.lineno, class_name=class_name)
-        for stmt in node.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._extract_function(stmt, f"{qualname}.{stmt.name}")
-
     def _record_function_like(
         self,
         body: Sequence[ast.stmt],
@@ -410,7 +438,7 @@ class _SummaryExtractor:
         }
         for var, value in scope.assigns.items():
             if isinstance(value, ast.Call):
-                sym = self._callee_sym(value, scope)
+                sym = self._expr_sym(value.func, scope)
                 if sym is not None and sym[0] != "partial":
                     info["ctors"][var] = sym  # type: ignore[index]
         for node in _scope_nodes(body):
@@ -428,11 +456,11 @@ class _SummaryExtractor:
                 bases.append(
                     ["name", chain[0]] if len(chain) == 1 else ["dotted", ".".join(chain)]
                 )
-        methods = []
-        for stmt in node.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                methods.append(stmt.name)
-                self._extract_function(stmt, f"{node.name}.{stmt.name}", class_name=node.name)
+        methods = [
+            stmt.name
+            for stmt in node.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
         self.classes[node.name] = {
             "line": node.lineno,
             "methods": methods,
@@ -472,7 +500,7 @@ class _SummaryExtractor:
         offset = 0
         if _is_partial_call(node):
             return  # partial(...) itself constructs, it does not invoke
-        sym = self._callee_sym(node, scope)
+        sym = self._expr_sym(node.func, scope)
         if sym is None:
             return
         if sym and sym[0] == "partial":
@@ -509,11 +537,6 @@ class _SummaryExtractor:
             }
         )
 
-    def _callee_sym(
-        self, node: ast.Call, scope: _Scope, depth: int = 3
-    ) -> Optional[List[object]]:
-        return self._expr_sym(node.func, scope, depth)
-
     def _expr_sym(
         self, expr: ast.AST, scope: _Scope, depth: int = 3
     ) -> Optional[List[object]]:
@@ -533,18 +556,12 @@ class _SummaryExtractor:
                     return self._expr_sym(value, scope, depth - 1)
             return ["name", name]
         if isinstance(expr, ast.Attribute):
-            chain = _attr_chain(expr)
-            if chain is None:
-                if isinstance(expr.value, ast.Call):
-                    inner = self._expr_sym(expr.value.func, scope, depth - 1)
-                    if inner is not None and inner[0] in {"name", "attr", "dotted"}:
-                        return ["new", inner, expr.attr]
-                return None
-            if len(chain) == 2:
-                if chain[0] == "self":
-                    return ["self", chain[1]]
-                return ["attr", chain[0], chain[1]]
-            return ["dotted", ".".join(chain)]
+            sym = _call_sym(expr)
+            if sym is None and isinstance(expr.value, ast.Call):
+                inner = self._expr_sym(expr.value.func, scope, depth - 1)
+                if inner is not None and inner[0] in {"name", "attr", "dotted"}:
+                    return ["new", inner, expr.attr]
+            return sym
         return None
 
     def _value_hint(self, expr: ast.AST, scope: _Scope, depth: int = 3) -> List[object]:
@@ -567,7 +584,7 @@ class _SummaryExtractor:
         if isinstance(expr, ast.Call):
             if _is_partial_call(expr):
                 return ["unknown"]
-            sym = self._callee_sym(expr, scope)
+            sym = self._expr_sym(expr.func, scope)
             if sym is not None and sym[0] != "partial":
                 return ["call", sym]
             return ["unknown"]
@@ -603,6 +620,36 @@ def _short_text(node: ast.AST, limit: int = 40) -> str:
 #: A function's identity across the project: (module key, qualified name).
 FunctionRef = Tuple[str, str]
 
+#: ``resolver(module_key, caller, sym)`` → ``(ref, bound)`` or ``None``.
+Resolver = Callable[[str, str, List[object]], Optional[Tuple[FunctionRef, bool]]]
+
+
+def _bound_args(
+    summaries: Dict[str, Dict[str, object]], resolver: Resolver
+) -> Iterator[Tuple[str, Dict[str, object], FunctionRef, str, List[object], str]]:
+    """``(module, call, callee ref, bound param, hint, arg text)`` per mapped arg."""
+    for module_key in sorted(summaries):
+        for call in summaries[module_key]["calls"]:  # type: ignore[union-attr]
+            resolved = resolver(module_key, call["caller"], call["callee"])
+            if resolved is None:
+                continue
+            ref, bound = resolved
+            info = summaries[ref[0]]["functions"].get(ref[1])  # type: ignore[union-attr]
+            if info is None:
+                continue
+            positional = list(info["positional"])
+            if bound and positional:
+                positional = positional[1:]
+            base = int(call["offset"])
+            for index, hint in enumerate(call["args"]):
+                slot = base + index
+                if slot >= len(positional):
+                    break
+                yield module_key, call, ref, positional[slot], hint, call["texts"][index]
+            for kw_name, hint in sorted(call["kwargs"].items()):
+                if kw_name in info["params"]:
+                    yield module_key, call, ref, kw_name, hint, call["kw_texts"][kw_name]
+
 
 class DomainEnv:
     """Expected parameter domains and return domains, solved to a fixpoint.
@@ -634,150 +681,143 @@ class DomainEnv:
             if value != CONFLICT
         }
 
-    def signature(self, ref: FunctionRef, positional: Sequence[str]) -> str:
-        """A canonical string of everything callers can observe about ``ref``.
-
-        This is the unit of cache invalidation: a dependent module's findings
-        can only change when one of these signatures (or a resolution) does.
-        """
-        payload = {
-            "positional": list(positional),
-            "expected": {
-                param: dict(sorted(slots.items()))
-                for param, slots in sorted(self.expected.get(ref, {}).items())
-            },
-            "ret": dict(sorted(self.ret.get(ref, {}).items())),
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
     # -- solving -----------------------------------------------------------
 
-    def solve(
-        self,
-        summaries: Dict[str, Dict[str, object]],
-        resolver: Callable[[str, str, List[object]], Optional[Tuple[FunctionRef, bool]]],
-        max_passes: int = 20,
-    ) -> None:
-        """Run both fixpoints.  ``resolver(module_key, caller, sym)`` returns
-        ``(ref, bound)`` — ``bound`` meaning the first positional parameter is
-        an implicit ``self`` — or ``None`` when the callee cannot be pinned.
+    def solve(self, summaries: Dict[str, Dict[str, object]], resolver: Resolver) -> None:
+        """Run both fixpoints on the shared solver, expected domains first.
+
+        ``resolver(module_key, caller, sym)`` returns ``(ref, bound)`` —
+        ``bound`` meaning the first positional parameter is an implicit
+        ``self`` — or ``None`` when the callee cannot be pinned.  Expected
+        domains never read return domains, so the return fixpoint runs on
+        the settled expected slots.
         """
+        returning: List[FunctionRef] = []
         for module_key in sorted(summaries):
             for qualname, info in summaries[module_key]["functions"].items():  # type: ignore[union-attr]
                 if qualname == "<module>":
                     continue
                 ref = (module_key, qualname)
-                params: Dict[str, Dict[str, str]] = {}
-                seeded: Dict[str, Set[str]] = {}
-                for param, seeds in info["params"].items():  # type: ignore[index]
-                    params[param] = dict(seeds)
-                    seeded[param] = set(seeds)
-                self.expected[ref] = params
-                self.seeded[ref] = seeded
+                self.expected[ref] = {param: dict(seeds) for param, seeds in info["params"].items()}  # type: ignore[index]
+                self.seeded[ref] = {param: set(seeds) for param, seeds in info["params"].items()}  # type: ignore[index]
                 self.ret[ref] = {}
+                if info["returns"]:  # type: ignore[index]
+                    returning.append(ref)
 
-        for _ in range(max_passes):
-            changed = self._propagate_expected(summaries, resolver)
-            changed |= self._propagate_returns(summaries, resolver)
-            if not changed:
-                break
+        # Backward: a parameter passed straight through to another call
+        # expects what the callee's parameter expects.
+        relays: Dict[FunctionRef, List[Tuple[str, FunctionRef, str]]] = {}
+        relayed_by: Dict[FunctionRef, Set[FunctionRef]] = {}
+        for module_key, call, ref, param, hint, _text in _bound_args(summaries, resolver):
+            src = (module_key, str(call["caller"]))
+            if hint[0] != "param" or hint[1] not in self.expected.get(src, {}):
+                continue
+            relays.setdefault(src, []).append((str(hint[1]), ref, param))
+            relayed_by.setdefault(ref, set()).add(src)
+        solve(
+            sorted(relays),
+            lambda src: self._pull_expected(src, relays[src]),
+            lambda ref: sorted(relayed_by.get(ref, ())),
+        )
 
-    def _iter_bound_args(
-        self,
-        summaries: Dict[str, Dict[str, object]],
-        resolver: Callable[..., Optional[Tuple[FunctionRef, bool]]],
-    ) -> Iterator[Tuple[str, Dict[str, object], FunctionRef, str, List[object]]]:
-        """(module, call, callee ref, bound param name, hint) per mapped arg."""
-        for module_key in sorted(summaries):
-            for call in summaries[module_key]["calls"]:  # type: ignore[index]
-                resolved = resolver(module_key, call["caller"], call["callee"])
-                if resolved is None:
-                    continue
-                ref, bound = resolved
-                info = summaries[ref[0]]["functions"].get(ref[1])  # type: ignore[index]
-                if info is None:
-                    continue
-                positional = list(info["positional"])
-                if bound and positional:
-                    positional = positional[1:]
-                base = int(call["offset"])
-                for index, hint in enumerate(call["args"]):
-                    slot = base + index
-                    if slot >= len(positional):
-                        break
-                    yield module_key, call, ref, positional[slot], hint
-                for kw_name, hint in sorted(call["kwargs"].items()):
-                    if kw_name in info["params"]:
-                        yield module_key, call, ref, kw_name, hint
+        # Forward: a function returning a call's result returns its domains.
+        returned_by: Dict[FunctionRef, Set[FunctionRef]] = {}
+        for ref in returning:
+            for hint in summaries[ref[0]]["functions"][ref[1]]["returns"]:  # type: ignore[index]
+                resolved = resolver(ref[0], ref[1], hint[1]) if hint[0] == "call" else None
+                if resolved is not None:
+                    returned_by.setdefault(resolved[0], set()).add(ref)
+        solve(
+            returning,
+            lambda ref: self._pull_return(ref, summaries, resolver),
+            lambda ref: sorted(returned_by.get(ref, ())),
+        )
 
-    def _propagate_expected(
-        self,
-        summaries: Dict[str, Dict[str, object]],
-        resolver: Callable[..., Optional[Tuple[FunctionRef, bool]]],
+    def _pull_expected(
+        self, src: FunctionRef, relays: List[Tuple[str, FunctionRef, str]]
     ) -> bool:
         changed = False
-        for module_key, call, ref, param, hint in self._iter_bound_args(
-            summaries, resolver
-        ):
-            if hint[0] != "param" or call["caller"] == "<module>":
-                continue
-            src = (module_key, call["caller"])
-            src_slots = self.expected.get(src, {}).get(hint[1])
-            if src_slots is None:
-                continue
-            seeded = self.seeded.get(src, {}).get(hint[1], set())
-            for family, value in self.expected_domains(ref, param).items():
+        for param, ref, callee_param in relays:
+            slots = self.expected[src][param]
+            seeded = self.seeded[src][param]
+            for family, value in self.expected_domains(ref, callee_param).items():
                 if family in seeded:
                     continue  # the seed is authoritative; call-site check compares
-                current = src_slots.get(family)
+                current = slots.get(family)
                 if current is None:
-                    src_slots[family] = value
+                    slots[family] = value
                     changed = True
                 elif current not in (value, CONFLICT):
-                    src_slots[family] = CONFLICT
+                    slots[family] = CONFLICT
                     changed = True
         return changed
 
-    def _propagate_returns(
+    def _pull_return(
+        self,
+        ref: FunctionRef,
+        summaries: Dict[str, Dict[str, object]],
+        resolver: Resolver,
+    ) -> bool:
+        combined: Optional[Dict[str, str]] = None
+        for hint in summaries[ref[0]]["functions"][ref[1]]["returns"]:  # type: ignore[index]
+            domains = self.hint_domains(ref[0], ref[1], hint, resolver)
+            if domains is None:
+                combined = {}
+                break
+            if combined is None:
+                combined = dict(domains)
+            else:
+                combined = {
+                    family: value
+                    for family, value in combined.items()
+                    if domains.get(family) == value
+                }
+        combined = combined or {}
+        if combined == self.ret[ref]:
+            return False
+        self.ret[ref] = combined
+        return True
+
+    def emit_records(
         self,
         summaries: Dict[str, Dict[str, object]],
-        resolver: Callable[..., Optional[Tuple[FunctionRef, bool]]],
-    ) -> bool:
-        changed = False
-        for module_key in sorted(summaries):
-            for qualname, info in summaries[module_key]["functions"].items():  # type: ignore[union-attr]
-                if qualname == "<module>":
+        resolver: Resolver,
+        emit: Callable[[str, Dict[str, object]], None],
+    ) -> None:
+        """Hand every CW601–CW603 record to ``emit(module_key, record)``.
+
+        One record per resolved call argument whose parameter expects a
+        known domain, with the argument's known domain as ``actual`` (or
+        ``None``).  The rules report the records whose actual differs; the
+        agreeing and unknown ones stay in the table so a caller's dep-key
+        changes whenever a callee's expectation does.  Conflicted slots are
+        filtered out before this point.
+        """
+        for module_key, call, ref, param, hint, text in _bound_args(summaries, resolver):
+            actual = self.hint_domains(module_key, str(call["caller"]), hint, resolver) or {}
+            expected = self.expected_domains(ref, param)
+            for family in FAMILIES:
+                want = expected.get(family)
+                if not want:
                     continue
-                ref = (module_key, qualname)
-                hints: List[List[object]] = info["returns"]  # type: ignore[assignment]
-                if not hints:
-                    continue
-                combined: Optional[Dict[str, str]] = None
-                for hint in hints:
-                    domains = self.hint_domains(module_key, qualname, hint, resolver)
-                    if domains is None:
-                        combined = {}
-                        break
-                    if combined is None:
-                        combined = dict(domains)
-                    else:
-                        combined = {
-                            family: value
-                            for family, value in combined.items()
-                            if domains.get(family) == value
-                        }
-                combined = combined or {}
-                if combined != self.ret.get(ref, {}):
-                    self.ret[ref] = combined
-                    changed = True
-        return changed
+                emit(
+                    module_key,
+                    {
+                        "rule": FAMILY_RULES[family],
+                        "family": family,
+                        "line": call["line"],
+                        "col": call["col"],
+                        "caller": call["caller"],
+                        "callee": f"{ref[0]}.{ref[1]}",
+                        "param": param,
+                        "expected": want,
+                        "actual": actual.get(family),
+                        "arg": text,
+                    },
+                )
 
     def hint_domains(
-        self,
-        module_key: str,
-        caller: str,
-        hint: List[object],
-        resolver: Callable[..., Optional[Tuple[FunctionRef, bool]]],
+        self, module_key: str, caller: str, hint: List[object], resolver: Resolver
     ) -> Optional[Dict[str, str]]:
         """The known domains a value hint carries, or ``None`` for unknown."""
         kind = hint[0]

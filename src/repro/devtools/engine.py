@@ -217,9 +217,10 @@ class FileContext:
         #: is outside any importable package (e.g. a loose script).
         self.module = module
         self.tree = tree
-        #: Whole-program facts (a ``callgraph.ProjectAnalysis``) when the run
-        #: built them; ``None`` on per-file-only runs, so project rules must
-        #: no-op without it.
+        #: Whole-program records — anything with ``records(module_key)``: a
+        #: ``callgraph.ProjectAnalysis``, or the table a pool worker was sent
+        #: — when the run built them; ``None`` on per-file-only runs, so
+        #: project rules must no-op without it.
         self.project = project
         self.lines = source.splitlines()
         self.findings: List[Finding] = []
@@ -420,8 +421,9 @@ class LintEngine:
         ProjectAnalysis` is built first (module summaries come from the
         cache when file content is unchanged).  Each file's cache entry is
         then additionally keyed by its :meth:`dep_key` — the digest of the
-        call-graph facts its findings can observe — so a warm run re-analyzes
-        exactly the files whose content *or* dependencies changed.
+        project records its findings read — so a warm run re-analyzes
+        exactly the files whose content *or* records changed.  Pool workers
+        receive those records, never the summaries: nothing is re-solved.
         """
         findings: List[Finding] = []
         pending: List[Tuple[str, str, Optional[str]]] = []  # (path, source, module)
@@ -441,7 +443,6 @@ class LintEngine:
             sources.append((str(file_path), source, module_name_for(file_path)))
 
         project = None
-        project_data: Optional[Dict[str, object]] = None
         if any(rule.requires_project for rule in self.rules):
             from .callgraph import ProjectAnalysis  # deferred: per-file runs skip it
 
@@ -467,13 +468,15 @@ class LintEngine:
 
         stats.analyzed += len(pending)
         if jobs > 1 and len(pending) > 1:
+            table = None
             if project is not None:
-                project_data = project.to_dict()
+                keys = [module or path for path, _source, module in pending]
+                table = {key: project.records(key) for key in keys}
             work = [(source, path, module, rule_ids) for path, source, module in pending]
             with concurrent.futures.ProcessPoolExecutor(
                 max_workers=jobs,
                 initializer=_init_pool_worker,
-                initargs=(project_data,),
+                initargs=(table,),
             ) as pool:
                 analyzed = list(pool.map(_lint_one, work, chunksize=4))
         else:
@@ -517,19 +520,24 @@ class LintCacheProtocol:
         raise NotImplementedError
 
 
-#: Per-process rehydrated project analysis (see ``_init_pool_worker``).
-_POOL_PROJECT = None
+class _ShippedRecords:
+    """A worker's stand-in for the project: the records table it was sent."""
+
+    def __init__(self, table: Dict[str, List[Dict[str, object]]]):
+        self.table = table
+
+    def records(self, module_key: str) -> List[Dict[str, object]]:
+        return self.table.get(module_key, [])
 
 
-def _init_pool_worker(project_data: Optional[Dict[str, object]]) -> None:
-    """Pool initializer: rehydrate the solved project analysis once per worker."""
+#: Per-process project records (see ``_init_pool_worker``).
+_POOL_PROJECT: Optional[_ShippedRecords] = None
+
+
+def _init_pool_worker(table: Optional[Dict[str, List[Dict[str, object]]]]) -> None:
+    """Pool initializer: install the shipped records table once per worker."""
     global _POOL_PROJECT
-    if project_data is None:
-        _POOL_PROJECT = None
-        return
-    from .callgraph import ProjectAnalysis
-
-    _POOL_PROJECT = ProjectAnalysis.from_dict(project_data)
+    _POOL_PROJECT = None if table is None else _ShippedRecords(table)
 
 
 def _lint_one(work: Tuple[str, str, Optional[str], List[str]]) -> List[Finding]:

@@ -24,8 +24,11 @@ whole-program call graph:
    explicit raises, grows with every resolved callee's escape set minus
    the handlers guarding the call site, and routes bare ``raise``
    statements inside a handler back out with the types that handler
-   actually received.  Sets only grow, so the iteration converges; a
-   pass bound guards against pathological graphs.
+   actually received.  Sets only grow, so the shared worklist solver runs
+   it to convergence with no pass bound.  Provenance (the ``--raises``
+   chain) is a second solve that picks each escaping type's origin by a
+   fixed rank (see :meth:`ExceptionAnalysis._trace`), so the chain never
+   depends on the order the worklist happened to visit functions.
 
 Unresolved callees (stdlib, third-party) contribute **nothing** — the
 analysis answers "which *project-raised* exceptions reach this frame",
@@ -39,26 +42,25 @@ re-raise, does **not** use its bound exception variable, has a non-silent
 body (silent ones are CW107's per-file finding), and the fixpoint proves
 at least one project-raised exception is delivered to it.
 
-The module is deliberately import-light (``ast`` + stdlib + the symbolic
+The fact producer is import-light (``ast`` + stdlib + the symbolic
 helpers shared with :mod:`repro.devtools.threads`) so
-:mod:`repro.devtools.domains` can call :func:`extract_exception_facts`
-without an import cycle.
+:mod:`repro.devtools.domains` can hand it each definition of its one
+extraction walk without an import cycle.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .threads import _call_sym, _last_name
+from .solver import solve
+from .threads import _BlockWalker, _call_sym, _last_name
 
-__all__ = ["extract_exception_facts", "ExceptionAnalysis"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .callgraph import ProjectAnalysis
+    from .domains import Definition
 
-#: Bumped when the exception-fact schema changes (the summary cache and the
-#: ruleset fingerprint already invalidate stale entries; belt-and-braces).
-EXCEPTION_FORMAT = "1"
+__all__ = ["ExceptionFacts", "ExceptionAnalysis"]
 
 #: child → parent for the builtin hierarchy the subsumption check walks.
 _BUILTIN_PARENTS: Dict[str, str] = {
@@ -121,7 +123,8 @@ _NON_EXCEPTION = frozenset(
     {"BaseException", "KeyboardInterrupt", "SystemExit", "GeneratorExit"}
 )
 
-#: Broad catch types: CW803 only ever fires on these (or a bare handler).
+#: Broad catch types: CW803 (and the per-file CW107) only ever fire on these
+#: (or, for CW803, a bare handler).
 _BROAD = frozenset({"Exception", "BaseException"})
 
 Node = Tuple[str, str]  # (module_key, qualname)
@@ -156,7 +159,7 @@ def _caught_type_names(handler: ast.ExceptHandler) -> List[str]:
 
 
 def _body_is_silent(body: Sequence[ast.stmt]) -> bool:
-    """True when the handler body does nothing (CW107's shape)."""
+    """True when the handler body does nothing (CW107's shape; CW107 uses it)."""
     for stmt in body:
         if isinstance(stmt, ast.Pass):
             continue
@@ -177,61 +180,43 @@ def _uses_name(body: Sequence[ast.stmt], name: Optional[str]) -> bool:
     return False
 
 
-def extract_exception_facts(tree: ast.Module) -> Dict[str, object]:
-    """One module's exception-flow facts as plain JSON data."""
-    facts: Dict[str, object] = {
-        "format": EXCEPTION_FORMAT,
-        "classes": {},
-        "functions": {},
-    }
-    recorder = _ExcRecorder(facts["classes"], facts["functions"])  # type: ignore[arg-type]
-    recorder.walk_definitions(tree.body, prefix="")
-    return facts
+class ExceptionFacts:
+    """The exception-fact producer: raises, calls, and handlers with guards
+    per function, plus the project exception classes' bases."""
 
+    def __init__(self) -> None:
+        self.facts: Dict[str, Dict[str, object]] = {"classes": {}, "functions": {}}
 
-class _ExcRecorder:
-    """One record per function: raises, calls, and handlers with guards."""
-
-    def __init__(self, classes: Dict[str, List[str]], functions: Dict[str, Dict[str, object]]):
-        self.classes = classes
-        self.functions = functions
-
-    def walk_definitions(self, body: Sequence[ast.stmt], prefix: str) -> None:
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.record_function(stmt, prefix + stmt.name)
-            elif isinstance(stmt, ast.ClassDef):
-                path = prefix + stmt.name
-                bases = [name for name in map(_last_name, stmt.bases) if name]
-                self.classes[path.rsplit(".", 1)[-1]] = bases
-                self.walk_definitions(stmt.body, path + ".")
-
-    def record_function(self, fn: ast.AST, qualname: str) -> None:
+    def add(self, defn: "Definition") -> None:
+        if "FC" in defn.kinds:
+            return  # classes nested in functions stay opaque, like threads.py
+        if defn.is_class:
+            bases = [name for name in map(_last_name, defn.node.bases) if name]
+            self.facts["classes"][defn.node.name] = bases
+            return
         record: Dict[str, object] = {
-            "line": fn.lineno,  # type: ignore[attr-defined]
+            "line": defn.node.lineno,
             "raises": [],
             "calls": [],
             "handlers": [],
         }
-        self.functions[qualname] = record
-        walker = _ExcWalker(self, record, qualname)
-        walker.walk(fn.body, guards=[], handler_id=None)  # type: ignore[attr-defined]
+        self.facts["functions"][defn.qualname] = record
+        _ExcWalker(record).walk(defn.node.body, ([], None))  # type: ignore[attr-defined]
 
 
-class _ExcWalker:
-    """Statement walk of one function tracking the enclosing handler stack."""
+class _ExcWalker(_BlockWalker):
+    """Statement walk of one function tracking the enclosing handler stack.
 
-    def __init__(self, recorder: _ExcRecorder, record: Dict[str, object], qualname: str):
-        self.recorder = recorder
+    The walk state is ``(guards, handler_id)``: the handler groups guarding
+    the current statement, and the handler whose body it sits in.
+    """
+
+    def __init__(self, record: Dict[str, object]):
         self.rec = record
-        self.qualname = qualname
 
-    # -- expression scan ---------------------------------------------------
-
-    def _scan_calls(self, expr: Optional[ast.AST], guards: GuardGroups) -> None:
+    def scan(self, expr: ast.AST, state: Tuple[GuardGroups, Optional[int]]) -> None:
         """Record every call in an expression tree (lambda bodies excluded)."""
-        if expr is None:
-            return
+        guards = state[0]
         stack: List[ast.AST] = [expr]
         while stack:
             node = stack.pop()
@@ -250,31 +235,8 @@ class _ExcWalker:
                     )
             stack.extend(ast.iter_child_nodes(node))
 
-    def _scan_statement_exprs(self, stmt: ast.stmt, guards: GuardGroups) -> None:
-        """Scan a statement's directly-evaluated expressions for calls."""
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.expr):
-                self._scan_calls(child, guards)
-
-    # -- the walk ----------------------------------------------------------
-
-    def walk(
-        self,
-        stmts: Sequence[ast.stmt],
-        guards: GuardGroups,
-        handler_id: Optional[int],
-    ) -> None:
-        for stmt in stmts:
-            self._statement(stmt, guards, handler_id)
-
-    def _statement(
-        self, stmt: ast.stmt, guards: GuardGroups, handler_id: Optional[int]
-    ) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self.recorder.record_function(stmt, f"{self.qualname}.{stmt.name}")
-            return
-        if isinstance(stmt, ast.ClassDef):
-            return  # classes nested in functions stay opaque, like threads.py
+    def statement(self, stmt: ast.stmt, state: Tuple[GuardGroups, Optional[int]]) -> bool:
+        guards, handler_id = state
         if isinstance(stmt, ast.Raise):
             exc_type = _exc_type_name(stmt.exc)
             entry: Dict[str, object] = {
@@ -284,12 +246,11 @@ class _ExcWalker:
             }
             if exc_type is None:
                 if handler_id is None:
-                    return  # bare raise with no active handler: dead code
+                    return True  # bare raise with no active handler: dead code
                 entry["handler"] = handler_id
                 self.rec["handlers"][handler_id]["reraises"] = True  # type: ignore[index]
             self.rec["raises"].append(entry)  # type: ignore[union-attr]
-            self._scan_statement_exprs(stmt, guards)
-            return
+            return False  # the raised expression still scans for calls
         if isinstance(stmt, ast.Try):
             handler_ids: List[int] = []
             for handler in stmt.handlers:
@@ -307,115 +268,61 @@ class _ExcWalker:
                     }
                 )
             inner = ([handler_ids] if handler_ids else []) + guards
-            self.walk(stmt.body, inner, handler_id)
+            self.walk(stmt.body, (inner, handler_id))
             for hid, handler in zip(handler_ids, stmt.handlers):
-                self.walk(handler.body, guards, hid)
+                self.walk(handler.body, (guards, hid))
             # else: runs only when the body did not raise — and its own
             # exceptions are NOT caught by this try's handlers.
-            self.walk(stmt.orelse, guards, handler_id)
-            self.walk(stmt.finalbody, guards, handler_id)
-            return
-        if isinstance(stmt, (ast.If, ast.While)):
-            self._scan_calls(stmt.test, guards)
-            self.walk(stmt.body, guards, handler_id)
-            self.walk(stmt.orelse, guards, handler_id)
-            return
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._scan_calls(stmt.iter, guards)
-            self.walk(stmt.body, guards, handler_id)
-            self.walk(stmt.orelse, guards, handler_id)
-            return
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                self._scan_calls(item.context_expr, guards)
-            self.walk(stmt.body, guards, handler_id)
-            return
-        self._scan_statement_exprs(stmt, guards)
+            self.walk(stmt.orelse, state)
+            self.walk(stmt.finalbody, state)
+            return True
+        return False
 
 
 # --------------------------------------------------------------------------
 # whole-program analysis: the may-raise fixpoint
 # --------------------------------------------------------------------------
 
-class ExceptionAnalysis:
-    """Interprocedural may-raise sets and the CW803 swallow records.
+#: Where an escaping type came from: ``("raise"|"reraise", line, None)`` or
+#: ``("call", line, callee)``.
+Origin = Tuple[str, int, Optional[Node]]
 
-    Built from the per-module exception facts riding inside the domain
-    summaries plus the project's symbolic-call resolver; everything here
-    is derived data, so rehydrated worker projects rebuild it on demand.
+
+class ExceptionAnalysis:
+    """Interprocedural may-raise sets, their provenance, and CW803 records.
+
+    Built from the per-module exception facts inside the summaries, linked
+    through the project's call resolution; both fixpoints run on the shared
+    solver.
     """
 
-    _MAX_PASSES = 30  # fixpoint bound, like the domain/entry-lock fixpoints
-
-    def __init__(
-        self,
-        summaries: Dict[str, Dict[str, object]],
-        resolver: Callable[[str, str, Sequence[object]], Optional[Tuple[Tuple[str, str], bool]]],
-    ):
-        self.summaries = summaries
-        self._resolve = resolver
-        self.nodes: Dict[Node, Dict[str, object]] = {}
+    def __init__(self, project: "ProjectAnalysis"):
         self._parents: Dict[str, Set[str]] = {}
-        self.raises_out: Dict[Node, Set[str]] = {}
-        self.incoming: Dict[Tuple[Node, int], Set[str]] = {}
-        self.origins: Dict[Tuple[Node, str], Tuple[str, int, Optional[Node]]] = {}
-        self._call_targets: Dict[Node, List[Tuple[Dict[str, object], Node]]] = {}
-        self._records: Dict[str, List[Dict[str, object]]] = {}
-        self._build()
-
-    # -- construction ------------------------------------------------------
-
-    def _facts(self, module_key: str) -> Dict[str, object]:
-        summary = self.summaries.get(module_key) or {}
-        facts = summary.get("exceptions")
-        if not isinstance(facts, dict):
-            return {"classes": {}, "functions": {}}
-        return facts
-
-    def _build(self) -> None:
         for name, parent in _BUILTIN_PARENTS.items():
             self._parents.setdefault(name, set()).add(parent)
-        for module_key in sorted(self.summaries):
-            facts = self._facts(module_key)
-            for name, bases in facts.get("classes", {}).items():  # type: ignore[union-attr]
-                for base in bases:
-                    self._parents.setdefault(name, set()).add(base)
-            for qualname, record in facts.get("functions", {}).items():  # type: ignore[union-attr]
-                self.nodes[(module_key, qualname)] = record
-        self._link_calls()
-        self._solve()
-        self._emit_records()
+        for module_key in sorted(project.summaries):
+            classes = project.summaries[module_key]["exceptions"]["classes"]  # type: ignore[index]
+            for name, bases in classes.items():
+                self._parents.setdefault(name, set()).update(bases)
+        self.nodes: Dict[Node, Dict[str, object]] = project.function_facts("exceptions")
+        self.raises_out: Dict[Node, Set[str]] = {}
+        self.incoming: Dict[Tuple[Node, int], Set[str]] = {}
+        self.origins: Dict[Tuple[Node, str], Origin] = {}
+        self._sweep: Dict[Tuple[Node, str], int] = {}
+        self._arrival: Dict[Tuple[Node, int, str], Tuple[int, int]] = {}
+        self._call_targets: Dict[Node, List[Tuple[Dict[str, object], Node]]] = {}
+        callers: Dict[Node, Set[Node]] = {}
+        for node, call, target in project.linked_calls(self.nodes):
+            if target != node:
+                self._call_targets.setdefault(node, []).append((call, target))
+                callers.setdefault(target, set()).add(node)
+        # A bare re-raise reads its own function's handler inputs, so a
+        # changed function is revisited along with its callers.
+        def dependents(node: Node) -> List[Node]:
+            return [node, *sorted(callers.get(node, ()))]
 
-    def _resolve_target(
-        self, module_key: str, caller: str, sym: Optional[Sequence[object]]
-    ) -> Optional[Node]:
-        if not sym:
-            return None
-        resolved = self._resolve(module_key, caller, sym)
-        if resolved is not None:
-            node = (resolved[0][0], resolved[0][1])
-            if node in self.nodes:
-                return node
-        if sym[0] == "self" and "." in caller:
-            sibling = (module_key, caller.rsplit(".", 1)[0] + "." + str(sym[1]))
-            if sibling in self.nodes:
-                return sibling
-        if sym[0] == "name":
-            direct = (module_key, str(sym[1]))
-            if direct in self.nodes:
-                return direct
-        return None
-
-    def _link_calls(self) -> None:
-        for node, record in self.nodes.items():
-            module_key, qualname = node
-            targets: List[Tuple[Dict[str, object], Node]] = []
-            for call in record.get("calls", []):  # type: ignore[union-attr]
-                target = self._resolve_target(module_key, qualname, call["sym"])
-                if target is not None and target != node:
-                    targets.append((call, target))
-            if targets:
-                self._call_targets[node] = targets
+        solve(sorted(self.nodes), self._propagate, dependents)
+        solve(sorted(self.nodes), self._trace, dependents)
 
     # -- the hierarchy -----------------------------------------------------
 
@@ -452,72 +359,99 @@ class ExceptionAnalysis:
                     return True
         return False
 
-    # -- the fixpoint ------------------------------------------------------
+    # -- the fixpoints -----------------------------------------------------
 
-    def _dispatch(
-        self,
-        node: Node,
-        types: Sequence[str],
-        guards: Sequence[Sequence[int]],
-        origin: Tuple[str, int, Optional[Node]],
-    ) -> bool:
-        handlers = self.nodes[node].get("handlers", [])
+    def _sites(self, node: Node) -> Iterator[Tuple[List[str], GuardGroups, Origin, int]]:
+        """Every throwing site of a function as (types, guards, origin, handler).
+
+        Raises come first, then calls, each in source-record order — the
+        order one visit of the function dispatches them in.  ``handler`` is
+        the handler a bare ``raise`` re-raises from (``-1`` otherwise).
+        """
+        record = self.nodes[node]
+        for entry in record["raises"]:  # type: ignore[union-attr]
+            line = int(entry["line"])
+            if entry["type"] is not None:
+                yield [str(entry["type"])], entry["guards"], ("raise", line, None), -1
+            else:
+                hid = int(entry["handler"])
+                received = sorted(self.incoming.get((node, hid), ()))
+                yield received, entry["guards"], ("reraise", line, None), hid
+        for call, target in self._call_targets.get(node, ()):
+            raised = sorted(self.raises_out.get(target, ()))
+            yield raised, call["guards"], ("call", int(call["line"]), target), -1  # type: ignore[misc]
+
+    def _handler_for(self, node: Node, exc: str, guards: GuardGroups) -> Optional[int]:
+        """The first guarding handler that catches ``exc``; ``None`` if it escapes."""
+        handlers = self.nodes[node]["handlers"]
+        for group in guards:
+            for hid in group:
+                try:
+                    caught = handlers[hid]["types"]  # type: ignore[index]
+                except (IndexError, TypeError, KeyError):
+                    continue
+                if self._catches(caught, exc):
+                    return hid
+        return None
+
+    def _propagate(self, node: Node) -> bool:
+        """Deliver every site's types to a handler or out of the function."""
         changed = False
-        for exc in types:
-            delivered: Optional[int] = None
-            for group in guards:
-                for hid in group:
-                    try:
-                        caught = handlers[hid]["types"]  # type: ignore[index]
-                    except (IndexError, TypeError, KeyError):
-                        continue
-                    if self._catches(caught, exc):
-                        delivered = hid
-                        break
-                if delivered is not None:
-                    break
-            if delivered is not None:
-                bucket = self.incoming.setdefault((node, delivered), set())
+        for types, guards, _origin, _reraised in self._sites(node):
+            for exc in types:
+                hid = self._handler_for(node, exc, guards)
+                if hid is None:
+                    bucket = self.raises_out.setdefault(node, set())
+                else:
+                    bucket = self.incoming.setdefault((node, hid), set())
                 if exc not in bucket:
                     bucket.add(exc)
                     changed = True
-            else:
-                escaped = self.raises_out.setdefault(node, set())
-                if exc not in escaped:
-                    escaped.add(exc)
-                    self.origins.setdefault((node, exc), origin)
-                    changed = True
         return changed
 
-    def _solve(self) -> None:
-        for _ in range(self._MAX_PASSES):
-            changed = False
-            for node in sorted(self.nodes):
-                record = self.nodes[node]
-                for entry in record.get("raises", []):  # type: ignore[union-attr]
-                    exc_type = entry.get("type")
-                    guards = entry.get("guards", [])
-                    line = int(entry.get("line", 0))
-                    if exc_type is not None:
-                        changed |= self._dispatch(
-                            node, [str(exc_type)], guards, ("raise", line, None)
-                        )
-                    elif "handler" in entry:
-                        received = self.incoming.get((node, int(entry["handler"])), set())
-                        changed |= self._dispatch(
-                            node, sorted(received), guards, ("reraise", line, None)
-                        )
-                for call, target in self._call_targets.get(node, []):
-                    propagated = self.raises_out.get(target)
-                    if not propagated:
+    def _trace(self, node: Node) -> bool:
+        """Pick each escaping type's origin: where a sorted sweep finds it first.
+
+        Picture visiting every function in sorted order, dispatching its
+        sites in order, pass after pass.  A site's *sweep* is the pass it
+        first throws a type in: pass 1 for a ``raise``; a call's callee's
+        pass, plus one when the callee sorts after the caller; a bare
+        ``raise`` once its handler has received the type.  The earliest
+        (sweep, site) wins.  Sweeps only fall, so the solve converges to the
+        same origins whatever order the worklist visits functions in, and a
+        chain's (sweep, function) strictly falls hop by hop, so it ends.
+        """
+        best: Dict[str, Tuple[Tuple[int, int], Origin]] = {}
+        changed = False
+        for index, (types, guards, origin, reraised) in enumerate(self._sites(node)):
+            kind, _line, callee = origin
+            for exc in types:
+                if kind == "raise":
+                    sweep = 1
+                elif kind == "call":
+                    if (callee, exc) not in self._sweep:
+                        continue  # the callee is not traced yet
+                    sweep = self._sweep[(callee, exc)] + (callee > node)  # type: ignore[operator]
+                else:
+                    got = self._arrival.get((node, reraised, exc))
+                    if got is None:
                         continue
-                    line = int(call.get("line", 0))
-                    changed |= self._dispatch(
-                        node, sorted(propagated), call.get("guards", []),
-                        ("call", line, target),
-                    )
-            if not changed:
-                break
+                    sweep = got[0] + (got[1] > index)  # delivered later in the visit
+                rank = (sweep, index)
+                hid = self._handler_for(node, exc, guards)
+                if hid is not None:
+                    arrival = (node, hid, exc)
+                    if arrival not in self._arrival or rank < self._arrival[arrival]:
+                        self._arrival[arrival] = rank
+                        changed = True
+                elif exc not in best or rank < best[exc][0]:
+                    best[exc] = (rank, origin)
+        for exc, ((sweep, _index), origin) in best.items():
+            self.origins[(node, exc)] = origin
+            if self._sweep.get((node, exc)) != sweep:
+                self._sweep[(node, exc)] = sweep
+                changed = True
+        return changed
 
     # -- results -----------------------------------------------------------
 
@@ -525,20 +459,22 @@ class ExceptionAnalysis:
         """The project-raised exception types escaping one function."""
         return frozenset(self.raises_out.get((module_key, qualname), set()))
 
-    def _emit_records(self) -> None:
+    def emit_records(self, emit: Callable[[str, Dict[str, object]], None]) -> None:
+        """Hand every CW803 finding record to ``emit(module_key, record)``."""
         for node in sorted(self.nodes):
             module_key, qualname = node
-            for handler in self.nodes[node].get("handlers", []):  # type: ignore[union-attr]
-                caught = handler.get("types", [])
+            for handler in self.nodes[node]["handlers"]:  # type: ignore[union-attr]
+                caught = handler["types"]
                 broad = not caught or bool(set(caught) & _BROAD)
-                if not broad or handler.get("reraises") or handler.get("uses"):
+                if not broad or handler["reraises"] or handler["uses"]:
                     continue
-                if handler.get("silent"):
+                if handler["silent"]:
                     continue  # CW107's per-file finding owns the silent shape
                 received = self.incoming.get((node, int(handler["id"])), set())
                 if not received:
                     continue
-                self._records.setdefault(module_key, []).append(
+                emit(
+                    module_key,
                     {
                         "rule": "CW803",
                         "line": int(handler["line"]),
@@ -546,36 +482,8 @@ class ExceptionAnalysis:
                         "func": qualname,
                         "caught": list(caught) or ["<bare>"],
                         "types": sorted(received),
-                    }
+                    },
                 )
-        for records in self._records.values():
-            records.sort(key=lambda r: (r["line"], r["col"]))
-
-    def records_for(self, module_key: str) -> List[Dict[str, object]]:
-        """The CW803 finding records anchored in one module."""
-        return self._records.get(module_key, [])
-
-    def dep_digest(self, module_key: str) -> str:
-        """Digest folded into the per-file cache dep-key.
-
-        Covers both the module's CW803 records *and* its functions'
-        may-raise sets: the latter feed the resource-lifetime analysis of
-        every caller, so a change here must re-lint dependents.
-        """
-        payload = json.dumps(
-            {
-                "records": self.records_for(module_key),
-                "raises": {
-                    qualname: sorted(self.raises_out.get((module_key, qualname), set()))
-                    for (mod, qualname) in self.nodes
-                    if mod == module_key
-                },
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-            default=str,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     # -- the --raises explain mode ----------------------------------------
 
@@ -609,19 +517,15 @@ class ExceptionAnalysis:
         for exc in escaped:
             lines.append(f"  may raise {exc}")
             current = node
-            for _ in range(32):  # provenance chains are acyclic but bounded anyway
-                origin = self.origins.get((current, exc))
-                if origin is None:
-                    break
-                kind, line, target = origin
-                if kind == "call" and target is not None:
-                    lines.append(
-                        f"    via call at {current[0]}:{current[1]} line {line}"
-                        f" -> {target[0]}:{target[1]}"
-                    )
-                    current = target
-                    continue
-                verb = "re-raised" if kind == "reraise" else "raised"
-                lines.append(f"    {verb} at {current[0]}:{current[1]} line {line}")
-                break
+            # Each hop's chain is one shorter, so the walk reaches a raise.
+            kind, line, target = self.origins[(current, exc)]
+            while target is not None:
+                lines.append(
+                    f"    via call at {current[0]}:{current[1]} line {line}"
+                    f" -> {target[0]}:{target[1]}"
+                )
+                current = target
+                kind, line, target = self.origins[(current, exc)]
+            verb = "re-raised" if kind == "reraise" else "raised"
+            lines.append(f"    {verb} at {current[0]}:{current[1]} line {line}")
         return "\n".join(lines)

@@ -9,9 +9,9 @@ actually denote?  This module answers those questions with three pieces:
 * a **control-flow graph** per function (and one for the module body) built
   from the AST — basic blocks of statements with successor edges for
   ``if``/loops/``try``;
-* classic **reaching definitions** over that CFG (gen/kill worklist to a
-  fixpoint, then a linear replay to get the definition set at the entry of
-  every individual statement);
+* classic **reaching definitions** over that CFG (gen/kill to a fixpoint on
+  the shared :func:`~repro.devtools.solver.solve`, then a linear replay to
+  get the definition set at the entry of every individual statement);
 * **call-site resolution** inside a module: a ``Name`` callee resolves
   through its reaching definitions to the module-level ``def``, ``lambda``
   or ``functools.partial`` expression it denotes, when that is unambiguous.
@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+
+from .solver import solve
 
 __all__ = [
     "Definition",
@@ -302,14 +304,12 @@ class FlowGraph:
         n = len(self._blocks)
         ins: List[Dict[str, Set[Definition]]] = [{} for _ in range(n)]
         outs: List[Dict[str, Set[Definition]]] = [{} for _ in range(n)]
-        ins[0] = {name: set(defs) for name, defs in self._entry_defs.items()}
         preds: List[Set[int]] = [set() for _ in range(n)]
         for block in self._blocks:
             for succ in block.succs:
                 preds[succ].add(block.index)
-        worklist = list(range(n))
-        while worklist:
-            index = worklist.pop()
+
+        def update(index: int) -> bool:
             merged: Dict[str, Set[Definition]] = (
                 {name: set(defs) for name, defs in self._entry_defs.items()}
                 if index == 0
@@ -324,9 +324,12 @@ class FlowGraph:
             }
             for stmt in self._blocks[index].stmts:
                 self._apply(out, stmt)
-            if out != outs[index]:
-                outs[index] = out
-                worklist.extend(self._blocks[index].succs)
+            if out == outs[index]:
+                return False
+            outs[index] = out
+            return True
+
+        solve(range(n), update, lambda index: self._blocks[index].succs)
         # Replay each block linearly to anchor a definition map on every
         # individual statement's entry.
         for block in self._blocks:

@@ -70,6 +70,7 @@ DEVTOOLS_MODULES: FrozenSet[str] = frozenset(
         "rules.units",
         "resources",
         "sarif",
+        "solver",
         "threads",
     }
 )

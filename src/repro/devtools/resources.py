@@ -36,33 +36,33 @@ that stages through ``tempfile.mkstemp`` and publishes with
 temp file in an ``except``/``finally`` cleanup, the way
 ``repro.persistence.save_profiles`` does.
 
-Fact extraction is deliberately import-light (``ast`` + stdlib + the
-symbolic helpers shared with :mod:`repro.devtools.threads`) so
-:mod:`repro.devtools.domains` can call :func:`extract_resource_facts`
-without an import cycle; :class:`LifecycleAnalysis` is whole-program
-derived data rebuilt on demand, like the thread and exception analyses.
+The fact producer is import-light (``ast`` + stdlib + the symbolic
+helpers shared with :mod:`repro.devtools.threads`) so
+:mod:`repro.devtools.domains` can hand it each definition of its one
+extraction walk without an import cycle; :class:`LifecycleAnalysis` judges
+the facts once per project, into the project's records table.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .threads import (
     DOMAIN_HANDLER,
     _attr_chain,
+    _BlockWalker,
     _call_sym,
     _last_name,
-    _scoped_statements,
+    _scope_nodes,
+    _self_attr,
 )
 
-__all__ = ["extract_resource_facts", "LifecycleAnalysis"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .callgraph import ProjectAnalysis
+    from .domains import Definition
 
-#: Bumped when the resource-fact schema changes (the summary cache and the
-#: ruleset fingerprint already invalidate stale entries; belt-and-braces).
-RESOURCE_FORMAT = "1"
+__all__ = ["ResourceFacts", "LifecycleAnalysis"]
 
 #: Constructor last-name → resource kind for plain-name assignments.
 _CTOR_KINDS: Dict[str, str] = {
@@ -102,60 +102,55 @@ _BUMPERS = frozenset({"invalidate", "clear"})
 _CACHE_CLASS = "ResponseCache"
 
 Node = Tuple[str, str]  # (module_key, qualname)
+_ResState = Tuple[int, bool, bool, bool]  # (block, guarded, in_finally, in_cleanup)
 
 
 # --------------------------------------------------------------------------
 # extraction: one module's resource + coherence facts as plain JSON data
 # --------------------------------------------------------------------------
 
-def extract_resource_facts(tree: ast.Module) -> Dict[str, object]:
-    """One module's resource-lifetime and cache-coherence facts."""
-    facts: Dict[str, object] = {
-        "format": RESOURCE_FORMAT,
-        "functions": {},
-        "coherence": _coherence_facts(tree),
-    }
-    recorder = _ResRecorder(facts["functions"], facts["coherence"])  # type: ignore[arg-type]
-    recorder.walk_definitions(tree.body, prefix="")
-    return facts
+class ResourceFacts:
+    """The resource-fact producer: acquisitions tracked to their releases
+    per function, plus the cache-coherence facts of serving classes."""
 
+    def __init__(self) -> None:
+        self.coherence: Dict[str, object] = {
+            "classes": {},
+            "mutations": [],
+            "reads": [],
+            "defines_cache_class": False,
+        }
+        self.facts: Dict[str, object] = {"functions": {}, "coherence": self.coherence}
 
-class _ResRecorder:
-    """One record per function: acquisitions tracked to their releases."""
-
-    def __init__(self, functions: Dict[str, Dict[str, object]], coherence: Dict[str, object]):
-        self.functions = functions
-        self.coherence = coherence
-
-    def walk_definitions(self, body: Sequence[ast.stmt], prefix: str) -> None:
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.record_function(stmt, prefix + stmt.name)
-            elif isinstance(stmt, ast.ClassDef):
-                self.walk_definitions(stmt.body, prefix + stmt.name + ".")
-
-    def record_function(self, fn: ast.AST, qualname: str) -> None:
-        walker = _ResWalker(self, qualname)
+    def add(self, defn: "Definition") -> None:
+        if "FC" in defn.kinds:
+            return  # classes nested in functions stay opaque, like exceptions.py
+        if defn.is_class:
+            _scan_coherence_class(defn.node, defn.qualname, self.coherence)
+            return
+        fn = defn.node
+        walker = _ResWalker()
         walker.prescan(fn)
-        walker.walk(fn.body, walker.new_block(), guarded=False,  # type: ignore[attr-defined]
-                    in_finally=False, in_cleanup=False)
-        self.functions[qualname] = walker.finish(fn)
-        _ReadScanner.scan(fn, qualname, self.coherence["reads"])  # type: ignore[arg-type]
+        walker.walk(fn.body, (walker.new_block(), False, False, False))  # type: ignore[attr-defined]
+        self.facts["functions"][defn.qualname] = walker.finish(fn)  # type: ignore[index]
+        _scan_reads(fn, defn.qualname, self.coherence["reads"])  # type: ignore[arg-type]
 
 
-class _ResWalker:
-    """Lexical statement walk of one function body collecting lifetime events."""
+class _ResWalker(_BlockWalker):
+    """Lexical statement walk of one function body collecting lifetime events.
 
-    def __init__(self, recorder: _ResRecorder, qualname: str):
-        self.recorder = recorder
-        self.qualname = qualname
+    The walk state is ``(block, guarded, in_finally, in_cleanup)``: a fresh
+    id per block, whether a ``try`` protects the statement, and whether it
+    runs in a ``finally`` or an ``except`` cleanup.
+    """
+
+    def __init__(self) -> None:
         self.acquires: List[Dict[str, object]] = []
         self.releases: List[Dict[str, object]] = []
         self.escapes: Dict[str, List[int]] = {}
         self.raise_lines: List[int] = []
         self.return_lines: List[int] = []
         self.calls: List[Dict[str, object]] = []
-        self.cleanup_release: bool = False
         self.atomic: Dict[str, object] = {}
         self.is_generator = False
         self._tokens: Set[str] = set()
@@ -169,7 +164,7 @@ class _ResWalker:
 
     def prescan(self, fn: ast.AST) -> None:
         """Candidate tokens, generator-ness, and the atomic-staging shape."""
-        for node in _scoped_statements(fn):
+        for node in _scope_nodes(ast.iter_child_nodes(fn)):
             if isinstance(node, (ast.Yield, ast.YieldFrom)):
                 self.is_generator = True
             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
@@ -181,7 +176,7 @@ class _ResWalker:
                 ):
                     self._tokens.add(node.targets[0].id)
             if isinstance(node, ast.Call):
-                # _scoped_statements gives no ordering guarantee, so the
+                # _scope_nodes gives no ordering guarantee, so the
                 # atomic-staging shape is collected order-independently.
                 name = _last_name(node.func)
                 if name == "mkstemp":
@@ -196,9 +191,7 @@ class _ResWalker:
 
     # -- expression scan ---------------------------------------------------
 
-    def _scan_expr(self, expr: Optional[ast.AST], guarded: bool) -> None:
-        if expr is None:
-            return
+    def _scan_expr(self, expr: ast.AST, guarded: bool) -> None:
         stack: List[Tuple[ast.AST, bool]] = [(expr, False)]
         while stack:
             node, shielded = stack.pop()
@@ -234,11 +227,6 @@ class _ResWalker:
                 if isinstance(child, ast.expr):
                     stack.append((child, False))
 
-    def _scan_statement_exprs(self, stmt: ast.stmt, guarded: bool) -> None:
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.expr):
-                self._scan_expr(child, guarded)
-
     # -- acquisition / release matching -----------------------------------
 
     def _lock_token(self, expr: ast.AST) -> Optional[str]:
@@ -262,7 +250,7 @@ class _ResWalker:
         )
 
     def _record_release(
-        self, token: str, stmt: ast.stmt, block: int, in_finally: bool, in_cleanup: bool
+        self, token: str, stmt: ast.stmt, block: int, in_finally: bool
     ) -> None:
         self.releases.append(
             {
@@ -274,8 +262,6 @@ class _ResWalker:
                 "finally": in_finally,
             }
         )
-        if in_finally or in_cleanup:
-            self.cleanup_release = True
 
     def _expr_statement(
         self, stmt: ast.Expr, block: int, guarded: bool, in_finally: bool, in_cleanup: bool
@@ -290,7 +276,7 @@ class _ResWalker:
             self._record_acquire("tracemalloc", "trace", stmt, block)
             return True
         if chain == ["tracemalloc", "stop"]:
-            self._record_release("tracemalloc", stmt, block, in_finally, in_cleanup)
+            self._record_release("tracemalloc", stmt, block, in_finally)
             return True
         if name == "acquire" and isinstance(call.func, ast.Attribute):
             token = self._lock_token(call.func.value)
@@ -302,7 +288,7 @@ class _ResWalker:
         if name == "release" and isinstance(call.func, ast.Attribute):
             token = self._lock_token(call.func.value)
             if token is not None:
-                self._record_release(token, stmt, block, in_finally, in_cleanup)
+                self._record_release(token, stmt, block, in_finally)
                 return True
         if (
             name in ("close", "shutdown", "cleanup")
@@ -310,7 +296,7 @@ class _ResWalker:
             and isinstance(call.func.value, ast.Name)
             and call.func.value.id in self._tokens
         ):
-            self._record_release(call.func.value.id, stmt, block, in_finally, in_cleanup)
+            self._record_release(call.func.value.id, stmt, block, in_finally)
             for arg in call.args:  # shutdown(wait=...) args still scan for calls
                 self._scan_expr(arg, guarded)
             return True
@@ -320,7 +306,7 @@ class _ResWalker:
             and isinstance(call.args[0], ast.Name)
             and call.args[0].id in self._tokens
         ):
-            self._record_release(call.args[0].id, stmt, block, in_finally, in_cleanup)
+            self._record_release(call.args[0].id, stmt, block, in_finally)
             return True
         if name in ("unlink", "remove") and (in_finally or in_cleanup):
             if "line" in self.atomic:
@@ -329,83 +315,45 @@ class _ResWalker:
 
     # -- the walk ----------------------------------------------------------
 
-    def walk(
-        self,
-        stmts: Sequence[ast.stmt],
-        block: int,
-        guarded: bool,
-        in_finally: bool,
-        in_cleanup: bool,
-    ) -> None:
-        for stmt in stmts:
-            self._statement(stmt, block, guarded, in_finally, in_cleanup)
+    def enter(self, state: _ResState) -> _ResState:
+        return (self.new_block(), *state[1:])  # type: ignore[return-value]
 
-    def _statement(
-        self,
-        stmt: ast.stmt,
-        block: int,
-        guarded: bool,
-        in_finally: bool,
-        in_cleanup: bool,
-    ) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self.recorder.record_function(stmt, f"{self.qualname}.{stmt.name}")
-            return
-        if isinstance(stmt, ast.ClassDef):
-            return
+    def scan(self, expr: ast.AST, state: _ResState) -> None:
+        self._scan_expr(expr, state[1])
+
+    def statement(self, stmt: ast.stmt, state: _ResState) -> bool:
+        block, guarded, in_finally, in_cleanup = state
         if isinstance(stmt, ast.Return):
             self.return_lines.append(stmt.lineno)
-            self._scan_expr(stmt.value, guarded)
-            return
+            return False
         if isinstance(stmt, ast.Raise):
             self.raise_lines.append(stmt.lineno)
-            self._scan_statement_exprs(stmt, guarded)
-            return
+            return False
         if isinstance(stmt, ast.Try):
             body_guarded = guarded or bool(stmt.handlers) or bool(stmt.finalbody)
-            self.walk(stmt.body, self.new_block(), body_guarded, in_finally, in_cleanup)
+            self.walk(stmt.body, (self.new_block(), body_guarded, in_finally, in_cleanup))
             for handler in stmt.handlers:
-                self.walk(handler.body, self.new_block(), guarded, in_finally, True)
-            self.walk(stmt.orelse, self.new_block(), guarded, in_finally, in_cleanup)
-            self.walk(stmt.finalbody, self.new_block(), guarded, True, in_cleanup)
-            return
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                self._scan_expr(item.context_expr, guarded)
-            self.walk(stmt.body, self.new_block(), guarded, in_finally, in_cleanup)
-            return
-        if isinstance(stmt, (ast.If, ast.While)):
-            self._scan_expr(stmt.test, guarded)
-            self.walk(stmt.body, self.new_block(), guarded, in_finally, in_cleanup)
-            self.walk(stmt.orelse, self.new_block(), guarded, in_finally, in_cleanup)
-            return
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._scan_expr(stmt.iter, guarded)
-            self.walk(stmt.body, self.new_block(), guarded, in_finally, in_cleanup)
-            self.walk(stmt.orelse, self.new_block(), guarded, in_finally, in_cleanup)
-            return
+                self.walk(handler.body, (self.new_block(), guarded, in_finally, True))
+            self.walk(stmt.orelse, (self.new_block(), guarded, in_finally, in_cleanup))
+            self.walk(stmt.finalbody, (self.new_block(), guarded, True, in_cleanup))
+            return True
         if isinstance(stmt, ast.Expr):
-            if self._expr_statement(stmt, block, guarded, in_finally, in_cleanup):
-                return
-            self._scan_expr(stmt.value, guarded)
-            return
-        if isinstance(stmt, ast.Assign):
-            if (
-                isinstance(stmt.value, ast.Call)
-                and _last_name(stmt.value.func) in _CTOR_KINDS
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-            ):
-                kind = _CTOR_KINDS[_last_name(stmt.value.func)]  # type: ignore[index]
-                self._record_acquire(stmt.targets[0].id, kind, stmt, block)
-                for arg in stmt.value.args:
-                    self._scan_expr(arg, guarded)
-                for keyword in stmt.value.keywords:
-                    self._scan_expr(keyword.value, guarded)
-                return
-            self._scan_statement_exprs(stmt, guarded)
-            return
-        self._scan_statement_exprs(stmt, guarded)
+            return self._expr_statement(stmt, block, guarded, in_finally, in_cleanup)
+        if (
+            isinstance(stmt, ast.Assign)
+            and isinstance(stmt.value, ast.Call)
+            and _last_name(stmt.value.func) in _CTOR_KINDS
+            and len(stmt.targets) == 1
+            and isinstance(stmt.targets[0], ast.Name)
+        ):
+            kind = _CTOR_KINDS[_last_name(stmt.value.func)]  # type: ignore[index]
+            self._record_acquire(stmt.targets[0].id, kind, stmt, block)
+            for arg in stmt.value.args:
+                self._scan_expr(arg, guarded)
+            for keyword in stmt.value.keywords:
+                self._scan_expr(keyword.value, guarded)
+            return True
+        return False
 
     # -- post-processing ---------------------------------------------------
 
@@ -483,41 +431,15 @@ class _ResWalker:
 
 # -- coherence facts (module-level class scan) ------------------------------
 
-def _coherence_facts(tree: ast.Module) -> Dict[str, object]:
-    facts: Dict[str, object] = {
-        "classes": {},
-        "mutations": [],
-        "reads": [],
-        "defines_cache_class": False,
-    }
-    _scan_coherence_classes(tree.body, "", facts)
-    return facts
-
-
-def _scan_coherence_classes(
-    body: Sequence[ast.stmt], prefix: str, facts: Dict[str, object]
+def _scan_coherence_class(
+    node: ast.ClassDef, path: str, coherence: Dict[str, object]
 ) -> None:
-    for stmt in body:
-        if not isinstance(stmt, ast.ClassDef):
-            continue
-        path = prefix + stmt.name
-        if stmt.name == _CACHE_CLASS:
-            facts["defines_cache_class"] = True
-        cache_attr, state = _ctor_attrs(stmt)
-        if cache_attr is not None:
-            facts["classes"][path] = {"cache": cache_attr, "state": sorted(state)}  # type: ignore[index]
-            _scan_mutations(stmt, path, cache_attr, state, facts)
-        _scan_coherence_classes(stmt.body, path + ".", facts)
-
-
-def _self_attr_target(expr: ast.AST) -> Optional[str]:
-    if (
-        isinstance(expr, ast.Attribute)
-        and isinstance(expr.value, ast.Name)
-        and expr.value.id == "self"
-    ):
-        return expr.attr
-    return None
+    if node.name == _CACHE_CLASS:
+        coherence["defines_cache_class"] = True
+    cache_attr, state = _ctor_attrs(node)
+    if cache_attr is not None:
+        coherence["classes"][path] = {"cache": cache_attr, "state": sorted(state)}  # type: ignore[index]
+        _scan_mutations(node, path, cache_attr, state, coherence)
 
 
 def _ctor_attrs(cls: ast.ClassDef) -> Tuple[Optional[str], Set[str]]:
@@ -527,11 +449,11 @@ def _ctor_attrs(cls: ast.ClassDef) -> Tuple[Optional[str], Set[str]]:
     for stmt in cls.body:
         if not (isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"):
             continue
-        for node in _scoped_statements(stmt):
+        for node in _scope_nodes(ast.iter_child_nodes(stmt)):
             if not isinstance(node, ast.Assign):
                 continue
             for target in node.targets:
-                attr = _self_attr_target(target)
+                attr = _self_attr(target)
                 if attr is None:
                     continue
                 if (
@@ -560,7 +482,7 @@ def _scan_mutations(
         qualname = f"{path}.{stmt.name}"
         mutations: List[Dict[str, object]] = []
         bumps: List[int] = []
-        for node in _scoped_statements(stmt):
+        for node in _scope_nodes(ast.iter_child_nodes(stmt)):
             mutated = _mutated_state_attr(node, state)
             if mutated is not None:
                 attr, line, col = mutated
@@ -573,7 +495,7 @@ def _scan_mutations(
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr in _BUMPERS
             ):
-                receiver = _self_attr_target(node.func.value)
+                receiver = _self_attr(node.func.value)
                 if receiver == cache_attr:
                     bumps.append(node.lineno)
         for mutation in mutations:
@@ -590,7 +512,7 @@ def _mutated_state_attr(
         for target in targets:
             if isinstance(target, ast.Subscript):
                 target = target.value
-            attr = _self_attr_target(target)
+            attr = _self_attr(target)
             if attr is not None and attr in state:
                 return attr, node.lineno, node.col_offset
     if (
@@ -598,34 +520,31 @@ def _mutated_state_attr(
         and isinstance(node.func, ast.Attribute)
         and node.func.attr in _MUTATORS
     ):
-        attr = _self_attr_target(node.func.value)
+        attr = _self_attr(node.func.value)
         if attr is not None and attr in state:
             return attr, node.lineno, node.col_offset
     return None
 
 
-class _ReadScanner:
-    """Collect ``<recv>.<cache_attr>._private`` bypass reads per function."""
-
-    @staticmethod
-    def scan(fn: ast.AST, qualname: str, reads: List[Dict[str, object]]) -> None:
-        for node in _scoped_statements(fn):
-            if not isinstance(node, ast.Attribute):
-                continue
-            if not node.attr.startswith("_") or node.attr.startswith("__"):
-                continue
-            value = node.value
-            receiver: Optional[str] = None
-            if isinstance(value, ast.Attribute):
-                receiver = value.attr
-            elif isinstance(value, ast.Name):
-                receiver = value.id
-            if receiver is None or receiver == "self":
-                continue
-            reads.append(
-                {"func": qualname, "recv": receiver, "attr": node.attr,
-                 "line": node.lineno, "col": node.col_offset}
-            )
+def _scan_reads(fn: ast.AST, qualname: str, reads: List[Dict[str, object]]) -> None:
+    """Collect ``<recv>.<cache_attr>._private`` bypass reads of one function."""
+    for node in _scope_nodes(ast.iter_child_nodes(fn)):
+        if not isinstance(node, ast.Attribute):
+            continue
+        if not node.attr.startswith("_") or node.attr.startswith("__"):
+            continue
+        value = node.value
+        receiver: Optional[str] = None
+        if isinstance(value, ast.Attribute):
+            receiver = value.attr
+        elif isinstance(value, ast.Name):
+            receiver = value.id
+        if receiver is None or receiver == "self":
+            continue
+        reads.append(
+            {"func": qualname, "recv": receiver, "attr": node.attr,
+             "line": node.lineno, "col": node.col_offset}
+        )
 
 
 # --------------------------------------------------------------------------
@@ -641,43 +560,26 @@ ExceptionAnalysis` (is the leak path reachable?), handler-domain
     (is the bypass read served concurrently?).
     """
 
-    def __init__(
-        self,
-        summaries: Dict[str, Dict[str, object]],
-        resolver: Callable[[str, str, Sequence[object]], Optional[Tuple[Tuple[str, str], bool]]],
-        exceptions: "ExceptionAnalysis",
-        threads: "ThreadAnalysis",
-    ):
-        self.summaries = summaries
-        self._resolve = resolver
-        self.exceptions = exceptions
-        self.threads = threads
-        self._records: Dict[str, List[Dict[str, object]]] = {}
-        self._cache_attrs: Set[str] = set()
-        self._build()
+    def __init__(self, project: "ProjectAnalysis"):
+        self.project = project
+        self.exceptions = project.exceptions()
+        self.threads = project.threads()
+        self._cache_attrs: Set[str] = {
+            str(info["cache"])
+            for summary in project.summaries.values()
+            for info in summary["resources"]["coherence"]["classes"].values()  # type: ignore[index]
+        }
 
-    def _facts(self, module_key: str) -> Dict[str, object]:
-        summary = self.summaries.get(module_key) or {}
-        facts = summary.get("resources")
-        if not isinstance(facts, dict):
-            return {"functions": {}, "coherence": {}}
-        return facts
-
-    def _build(self) -> None:
-        for module_key in sorted(self.summaries):
-            coherence = self._facts(module_key).get("coherence") or {}
-            for info in coherence.get("classes", {}).values():  # type: ignore[union-attr]
-                self._cache_attrs.add(str(info["cache"]))
-        for module_key in sorted(self.summaries):
-            facts = self._facts(module_key)
-            for qualname, record in sorted(facts.get("functions", {}).items()):  # type: ignore[union-attr]
-                self._judge_function(module_key, qualname, record)
-            self._judge_coherence(module_key, facts.get("coherence") or {})
-        for records in self._records.values():
-            records.sort(key=lambda r: (r["line"], r["col"], r["rule"]))
-
-    def _emit(self, module_key: str, record: Dict[str, object]) -> None:
-        self._records.setdefault(module_key, []).append(record)
+    def emit_records(self, emit: Callable[[str, Dict[str, object]], None]) -> None:
+        """Hand every CW801/802/804/805/806 record to ``emit(module_key, record)``."""
+        summaries = self.project.summaries
+        for module_key in sorted(summaries):
+            facts = summaries[module_key]["resources"]
+            for qualname, record in sorted(facts["functions"].items()):  # type: ignore[index]
+                for finding in self._judge_function(module_key, qualname, record):
+                    emit(module_key, finding)
+            for finding in self._judge_coherence(module_key, facts["coherence"]):  # type: ignore[index]
+                emit(module_key, finding)
 
     # -- lifetimes ---------------------------------------------------------
 
@@ -686,7 +588,9 @@ ExceptionAnalysis` (is the leak path reachable?), handler-domain
     ) -> Optional[Tuple[int, List[str]]]:
         """The first intervening resolved call that may raise, if any."""
         for call in calls:
-            target = self.exceptions._resolve_target(module_key, qualname, call["sym"])
+            target = self.project._resolve_target(
+                module_key, qualname, call["sym"], self.exceptions.nodes
+            )
             if target is None:
                 continue
             raised = self.exceptions.raises_out.get(target)
@@ -696,7 +600,7 @@ ExceptionAnalysis` (is the leak path reachable?), handler-domain
 
     def _judge_function(
         self, module_key: str, qualname: str, record: Dict[str, object]
-    ) -> None:
+    ) -> Iterator[Dict[str, object]]:
         for acq in record.get("acquires", []):  # type: ignore[union-attr]
             if acq.get("escapes"):
                 continue
@@ -716,7 +620,7 @@ ExceptionAnalysis` (is the leak path reachable?), handler-domain
                     f"{noun} {token!r} is acquired here and never "
                     f"released on any path"
                 )
-                self._emit(module_key, base)
+                yield base
                 continue
             if acq.get("protected"):
                 continue
@@ -747,57 +651,47 @@ ExceptionAnalysis` (is the leak path reachable?), handler-domain
                 continue
             if rule == "CW802" and "fix" in acq:
                 base["fix"] = acq["fix"]
-            self._emit(module_key, base)
+            yield base
         atomic = record.get("atomic")
         if isinstance(atomic, dict):
-            if not atomic.get("fsync"):
-                self._emit(
-                    module_key,
-                    {
-                        "rule": "CW804",
-                        "line": int(atomic["line"]),
-                        "col": int(atomic.get("col", 0)),
-                        "func": qualname,
-                        "reason": (
-                            "temp file is renamed into place at line "
-                            f"{atomic['replace']} without an fsync — a crash "
-                            "can publish truncated contents"
-                        ),
-                    },
+            reasons = []
+            if not atomic["fsync"]:
+                reasons.append(
+                    "temp file is renamed into place at line "
+                    f"{atomic['replace']} without an fsync — a crash "
+                    "can publish truncated contents"
                 )
-            if not atomic.get("cleanup"):
-                self._emit(
-                    module_key,
-                    {
-                        "rule": "CW804",
-                        "line": int(atomic["line"]),
-                        "col": int(atomic.get("col", 0)),
-                        "func": qualname,
-                        "reason": (
-                            "staged temp file is not unlinked when the write "
-                            "fails (no except/finally cleanup before the "
-                            f"rename at line {atomic['replace']})"
-                        ),
-                    },
+            if not atomic["cleanup"]:
+                reasons.append(
+                    "staged temp file is not unlinked when the write "
+                    "fails (no except/finally cleanup before the "
+                    f"rename at line {atomic['replace']})"
                 )
+            for reason in reasons:
+                yield {
+                    "rule": "CW804",
+                    "line": int(atomic["line"]),
+                    "col": int(atomic["col"]),
+                    "func": qualname,
+                    "reason": reason,
+                }
 
     # -- coherence ---------------------------------------------------------
 
-    def _judge_coherence(self, module_key: str, coherence: Dict[str, object]) -> None:
+    def _judge_coherence(
+        self, module_key: str, coherence: Dict[str, object]
+    ) -> Iterator[Dict[str, object]]:
         for mutation in coherence.get("mutations", []):  # type: ignore[union-attr]
             if mutation.get("bumped"):
                 continue
-            self._emit(
-                module_key,
-                {
-                    "rule": "CW805",
-                    "line": int(mutation["line"]),
-                    "col": int(mutation["col"]),
-                    "attr": mutation["attr"],
-                    "func": mutation["func"],
-                    "class": mutation["class"],
-                },
-            )
+            yield {
+                "rule": "CW805",
+                "line": int(mutation["line"]),
+                "col": int(mutation["col"]),
+                "attr": mutation["attr"],
+                "func": mutation["func"],
+                "class": mutation["class"],
+            }
         if coherence.get("defines_cache_class"):
             return  # the cache implementation touches its own internals
         for read in coherence.get("reads", []):  # type: ignore[union-attr]
@@ -806,27 +700,10 @@ ExceptionAnalysis` (is the leak path reachable?), handler-domain
             node = (module_key, str(read["func"]))
             if DOMAIN_HANDLER not in self.threads.domains.get(node, set()):
                 continue
-            self._emit(
-                module_key,
-                {
-                    "rule": "CW806",
-                    "line": int(read["line"]),
-                    "col": int(read["col"]),
-                    "attr": f"{read['recv']}.{read['attr']}",
-                    "func": read["func"],
-                },
-            )
-
-    # -- results -----------------------------------------------------------
-
-    def records_for(self, module_key: str) -> List[Dict[str, object]]:
-        """The CW801/802/804/805/806 finding records anchored in one module."""
-        return self._records.get(module_key, [])
-
-    def dep_digest(self, module_key: str) -> str:
-        """Digest of the module's lifecycle findings for the cache dep-key."""
-        payload = json.dumps(
-            self.records_for(module_key), sort_keys=True, separators=(",", ":"),
-            default=str,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            yield {
+                "rule": "CW806",
+                "line": int(read["line"]),
+                "col": int(read["col"]),
+                "attr": f"{read['recv']}.{read['attr']}",
+                "func": read["func"],
+            }

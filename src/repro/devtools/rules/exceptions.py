@@ -15,32 +15,9 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterable
 
 from ..engine import Edit, FileContext, Fix, Rule, register
-from .common import identifier_of
-
-_BROAD = {"Exception", "BaseException"}
-
-
-def _caught_types(handler: ast.ExceptHandler) -> Iterable[str]:
-    node = handler.type
-    if node is None:
-        return []
-    if isinstance(node, ast.Tuple):
-        return [identifier_of(element) or "" for element in node.elts]
-    return [identifier_of(node) or ""]
-
-
-def _body_is_silent(body: Iterable[ast.stmt]) -> bool:
-    """True when the handler body does nothing observable at all."""
-    for stmt in body:
-        if isinstance(stmt, ast.Pass):
-            continue
-        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
-            continue  # docstring or bare `...`
-        return False
-    return True
+from ..exceptions import _BROAD, _body_is_silent, _caught_type_names
 
 
 @register
@@ -82,7 +59,7 @@ class SwallowedExceptionRule(Rule):
     def visit_ExceptHandler(self, ctx: FileContext, node: ast.ExceptHandler) -> None:
         if node.type is None:
             return  # CW106's finding; don't double-report
-        if not any(name in _BROAD for name in _caught_types(node)):
+        if not any(name in _BROAD for name in _caught_type_names(node)):
             return
         if _body_is_silent(node.body):
             ctx.report(

@@ -5,7 +5,7 @@ time-bin×place item ids into indistinguishable dense ints; degrees, meters,
 and seconds were always indistinguishable floats.  The type system cannot
 tell them apart, so these rules do, using the interprocedural domain
 analysis (``devtools/domains``) over the project call graph
-(``devtools/callgraph``):
+(``devtools/callgraph``), read as records from the project's records table:
 
 * **CW601** — a value with a *known* id domain passed to a parameter whose
   resolved callee expects a *different* id domain (``user_id`` into a
@@ -21,8 +21,10 @@ analysis (``devtools/domains``) over the project call graph
   ``counts[microcell_id]``): either a bug or two maps fused into one.
 
 CW601–CW603 report only a *known* actual against a *known, different*
-expected; anything the propagation could not pin — including genuine
-conflicts, which poison their slot — stays silent.  Zero false positives is
+expected (their records also list the calls that agree, or whose actual is
+unknown, so a caller re-lints whenever a callee's expectation changes);
+anything the propagation could not pin — including genuine conflicts,
+which poison their slot — stays silent.  Zero false positives is
 the design budget, enforced by the clean-twin fixtures in the tests.
 """
 
@@ -33,32 +35,21 @@ from typing import Dict, List, Tuple
 
 from ..domains import domain_label, id_domain_of
 from ..engine import FileContext, Rule, register
-from .common import identifier_of
-
-#: Families each cross-call rule owns (one finding shape per family).
-_FAMILY_RULES = {"id": "CW601", "axis": "CW602", "unit": "CW603", "dt": "CW603"}
+from .common import RecordRule, identifier_of
 
 
-def _anchor(line: int, col: int) -> ast.AST:
-    """A location-only node so pragma suppression works on record findings."""
-    node = ast.Pass()
-    node.lineno = line
-    node.col_offset = col
-    return node
+class _CrossCallRule(RecordRule):
+    """CW601–CW603: a known actual domain against a different expected one."""
 
+    def reports(self, record: Dict[str, object]) -> bool:
+        return record["actual"] not in (None, record["expected"])
 
-def _conflicts_for(ctx: FileContext, family_ids: Tuple[str, ...]) -> List[Dict[str, object]]:
-    if ctx.project is None:
-        return []
-    return [
-        record
-        for record in ctx.project.call_conflicts(ctx.module_key)
-        if _FAMILY_RULES[record["family"]] in family_ids
-    ]
+    def severity(self, ctx: FileContext) -> str:
+        return "error"
 
 
 @register
-class CrossCallIdDomainRule(Rule):
+class CrossCallIdDomainRule(_CrossCallRule):
     id = "CW601"
     name = "cross-call-id-domain"
     description = (
@@ -66,45 +57,35 @@ class CrossCallIdDomainRule(Rule):
         "a parameter that interprocedural analysis expects to be a "
         "different id domain."
     )
-    requires_project = True
 
-    def check_module(self, ctx: FileContext) -> None:
-        for record in _conflicts_for(ctx, ("CW601",)):
-            ctx.report(
-                self,
-                _anchor(record["line"], record["col"]),
-                f"{record['arg']!r} is a {domain_label(record['actual'])} but "
-                f"parameter {record['param']!r} of {record['callee']}() "
-                f"expects a {domain_label(record['expected'])}",
-                severity="error",
-            )
+    def message(self, record: Dict[str, object]) -> str:
+        return (
+            f"{record['arg']!r} is a {domain_label(record['actual'])} but "
+            f"parameter {record['param']!r} of {record['callee']}() "
+            f"expects a {domain_label(record['expected'])}"
+        )
 
 
 @register
-class CrossCallLatLonSwapRule(Rule):
+class CrossCallLatLonSwapRule(_CrossCallRule):
     id = "CW602"
     name = "cross-call-latlon-swap"
     description = (
         "A known latitude/longitude value is passed to the opposite axis's "
         "parameter of a resolved callee — the cross-module lat/lon swap."
     )
-    requires_project = True
 
-    def check_module(self, ctx: FileContext) -> None:
-        for record in _conflicts_for(ctx, ("CW602",)):
-            ctx.report(
-                self,
-                _anchor(record["line"], record["col"]),
-                f"{record['arg']!r} is a {domain_label(record['actual'])} but "
-                f"parameter {record['param']!r} of {record['callee']}() is a "
-                f"{domain_label(record['expected'])} — lat/lon swapped at "
-                "this call?",
-                severity="error",
-            )
+    def message(self, record: Dict[str, object]) -> str:
+        return (
+            f"{record['arg']!r} is a {domain_label(record['actual'])} but "
+            f"parameter {record['param']!r} of {record['callee']}() is a "
+            f"{domain_label(record['expected'])} — lat/lon swapped at "
+            "this call?"
+        )
 
 
 @register
-class CrossCallUnitMismatchRule(Rule):
+class CrossCallUnitMismatchRule(_CrossCallRule):
     id = "CW603"
     name = "cross-call-unit-mismatch"
     description = (
@@ -112,41 +93,30 @@ class CrossCallUnitMismatchRule(Rule):
         "parameter expecting a different one — degrees into meters, naive "
         "datetimes into *_utc slots."
     )
-    requires_project = True
 
-    def check_module(self, ctx: FileContext) -> None:
-        for record in _conflicts_for(ctx, ("CW603",)):
-            what = "carries" if record["family"] == "unit" else "is"
-            ctx.report(
-                self,
-                _anchor(record["line"], record["col"]),
-                f"{record['arg']!r} {what} {domain_label(record['actual'])} "
-                f"but parameter {record['param']!r} of {record['callee']}() "
-                f"expects {domain_label(record['expected'])}",
-                severity="error",
-            )
+    def message(self, record: Dict[str, object]) -> str:
+        what = "carries" if record["family"] == "unit" else "is"
+        return (
+            f"{record['arg']!r} {what} {domain_label(record['actual'])} "
+            f"but parameter {record['param']!r} of {record['callee']}() "
+            f"expects {domain_label(record['expected'])}"
+        )
 
 
 @register
-class DeadExportRule(Rule):
+class DeadExportRule(RecordRule):
     id = "CW604"
     name = "dead-export"
     description = (
         "An __all__ entry no other module references, imports, or calls: "
         "dead public surface the call graph proves unreachable from outside."
     )
-    requires_project = True
 
-    def check_module(self, ctx: FileContext) -> None:
-        if ctx.project is None:
-            return
-        for record in ctx.project.dead_exports(ctx.module_key):
-            ctx.report(
-                self,
-                _anchor(record["line"], 0),
-                f"{record['name']!r} is exported in __all__ but nothing else "
-                "in the project references it; drop the export or the symbol",
-            )
+    def message(self, record: Dict[str, object]) -> str:
+        return (
+            f"{record['name']!r} is exported in __all__ but nothing else "
+            "in the project references it; drop the export or the symbol"
+        )
 
 
 @register

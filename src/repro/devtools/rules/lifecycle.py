@@ -1,7 +1,7 @@
 """CW8xx — the exception-flow / resource-lifetime / cache-coherence pack.
 
-These rules consume two whole-program views built over the project call
-graph: :class:`~repro.devtools.exceptions.ExceptionAnalysis` (per-function
+These rules read the CW8xx records of two whole-program views built over
+the project call graph: :class:`~repro.devtools.exceptions.ExceptionAnalysis` (per-function
 may-raise sets computed to fixpoint with handler subsumption) and
 :class:`~repro.devtools.resources.LifecycleAnalysis` (acquisition sites
 tracked to their releases, with the exception edges deciding whether a
@@ -39,33 +39,19 @@ corrupts the serving path (``web``, ``exec``, ``persistence``) and
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Tuple
 
-from ..engine import Edit, FileContext, Fix, Rule, register
-from ..layers import layer_of
-from .threadsafety import _anchor
-
-#: Layers where a leaked handle or stale cache corrupts served output.
-_ERROR_LAYERS = frozenset({"web", "exec", "persistence"})
+from ..engine import Edit, FileContext, Fix, register
+from .common import RecordRule
 
 
-def _severity(ctx: FileContext) -> str:
-    layer = layer_of(ctx.module) if ctx.module else None
-    return "error" if layer in _ERROR_LAYERS else "warning"
-
-
-def _lifecycle_records(ctx: FileContext, rule_id: str) -> List[Dict[str, object]]:
-    if ctx.project is None:
-        return []
-    return [
-        record
-        for record in ctx.project.lifecycle_records(ctx.module_key)
-        if record["rule"] == rule_id
-    ]
+class _LifecycleRule(RecordRule):
+    #: Layers where a leaked handle or stale cache corrupts served output.
+    error_layers = frozenset({"web", "exec", "persistence"})
 
 
 @register
-class LeakedResourceRule(Rule):
+class LeakedResourceRule(_LifecycleRule):
     id = "CW801"
     name = "may-leak-resource"
     description = (
@@ -74,21 +60,16 @@ class LeakedResourceRule(Rule):
         "missing, or skipped on a reachable exception / early-return path "
         "with no `finally` protection."
     )
-    requires_project = True
 
-    def check_module(self, ctx: FileContext) -> None:
-        for record in _lifecycle_records(ctx, self.id):
-            ctx.report(
-                self,
-                _anchor(record["line"], record["col"]),
-                f"in {record['func']}(): {record['reason']} — manage it "
-                "with a `with` block or release it in a `finally`",
-                severity=_severity(ctx),
-            )
+    def message(self, record: Dict[str, object]) -> str:
+        return (
+            f"in {record['func']}(): {record['reason']} — manage it "
+            "with a `with` block or release it in a `finally`"
+        )
 
 
 @register
-class UnguardedLockReleaseRule(Rule):
+class UnguardedLockReleaseRule(_LifecycleRule):
     id = "CW802"
     name = "lock-without-guaranteed-release"
     description = (
@@ -97,24 +78,16 @@ class UnguardedLockReleaseRule(Rule):
         "it, deadlocking every later waiter.  The sibling acquire/release "
         "shape autofixes to a `with lock:` block."
     )
-    requires_project = True
     fixable = True
 
-    def check_module(self, ctx: FileContext) -> None:
-        for record in _lifecycle_records(ctx, self.id):
-            fix = self._build_fix(ctx, record.get("fix"))
-            hint = (
-                "apply the `with` rewrite"
-                if fix is not None
-                else "move the release into a `finally` (or use `with`)"
-            )
-            ctx.report(
-                self,
-                _anchor(record["line"], record["col"]),
-                f"in {record['func']}(): {record['reason']} — {hint}",
-                fix=fix,
-                severity=_severity(ctx),
-            )
+    def describe(self, ctx: FileContext, record: Dict[str, object]) -> Tuple[str, Optional[Fix]]:
+        fix = self._build_fix(ctx, record.get("fix"))  # type: ignore[arg-type]
+        hint = (
+            "apply the `with` rewrite"
+            if fix is not None
+            else "move the release into a `finally` (or use `with`)"
+        )
+        return f"in {record['func']}(): {record['reason']} — {hint}", fix
 
     @staticmethod
     def _build_fix(ctx: FileContext, raw: Optional[Dict[str, object]]) -> Optional[Fix]:
@@ -150,7 +123,7 @@ class UnguardedLockReleaseRule(Rule):
 
 
 @register
-class SwallowedPropagationRule(Rule):
+class SwallowedPropagationRule(_LifecycleRule):
     id = "CW803"
     name = "broad-handler-swallows-propagation"
     description = (
@@ -158,28 +131,19 @@ class SwallowedPropagationRule(Rule):
         "exception the interprocedural fixpoint proves is propagated from "
         "project code: no re-raise, and the bound variable is never used."
     )
-    requires_project = True
 
-    def check_module(self, ctx: FileContext) -> None:
-        if ctx.project is None:
-            return
-        for record in ctx.project.exception_records(ctx.module_key):
-            if record["rule"] != self.id:
-                continue
-            caught = ", ".join(record["caught"])  # type: ignore[arg-type]
-            types = ", ".join(record["types"])  # type: ignore[arg-type]
-            ctx.report(
-                self,
-                _anchor(record["line"], record["col"]),
-                f"`except {caught}` in {record['func']}() silently swallows "
-                f"{types} propagated from project code — narrow the catch, "
-                "re-raise, or record the exception",
-                severity=_severity(ctx),
-            )
+    def message(self, record: Dict[str, object]) -> str:
+        caught = ", ".join(record["caught"])  # type: ignore[arg-type]
+        types = ", ".join(record["types"])  # type: ignore[arg-type]
+        return (
+            f"`except {caught}` in {record['func']}() silently swallows "
+            f"{types} propagated from project code — narrow the catch, "
+            "re-raise, or record the exception"
+        )
 
 
 @register
-class AtomicPersistenceRule(Rule):
+class AtomicPersistenceRule(_LifecycleRule):
     id = "CW804"
     name = "atomic-persistence-violation"
     description = (
@@ -187,22 +151,17 @@ class AtomicPersistenceRule(Rule):
         "os.replace/rename skips the fsync before the rename, or never "
         "unlinks the staged temp file when the write fails."
     )
-    requires_project = True
 
-    def check_module(self, ctx: FileContext) -> None:
-        for record in _lifecycle_records(ctx, self.id):
-            ctx.report(
-                self,
-                _anchor(record["line"], record["col"]),
-                f"in {record['func']}(): {record['reason']} — follow the "
-                "mkstemp -> write -> flush+fsync -> os.replace protocol "
-                "with an except/finally unlink",
-                severity=_severity(ctx),
-            )
+    def message(self, record: Dict[str, object]) -> str:
+        return (
+            f"in {record['func']}(): {record['reason']} — follow the "
+            "mkstemp -> write -> flush+fsync -> os.replace protocol "
+            "with an except/finally unlink"
+        )
 
 
 @register
-class StaleCacheMutationRule(Rule):
+class StaleCacheMutationRule(_LifecycleRule):
     id = "CW805"
     name = "mutation-without-invalidation"
     description = (
@@ -211,23 +170,18 @@ class StaleCacheMutationRule(Rule):
         "constructor with no following cache invalidate(): handlers keep "
         "serving the stale generation."
     )
-    requires_project = True
 
-    def check_module(self, ctx: FileContext) -> None:
-        for record in _lifecycle_records(ctx, self.id):
-            ctx.report(
-                self,
-                _anchor(record["line"], record["col"]),
-                f"{record['class']}.{record['attr']} is mutated in "
-                f"{record['func']}() without a following cache "
-                "invalidate() — bump the generation so handlers stop "
-                "serving stale responses",
-                severity=_severity(ctx),
-            )
+    def message(self, record: Dict[str, object]) -> str:
+        return (
+            f"{record['class']}.{record['attr']} is mutated in "
+            f"{record['func']}() without a following cache "
+            "invalidate() — bump the generation so handlers stop "
+            "serving stale responses"
+        )
 
 
 @register
-class CacheBypassRule(Rule):
+class CacheBypassRule(_LifecycleRule):
     id = "CW806"
     name = "cache-bypass-from-handler"
     description = (
@@ -235,16 +189,11 @@ class CacheBypassRule(Rule):
         "(_entries, _generation, ...) directly instead of going through "
         "the cache API (lookup/store/stats/info)."
     )
-    requires_project = True
 
-    def check_module(self, ctx: FileContext) -> None:
-        for record in _lifecycle_records(ctx, self.id):
-            ctx.report(
-                self,
-                _anchor(record["line"], record["col"]),
-                f"handler-reachable {record['func']}() reads "
-                f"{record['attr']} directly — the cache's internals are "
-                "guarded by its own lock and generation; use the public "
-                "cache API",
-                severity=_severity(ctx),
-            )
+    def message(self, record: Dict[str, object]) -> str:
+        return (
+            f"handler-reachable {record['func']}() reads "
+            f"{record['attr']} directly — the cache's internals are "
+            "guarded by its own lock and generation; use the public "
+            "cache API"
+        )

@@ -2,9 +2,10 @@
 
 The serving layer runs a ``ThreadingHTTPServer``: one thread per request,
 all of them sharing this process's module globals and long-lived objects.
-These rules consume :class:`~repro.devtools.threads.ThreadAnalysis` — thread
-roots, concurrency domains, and inferred locksets over the project call
-graph — and report:
+These rules read the CW7xx records that
+:class:`~repro.devtools.threads.ThreadAnalysis` — thread roots, concurrency
+domains, and inferred locksets over the project call graph — leaves in the
+project's records table, and report:
 
 * **CW701** — a write to shared state (mutated, and reachable from a thread
   domain) with no lock held and no guarded-by lock inferable at all.
@@ -34,41 +35,19 @@ Severity is ``error`` in the layers that actually run concurrent code
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Tuple
 
-from ..engine import Edit, FileContext, Fix, Rule, register
-from ..layers import layer_of
-
-#: Layers whose code runs on the serving path — findings there are errors.
-_CONCURRENT_LAYERS = frozenset({"web", "obs", "exec"})
+from ..engine import Edit, FileContext, Fix, register
+from .common import RecordRule
 
 
-def _anchor(line: int, col: int) -> ast.AST:
-    """A location-only node so pragma suppression works on record findings."""
-    node = ast.Pass()
-    node.lineno = line
-    node.col_offset = col
-    return node
-
-
-def _severity(ctx: FileContext) -> str:
-    layer = layer_of(ctx.module) if ctx.module else None
-    return "error" if layer in _CONCURRENT_LAYERS else "warning"
-
-
-def _records_for(ctx: FileContext, rule_id: str) -> List[Dict[str, object]]:
-    if ctx.project is None:
-        return []
-    return [
-        record
-        for record in ctx.project.thread_records(ctx.module_key)
-        if record["rule"] == rule_id
-    ]
+class _ThreadRule(RecordRule):
+    #: Layers whose code runs on the serving path — findings there are errors.
+    error_layers = frozenset({"web", "obs", "exec"})
 
 
 @register
-class UnguardedSharedWriteRule(Rule):
+class UnguardedSharedWriteRule(_ThreadRule):
     id = "CW701"
     name = "unguarded-shared-write"
     description = (
@@ -76,24 +55,19 @@ class UnguardedSharedWriteRule(Rule):
         "worker threads) happens with no lock held, and no guarded-by lock "
         "could be inferred for the symbol at all."
     )
-    requires_project = True
 
-    def check_module(self, ctx: FileContext) -> None:
-        for record in _records_for(ctx, self.id):
-            domains = ", ".join(record["domains"])  # type: ignore[arg-type]
-            ctx.report(
-                self,
-                _anchor(record["line"], record["col"]),
-                f"unguarded write to {record['symbol']} in "
-                f"{record['function']}() — the symbol is reached from "
-                f"concurrency domains [{domains}] and no write ever holds a "
-                "lock; guard every access with one lock",
-                severity=_severity(ctx),
-            )
+    def message(self, record: Dict[str, object]) -> str:
+        domains = ", ".join(record["domains"])  # type: ignore[arg-type]
+        return (
+            f"unguarded write to {record['symbol']} in "
+            f"{record['function']}() — the symbol is reached from "
+            f"concurrency domains [{domains}] and no write ever holds a "
+            "lock; guard every access with one lock"
+        )
 
 
 @register
-class InconsistentlyGuardedWriteRule(Rule):
+class InconsistentlyGuardedWriteRule(_ThreadRule):
     id = "CW702"
     name = "inconsistently-guarded-write"
     description = (
@@ -101,22 +75,17 @@ class InconsistentlyGuardedWriteRule(Rule):
         "one inferred lock happens at a site where that lock is not held — "
         "guarded on some paths, bare on this one."
     )
-    requires_project = True
 
-    def check_module(self, ctx: FileContext) -> None:
-        for record in _records_for(ctx, self.id):
-            ctx.report(
-                self,
-                _anchor(record["line"], record["col"]),
-                f"write to {record['symbol']} in {record['function']}() "
-                f"without {record['guard']}, the lock inferred to guard it "
-                "from its other writes — take the same lock here",
-                severity=_severity(ctx),
-            )
+    def message(self, record: Dict[str, object]) -> str:
+        return (
+            f"write to {record['symbol']} in {record['function']}() "
+            f"without {record['guard']}, the lock inferred to guard it "
+            "from its other writes — take the same lock here"
+        )
 
 
 @register
-class CheckThenActRule(Rule):
+class CheckThenActRule(_ThreadRule):
     id = "CW703"
     name = "shared-check-then-act"
     description = (
@@ -125,26 +94,20 @@ class CheckThenActRule(Rule):
         "container between the check and the act.  The `if k not in d: "
         "d[k] = v` shape autofixes to `d.setdefault(k, v)`."
     )
-    requires_project = True
     fixable = True
 
-    def check_module(self, ctx: FileContext) -> None:
-        for record in _records_for(ctx, self.id):
-            fix = self._build_fix(ctx, record.get("fix"))
-            hint = (
-                "apply the setdefault rewrite"
-                if fix is not None
-                else "widen the guarding lock over the whole check-then-act"
-            )
-            ctx.report(
-                self,
-                _anchor(record["line"], record["col"]),
-                f"check-then-act on shared container {record['symbol']} in "
-                f"{record['function']}() is not atomic without a lock — "
-                f"{hint}",
-                fix=fix,
-                severity=_severity(ctx),
-            )
+    def describe(self, ctx: FileContext, record: Dict[str, object]) -> Tuple[str, Optional[Fix]]:
+        fix = self._build_fix(ctx, record.get("fix"))  # type: ignore[arg-type]
+        hint = (
+            "apply the setdefault rewrite"
+            if fix is not None
+            else "widen the guarding lock over the whole check-then-act"
+        )
+        return (
+            f"check-then-act on shared container {record['symbol']} in "
+            f"{record['function']}() is not atomic without a lock — {hint}",
+            fix,
+        )
 
     @staticmethod
     def _build_fix(ctx: FileContext, raw: Optional[Dict[str, object]]) -> Optional[Fix]:
@@ -165,7 +128,7 @@ class CheckThenActRule(Rule):
 
 
 @register
-class LockOrderRule(Rule):
+class LockOrderRule(_ThreadRule):
     id = "CW704"
     name = "inconsistent-lock-order"
     description = (
@@ -173,23 +136,18 @@ class LockOrderRule(Rule):
         "(A then B here, B then A elsewhere): two threads interleaving the "
         "two orders deadlock."
     )
-    requires_project = True
 
-    def check_module(self, ctx: FileContext) -> None:
-        for record in _records_for(ctx, self.id):
-            ctx.report(
-                self,
-                _anchor(record["line"], record["col"]),
-                f"{record['symbol']} is acquired while holding "
-                f"{record['outer']} in {record['function']}(), but "
-                f"{record['opposite']} acquires them in the opposite order — "
-                "pick one global order",
-                severity=_severity(ctx),
-            )
+    def message(self, record: Dict[str, object]) -> str:
+        return (
+            f"{record['symbol']} is acquired while holding "
+            f"{record['outer']} in {record['function']}(), but "
+            f"{record['opposite']} acquires them in the opposite order — "
+            "pick one global order"
+        )
 
 
 @register
-class BlockingUnderLockRule(Rule):
+class BlockingUnderLockRule(_ThreadRule):
     id = "CW705"
     name = "blocking-call-under-lock"
     description = (
@@ -197,16 +155,11 @@ class BlockingUnderLockRule(Rule):
         "lock is held on a path reachable from a thread domain: every peer "
         "contending on the lock stalls behind the IO."
     )
-    requires_project = True
 
-    def check_module(self, ctx: FileContext) -> None:
-        for record in _records_for(ctx, self.id):
-            domains = ", ".join(record["domains"])  # type: ignore[arg-type]
-            ctx.report(
-                self,
-                _anchor(record["line"], record["col"]),
-                f"{record['what']}() blocks while holding {record['lock']} "
-                f"in {record['function']}() on a [{domains}] path — move the "
-                "blocking call outside the lock",
-                severity=_severity(ctx),
-            )
+    def message(self, record: Dict[str, object]) -> str:
+        domains = ", ".join(record["domains"])  # type: ignore[arg-type]
+        return (
+            f"{record['what']}() blocks while holding {record['lock']} "
+            f"in {record['function']}() on a [{domains}] path — move the "
+            "blocking call outside the lock"
+        )

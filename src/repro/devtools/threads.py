@@ -23,8 +23,9 @@ Three stages, mirroring the v3 whole-program pipeline:
 3. **Lockset inference.**  ``with <lock>:`` regions and
    ``acquire()``/``release()`` pairs produce per-site held-lock sets;
    held sets propagate interprocedurally through an optimistic entry-lock
-   fixpoint (the intersection of every resolved call site's held set, like
-   the v3 domain fixpoint).  A shared symbol whose writes are majority-
+   fixpoint (the intersection of every resolved call site's held set),
+   solved by :func:`~repro.devtools.solver.solve` like every other
+   crowdlint fixpoint.  A shared symbol whose writes are majority-
    guarded by one lock gets that lock as its *guarded-by*; the CW7xx pack
    then reports bare writes (CW701), inconsistently-guarded writes
    (CW702), non-atomic check-then-act on shared dicts (CW703), inconsistent
@@ -36,25 +37,37 @@ idiomatic under the GIL (``get_observer`` returning the module global) and
 flagging them would drown the report in noise; reads still contribute
 domain evidence and appear in the ``--threads`` listing.
 
-The module is deliberately import-light (``ast`` + stdlib only, nothing
-from the rest of ``devtools``) so :mod:`repro.devtools.domains` can call
-:func:`extract_thread_facts` without an import cycle.
+The fact producer is import-light (``ast`` + stdlib + the solver) so
+:mod:`repro.devtools.domains` can hand it each definition of its one
+extraction walk without an import cycle.  The AST helpers at the top are
+shared by every producer.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from collections import Counter
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-__all__ = ["extract_thread_facts", "ThreadAnalysis"]
+from .solver import solve
 
-#: Bumped when the thread-fact schema changes (facts ride inside the module
-#: summaries, so the summary cache and the ruleset fingerprint already
-#: invalidate stale entries; this is belt-and-braces for hand-rolled dicts).
-THREAD_FORMAT = "1"
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .callgraph import ProjectAnalysis
+    from .domains import Definition
+
+__all__ = ["ThreadFacts", "ThreadAnalysis"]
 
 DOMAIN_MAIN = "main"          #: code not reachable from any spawn site
 DOMAIN_HANDLER = "handler"    #: per-request threads of a ThreadingHTTPServer
@@ -204,9 +217,13 @@ def _self_attr(expr: ast.AST) -> Optional[str]:
     return None
 
 
-def _scoped_statements(node: ast.AST) -> Iterable[ast.AST]:
-    """Every node of one function/module scope, nested scopes excluded."""
-    stack = list(ast.iter_child_nodes(node))
+def _scope_nodes(roots: Iterable[ast.AST]) -> Iterator[ast.AST]:
+    """Every node under ``roots`` in one scope; nested scopes stay unopened.
+
+    A nested ``def``/``class``/``lambda`` is yielded itself but not entered —
+    the extraction walk hands it to the producers as its own definition.
+    """
+    stack = list(roots)
     while stack:
         child = stack.pop()
         yield child
@@ -215,11 +232,65 @@ def _scoped_statements(node: ast.AST) -> Iterable[ast.AST]:
         stack.extend(ast.iter_child_nodes(child))
 
 
-class _ModuleInventory:
-    """Pass 1: the module-level tables the recording walk consults."""
+def _blocks(stmt: ast.stmt) -> List[List[ast.stmt]]:
+    """The statement blocks of a compound statement, in source order."""
+    if isinstance(stmt, ast.Try):
+        handlers = [handler.body for handler in stmt.handlers]
+        return [stmt.body, *handlers, stmt.orelse, stmt.finalbody]
+    if isinstance(stmt, (ast.If, ast.For, ast.AsyncFor, ast.While)):
+        return [stmt.body, stmt.orelse]
+    if isinstance(stmt, (ast.With, ast.AsyncWith)):
+        return [stmt.body]
+    return []
 
-    def __init__(self) -> None:
-        self.module_names: Set[str] = set()
+
+def _headers(stmt: ast.stmt) -> List[ast.expr]:
+    """The expressions a statement evaluates itself, outside its blocks."""
+    if isinstance(stmt, (ast.If, ast.While)):
+        return [stmt.test]
+    if isinstance(stmt, (ast.For, ast.AsyncFor)):
+        return [stmt.iter]
+    if isinstance(stmt, (ast.With, ast.AsyncWith)):
+        return [item.context_expr for item in stmt.items]
+    return [child for child in ast.iter_child_nodes(stmt) if isinstance(child, ast.expr)]
+
+
+class _BlockWalker:
+    """The statement-walk skeleton of the thread, exception and resource
+    producers.
+
+    :meth:`walk` visits one block in order and skips nested definitions
+    (the extraction walk hands them over itself).  A subclass's
+    :meth:`statement` handles what it models and returns ``True``; anything
+    else falls through: the statement's own expressions go to :meth:`scan`,
+    then each of its blocks is walked in :meth:`enter` of the state.
+    """
+
+    def walk(self, stmts: Sequence[ast.stmt], state) -> None:
+        for stmt in stmts:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if self.statement(stmt, state):
+                continue
+            for expr in _headers(stmt):
+                self.scan(expr, state)
+            for block in _blocks(stmt):
+                self.walk(block, self.enter(state))
+
+    def statement(self, stmt: ast.stmt, state) -> bool:
+        return False
+
+    def enter(self, state):
+        return state
+
+    def scan(self, expr: ast.AST, state) -> None:
+        raise NotImplementedError
+
+
+class _ModuleInventory:
+    """The module-level tables every function record consults."""
+
+    def __init__(self, tree: ast.Module, defs: Sequence["Definition"]) -> None:
         self.mutable_globals: Dict[str, int] = {}
         self.global_locks: Set[str] = set()
         self.rebound_globals: Set[str] = set()
@@ -228,10 +299,6 @@ class _ModuleInventory:
         self.attr_locks: Dict[str, Set[str]] = {}
         self.handler_classes: Set[str] = set()
         self.blocking_imports: Dict[str, str] = {}
-
-    # -- construction ------------------------------------------------------
-
-    def collect(self, tree: ast.Module) -> None:
         for node in ast.walk(tree):
             if isinstance(node, ast.Global):
                 self.rebound_globals.update(node.names)
@@ -248,36 +315,31 @@ class _ModuleInventory:
             elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
                 targets, value = [stmt.target], stmt.value
             for target in targets:
-                if not isinstance(target, ast.Name):
-                    continue
-                self.module_names.add(target.id)
-                if value is None:
+                if not isinstance(target, ast.Name) or value is None:
                     continue
                 if _is_lock_ctor(value):
                     self.global_locks.add(target.id)
                 elif _is_mutable_value(value):
                     self.mutable_globals[target.id] = stmt.lineno
-        self._scan_classes(tree.body, prefix="")
+        for defn in defs:
+            # Classes reached through an if/with/try/loop inside a function
+            # stay out of the tables; their methods see no self attributes.
+            if defn.is_class and defn.direct:
+                self._add_class(defn.node, defn.qualname)
         self._close_handler_classes()
 
-    def _scan_classes(self, body: Sequence[ast.stmt], prefix: str) -> None:
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._scan_classes(stmt.body, prefix + stmt.name + ".")
-            elif isinstance(stmt, ast.ClassDef):
-                path = prefix + stmt.name
-                self.class_bases[path] = [
-                    name for name in (_last_name(base) for base in stmt.bases) if name
-                ]
-                self.class_attrs.setdefault(path, set())
-                self.attr_locks.setdefault(path, set())
-                for child in stmt.body:
-                    if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        self._scan_method_attrs(child, path)
-                self._scan_classes(stmt.body, path + ".")
+    def _add_class(self, node: ast.ClassDef, path: str) -> None:
+        self.class_bases[path] = [
+            name for name in (_last_name(base) for base in node.bases) if name
+        ]
+        self.class_attrs.setdefault(path, set())
+        self.attr_locks.setdefault(path, set())
+        for child in node.body:
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._scan_method_attrs(child, path)
 
     def _scan_method_attrs(self, method: ast.AST, class_path: str) -> None:
-        for node in _scoped_statements(method):
+        for node in _scope_nodes(ast.iter_child_nodes(method)):
             targets: List[ast.expr] = []
             value: Optional[ast.expr] = None
             if isinstance(node, ast.Assign):
@@ -293,18 +355,24 @@ class _ModuleInventory:
                     self.attr_locks[class_path].add(attr)
 
     def _close_handler_classes(self) -> None:
+        """Handler classes: a handler base, or a base that is one (solved)."""
         by_simple_name = {path.rsplit(".", 1)[-1]: path for path in self.class_bases}
-        changed = True
-        while changed:
-            changed = False
-            for path, bases in self.class_bases.items():
-                if path in self.handler_classes:
-                    continue
-                for base in bases:
-                    if base in _HANDLER_BASES or by_simple_name.get(base) in self.handler_classes:
-                        self.handler_classes.add(path)
-                        changed = True
-                        break
+        subclasses: Dict[str, List[str]] = {}
+        for path, bases in self.class_bases.items():
+            for base in bases:
+                if base in by_simple_name:
+                    subclasses.setdefault(by_simple_name[base], []).append(path)
+
+        def update(path: str) -> bool:
+            if path in self.handler_classes or not any(
+                base in _HANDLER_BASES or by_simple_name.get(base) in self.handler_classes
+                for base in self.class_bases[path]
+            ):
+                return False
+            self.handler_classes.add(path)
+            return True
+
+        solve(self.class_bases, update, lambda path: subclasses.get(path, ()))
 
     # -- lookups -----------------------------------------------------------
 
@@ -348,7 +416,7 @@ class _FunctionScope:
                 + ([args.kwarg] if args.kwarg else [])
             ):
                 self.locals.add(arg.arg)
-        for node in _scoped_statements(fn):
+        for node in _scope_nodes(ast.iter_child_nodes(fn)):
             if isinstance(node, ast.Global):
                 self.globals_decl.update(node.names)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
@@ -371,46 +439,25 @@ class _FunctionScope:
         self.locals -= self.globals_decl
 
 
-def extract_thread_facts(tree: ast.Module) -> Dict[str, object]:
-    """One module's concurrency-relevant facts as plain JSON data."""
-    inventory = _ModuleInventory()
-    inventory.collect(tree)
-    facts: Dict[str, object] = {
-        "format": THREAD_FORMAT,
-        "mutable_globals": dict(sorted(inventory.mutable_globals.items())),
-        "locks": sorted(inventory.global_locks),
-        "handler_classes": sorted(inventory.handler_classes),
-        "functions": {},
-    }
-    _FactRecorder(inventory, facts["functions"]).walk_definitions(  # type: ignore[arg-type]
-        tree.body, prefix="", self_class=None
-    )
-    return facts
+class ThreadFacts:
+    """The thread-fact producer: one record per function — accesses, locks,
+    calls, spawns — plus the module inventory they were judged against."""
 
+    def __init__(self, tree: ast.Module, defs: Sequence["Definition"]):
+        self.inv = _ModuleInventory(tree, defs)
+        self.facts: Dict[str, object] = {
+            "mutable_globals": dict(sorted(self.inv.mutable_globals.items())),
+            "locks": sorted(self.inv.global_locks),
+            "handler_classes": sorted(self.inv.handler_classes),
+            "functions": {},
+        }
 
-class _FactRecorder:
-    """Pass 2: one record per function — accesses, locks, calls, spawns."""
-
-    def __init__(self, inventory: _ModuleInventory, functions: Dict[str, Dict[str, object]]):
-        self.inv = inventory
-        self.functions = functions
-
-    def walk_definitions(
-        self, body: Sequence[ast.stmt], prefix: str, self_class: Optional[str]
-    ) -> None:
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._record_function(stmt, prefix + stmt.name, self_class)
-            elif isinstance(stmt, ast.ClassDef):
-                path = prefix + stmt.name
-                self.walk_definitions(stmt.body, path + ".", path)
-
-    def _record_function(
-        self, fn: ast.AST, qualname: str, self_class: Optional[str]
-    ) -> None:
+    def add(self, defn: "Definition") -> None:
+        if defn.is_class:
+            return
         record: Dict[str, object] = {
-            "line": fn.lineno,  # type: ignore[attr-defined]
-            "class": self_class,
+            "line": defn.node.lineno,
+            "class": defn.owner,
             "writes": [],
             "reads": [],
             "acquires": [],
@@ -419,26 +466,23 @@ class _FactRecorder:
             "cta": [],
             "spawns": [],
         }
-        self.functions[qualname] = record
-        walker = _FunctionWalker(self, record, qualname, self_class, _FunctionScope(fn))
-        walker.walk_block(fn.body, [])  # type: ignore[attr-defined]
+        self.facts["functions"][defn.qualname] = record  # type: ignore[index]
+        walker = _FunctionWalker(self.inv, record, defn.owner, _FunctionScope(defn.node))
+        walker.walk(defn.node.body, [])  # type: ignore[attr-defined]
 
 
-class _FunctionWalker:
+class _FunctionWalker(_BlockWalker):
     """Statement walk of one function body tracking lexically-held locks."""
 
     def __init__(
         self,
-        recorder: _FactRecorder,
+        inventory: _ModuleInventory,
         record: Dict[str, object],
-        qualname: str,
         self_class: Optional[str],
         scope: _FunctionScope,
     ):
-        self.recorder = recorder
-        self.inv = recorder.inv
+        self.inv = inventory
         self.rec = record
-        self.qualname = qualname
         self.self_class = self_class
         self.scope = scope
 
@@ -498,91 +542,47 @@ class _FunctionWalker:
 
     # -- the walk ----------------------------------------------------------
 
-    def walk_block(self, stmts: Sequence[ast.stmt], held: Sequence[str]) -> None:
-        held = list(held)
-        for stmt in stmts:
-            self._statement(stmt, held)
+    def enter(self, held: List[str]) -> List[str]:
+        return list(held)  # acquire()/release() only toggle within a block
 
-    def _statement(self, stmt: ast.stmt, held: List[str]) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self.recorder._record_function(
-                stmt, f"{self.qualname}.{stmt.name}", self.self_class
-            )
-            return
-        if isinstance(stmt, ast.ClassDef):
-            path = f"{self.qualname}.{stmt.name}"
-            self.recorder.walk_definitions(stmt.body, path + ".", path)
-            return
+    def statement(self, stmt: ast.stmt, held: List[str]) -> bool:
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
             entered: List[str] = []
             entered_set: Set[str] = set(held)
             for item in stmt.items:
-                self._scan_expr(item.context_expr, held + entered)
+                self.scan(item.context_expr, held + entered)
                 lock = self._lock_of(item.context_expr)
                 if lock is not None and lock not in entered_set:
                     self._emit("acquires", lock, item.context_expr, held + entered)
                     entered.append(lock)
                     entered_set.add(lock)
-            self.walk_block(stmt.body, held + entered)
-            return
+            self.walk(stmt.body, held + entered)
+            return True
         if isinstance(stmt, ast.If):
             self._check_then_act(stmt, held)
-            self._scan_expr(stmt.test, held)
-            self.walk_block(stmt.body, held)
-            self.walk_block(stmt.orelse, held)
-            return
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
+        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             self._write_target(stmt.target, held)
-            self._scan_expr(stmt.iter, held)
-            self.walk_block(stmt.body, held)
-            self.walk_block(stmt.orelse, held)
-            return
-        if isinstance(stmt, ast.While):
-            self._scan_expr(stmt.test, held)
-            self.walk_block(stmt.body, held)
-            self.walk_block(stmt.orelse, held)
-            return
-        if isinstance(stmt, ast.Try):
-            self.walk_block(stmt.body, held)
-            for handler in stmt.handlers:
-                self.walk_block(handler.body, held)
-            self.walk_block(stmt.orelse, held)
-            self.walk_block(stmt.finalbody, held)
-            return
-        if isinstance(stmt, ast.Assign):
-            self._scan_expr(stmt.value, held)
+        elif isinstance(stmt, ast.Assign):
+            self.scan(stmt.value, held)
             for target in stmt.targets:
                 self._write_target(target, held)
-            return
-        if isinstance(stmt, ast.AnnAssign):
+            return True
+        elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
             if stmt.value is not None:
-                self._scan_expr(stmt.value, held)
+                self.scan(stmt.value, held)
             self._write_target(stmt.target, held)
-            return
-        if isinstance(stmt, ast.AugAssign):
-            self._scan_expr(stmt.value, held)
-            self._write_target(stmt.target, held)
-            return
-        if isinstance(stmt, ast.Delete):
+            return True
+        elif isinstance(stmt, ast.Delete):
             for target in stmt.targets:
                 if isinstance(target, ast.Subscript):
                     symbol = self._container_symbol(target.value)
                     if symbol is not None:
                         self._emit("writes", symbol, target, held)
-                    self._scan_expr(target.slice, held)
-            return
-        if isinstance(stmt, ast.Expr):
-            if self._acquire_release(stmt.value, held):
-                return
-            self._scan_expr(stmt.value, held)
-            return
-        if isinstance(stmt, (ast.Global, ast.Nonlocal, ast.Pass, ast.Break, ast.Continue)):
-            return
-        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
-            return
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.expr):
-                self._scan_expr(child, held)
+                    self.scan(target.slice, held)
+            return True
+        elif isinstance(stmt, ast.Expr):
+            return self._acquire_release(stmt.value, held)
+        return False
 
     def _acquire_release(self, expr: ast.AST, held: List[str]) -> bool:
         if not (isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute)):
@@ -626,14 +626,14 @@ class _FunctionWalker:
             if symbol is not None:
                 self._emit("writes", symbol, target, held)
             else:
-                self._scan_expr(target.value, held)
-            self._scan_expr(target.slice, held)
+                self.scan(target.value, held)
+            self.scan(target.slice, held)
             return
         if isinstance(target, ast.Attribute):
             # Attribute chains on non-self roots stay opaque (don't know).
-            self._scan_expr(target.value, held)
+            self.scan(target.value, held)
 
-    def _scan_expr(self, expr: ast.AST, held: Sequence[str]) -> None:
+    def scan(self, expr: ast.AST, held: Sequence[str]) -> None:
         for node in ast.walk(expr):
             if isinstance(node, ast.Call):
                 self._record_call(node, held)
@@ -671,53 +671,28 @@ class _FunctionWalker:
 
     def _record_spawn(self, call: ast.Call) -> None:
         name = _last_name(call.func)
-        spawns = self.rec["spawns"]
+        func = call.func
         if name in _THREAD_CTORS:
-            for keyword in call.keywords:
-                if keyword.arg == "target":
-                    spawns.append(  # type: ignore[union-attr]
-                        {
-                            "domain": DOMAIN_THREAD,
-                            "target": _call_sym(keyword.value),
-                            "line": call.lineno,
-                        }
-                    )
-            return
-        if name in _EXECUTOR_CTORS:
-            for keyword in call.keywords:
-                if keyword.arg == "initializer":
-                    spawns.append(  # type: ignore[union-attr]
-                        {
-                            "domain": _EXECUTOR_CTORS[name],
-                            "target": _call_sym(keyword.value),
-                            "line": call.lineno,
-                        }
-                    )
-            return
-        if name in _POOL_MAP_FNS and call.args:
-            spawns.append(  # type: ignore[union-attr]
-                {
-                    "domain": DOMAIN_POOL,
-                    "target": _call_sym(call.args[0]),
-                    "line": call.lineno,
-                }
-            )
-            return
-        if (
-            isinstance(call.func, ast.Attribute)
-            and call.func.attr in ("submit", "map")
-            and isinstance(call.func.value, ast.Name)
+            found = [(DOMAIN_THREAD, kw.value) for kw in call.keywords if kw.arg == "target"]
+        elif name in _EXECUTOR_CTORS:
+            domain = _EXECUTOR_CTORS[name]
+            found = [(domain, kw.value) for kw in call.keywords if kw.arg == "initializer"]
+        elif name in _POOL_MAP_FNS and call.args:
+            found = [(DOMAIN_POOL, call.args[0])]
+        elif (
+            isinstance(func, ast.Attribute)
+            and func.attr in ("submit", "map")
+            and isinstance(func.value, ast.Name)
+            and func.value.id in self.scope.executors
             and call.args
         ):
-            domain = self.scope.executors.get(call.func.value.id)
-            if domain is not None:
-                spawns.append(  # type: ignore[union-attr]
-                    {
-                        "domain": domain,
-                        "target": _call_sym(call.args[0]),
-                        "line": call.lineno,
-                    }
-                )
+            found = [(self.scope.executors[func.value.id], call.args[0])]
+        else:
+            found = []
+        for domain, target in found:
+            self.rec["spawns"].append(  # type: ignore[union-attr]
+                {"domain": domain, "target": _call_sym(target), "line": call.lineno}
+            )
 
     def _record_blocking(self, call: ast.Call, held: Sequence[str]) -> None:
         label: Optional[str] = None
@@ -853,142 +828,94 @@ Node = Tuple[str, str]  # (module key, function qualname)
 class ThreadAnalysis:
     """Roots, concurrency domains, locksets, and guarded-by inference.
 
-    Built from the per-module thread facts riding inside the domain
-    summaries plus the project's symbolic-call resolver; everything here is
-    derived data, so rehydrated worker projects rebuild it on demand.
+    Built from the per-module thread facts inside the summaries, linked
+    through the project's call resolution; both fixpoints run on the shared
+    solver.
     """
 
-    _MAX_PASSES = 20  # entry-lock fixpoint bound, like the domain fixpoint
-
-    def __init__(
-        self,
-        summaries: Dict[str, Dict[str, object]],
-        resolver: Callable[[str, str, Sequence[object]], Optional[Tuple[Tuple[str, str], bool]]],
-    ):
-        self.summaries = summaries
-        self._resolve = resolver
-        self.nodes: Dict[Node, Dict[str, object]] = {}
+    def __init__(self, project: "ProjectAnalysis"):
+        self.nodes: Dict[Node, Dict[str, object]] = project.function_facts("threads")
         self.edges: Dict[Node, Set[Node]] = {}
         self.call_sites: Dict[Node, List[Tuple[Node, FrozenSet[str]]]] = {}
-        self.roots: List[Tuple[Node, str, str]] = []
+        for node, call, target in project.linked_calls(self.nodes):
+            self.edges.setdefault(node, set()).add(target)
+            self.call_sites.setdefault(target, []).append((node, frozenset(call["held"])))
+        self.roots: List[Tuple[Node, str, str]] = self._discover_roots(project)
         self.domains: Dict[Node, Set[str]] = {}
         self.entry_locks: Dict[Node, Optional[FrozenSet[str]]] = {}
         self.shared: Dict[str, Dict[str, object]] = {}
-        self._records: Dict[str, List[Dict[str, object]]] = {}
-        self._build()
-
-    # -- construction ------------------------------------------------------
-
-    def _facts(self, module_key: str) -> Dict[str, object]:
-        summary = self.summaries.get(module_key) or {}
-        facts = summary.get("threads")
-        if not isinstance(facts, dict):
-            return {"functions": {}, "handler_classes": []}
-        return facts
-
-    def _build(self) -> None:
-        for module_key in sorted(self.summaries):
-            functions = self._facts(module_key).get("functions", {})
-            for qualname, record in functions.items():  # type: ignore[union-attr]
-                self.nodes[(module_key, qualname)] = record
-        self._link_calls()
-        self._discover_roots()
         self._propagate_domains()
         self._solve_entry_locks()
         self._collect_shared()
-        self._emit_records()
 
-    def _resolve_target(
-        self, module_key: str, caller: str, sym: Optional[Sequence[object]]
-    ) -> Optional[Node]:
-        if not sym:
-            return None
-        resolved = self._resolve(module_key, caller, sym)
-        if resolved is not None:
-            node = (resolved[0][0], resolved[0][1])
-            if node in self.nodes:
-                return node
-        if sym[0] == "self" and "." in caller:
-            sibling = (module_key, caller.rsplit(".", 1)[0] + "." + str(sym[1]))
-            if sibling in self.nodes:
-                return sibling
-        if sym[0] == "name":
-            direct = (module_key, str(sym[1]))
-            if direct in self.nodes:
-                return direct
-        return None
+    # -- construction ------------------------------------------------------
 
-    def _link_calls(self) -> None:
-        for node, record in self.nodes.items():
-            module_key, qualname = node
-            for call in record.get("calls", []):  # type: ignore[union-attr]
-                target = self._resolve_target(module_key, qualname, call["sym"])
-                if target is None:
-                    continue
-                self.edges.setdefault(node, set()).add(target)
-                self.call_sites.setdefault(target, []).append(
-                    (node, frozenset(call.get("held", [])))
-                )
-
-    def _discover_roots(self) -> None:
+    def _discover_roots(self, project: "ProjectAnalysis") -> List[Tuple[Node, str, str]]:
+        roots: List[Tuple[Node, str, str]] = []
         for node, record in sorted(self.nodes.items()):
             module_key, qualname = node
-            for spawn in record.get("spawns", []):  # type: ignore[union-attr]
-                target = self._resolve_target(module_key, qualname, spawn.get("target"))
+            for spawn in record["spawns"]:  # type: ignore[union-attr]
+                target = project._resolve_target(
+                    module_key, qualname, spawn["target"], self.nodes
+                )
                 if target is None:
                     continue
                 via = f"{module_key}:{spawn['line']} ({qualname})"
-                self.roots.append((target, str(spawn["domain"]), via))
-        for module_key in sorted(self.summaries):
-            handler_classes = set(self._facts(module_key).get("handler_classes", []))
-            if not handler_classes:
-                continue
-            for node, record in sorted(self.nodes.items()):
-                if node[0] == module_key and record.get("class") in handler_classes:
-                    self.roots.append((node, DOMAIN_HANDLER, f"handler class {record['class']}"))
+                roots.append((target, str(spawn["domain"]), via))
+        for node, record in sorted(self.nodes.items()):
+            handler_classes = project.summaries[node[0]]["threads"]["handler_classes"]  # type: ignore[index]
+            if record["class"] in handler_classes:
+                roots.append((node, DOMAIN_HANDLER, f"handler class {record['class']}"))
+        return roots
+
+    def _callees(self, node: Node) -> List[Node]:
+        return sorted(self.edges.get(node, ()))
 
     def _propagate_domains(self) -> None:
-        pending: List[Node] = []
+        """Domain marks: a root's own domain plus every caller's (they grow)."""
+        seeded: Dict[Node, Set[str]] = {}
         for node, domain, _via in self.roots:
-            marks = self.domains.setdefault(node, set())
-            if domain not in marks:
-                marks.add(domain)
-                pending.append(node)
-        while pending:
-            node = pending.pop()
-            for successor in self.edges.get(node, ()):
-                marks = self.domains.setdefault(successor, set())
-                before = len(marks)
-                marks.update(self.domains[node])
-                if len(marks) != before:
-                    pending.append(successor)
+            seeded.setdefault(node, set()).add(domain)
+
+        def update(node: Node) -> bool:
+            marks = set(seeded.get(node, ()))
+            for caller, _held in self.call_sites.get(node, ()):
+                marks |= self.domains.get(caller, set())
+            if marks == self.domains.get(node, set()):
+                return False
+            self.domains[node] = marks
+            return True
+
+        solve(sorted(seeded), update, self._callees)
 
     def _solve_entry_locks(self) -> None:
+        """Locks held on entry: the meet over call sites, shrinking from ⊤.
+
+        ``None`` is ⊤ (no caller known yet); a caller still at ⊤ is skipped,
+        which keeps the meet optimistic until every caller has settled.
+        """
         root_nodes = {node for node, _domain, _via in self.roots}
-        entry: Dict[Node, Optional[FrozenSet[str]]] = {}
+        entry = self.entry_locks
         for node in self.nodes:
+            fixed = node in root_nodes or node not in self.call_sites
+            entry[node] = frozenset() if fixed else None
+
+        def update(node: Node) -> bool:
             if node in root_nodes or node not in self.call_sites:
-                entry[node] = frozenset()
-            else:
-                entry[node] = None  # ⊤: no information yet
-        for _pass in range(self._MAX_PASSES):
-            changed = False
-            for node, sites in self.call_sites.items():
-                if node in root_nodes:
-                    continue  # spawn entries hold nothing, whatever callers do
-                met: Optional[FrozenSet[str]] = None
-                for caller, held in sites:
-                    caller_entry = entry.get(caller)
-                    if caller_entry is None:
-                        continue  # optimistic: skip still-unknown callers
-                    site_locks = held | caller_entry
-                    met = site_locks if met is None else met & site_locks
-                if met is not None and met != entry[node]:
-                    entry[node] = met
-                    changed = True
-            if not changed:
-                break
-        self.entry_locks = entry
+                return False  # spawn entries hold nothing, whatever callers do
+            met: Optional[FrozenSet[str]] = None
+            for caller, held in self.call_sites[node]:
+                caller_entry = entry[caller]
+                if caller_entry is None:
+                    continue
+                site_locks = held | caller_entry
+                met = site_locks if met is None else met & site_locks
+            if met is None or met == entry[node]:
+                return False
+            entry[node] = met
+            return True
+
+        solve(sorted(self.nodes), update, self._callees)
 
     def _effective_held(self, node: Node, held: Iterable[str]) -> FrozenSet[str]:
         entry = self.entry_locks.get(node) or frozenset()
@@ -1004,32 +931,18 @@ class ThreadAnalysis:
     def _collect_shared(self) -> None:
         accesses: Dict[str, Dict[str, object]] = {}
         for node, record in sorted(self.nodes.items()):
-            module_key, qualname = node
-            for write in record.get("writes", []):  # type: ignore[union-attr]
-                key = f"{module_key}::{write['sym']}"
-                info = accesses.setdefault(
-                    key, {"writes": [], "reads": [], "domains": set()}
-                )
-                info["domains"].update(self._node_domains(node))  # type: ignore[union-attr]
-                exempt = self._is_ctor_write(node, str(write["sym"]))
-                info["writes"].append(  # type: ignore[union-attr]
-                    {
-                        "node": node,
-                        "line": write["line"],
-                        "col": write["col"],
-                        "held": self._effective_held(node, write.get("held", [])),
-                        "exempt": exempt,
-                    }
-                )
-            for read in record.get("reads", []):  # type: ignore[union-attr]
-                key = f"{module_key}::{read['sym']}"
-                info = accesses.setdefault(
-                    key, {"writes": [], "reads": [], "domains": set()}
-                )
-                info["domains"].update(self._node_domains(node))  # type: ignore[union-attr]
-                info["reads"].append(  # type: ignore[union-attr]
-                    {"node": node, "line": read["line"], "col": read["col"]}
-                )
+            for kind in ("writes", "reads"):
+                for access in record[kind]:  # type: ignore[union-attr]
+                    key = f"{node[0]}::{access['sym']}"
+                    info = accesses.setdefault(
+                        key, {"writes": [], "reads": [], "domains": set()}
+                    )
+                    info["domains"].update(self._node_domains(node))  # type: ignore[union-attr]
+                    entry = {"node": node, "line": access["line"], "col": access["col"]}
+                    if kind == "writes":
+                        entry["held"] = self._effective_held(node, access["held"])
+                        entry["exempt"] = self._is_ctor_write(node, str(access["sym"]))
+                    info[kind].append(entry)  # type: ignore[union-attr]
         for key, info in accesses.items():
             live_writes = [w for w in info["writes"] if not w["exempt"]]  # type: ignore[union-attr]
             if not live_writes:
@@ -1067,12 +980,8 @@ class ThreadAnalysis:
 
     # -- findings ----------------------------------------------------------
 
-    def _emit_records(self) -> None:
-        records: Dict[str, List[Dict[str, object]]] = {}
-
-        def emit(module_key: str, record: Dict[str, object]) -> None:
-            records.setdefault(module_key, []).append(record)
-
+    def emit_records(self, emit: Callable[[str, Dict[str, object]], None]) -> None:
+        """Hand every CW7xx finding record to ``emit(module_key, record)``."""
         for key in sorted(self.shared):
             info = self.shared[key]
             guard = info["guard"]
@@ -1108,9 +1017,6 @@ class ThreadAnalysis:
         self._emit_check_then_act(emit)
         self._emit_lock_order(emit)
         self._emit_blocking(emit)
-        for module_records in records.values():
-            module_records.sort(key=lambda r: (r["line"], r["col"], r["rule"]))
-        self._records = records
 
     def _emit_check_then_act(self, emit: Callable[[str, Dict[str, object]], None]) -> None:
         for node, record in sorted(self.nodes.items()):
@@ -1188,31 +1094,7 @@ class ThreadAnalysis:
                     },
                 )
 
-    # -- public api --------------------------------------------------------
-
-    def records_for(self, module_key: str) -> List[Dict[str, object]]:
-        """The CW7xx finding records anchored in one module."""
-        return self._records.get(module_key, [])
-
-    def dep_digest(self, module_key: str) -> str:
-        """Digest of the module's thread findings for the cache dep-key.
-
-        The records are a pure function of whole-program facts, so folding
-        them into the per-file dependency key re-lints a file exactly when a
-        change anywhere in the project changes what CW7xx would say here.
-        """
-        payload = json.dumps(
-            self.records_for(module_key), sort_keys=True, separators=(",", ":"), default=str
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    @property
-    def n_roots(self) -> int:
-        return len(self.roots)
-
-    @property
-    def n_shared(self) -> int:
-        return len(self.shared)
+    # -- rendering ---------------------------------------------------------
 
     def _lock_key(self, module_key: str, lock: str) -> str:
         return f"{module_key}::{lock}"

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import ast
+import random
 import textwrap
-from typing import Dict
+from typing import Dict, List
 
 from repro.devtools.callgraph import CallGraph, ProjectAnalysis
 from repro.devtools.domains import extract_summary
@@ -16,6 +17,10 @@ def project_of(modules: Dict[str, str]) -> ProjectAnalysis:
         for key, source in modules.items()
     ]
     return ProjectAnalysis.build(files)
+
+
+def records_of(project: ProjectAnalysis, module_key: str, rule: str) -> List[Dict[str, object]]:
+    return [r for r in project.records(module_key) if r["rule"] == rule]
 
 
 class TestResolution:
@@ -156,7 +161,7 @@ class TestResolution:
                 "repro.b": "def store(flag, microcell_id):\n    pass\n",
             }
         )
-        (conflict,) = project.call_conflicts("repro.a")
+        (conflict,) = records_of(project, "repro.a", "CW601")
         assert conflict["param"] == "microcell_id"
         assert conflict["actual"] == "user_id"
 
@@ -205,7 +210,7 @@ class TestDeadExports:
                 "repro.b": "from repro.a import used\ndef f():\n    used()\n",
             }
         )
-        (dead,) = project.dead_exports("repro.a")
+        (dead,) = records_of(project, "repro.a", "CW604")
         assert dead["name"] == "unused"
 
     def test_attribute_reference_keeps_export_alive(self):
@@ -215,7 +220,7 @@ class TestDeadExports:
                 "repro.b": "from repro import a\ndef f():\n    a.used()\n",
             }
         )
-        assert project.dead_exports("repro.a") == []
+        assert records_of(project, "repro.a", "CW604") == []
 
 
 class TestDepKeys:
@@ -240,25 +245,113 @@ class TestDepKeys:
         assert before.dep_key("repro.c") == after.dep_key("repro.c")
 
 
-class TestSerialization:
-    def test_round_trip_preserves_resolution_and_domains(self):
-        project = project_of(
-            {
-                "repro.a": (
-                    "from repro.b import store\n"
-                    "def relay(value):\n    store(value)\n"
-                ),
-                "repro.b": "def store(microcell_id):\n    pass\n",
-            }
-        )
-        clone = ProjectAnalysis.from_dict(project.to_dict())
-        assert clone.resolve("repro.a", "relay", ["name", "store"]) == (
-            ("repro.b", "store"),
-            False,
-        )
-        assert clone.env.expected_domains(("repro.a", "relay"), "value") == {
-            "id": "microcell_id"
+class TestOrderIndependence:
+    MODULES = {
+        "repro.a": """
+            from repro.b import deep_b, fail_b, relay
+            from repro.c import fail_c, via_c
+            from repro.d import fail_d
+
+
+            def lookup(user_id):
+                return relay(user_id)
+
+
+            def fan_out():
+                deep_b()
+                fail_d()
+                via_c()
+                fail_c()
+
+
+            def both():
+                fail_b()
+                fail_c()
+
+
+            def guarded():
+                try:
+                    both()
+                except Exception:
+                    return None
+            """,
+        "repro.b": """
+            import threading
+
+            from repro.c import fail_c, store
+
+            LOCK = threading.Lock()
+            CACHE = {}
+
+
+            def relay(value):
+                return store(value)
+
+
+            def fail_b():
+                fail_c()
+                raise KeyError("b")
+
+
+            def deep_b():
+                fail_b()
+
+
+            def write(key):
+                CACHE[key] = 1
+
+
+            def worker(key):
+                with LOCK:
+                    write(key)
+                write(key)
+
+
+            def start():
+                threading.Thread(target=worker, args=(1,)).start()
+            """,
+        "repro.c": """
+            from repro.d import fail_d
+
+
+            def store(microcell_id):
+                return microcell_id
+
+
+            def fail_c():
+                raise ValueError("c")
+
+
+            def via_c():
+                fail_d()
+            """,
+        "repro.d": """
+            def fail_d():
+                raise ValueError("d")
+            """,
+    }
+
+    @staticmethod
+    def observed(project: ProjectAnalysis):
+        exceptions = project.exceptions()
+        records = {key: project.records(key) for key in sorted(project.summaries)}
+        chains = {
+            f"{module}:{qualname}": exceptions.render_chain(f"{module}:{qualname}")
+            for module, qualname in sorted(exceptions.nodes)
         }
+        return records, chains
+
+    def test_shuffled_input_gives_identical_records_and_chains(self):
+        # fan_out's fail_d() and fail_c() rank equal for ValueError: the
+        # chain must name fail_d (first in source) however the modules
+        # arrive, which a first-found origin on the worklist would not.
+        expected = self.observed(project_of(dict(sorted(self.MODULES.items()))))
+        rules = {r["rule"] for records in expected[0].values() for r in records}
+        assert {"CW601", "CW701", "CW803"} <= rules
+        for seed in range(8):
+            items = list(self.MODULES.items())
+            random.Random(seed).shuffle(items)
+            assert self.observed(project_of(dict(items))) == expected
 
 
 class TestSummaryCache:

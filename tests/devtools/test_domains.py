@@ -277,18 +277,3 @@ class TestDomainPropagation:
             """,
         )
         assert env.return_domains(("repro.a", "fetch")) == {}
-
-    def test_signature_reflects_expected_domains(self):
-        env = solve_pair(
-            """
-            def relay(value):
-                store(value)
-            """,
-            """
-            def store(microcell_id):
-                pass
-            """,
-        )
-        signature = env.signature(("repro.a", "relay"), ["value"])
-        assert "microcell_id" in signature
-        assert env.signature(("repro.a", "relay"), ["value"]) == signature

@@ -15,12 +15,14 @@ from typing import Dict
 
 from repro.devtools.callgraph import ProjectAnalysis
 from repro.devtools.cli import main
-from repro.devtools.engine import iter_python_files, module_name_for
-from repro.devtools.exceptions import ExceptionAnalysis, extract_exception_facts
+from repro.devtools.domains import extract_summary
+from repro.devtools.engine import LintEngine, iter_python_files, module_name_for
+from repro.devtools.exceptions import ExceptionAnalysis
 
 
 def facts_of(source: str) -> Dict[str, object]:
-    return extract_exception_facts(ast.parse(textwrap.dedent(source)))
+    tree = ast.parse(textwrap.dedent(source))
+    return extract_summary(tree, None, "<test>", False)["exceptions"]
 
 
 def write_tree(root: Path, modules: Dict[str, str]) -> None:
@@ -130,6 +132,30 @@ class TestFixpoint:
         )
         assert analysis.may_raise("repro.mining.loop", "ping") == {"IndexError"}
         assert analysis.may_raise("repro.mining.loop", "pong") == {"IndexError"}
+
+    def test_forty_deep_chain_reaches_the_handler(self, tmp_path):
+        # Callers sort before their callees, so a sorted sweep learns one hop
+        # per pass: only a solver without a pass bound reaches the bottom.
+        hops = "".join(
+            f"def c{i:02d}():\n    return c{i + 1:02d}()\n\n\n" for i in range(39)
+        )
+        source = (
+            "class StaleCellError(ValueError):\n    pass\n\n\n"
+            + hops
+            + "def c39():\n    raise StaleCellError('stale')\n\n\n"
+            "def entry():\n"
+            "    try:\n"
+            "        return c00()\n"
+            "    except Exception:\n"
+            "        return None\n"
+        )
+        root = tmp_path / "tree"
+        analysis = analyze(root, {"repro.mining.deep": source})
+        assert analysis.may_raise("repro.mining.deep", "c00") == {"StaleCellError"}
+        handler_line = source.splitlines().index("    except Exception:") + 1
+        findings = LintEngine(select=["CW803"]).lint_paths([root])
+        assert [(f.rule_id, f.line) for f in findings] == [("CW803", handler_line)]
+        assert "entry()" in findings[0].message
 
     def test_handler_subsumption_stops_subclasses(self, tmp_path):
         analysis = analyze(

@@ -111,6 +111,24 @@ class TestOracle:
         assert lint_tree(tmp_path, CLEAN_LATLON_TWIN) == []
 
 
+class TestDeepPassThrough:
+    def test_thirty_hop_relay_flags_both_entries(self, tmp_path):
+        # c00(x) -> ... -> c29(user_id): a sweep in call order learns one hop
+        # per pass, so only a solver without a pass bound reaches c00.
+        hops = "".join(
+            f"def c{i:02d}(x):\n    return c{i + 1:02d}(x)\n\n\n" for i in range(29)
+        )
+        source = (
+            hops
+            + "def c29(user_id):\n    return user_id\n\n\n"
+            "def entry(cell_id):\n    return c00(cell_id)\n\n\n"
+            "def near(cell_id):\n    return c20(cell_id)\n"
+        )
+        findings = lint_tree(tmp_path, {"repro.mining.chain": source}, select=["CW601"])
+        assert [f.rule_id for f in findings] == ["CW601", "CW601"]
+        assert ["c00" in findings[0].message, "c20" in findings[1].message] == [True, True]
+
+
 class TestUnitMismatch:
     def test_degrees_into_meters_parameter(self, tmp_path):
         findings = lint_tree(

@@ -10,15 +10,19 @@ from __future__ import annotations
 import ast
 import textwrap
 from pathlib import Path
-from typing import Dict
+from typing import Dict, List
 
+from repro.devtools import engine
 from repro.devtools.callgraph import ProjectAnalysis
+from repro.devtools.domains import extract_summary
 from repro.devtools.engine import iter_python_files, module_name_for
-from repro.devtools.threads import ThreadAnalysis, extract_thread_facts
+from repro.devtools.threads import ThreadAnalysis
+from tests.devtools.test_threadsafety_rules import leaf_first_lock_chain
 
 
 def facts_of(source: str) -> Dict[str, object]:
-    return extract_thread_facts(ast.parse(textwrap.dedent(source)))
+    tree = ast.parse(textwrap.dedent(source))
+    return extract_summary(tree, None, "<test>", False)["threads"]
 
 
 def write_tree(root: Path, modules: Dict[str, str]) -> None:
@@ -48,6 +52,11 @@ def build_project(root: Path, modules: Dict[str, str]) -> ProjectAnalysis:
 
 def analyze(root: Path, modules: Dict[str, str]) -> ThreadAnalysis:
     return build_project(root, modules).threads()
+
+
+def thread_records(project: ProjectAnalysis, module_key: str) -> List[Dict[str, object]]:
+    """The CW7xx records of one module in the project's records table."""
+    return [r for r in project.records(module_key) if r["rule"].startswith("CW7")]
 
 
 class TestExtraction:
@@ -287,14 +296,15 @@ class TestAnalysis:
         assert analysis.domains[record_node] == {"handler"}
 
     def test_shared_symbol_and_missing_guard(self, tmp_path):
-        analysis = analyze(tmp_path, HANDLER_TREE)
+        project = build_project(tmp_path, HANDLER_TREE)
+        analysis = project.threads()
         info = analysis.shared["repro.webapp.serve::g:HITS"]
         assert info["guard"] is None
-        rules = [r["rule"] for r in analysis.records_for("repro.webapp.serve")]
+        rules = [r["rule"] for r in thread_records(project, "repro.webapp.serve")]
         assert rules == ["CW701"]
 
     def test_entry_lock_fixpoint_reaches_callees(self, tmp_path):
-        analysis = analyze(
+        project = build_project(
             tmp_path,
             {
                 "repro.webapp.locked": """
@@ -318,14 +328,22 @@ class TestAnalysis:
                     """
             },
         )
+        analysis = project.threads()
         store_node = ("repro.webapp.locked", "store")
         assert analysis.entry_locks[store_node] == frozenset({"g:LOCK"})
         # Every write is effectively guarded: nothing to report.
-        assert analysis.records_for("repro.webapp.locked") == []
+        assert thread_records(project, "repro.webapp.locked") == []
         assert analysis.shared["repro.webapp.locked::g:CACHE"]["guard"] == "g:LOCK"
 
+    def test_entry_locks_converge_past_any_pass_count(self, tmp_path):
+        project = build_project(tmp_path, {"repro.webapp.deep": leaf_first_lock_chain(30)})
+        entry_locks = project.threads().entry_locks
+        for i in range(30):
+            assert entry_locks[("repro.webapp.deep", f"c{i:02d}")] == frozenset({"g:LOCK"})
+        assert thread_records(project, "repro.webapp.deep") == []
+
     def test_pool_domain_never_races(self, tmp_path):
-        analysis = analyze(
+        project = build_project(
             tmp_path,
             {
                 "repro.webapp.pooled": """
@@ -345,8 +363,8 @@ class TestAnalysis:
             },
         )
         # Process workers have their own address space — not shared state.
-        assert analysis.shared == {}
-        assert analysis.records_for("repro.webapp.pooled") == []
+        assert project.threads().shared == {}
+        assert thread_records(project, "repro.webapp.pooled") == []
 
     def test_constructor_writes_exempt(self, tmp_path):
         analysis = analyze(
@@ -378,9 +396,9 @@ class TestAnalysis:
         clean["repro.webapp.serve"] = clean["repro.webapp.serve"].replace(
             "HITS[path] = HITS.get(path, 0) + 1", "return HITS.get(path, 0)"
         )
-        buggy = analyze(tmp_path / "a", HANDLER_TREE)
-        fixed = analyze(tmp_path / "b", clean)
-        assert buggy.dep_digest("repro.webapp.serve") != fixed.dep_digest(
+        buggy = build_project(tmp_path / "a", HANDLER_TREE)
+        fixed = build_project(tmp_path / "b", clean)
+        assert buggy.dep_key("repro.webapp.serve") != fixed.dep_key(
             "repro.webapp.serve"
         )
 
@@ -391,12 +409,12 @@ class TestAnalysis:
         assert "repro.webapp.serve.HITS" in rendered
         assert "guarded_by=<none>" in rendered
 
-    def test_worker_rehydration_rebuilds_lazily(self, tmp_path):
+    def test_worker_receives_the_records_table(self, tmp_path):
         project = build_project(tmp_path, HANDLER_TREE)
-        clone = ProjectAnalysis.from_dict(project.to_dict())
-        assert clone.thread_records("repro.webapp.serve") == project.thread_records(
-            "repro.webapp.serve"
-        )
-        assert clone.dep_key("repro.webapp.serve") == project.dep_key(
-            "repro.webapp.serve"
-        )
+        key = "repro.webapp.serve"
+        engine._init_pool_worker({key: project.records(key)})
+        try:
+            assert engine._POOL_PROJECT.records(key) == project.records(key)
+            assert thread_records(engine._POOL_PROJECT, key)[0]["rule"] == "CW701"
+        finally:
+            engine._init_pool_worker(None)

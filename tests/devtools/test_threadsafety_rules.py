@@ -295,6 +295,35 @@ class TestBlockingUnderLock:
         assert findings == []  # never reached from a thread domain
 
 
+def leaf_first_lock_chain(depth: int) -> str:
+    """``c00`` → … → ``c<depth-1>``, defined leaf first; the leaf writes a
+    shared dict and every path into ``c00`` holds ``LOCK``."""
+    leaf = depth - 1
+    hops = "".join(
+        f"def c{i:02d}(key):\n    c{i + 1:02d}(key)\n\n\n" for i in range(leaf - 1, -1, -1)
+    )
+    return (
+        "import threading\n\n"
+        "LOCK = threading.Lock()\n"
+        "STATE = {}\n\n\n"
+        f"def c{leaf:02d}(key):\n    STATE[key] = 1\n\n\n"
+        + hops
+        + "def worker(key):\n    with LOCK:\n        c00(key)\n\n\n"
+        "def start():\n"
+        "    with LOCK:\n"
+        "        c00(0)\n"
+        "    threading.Thread(target=worker, args=(1,)).start()\n"
+    )
+
+
+class TestEntryLockConvergence:
+    def test_thirty_deep_guarded_chain_is_silent(self, tmp_path):
+        # Listed leaf first, each callee is judged before its caller learns
+        # its lock: only a solver without a pass bound sees LOCK reach c29.
+        modules = {"repro.webapp.deep": leaf_first_lock_chain(30)}
+        assert lint_tree(tmp_path, modules) == []
+
+
 class TestSeverityAndSuppression:
     def test_warning_outside_concurrent_layers(self, tmp_path):
         modules = {
