@@ -5,7 +5,9 @@ Run:
     python examples/reproduce_paper.py --scale paper   # full 1,083 users (~1 min)
 
 Artifacts land in ``./paper_artifacts``: one SVG per figure, results.json
-with every measured number, and a self-contained report.html.
+with every measured number, MEASURED.md with the same numbers as tables
+(ending with which of the paper's claims hold), and a self-contained
+report.html.
 """
 
 import argparse
@@ -25,7 +27,7 @@ def main(argv=None) -> int:
 
     print(f"\ndone in {outputs.elapsed_s:.1f}s — artifacts in {outputs.output_dir}/")
     print("\ndataset statistics (paper §I.1):")
-    for key, value in outputs.stats_rows:
+    for key, value in outputs.results["dataset_stats"]:
         print(f"  {key:>24}: {value}")
     print("\nsupport sweep (Figs. 5 & 7):")
     for row in outputs.sweep.to_rows():
@@ -35,6 +37,9 @@ def main(argv=None) -> int:
     print("\ncrowd views (Figs. 3-4):")
     for label, users, cells in outputs.views.summary_rows():
         print(f"  {label}: {users} users / {cells} cells")
+    print("\npaper claims:")
+    for name, holds in outputs.results["claims"].items():
+        print(f"  {'holds' if holds else 'FAILS':>5}  {name}")
     return 0
 
 

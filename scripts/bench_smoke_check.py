@@ -16,7 +16,9 @@ Default mode (``BENCH_mining.json``):
    ``db_build_object`` / ``db_build_interned`` rows with schema-v3
    ``peak_tracemalloc_kb`` and ``bytes_per_sequence`` measurements;
 3. the interned representation meets the acceptance bar: its bytes per
-   sequence are at most 1/4 of the object representation's.
+   sequence are at most 1/4 of the object representation's;
+4. the classic baselines ``prefixspan_classic`` and ``gsp`` are timed (the
+   runner already asserted they mine the same pattern set).
 
 ``--web`` mode (``BENCH_web.json``):
 
@@ -72,6 +74,9 @@ def check_mining(out_dir: Path) -> str:
         f"interned DB is {ratio:.2f}x the object representation per "
         f"sequence; the bar is {MAX_INTERNED_BYTES_RATIO}"
     )
+
+    for name in ("prefixspan_classic", "gsp"):
+        assert report.row(name).wall_clock_s > 0, f"{name}: no timing recorded"
 
     return (
         f"bench smoke OK: miner speedup {interned.speedup_vs_serial:.2f}x, "

@@ -7,8 +7,10 @@ scale, times the competing implementations, and returns a
 * :func:`run_mining_bench` — the phase-2 algorithmic core: the interned
   indexed :func:`~repro.mining.modified.modified_prefixspan` vs. the
   pool-rescan :func:`~repro.mining.modified.modified_prefixspan_reference`,
-  on the busiest user's day database (ops = mining runs completed), plus
-  the interning memory rows of :func:`run_interning_bench`.
+  on the busiest user's day database (ops = mining runs completed), the
+  classic :func:`~repro.mining.prefixspan.prefixspan` vs. generate-and-test
+  :func:`~repro.mining.gsp.gsp` on the same database, plus the interning
+  memory rows of :func:`run_interning_bench`.
 * :func:`run_interning_bench` — database-build memory before/after
   interning: the retired tuple-of-items representation vs. the id-array
   representation, with tracemalloc peaks and deep-walked bytes/sequence.
@@ -44,8 +46,10 @@ from ..data import SMALL_CONFIG, SynthConfig, generate
 from ..exec import ExecConfig
 from ..mining import (
     ModifiedPrefixSpanConfig,
+    gsp,
     modified_prefixspan,
     modified_prefixspan_reference,
+    prefixspan,
 )
 from ..obs import NULL_OBSERVER, observed, set_observer
 from ..patterns import detect_all_patterns
@@ -70,7 +74,7 @@ BENCH_PIPELINE_FILENAME = "BENCH_pipeline.json"
 BENCH_OBS_FILENAME = "BENCH_obs.json"
 
 #: Data scales, all fully pinned by their config seed.  ``smoke`` is the CI
-#: gate (seconds); ``bench`` matches the figure benchmarks' mid-sized city;
+#: gate (seconds); ``bench`` is a mid-sized city (300 users, 11 months);
 #: ``paper`` is the full 1,083-user reproduction scale.
 SCALES: Dict[str, SynthConfig] = {
     "smoke": SynthConfig(
@@ -159,6 +163,25 @@ def _time(fn, repeats: int) -> Tuple[float, object]:
     return best, value
 
 
+def _speed_row(
+    name: str, seconds: float, ops: float, baseline_s: Optional[float] = None,
+    **memory: float,
+) -> BenchRow:
+    """A timed row doing ``ops`` operations per run; its speedup is over
+    ``baseline_s``, and a row without one is the baseline itself."""
+    if baseline_s is None:
+        speedup = 1.0
+    else:
+        speedup = baseline_s / seconds if seconds else 0.0
+    return BenchRow(
+        name=name,
+        wall_clock_s=seconds,
+        ops_per_sec=ops / seconds if seconds else 0.0,
+        speedup_vs_serial=speedup,
+        **memory,
+    )
+
+
 def _deep_size_bytes(root: object) -> int:
     """Resident size of an object graph in bytes (shared objects once).
 
@@ -241,22 +264,12 @@ def _interning_rows(scale: str) -> Tuple[BenchRow, BenchRow]:
     interned_bytes = _deep_size_bytes((storage_all, vocab))
     del object_worlds
     return (
-        BenchRow(
-            name="db_build_object",
-            wall_clock_s=object_s,
-            ops_per_sec=n_sequences / object_s if object_s else 0.0,
-            speedup_vs_serial=1.0,
-            peak_tracemalloc_kb=object_peak_kb,
-            bytes_per_sequence=object_bytes / n_sequences,
-        ),
-        BenchRow(
-            name="db_build_interned",
-            wall_clock_s=interned_s,
-            ops_per_sec=n_sequences / interned_s if interned_s else 0.0,
-            speedup_vs_serial=object_s / interned_s if interned_s else 0.0,
-            peak_tracemalloc_kb=interned_peak_kb,
-            bytes_per_sequence=interned_bytes / n_sequences,
-        ),
+        _speed_row("db_build_object", object_s, n_sequences,
+                   peak_tracemalloc_kb=object_peak_kb,
+                   bytes_per_sequence=object_bytes / n_sequences),
+        _speed_row("db_build_interned", interned_s, n_sequences, baseline_s=object_s,
+                   peak_tracemalloc_kb=interned_peak_kb,
+                   bytes_per_sequence=interned_bytes / n_sequences),
     )
 
 
@@ -289,7 +302,10 @@ def run_mining_bench(
 
     Both variants run the paper's support sweep (0.25 / 0.5 / 0.75) on the
     busiest user's day database; their outputs are asserted identical, so a
-    speedup can never come from mining less.  The report also carries the
+    speedup can never come from mining less.  The classic baselines,
+    PrefixSpan and generate-and-test GSP, mine the same database at 0.25
+    and must find the same pattern set (``gsp``'s speedup is relative to
+    ``prefixspan_classic``).  The report also carries the
     interning memory rows (``db_build_object`` / ``db_build_interned``) so
     one ``BENCH_mining.json`` captures both the time and the space side of
     the representation.
@@ -315,25 +331,26 @@ def run_mining_bench(
         with o.span("bench.modified_prefixspan_interned", scale=scale,
                     repeats=repeats):
             interned_s, interned_out = _time(run_interned, repeats)
+        with o.span("bench.prefixspan_classic", scale=scale, repeats=repeats):
+            classic_s, classic_out = _time(lambda: prefixspan(db, 0.25), repeats)
+        with o.span("bench.gsp", scale=scale, repeats=repeats):
+            gsp_s, gsp_out = _time(lambda: gsp(db, 0.25), repeats)
     if interned_out != reference_out:
         raise AssertionError(
             "interned and reference miners disagree — refusing to report a "
             "speedup over different output"
         )
+    if {(p.items, p.count) for p in classic_out} != {(p.items, p.count) for p in gsp_out}:
+        raise AssertionError(
+            "prefixspan and gsp disagree at min_support 0.25 — refusing to "
+            "report timings over different output"
+        )
     ops = float(len(configs))
     rows = (
-        BenchRow(
-            name="modified_prefixspan_reference",
-            wall_clock_s=reference_s,
-            ops_per_sec=ops / reference_s if reference_s else 0.0,
-            speedup_vs_serial=1.0,
-        ),
-        BenchRow(
-            name="modified_prefixspan_interned",
-            wall_clock_s=interned_s,
-            ops_per_sec=ops / interned_s if interned_s else 0.0,
-            speedup_vs_serial=reference_s / interned_s if interned_s else 0.0,
-        ),
+        _speed_row("modified_prefixspan_reference", reference_s, ops),
+        _speed_row("modified_prefixspan_interned", interned_s, ops, baseline_s=reference_s),
+        _speed_row("prefixspan_classic", classic_s, 1),
+        _speed_row("gsp", gsp_s, 1, baseline_s=classic_s),
     ) + _interning_rows(scale)
     rev, dirty = _stamp(git_rev)
     return BenchReport(
@@ -369,14 +386,7 @@ def run_pipeline_bench(
             serial_s, baseline = _time(
                 lambda: detect_all_patterns(dataset, taxonomy), repeats
             )
-        rows = [
-            BenchRow(
-                name="detect_all_patterns_serial",
-                wall_clock_s=serial_s,
-                ops_per_sec=n_users / serial_s if serial_s else 0.0,
-                speedup_vs_serial=1.0,
-            )
-        ]
+        rows = [_speed_row("detect_all_patterns_serial", serial_s, n_users)]
         for n in workers:
             exec_config = ExecConfig(backend="process", n_workers=n)
             with o.span(f"bench.detect_all_process_{n}w", scale=scale,
@@ -391,14 +401,8 @@ def run_pipeline_bench(
                 raise AssertionError(
                     f"process backend ({n} workers) diverged from serial output"
                 )
-            rows.append(
-                BenchRow(
-                    name=f"detect_all_patterns_process_{n}w",
-                    wall_clock_s=elapsed,
-                    ops_per_sec=n_users / elapsed if elapsed else 0.0,
-                    speedup_vs_serial=serial_s / elapsed if elapsed else 0.0,
-                )
-            )
+            rows.append(_speed_row(f"detect_all_patterns_process_{n}w", elapsed,
+                                   n_users, baseline_s=serial_s))
     rev, dirty = _stamp(git_rev)
     return BenchReport(
         benchmark="pipeline",
@@ -460,18 +464,8 @@ def run_obs_overhead_bench(
             f"{max_overhead_ratio:.0%} budget ({off_s:.3f}s off, {on_s:.3f}s on)"
         )
     rows = (
-        BenchRow(
-            name="detect_all_obs_disabled",
-            wall_clock_s=off_s,
-            ops_per_sec=n_users / off_s if off_s else 0.0,
-            speedup_vs_serial=1.0,
-        ),
-        BenchRow(
-            name="detect_all_obs_enabled",
-            wall_clock_s=on_s,
-            ops_per_sec=n_users / on_s if on_s else 0.0,
-            speedup_vs_serial=off_s / on_s if on_s else 0.0,
-        ),
+        _speed_row("detect_all_obs_disabled", off_s, n_users),
+        _speed_row("detect_all_obs_enabled", on_s, n_users, baseline_s=off_s),
     )
     rev, dirty = _stamp(git_rev)
     return BenchReport(

@@ -6,7 +6,7 @@ Subcommands
 ``stats``     print the dataset-statistics table (paper §I.1)
 ``mine``      mine and print one user's mobility patterns
 ``crowd``     print the crowd snapshot of one time window
-``figures``   regenerate every paper figure into an output directory
+``figures``   regenerate every paper table and figure into an output directory
 ``serve``     run the web platform
 ``predict``   compare next-place predictors on a dataset
 """
@@ -28,7 +28,7 @@ from ..data import (
     synthetic_dataset,
 )
 from ..exec import ExecConfig
-from ..experiments import run_all, small_pipeline_config
+from ..experiments import prediction_comparison, run_all, small_pipeline_config
 from ..mining import ModifiedPrefixSpanConfig
 from ..obs import enable as obs_enable, get_observer, render_metrics, \
     render_trace_tree, save_dump
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_workers_flag(p_crowd)
     add_trace_flag(p_crowd)
 
-    p_figures = sub.add_parser("figures", help="regenerate all paper figures")
+    p_figures = sub.add_parser("figures", help="regenerate all paper tables and figures")
     p_figures.add_argument("output_dir", type=Path)
     p_figures.add_argument("--scale", choices=["small", "paper"], default="small")
     p_figures.add_argument("--seed", type=int, default=None)
@@ -204,6 +204,9 @@ def _cmd_figures(args) -> int:
           f"({out.elapsed_s:.1f}s)")
     for name in sorted(out.files):
         print(f"  {name}")
+    failed = [name for name, holds in out.results["claims"].items() if not holds]
+    if failed:
+        print(f"claims that do not hold: {', '.join(failed)}")
     return 0
 
 
@@ -215,18 +218,15 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    from ..experiments.runner import _prediction_comparison
-
-    result = _pipeline_for(args)
-    comparison = _prediction_comparison(result)
-    reports = comparison.get("reports", {})
-    if not reports:
+    comparison = prediction_comparison(_pipeline_for(args))
+    if not any(payload["reports"] for payload in comparison.values()):
         print("no users with enough data to evaluate")
         return 1
-    print(f"{comparison.get('n_users', 0)} users, leaf-level next-place prediction")
-    print(f"{'predictor':<16}{'examples':>10}{'acc@1':>9}{'acc@3':>9}")
-    for name, row in reports.items():
-        print(f"{name:<16}{row['n_examples']:>10}{row['acc@1']:>9.1%}{row['acc@3']:>9.1%}")
+    for level, payload in comparison.items():
+        print(f"{level} level: {payload['n_users']} users, next-place prediction")
+        print(f"{'predictor':<16}{'examples':>10}{'acc@1':>9}{'acc@3':>9}")
+        for name, row in payload["reports"].items():
+            print(f"{name:<16}{row['n_examples']:>10}{row['acc@1']:>9.1%}{row['acc@3']:>9.1%}")
     return 0
 
 

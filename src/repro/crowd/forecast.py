@@ -158,11 +158,23 @@ def evaluate_crowd_forecast(
     )
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, ties sharing their average rank."""
+    order = np.argsort(x, kind="mergesort")
+    _, first, counts = np.unique(x[order], return_index=True, return_counts=True)
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat(first + (counts + 1) / 2.0, counts)
+    return ranks
+
+
 def _spearman(a: np.ndarray, b: np.ndarray) -> float:
-    """Spearman rank correlation (scipy-backed), 0.0 for degenerate input."""
+    """Spearman rank correlation, 0.0 for degenerate input.
+
+    Pearson correlation of average ranks, as ``scipy.stats.spearmanr``
+    computes it, without paying the ``scipy.stats`` import on every cold
+    start.
+    """
     if len(a) < 3 or np.all(a == a[0]) or np.all(b == b[0]):
         return 0.0
-    from scipy.stats import spearmanr
-
-    rho, _ = spearmanr(a, b)
+    rho = np.corrcoef(_average_ranks(a), _average_ranks(b))[0, 1]
     return float(rho) if np.isfinite(rho) else 0.0

@@ -33,7 +33,7 @@ class GenerationResult:
     """Everything the simulation produced: data plus ground truth.
 
     Keeping the city and agent profiles alongside the dataset lets tests and
-    benchmarks validate mined patterns against the *actual* routines that
+    the ground-truth experiment validate mined patterns against the *actual* routines that
     generated the records — ground truth the real Foursquare dump never had.
     """
 

@@ -9,6 +9,7 @@ from .ablations import (
     day_kind_ablation,
     tolerance_ablation,
 )
+from .claims import PAPER_CLAIMS, calibration_misses, evaluate_claims
 from .crowd_views import CrowdViewResult, crowd_shift, crowd_views
 from .ground_truth import (
     UserValidation,
@@ -24,12 +25,14 @@ from .figures import (
     fig8_chart,
     run_support_sweep,
 )
+from .prediction import dbscan_rnn_comparison, prediction_comparison
 from .runner import ExperimentOutputs, run_all, small_pipeline_config
 
 __all__ = [
     "AblationRow",
     "CrowdViewResult",
     "DEFAULT_SUPPORTS",
+    "PAPER_CLAIMS",
     "ExperimentOutputs",
     "SupportSweepResult",
     "UserValidation",
@@ -37,14 +40,18 @@ __all__ = [
     "abstraction_ablation",
     "activity_filter_ablation",
     "binning_ablation",
+    "calibration_misses",
     "cell_size_ablation",
     "crowd_shift",
     "crowd_views",
     "day_kind_ablation",
+    "dbscan_rnn_comparison",
+    "evaluate_claims",
     "fig5_chart",
     "fig6_chart",
     "fig7_chart",
     "fig8_chart",
+    "prediction_comparison",
     "run_all",
     "run_support_sweep",
     "small_pipeline_config",

@@ -11,7 +11,7 @@ Each function sweeps one knob and returns comparable rows:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ..crowd import CrowdAggregator
 from ..data import ActiveUserFilter, CheckInDataset, filter_active_users
@@ -34,22 +34,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AblationRow:
-    """One setting of one ablation, with the headline metrics."""
+    """One setting of one ablation and the metrics it measured.
+
+    Mining ablations measure ``mean_sequences_per_user`` and
+    ``mean_avg_length``; the crowd-view cell-size ablation measures
+    placement and occupancy instead.  A row carries only the metrics its
+    ablation measured, so no column is ever a placeholder.
+    """
 
     knob: str
     setting: str
-    mean_sequences_per_user: float
-    mean_avg_length: float
-    extra: Dict[str, float]
+    metrics: Dict[str, float]
 
     def as_dict(self) -> Dict[str, object]:
-        row: Dict[str, object] = {
-            "knob": self.knob,
-            "setting": self.setting,
-            "mean_sequences_per_user": round(self.mean_sequences_per_user, 3),
-            "mean_avg_length": round(self.mean_avg_length, 3),
-        }
-        row.update({k: round(v, 3) for k, v in self.extra.items()})
+        row: Dict[str, object] = {"knob": self.knob, "setting": self.setting}
+        row.update({k: round(v, 3) for k, v in self.metrics.items()})
         return row
 
 
@@ -60,15 +59,18 @@ def _mine_and_aggregate(
     binning: TimeBinning,
     config: ModifiedPrefixSpanConfig,
     day_kind: str = "all",
-) -> Tuple[float, float]:
-    """(mean sequences/user, mean avg length) for one setting."""
+) -> Dict[str, float]:
+    """The mining metrics of one setting: mean sequences/user and avg length."""
     dbs = build_all_databases(dataset, taxonomy, level, binning, day_kind=day_kind)
     stats = {}
     for user_id, db in dbs.items():
         patterns = modified_prefixspan(db, config, taxonomy=taxonomy, n_bins=binning.n_bins)
         stats[user_id] = user_mining_stats(user_id, patterns, len(db))
     agg = aggregate_stats(config.min_support, stats)
-    return agg.mean_sequences_per_user, agg.mean_avg_length
+    return {
+        "mean_sequences_per_user": agg.mean_sequences_per_user,
+        "mean_avg_length": agg.mean_avg_length,
+    }
 
 
 def abstraction_ablation(
@@ -85,17 +87,11 @@ def abstraction_ablation(
     The paper's motivating claim: raw venues hide routines that category
     abstraction reveals, so pattern counts should rise venue → leaf → root.
     """
-    rows = []
-    for level in levels:
-        mean_seq, mean_len = _mine_and_aggregate(dataset, taxonomy, level, binning, config)
-        rows.append(AblationRow(
-            knob="abstraction",
-            setting=level.value,
-            mean_sequences_per_user=mean_seq,
-            mean_avg_length=mean_len,
-            extra={},
-        ))
-    return rows
+    return [
+        AblationRow("abstraction", level.value,
+                    _mine_and_aggregate(dataset, taxonomy, level, binning, config))
+        for level in levels
+    ]
 
 
 def binning_ablation(
@@ -106,18 +102,11 @@ def binning_ablation(
     config: ModifiedPrefixSpanConfig = ModifiedPrefixSpanConfig(),
 ) -> List[AblationRow]:
     """Pattern yield per time-bin width (wider bins absorb time jitter)."""
-    rows = []
-    for width in widths_hours:
-        binning = TimeBinning(width)
-        mean_seq, mean_len = _mine_and_aggregate(dataset, taxonomy, level, binning, config)
-        rows.append(AblationRow(
-            knob="bin_width_hours",
-            setting=f"{width:g}h",
-            mean_sequences_per_user=mean_seq,
-            mean_avg_length=mean_len,
-            extra={},
-        ))
-    return rows
+    return [
+        AblationRow("bin_width_hours", f"{width:g}h",
+                    _mine_and_aggregate(dataset, taxonomy, level, TimeBinning(width), config))
+        for width in widths_hours
+    ]
 
 
 def cell_size_ablation(
@@ -135,18 +124,12 @@ def cell_size_ablation(
         aggregator = CrowdAggregator(profiles, dataset, grid, taxonomy, binning=binning)
         snap = aggregator.timeline().at_hour(9.5)
         groups = snap.groups(min_size=2)
-        rows.append(AblationRow(
-            knob="cell_size_m",
-            setting=f"{size:g}m",
-            mean_sequences_per_user=0.0,
-            mean_avg_length=0.0,
-            extra={
-                "users_placed": float(snap.n_users),
-                "occupied_cells": float(len(snap.cell_counts())),
-                "largest_group": float(groups[0].size) if groups else 0.0,
-                "n_groups": float(len(groups)),
-            },
-        ))
+        rows.append(AblationRow("cell_size_m", f"{size:g}m", {
+            "users_placed": float(snap.n_users),
+            "occupied_cells": float(len(snap.cell_counts())),
+            "largest_group": float(groups[0].size) if groups else 0.0,
+            "n_groups": float(len(groups)),
+        }))
     return rows
 
 
@@ -159,30 +142,20 @@ def activity_filter_ablation(
 ) -> List[AblationRow]:
     """Sensitivity of the pipeline to the >N-qualifying-days user filter.
 
-    ``dataset`` should be the densest-window (unfiltered) data.
+    ``dataset`` should be the densest-window (unfiltered) data.  A threshold
+    that keeps nobody reports only ``users_kept``.
     """
     rows = []
     for threshold in thresholds:
         filtered = filter_active_users(
             dataset, ActiveUserFilter(min_qualifying_days=threshold)
         )
-        if filtered.n_users == 0:
-            rows.append(AblationRow(
-                knob="min_qualifying_days", setting=str(threshold),
-                mean_sequences_per_user=0.0, mean_avg_length=0.0,
-                extra={"users_kept": 0.0},
+        metrics = {"users_kept": float(filtered.n_users)}
+        if filtered.n_users:
+            metrics.update(_mine_and_aggregate(
+                filtered, taxonomy, AbstractionLevel.ROOT, binning, config
             ))
-            continue
-        mean_seq, mean_len = _mine_and_aggregate(
-            filtered, taxonomy, AbstractionLevel.ROOT, binning, config
-        )
-        rows.append(AblationRow(
-            knob="min_qualifying_days",
-            setting=str(threshold),
-            mean_sequences_per_user=mean_seq,
-            mean_avg_length=mean_len,
-            extra={"users_kept": float(filtered.n_users)},
-        ))
+        rows.append(AblationRow("min_qualifying_days", str(threshold), metrics))
     return rows
 
 
@@ -199,19 +172,12 @@ def day_kind_ablation(
     weekday pattern is stronger among weekdays only than diluted across
     the whole week.
     """
-    rows = []
-    for day_kind in ("all", "weekday", "weekend"):
-        mean_seq, mean_len = _mine_and_aggregate(
+    return [
+        AblationRow("day_kind", day_kind, _mine_and_aggregate(
             dataset, taxonomy, level, binning, config, day_kind=day_kind
-        )
-        rows.append(AblationRow(
-            knob="day_kind",
-            setting=day_kind,
-            mean_sequences_per_user=mean_seq,
-            mean_avg_length=mean_len,
-            extra={},
         ))
-    return rows
+        for day_kind in ("all", "weekday", "weekend")
+    ]
 
 
 def tolerance_ablation(
@@ -228,19 +194,10 @@ def tolerance_ablation(
     visit-time jitter, so pattern counts must be non-decreasing in the
     tolerance (a wider matcher can only add support).
     """
-    rows = []
-    for tolerance in tolerances:
-        config = ModifiedPrefixSpanConfig(
-            min_support=min_support, time_tolerance_bins=tolerance
-        )
-        mean_seq, mean_len = _mine_and_aggregate(
-            dataset, taxonomy, level, binning, config
-        )
-        rows.append(AblationRow(
-            knob="time_tolerance_bins",
-            setting=str(tolerance),
-            mean_sequences_per_user=mean_seq,
-            mean_avg_length=mean_len,
-            extra={},
+    return [
+        AblationRow("time_tolerance_bins", str(tolerance), _mine_and_aggregate(
+            dataset, taxonomy, level, binning,
+            ModifiedPrefixSpanConfig(min_support=min_support, time_tolerance_bins=tolerance),
         ))
-    return rows
+        for tolerance in tolerances
+    ]

@@ -12,8 +12,8 @@ The paper's two experiments, run over the preprocessed users:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Sequence, Tuple
 
 from ..data.records import CheckInDataset
 from ..mining import (
@@ -24,7 +24,7 @@ from ..mining import (
     user_mining_stats,
     MiningAggregate,
 )
-from ..sequences import HOURLY, SequenceDatabase, TimeBinning, TimedItem, build_all_databases
+from ..sequences import HOURLY, TimeBinning, build_all_databases
 from ..taxonomy import AbstractionLevel, CategoryTree
 from ..viz import Histogram, LineChart
 
@@ -84,29 +84,16 @@ def run_support_sweep(
     level: AbstractionLevel = AbstractionLevel.ROOT,
     binning: TimeBinning = HOURLY,
     base_config: ModifiedPrefixSpanConfig = ModifiedPrefixSpanConfig(),
-    databases: Optional[Mapping[str, SequenceDatabase[TimedItem]]] = None,
 ) -> SupportSweepResult:
-    """Mine every user at every support level.
-
-    ``databases`` can be passed to reuse prebuilt per-user databases across
-    sweeps (the ablation benches do).
-    """
+    """Mine every user at every support level (``base_config`` supplies
+    every knob but ``min_support``)."""
     if not supports:
         raise ValueError("need at least one support level")
-    dbs = dict(databases) if databases is not None else build_all_databases(
-        dataset, taxonomy, level, binning
-    )
+    dbs = build_all_databases(dataset, taxonomy, level, binning)
     per_user: Dict[float, Dict[str, UserMiningStats]] = {}
     aggregates: Dict[float, MiningAggregate] = {}
     for support in supports:
-        config = ModifiedPrefixSpanConfig(
-            min_support=support,
-            limits=base_config.limits,
-            time_tolerance_bins=base_config.time_tolerance_bins,
-            max_gap_bins=base_config.max_gap_bins,
-            include_ancestor_labels=base_config.include_ancestor_labels,
-            canonicalize_bins=base_config.canonicalize_bins,
-        )
+        config = replace(base_config, min_support=support)
         stats: Dict[str, UserMiningStats] = {}
         for user_id, db in dbs.items():
             patterns = modified_prefixspan(db, config, taxonomy=taxonomy,

@@ -152,24 +152,16 @@ def validate_against_ground_truth(
             d = abs(a - b)
             return min(d, n_bins - d) <= bin_tolerance
 
-        matched_truth = 0
-        for stop in truth_stops:
-            labels = _truth_labels(stop, agent, generation, taxonomy)
-            if any(
-                item.label in labels and bins_close(item.bin, stop_bin(stop))
-                for item in pattern_items
-            ):
-                matched_truth += 1
+        def matches(item, stop: RoutineStop) -> bool:
+            return (item.label in _truth_labels(stop, agent, generation, taxonomy)
+                    and bins_close(item.bin, stop_bin(stop)))
 
-        matched_items = 0
-        for item in pattern_items:
-            hit = False
-            for stop in all_stops:
-                labels = _truth_labels(stop, agent, generation, taxonomy)
-                if item.label in labels and bins_close(item.bin, stop_bin(stop)):
-                    hit = True
-                    break
-            matched_items += hit
+        matched_truth = sum(
+            any(matches(item, stop) for item in pattern_items) for stop in truth_stops
+        )
+        matched_items = sum(
+            any(matches(item, stop) for stop in all_stops) for item in pattern_items
+        )
 
         results.append(
             UserValidation(

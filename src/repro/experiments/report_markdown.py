@@ -1,21 +1,122 @@
-"""Render the benchmark suite's measured.json into a markdown summary.
+"""Render a ``results.json`` into the measured-results tables.
 
-``pytest benchmarks/ --benchmark-disable`` records every regenerated
-table/figure into ``benchmarks/out/measured.json``; this module turns that
-artifact into the measured-results section used to refresh EXPERIMENTS.md
-(``python -m repro.experiments.report_markdown``).
+:func:`~repro.experiments.run_all` writes ``results.json`` and, from it,
+``MEASURED.md`` in the same output directory; ``report.html`` embeds the
+same tables.  :func:`measured_tables` is the one place that turns each
+results family into a titled table, so the two reports cannot drift.
+
+Re-render an existing file with
+``python -m repro.experiments.report_markdown --results OUT/results.json``.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Union
+from statistics import median
+from typing import Dict, List, Mapping, NamedTuple, Sequence
 
-__all__ = ["main", "render_measured_markdown"]
+from .claims import PAPER_CLAIMS
+
+__all__ = ["main", "measured_tables", "render_measured_markdown"]
 
 
-def _table(headers: List[str], rows: List[List[object]]) -> List[str]:
+class _MeasuredTable(NamedTuple):
+    """One results family as a table; ``note`` is a line printed under it."""
+
+    title: str
+    headers: List[str]
+    rows: List[List[object]]
+    note: str = ""
+
+
+def _pct(value: float) -> str:
+    return f"{value:.1%}"
+
+
+def _distribution(values: Sequence[float]) -> List[List[object]]:
+    if not values:
+        return [[0, "", "", "", ""]]
+    return [[len(values), f"{min(values):g}", f"{median(values):g}",
+             f"{sum(values) / len(values):.2f}", f"{max(values):g}"]]
+
+
+def _report_rows(reports: Mapping[str, Mapping[str, float]]) -> List[List[object]]:
+    return [[name, row["n_examples"], _pct(row["acc@1"]), _pct(row["acc@3"])]
+            for name, row in reports.items()]
+
+
+def measured_tables(results: Mapping[str, object]) -> List[_MeasuredTable]:
+    """Every family present in ``results``, in the paper's order."""
+    r = results
+    out: List[_MeasuredTable] = []
+    if "dataset_stats" in r:
+        out.append(_MeasuredTable("Table-D — dataset statistics (paper §I.1)",
+                                 ["metric", "value"], r["dataset_stats"]))
+    if "preprocess" in r:
+        out.append(_MeasuredTable("Fig. 2 — pre-processing funnel",
+                                 ["step", "value"], r["preprocess"]))
+    if "crowd_views" in r:
+        shifts = ", ".join(f"{s:.2f}" for s in r.get("crowd_shift", []))
+        out.append(_MeasuredTable("Figs. 3–4 — crowd views",
+                                 ["window", "users", "occupied cells"], r["crowd_views"],
+                                 f"Crowd shift between views (Jaccard distance): {shifts}"))
+    if "sweep_rows" in r:
+        out.append(_MeasuredTable(
+            "Figs. 5 and 7 — support sweep",
+            ["min_support", "mean seq/user", "mean avg length"],
+            [[f"{row['min_support']:g}", f"{row['mean_sequences_per_user']:.2f}",
+              f"{row['mean_avg_length']:.2f}"] for row in r["sweep_rows"]],
+        ))
+    stats_headers = ["users", "min", "median", "mean", "max"]
+    if "fig6_counts" in r:
+        out.append(_MeasuredTable("Fig. 6 — sequences per user at min_support 0.5",
+                                 stats_headers, _distribution(r["fig6_counts"])))
+    if "fig8_lengths" in r:
+        out.append(_MeasuredTable("Fig. 8 — avg pattern length per user at min_support 0.5",
+                                 stats_headers, _distribution(r["fig8_lengths"])))
+    if "prediction" in r:
+        for level, payload in r["prediction"].items():
+            out.append(_MeasuredTable(
+                f"Next-place prediction — {level} level",
+                ["predictor", "examples", "acc@1", "acc@3"],
+                _report_rows(payload["reports"]),
+                f"{payload['n_users']} users with enough multi-visit days",
+            ))
+    if "dbscan_rnn" in r:
+        payload = r["dbscan_rnn"]
+        out.append(_MeasuredTable("DBSCAN+RNN baseline (ref [10])",
+                                 ["predictor", "examples", "acc@1", "acc@3"],
+                                 _report_rows(payload["reports"]),
+                                 f"{payload['n_places']} significant places"))
+    if "ground_truth" in r:
+        out.append(_MeasuredTable(
+            "Ground-truth pattern recovery",
+            ["min_support", "recall", "precision"],
+            [[f"{row['min_support']:g}", _pct(row["mean_recall"]),
+              _pct(row["mean_precision"])] for row in r["ground_truth"]],
+        ))
+    for key, title in (("crowd_forecast", "Out-of-sample crowd forecast"),
+                       ("communities", "Behavioural communities"),
+                       ("event_detection", "Event spike detection")):
+        if key in r:
+            out.append(_MeasuredTable(title, ["metric", "value"],
+                                      [[k, v] for k, v in r[key].items()]))
+    for name, rows in r.get("ablations", {}).items():
+        headers = list(dict.fromkeys(column for row in rows for column in row))
+        out.append(_MeasuredTable(f"Ablation — {name.replace('_', ' ')}", headers,
+                                 [[row.get(h, "") for h in headers] for row in rows]))
+    if "claims" in r:
+        texts = {claim.name: claim.text for claim in PAPER_CLAIMS}
+        out.append(_MeasuredTable(
+            "Paper claims", ["claim", "statement", "holds"],
+            [[name, texts.get(name, ""), "yes" if holds else "NO"]
+             for name, holds in r["claims"].items()],
+        ))
+    return out
+
+
+def _markdown_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> List[str]:
     lines = ["| " + " | ".join(headers) + " |",
              "|" + "|".join("---" for _ in headers) + "|"]
     for row in rows:
@@ -23,81 +124,13 @@ def _table(headers: List[str], rows: List[List[object]]) -> List[str]:
     return lines
 
 
-def render_measured_markdown(measured: Dict) -> str:
-    """Markdown for whatever measurement families are present."""
+def render_measured_markdown(results: Mapping[str, object]) -> str:
+    """``MEASURED.md``: one section per family present in ``results``."""
     out: List[str] = ["# Measured results", ""]
-
-    if "table_dataset_stats" in measured:
-        out += ["## Dataset statistics", ""]
-        out += _table(["metric", "value"], measured["table_dataset_stats"])
-        out.append("")
-
-    if "fig5_sequences_vs_support" in measured:
-        payload = measured["fig5_sequences_vs_support"]
-        out += ["## Fig. 5 — sequences/user vs min_support", ""]
-        out += _table(
-            ["min_support"] + [f"{s:g}" for s in payload["supports"]],
-            [["mean seq/user"] + [f"{y:.2f}" for y in payload["mean_sequences_per_user"]]],
-        )
-        out.append("")
-
-    if "fig7_length_vs_support" in measured:
-        payload = measured["fig7_length_vs_support"]
-        out += ["## Fig. 7 — avg pattern length vs min_support", ""]
-        out += _table(
-            ["min_support"] + [f"{s:g}" for s in payload["supports"]],
-            [["mean avg length"] + [f"{y:.2f}" for y in payload["mean_avg_length"]]],
-        )
-        out.append("")
-
-    if "fig3_fig4_crowd_views" in measured:
-        payload = measured["fig3_fig4_crowd_views"]
-        out += ["## Figs. 3–4 — crowd views", ""]
-        out += _table(["window", "users", "occupied cells"], payload["windows"])
-        shifts = ", ".join(f"{s:.2f}" for s in payload["shift"])
-        out += ["", f"Crowd shift between views (Jaccard distance): {shifts}", ""]
-
-    if "table_pattern_recovery" in measured:
-        rows = measured["table_pattern_recovery"]
-        out += ["## Ground-truth pattern recovery", ""]
-        out += _table(
-            ["min_support", "recall", "precision"],
-            [[f"{r['min_support']:g}", f"{r['mean_recall']:.1%}",
-              f"{r['mean_precision']:.1%}"] for r in rows],
-        )
-        out.append("")
-
-    if "table_prediction_accuracy" in measured:
-        out += ["## Next-place prediction accuracy", ""]
-        for level, reports in measured["table_prediction_accuracy"].items():
-            out.append(f"### {level} level")
-            out += _table(
-                ["predictor", "acc@1", "acc@3", "examples"],
-                [[name, f"{row['acc@1']:.1%}", f"{row['acc@3']:.1%}",
-                  row["n_examples"]] for name, row in reports.items()],
-            )
-            out.append("")
-
-    if "table_crowd_forecast" in measured:
-        payload = measured["table_crowd_forecast"]
-        out += ["## Out-of-sample crowd forecast", ""]
-        out += _table(["metric", "value"], [
-            ["time lift", f"{payload['time_lift']:g}x"],
-            ["Spearman (forecast)", payload["correlation"]],
-            ["Spearman (time-blind baseline)", payload["baseline_correlation"]],
-            ["MAE forecast / baseline",
-             f"{payload['mae_forecast']} / {payload['mae_baseline']}"],
-        ])
-        out.append("")
-
-    for key in sorted(measured):
-        if key.startswith("ablation_"):
-            rows = measured[key]
-            out += [f"## {key.replace('_', ' ').title()}", ""]
-            headers = sorted({column for row in rows for column in row})
-            out += _table(headers, [[row.get(h, "") for h in headers] for row in rows])
-            out.append("")
-
+    for table in measured_tables(results):
+        out += [f"## {table.title}", ""]
+        out += _markdown_table(table.headers, table.rows)
+        out += ["", table.note, ""] if table.note else [""]
     return "\n".join(out)
 
 
@@ -105,13 +138,12 @@ def main(argv=None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--measured", type=Path,
-                        default=Path("benchmarks/out/measured.json"))
+    parser.add_argument("--results", type=Path, default=Path("results.json"))
     parser.add_argument("--out", type=Path, default=None,
                         help="write to a file instead of stdout")
     args = parser.parse_args(argv)
-    measured = json.loads(Path(args.measured).read_text(encoding="utf-8"))
-    text = render_measured_markdown(measured)
+    results: Dict = json.loads(Path(args.results).read_text(encoding="utf-8"))
+    text = render_measured_markdown(results)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

@@ -10,7 +10,7 @@
    (:mod:`repro.crowd`).
 
 The returned :class:`PipelineResult` is what the web platform, the CLI and
-the figure benchmarks all consume.
+the experiment runner all consume.
 """
 
 from __future__ import annotations

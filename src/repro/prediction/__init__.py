@@ -2,7 +2,7 @@
 
 from .base import NextPlacePredictor, prediction_examples, split_sequences
 from .dbscan_rnn import DBSCANRNNConfig, DBSCANRNNPipeline
-from .evaluate import PredictionReport, compare_predictors, evaluate_predictor
+from .evaluate import PredictionReport, compare_predictors, evaluate_predictor, pooled_report
 from .frequency import FrequencyPredictor
 from .markov import MarkovPredictor
 from .pattern_based import PatternBasedPredictor
@@ -19,6 +19,7 @@ __all__ = [
     "RNNPredictor",
     "compare_predictors",
     "evaluate_predictor",
+    "pooled_report",
     "prediction_examples",
     "split_sequences",
 ]

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Mapping, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Hashable, Mapping, Sequence, TypeVar
 
 from .base import NextPlacePredictor, prediction_examples, split_sequences
 
-__all__ = ["PredictionReport", "evaluate_predictor", "compare_predictors"]
+__all__ = ["PredictionReport", "compare_predictors", "evaluate_predictor", "pooled_report"]
 
 Token = TypeVar("Token", bound=Hashable)
 
@@ -62,6 +62,19 @@ def evaluate_predictor(
     )
 
 
+def pooled_report(name: str, reports: Sequence[PredictionReport]) -> PredictionReport:
+    """Micro-average per-user reports: every held-out example counts once."""
+    n = sum(r.n_examples for r in reports)
+    hit1 = sum(round(r.accuracy_at_1 * r.n_examples) for r in reports)
+    hit3 = sum(round(r.accuracy_at_3 * r.n_examples) for r in reports)
+    return PredictionReport(
+        predictor=name,
+        n_examples=n,
+        accuracy_at_1=hit1 / n if n else 0.0,
+        accuracy_at_3=hit3 / n if n else 0.0,
+    )
+
+
 def compare_predictors(
     factories: Mapping[str, Callable[[], NextPlacePredictor[Token]]],
     sequences_by_user: Mapping[str, Sequence[Sequence[Token]]],
@@ -72,24 +85,10 @@ def compare_predictors(
     ``factories`` maps a display name to a zero-arg constructor so each user
     gets a freshly initialized model.
     """
-    out: Dict[str, PredictionReport] = {}
-    for name, factory in factories.items():
-        total = hit1 = hit3 = 0
-        for sequences in sequences_by_user.values():
-            train, test = split_sequences(sequences, train_frac)
-            predictor = factory()
-            predictor.fit(train)
-            for prefix, actual in prediction_examples(test):
-                top3 = predictor.predict(prefix, k=3)
-                total += 1
-                if top3 and top3[0] == actual:
-                    hit1 += 1
-                if actual in top3:
-                    hit3 += 1
-        out[name] = PredictionReport(
-            predictor=name,
-            n_examples=total,
-            accuracy_at_1=hit1 / total if total else 0.0,
-            accuracy_at_3=hit3 / total if total else 0.0,
-        )
-    return out
+    return {
+        name: pooled_report(name, [
+            evaluate_predictor(factory(), sequences, train_frac)
+            for sequences in sequences_by_user.values()
+        ])
+        for name, factory in factories.items()
+    }

@@ -60,7 +60,7 @@ from .api import CrowdWebAPI
 from .cache import CacheEntry, CacheKey, ResponseCache, dataset_fingerprint
 from .pages import Pages
 
-__all__ = ["CrowdWebApp", "CrowdWebServer", "RETRY_AFTER_S", "route_request"]
+__all__ = ["CrowdWebApp", "CrowdWebServer", "RETRY_AFTER_S"]
 
 #: ``Retry-After`` seconds advertised while the pipeline precompute runs.
 RETRY_AFTER_S = 1
@@ -86,7 +86,7 @@ def _endpoint_of(segments: List[str]) -> str:
 
 
 def _dispatch(api: CrowdWebAPI, pages: Pages, parsed, segments, query) -> Tuple[int, str, str]:
-    """The routing table proper (wrapped by :func:`route_request`)."""
+    """The routing table proper: one render, behind :meth:`CrowdWebApp.handle`."""
 
     def ok_json(payload) -> Tuple[int, str, str]:
         return 200, "application/json", json.dumps(payload)
@@ -117,8 +117,6 @@ def _dispatch(api: CrowdWebAPI, pages: Pages, parsed, segments, query) -> Tuple[
             return ok_html(pages.communities())
         if segments[0] == "analytics":
             return ok_html(pages.analytics())
-        if segments[0] == "metrics" and len(segments) == 1:
-            return ok_json(get_observer().metrics_payload())
         if segments[0] == "api":
             if len(segments) == 2 and segments[1] == "users":
                 return ok_json(api.users())
@@ -163,36 +161,6 @@ def _dispatch(api: CrowdWebAPI, pages: Pages, parsed, segments, query) -> Tuple[
         return not_found(parsed.path)
     except (ValueError, IndexError) as exc:
         return 400, "application/json", json.dumps({"error": str(exc)})
-
-
-def route_request(api: CrowdWebAPI, pages: Pages, path: str) -> Tuple[int, str, str]:
-    """Dispatch one GET request path → (status, content_type, body).
-
-    Pure function (no sockets, no cache) so the whole routing table is
-    unit-testable; the served hot path is :meth:`CrowdWebApp.handle`,
-    which wraps the same dispatch in the response cache.  When
-    observability is enabled the request is traced and its latency
-    recorded per normalized endpoint.
-    """
-    parsed = urlparse(path)
-    segments = [s for s in parsed.path.split("/") if s]
-    query = parse_qs(parsed.query)
-
-    observer = get_observer()
-    if not observer.enabled:
-        return _dispatch(api, pages, parsed, segments, query)
-
-    endpoint = _endpoint_of(segments)
-    with observer.span("web.request", endpoint=endpoint) as span:
-        start = time.perf_counter()
-        status, content_type, body = _dispatch(api, pages, parsed, segments, query)
-        elapsed_s = time.perf_counter() - start
-        span.set("status", status)
-        observer.observe("repro_web_request_latency_s", elapsed_s, label=endpoint)
-        observer.inc("repro_web_requests_total", label=endpoint)
-        if status >= 400:
-            observer.inc("repro_web_errors_total", label=endpoint)
-    return status, content_type, body
 
 
 def _header(headers: Optional[Mapping], name: str) -> Optional[str]:

@@ -63,6 +63,16 @@ def test_mining_report_carries_interning_rows(smoke_mining_report):
     assert interned.bytes_per_sequence <= obj.bytes_per_sequence / 4
 
 
+def test_mining_report_carries_classic_baselines(smoke_mining_report):
+    """Classic PrefixSpan and GSP are timed on the same database; the runner
+    asserted they mine the same pattern set before reporting either."""
+    classic = smoke_mining_report.row("prefixspan_classic")
+    gsp = smoke_mining_report.row("gsp")
+    assert classic.speedup_vs_serial == 1.0
+    assert classic.wall_clock_s > 0 and gsp.wall_clock_s > 0
+    assert gsp.speedup_vs_serial == pytest.approx(classic.wall_clock_s / gsp.wall_clock_s)
+
+
 def test_interning_report_shape():
     report = run_interning_bench("smoke", git_rev="testrev")
     assert report.benchmark == "interning"

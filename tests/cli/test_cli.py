@@ -1,7 +1,5 @@
 """Tests for the crowdweb CLI (driving main() directly)."""
 
-import json
-
 import pytest
 
 from repro.cli import build_parser, main
@@ -69,16 +67,31 @@ class TestCrowd:
 
 
 class TestFigures:
-    def test_regenerates_artifacts(self, tmp_path, capsys):
-        out_dir = tmp_path / "figs"
-        assert main(["figures", str(out_dir), "--scale", "small"]) == 0
-        names = {p.name for p in out_dir.iterdir()}
+    #: One MEASURED.md section heading per family.
+    SECTIONS = (
+        "Table-D", "Fig. 2", "Figs. 3–4", "Figs. 5 and 7", "Fig. 6", "Fig. 8",
+        "Next-place prediction — venue level", "Next-place prediction — leaf level",
+        "Next-place prediction — root level", "DBSCAN+RNN", "Ground-truth",
+        "Out-of-sample crowd forecast", "Behavioural communities",
+        "Event spike detection", "Ablation — abstraction", "Ablation — bin width",
+        "Ablation — cell size", "Ablation — day kind", "Ablation — time tolerance",
+        "Paper claims",
+    )
+
+    def test_regenerates_artifacts(self, reproduction, reproduction_results):
+        names = {p.name for p in reproduction.iterdir()}
         assert {"fig5_sequences_vs_support.svg", "fig6_sequence_count_distribution.svg",
                 "fig7_length_vs_support.svg", "fig8_length_distribution.svg",
                 "fig3_crowd_0900.svg", "fig4_crowd_1300.svg",
-                "results.json", "report.html"} <= names
-        results = json.loads((out_dir / "results.json").read_text())
-        assert len(results["sweep_rows"]) == 5
+                "results.json", "MEASURED.md", "report.html"} <= names
+        assert len(reproduction_results["sweep_rows"]) == 5
+
+    def test_measured_markdown_has_every_section(self, reproduction):
+        headings = [line[3:] for line in
+                    (reproduction / "MEASURED.md").read_text().splitlines()
+                    if line.startswith("## ")]
+        for section in self.SECTIONS:
+            assert any(h.startswith(section) for h in headings), section
 
 
 class TestAnalyze:

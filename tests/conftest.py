@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.data import ActiveUserFilter, generate, SMALL_CONFIG
@@ -31,6 +33,22 @@ def small_ds(small_gen):
 def pipeline_result(small_ds):
     """The full pipeline on the small dataset (a few active users)."""
     return run_pipeline(small_ds, small_pipeline_config())
+
+
+@pytest.fixture(scope="session")
+def reproduction(tmp_path_factory):
+    """The output directory of ``crowdweb figures OUT --scale small``, run once."""
+    from repro.cli.main import main
+
+    out_dir = tmp_path_factory.mktemp("figures")
+    assert main(["figures", str(out_dir), "--scale", "small"]) == 0
+    return out_dir
+
+
+@pytest.fixture(scope="session")
+def reproduction_results(reproduction):
+    """The reproduction's ``results.json``."""
+    return json.loads((reproduction / "results.json").read_text())
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Tests for crowd-forecast evaluation."""
 
+import numpy as np
 import pytest
 
 from repro.crowd import evaluate_crowd_forecast, observed_occupancy
@@ -68,3 +69,16 @@ class TestEvaluation:
         a = evaluate_crowd_forecast(result.aggregator, result.dataset, holdout, HOURLY)
         b = evaluate_crowd_forecast(result.aggregator, result.dataset, holdout, HOURLY)
         assert a == b
+
+
+class TestSpearman:
+    def test_matches_scipy_with_ties(self):
+        from scipy.stats import spearmanr
+
+        from repro.crowd.forecast import _spearman
+
+        rng = np.random.default_rng(3)
+        for _ in range(25):
+            a = rng.integers(0, 4, 60).astype(float)
+            b = rng.integers(0, 6, 60) / 3.0
+            assert _spearman(a, b) == pytest.approx(spearmanr(a, b)[0], abs=1e-12)

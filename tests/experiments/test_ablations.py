@@ -22,7 +22,7 @@ class TestAbstractionAblation:
     def test_root_beats_venue(self, pipeline_result, taxonomy, cfg):
         """The paper's core claim: abstraction reveals patterns raw venues hide."""
         rows = abstraction_ablation(pipeline_result.dataset, taxonomy, HOURLY, cfg)
-        by_level = {row.setting: row.mean_sequences_per_user for row in rows}
+        by_level = {row.setting: row.metrics["mean_sequences_per_user"] for row in rows}
         assert by_level["root"] >= by_level["leaf"] >= by_level["venue"]
         assert by_level["root"] > by_level["venue"]
 
@@ -38,7 +38,7 @@ class TestBinningAblation:
         rows = binning_ablation(pipeline_result.dataset, taxonomy,
                                 widths_hours=(1.0, 4.0), config=cfg)
         assert [row.setting for row in rows] == ["1h", "4h"]
-        assert all(row.mean_sequences_per_user >= 0 for row in rows)
+        assert all(row.metrics["mean_sequences_per_user"] >= 0 for row in rows)
 
 
 class TestCellSizeAblation:
@@ -46,14 +46,24 @@ class TestCellSizeAblation:
         rows = cell_size_ablation(pipeline_result.dataset, taxonomy, HOURLY,
                                   cell_sizes_m=(250.0, 4000.0), config=cfg)
         fine, coarse = rows
-        assert fine.extra["occupied_cells"] >= coarse.extra["occupied_cells"]
+        assert fine.metrics["occupied_cells"] >= coarse.metrics["occupied_cells"]
         # Placement count is independent of the grid resolution.
-        assert fine.extra["users_placed"] == coarse.extra["users_placed"]
+        assert fine.metrics["users_placed"] == coarse.metrics["users_placed"]
 
     def test_coarser_cells_bigger_groups(self, pipeline_result, taxonomy, cfg):
         rows = cell_size_ablation(pipeline_result.dataset, taxonomy, HOURLY,
                                   cell_sizes_m=(250.0, 8000.0), config=cfg)
-        assert rows[1].extra["largest_group"] >= rows[0].extra["largest_group"]
+        assert rows[1].metrics["largest_group"] >= rows[0].metrics["largest_group"]
+
+    def test_rows_carry_no_mining_metrics(self, pipeline_result, taxonomy, cfg):
+        """The crowd-only ablation measures no patterns, so it reports none."""
+        (row,) = cell_size_ablation(pipeline_result.dataset, taxonomy, HOURLY,
+                                    cell_sizes_m=(500.0,), config=cfg)
+        as_dict = row.as_dict()
+        assert "mean_sequences_per_user" not in as_dict
+        assert "mean_avg_length" not in as_dict
+        assert as_dict["knob"] == "cell_size_m"
+        assert {"users_placed", "occupied_cells", "largest_group", "n_groups"} <= set(as_dict)
 
 
 class TestActivityAblation:
@@ -63,7 +73,7 @@ class TestActivityAblation:
         windowed = select_densest_window(small_ds, months=2)
         rows = activity_filter_ablation(windowed, taxonomy, HOURLY,
                                         thresholds=(10, 40), config=cfg)
-        assert rows[0].extra["users_kept"] >= rows[1].extra["users_kept"]
+        assert rows[0].metrics["users_kept"] >= rows[1].metrics["users_kept"]
 
 
 class TestDayKindAblation:
@@ -74,9 +84,9 @@ class TestDayKindAblation:
         assert [row.setting for row in rows] == ["all", "weekday", "weekend"]
         # Weekday-conditioned mining should find at least as many patterns
         # as all-days mining for routine-heavy simulated workers.
-        by_kind = {row.setting: row.mean_sequences_per_user for row in rows}
+        by_kind = {row.setting: row.metrics["mean_sequences_per_user"] for row in rows}
         assert by_kind["weekday"] >= by_kind["all"] * 0.5  # sane, non-degenerate
-        assert all(row.mean_sequences_per_user >= 0 for row in rows)
+        assert all(row.metrics["mean_sequences_per_user"] >= 0 for row in rows)
 
 
 class TestToleranceAblation:
@@ -85,6 +95,6 @@ class TestToleranceAblation:
 
         rows = tolerance_ablation(pipeline_result.dataset, taxonomy, HOURLY,
                                   tolerances=(0, 1, 2), min_support=0.5)
-        counts = [row.mean_sequences_per_user for row in rows]
+        counts = [row.metrics["mean_sequences_per_user"] for row in rows]
         assert counts[0] <= counts[1] <= counts[2]
         assert [row.setting for row in rows] == ["0", "1", "2"]

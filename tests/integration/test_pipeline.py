@@ -1,7 +1,5 @@
 """End-to-end pipeline integration tests."""
 
-import json
-
 import pytest
 
 from repro.data import ActiveUserFilter, small_dataset
@@ -55,22 +53,30 @@ class TestPipeline:
 
 
 class TestRunAll:
-    def test_full_reproduction_artifacts(self, tmp_path):
-        out = run_all(tmp_path / "out", scale="small", include_prediction=False)
-        results = json.loads((out.output_dir / "results.json").read_text())
-        # Every experiment family is present.
-        assert results["dataset_stats"]
-        assert results["preprocess"]
-        assert len(results["sweep_rows"]) == 5
-        assert results["crowd_views"]
-        assert (out.output_dir / "report.html").stat().st_size > 10_000
+    def test_full_reproduction_artifacts(self, reproduction, reproduction_results):
+        # Every experiment family is present, each under its own key.
+        assert set(reproduction_results) == {
+            "dataset_stats", "preprocess", "crowd_views", "crowd_shift", "sweep_rows",
+            "fig6_counts", "fig8_lengths", "ablations", "crowd_forecast", "communities",
+            "ground_truth", "event_detection", "prediction", "dbscan_rnn", "claims",
+        }
+        assert set(reproduction_results["ablations"]) == {
+            "abstraction", "bin_width", "cell_size", "day_kind", "time_tolerance",
+        }
+        assert len(reproduction_results["sweep_rows"]) == 5
+        assert (reproduction / "report.html").stat().st_size > 10_000
 
-    def test_results_deterministic(self, tmp_path):
-        a = run_all(tmp_path / "a", scale="small", include_prediction=False)
-        b = run_all(tmp_path / "b", scale="small", include_prediction=False)
-        ra = json.loads((a.output_dir / "results.json").read_text())
-        rb = json.loads((b.output_dir / "results.json").read_text())
-        assert ra == rb
+    def test_results_deterministic(self, tmp_path, reproduction):
+        out = run_all(tmp_path / "again", scale="small")
+        again = (out.output_dir / "results.json").read_text()
+        assert again == (reproduction / "results.json").read_text()
+
+    def test_supplied_dataset_skips_generator_families(self, tmp_path, small_ds):
+        out = run_all(tmp_path / "given", dataset=small_ds, include_prediction=False)
+        assert {"ground_truth", "event_detection", "dbscan_rnn", "prediction"}.isdisjoint(
+            out.results)
+        assert "ground_truth_precise" not in out.results["claims"]
+        assert all(out.results["claims"].values())
 
     def test_unknown_scale_raises(self, tmp_path):
         with pytest.raises(ValueError, match="unknown scale"):
@@ -78,12 +84,12 @@ class TestRunAll:
 
 
 class TestRunAllWithPrediction:
-    def test_prediction_reports_present(self, tmp_path):
-        out = run_all(tmp_path / "pred", scale="small", include_prediction=True)
-        reports = out.prediction.get("reports", {})
-        assert {"frequency", "markov-1", "markov-2", "rnn", "pattern-based"} <= set(reports)
-        for row in reports.values():
-            assert 0.0 <= row["acc@1"] <= row["acc@3"] <= 1.0
+    def test_prediction_reports_present(self, reproduction_results):
+        for payload in reproduction_results["prediction"].values():
+            reports = payload["reports"]
+            assert {"frequency", "markov-1", "markov-2", "rnn", "pattern-based"} <= set(reports)
+            for row in reports.values():
+                assert 0.0 <= row["acc@1"] <= row["acc@3"] <= 1.0
 
 
 class TestPipelineVariants:

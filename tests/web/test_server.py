@@ -9,15 +9,20 @@ import pytest
 from repro.web import (
     RETRY_AFTER_S,
     CrowdWebAPI,
+    CrowdWebApp,
     CrowdWebServer,
-    Pages,
-    route_request,
 )
 
 
 @pytest.fixture(scope="module")
-def handlers(pipeline_result):
-    return CrowdWebAPI(pipeline_result), Pages(pipeline_result)
+def app(pipeline_result):
+    return CrowdWebApp(pipeline_result)
+
+
+def get(app, path):
+    """One GET through the served path: (status, Content-Type, body text)."""
+    status, headers, body = app.handle("GET", path)
+    return status, dict(headers).get("Content-Type"), body.decode("utf-8")
 
 
 class TestRouting:
@@ -44,55 +49,55 @@ class TestRouting:
         ("/api/tiles/1/1/0?window=9", "application/json"),
         ("/city?window=3&zoom=1", "text/html; charset=utf-8"),
     ])
-    def test_routes_ok(self, handlers, path, content_type):
-        status, ctype, body = route_request(*handlers, path)
+    def test_routes_ok(self, app, path, content_type):
+        status, ctype, body = get(app, path)
         assert status == 200
         assert ctype == content_type
         assert body
 
-    def test_user_page(self, handlers, pipeline_result):
+    def test_user_page(self, app, pipeline_result):
         uid = sorted(pipeline_result.profiles)[0]
-        status, _, body = route_request(*handlers, f"/user/{uid}")
+        status, _, body = get(app, f"/user/{uid}")
         assert status == 200
         assert uid in body
 
-    def test_unknown_user_404(self, handlers):
-        status, _, body = route_request(*handlers, "/user/ghost")
+    def test_unknown_user_404(self, app):
+        status, _, body = get(app, "/user/ghost")
         assert status == 404
         assert "ghost" in body
 
-    def test_unknown_path_404(self, handlers):
-        status, _, _ = route_request(*handlers, "/nope/deep")
+    def test_unknown_path_404(self, app):
+        status, _, _ = get(app, "/nope/deep")
         assert status == 404
 
-    def test_bad_params_400(self, handlers):
-        status, _, _ = route_request(*handlers, "/api/crowd/banana")
+    def test_bad_params_400(self, app):
+        status, _, _ = get(app, "/api/crowd/banana")
         assert status == 400
-        status, _, _ = route_request(*handlers, "/api/crowd/999")
+        status, _, _ = get(app, "/api/crowd/999")
         assert status == 400
 
-    def test_bad_tile_params_400(self, handlers):
-        status, _, _ = route_request(*handlers, "/api/tiles/9/0/0")
+    def test_bad_tile_params_400(self, app):
+        status, _, _ = get(app, "/api/tiles/9/0/0")
         assert status == 400  # zoom beyond max_zoom
-        status, _, _ = route_request(*handlers, "/api/tiles/1/5/0")
+        status, _, _ = get(app, "/api/tiles/1/5/0")
         assert status == 400  # x outside [0, 2^z)
-        status, _, _ = route_request(*handlers, "/api/tiles/1/a/0")
+        status, _, _ = get(app, "/api/tiles/1/a/0")
         assert status == 400
 
-    def test_city_window_clamped(self, handlers):
-        status, _, _ = route_request(*handlers, "/city?window=999")
+    def test_city_window_clamped(self, app):
+        status, _, _ = get(app, "/city?window=999")
         assert status == 200
 
-    def test_metrics_route(self, handlers, pipeline_result):
+    def test_metrics_route(self, app, pipeline_result):
         uid = sorted(pipeline_result.profiles)[0]
-        status, _, body = route_request(*handlers, f"/api/metrics/{uid}")
+        status, _, body = get(app, f"/api/metrics/{uid}")
         assert status == 200
         assert json.loads(body)["user_id"] == uid
-        status, _, _ = route_request(*handlers, "/api/metrics/ghost")
+        status, _, _ = get(app, "/api/metrics/ghost")
         assert status == 404
 
-    def test_json_payloads_parse(self, handlers):
-        _, _, body = route_request(*handlers, "/api/crowd/9")
+    def test_json_payloads_parse(self, app):
+        _, _, body = get(app, "/api/crowd/9")
         payload = json.loads(body)
         assert payload["window"] == "09:00-10:00"
 
@@ -196,8 +201,6 @@ class TestReadiness:
             CrowdWebServer()
 
     def test_warm_precomputes_the_hot_key_space(self, pipeline_result):
-        from repro.web import CrowdWebApp
-
         app = CrowdWebApp(pipeline_result)
         warmed = app.warm()
         assert warmed == len(app.warm_paths())
@@ -214,8 +217,6 @@ class TestReadiness:
 
 class TestCacheRoutes:
     def test_cache_info_route(self, pipeline_result):
-        from repro.web import CrowdWebApp
-
         app = CrowdWebApp(pipeline_result)
         app.handle("GET", "/api/users", None)
         status, _headers, body = app.handle("GET", "/api/cache", None)
@@ -227,8 +228,6 @@ class TestCacheRoutes:
 
     def test_metrics_route_is_never_cached(self, pipeline_result):
         from repro.obs import observed
-        from repro.web import CrowdWebApp
-
         app = CrowdWebApp(pipeline_result)
         with observed():
             app.handle("GET", "/api/users", None)
@@ -246,33 +245,33 @@ class TestCacheRoutes:
 
 
 class TestSpikesRoute:
-    def test_route(self, handlers):
-        status, ctype, body = route_request(*handlers, "/api/spikes?z=3.5")
+    def test_route(self, app):
+        status, ctype, body = get(app, "/api/spikes?z=3.5")
         assert status == 200
         payload = json.loads(body)
         assert payload["z_threshold"] == 3.5
 
 
 class TestObservability:
-    def test_metrics_endpoint_when_disabled(self, handlers):
-        status, ctype, body = route_request(*handlers, "/metrics")
+    def test_metrics_endpoint_when_disabled(self, app):
+        status, ctype, body = get(app, "/metrics")
         assert status == 200
         assert ctype == "application/json"
         payload = json.loads(body)
         assert payload["enabled"] is False
         assert payload["counters"] == {}
 
-    def test_traced_requests_feed_the_metrics_endpoint(self, handlers,
+    def test_traced_requests_feed_the_metrics_endpoint(self, app,
                                                        pipeline_result):
         from repro.obs import observed
 
         uid = sorted(pipeline_result.profiles)[0]
         with observed():
-            route_request(*handlers, "/api/users")
-            route_request(*handlers, f"/api/user/{uid}")
-            route_request(*handlers, f"/api/user/{uid}")
-            route_request(*handlers, "/api/crowd/banana")  # a 400
-            status, _, body = route_request(*handlers, "/metrics")
+            get(app, "/api/users")
+            get(app, f"/api/user/{uid}")
+            get(app, f"/api/user/{uid}")
+            get(app, "/api/crowd/banana")  # a 400
+            status, _, body = get(app, "/metrics")
         assert status == 200
         payload = json.loads(body)
         assert payload["enabled"] is True
@@ -286,11 +285,11 @@ class TestObservability:
         assert len(latency["/api/user/:id"]["counts"]) == \
             len(latency["/api/user/:id"]["buckets"]) + 1
 
-    def test_request_spans_record_endpoint_and_status(self, handlers):
+    def test_request_spans_record_endpoint_and_status(self, app):
         from repro.obs import observed
 
         with observed() as o:
-            route_request(*handlers, "/user/ghost")
+            get(app, "/user/ghost")
         (root,) = o.tracer.export()
         assert root["name"] == "web.request"
         assert root["attrs"]["endpoint"] == "/user/:id"
