@@ -47,8 +47,47 @@ _CSV_FIELDS = [
 ]
 
 
+_WEEKDAYS = frozenset(("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun"))
+_MONTHS = {
+    name: f"{number:02d}"
+    for number, name in enumerate(
+        ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"),
+        start=1,
+    )
+}
+
+
 def _parse_foursquare_time(raw: str) -> datetime:
-    return datetime.strptime(raw.strip(), _FOURSQUARE_TIME_FORMAT).astimezone(timezone.utc)
+    """Parse a dump timestamp into an aware UTC datetime.
+
+    The dump's fixed 30-character layout is sliced into an ISO string for
+    ``datetime.fromisoformat``, several times faster than ``strptime``.
+    Anything else, or anything ``fromisoformat`` rejects, goes through
+    ``strptime``, so accepted inputs and error messages are unchanged.
+    """
+    raw = raw.strip()
+    month = _MONTHS.get(raw[4:7])
+    if (
+        month is not None
+        and len(raw) == 30
+        and raw[:3] in _WEEKDAYS
+        and raw[3] == raw[7] == raw[10] == raw[19] == raw[25] == " "
+        and raw[13] == raw[16] == ":"
+        and raw[20] in "+-"
+        # strptime rejects hour 24 and offset minutes >= 60, which
+        # fromisoformat reads (hour 24 from Python 3.12).
+        and raw[11:13] < "24"
+        and raw[23] < "6"
+    ):
+        try:
+            ts = datetime.fromisoformat(
+                f"{raw[26:]}-{month}-{raw[8:10]}T{raw[11:19]}{raw[20:23]}:{raw[23:25]}"
+            )
+        except ValueError:
+            pass
+        else:
+            return ts if ts.tzinfo is timezone.utc else ts.astimezone(timezone.utc)
+    return datetime.strptime(raw, _FOURSQUARE_TIME_FORMAT).astimezone(timezone.utc)
 
 
 def _format_foursquare_time(ts: datetime) -> str:

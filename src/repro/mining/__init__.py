@@ -4,7 +4,6 @@ from .base import MiningLimits, SequentialPattern, sort_patterns, sorted_candida
 from .bruteforce import bruteforce_mine
 from .filters import closed_patterns, maximal_patterns, top_k_patterns
 from .gsp import gsp
-from .incremental import IncrementalPatternStore
 from .index import MatchIndex, build_match_index
 from .interop import (
     ItemCodec,
@@ -26,7 +25,6 @@ from .stats import MiningAggregate, UserMiningStats, aggregate_stats, user_minin
 __all__ = [
     "ExactMatcher",
     "FlexibleMatcher",
-    "IncrementalPatternStore",
     "ItemCodec",
     "MatchIndex",
     "MiningAggregate",

@@ -6,6 +6,7 @@ attributes, nested groups, ``<title>`` tooltips on marks, and file output.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 from xml.sax.saxutils import escape, quoteattr
@@ -16,16 +17,11 @@ Number = Union[int, float]
 
 # XML 1.0 forbids most C0 control characters even when escaped; strip them
 # (plus surrogates and U+FFFE/U+FFFF) from any user-supplied text.
-_XML_INVALID = {c for c in range(0x20) if c not in (0x09, 0x0A, 0x0D)}
+_XML_INVALID = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _sanitize(text: str) -> str:
-    return "".join(
-        ch for ch in text
-        if ord(ch) not in _XML_INVALID
-        and not (0xD800 <= ord(ch) <= 0xDFFF)
-        and ord(ch) not in (0xFFFE, 0xFFFF)
-    )
+    return _XML_INVALID.sub("", text)
 
 
 def _fmt(value: Number) -> str:

@@ -323,39 +323,45 @@ class CrowdWebApp:
     # -------------------------------------------------------------- warm-up
 
     def warm_paths(self) -> List[str]:
-        """The hot key space: crowd windows, tiles, and per-user fragments."""
+        """The hot key space in priority order, never more than the cache holds.
+
+        Site shell routes first, then the crowd windows, then zoom 0-1
+        tiles, then every ``/api/user/<id>``; the ``/user/<id>`` HTML pages
+        (the costliest render by far) take whatever room is left.
+        """
         paths = ["/", "/users", "/api/users", "/api/stats", "/api/crowd",
                  "/api/occupancy", "/api/tiles"]
-        n_windows = len(self.result.timeline)
-        tiles = self.api.tiles
-        warm_zoom = min(1, tiles.max_zoom)
-        for window in range(n_windows):
+        windows = range(len(self.result.timeline))
+        for window in windows:
             paths.append(f"/api/crowd/{window}")
             paths.append(f"/city?window={window}")
+        warm_zoom = min(1, self.api.tiles.max_zoom)
+        for window in windows:
             for zoom in range(warm_zoom + 1):
                 for x in range(2 ** zoom):
                     for y in range(2 ** zoom):
                         paths.append(f"/api/tiles/{zoom}/{x}/{y}?window={window}")
-        for user_id in sorted(self.result.profiles):
-            paths.append(f"/api/user/{user_id}")
-            paths.append(f"/user/{user_id}")
-        return paths
+        user_ids = sorted(self.result.profiles)
+        paths += [f"/api/user/{user_id}" for user_id in user_ids]
+        paths += [f"/user/{user_id}" for user_id in user_ids]
+        return paths[: self.cache.max_entries]
 
     def warm(self) -> int:
-        """Precompute the hot key space; returns entries materialized.
+        """Precompute the hot key space; returns the entries resident after it.
 
         Runs through :meth:`handle`, so warmed routes are byte-identical to
-        served ones and land in the same cache.
+        served ones and land in the same cache.  Keys are stored coolest
+        first, so the LRU's next eviction drops the coolest warmed entry.
         """
         observer = get_observer()
-        warmed = 0
-        with observer.span("web.precompute"):
-            for path in self.warm_paths():
-                status, _headers, _body = self.handle("GET", path, None)
-                if status == 200:
-                    warmed += 1
-            observer.inc("repro_web_precomputed_total", warmed)
-        return warmed
+        with observer.span("web.precompute") as span:
+            for path in reversed(self.warm_paths()):
+                self.handle("GET", path, None)
+            resident = len(self.cache)
+            span.set("entries", resident)
+            span.set("capacity", self.cache.max_entries)
+            observer.inc("repro_web_precomputed_total", resident)
+        return resident
 
 
 class CrowdWebServer:

@@ -2,6 +2,7 @@
 (ValueError with location info), never crash with anything else; valid
 records must round-trip faithfully through every format."""
 
+import dataclasses
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -17,6 +18,7 @@ from repro.data import (
     read_jsonl,
     save_dataset,
 )
+from repro.data import io as data_io
 
 UTC = timezone.utc
 
@@ -110,3 +112,111 @@ class TestGarbageRejection:
         path.write_text(content[: len(content) // 2 - 7])
         with pytest.raises(ValueError):
             read_foursquare_tsv(path)
+
+
+# ---------------------------------------------------------------- timestamps
+
+DUMP_FORMAT = "%a %b %d %H:%M:%S %z %Y"
+
+
+def strptime_parse(raw):
+    """The reference parse: the reader's fallback, on its own."""
+    return datetime.strptime(raw.strip(), DUMP_FORMAT).astimezone(UTC)
+
+
+def outcome(parse, raw):
+    """What a parse does with ``raw``: its value, or its exception."""
+    try:
+        value = parse(raw)
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    return value, value.tzinfo is UTC
+
+
+def read_outcome(path):
+    """Records (every field) or the error of one TSV read."""
+    try:
+        ds = read_foursquare_tsv(path)
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    return [(dataclasses.astuple(c), c.timestamp.tzinfo is UTC) for c in ds]
+
+
+def strptime_read_outcome(path):
+    """:func:`read_outcome` with the reader parsing through ``strptime`` only."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_io, "_parse_foursquare_time", strptime_parse)
+        return read_outcome(path)
+
+
+offsets = st.integers(min_value=-(24 * 60 - 1), max_value=24 * 60 - 1).map(
+    lambda minutes: timezone(timedelta(minutes=minutes))
+)
+stamps = st.builds(
+    lambda naive, tz: naive.replace(tzinfo=tz).strftime(DUMP_FORMAT),
+    st.datetimes(min_value=datetime(1000, 1, 1), max_value=datetime(9999, 12, 31)),
+    offsets,
+)
+
+ARABIC_INDIC_DIGITS = {ord("0") + d: 0x0660 + d for d in range(10)}
+
+# One edit each, turning a dump timestamp into a near-miss of the layout.
+NEAR_MISSES = {
+    "lowercase weekday": lambda s: s[:3].lower() + s[3:],
+    "uppercase month": lambda s: s[:4] + s[4:7].upper() + s[7:],
+    "single-digit day": lambda s: s[:8] + s[9:],
+    "space-padded day": lambda s: s[:8] + " " + s[9:],
+    "hour 24": lambda s: s[:11] + "24:00:00" + s[19:],
+    "second 60": lambda s: s[:17] + "60" + s[19:],
+    "unknown month": lambda s: s[:4] + "Abc" + s[7:],
+    "non-ASCII digits": lambda s: s.translate(ARABIC_INDIC_DIGITS),
+    "fullwidth digit": lambda s: s[:8] + "\uff10" + s[9:],
+    "offset minutes 60": lambda s: s[:23] + "60" + s[25:],
+    "offset hours 24": lambda s: s[:21] + "24" + s[23:],
+    "negative zero offset": lambda s: s[:20] + "-0000" + s[25:],
+    "missing offset": lambda s: s[:19] + s[25:],
+    "colon offset": lambda s: s[:23] + ":" + s[23:],
+    "trailing junk": lambda s: s + "x",
+    "padded": lambda s: "  " + s + " ",
+    "year 0000": lambda s: s[:26] + "0000",
+    "ISO separators": lambda s: s.replace(" ", "T", 1),
+}
+
+
+class TestTimestampFastPath:
+    @given(stamp=stamps)
+    @settings(max_examples=300, deadline=None)
+    def test_dump_layout_matches_strptime(self, stamp):
+        assert len(stamp) == 30
+        fast = outcome(data_io._parse_foursquare_time, stamp)
+        assert fast == outcome(strptime_parse, stamp)
+        # Only a UTC conversion past year 9999 fails; any value is in UTC.
+        assert fast[0] == "OverflowError" or fast[1] is True
+
+    @given(stamp=stamps, edit=st.sampled_from(sorted(NEAR_MISSES)))
+    @settings(max_examples=300, deadline=None)
+    def test_near_misses_match_strptime(self, stamp, edit):
+        raw = NEAR_MISSES[edit](stamp)
+        assert outcome(data_io._parse_foursquare_time, raw) == outcome(strptime_parse, raw)
+
+    @given(stamp=stamps, edit=st.sampled_from(sorted(NEAR_MISSES)))
+    @settings(max_examples=60, deadline=None)
+    def test_near_miss_reads_match_strptime(self, stamp, edit, tmp_path_factory):
+        """Whole reads agree too: same records, or the same ``path:lineno`` error."""
+        path = tmp_path_factory.mktemp("stamps") / "near.tsv"
+        valid = "u1\tv1\tc1\tCafe\t40.7\t-73.9\t0\tTue Apr 03 13:41:40 +0000 2012\n"
+        near = f"u2\tv2\tc2\tBar\t40.8\t-73.8\t-240\t{NEAR_MISSES[edit](stamp)}\n"
+        path.write_text(valid + near, encoding="utf-8")
+        fast = read_outcome(path)
+        reference = strptime_read_outcome(path)
+        assert fast == reference
+        if fast[0] == "ValueError":
+            assert f"{path}:2: malformed record" in fast[1]
+
+    def test_dataset_read_matches_strptime(self, tmp_path, small_ds):
+        path = tmp_path / "small.tsv"
+        save_dataset(small_ds, path)
+        fast = read_outcome(path)
+        reference = strptime_read_outcome(path)
+        assert len(fast) == len(small_ds)
+        assert fast == reference

@@ -1,16 +1,22 @@
 """Tests for closed/maximal filtering and pattern statistics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mining import (
+    MiningLimits,
+    ModifiedPrefixSpanConfig,
     SequentialPattern,
     aggregate_stats,
     closed_patterns,
     maximal_patterns,
+    modified_prefixspan,
     sort_patterns,
     top_k_patterns,
     user_mining_stats,
 )
+from repro.sequences import SequenceDatabase, TimedItem
 
 
 def pattern(items, count, n=10):
@@ -67,6 +73,38 @@ class TestMaximal:
         patterns = [pattern("a", 8), pattern("ab", 5), pattern("abc", 5), pattern("c", 9)]
         closed = {p.items for p in closed_patterns(patterns)}
         maximal = {p.items for p in maximal_patterns(patterns)}
+        assert maximal <= closed
+
+
+N_BINS = 6
+
+# Small worlds: a handful of days, each a bin-ordered run of labelled visits.
+worlds = st.lists(
+    st.lists(
+        st.builds(
+            TimedItem,
+            bin=st.integers(min_value=0, max_value=N_BINS - 1),
+            label=st.sampled_from(("home", "work", "gym")),
+        ),
+        max_size=5,
+    ).map(lambda day: sorted(day, key=lambda item: item.bin)),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestFilterInvariants:
+    @given(worlds, st.sampled_from([0.25, 0.5, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_maximal_within_closed_within_all(self, days, min_support):
+        config = ModifiedPrefixSpanConfig(
+            min_support=min_support, limits=MiningLimits(max_length=3)
+        )
+        mined = modified_prefixspan(SequenceDatabase(days), config, n_bins=N_BINS)
+        everything = {(p.items, p.count) for p in mined}
+        closed = {(p.items, p.count) for p in closed_patterns(mined)}
+        maximal = {(p.items, p.count) for p in maximal_patterns(mined)}
+        assert closed <= everything
         assert maximal <= closed
 
 

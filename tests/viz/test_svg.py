@@ -5,6 +5,7 @@ import xml.dom.minidom
 import pytest
 
 from repro.viz import SvgCanvas
+from repro.viz.svg import _sanitize
 
 
 def parse(svg: str):
@@ -104,3 +105,32 @@ class TestEscapingFuzz:
         canvas.circle(10, 10, 2, fill="#000", tooltip=tooltip)
         canvas.rect(0, 0, 5, 5, fill=f"c{text[:8]}")  # attribute position too
         parse(canvas.to_string())
+
+
+def per_character_sanitize(text):
+    """The character-by-character filter the regex replaced, kept as the spec."""
+    c0_invalid = {c for c in range(0x20) if c not in (0x09, 0x0A, 0x0D)}
+    return "".join(
+        ch for ch in text
+        if ord(ch) not in c0_invalid
+        and not (0xD800 <= ord(ch) <= 0xDFFF)
+        and ord(ch) not in (0xFFFE, 0xFFFF)
+    )
+
+
+class TestSanitize:
+    # All of C0, both surrogate bounds and their neighbours, U+FFFD to
+    # U+FFFF, and astral characters.
+    EDGES = [chr(c) for c in range(0x20)] + [
+        " ", "\ud7ff", "\ud800", "\udbff", "\udc00", "\udfff", "\ue000",
+        "\ufffd", "\ufffe", "\uffff", "\U00010000", "\U0001f600", "\U0010ffff",
+    ]
+
+    @pytest.mark.parametrize("ch", EDGES, ids=lambda ch: f"U+{ord(ch):04X}")
+    def test_each_edge_character_matches_the_spec(self, ch):
+        assert _sanitize(ch) == per_character_sanitize(ch)
+        assert _sanitize(f"a{ch}b") == per_character_sanitize(f"a{ch}b")
+
+    def test_mixed_text_matches_the_spec(self):
+        text = "".join(self.EDGES) * 3 + "Café → Park"
+        assert _sanitize(text) == per_character_sanitize(text)

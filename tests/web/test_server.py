@@ -215,6 +215,51 @@ class TestReadiness:
             assert o.registry.counter("repro_web_cache_hits_total") == 1
 
 
+class TestWarmCapacity:
+    """Warm never outgrows the cache and keeps the hottest keys resident."""
+
+    @pytest.fixture
+    def key_space(self, pipeline_result):
+        return CrowdWebApp(pipeline_result, cache_entries=10_000).warm_paths()
+
+    def test_warm_paths_are_a_capped_priority_prefix(self, pipeline_result, key_space):
+        n = len(key_space) - 2
+        app = CrowdWebApp(pipeline_result, cache_entries=n)
+        paths = app.warm_paths()
+        assert len(paths) <= n
+        assert paths == key_space[:n]
+        # User pages are the tail, so only they fall off the end.
+        first_user_page = next(i for i, p in enumerate(key_space) if p.startswith("/user/"))
+        assert first_user_page < n
+        assert all(p.startswith("/user/") for p in key_space[first_user_page:])
+
+    def test_warm_fills_without_evicting_and_drops_a_user_page_next(
+        self, pipeline_result, key_space
+    ):
+        from repro.obs import observed
+
+        n = len(key_space) - 2
+        app = CrowdWebApp(pipeline_result, cache_entries=n)
+        with observed() as o:
+            resident = app.warm()
+            assert o.registry.counter("repro_web_cache_evictions_total") == 0
+            (precompute,) = [s for s in o.tracer.roots() if s.name == "web.precompute"]
+            assert precompute.attrs["entries"] == resident
+            assert precompute.attrs["capacity"] == n
+        assert resident == len(app.cache) == n
+
+        # One store past capacity evicts the coolest warmed entry.
+        app.handle("GET", "/api/flows/0", None)
+        coolest = app.warm_paths()[-1]
+        assert coolest.startswith("/user/")
+        with observed() as o:
+            for path in ("/api/stats", "/api/crowd/9", "/api/tiles/0/0/0?window=9"):
+                assert app.handle("GET", path, None)[0] == 200
+            assert o.registry.counter("repro_web_renders_total") == 0
+            assert app.handle("GET", coolest, None)[0] == 200
+            assert o.registry.counter("repro_web_renders_total") == 1
+
+
 class TestCacheRoutes:
     def test_cache_info_route(self, pipeline_result):
         app = CrowdWebApp(pipeline_result)
