@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ...geo import BoundingBox, GeoPoint, QuadTree
+from ...geo import BoundingBox, GeoPoint, QuadTree, equirectangular_m
 from ...taxonomy import CategoryTree, build_default_taxonomy
 from ..records import Venue
 
@@ -92,14 +92,21 @@ class SyntheticCity:
 
     def nearest_of_root(self, point: GeoPoint, root_name: str, k: int = 8) -> List[Venue]:
         """The ``k`` venues of a root category nearest to ``point``."""
-        pool = self._by_root.get(root_name, ())
-        scored = sorted(pool, key=lambda v: point.fast_distance_to(v.location))
-        return scored[:k]
+        return _nearest(self._by_root.get(root_name, ()), point, k)
 
     def nearest_of_leaf(self, point: GeoPoint, leaf_name: str, k: int = 8) -> List[Venue]:
-        pool = self._by_leaf.get(leaf_name, ())
-        scored = sorted(pool, key=lambda v: point.fast_distance_to(v.location))
-        return scored[:k]
+        return _nearest(self._by_leaf.get(leaf_name, ()), point, k)
+
+
+def _nearest(pool: Sequence[Venue], point: GeoPoint, k: int) -> List[Venue]:
+    """The ``k`` venues of ``pool`` nearest to ``point`` (stable on ties).
+
+    The key is ``point.fast_distance_to(v.location)`` with the two method
+    calls inlined: the same floats, without their overhead per venue.
+    """
+    lat, lon = point.lat, point.lon
+    return sorted(pool, key=lambda v: equirectangular_m(lat, lon, v.location.lat,
+                                                        v.location.lon))[:k]
 
 
 def _scatter_around(
@@ -109,8 +116,8 @@ def _scatter_around(
     # ~111 km per degree latitude; correct longitude by cos(lat).
     dlat = rng.normal(0.0, sigma_m) / 111_320.0
     dlon = rng.normal(0.0, sigma_m) / (111_320.0 * max(np.cos(np.radians(center.lat)), 1e-6))
-    lat = float(np.clip(center.lat + dlat, bbox.min_lat, bbox.max_lat))
-    lon = float(np.clip(center.lon + dlon, bbox.min_lon, bbox.max_lon))
+    lat = float(min(max(center.lat + dlat, bbox.min_lat), bbox.max_lat))
+    lon = float(min(max(center.lon + dlon, bbox.min_lon), bbox.max_lon))
     return GeoPoint(lat, lon)
 
 

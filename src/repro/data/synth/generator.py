@@ -10,8 +10,10 @@ output sparse in exactly the way the paper describes.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from datetime import datetime, timedelta, timezone
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +29,23 @@ __all__ = ["GenerationResult", "generate", "synthetic_dataset", "small_dataset"]
 def _preference_weights(n: int) -> np.ndarray:
     w = 1.0 / np.arange(1, n + 1, dtype=float)
     return w / w.sum()
+
+
+@lru_cache(maxsize=None)
+def _preference_cdf(n: int) -> Tuple[float, ...]:
+    """The CDF ``rng.choice(n, p=_preference_weights(n))`` searches.
+
+    ``Generator.choice`` with ``p`` and no ``size`` normalizes ``p.cumsum()``
+    by its last entry, draws one ``random()`` double ``u`` and returns
+    ``searchsorted(cdf, u, side="right")``.  ``bisect_right`` over this tuple
+    with the same double gives the same index and leaves the stream where
+    ``choice`` would, without numpy's per-call validation of ``p``.
+    Pool sizes are bounded by ``preferred_venues_per_slot``, so the cache is
+    small; the tuple is immutable because every caller shares it.
+    """
+    cdf = _preference_weights(n).cumsum()
+    cdf /= cdf[-1]
+    return tuple(cdf.tolist())
 
 
 class GenerationResult:
@@ -54,45 +73,99 @@ class GenerationResult:
         return f"GenerationResult({self.dataset!r}, {len(self.agents)} agents)"
 
 
-def _choose_venue(
-    rng: np.random.Generator,
+class _StopPlan(NamedTuple):
+    """One routine stop of one agent, resolved once, outside the day loop."""
+
+    hour: float
+    #: The stop happens on a day when the occurrence double falls below this.
+    threshold: float
+    #: The venue of a fixed stop (``None`` for a flexible one, or if missing).
+    venue: Optional[Venue]
+    #: The ranked preference pool of a flexible stop; ``None`` means no
+    #: venue draw: the stop is fixed, or the agent has no pool for it.
+    pool: Optional[Tuple[Venue, ...]]
+    cdf: Optional[Tuple[float, ...]]
+    #: Every venue of the stop's category, for exploration (not copied).
+    candidates: Sequence[Venue]
+
+
+def _stop_plans(
     city: SyntheticCity,
     agent: AgentProfile,
-    stop: RoutineStop,
+    routine: Sequence[RoutineStop],
+    stop_skip_noise: float,
+    candidates_of: Dict[Tuple[str, str], List[Venue]],
+) -> List[_StopPlan]:
+    """Resolve each stop of ``routine`` to the values its daily draws need.
+
+    ``candidates_of`` caches the explore candidates per
+    ``(pool_kind, target)`` across agents.
+    """
+    plans: List[_StopPlan] = []
+    for stop in routine:
+        threshold = stop.prob * (1.0 - stop_skip_noise)
+        if stop.pool_kind == "fixed":
+            venue = city.venues_by_id.get(stop.target)
+            plans.append(_StopPlan(stop.hour, threshold, venue, None, None, ()))
+            continue
+        pool = agent.preferred.get(stop.slot_key)
+        if not pool:
+            plans.append(_StopPlan(stop.hour, threshold, None, None, None, ()))
+            continue
+        key = (stop.pool_kind, stop.target)
+        if key not in candidates_of:
+            candidates_of[key] = (city.venues_of_leaf(stop.target) if stop.pool_kind == "leaf"
+                                  else city.venues_of_root(stop.target))
+        plans.append(_StopPlan(stop.hour, threshold, None, pool, _preference_cdf(len(pool)),
+                               candidates_of[key]))
+    return plans
+
+
+def _visit_venue(
+    plan: _StopPlan, random: Callable[[], float], integers: Callable[[int], int],
     exploration_prob: float,
 ) -> Optional[Venue]:
-    """Pick today's venue for a routine stop (None if no venue exists)."""
-    if stop.pool_kind == "fixed":
-        return city.venues_by_id.get(stop.target)
-    pool = agent.preferred.get(stop.slot_key)
-    if not pool:
-        return None
-    if rng.random() < exploration_prob:
+    """Today's venue for a stop that happened (None if no venue exists).
+
+    ``random`` and ``integers`` are the bound methods of the simulation's
+    ``np.random.Generator``.
+    """
+    if plan.pool is None:
+        return plan.venue
+    if random() < exploration_prob:
         # Explore: any venue of the category, anywhere in the city.
-        if stop.pool_kind == "leaf":
-            candidates = city.venues_of_leaf(stop.target)
-        else:
-            candidates = city.venues_of_root(stop.target)
-        if candidates:
-            return candidates[int(rng.integers(len(candidates)))]
-        return None
-    weights = _preference_weights(len(pool))
-    return pool[int(rng.choice(len(pool), p=weights))]
+        candidates = plan.candidates
+        return candidates[int(integers(len(candidates)))] if candidates else None
+    return plan.pool[bisect_right(plan.cdf, random())]
 
 
-def _local_timestamp(
-    day: datetime, hour: float, jitter_min: float, rng: np.random.Generator, tz_offset_min: int
-) -> datetime:
-    """A timezone-aware UTC timestamp for ``hour`` local on ``day``."""
-    minutes = hour * 60.0 + rng.normal(0.0, jitter_min)
-    minutes = float(np.clip(minutes, 0.0, 24 * 60 - 1))
-    local_tz = timezone(timedelta(minutes=tz_offset_min))
-    local = day.replace(tzinfo=local_tz) + timedelta(minutes=minutes)
-    return local.astimezone(timezone.utc)
+def _local_timestamp(day_start: datetime, minutes: float) -> datetime:
+    """UTC time ``minutes`` after local midnight ``day_start``, clamped into the day."""
+    minutes = min(max(minutes, 0.0), 24 * 60 - 1.0)
+    return (day_start + timedelta(minutes=minutes)).astimezone(timezone.utc)
+
+
+def _checkin(agent: AgentProfile, venue: Venue, tz_offset_min: int, ts: datetime) -> CheckIn:
+    return CheckIn(
+        user_id=agent.user_id,
+        venue_id=venue.venue_id,
+        category_id=venue.category_id,
+        category_name=venue.category_name,
+        lat=venue.lat,
+        lon=venue.lon,
+        tz_offset_min=tz_offset_min,
+        timestamp=ts,
+    )
 
 
 def generate(config: SynthConfig = SynthConfig()) -> GenerationResult:
-    """Run the full simulation for ``config`` (deterministic in ``config.seed``)."""
+    """Run the full simulation for ``config`` (deterministic in ``config.seed``).
+
+    Every stop of every day makes its draws in a fixed order and kind: the
+    occurrence double; for a flexible stop the explore double, then either
+    an explore ``integers`` or a preference double; the check-in double;
+    the time-jitter normal.  Output at a seed depends on exactly that order.
+    """
     rng = np.random.default_rng(config.seed)
     taxonomy = build_default_taxonomy()
     city = build_city(
@@ -119,57 +192,47 @@ def generate(config: SynthConfig = SynthConfig()) -> GenerationResult:
             )
         events_by_day.setdefault(event.day, []).append((event, venues[0]))
 
+    candidates_of: Dict[Tuple[str, str], List[Venue]] = {}
+    plans = [
+        tuple(_stop_plans(city, agent, routine, config.stop_skip_noise, candidates_of)
+              for routine in (agent.weekday_routine, agent.weekend_routine))
+        for agent in agents
+    ]
+
+    random, integers, normal = rng.random, rng.integers, rng.normal
+    exploration_prob = config.exploration_prob
+    jitter_min = config.time_jitter_min
+    tz_offset_min = config.tz_offset_min
+    local_tz = timezone(timedelta(minutes=tz_offset_min))
     checkins: List[CheckIn] = []
     day0 = datetime(config.start_date.year, config.start_date.month, config.start_date.day)
     for day_index in range(config.n_days):
         day = day0 + timedelta(days=day_index)
+        day_start = day.replace(tzinfo=local_tz)
         season = config.monthly_seasonality[day.month]
-        weekday = day.weekday()
+        is_weekend = day.weekday() >= 5
         todays_events = events_by_day.get(day.date(), ())
-        for agent in agents:
-            routine = agent.routine_for(weekday)
+        for agent, agent_plans in zip(agents, plans):
             p_checkin = min(1.0, agent.checkin_prob * season)
             for event, event_venue in todays_events:
-                if rng.random() >= event.attendance_prob:
+                if random() >= event.attendance_prob:
                     continue
-                if rng.random() >= min(1.0, p_checkin * event.checkin_boost):
+                if random() >= min(1.0, p_checkin * event.checkin_boost):
                     continue
-                ts = _local_timestamp(day, event.start_hour, config.time_jitter_min,
-                                      rng, config.tz_offset_min)
-                checkins.append(
-                    CheckIn(
-                        user_id=agent.user_id,
-                        venue_id=event_venue.venue_id,
-                        category_id=event_venue.category_id,
-                        category_name=event_venue.category_name,
-                        lat=event_venue.lat,
-                        lon=event_venue.lon,
-                        tz_offset_min=config.tz_offset_min,
-                        timestamp=ts,
-                    )
-                )
-            for stop in routine:
-                if rng.random() >= stop.prob * (1.0 - config.stop_skip_noise):
+                minutes = event.start_hour * 60.0 + normal(0.0, jitter_min)
+                checkins.append(_checkin(agent, event_venue, tz_offset_min,
+                                         _local_timestamp(day_start, minutes)))
+            for plan in agent_plans[is_weekend]:
+                if random() >= plan.threshold:
                     continue  # the stop did not happen today
-                venue = _choose_venue(rng, city, agent, stop, config.exploration_prob)
+                venue = _visit_venue(plan, random, integers, exploration_prob)
                 if venue is None:
                     continue
-                if rng.random() >= p_checkin:
+                if random() >= p_checkin:
                     continue  # visited, but did not check in (voluntary sparsity)
-                ts = _local_timestamp(day, stop.hour, config.time_jitter_min, rng,
-                                      config.tz_offset_min)
-                checkins.append(
-                    CheckIn(
-                        user_id=agent.user_id,
-                        venue_id=venue.venue_id,
-                        category_id=venue.category_id,
-                        category_name=venue.category_name,
-                        lat=venue.lat,
-                        lon=venue.lon,
-                        tz_offset_min=config.tz_offset_min,
-                        timestamp=ts,
-                    )
-                )
+                minutes = plan.hour * 60.0 + normal(0.0, jitter_min)
+                checkins.append(_checkin(agent, venue, tz_offset_min,
+                                         _local_timestamp(day_start, minutes)))
 
     dataset = CheckInDataset(checkins, dict(city.venues_by_id), name="synthetic-nyc")
     return GenerationResult(dataset, city, agents, config)

@@ -21,7 +21,7 @@ from ..records import Fix, Venue
 from .agents import AgentProfile
 from .city import SyntheticCity
 from .config import SynthConfig
-from .generator import _choose_venue
+from .generator import _stop_plans, _visit_venue
 
 __all__ = ["TraceConfig", "simulate_day_trace", "simulate_traces"]
 
@@ -70,15 +70,14 @@ def simulate_day_trace(
     the agent walks in a straight line at ``walking_speed_mps``; every
     ``sample_interval_s`` a noisy fix is emitted.
     """
-    weekday = day.weekday()
-    routine = agent.routine_for(weekday)
+    routine = agent.routine_for(day.weekday())
     visits: List[tuple] = []  # (hour, venue)
-    for stop in routine:
-        if rng.random() >= stop.prob * (1.0 - synth.stop_skip_noise):
+    for plan in _stop_plans(city, agent, routine, synth.stop_skip_noise, {}):
+        if rng.random() >= plan.threshold:
             continue
-        venue = _choose_venue(rng, city, agent, stop, synth.exploration_prob)
+        venue = _visit_venue(plan, rng.random, rng.integers, synth.exploration_prob)
         if venue is not None:
-            visits.append((stop.hour, venue))
+            visits.append((plan.hour, venue))
     if not visits:
         return []
     visits.sort(key=lambda pair: pair[0])

@@ -1,9 +1,15 @@
 """Tests for the synthetic GTSM generator (the dataset substitution)."""
 
+import hashlib
+from bisect import bisect_right
+from dataclasses import replace
+from datetime import date
+
 import pytest
 
 from repro.data import SMALL_CONFIG, SynthConfig, dataset_stats, generate
-from repro.data.synth import build_agents, build_city
+from repro.data.synth import CityEvent, build_agents, build_city
+from repro.data.synth.generator import _preference_cdf, _preference_weights
 from repro.taxonomy import build_default_taxonomy
 
 import numpy as np
@@ -158,3 +164,70 @@ class TestGeneration:
 
     def test_ground_truth_accessible(self, small_gen):
         assert small_gen.agents_by_id[small_gen.agents[0].user_id] is small_gen.agents[0]
+
+
+def _generation_digest(config: SynthConfig) -> str:
+    """sha256 over every record's full tuple and every agent's ground truth."""
+    gen = generate(config)
+    h = hashlib.sha256()
+    for c in gen.dataset:
+        h.update(repr((
+            c.user_id, c.venue_id, c.category_id, c.category_name, c.lat, c.lon,
+            c.tz_offset_min, c.timestamp.isoformat(timespec="microseconds"),
+        )).encode())
+    for a in gen.agents:
+        h.update(repr((
+            a.user_id, a.persona, a.home.venue_id,
+            a.work.venue_id if a.work else None, a.checkin_prob,
+            a.weekday_routine, a.weekend_routine,
+            sorted((k, tuple(v.venue_id for v in pool)) for k, pool in a.preferred.items()),
+        )).encode())
+    return h.hexdigest()
+
+
+_DERBY = CityEvent(name="derby", day=date(2012, 5, 12), venue_category="Stadium",
+                   attendance_prob=0.6)
+
+
+class TestGoldenOutput:
+    """The generator's output is pinned byte for byte at fixed seeds.
+
+    The digests pin numpy's ``Generator`` stream *and* the order and kind of
+    every draw the simulation makes.  Under NEP 19 the PCG64 bit stream is
+    stable, but how ``Generator`` methods turn bits into values may change
+    between numpy releases; ``TestDrawHelpers`` tells whether ``choice`` is
+    the cause when a numpy upgrade breaks these digests.  A speed-up of the
+    generator must keep them unchanged; a deliberate change to the draw
+    order must re-record them and regenerate every artifact built from
+    generated data.
+    """
+
+    @pytest.mark.parametrize("config, digest", [
+        (SMALL_CONFIG,
+         "9d009c2238feda36d258e4078c39b6df0d34081b66069b95fd2f66ff2eef2cc4"),
+        (replace(SMALL_CONFIG, exploration_prob=1.0),
+         "85aad01450a7410abac7862c724e32ae85429cf4c8f30562396ef6fc985a0ff4"),
+        (replace(SMALL_CONFIG, exploration_prob=0.0, preferred_venues_per_slot=1),
+         "6a4d7877c8722fb4553fd3122269a24820fbf3d17a9e18fe4aa9334a43ec1f8a"),
+        (replace(SMALL_CONFIG, preferred_venues_per_slot=6, seed=3),
+         "4e242e9b652d9401ce1a2b48e51e3b32641a08c9f3993074bc3937e09de95a2b"),
+        (replace(SMALL_CONFIG, events=(_DERBY,)),
+         "7376a24c661fd5ccfb1b5cd5302aab2db5368f5868af5fe47f41f46fb30268a8"),
+    ], ids=["small", "explore-always", "explore-never-one-pref", "six-prefs-seed3", "event"])
+    def test_digest(self, config, digest):
+        assert _generation_digest(config) == digest
+
+
+class TestDrawHelpers:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cached_cdf_pick_equals_choice(self, n):
+        """The cached-CDF pick is ``choice(n, p=...)``: same index, same stream.
+
+        If a numpy release changed how ``choice`` consumes the bit stream,
+        this fails before the golden digests do, and names the cause.
+        """
+        ours, numpys = np.random.default_rng(n), np.random.default_rng(n)
+        cdf, weights = _preference_cdf(n), _preference_weights(n)
+        picks = [bisect_right(cdf, ours.random()) for _ in range(3000)]
+        assert picks == [int(numpys.choice(n, p=weights)) for _ in range(3000)]
+        assert ours.random() == numpys.random()
