@@ -1,7 +1,7 @@
 """CW7xx — the thread-safety pack (whole-program race detection).
 
-The serving layer runs a ``ThreadingHTTPServer``: one thread per request,
-all of them sharing this process's module globals and long-lived objects.
+The serving layer runs one thread per client connection, all of them
+sharing this process's module globals and long-lived objects.
 These rules read the CW7xx records that
 :class:`~repro.devtools.threads.ThreadAnalysis` — thread roots, concurrency
 domains, and inferred locksets over the project call graph — leaves in the

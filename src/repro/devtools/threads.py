@@ -6,9 +6,10 @@ Three stages, mirroring the v3 whole-program pipeline:
    the domain summaries, so they ride the same content-addressed cache)
    record every spawn site — ``threading.Thread(target=...)``,
    ``concurrent.futures`` submissions, ``exec.ordered_map`` worker fns,
-   executor ``initializer=`` hooks — and every ``BaseHTTPRequestHandler``
-   subclass (the classes a ``ThreadingHTTPServer`` drives with one thread
-   per request).  Targets resolve through the existing
+   executor ``initializer=`` hooks — and every request-handler subclass
+   (``socketserver.BaseRequestHandler``, ``BaseHTTPRequestHandler`` and
+   kin: the classes a threading server drives with one thread per
+   connection).  Targets resolve through the existing
    :meth:`~repro.devtools.callgraph.ProjectAnalysis.resolve`.
 
 2. **Escape analysis.**  BFS reachability from the roots assigns each
@@ -70,7 +71,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ThreadFacts", "ThreadAnalysis"]
 
 DOMAIN_MAIN = "main"          #: code not reachable from any spawn site
-DOMAIN_HANDLER = "handler"    #: per-request threads of a ThreadingHTTPServer
+DOMAIN_HANDLER = "handler"    #: per-connection threads of a threading server
 DOMAIN_THREAD = "thread"      #: threading.Thread / ThreadPoolExecutor work
 DOMAIN_POOL = "pool"          #: process-pool workers (own address space)
 

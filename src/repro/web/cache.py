@@ -22,8 +22,8 @@ stale renders are discarded.
 
 Concurrency
 -----------
-The cache is shared by every handler thread of the
-``ThreadingHTTPServer``.  All mutation happens under one internal lock
+The cache is shared by every connection thread of the
+``CrowdWebServer``.  All mutation happens under one internal lock
 (``_lock``); expensive work — rendering, hashing, gzip — happens *outside*
 it, so the lock is only ever held for dict operations.  The CW7xx race
 pack verifies this shape statically (``crowdweb-lint --threads`` infers

@@ -1,4 +1,4 @@
-"""The HTTP layer of the platform: a cached, threaded service architecture.
+"""The HTTP layer of the platform: a cached service behind a keep-alive loop.
 
 Routes
 ------
@@ -33,10 +33,22 @@ Service architecture (see ``docs/serving.md``)
 :class:`~repro.web.cache.ResponseCache`.  The hot path is a dict lookup:
 cacheable routes render **once**, then serve pre-encoded bytes with strong
 ETags, ``Last-Modified``, ``304`` revalidation, and pre-compressed gzip
-twins.  :class:`CrowdWebServer` adds the ``ThreadingHTTPServer`` plumbing
-— and binds its socket *before* the pipeline result exists: constructed
-with ``result_factory``, it answers ``503`` + ``Retry-After`` while the
+twins.  :class:`CrowdWebServer` puts it on a socket — and binds that
+socket *before* the pipeline result exists: constructed with
+``result_factory``, it answers ``503`` + ``Retry-After`` while the
 precompute is in flight instead of leaving the first client hanging.
+
+The HTTP layer is one small HTTP/1.1 connection loop, one thread per
+connection (:class:`_Connection` on a :class:`_ConnectionServer`).  It
+splits each request head at its blank line, reads the request line and
+lower-cased headers, drains any ``Content-Length`` body, calls
+:meth:`CrowdWebApp.handle` and sends the response head and body in one
+``sendall``.  It keeps ``http.server``'s limits: ``400`` for a malformed
+request line, header or ``Content-Length``, ``414`` for a request line over
+:data:`MAX_LINE_BYTES`, ``431`` for more than :data:`MAX_HEADERS` headers,
+``501`` for a method other than GET/POST.  Each of those, and HTTP/1.0 or
+``Connection: close``, closes the connection after the response;
+:meth:`CrowdWebServer.stop` closes the ones still open.
 
 Every request runs inside a ``web.request`` trace span with latency
 recorded per normalized endpoint (``/user/:id``); cache misses add a
@@ -46,11 +58,14 @@ enabled.
 
 from __future__ import annotations
 
+import functools
 import json
+import socket
+import socketserver
 import threading
 import time
-from email.utils import parsedate_to_datetime
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate, parsedate_to_datetime
+from http import HTTPStatus
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, urlencode, urlparse
 
@@ -364,6 +379,270 @@ class CrowdWebApp:
         return resident
 
 
+# ---------------------------------------------------------------- HTTP/1.1
+
+#: Longest request line or header line accepted, CRLF included (as ``http.server``).
+MAX_LINE_BYTES = 65536
+#: Most header lines one request may carry (as ``http.client``).
+MAX_HEADERS = 100
+#: Longest request head: the request line plus ``MAX_HEADERS`` header lines.
+MAX_HEAD_BYTES = (MAX_HEADERS + 1) * MAX_LINE_BYTES
+#: Seconds a closing connection keeps reading what the client still sends.
+LINGER_S = 1.0
+#: Seconds ``CrowdWebServer.stop`` waits, in all, for connection threads to end.
+STOP_JOIN_S = 5.0
+
+_RECV_BYTES = 65536
+_METHODS = frozenset({"GET", "POST"})
+_VERSIONS = frozenset({"HTTP/1.0", "HTTP/1.1"})
+_STATUS_LINES = {s.value: f"HTTP/1.1 {s.value} {s.phrase}\r\n" for s in HTTPStatus}
+_SERVER_LINE = "Server: CrowdWeb\r\n"
+_CLOSE: HeaderList = [("Connection", "close")]
+
+
+class _HttpError(Exception):
+    """A request the connection loop refuses itself; the connection then closes."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The ``Date`` header for Unix time ``second``, formatted once a second."""
+    return formatdate(second, usegmt=True)
+
+
+def _read_head(sock: socket.socket, buffer: bytes) -> Tuple[Optional[bytes], bytes]:
+    """The next request head (up to its blank line) and the bytes after it.
+
+    The head is ``None`` when the client closed before sending a whole one.
+    Blank lines before a request line are skipped, as RFC 9112 asks.
+    """
+    scanned = 0
+    while True:
+        buffer = buffer.lstrip(b"\r\n")
+        end = buffer.find(b"\r\n\r\n", scanned)
+        if end >= 0:
+            return buffer[:end], buffer[end + 4:]
+        if len(buffer) > MAX_LINE_BYTES and buffer.find(b"\r\n", 0, MAX_LINE_BYTES) < 0:
+            raise _HttpError(414, "request line too long")
+        if len(buffer) > MAX_HEAD_BYTES:
+            raise _HttpError(431, "request head too large")
+        scanned = max(0, len(buffer) - 3)
+        chunk = sock.recv(_RECV_BYTES)
+        if not chunk:
+            return None, b""
+        buffer += chunk
+
+
+def _parse_head(head: bytes) -> Tuple[str, str, bool, Dict[str, str]]:
+    """``(method, target, keep_alive, headers)`` of one request head.
+
+    Header names are lower-cased; the first of repeated headers wins.
+    """
+    lines = head.decode("latin-1").split("\r\n")
+    if len(lines[0]) + 2 > MAX_LINE_BYTES:
+        raise _HttpError(414, "request line too long")
+    words = lines[0].split()
+    if len(words) != 3:
+        raise _HttpError(400, f"bad request line {lines[0][:200]!r}")
+    method, target, version = words
+    if version not in _VERSIONS:
+        status = 505 if version.startswith("HTTP/") else 400
+        raise _HttpError(status, f"unsupported version {version[:200]!r}")
+    keep_alive = version == "HTTP/1.1"
+    if len(lines) > MAX_HEADERS + 1:
+        raise _HttpError(431, f"more than {MAX_HEADERS} headers")
+    headers: Dict[str, str] = {}
+    for line in lines[1:]:
+        if len(line) + 2 > MAX_LINE_BYTES:
+            raise _HttpError(431, "header line too long")
+        name, colon, value = line.partition(":")
+        name = name.strip().lower()
+        if not colon or not name:
+            raise _HttpError(400, f"bad header line {line[:200]!r}")
+        if name not in headers:
+            headers[name] = value.strip()
+    connection = headers.get("connection", "").lower()
+    if connection == "close":
+        keep_alive = False
+    elif connection == "keep-alive":
+        keep_alive = True
+    if target.startswith("//"):
+        # As http.server: a client would read '//host/path' as another host.
+        target = "/" + target.lstrip("/")
+    return method, target, keep_alive, headers
+
+
+def _content_length(headers: Mapping[str, str]) -> int:
+    """The request body's length in bytes (0 without a body)."""
+    if "transfer-encoding" in headers:
+        raise _HttpError(501, "Transfer-Encoding is not supported")
+    value = headers.get("content-length")
+    if value is None:
+        return 0
+    if not (value.isascii() and value.isdigit()):
+        raise _HttpError(400, f"bad Content-Length {value[:200]!r}")
+    return int(value)
+
+
+def _discard(sock: socket.socket, buffer: bytes, length: int) -> bytes:
+    """Drop a ``length``-byte request body; returns the bytes after it."""
+    if length <= len(buffer):
+        return buffer[length:]
+    length -= len(buffer)
+    while length > 0:
+        chunk = sock.recv(min(length, _RECV_BYTES))
+        if not chunk:
+            raise ConnectionError("client closed the connection mid-body")
+        length -= len(chunk)
+    return b""
+
+
+def _send(sock: socket.socket, status: int, headers: HeaderList, body: bytes) -> None:
+    """One response, head and body in a single ``sendall``.
+
+    The head is the status line, ``Server``, ``Date``, the given headers in
+    order, then ``Content-Length`` (none on a ``304``, which has no body).
+    """
+    lines = [_STATUS_LINES[status], _SERVER_LINE,
+             "Date: ", _http_date(int(time.time())), "\r\n"]
+    for name, value in headers:
+        lines.append(f"{name}: {value}\r\n")
+    if status == 304:
+        lines.append("\r\n")
+        body = b""
+    else:
+        lines.append(f"Content-Length: {len(body)}\r\n\r\n")
+    sock.sendall("".join(lines).encode("latin-1") + body)
+
+
+def _linger(sock: socket.socket) -> None:
+    """Close our side, then read what the client still sends, for a while.
+
+    Closing a socket with unread input makes the kernel reset the
+    connection, which can destroy a response the client has not read yet.
+    """
+    sock.shutdown(socket.SHUT_WR)
+    deadline = time.monotonic() + LINGER_S
+    remaining = LINGER_S
+    while remaining > 0:
+        sock.settimeout(remaining)
+        if not sock.recv(_RECV_BYTES):
+            return
+        remaining = deadline - time.monotonic()
+
+
+class _Connection(socketserver.BaseRequestHandler):
+    """One client connection: a loop of HTTP/1.1 requests until it closes.
+
+    Each pass reads one head, drains the body its ``Content-Length``
+    announces, answers through the owner's :class:`CrowdWebApp` and sends
+    the response in one write.  Bytes past the body stay buffered for the
+    next pass, so pipelined requests are answered in order.
+    """
+
+    server: "_ConnectionServer"
+
+    def handle(self) -> None:
+        sock = self.request
+        # Responses are single writes; Nagle + delayed ACK would add tens of
+        # milliseconds to each request on a reused connection.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        owner = self.server.owner
+        buffer = b""
+        try:
+            while True:
+                try:
+                    head, buffer = _read_head(sock, buffer)
+                    if head is None:
+                        break
+                    method, target, keep_alive, headers = _parse_head(head)
+                    if method not in _METHODS:
+                        raise _HttpError(501, f"unsupported method {method[:200]!r}")
+                    length = _content_length(headers)
+                    if length:
+                        if headers.get("expect", "").lower() == "100-continue":
+                            sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+                        buffer = _discard(sock, buffer, length)
+                except _HttpError as exc:
+                    status, out_headers, body = CrowdWebApp._json_response(
+                        exc.status, {"error": str(exc)})
+                    _send(sock, status, out_headers + _CLOSE, body)
+                    break
+                app = owner._app
+                if app is None:
+                    # Not ready (building, or the build failed): tell the
+                    # client to come back on a new connection.
+                    status, out_headers, body = owner._unready_response()
+                    _send(sock, status, out_headers + _CLOSE, body)
+                    break
+                try:
+                    status, out_headers, body = app.handle(method, target, headers)
+                except Exception as exc:  # noqa: BLE001 - keep the worker alive
+                    status, out_headers, body = CrowdWebApp._json_response(
+                        500, {"error": f"{type(exc).__name__}: {exc}"})
+                _send(sock, status, out_headers, body)
+                if not keep_alive:
+                    break
+            _linger(sock)
+        except OSError:
+            return  # the client went away, or stop() shut the socket
+
+
+class _ConnectionServer(socketserver.TCPServer):
+    """A TCP server that runs each connection in its own tracked daemon thread.
+
+    :meth:`close_connections` shuts every open connection's socket, which
+    ends its loop's blocking read, and joins the threads.
+    """
+
+    allow_reuse_address = True
+
+    def __init__(self, address: Tuple[str, int], owner: "CrowdWebServer") -> None:
+        self.owner = owner
+        self._lock = threading.Lock()
+        self._connections: Dict[socket.socket, threading.Thread] = {}
+        super().__init__(address, _Connection)
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(target=self._serve_connection,
+                                  args=(request, client_address), daemon=True)
+        with self._lock:
+            self._connections[request] = thread
+        try:
+            thread.start()
+        except RuntimeError:  # no thread to be had: socketserver closes the socket
+            with self._lock:
+                del self._connections[request]
+            raise
+
+    def _serve_connection(self, request, client_address) -> None:
+        try:
+            self.finish_request(request, client_address)
+        except Exception:  # noqa: BLE001 - printed, as socketserver does
+            self.handle_error(request, client_address)
+        finally:
+            with self._lock:
+                del self._connections[request]
+            self.shutdown_request(request)
+
+    def close_connections(self, timeout: float) -> None:
+        """Shut every open connection down and wait up to ``timeout`` s in all."""
+        with self._lock:
+            open_connections = list(self._connections.items())
+        for sock, _thread in open_connections:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                continue  # its own thread closed it meanwhile
+        deadline = time.monotonic() + timeout
+        for _sock, thread in open_connections:
+            thread.join(max(0.0, deadline - time.monotonic()))
+
+
 class CrowdWebServer:
     """The platform server.  ``serve_forever`` blocks; ``start`` runs in a
     daemon thread (used by tests and the examples).
@@ -392,72 +671,10 @@ class CrowdWebServer:
         self._app_error: Optional[str] = None
         self._app_lock = threading.Lock()
         self._ready = threading.Event()
+        self._serving = threading.Event()
         self._warm = warm
         self._cache_entries = cache_entries
-        owner = self
-
-        class Handler(BaseHTTPRequestHandler):
-            # Keep-alive: the load-bearing half of the keep-alive hot path —
-            # requires every response to carry an exact Content-Length,
-            # which _respond guarantees.
-            protocol_version = "HTTP/1.1"
-            # Nagle + delayed ACK adds tens of ms per request on a reused
-            # connection; cached responses are single writes, so just send.
-            disable_nagle_algorithm = True
-
-            def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-                self._serve("GET")
-
-            def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
-                self._serve("POST")
-
-            def _serve(self, method: str) -> None:
-                app = owner._app
-                if app is None:
-                    # Not ready (warming up, or the build failed): drain any
-                    # request body so a keep-alive client that already sent
-                    # one is not left mid-stream, tell it to reconnect later
-                    # with Connection: close, and actually close our side.
-                    self._drain_body()
-                    status, headers, body = owner._unready_response()
-                    self._respond(status, headers + [("Connection", "close")], body)
-                    # Each connection gets its own Handler instance, so this
-                    # flag is never shared across request threads.
-                    self.close_connection = True  # crowdlint: disable=CW701 -- per-connection instance state
-                    return
-                try:
-                    status, headers, body = app.handle(method, self.path, self.headers)
-                except Exception as exc:  # noqa: BLE001 - keep the worker alive
-                    payload = json.dumps(
-                        {"error": f"{type(exc).__name__}: {exc}"}
-                    ).encode("utf-8")
-                    status, headers, body = (
-                        500, [("Content-Type", "application/json")], payload
-                    )
-                self._respond(status, headers, body)
-
-            def _drain_body(self) -> None:
-                try:
-                    length = int(self.headers.get("Content-Length") or 0)
-                except ValueError:
-                    length = 0
-                if length > 0:
-                    self.rfile.read(length)
-
-            def _respond(self, status: int, headers: HeaderList, body: bytes) -> None:
-                self.send_response(status)
-                for name, value in headers:
-                    self.send_header(name, value)
-                if status != 304:
-                    self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                if body and status != 304:
-                    self.wfile.write(body)
-
-            def log_message(self, format: str, *args) -> None:
-                pass  # quiet by default; the CLI prints the URL once
-
-        self._server = ThreadingHTTPServer((host, port), Handler)
+        self._server = _ConnectionServer((host, port), self)
         self._thread: Optional[threading.Thread] = None
         self._builder: Optional[threading.Thread] = None
         if result is not None:
@@ -544,16 +761,23 @@ class CrowdWebServer:
 
     def start(self) -> "CrowdWebServer":
         """Serve in a background daemon thread (returns immediately)."""
+        self._serving.set()
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
         self._thread.start()
         return self
 
     def serve_forever(self) -> None:
+        self._serving.set()
         self._server.serve_forever()
 
     def stop(self) -> None:
-        self._server.shutdown()
+        """Stop accepting, close every open connection and join its thread."""
+        if self._serving.is_set():
+            # socketserver's shutdown waits for a serve_forever to exit, so
+            # it would block for ever on a server that never served.
+            self._server.shutdown()
         self._server.server_close()
+        self._server.close_connections(STOP_JOIN_S)
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None

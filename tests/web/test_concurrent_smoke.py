@@ -1,4 +1,4 @@
-"""Concurrent smoke test: many threads hammering a live ThreadingHTTPServer.
+"""Concurrent smoke test: many threads hammering a live CrowdWebServer.
 
 N worker threads alternate between a page route and ``GET /metrics``
 against a real server under scoped observability.  The assertions are the
