@@ -15,8 +15,7 @@ Reading the map bottom-up:
 * ``crowd`` (the paper's §5 synchronization layer) sits on patterns and
   sequences but must never reach up into ``viz``/``web``.
 * ``web`` and ``cli`` are leaves: nothing imports them except ``cli`` → ``web``
-  (the CLI embeds the ``serve`` entry point) and ``bench`` → ``web`` (the
-  serving load-test harness drives the server over real sockets).
+  (the CLI embeds the ``serve`` entry point).
   ``repro.web.cache`` and ``repro.web.tiles`` (the serving layer's response
   cache and tile/LOD index) live inside ``web`` and follow its rules.
 * ``devtools`` (this subsystem) is intentionally isolated: it imports nothing
@@ -106,22 +105,6 @@ LAYER_MAP: Dict[str, FrozenSet[str]] = {
             "patterns",
             "sequences",
             "taxonomy",
-        }
-    ),
-    # perf-regression harness: times the spine end to end, and (for the
-    # serving load test) the web layer it drives over real sockets
-    "bench": frozenset(
-        {
-            "data",
-            "exec",
-            "experiments",
-            "mining",
-            "obs",
-            "patterns",
-            "pipeline",
-            "sequences",
-            "taxonomy",
-            "web",
         }
     ),
     "persistence": frozenset({"mining", "patterns", "sequences", "taxonomy"}),

@@ -129,7 +129,7 @@ class UnseededRandomRule(Rule):
 _TRANSPARENT_CALLS = frozenset({"abs", "float", "int", "max", "min", "round"})
 
 #: Layers whose whole job is timestamps and timing; exempt from CW202.
-_CLOCK_LAYERS = frozenset({"obs", "bench"})
+_CLOCK_LAYERS = frozenset({"obs"})
 
 
 def _is_wallclock_call(node: ast.Call, ctx: FileContext) -> Optional[str]:

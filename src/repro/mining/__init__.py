@@ -3,7 +3,6 @@
 from .base import MiningLimits, SequentialPattern, sort_patterns, sorted_candidates
 from .bruteforce import bruteforce_mine
 from .filters import closed_patterns, maximal_patterns, top_k_patterns
-from .gsp import gsp
 from .index import MatchIndex, build_match_index
 from .interop import (
     ItemCodec,
@@ -36,7 +35,6 @@ __all__ = [
     "bruteforce_mine",
     "build_match_index",
     "closed_patterns",
-    "gsp",
     "maximal_patterns",
     "modified_prefixspan",
     "modified_prefixspan_reference",

@@ -3,7 +3,7 @@
 Enumerates every distinct subsequence (up to a length cap) that actually
 occurs in the database, then counts support by scanning.  Exponential in
 sequence length, so only usable on small inputs — which is exactly what the
-property-based tests feed it to cross-check PrefixSpan and GSP.
+property-based tests feed it to cross-check PrefixSpan.
 """
 
 from __future__ import annotations

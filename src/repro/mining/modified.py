@@ -278,8 +278,8 @@ def modified_prefixspan_reference(
 ) -> List[SequentialPattern[TimedItem]]:
     """The original straight-line miner: global pool re-scan at every node.
 
-    Kept as the parity oracle and the benchmark baseline for
-    :func:`modified_prefixspan`; do not use it on large databases.
+    Kept as the parity oracle for :func:`modified_prefixspan`, and as the
+    baseline its speed gate must beat; do not use it on large databases.
     """
     n = len(db)
     if n == 0:

@@ -13,7 +13,7 @@ Two explicit bounds keep traces small:
   counted in ``n_dropped_children`` instead of being attached.
 
 Spans export to plain dicts (``to_dict`` / ``Tracer.export``) — the format
-the bench reports embed and ``python -m repro.obs`` pretty-prints.
+the observability dump holds and ``python -m repro.obs`` pretty-prints.
 """
 
 from __future__ import annotations

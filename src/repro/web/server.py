@@ -83,6 +83,11 @@ RETRY_AFTER_S = 1
 #: Routes that must never be served from (or stored into) the cache.
 _UNCACHEABLE = frozenset({"/metrics", "/api/refresh", "/api/cache"})
 
+#: The query params :func:`_dispatch` reads, in key order.  Only these (first
+#: value each) enter the response-cache key, so a param no route reads
+#: (``?utm=...``) shares the bare path's entry instead of adding its own.
+_ROUTE_PARAMS = ("min_similarity", "window", "z", "zoom")
+
 HeaderList = List[Tuple[str, str]]
 WebResponse = Tuple[int, HeaderList, bytes]
 
@@ -262,7 +267,7 @@ class CrowdWebApp:
 
     def _cache_key(self, segments, query) -> CacheKey:
         canonical_query = urlencode(
-            sorted((name, value) for name, values in query.items() for value in values)
+            [(name, query[name][0]) for name in _ROUTE_PARAMS if name in query]
         )
         return self.cache.key("GET", "/" + "/".join(segments), canonical_query)
 

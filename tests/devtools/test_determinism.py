@@ -99,7 +99,7 @@ class TestWallclockData:
         )
         assert rule_ids(findings) == ["CW202"]
 
-    def test_obs_and_bench_layers_are_exempt(self, lint):
+    def test_obs_layer_is_exempt(self, lint):
         source = """
             import time
 
@@ -107,7 +107,6 @@ class TestWallclockData:
                 return {"at": time.time()}
             """
         assert lint(source, rule="CW202", module="repro.obs.runtime") == []
-        assert lint(source, rule="CW202", module="repro.bench.timing") == []
 
     def test_non_repro_files_are_exempt(self, lint):
         findings = lint(

@@ -215,6 +215,28 @@ class TestReadiness:
             assert o.registry.counter("repro_web_cache_hits_total") == 1
 
 
+class TestCacheKey:
+    """Only the params a route reads key the response cache."""
+
+    def test_unread_query_params_do_not_enter_the_cache_key(self, pipeline_result):
+        from repro.obs import observed
+
+        app = CrowdWebApp(pipeline_result)
+        warmed = app.warm()
+        for i in range(600):
+            assert app.handle("GET", f"/api/stats?utm={i}", None)[0] == 200
+        assert len(app.cache) == warmed
+        with observed() as o:
+            assert app.handle("GET", "/api/crowd/9", None)[0] == 200
+            assert o.registry.counter("repro_web_renders_total") == 0
+            # A param a route reads still keys its own entry.
+            app.handle("GET", "/api/communities?utm=x", None)
+            app.handle("GET", "/api/communities", None)
+            app.handle("GET", "/api/communities?min_similarity=0.1", None)
+            assert o.registry.counter("repro_web_renders_total") == 2
+        assert len(app.cache) == warmed + 2
+
+
 class TestWarmCapacity:
     """Warm never outgrows the cache and keeps the hottest keys resident."""
 
