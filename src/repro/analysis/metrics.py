@@ -111,22 +111,20 @@ def lz_entropy_estimate(sequence: Sequence[str]) -> float:
     n = len(sequence)
     if n < 2:
         raise ValueError("LZ entropy needs a sequence of length >= 2")
-    seq = list(sequence)
+    # One code point per distinct element, so "seq[i:i+k] appears entirely
+    # within seq[:i]" is a substring search of one str.
+    codes: Dict[object, int] = {}
+    text = "".join(chr(codes.setdefault(element, len(codes))) for element in sequence)
     lambdas = 0
+    k = 1
     for i in range(n):
-        # Shortest substring seq[i:i+k] not present in seq[:i].
-        k = 1
-        while i + k <= n:
-            needle = seq[i:i + k]
-            found = False
-            for j in range(0, i - k + 1):
-                if seq[j:j + k] == needle:
-                    found = True
-                    break
-            if not found:
-                break
+        # Λ_i = the shortest k whose text[i:i+k] is not found before i, or
+        # n - i + 1 when every length is.  Any substring of a found one is
+        # found too, so Λ_{i+1} >= Λ_i - 1 and the search resumes there.
+        while i + k <= n and text.find(text[i:i + k], 0, i) >= 0:
             k += 1
-        lambdas += min(k, n - i + 1)
+        lambdas += k
+        k = max(1, k - 1)
     return (n / lambdas) * math.log2(n)
 
 

@@ -8,7 +8,7 @@ similarity).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -61,17 +61,35 @@ def sequence_edit_similarity(a: Sequence[TimedItem], b: Sequence[TimedItem]) -> 
 
 
 def profile_similarity_matrix(
-    profiles: Dict[str, UserPatternProfile]
+    profiles: Mapping[str, UserPatternProfile]
 ) -> Tuple[List[str], np.ndarray]:
     """Symmetric pairwise pattern-set similarity over all users.
 
-    Returns the sorted user-id list and the matching (n, n) matrix.
+    Returns the sorted user-id list and the matching (n, n) matrix, equal
+    entry for entry to :func:`pattern_set_similarity`.  Each distinct item
+    set is one 0/1 row of a sets × items matrix ``A``: intersections are
+    ``A @ A.T``, unions ``|a| + |b| − |a ∩ b|``, and two empty sets give
+    1.0.  Users then pick their set's row and column; many users share a
+    set (every user without patterns has the empty one).
     """
     user_ids = sorted(profiles)
-    n = len(user_ids)
-    matrix = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = pattern_set_similarity(profiles[user_ids[i]], profiles[user_ids[j]])
-            matrix[i, j] = matrix[j, i] = s
-    return user_ids, matrix
+    distinct: Dict[FrozenSet[TimedItem], int] = {}
+    rows = [
+        distinct.setdefault(
+            frozenset(item for p in profiles[user_id].patterns for item in p.items),
+            len(distinct),
+        )
+        for user_id in user_ids
+    ]
+    columns = {item: c for c, item in enumerate(sorted(set().union(*distinct)))}
+    members = np.zeros((len(distinct), len(columns)))
+    for row, items in enumerate(distinct):
+        members[row, [columns[item] for item in items]] = 1.0
+    # Small integer counts, so the float products and sums are exact and
+    # each quotient rounds exactly as ``len(a & b) / len(a | b)`` does.
+    intersection = members @ members.T
+    sizes = members.sum(axis=1)
+    union = sizes[:, None] + sizes[None, :] - intersection
+    with np.errstate(invalid="ignore"):
+        similarity = np.where(union > 0, intersection / union, 1.0)
+    return user_ids, similarity[np.ix_(rows, rows)]

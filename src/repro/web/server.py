@@ -83,13 +83,26 @@ RETRY_AFTER_S = 1
 #: Routes that must never be served from (or stored into) the cache.
 _UNCACHEABLE = frozenset({"/metrics", "/api/refresh", "/api/cache"})
 
-#: The query params :func:`_dispatch` reads, in key order.  Only these (first
-#: value each) enter the response-cache key, so a param no route reads
-#: (``?utm=...``) shares the bare path's entry instead of adding its own.
-_ROUTE_PARAMS = ("min_similarity", "window", "z", "zoom")
-
 HeaderList = List[Tuple[str, str]]
 WebResponse = Tuple[int, HeaderList, bytes]
+
+
+def _route_params(segments: List[str]) -> Tuple[str, ...]:
+    """The query params :func:`_dispatch` reads for ``segments``, in key order.
+
+    Only these (first value each) enter the response-cache key, so a param
+    the matched route does not read (``/api/stats?window=3``) shares the
+    bare path's entry instead of adding its own.
+    """
+    if segments[:1] == ["city"]:
+        return ("window", "zoom")
+    if len(segments) == 5 and segments[:2] == ["api", "tiles"]:
+        return ("window",)
+    if segments == ["api", "communities"]:
+        return ("min_similarity",)
+    if segments == ["api", "spikes"]:
+        return ("z",)
+    return ()
 
 
 def _endpoint_of(segments: List[str]) -> str:
@@ -267,7 +280,7 @@ class CrowdWebApp:
 
     def _cache_key(self, segments, query) -> CacheKey:
         canonical_query = urlencode(
-            [(name, query[name][0]) for name in _ROUTE_PARAMS if name in query]
+            [(name, query[name][0]) for name in _route_params(segments) if name in query]
         )
         return self.cache.key("GET", "/" + "/".join(segments), canonical_query)
 

@@ -4,6 +4,8 @@ import math
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     jump_lengths_m,
@@ -91,6 +93,63 @@ class TestEntropies:
     def test_lz_short_raises(self):
         with pytest.raises(ValueError):
             lz_entropy_estimate(["a"])
+
+    @given(st.one_of(
+        st.lists(st.sampled_from("ab"), min_size=2, max_size=400),
+        st.lists(st.sampled_from("abcde"), min_size=2, max_size=400),
+        st.lists(st.integers(0, 300).map(str), min_size=2, max_size=400),
+    ))
+    @settings(max_examples=120, deadline=None)
+    def test_lz_equals_the_cubic_oracle(self, sequence):
+        assert lz_entropy_estimate(sequence) == oracle_lz_entropy_estimate(sequence)
+
+    @pytest.mark.parametrize("sequence", [
+        ["a", "b"], ["a", "a"], ["a"] * 400, list("ab" * 200),
+        [str(i) for i in range(400)], list("abcabdabcabdabce" * 25),
+    ])
+    def test_lz_extremes_equal_the_cubic_oracle(self, sequence):
+        assert lz_entropy_estimate(sequence) == oracle_lz_entropy_estimate(sequence)
+
+
+def oracle_lz_entropy_estimate(sequence):
+    """The cubic scan the substring search replaced: Λ_i by slice compares."""
+    n = len(sequence)
+    seq = list(sequence)
+    lambdas = 0
+    for i in range(n):
+        k = 1
+        while i + k <= n:
+            needle = seq[i:i + k]
+            if not any(seq[j:j + k] == needle for j in range(0, i - k + 1)):
+                break
+            k += 1
+        lambdas += min(k, n - i + 1)
+    return (n / lambdas) * math.log2(n)
+
+
+class TestServedMetrics:
+    def test_bodies_equal_the_oracle_render(self, pipeline_result, monkeypatch):
+        from repro.web import CrowdWebApp
+
+        paths = [f"/api/metrics/{uid}" for uid in sorted(pipeline_result.profiles)]
+        served = [CrowdWebApp(pipeline_result).handle("GET", p)[2] for p in paths]
+        monkeypatch.setattr("repro.analysis.metrics.lz_entropy_estimate",
+                            oracle_lz_entropy_estimate)
+        oracle_app = CrowdWebApp(pipeline_result)
+        assert served == [oracle_app.handle("GET", p)[2] for p in paths]
+
+    def test_each_refresh_renders_once_more(self, pipeline_result):
+        from repro.obs import observed
+        from repro.web import CrowdWebApp
+
+        app = CrowdWebApp(pipeline_result)
+        path = f"/api/metrics/{sorted(pipeline_result.profiles)[0]}"
+        with observed() as o:
+            for expected in (1, 2, 3):
+                assert app.handle("GET", path)[0] == 200
+                app.handle("GET", path)
+                assert o.registry.counter("repro_web_renders_total") == expected
+                app.handle("POST", "/api/refresh")
 
 
 class TestPredictability:

@@ -5,12 +5,17 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import settings
 
 from repro.data import ActiveUserFilter, generate, SMALL_CONFIG
 from repro.experiments import small_pipeline_config
 from repro.pipeline import run_pipeline
 from repro.sequences import build_all_databases
 from repro.taxonomy import AbstractionLevel, build_default_taxonomy
+
+#: ``pytest --hypothesis-profile=ci``: the same examples per test, drawn from
+#: a fixed seed, so a property test passes or fails the same way every run.
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture(scope="session")

@@ -1,16 +1,23 @@
 """Tests for behavioural community detection (label propagation)."""
 
+import json
+
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crowd import (
+    Community,
     build_similarity_graph,
     detect_communities,
     label_propagation,
 )
 from repro.mining import SequentialPattern
-from repro.patterns import UserPatternProfile
+from repro.patterns import UserPatternProfile, pattern_set_similarity
 from repro.sequences import TimedItem
+from repro.web import CrowdWebApp
 
 
 def profile(user_id, items):
@@ -119,3 +126,189 @@ class TestDetectCommunities:
         communities = detect_communities(pipeline_result.profiles, min_similarity=0.05)
         covered = [uid for c in communities for uid in c.user_ids]
         assert sorted(covered) == sorted(pipeline_result.profiles)
+
+    def test_users_without_patterns_form_one_community(self):
+        # jaccard(∅, ∅) = 1.0, so every user without a mined pattern links
+        # to every other one at weight 1.0 and they end up together.
+        profiles = {f"e{i}": profile(f"e{i}", []) for i in range(4)}
+        profiles["w1"] = profile("w1", [(9, "Work")])
+        profiles["w2"] = profile("w2", [(9, "Work"), (12, "Eatery")])
+        communities = detect_communities(profiles, min_similarity=0.05)
+        assert communities[0].user_ids == ("e0", "e1", "e2", "e3")
+        assert communities[1].user_ids == ("w1", "w2")
+        assert communities == oracle_detect_communities(profiles, 0.05)
+
+
+# ------------------------------------------------------------------ oracle
+#
+# The pairwise dict/networkx implementation the array path replaced: one
+# ``pattern_set_similarity`` per pair, and a label loop over networkx
+# adjacency dicts.  The array path must reproduce it exactly.
+
+
+def oracle_similarity_graph(profiles, min_similarity):
+    if not (0.0 <= min_similarity <= 1.0):
+        raise ValueError("min_similarity must be a probability")
+    graph = nx.Graph()
+    user_ids = sorted(profiles)
+    graph.add_nodes_from(user_ids)
+    for i, a in enumerate(user_ids):
+        for b in user_ids[i + 1:]:
+            s = pattern_set_similarity(profiles[a], profiles[b])
+            if s >= min_similarity:
+                graph.add_edge(a, b, weight=s)
+    return graph
+
+
+def oracle_label_propagation(graph, max_iterations=100, seed=0):
+    rng = np.random.default_rng(seed)
+    nodes = sorted(graph.nodes)
+    labels = {node: i for i, node in enumerate(nodes)}
+    for _ in range(max_iterations):
+        changed = False
+        for idx in list(rng.permutation(len(nodes))):
+            node = nodes[int(idx)]
+            neighbors = graph[node]
+            if not neighbors:
+                continue
+            strength = {}
+            for neighbor, attrs in neighbors.items():
+                label = labels[neighbor]
+                strength[label] = strength.get(label, 0.0) + attrs.get("weight", 1.0)
+            best = min(strength, key=lambda label: (-strength[label], label))
+            if best != labels[node]:
+                labels[node] = best
+                changed = True
+        if not changed:
+            break
+    return labels
+
+
+def oracle_detect_communities(profiles, min_similarity=0.1, min_size=1, seed=0):
+    labels = oracle_label_propagation(oracle_similarity_graph(profiles, min_similarity),
+                                      seed=seed)
+    by_label = {}
+    for user_id, label in labels.items():
+        by_label.setdefault(label, []).append(user_id)
+    groups = sorted(
+        (sorted(members) for members in by_label.values() if len(members) >= min_size),
+        key=lambda members: (-len(members), members[0]),
+    )
+    return [Community(community_id=i, user_ids=tuple(members))
+            for i, members in enumerate(groups)]
+
+
+#: Few distinct items, so profiles overlap, repeat and tie often.
+_ITEMS = [(b, label) for b in (9, 12, 18) for label in ("Work", "Eatery", "Shops")]
+
+profile_sets = st.dictionaries(
+    keys=st.text(alphabet="abcdefgh", min_size=1, max_size=2),
+    values=st.lists(st.sampled_from(_ITEMS), max_size=4),  # [] is a user without patterns
+    max_size=14,
+).map(lambda d: {uid: profile(uid, items) for uid, items in d.items()})
+
+thresholds = st.one_of(
+    st.sampled_from([0.0, 0.05, 1 / 3, 0.5, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+def _edges(graph):
+    """Edges with weights, in each node's adjacency order."""
+    return {node: list(graph[node].items()) for node in graph.nodes}
+
+
+class TestOracleParity:
+    """The array path equals the pairwise dict/networkx implementation."""
+
+    @given(profiles=profile_sets, min_similarity=thresholds,
+           seed=st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_detect_communities_equals_oracle(self, profiles, min_similarity, seed):
+        assert detect_communities(profiles, min_similarity, seed=seed) == \
+            oracle_detect_communities(profiles, min_similarity, seed=seed)
+
+    @given(profiles=profile_sets, min_similarity=thresholds)
+    @settings(max_examples=100, deadline=None)
+    def test_similarity_graph_equals_oracle(self, profiles, min_similarity):
+        graph = build_similarity_graph(profiles, min_similarity)
+        oracle = oracle_similarity_graph(profiles, min_similarity)
+        assert list(graph.nodes) == list(oracle.nodes)
+        assert _edges(graph) == _edges(oracle)
+
+    @given(
+        n_nodes=st.integers(min_value=0, max_value=12),
+        edges=st.lists(
+            st.tuples(st.integers(0, 11), st.integers(0, 11),
+                      st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.6, 1.0, 1.0, -1.0, None])),
+            max_size=40,
+        ),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_label_propagation_equals_oracle(self, n_nodes, edges, seed):
+        # Repeated weights make ties common, and 0.1/0.2/0.3/0.6 sums that
+        # depend on their order; zero and negative weights make a present
+        # label's strength <= 0; nodes past the edges stay isolated; None
+        # leaves the weight to its default.
+        graph = nx.Graph()
+        graph.add_nodes_from(f"n{i:02d}" for i in range(n_nodes))
+        for a, b, weight in edges:
+            attrs = {} if weight is None else {"weight": weight}
+            graph.add_edge(f"n{a:02d}", f"n{b:02d}", **attrs)
+        assert label_propagation(graph, seed=seed) == oracle_label_propagation(graph, seed=seed)
+
+    def test_strengths_sum_in_adjacency_order(self):
+        # 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1 in floats: on this graph,
+        # summing a node's strengths in reverse adjacency order gives a
+        # different partition.
+        graph = nx.Graph()
+        for a, b, weight in [(0, 1, 0.1), (0, 2, 0.3), (0, 3, 0.2), (0, 4, 0.6),
+                             (1, 2, 0.6), (2, 3, 0.6), (2, 4, 0.1)]:
+            graph.add_edge(f"n{a}", f"n{b}", weight=weight)
+        labels = label_propagation(graph)
+        assert labels == oracle_label_propagation(graph)
+        assert labels == {"n0": 1, "n1": 1, "n2": 1, "n3": 1, "n4": 1}
+
+    def test_zero_weight_links_at_threshold_zero(self, two_cliques):
+        # At min_similarity=0 disjoint users link with weight 0.0.
+        graph = build_similarity_graph(two_cliques, min_similarity=0.0)
+        assert graph["w1"]["n1"]["weight"] == 0.0
+        assert detect_communities(two_cliques, 0.0) == \
+            oracle_detect_communities(two_cliques, 0.0)
+
+class TestServedBodies:
+    """``/api/communities`` serves the oracle's bytes."""
+
+    THRESHOLDS = ("0", "0.05", "0.3", "1")
+
+    def test_bodies_equal_the_oracle_render(self, pipeline_result, monkeypatch):
+        paths = [f"/api/communities?min_similarity={t}" for t in self.THRESHOLDS]
+        served = [CrowdWebApp(pipeline_result).handle("GET", p)[2] for p in paths]
+        monkeypatch.setattr("repro.web.api.detect_communities", oracle_detect_communities)
+        oracle_app = CrowdWebApp(pipeline_result)
+        assert served == [oracle_app.handle("GET", p)[2] for p in paths]
+
+    @pytest.mark.parametrize("value", ["-0.1", "1.5", "nan", "inf"])
+    def test_out_of_range_threshold_is_a_400(self, pipeline_result, value):
+        status, _, body = CrowdWebApp(pipeline_result).handle(
+            "GET", f"/api/communities?min_similarity={value}")
+        assert status == 400
+        assert json.loads(body) == {"error": "min_similarity must be a probability"}
+
+    def test_unparsable_threshold_is_a_400(self, pipeline_result):
+        status, _, body = CrowdWebApp(pipeline_result).handle(
+            "GET", "/api/communities?min_similarity=x")
+        assert status == 400
+        assert json.loads(body) == {"error": "could not convert string to float: 'x'"}
+
+    def test_each_refresh_renders_once_more(self, pipeline_result):
+        from repro.obs import observed
+
+        app = CrowdWebApp(pipeline_result)
+        with observed() as o:
+            for expected in (1, 2, 3):
+                app.handle("GET", "/api/communities")
+                app.handle("GET", "/api/communities")
+                assert o.registry.counter("repro_web_renders_total") == expected
+                app.handle("POST", "/api/refresh")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mining import SequentialPattern
 from repro.patterns import (
@@ -92,3 +94,28 @@ class TestSimilarityMatrix:
         assert np.allclose(matrix, matrix.T)
         assert matrix[0, 1] == 1.0
         assert matrix[0, 2] == 0.0
+
+
+#: Few distinct items, so item sets overlap, repeat and come out empty.
+_ITEMS = [TimedItem(b, label) for b in (9, 12, 18) for label in ("Work", "Eatery", "Home")]
+
+
+class TestSimilarityMatrixParity:
+    @given(st.dictionaries(
+        keys=st.text(alphabet="abcdef", min_size=1, max_size=2),
+        values=st.lists(st.lists(st.sampled_from(_ITEMS), min_size=1, max_size=3),
+                        max_size=3),
+        max_size=12,
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_matrix_equals_pairwise_similarity(self, patterns_by_user):
+        profiles = {uid: profile(uid, *patterns) for uid, patterns in patterns_by_user.items()}
+        ids, matrix = profile_similarity_matrix(profiles)
+        assert ids == sorted(profiles)
+        expected = [[pattern_set_similarity(profiles[a], profiles[b]) for b in ids]
+                    for a in ids]
+        assert matrix.tolist() == expected
+
+    def test_no_users(self):
+        ids, matrix = profile_similarity_matrix({})
+        assert ids == [] and matrix.shape == (0, 0)

@@ -3,6 +3,7 @@
 import json
 import urllib.error
 import urllib.request
+from urllib.parse import parse_qs
 
 import pytest
 
@@ -226,6 +227,10 @@ class TestCacheKey:
         for i in range(600):
             assert app.handle("GET", f"/api/stats?utm={i}", None)[0] == 200
         assert len(app.cache) == warmed
+        # A param another route reads is still unread here.
+        for i in range(600):
+            assert app.handle("GET", f"/api/stats?window={i}", None)[0] == 200
+        assert len(app.cache) == warmed
         with observed() as o:
             assert app.handle("GET", "/api/crowd/9", None)[0] == 200
             assert o.registry.counter("repro_web_renders_total") == 0
@@ -235,6 +240,25 @@ class TestCacheKey:
             app.handle("GET", "/api/communities?min_similarity=0.1", None)
             assert o.registry.counter("repro_web_renders_total") == 2
         assert len(app.cache) == warmed + 2
+
+    @pytest.mark.parametrize("path,read,unread", [
+        ("/city", "window=3&zoom=1", "z=1&min_similarity=0.2"),
+        ("/city/extra", "window=3", "z=1"),
+        ("/api/tiles/1/0/0", "window=3", "zoom=2&z=1&min_similarity=0.2"),
+        ("/api/communities", "min_similarity=0.2", "window=3&zoom=1&z=1"),
+        ("/api/spikes", "z=3.5", "window=3&zoom=1&min_similarity=0.2"),
+        ("/api/crowd/9", None, "window=3&zoom=1&z=1&min_similarity=0.2"),
+        ("/api/occupancy", None, "window=3&zoom=1&z=1&min_similarity=0.2"),
+    ])
+    def test_each_route_is_keyed_on_the_params_it_reads(self, app, path, read, unread):
+        def key(query):
+            segments = [s for s in path.split("/") if s]
+            return app._cache_key(segments, parse_qs(query))
+
+        assert key(unread) == key("")
+        if read is not None:
+            assert key(read) != key("")
+            assert key(read + "&" + unread) == key(read)
 
 
 class TestWarmCapacity:
