@@ -27,10 +27,6 @@ __all__ = [
 ]
 
 
-def _month_key(ts: datetime) -> str:
-    return f"{ts.year:04d}-{ts.month:02d}"
-
-
 @dataclass(frozen=True)
 class DatasetStats:
     """Summary statistics mirroring the paper's pre-processing narrative."""
@@ -114,9 +110,13 @@ def dataset_stats(dataset: CheckInDataset) -> DatasetStats:
 
 
 def monthly_counts(dataset: CheckInDataset) -> Dict[str, int]:
-    """Check-ins per calendar month (UTC), keyed ``"YYYY-MM"``."""
-    counts: Counter = Counter(_month_key(c.timestamp) for c in dataset)
-    return dict(sorted(counts.items()))
+    """Check-ins per calendar month (UTC), keyed ``"YYYY-MM"`` in calendar order.
+
+    Records are counted per ``(year, month)`` pair, so only the few distinct
+    months are formatted into keys, not every record.
+    """
+    counts: Counter = Counter((c.timestamp.year, c.timestamp.month) for c in dataset)
+    return {f"{year:04d}-{month:02d}": n for (year, month), n in sorted(counts.items())}
 
 
 def records_per_user_histogram(dataset: CheckInDataset, bin_width: int = 50) -> Dict[str, int]:

@@ -6,17 +6,15 @@ definition walk; this module stitches the digests together.
 boundaries — through imports and their aliases, module attributes,
 ``functools.partial`` wrappers, ``self`` dispatch, and methods on
 locally-constructed instances — links each analysis's call sites through one
-target resolver, and runs the domain, thread, exception and lifecycle
-analyses, whose fixpoints all share :func:`~repro.devtools.solver.solve`.
+target resolver, and runs the thread, exception and lifecycle analyses,
+whose fixpoints all share :func:`~repro.devtools.solver.solve`.
 
 What the analyses find lands once in a per-module **records table**; each
-record carries the ``rule`` id that reads it (CW601–CW603 records are the
-resolved calls whose parameter expects a known domain, and their rules
-report the mismatches; every other record is a finding).  Three consumers
-sit on top:
+record is one finding and carries the ``rule`` id that reports it.  Three
+consumers sit on top:
 
-* the **whole-program rules** (CW6xx–CW8xx) read :meth:`ProjectAnalysis.
-  records` and keep the records of their own rule;
+* the **whole-program rules** (CW604, CW701, CW703, CW801) read
+  :meth:`ProjectAnalysis.records` and keep the records of their own rule;
 * the **engine/cache** read :meth:`ProjectAnalysis.dep_key`, the digest of a
   module's records — the only project-dependent input of its findings — so a
   file is re-analyzed only when its content *or* that digest changes, and
@@ -46,7 +44,7 @@ from typing import (
     Tuple,
 )
 
-from .domains import DomainEnv, FunctionRef, extract_summary
+from .domains import FunctionRef, extract_summary
 from .exceptions import ExceptionAnalysis
 from .resources import LifecycleAnalysis
 from .threads import ThreadAnalysis
@@ -131,16 +129,14 @@ class CallGraph:
 class ProjectAnalysis:
     """Summaries + resolution + analyses + records for one lint invocation.
 
-    Construct via :meth:`build` (extracts or cache-loads summaries, then
-    solves the domain fixpoint); the other analyses and the records table
-    are built on first use.
+    Construct via :meth:`build` (extracts or cache-loads summaries); the
+    analyses and the records table are built on first use.
     """
 
     _MAX_CHASE = 6  # import/alias chains longer than this stay unresolved
 
     def __init__(self, summaries: Dict[str, Dict[str, object]]):
         self.summaries = summaries
-        self.env = DomainEnv()
         self.summaries_built = 0
         self.summaries_cached = 0
         self._resolve_cache: Dict[Tuple[str, str, str], Optional[Tuple[FunctionRef, bool]]] = {}
@@ -183,7 +179,6 @@ class ProjectAnalysis:
         project = cls(summaries)
         project.summaries_built = built
         project.summaries_cached = cached
-        project.env.solve(summaries, project.resolve)
         return project
 
     # ------------------------------------------------------------ resolution
@@ -209,9 +204,6 @@ class ProjectAnalysis:
         self, module_key: str, caller: str, sym: List[object]
     ) -> Optional[Tuple[FunctionRef, bool]]:
         kind = sym[0]
-        if kind == "partial":
-            # Hints never carry partials, but be total anyway.
-            return self.resolve(module_key, caller, sym[1])  # type: ignore[arg-type]
         if kind == "name":
             return self._as_callable(self._lookup(module_key, sym[1]))  # type: ignore[arg-type]
         if kind == "self":
@@ -462,9 +454,8 @@ class ProjectAnalysis:
             def emit(key: str, record: Dict[str, object]) -> None:
                 table.setdefault(key, []).append(record)
 
-            self.env.emit_records(self.summaries, self.resolve, emit)
             self._emit_dead_exports(emit)
-            for analysis in (self.threads(), self.exceptions(), LifecycleAnalysis(self)):
+            for analysis in (self.threads(), LifecycleAnalysis(self)):
                 analysis.emit_records(emit)
             for records in table.values():
                 records.sort(key=lambda r: (r["line"], r["col"], r["rule"]))

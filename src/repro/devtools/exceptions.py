@@ -4,7 +4,7 @@ Per-function *may-raise* summaries computed to fixpoint over the existing
 whole-program call graph:
 
 1. **Fact extraction.**  Per-module *exception facts* ride inside the
-   domain summaries (same content-addressed cache, same ``--jobs``
+   module summaries (same content-addressed cache, same ``--jobs``
    shipping): every explicit ``raise`` site, every call expression in the
    callgraph's symbolic-callee vocabulary, and every ``except`` handler —
    each annotated with the ordered stack of handlers lexically guarding
@@ -32,15 +32,9 @@ whole-program call graph:
 
 Unresolved callees (stdlib, third-party) contribute **nothing** — the
 analysis answers "which *project-raised* exceptions reach this frame",
-which is exactly what the CW803 swallow rule and the CW801/CW802 leak
-reachability checks need, and it keeps the pack at zero false positives
-on code the resolver cannot see.
-
-CW803 (broad handler swallows a propagated domain exception) fires when a
-handler catches ``Exception``/``BaseException``/bare, does **not**
-re-raise, does **not** use its bound exception variable, has a non-silent
-body (silent ones are CW107's per-file finding), and the fixpoint proves
-at least one project-raised exception is delivered to it.
+which is exactly what the CW801 leak-reachability check and the
+``--raises`` view need, and it keeps CW801 at zero false positives on code
+the resolver cannot see.
 
 The fact producer is import-light (``ast`` + stdlib + the symbolic
 helpers shared with :mod:`repro.devtools.threads`) so
@@ -51,7 +45,7 @@ extraction walk without an import cycle.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .solver import solve
 from .threads import _BlockWalker, _call_sym, _last_name
@@ -123,10 +117,6 @@ _NON_EXCEPTION = frozenset(
     {"BaseException", "KeyboardInterrupt", "SystemExit", "GeneratorExit"}
 )
 
-#: Broad catch types: CW803 (and the per-file CW107) only ever fire on these
-#: (or, for CW803, a bare handler).
-_BROAD = frozenset({"Exception", "BaseException"})
-
 Node = Tuple[str, str]  # (module_key, qualname)
 GuardGroups = List[List[int]]  # inner-to-outer: handler ids of each enclosing try
 
@@ -156,28 +146,6 @@ def _caught_type_names(handler: ast.ExceptHandler) -> List[str]:
         if name is not None:
             names.append(name)
     return names
-
-
-def _body_is_silent(body: Sequence[ast.stmt]) -> bool:
-    """True when the handler body does nothing (CW107's shape; CW107 uses it)."""
-    for stmt in body:
-        if isinstance(stmt, ast.Pass):
-            continue
-        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
-            continue
-        return False
-    return True
-
-
-def _uses_name(body: Sequence[ast.stmt], name: Optional[str]) -> bool:
-    """Whether the bound exception variable is ever read in the body."""
-    if not name:
-        return False
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
-                return True
-    return False
 
 
 class ExceptionFacts:
@@ -248,7 +216,6 @@ class _ExcWalker(_BlockWalker):
                 if handler_id is None:
                     return True  # bare raise with no active handler: dead code
                 entry["handler"] = handler_id
-                self.rec["handlers"][handler_id]["reraises"] = True  # type: ignore[index]
             self.rec["raises"].append(entry)  # type: ignore[union-attr]
             return False  # the raised expression still scans for calls
         if isinstance(stmt, ast.Try):
@@ -256,17 +223,7 @@ class _ExcWalker(_BlockWalker):
             for handler in stmt.handlers:
                 hid = len(self.rec["handlers"])  # type: ignore[arg-type]
                 handler_ids.append(hid)
-                self.rec["handlers"].append(  # type: ignore[union-attr]
-                    {
-                        "id": hid,
-                        "types": _caught_type_names(handler),
-                        "line": handler.lineno,
-                        "col": handler.col_offset,
-                        "reraises": False,
-                        "uses": _uses_name(handler.body, handler.name),
-                        "silent": _body_is_silent(handler.body),
-                    }
-                )
+                self.rec["handlers"].append(_caught_type_names(handler))  # type: ignore[union-attr]
             inner = ([handler_ids] if handler_ids else []) + guards
             self.walk(stmt.body, (inner, handler_id))
             for hid, handler in zip(handler_ids, stmt.handlers):
@@ -289,7 +246,7 @@ Origin = Tuple[str, int, Optional[Node]]
 
 
 class ExceptionAnalysis:
-    """Interprocedural may-raise sets, their provenance, and CW803 records.
+    """Interprocedural may-raise sets and their provenance.
 
     Built from the per-module exception facts inside the summaries, linked
     through the project's call resolution; both fixpoints run on the shared
@@ -387,8 +344,8 @@ class ExceptionAnalysis:
         for group in guards:
             for hid in group:
                 try:
-                    caught = handlers[hid]["types"]  # type: ignore[index]
-                except (IndexError, TypeError, KeyError):
+                    caught = handlers[hid]  # type: ignore[index]
+                except (IndexError, TypeError):
                     continue
                 if self._catches(caught, exc):
                     return hid
@@ -458,32 +415,6 @@ class ExceptionAnalysis:
     def may_raise(self, module_key: str, qualname: str) -> frozenset:
         """The project-raised exception types escaping one function."""
         return frozenset(self.raises_out.get((module_key, qualname), set()))
-
-    def emit_records(self, emit: Callable[[str, Dict[str, object]], None]) -> None:
-        """Hand every CW803 finding record to ``emit(module_key, record)``."""
-        for node in sorted(self.nodes):
-            module_key, qualname = node
-            for handler in self.nodes[node]["handlers"]:  # type: ignore[union-attr]
-                caught = handler["types"]
-                broad = not caught or bool(set(caught) & _BROAD)
-                if not broad or handler["reraises"] or handler["uses"]:
-                    continue
-                if handler["silent"]:
-                    continue  # CW107's per-file finding owns the silent shape
-                received = self.incoming.get((node, int(handler["id"])), set())
-                if not received:
-                    continue
-                emit(
-                    module_key,
-                    {
-                        "rule": "CW803",
-                        "line": int(handler["line"]),
-                        "col": int(handler["col"]),
-                        "func": qualname,
-                        "caught": list(caught) or ["<bare>"],
-                        "types": sorted(received),
-                    },
-                )
 
     # -- the --raises explain mode ----------------------------------------
 

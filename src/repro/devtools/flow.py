@@ -1,10 +1,10 @@
 """The flow-aware core of crowdlint: per-function CFG + reaching definitions.
 
 PR-1 rules were purely syntactic — they looked at one node at a time.  The
-CW2xx/CW3xx/CW4xx packs need to reason about *values*: is the thing being
-iterated a ``set``?  does this ``time.time()`` result end up in returned
-data?  which function definition does the name handed to ``ordered_map``
-actually denote?  This module answers those questions with three pieces:
+CW2xx, CW3xx and CW5xx packs need to reason about *values*: is the thing
+being iterated a ``set``?  is the haystack of this ``in`` test a ``list``?
+does this ``time.time()`` result end up in returned data?  This module
+answers those questions with three pieces:
 
 * a **control-flow graph** per function (and one for the module body) built
   from the AST — basic blocks of statements with successor edges for
@@ -12,13 +12,12 @@ actually denote?  This module answers those questions with three pieces:
 * classic **reaching definitions** over that CFG (gen/kill to a fixpoint on
   the shared :func:`~repro.devtools.solver.solve`, then a linear replay to
   get the definition set at the entry of every individual statement);
-* **call-site resolution** inside a module: a ``Name`` callee resolves
-  through its reaching definitions to the module-level ``def``, ``lambda``
-  or ``functools.partial`` expression it denotes, when that is unambiguous.
+* **anchors** — each node's parent, enclosing function and statement, and
+  the calls a module runs at import time.
 
 The analysis is deliberately intraprocedural and conservative: when a name
 has several reaching definitions a rule only gets a property (set-likeness,
-picklability, ...) if *every* definition agrees, and an unresolvable value
+list-ness, ...) if *every* definition agrees, and an unresolvable value
 yields "don't know", which rules must treat as "don't flag".  Like the rest
 of ``repro.devtools`` this is stdlib-only and never imports the code it
 analyzes.
@@ -484,36 +483,6 @@ class ModuleFlow:
                     return Definition(name_node.id, "comp", None, ast.Pass())
             path.add(id(current))
             current = self.parents.get(current)
-        return None
-
-    def sole_definition(self, name_node: ast.Name) -> Optional[Definition]:
-        """The single definition reaching a use, or ``None`` if ambiguous."""
-        defs = self.definitions_for(name_node)
-        if len(defs) == 1:
-            return next(iter(defs))
-        return None
-
-    def resolve_callable(self, node: ast.AST, depth: int = 4) -> Optional[ast.AST]:
-        """Resolve an expression denoting a callable to its defining node.
-
-        Returns a ``FunctionDef`` / ``Lambda`` / ``functools.partial``
-        ``Call`` node, or ``None`` when the value cannot be pinned down
-        (attribute access, ambiguous definitions, imports, ...).
-        """
-        if depth <= 0:
-            return None
-        if isinstance(node, (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef)):
-            return node
-        if isinstance(node, ast.Call):
-            return node  # partial(...)-style wrapper; callers unwrap
-        if isinstance(node, ast.Name):
-            definition = self.sole_definition(node)
-            if definition is None:
-                return None
-            if definition.kind == "def":
-                return definition.value
-            if definition.kind == "assign" and definition.value is not None:
-                return self.resolve_callable(definition.value, depth - 1)
         return None
 
     def uses_of(self, definition: Definition) -> List[ast.Name]:

@@ -55,18 +55,14 @@ DEVTOOLS_MODULES: FrozenSet[str] = frozenset(
         "rules.common",
         "rules.concurrency",
         "rules.coordinates",
-        "rules.datetimes",
         "rules.determinism",
-        "rules.exceptions",
         "rules.exports",
-        "rules.iddomains",
         "rules.imports",
         "rules.lifecycle",
         "rules.mutable_defaults",
         "rules.observability",
         "rules.perf",
         "rules.threadsafety",
-        "rules.units",
         "resources",
         "sarif",
         "solver",

@@ -7,16 +7,12 @@ registry (not this module) is the source of truth for what runs.
 from . import (  # noqa: F401  (imported for registration side effects)
     concurrency,
     coordinates,
-    datetimes,
     determinism,
-    exceptions,
     exports,
-    iddomains,
     imports,
     lifecycle,
     mutable_defaults,
     observability,
     perf,
     threadsafety,
-    units,
 )

@@ -1,9 +1,7 @@
 """Shared helpers for the crowdlint rules.
 
-The identifier-classification tables (axis words, unit suffixes, id-domain
-owners) live in :mod:`repro.devtools.domains` — the interprocedural layer
-and the per-file rules must agree on what a name means, so there is exactly
-one copy.  This module re-exports the classifiers alongside the small AST
+The axis classifier lives in :mod:`repro.devtools.domains` next to the
+module summaries.  This module re-exports it alongside the small AST
 conveniences the rule packs share, and :class:`RecordRule`, the base every
 whole-program rule uses to turn project records into findings.
 """
@@ -13,7 +11,7 @@ from __future__ import annotations
 import ast
 from typing import AbstractSet, Dict, Optional, Tuple
 
-from ..domains import axis_of, unit_of  # noqa: F401  (re-exported)
+from ..domains import axis_of  # noqa: F401  (re-exported)
 from ..engine import FileContext, Fix, Rule
 from ..layers import layer_of
 from ..threads import _last_name
@@ -29,7 +27,6 @@ __all__ = [
     "axis_of",
     "callee_name",
     "identifier_of",
-    "unit_of",
 ]
 
 

@@ -1,34 +1,19 @@
 """CW3xx — the concurrency pack.
 
 The execution layer's contract (PR 2) is that ``exec.ordered_map`` is
-output-identical to a serial loop: every task function must cross the
-process boundary by pickling, run against the same state in every worker,
-and leave no state behind.  These rules check the contract at the call
-site, statically:
+output-identical to a serial loop, and worker processes re-import every
+module they run.  This rule checks what that re-import does:
 
-* **CW301** — a callable shipped to ``ordered_map`` that *cannot* pickle:
-  a ``lambda``, or a function defined inside another function.  These fail
-  at runtime only on the process backend, i.e. exactly where nobody tests.
 * **CW302** — fork-unsafe module-level side effects: locks, threads,
   pools, sockets, open file handles, or global-RNG seeding executed at
   import time.  Worker processes re-import the module; each worker then
   owns a *different* copy of the resource (or, under ``fork``, an
   inherited lock in an undefined state).
-* **CW303** — a task function that mutates module-level state (``global``
-  rebinding, or writes into a module-level dict/list/set).  Under the
-  serial backend the mutation is visible; under the process backend each
-  worker mutates its own copy and the parent sees nothing — silent
-  serial/parallel divergence.
-
-CW301/CW303 resolve the task callable through the module's flow facts
-(``devtools/flow``): through ``functools.partial`` wrappers and simple
-name assignments, stopping — silently — at anything ambiguous.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Optional, Set
 
 from ..engine import FileContext, Rule, register
 from .common import callee_name, identifier_of
@@ -40,88 +25,6 @@ _FORK_UNSAFE_CONSTRUCTORS = frozenset({
     "ThreadPoolExecutor", "Timer",
     "open", "socket", "connect", "create_connection", "urlopen",
 })
-
-#: Mutating methods on module-level containers.
-_MUTATING_METHODS = frozenset({
-    "add", "append", "appendleft", "clear", "discard", "extend", "insert",
-    "pop", "popitem", "remove", "setdefault", "update",
-})
-
-_MUTABLE_LITERALS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
-                     ast.SetComp)
-_MUTABLE_CONSTRUCTORS = frozenset({
-    "Counter", "OrderedDict", "defaultdict", "deque", "dict", "list", "set",
-})
-
-
-def _is_ordered_map_call(node: ast.Call) -> bool:
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id == "ordered_map"
-    return isinstance(func, ast.Attribute) and func.attr == "ordered_map"
-
-
-def _task_argument(node: ast.Call) -> Optional[ast.AST]:
-    if node.args:
-        return node.args[0]
-    for keyword in node.keywords:
-        if keyword.arg == "fn":
-            return keyword.value
-    return None
-
-
-def _unwrap_partial(ctx: FileContext, expr: ast.AST, depth: int = 3) -> Optional[ast.AST]:
-    """Resolve a task expression to its underlying callable definition.
-
-    Returns a ``Lambda``/``FunctionDef`` node, or ``None`` when the callable
-    cannot be pinned down (attributes, ambiguous names, bound methods).
-    """
-    if depth <= 0:
-        return None
-    resolved = ctx.flow.resolve_callable(expr)
-    if resolved is None:
-        return None
-    if isinstance(resolved, ast.Call):
-        if callee_name(resolved) == "partial" and resolved.args:
-            return _unwrap_partial(ctx, resolved.args[0], depth - 1)
-        return None
-    return resolved
-
-
-@register
-class UnpicklableTaskRule(Rule):
-    id = "CW301"
-    name = "unpicklable-task"
-    description = (
-        "A lambda or locally-defined function shipped to exec.ordered_map "
-        "cannot cross the process boundary."
-    )
-
-    def visit_Call(self, ctx: FileContext, node: ast.Call) -> None:
-        if not _is_ordered_map_call(node):
-            return
-        task = _task_argument(node)
-        if task is None:
-            return
-        resolved = _unwrap_partial(ctx, task)
-        if resolved is None:
-            return
-        if isinstance(resolved, ast.Lambda):
-            ctx.report(
-                self,
-                node,
-                "lambda shipped to ordered_map cannot pickle — the process "
-                "backend will crash; define a module-level function",
-            )
-        elif isinstance(resolved, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if ctx.flow.enclosing_function(resolved) is not None:
-                ctx.report(
-                    self,
-                    node,
-                    f"locally-defined function {resolved.name!r} (line "
-                    f"{resolved.lineno}) shipped to ordered_map cannot pickle; "
-                    "move it to module level",
-                )
 
 
 @register
@@ -155,122 +58,3 @@ class ForkUnsafeModuleInitRule(Rule):
                         "from callers and resets on every worker re-import; "
                         "thread an explicit Generator instead",
                     )
-
-
-@register
-class WorkerGlobalMutationRule(Rule):
-    id = "CW303"
-    name = "worker-global-mutation"
-    description = (
-        "A function shipped to exec.ordered_map mutates module-level state; "
-        "workers mutate private copies and the backends diverge."
-    )
-
-    def visit_Call(self, ctx: FileContext, node: ast.Call) -> None:
-        if not _is_ordered_map_call(node):
-            return
-        task = _task_argument(node)
-        if task is None:
-            return
-        resolved = _unwrap_partial(ctx, task)
-        if not isinstance(resolved, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return
-        if ctx.flow.enclosing_function(resolved) is not None:
-            return  # CW301's finding
-        for reason in self._mutations_of(ctx, resolved):
-            ctx.report(
-                self,
-                node,
-                f"task {resolved.name!r} {reason}; under the process backend "
-                "each worker mutates a private copy and results diverge from "
-                "the serial backend",
-            )
-
-    def _mutations_of(
-        self, ctx: FileContext, func: ast.AST
-    ) -> Iterable[str]:
-        reasons: List[str] = []
-        mutable_globals = self._mutable_module_names(ctx)
-        global_names: Set[str] = set()
-        for node in ast.walk(func):
-            if isinstance(node, ast.Global):
-                global_names.update(node.names)
-                reasons.append(
-                    f"rebinds module global(s) {', '.join(sorted(node.names))} "
-                    f"(line {node.lineno})"
-                )
-        local_names = self._locally_bound_names(func)
-        for node in ast.walk(func):
-            target_name: Optional[str] = None
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for target in targets:
-                    if isinstance(target, (ast.Subscript, ast.Attribute)):
-                        base = target.value
-                        if isinstance(base, ast.Name):
-                            target_name = base.id
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _MUTATING_METHODS
-                and isinstance(node.func.value, ast.Name)
-            ):
-                target_name = node.func.value.id
-            if (
-                target_name
-                and target_name in mutable_globals
-                and target_name not in local_names
-                and target_name not in global_names  # already reported above
-            ):
-                reasons.append(
-                    f"mutates module-level {target_name!r} (line {node.lineno})"
-                )
-        # De-duplicate while preserving order.
-        seen: Set[str] = set()
-        for reason in reasons:
-            if reason not in seen:
-                seen.add(reason)
-                yield reason
-
-    @staticmethod
-    def _locally_bound_names(func: ast.AST) -> Set[str]:
-        names: Set[str] = set()
-        for arg_list in (func.args.args, func.args.kwonlyargs,
-                         getattr(func.args, "posonlyargs", [])):
-            names.update(arg.arg for arg in arg_list)
-        for node in ast.walk(func):
-            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-            elif isinstance(node, (ast.For, ast.comprehension)):
-                target = node.target
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-                elif isinstance(target, (ast.Tuple, ast.List)):
-                    names.update(
-                        element.id
-                        for element in target.elts
-                        if isinstance(element, ast.Name)
-                    )
-        return names
-
-    @staticmethod
-    def _mutable_module_names(ctx: FileContext) -> Set[str]:
-        names: Set[str] = set()
-        for name, definitions in ctx.flow.module_defs.items():
-            for definition in definitions:
-                value = definition.value
-                if definition.kind != "assign" or value is None:
-                    continue
-                if isinstance(value, _MUTABLE_LITERALS):
-                    names.add(name)
-                elif (
-                    isinstance(value, ast.Call)
-                    and callee_name(value) in _MUTABLE_CONSTRUCTORS
-                ):
-                    names.add(name)
-        return names

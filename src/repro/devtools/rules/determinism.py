@@ -4,9 +4,6 @@ The repo's headline guarantee (ROADMAP, PR 2) is bit-for-bit reproducibility:
 the same seed regenerates every dataset, pattern set, and report, serial or
 parallel.  These rules catch the three ways that guarantee silently erodes:
 
-* **CW201** — randomness that does not flow from an explicit seed (the
-  process-global ``random`` module API, legacy ``numpy.random`` global
-  functions, and seedless ``default_rng()`` / ``Random()`` constructions).
 * **CW202** — wall-clock reads (``time.time()``, ``datetime.now()``) whose
   value ends up *in data* — returned, yielded, or stored — rather than in
   timing/observability sinks.  Elapsed-time subtraction and observer calls
@@ -19,7 +16,7 @@ parallel.  These rules catch the three ways that guarantee silently erodes:
   (``next(iter(s))``, ``s.pop()``): same hash-order dependence, one element
   at a time.
 
-CW202–CW204 are flow-aware: they use reaching definitions (``devtools/flow``)
+All three are flow-aware: they use reaching definitions (``devtools/flow``)
 to decide whether a name denotes a set or where a clock value ends up, and
 they only flag when every reaching definition agrees — ambiguity means
 silence, keeping false positives near zero.
@@ -33,93 +30,6 @@ from typing import Iterable, Optional
 from ..engine import Edit, FileContext, Fix, Rule, register
 from ..layers import layer_of
 from .common import callee_name, identifier_of
-
-#: Functions of the ``random`` module that use the shared, unseeded
-#: process-global RNG when called as ``random.<fn>(...)``.
-_GLOBAL_RANDOM_FNS = frozenset({
-    "betavariate", "choice", "choices", "expovariate", "gauss", "getrandbits",
-    "lognormvariate", "normalvariate", "paretovariate", "randbytes", "randint",
-    "random", "randrange", "sample", "seed", "shuffle", "triangular",
-    "uniform", "vonmisesvariate", "weibullvariate",
-})
-
-#: Legacy ``numpy.random`` global-state functions (same hazard, numpy spelling).
-_NP_GLOBAL_FNS = frozenset({
-    "beta", "binomial", "choice", "exponential", "gamma", "normal",
-    "permutation", "poisson", "rand", "randint", "randn", "random",
-    "random_sample", "seed", "shuffle", "standard_normal", "uniform",
-})
-
-#: Zero-arg constructors that build an RNG from OS entropy instead of a seed.
-_SEEDABLE_CONSTRUCTORS = frozenset({"default_rng", "Random", "RandomState"})
-
-
-@register
-class UnseededRandomRule(Rule):
-    id = "CW201"
-    name = "unseeded-random"
-    description = (
-        "Randomness with no explicit seed: the global random/numpy.random "
-        "API, or default_rng()/Random() built without a seed."
-    )
-    fixable = True
-
-    def visit_Call(self, ctx: FileContext, node: ast.Call) -> None:
-        func = node.func
-        if not isinstance(func, ast.Attribute):
-            return
-        owner = identifier_of(func.value)
-        if owner != "random":
-            # ``rng.shuffle(...)`` on an explicit Generator is the sanctioned
-            # spelling; only the module-level APIs are process-global.
-            if func.attr in _SEEDABLE_CONSTRUCTORS:
-                self._check_constructor(ctx, node)
-            return
-        if func.attr in _SEEDABLE_CONSTRUCTORS:
-            self._check_constructor(ctx, node)
-            return
-        # ``random.<fn>`` (stdlib) and ``np.random.<fn>`` (legacy numpy) both
-        # present an owner identifier of "random".
-        is_numpy = isinstance(func.value, ast.Attribute)
-        fns = _NP_GLOBAL_FNS if is_numpy else _GLOBAL_RANDOM_FNS
-        if func.attr in fns:
-            ctx.report(
-                self,
-                node,
-                f"{'numpy.random' if is_numpy else 'random'}.{func.attr}() uses "
-                "the process-global unseeded RNG; thread an explicit seeded "
-                "Generator (np.random.default_rng(seed)) through instead",
-            )
-        elif func.attr == "SystemRandom":
-            ctx.report(
-                self,
-                node,
-                "random.SystemRandom() draws OS entropy and can never be "
-                "seeded; use a seeded Generator for reproducible runs",
-            )
-
-    def _check_constructor(self, ctx: FileContext, node: ast.Call) -> None:
-        if node.args or node.keywords:
-            first = node.args[0] if node.args else None
-            if not (isinstance(first, ast.Constant) and first.value is None):
-                return
-        start, end = ctx.span(node)
-        original = ctx.text(node)
-        if original.endswith("()"):
-            fix = Fix(
-                edits=(Edit(start, end, original[:-1] + "0)"),),
-                note="inject the canonical seed 0",
-            )
-        else:
-            fix = None  # default_rng(None) and friends: flag, no rewrite
-        ctx.report(
-            self,
-            node,
-            f"{node.func.attr}() without a seed draws OS entropy — every run "
-            "differs; pass an explicit seed",
-            fix=fix,
-        )
-
 
 # --------------------------------------------------------------------------
 # CW202 — wall-clock values flowing into data

@@ -1,6 +1,7 @@
-"""CW105: ``__all__`` export drift.
+"""CW105/CW604: ``__all__`` export drift, and dead exports.
 
-Two directions of drift, both real failure modes for a package this size:
+**CW105** checks one module on its own.  Two directions of drift, both real
+failure modes for a package this size:
 
 * a name listed in ``__all__`` that is not bound at module top level breaks
   ``from package import *`` and lies to readers about the public surface;
@@ -10,14 +11,20 @@ Two directions of drift, both real failure modes for a package this size:
 
 Modules without ``__all__`` are skipped — the rule enforces consistency where
 the author opted into an explicit export list, it does not mandate one.
+
+**CW604** needs the whole program: an ``__all__`` entry that no other module
+references or imports is dead public surface.  ``__init__.py`` re-export
+hubs and ``_``-prefixed names are exempt.  The project analysis
+(``devtools/callgraph``) computes these records; the rule reports them.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..engine import FileContext, Rule, register
+from .common import RecordRule
 
 
 def _all_names(tree: ast.Module) -> Optional[Tuple[ast.AST, List[str]]]:
@@ -122,3 +129,19 @@ class ExportDriftRule(Rule):
                 all_node,
                 f"public name {name!r} is defined but missing from __all__",
             )
+
+
+@register
+class DeadExportRule(RecordRule):
+    id = "CW604"
+    name = "dead-export"
+    description = (
+        "An __all__ entry no other module references, imports, or calls: "
+        "dead public surface the call graph proves unreachable from outside."
+    )
+
+    def message(self, record: Dict[str, object]) -> str:
+        return (
+            f"{record['name']!r} is exported in __all__ but nothing else "
+            "in the project references it; drop the export or the symbol"
+        )

@@ -1,28 +1,15 @@
 """CW4xx — the observability-conformance pack.
 
-``repro.obs`` (PR 3) promises two things: metric names follow the
-``repro_<layer>_<name>_<unit>`` grammar so dashboards can be written once,
-and instrumentation is zero-cost and output-neutral when disabled because
-every call goes through the :class:`Observer`'s single ``enabled`` check.
-Both promises were conventions; these rules make them mechanical:
+``repro.obs`` (PR 3) promises that metric names follow the
+``repro_<layer>_<name>_<unit>`` grammar so dashboards can be written once.
+The promise was a convention; this rule makes it mechanical:
 
 * **CW401** — metric-name grammar: a literal metric name must be
   ``repro_<layer>_<name>_<unit>`` with a known unit segment.  Unit synonyms
   (``_seconds``, ``_count``, ...) get an autofix to the canonical spelling.
-* **CW402** — the ``<layer>`` segment must be a layer declared in
-  ``devtools/layers.py``, and must match the layer of the emitting file
-  (``repro.web.server`` emits ``repro_web_*``, nothing else).
-* **CW403** — a span that is created but never entered (``observer.span(...)``
-  as a bare statement, or assigned and never used in a ``with``): the
-  enter/exit pair never runs, so the trace silently loses the region.
-* **CW404** — instrumentation that reaches around the Observer
-  (``observer.registry.inc(...)``, ``observer.tracer.span(...)``): it
-  bypasses the ``enabled`` guard, which is exactly the zero-cost-when-
-  disabled contract.
 
-Like CW108 these rules police the library, not its consumers: files outside
-the ``repro`` package (tests, scripts) are exempt, and the ``obs`` layer
-itself is exempt from CW404 (it *implements* the guard).
+Like CW108 the rule polices the library, not its consumers: files outside
+the ``repro`` package (tests, scripts) are exempt.
 """
 
 from __future__ import annotations
@@ -32,7 +19,7 @@ import re
 from typing import List, Optional, Tuple
 
 from ..engine import Edit, FileContext, Fix, Rule, register
-from ..layers import LAYER_MAP, layer_of
+from ..layers import LAYER_MAP
 
 #: Registry/observer mutators that take a metric name as their first argument.
 _METRIC_CALLS = frozenset({
@@ -152,145 +139,3 @@ class MetricNameGrammarRule(Rule):
         if unit not in CANONICAL_UNITS:
             return f"ends in unknown unit {unit!r}"
         return None
-
-
-@register
-class MetricLayerMismatchRule(Rule):
-    id = "CW402"
-    name = "metric-layer-mismatch"
-    description = (
-        "The <layer> segment of a metric name is not a declared layer, or "
-        "does not match the layer of the emitting file."
-    )
-    fixable = True
-
-    def visit_Call(self, ctx: FileContext, node: ast.Call) -> None:
-        if not _in_repro_library(ctx):
-            return
-        literal = _metric_name_argument(node)
-        if literal is None:
-            return
-        split = _split_metric(literal.value)
-        if split is None:
-            return  # CW401's finding; don't double-report
-        name_layer, middle, unit = split
-        file_layer = layer_of(ctx.module)
-        if name_layer not in LAYER_MAP:
-            fix = None
-            if file_layer in LAYER_MAP:
-                fixed = "_".join(["repro", file_layer, *middle, unit])
-                fix = _literal_replacement_fix(
-                    ctx, literal, fixed, "use the emitting file's layer"
-                )
-            ctx.report(
-                self,
-                node,
-                f"metric layer segment {name_layer!r} is not a layer declared "
-                "in repro/devtools/layers.py",
-                fix=fix,
-            )
-        elif file_layer in LAYER_MAP and name_layer != file_layer:
-            fixed = "_".join(["repro", file_layer, *middle, unit])
-            ctx.report(
-                self,
-                node,
-                f"metric named for layer {name_layer!r} but emitted from layer "
-                f"{file_layer!r}; metrics carry their emitter's layer",
-                fix=_literal_replacement_fix(
-                    ctx, literal, fixed, "use the emitting file's layer"
-                ),
-            )
-
-
-@register
-class UnbalancedSpanRule(Rule):
-    id = "CW403"
-    name = "unbalanced-span"
-    description = (
-        "A span is created but never entered (bare statement, or assigned "
-        "and never used in a with) — enter/exit never runs."
-    )
-
-    def visit_Call(self, ctx: FileContext, node: ast.Call) -> None:
-        if not _in_repro_library(ctx):
-            return
-        func = node.func
-        is_span = (isinstance(func, ast.Attribute) and func.attr == "span") or (
-            isinstance(func, ast.Name) and func.id == "span"
-        )
-        if not is_span:
-            return
-        parent = ctx.flow.parents.get(node)
-        if isinstance(parent, ast.Expr):
-            ctx.report(
-                self,
-                node,
-                "span created and immediately discarded — its enter/exit "
-                "never runs; use `with ...span(...):`",
-            )
-            return
-        if isinstance(parent, ast.Assign):
-            if len(parent.targets) == 1 and isinstance(parent.targets[0], ast.Name):
-                if not self._ever_entered(ctx, parent, parent.targets[0].id):
-                    ctx.report(
-                        self,
-                        node,
-                        f"span assigned to {parent.targets[0].id!r} but never "
-                        "entered in a `with` block",
-                    )
-
-    @staticmethod
-    def _ever_entered(ctx: FileContext, assign: ast.stmt, name: str) -> bool:
-        """Whether any use of the assigned span enters it."""
-        region = ctx.flow.enclosing_function(assign) or ctx.tree
-        for node in ast.walk(region):
-            if not (isinstance(node, ast.Name) and node.id == name
-                    and isinstance(node.ctx, ast.Load)):
-                continue
-            parent = ctx.flow.parents.get(node)
-            if isinstance(parent, ast.withitem):
-                return True
-            if (
-                isinstance(parent, ast.Attribute)
-                and parent.attr in {"__enter__", "__exit__"}
-            ):
-                return True
-            if isinstance(parent, ast.Call) or isinstance(parent, ast.keyword):
-                return True  # handed onward; assume the callee enters it
-            if isinstance(parent, ast.Return):
-                return True  # factory pattern: the caller enters it
-        return False
-
-
-@register
-class UnguardedInstrumentationRule(Rule):
-    id = "CW404"
-    name = "unguarded-instrumentation"
-    description = (
-        "Instrumentation reaches around the Observer (observer.registry.inc, "
-        "observer.tracer.span), bypassing the enabled guard."
-    )
-
-    _BYPASSED = frozenset({"inc", "observe", "reset", "set_gauge", "span"})
-
-    def visit_Call(self, ctx: FileContext, node: ast.Call) -> None:
-        if not _in_repro_library(ctx):
-            return
-        if layer_of(ctx.module) in {"obs", "devtools"}:
-            return  # the obs layer implements the guard it would trip here
-        func = node.func
-        if not (
-            isinstance(func, ast.Attribute)
-            and func.attr in self._BYPASSED
-            and isinstance(func.value, ast.Attribute)
-            and func.value.attr in {"registry", "tracer"}
-        ):
-            return
-        owner = func.value.attr
-        ctx.report(
-            self,
-            node,
-            f".{owner}.{func.attr}(...) bypasses the Observer's enabled "
-            f"guard; call .{func.attr}(...) on the observer itself so the "
-            "disabled path stays zero-cost",
-        )

@@ -2,27 +2,21 @@
 
 The ROADMAP's production-scale goal (millions of users, incremental
 re-aggregation) makes per-item constant factors in the mining/crowd/exec
-layers load-bearing.  These rules catch the four accidentally-quadratic (or
-accidentally-linear-per-iteration) shapes that profile reviews keep finding:
+layers load-bearing.  These rules catch two per-iteration shapes that
+profile reviews kept finding:
 
 * **CW501** — ``x in some_list`` membership tests inside a loop: O(n) per
   probe, O(n²) for the classic build-and-dedupe loop.  A set probe is O(1).
-* **CW502** — ``s += piece`` string accumulation inside a loop: each ``+=``
-  copies the whole prefix.  Collect parts and ``"".join(...)`` once.
-* **CW503** — ``re.compile(<constant>)`` inside a loop: the compiled program
-  is loop-invariant; hoist it to module level.
-* **CW504** — ``sorted(xs)`` inside a loop over an ``xs`` the loop never
-  changes: the sort is loop-invariant; hoist it.
 * **CW505** — ``TimedItem(...)`` constructed inside a mining/crowd loop
   body: those layers operate on the interned id representation (see
   ``repro.sequences.vocab``); boxing an item per iteration is exactly the
   allocation the interning refactor removed.  Decode at the boundary via
   the vocabulary instead.
 
-Findings in the hot layers (``mining``, ``crowd``, ``exec``) escalate to
-``error`` severity; elsewhere they stay warnings.  All four rules are
-flow-aware where it matters (list-ness and string-ness are proven through
-reaching definitions, "don't know" means "don't flag").
+CW501 findings in the hot layers (``mining``, ``crowd``, ``exec``) escalate
+to ``error`` severity (CW505's are always errors); elsewhere they stay
+warnings.  List-ness is proven through reaching definitions: "don't know"
+means "don't flag".
 """
 
 from __future__ import annotations
@@ -32,7 +26,7 @@ from typing import Optional, Set
 
 from ..engine import FileContext, Rule, register
 from ..layers import layer_of
-from .common import callee_name, identifier_of
+from .common import callee_name
 
 #: Layers where a per-item constant factor multiplies by millions of users.
 _HOT_LAYERS = frozenset({"mining", "crowd", "exec"})
@@ -40,12 +34,6 @@ _HOT_LAYERS = frozenset({"mining", "crowd", "exec"})
 _LOOP_TYPES = (ast.For, ast.AsyncFor, ast.While)
 _COMP_TYPES = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 _SCOPE_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
-
-#: Method calls that change a container's contents in place.
-_MUTATOR_METHODS = frozenset({
-    "add", "append", "appendleft", "clear", "discard", "extend", "insert",
-    "pop", "popleft", "remove", "setdefault", "sort", "update",
-})
 
 
 def hot_severity(ctx: FileContext) -> str:
@@ -90,28 +78,6 @@ def names_rebound_in(loop: ast.AST) -> Set[str]:
     return rebound
 
 
-def names_changed_in(loop: ast.AST) -> Set[str]:
-    """Names whose *value* may change inside a loop: rebinds plus mutation."""
-    changed = names_rebound_in(loop)
-    for sub in ast.walk(loop):
-        if (
-            isinstance(sub, ast.Call)
-            and isinstance(sub.func, ast.Attribute)
-            and sub.func.attr in _MUTATOR_METHODS
-            and isinstance(sub.func.value, ast.Name)
-        ):
-            changed.add(sub.func.value.id)
-        elif isinstance(sub, (ast.Subscript, ast.Attribute)) and isinstance(
-            sub.ctx, (ast.Store, ast.Del)
-        ):
-            root = sub.value
-            while isinstance(root, (ast.Subscript, ast.Attribute)):
-                root = root.value
-            if isinstance(root, ast.Name):
-                changed.add(root.id)
-    return changed
-
-
 def is_list_like(ctx: FileContext, node: ast.AST, depth: int = 4) -> bool:
     """Whether an expression provably evaluates to a ``list``.
 
@@ -139,30 +105,6 @@ def is_list_like(ctx: FileContext, node: ast.AST, depth: int = 4) -> bool:
             if definition.kind not in {"assign", "aug"} or definition.value is None:
                 return False
             if not is_list_like(ctx, definition.value, depth - 1):
-                return False
-        return True
-    return False
-
-
-def _is_str_like(ctx: FileContext, node: ast.AST, depth: int = 4) -> bool:
-    if depth <= 0:
-        return False
-    if isinstance(node, ast.Constant):
-        return isinstance(node.value, str)
-    if isinstance(node, ast.JoinedStr):
-        return True
-    if isinstance(node, ast.Call):
-        return isinstance(node.func, ast.Name) and node.func.id in {"str", "repr", "format"}
-    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Mod)):
-        return _is_str_like(ctx, node.left, depth - 1)
-    if isinstance(node, ast.Name):
-        defs = ctx.flow.definitions_for(node)
-        if not defs:
-            return False
-        for definition in defs:
-            if definition.kind not in {"assign", "aug"} or definition.value is None:
-                return False
-            if not _is_str_like(ctx, definition.value, depth - 1):
                 return False
         return True
     return False
@@ -196,116 +138,6 @@ class ListMembershipInLoopRule(Rule):
             f"membership test against list {haystack.id!r} inside a loop is "
             "O(len) per probe; keep a set alongside (or instead) for O(1) "
             "membership",
-            severity=hot_severity(ctx),
-        )
-
-
-@register
-class StringConcatInLoopRule(Rule):
-    id = "CW502"
-    name = "str-concat-in-loop"
-    description = (
-        "`s += part` string accumulation inside a loop copies the whole "
-        "prefix every iteration; collect parts and ''.join(...) once."
-    )
-
-    def visit_AugAssign(self, ctx: FileContext, node: ast.AugAssign) -> None:
-        if not isinstance(node.op, ast.Add) or not isinstance(node.target, ast.Name):
-            return
-        if enclosing_loop(ctx, node) is None:
-            return
-        # Prove str-ness from the accumulator's plain initializers (the
-        # AugAssign itself is circular evidence); every one must be a string.
-        name = node.target.id
-        scope = ctx.flow.enclosing_function(node) or ctx.tree
-        initializers = [
-            sub.value
-            for sub in ast.walk(scope)
-            if isinstance(sub, ast.Assign)
-            and len(sub.targets) == 1
-            and isinstance(sub.targets[0], ast.Name)
-            and sub.targets[0].id == name
-        ]
-        if not initializers:
-            return
-        if not all(_is_str_like(ctx, value) for value in initializers):
-            return
-        ctx.report(
-            self,
-            node,
-            f"string accumulation {name!r} += ... inside a loop is "
-            "quadratic in the result length; append parts to a list and "
-            "''.join(...) after the loop",
-            severity=hot_severity(ctx),
-        )
-
-
-@register
-class RegexCompileInLoopRule(Rule):
-    id = "CW503"
-    name = "regex-compile-in-loop"
-    description = (
-        "re.compile(<constant pattern>) inside a loop recompiles a "
-        "loop-invariant program every iteration; hoist it."
-    )
-
-    def visit_Call(self, ctx: FileContext, node: ast.Call) -> None:
-        func = node.func
-        if not (
-            isinstance(func, ast.Attribute)
-            and func.attr == "compile"
-            and identifier_of(func.value) == "re"
-        ):
-            return
-        if not node.args:
-            return
-        pattern = node.args[0]
-        if not (isinstance(pattern, ast.Constant) and isinstance(pattern.value, str)):
-            return  # dynamic pattern: recompiling may be intentional
-        if enclosing_loop(ctx, node) is None:
-            return
-        ctx.report(
-            self,
-            node,
-            "re.compile() with a constant pattern inside a loop recompiles "
-            "the same program every iteration; hoist the compiled pattern "
-            "to module level",
-            severity=hot_severity(ctx),
-        )
-
-
-@register
-class InvariantSortInLoopRule(Rule):
-    id = "CW504"
-    name = "invariant-sort-in-loop"
-    description = (
-        "sorted(xs) inside a loop that never changes xs re-sorts the same "
-        "sequence every iteration; sort once before the loop."
-    )
-
-    def visit_Call(self, ctx: FileContext, node: ast.Call) -> None:
-        if not (isinstance(node.func, ast.Name) and node.func.id == "sorted"):
-            return
-        if not node.args or not isinstance(node.args[0], ast.Name):
-            return
-        loop = enclosing_loop(ctx, node)
-        if loop is None:
-            return
-        changed = names_changed_in(loop)
-        # Any loop-dependent name anywhere in the call (the sequence itself,
-        # a key=, a reverse=) makes the sort genuinely per-iteration.
-        for sub in ast.walk(node):
-            if (
-                isinstance(sub, ast.Name)
-                and isinstance(sub.ctx, ast.Load)
-                and sub.id in changed
-            ):
-                return
-        ctx.report(
-            self,
-            node,
-            f"sorted({node.args[0].id}) is loop-invariant here — the loop "
-            f"never changes {node.args[0].id!r}; sort once before the loop",
             severity=hot_severity(ctx),
         )
 

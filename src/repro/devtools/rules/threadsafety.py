@@ -9,18 +9,10 @@ project's records table, and report:
 
 * **CW701** — a write to shared state (mutated, and reachable from a thread
   domain) with no lock held and no guarded-by lock inferable at all.
-* **CW702** — a write to shared state that *is* majority-guarded by one
-  lock, at a site where that lock is not held: guarded on some paths, bare
-  on others.
 * **CW703** — check-then-act on a shared container (``if k in d: … d[k]``)
   outside any lock: the membership test and the access are not atomic.
   The exact ``if k not in d: d[k] = v`` shape carries a mechanical
   ``d.setdefault(k, v)`` autofix; anything else suggests widening a lock.
-* **CW704** — two locks acquired in opposite orders on different call
-  paths: the classic ABBA deadlock shape.
-* **CW705** — a blocking call (sleep, subprocess, sockets, file IO) while
-  holding a lock on a thread-reachable path: every peer queueing on that
-  lock stalls behind the IO.
 
 Findings anchor on **writes** (plus the CW703 check site); bare reads of a
 published reference are idiomatic under the GIL and stay silent.  Anything
@@ -67,24 +59,6 @@ class UnguardedSharedWriteRule(_ThreadRule):
 
 
 @register
-class InconsistentlyGuardedWriteRule(_ThreadRule):
-    id = "CW702"
-    name = "inconsistently-guarded-write"
-    description = (
-        "A write to shared state whose other writes are majority-guarded by "
-        "one inferred lock happens at a site where that lock is not held — "
-        "guarded on some paths, bare on this one."
-    )
-
-    def message(self, record: Dict[str, object]) -> str:
-        return (
-            f"write to {record['symbol']} in {record['function']}() "
-            f"without {record['guard']}, the lock inferred to guard it "
-            "from its other writes — take the same lock here"
-        )
-
-
-@register
 class CheckThenActRule(_ThreadRule):
     id = "CW703"
     name = "shared-check-then-act"
@@ -124,42 +98,4 @@ class CheckThenActRule(_ThreadRule):
         return Fix(
             edits=(Edit(start, end, replacement),),
             note="rewrite check-then-act as an atomic dict.setdefault",
-        )
-
-
-@register
-class LockOrderRule(_ThreadRule):
-    id = "CW704"
-    name = "inconsistent-lock-order"
-    description = (
-        "Two locks are acquired in opposite orders on different call paths "
-        "(A then B here, B then A elsewhere): two threads interleaving the "
-        "two orders deadlock."
-    )
-
-    def message(self, record: Dict[str, object]) -> str:
-        return (
-            f"{record['symbol']} is acquired while holding "
-            f"{record['outer']} in {record['function']}(), but "
-            f"{record['opposite']} acquires them in the opposite order — "
-            "pick one global order"
-        )
-
-
-@register
-class BlockingUnderLockRule(_ThreadRule):
-    id = "CW705"
-    name = "blocking-call-under-lock"
-    description = (
-        "A blocking call (sleep, subprocess, socket, file IO) runs while a "
-        "lock is held on a path reachable from a thread domain: every peer "
-        "contending on the lock stalls behind the IO."
-    )
-
-    def message(self, record: Dict[str, object]) -> str:
-        domains = ", ".join(record["domains"])  # type: ignore[arg-type]
-        return (
-            f"{record['what']}() blocks while holding {record['lock']} "
-            f"in {record['function']}() on a [{domains}] path — move the "
-            "blocking call outside the lock"
         )

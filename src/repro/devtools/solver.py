@@ -6,9 +6,6 @@ state, and the keys that read that value.  :func:`solve` runs the updates
 to convergence.  There is no pass bound: every lattice the analyses use has
 finite height, so each key can change only finitely often.
 
-* an expected-domain slot only climbs unknown → value → ``CONFLICT``, and
-  a return slot, solved once those settle, only grows within the four
-  domain families;
 * entry locksets only shrink, from ⊤ (no caller seen) over a finite set of
   locks;
 * thread-domain marks, may-raise sets, handler-class sets and reaching
@@ -16,11 +13,9 @@ finite height, so each key can change only finitely often.
 * a ``--raises`` provenance rank only falls, and never below one.
 
 Results never depend on the order files are listed in: every analysis seeds
-the worklist from sorted keys.  Most also ignore queue order outright —
-they iterate a monotone function to its unique fixpoint, and ties between
-equal ranks go to the earlier site in source order.  The exception is the
-domain conflict rule: a conflicted slot hides from its callers, so a caller
-keeps whatever value it read before the conflict arrived.
+the worklist from sorted keys, and each also ignores queue order outright —
+it iterates a monotone function to its unique fixpoint, and ties between
+equal ranks go to the earlier site in source order.
 """
 
 from __future__ import annotations

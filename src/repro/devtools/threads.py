@@ -3,7 +3,7 @@
 Three stages, mirroring the v3 whole-program pipeline:
 
 1. **Thread-entry discovery.**  Per-module *thread facts* (extracted next to
-   the domain summaries, so they ride the same content-addressed cache)
+   the module summaries, so they ride the same content-addressed cache)
    record every spawn site — ``threading.Thread(target=...)``,
    ``concurrent.futures`` submissions, ``exec.ordered_map`` worker fns,
    executor ``initializer=`` hooks — and every request-handler subclass
@@ -18,8 +18,7 @@ Three stages, mirroring the v3 whole-program pipeline:
    **mutated** outside construction and **touched from a thread domain**
    are *shared*: two handler threads already race each other, so a single
    ``handler`` domain counts as concurrent.  ``pool`` (process workers) has
-   its own address space and never races ``main`` — divergence there is
-   CW303's job, not ours.
+   its own address space and never races ``main``.
 
 3. **Lockset inference.**  ``with <lock>:`` regions and
    ``acquire()``/``release()`` pairs produce per-site held-lock sets;
@@ -28,15 +27,15 @@ Three stages, mirroring the v3 whole-program pipeline:
    solved by :func:`~repro.devtools.solver.solve` like every other
    crowdlint fixpoint.  A shared symbol whose writes are majority-
    guarded by one lock gets that lock as its *guarded-by*; the CW7xx pack
-   then reports bare writes (CW701), inconsistently-guarded writes
-   (CW702), non-atomic check-then-act on shared dicts (CW703), inconsistent
-   lock acquisition order (CW704), and blocking calls under a lock on a
-   thread-reachable path (CW705).
+   then reports bare writes to symbols no lock guards (CW701) and
+   non-atomic check-then-act on shared containers outside any lock
+   (CW703).
 
-Only **writes** anchor findings.  Bare *reads* of a published reference are
-idiomatic under the GIL (``get_observer`` returning the module global) and
-flagging them would drown the report in noise; reads still contribute
-domain evidence and appear in the ``--threads`` listing.
+Only **writes** and check-then-act sites anchor findings.  Bare *reads* of
+a published reference are idiomatic under the GIL (``get_observer``
+returning the module global) and flagging them would drown the report in
+noise; reads still contribute domain evidence and appear in the
+``--threads`` listing.
 
 The fact producer is import-light (``ast`` + stdlib + the solver) so
 :mod:`repro.devtools.domains` can hand it each definition of its one
@@ -118,32 +117,6 @@ _EXECUTOR_CTORS = {
 }
 #: ``repro.exec.ordered_map`` fans work out to a process pool.
 _POOL_MAP_FNS = frozenset({"ordered_map"})
-
-#: Blocking calls by qualified attribute chain (CW705 candidates).
-_BLOCKING_CHAINS = {
-    ("time", "sleep"): "time.sleep",
-    ("subprocess", "run"): "subprocess.run",
-    ("subprocess", "call"): "subprocess.call",
-    ("subprocess", "check_call"): "subprocess.check_call",
-    ("subprocess", "check_output"): "subprocess.check_output",
-    ("subprocess", "Popen"): "subprocess.Popen",
-    ("socket", "create_connection"): "socket.create_connection",
-    ("urllib", "request", "urlopen"): "urllib.request.urlopen",
-    ("requests", "get"): "requests.get",
-    ("requests", "post"): "requests.post",
-    ("requests", "request"): "requests.request",
-}
-#: ``from <module> import <name>`` forms of the same calls.
-_BLOCKING_IMPORTS = {
-    ("time", "sleep"): "time.sleep",
-    ("subprocess", "run"): "subprocess.run",
-    ("subprocess", "call"): "subprocess.call",
-    ("subprocess", "check_call"): "subprocess.check_call",
-    ("subprocess", "check_output"): "subprocess.check_output",
-    ("subprocess", "Popen"): "subprocess.Popen",
-    ("urllib.request", "urlopen"): "urllib.request.urlopen",
-    ("socket", "create_connection"): "socket.create_connection",
-}
 
 #: Methods exempt from the shared-write rules: the instance is not yet
 #: published while its constructor runs (happens-before the escape).
@@ -299,15 +272,9 @@ class _ModuleInventory:
         self.class_attrs: Dict[str, Set[str]] = {}
         self.attr_locks: Dict[str, Set[str]] = {}
         self.handler_classes: Set[str] = set()
-        self.blocking_imports: Dict[str, str] = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.Global):
                 self.rebound_globals.update(node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-                for alias in node.names:
-                    label = _BLOCKING_IMPORTS.get((node.module, alias.name))
-                    if label is not None:
-                        self.blocking_imports[alias.asname or alias.name] = label
         for stmt in tree.body:
             targets: List[ast.expr] = []
             value: Optional[ast.expr] = None
@@ -461,9 +428,7 @@ class ThreadFacts:
             "class": defn.owner,
             "writes": [],
             "reads": [],
-            "acquires": [],
             "calls": [],
-            "blocking": [],
             "cta": [],
             "spawns": [],
         }
@@ -533,11 +498,11 @@ class _FunctionWalker(_BlockWalker):
 
     def _emit(self, kind: str, symbol: str, node: ast.AST, held: Sequence[str]) -> None:
         entry = {
-            "lock" if kind == "acquires" else "sym": symbol,
+            "sym": symbol,
             "line": node.lineno,  # type: ignore[attr-defined]
             "col": node.col_offset,  # type: ignore[attr-defined]
         }
-        if kind != "reads":
+        if kind == "writes":
             entry["held"] = sorted(set(held))
         self.rec[kind].append(entry)  # type: ignore[union-attr]
 
@@ -554,7 +519,6 @@ class _FunctionWalker(_BlockWalker):
                 self.scan(item.context_expr, held + entered)
                 lock = self._lock_of(item.context_expr)
                 if lock is not None and lock not in entered_set:
-                    self._emit("acquires", lock, item.context_expr, held + entered)
                     entered.append(lock)
                     entered_set.add(lock)
             self.walk(stmt.body, held + entered)
@@ -595,7 +559,6 @@ class _FunctionWalker(_BlockWalker):
             return False
         if expr.func.attr == "acquire":
             if lock not in held:
-                self._emit("acquires", lock, expr, held)
                 held.append(lock)
         elif lock in held:
             held.remove(lock)
@@ -661,7 +624,6 @@ class _FunctionWalker(_BlockWalker):
                 }
             )
         self._record_spawn(call)
-        self._record_blocking(call, held)
         if (
             isinstance(call.func, ast.Attribute)
             and call.func.attr in _MUTATING_METHODS
@@ -693,27 +655,6 @@ class _FunctionWalker(_BlockWalker):
         for domain, target in found:
             self.rec["spawns"].append(  # type: ignore[union-attr]
                 {"domain": domain, "target": _call_sym(target), "line": call.lineno}
-            )
-
-    def _record_blocking(self, call: ast.Call, held: Sequence[str]) -> None:
-        label: Optional[str] = None
-        if isinstance(call.func, ast.Name):
-            if call.func.id == "open":
-                label = "open"
-            else:
-                label = self.inv.blocking_imports.get(call.func.id)
-        else:
-            chain = _attr_chain(call.func)
-            if chain is not None:
-                label = _BLOCKING_CHAINS.get(tuple(chain))
-        if label is not None:
-            self.rec["blocking"].append(  # type: ignore[union-attr]
-                {
-                    "what": label,
-                    "line": call.lineno,
-                    "col": call.col_offset,
-                    "held": sorted(set(held)),
-                }
             )
 
     # -- check-then-act ----------------------------------------------------
@@ -926,9 +867,6 @@ class ThreadAnalysis:
         marks = self.domains.get(node)
         return frozenset(marks) if marks else frozenset({DOMAIN_MAIN})
 
-    def _is_racy(self, node: Node) -> bool:
-        return bool(self.domains.get(node, set()) & RACY_DOMAINS)
-
     def _collect_shared(self) -> None:
         accesses: Dict[str, Dict[str, object]] = {}
         for node, record in sorted(self.nodes.items()):
@@ -985,39 +923,24 @@ class ThreadAnalysis:
         """Hand every CW7xx finding record to ``emit(module_key, record)``."""
         for key in sorted(self.shared):
             info = self.shared[key]
-            guard = info["guard"]
+            if info["guard"] is not None:
+                continue  # some lock guards the symbol's writes
             domains = sorted(info["domains"])  # type: ignore[arg-type]
             for write in info["writes"]:  # type: ignore[union-attr]
                 node = write["node"]
-                held = write["held"]
-                if guard is None:
-                    if not held:
-                        emit(
-                            node[0],
-                            {
-                                "rule": "CW701",
-                                "line": write["line"],
-                                "col": write["col"],
-                                "symbol": self.pretty_symbol(key),
-                                "domains": domains,
-                                "function": node[1],
-                            },
-                        )
-                elif guard not in held:
+                if not write["held"]:
                     emit(
                         node[0],
                         {
-                            "rule": "CW702",
+                            "rule": "CW701",
                             "line": write["line"],
                             "col": write["col"],
                             "symbol": self.pretty_symbol(key),
-                            "guard": self.pretty_lock(node[0], str(guard)),
+                            "domains": domains,
                             "function": node[1],
                         },
                     )
         self._emit_check_then_act(emit)
-        self._emit_lock_order(emit)
-        self._emit_blocking(emit)
 
     def _emit_check_then_act(self, emit: Callable[[str, Dict[str, object]], None]) -> None:
         for node, record in sorted(self.nodes.items()):
@@ -1040,65 +963,7 @@ class ThreadAnalysis:
                     },
                 )
 
-    def _emit_lock_order(self, emit: Callable[[str, Dict[str, object]], None]) -> None:
-        order: Dict[Tuple[str, str], List[Tuple[Node, int, int]]] = {}
-        for node, record in sorted(self.nodes.items()):
-            module_key, _qualname = node
-            for acquire in record.get("acquires", []):  # type: ignore[union-attr]
-                held = self._effective_held(node, acquire.get("held", []))
-                for outer in held:
-                    if outer == acquire["lock"]:
-                        continue
-                    pair = (self._lock_key(module_key, str(outer)), self._lock_key(module_key, str(acquire["lock"])))
-                    order.setdefault(pair, []).append(
-                        (node, int(acquire["line"]), int(acquire["col"]))
-                    )
-        for (outer, inner), sites in sorted(order.items()):
-            reverse = order.get((inner, outer))
-            if not reverse:
-                continue
-            opposite = reverse[0]
-            for node, line, col in sites:
-                emit(
-                    node[0],
-                    {
-                        "rule": "CW704",
-                        "line": line,
-                        "col": col,
-                        "symbol": self.pretty_symbol(inner),
-                        "outer": self.pretty_symbol(outer),
-                        "opposite": f"{opposite[0][0]}:{opposite[1]}",
-                        "function": node[1],
-                    },
-                )
-
-    def _emit_blocking(self, emit: Callable[[str, Dict[str, object]], None]) -> None:
-        for node, record in sorted(self.nodes.items()):
-            module_key, _qualname = node
-            if not self._is_racy(node):
-                continue
-            for blocking in record.get("blocking", []):  # type: ignore[union-attr]
-                held = self._effective_held(node, blocking.get("held", []))
-                if not held:
-                    continue
-                lock = sorted(held)[0]
-                emit(
-                    module_key,
-                    {
-                        "rule": "CW705",
-                        "line": blocking["line"],
-                        "col": blocking["col"],
-                        "what": blocking["what"],
-                        "lock": self.pretty_lock(module_key, lock),
-                        "domains": sorted(self.domains.get(node, set())),
-                        "function": node[1],
-                    },
-                )
-
     # -- rendering ---------------------------------------------------------
-
-    def _lock_key(self, module_key: str, lock: str) -> str:
-        return f"{module_key}::{lock}"
 
     @staticmethod
     def pretty_symbol(key: str) -> str:
@@ -1112,7 +977,7 @@ class ThreadAnalysis:
         return key
 
     def pretty_lock(self, module_key: str, lock: str) -> str:
-        return self.pretty_symbol(lock if "::" in lock else self._lock_key(module_key, lock))
+        return self.pretty_symbol(lock if "::" in lock else f"{module_key}::{lock}")
 
     def render(self) -> str:
         """The ``--threads`` debug listing: roots, shared state, accesses."""

@@ -58,6 +58,16 @@ class TestDatasetStats:
         assert monthly_counts(crafted) == {
             "2012-04": 3, "2012-05": 2, "2012-06": 1, "2012-07": 1,
         }
+        # Across a Dec -> Jan year boundary, keys stay in calendar order.
+        january = CheckIn(
+            user_id="u1", venue_id="v1", category_id="c", category_name="Cafe",
+            lat=40.7, lon=-74.0, tz_offset_min=0,
+            timestamp=datetime(2013, 1, 2, 12, 0, 0, tzinfo=UTC),
+        )
+        records = [january, checkin("u1", 12, 31), checkin("u2", 9, 30), january]
+        assert list(monthly_counts(CheckInDataset(records)).items()) == [
+            ("2012-09", 1), ("2012-12", 1), ("2013-01", 2),
+        ]
 
     def test_densest_months(self, crafted):
         stats = dataset_stats(crafted)

@@ -30,7 +30,7 @@ class TestSignatures:
     def test_signature_separates_rule_path_and_message(self):
         base = finding_signature(finding())
         assert finding_signature(finding(path="src/b.py")) != base
-        assert finding_signature(finding(rule="CW502")) != base
+        assert finding_signature(finding(rule="CW104")) != base
         assert finding_signature(finding(message="other")) != base
 
     def test_snapshot_counts_duplicate_signatures(self):
@@ -108,10 +108,10 @@ class TestCliRatchet:
         argv = [str(tree), "--no-cache", "--baseline", str(baseline)]
         assert main(argv + ["--update-baseline"]) == 0
 
-        self.write_tree(tree, extra="\n\ntext = ''\nfor c in 'ab':\n    text += c\n")
+        self.write_tree(tree, extra="\n\ndef shared(seen=[]):\n    return seen\n")
         assert main(argv) == 1
         out = capsys.readouterr().out
-        assert "CW502" in out
+        assert "CW104" in out
         assert "CW501" not in out  # baselined finding stays suppressed
 
     def test_update_baseline_requires_baseline(self, tmp_path):

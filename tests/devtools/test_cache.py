@@ -16,11 +16,9 @@ from repro.devtools.engine import LintEngine
 FILE_TEMPLATE = '''\
 """Generated fixture module {index}."""
 
-from datetime import datetime
 
-
-def naive_{index}():
-    return datetime.now()
+def shared_{index}(seen=[]):
+    return seen
 
 
 def busy_{index}(values):
@@ -52,7 +50,7 @@ def test_warm_run_analyzes_nothing_and_matches_cold(tree, tmp_path):
     cold = engine.lint_paths([tree], cache=cache)
     cold_stats = engine.last_stats
     assert cold_stats.analyzed == cold_stats.files == 40
-    assert len(cold) == 40  # one CW103 per generated file
+    assert len(cold) == 40  # one CW104 per generated file
 
     warm = engine.lint_paths([tree], cache=cache)
     warm_stats = engine.last_stats
@@ -99,10 +97,10 @@ def test_cache_key_includes_module_identity_and_rule_selection():
     assert cache_key(source, "repro.web.a", False) != cache_key(source, "repro.obs.a", False)
     assert cache_key(source, "repro.web.a", False) != cache_key(source, "repro.web.a", True)
     # an --ignore/--select run must not share entries with a full-rule run
-    all_rules_key = cache_key(source, "repro.web.a", False, ["CW103", "CW104"])
-    assert all_rules_key != cache_key(source, "repro.web.a", False, ["CW103"])
+    all_rules_key = cache_key(source, "repro.web.a", False, ["CW104", "CW105"])
+    assert all_rules_key != cache_key(source, "repro.web.a", False, ["CW104"])
     # ...but rule order must not matter
-    assert all_rules_key == cache_key(source, "repro.web.a", False, ["CW104", "CW103"])
+    assert all_rules_key == cache_key(source, "repro.web.a", False, ["CW105", "CW104"])
 
 
 def test_fingerprint_change_misses_cleanly(tree, tmp_path):
@@ -126,7 +124,7 @@ def test_findings_rebind_to_the_current_path(tmp_path):
     (tmp_path / "two").mkdir()
     a = tmp_path / "one" / "mod.py"
     b = tmp_path / "two" / "mod.py"
-    source = "from datetime import datetime\nts = datetime.now()\n"
+    source = "def shared(seen=[]):\n    return seen\n"
     a.write_text(source, encoding="utf-8")
     b.write_text(source, encoding="utf-8")
 

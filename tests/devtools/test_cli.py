@@ -11,11 +11,9 @@ from repro.devtools.cli import main
 from repro.devtools.engine import all_rules
 
 DIRTY = """\
-from datetime import datetime, timezone
-
-
-def stamp():
-    return datetime.utcnow()
+def labels(items):
+    found = {item.label for item in items}
+    return list(found)
 """
 
 CLEAN = '"""Clean module."""\n\nX = 1\n'
@@ -47,18 +45,18 @@ class TestExitCodes:
 class TestSelectIgnore:
     def test_select_restricts_to_one_rule(self, dirty_file, capsys):
         assert main(["--no-cache", "--select", "CW105", str(dirty_file)]) == 0
-        assert main(["--no-cache", "--select", "CW103", str(dirty_file)]) == 1
-        assert "CW103" in capsys.readouterr().out
+        assert main(["--no-cache", "--select", "CW203", str(dirty_file)]) == 1
+        assert "CW203" in capsys.readouterr().out
 
     def test_ignore_drops_the_only_finding(self, dirty_file):
-        assert main(["--no-cache", "--ignore", "CW103", str(dirty_file)]) == 0
+        assert main(["--no-cache", "--ignore", "CW203", str(dirty_file)]) == 0
 
 
 class TestListRules:
     def test_human_listing_marks_fixable(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert "CW103*" in out  # fixable marker
+        assert "CW203*" in out  # fixable marker
         assert "CW108 " in out
 
     def test_json_listing_is_the_full_catalog(self, capsys):
@@ -68,7 +66,7 @@ class TestListRules:
             rule.id for rule in all_rules()
         )
         by_id = {entry["id"]: entry for entry in catalog}
-        assert by_id["CW103"]["fixable"] is True
+        assert by_id["CW203"]["fixable"] is True
         assert by_id["CW108"]["fixable"] is False
         assert all({"id", "name", "description", "fixable"} <= set(e) for e in catalog)
 
@@ -78,26 +76,26 @@ class TestFormats:
         main(["--no-cache", "--format", "json", str(dirty_file)])
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == 1
-        assert payload["by_rule"] == {"CW103": 1}
+        assert payload["by_rule"] == {"CW203": 1}
         assert payload["findings"][0]["fixable"] is True
 
     def test_sarif_format(self, dirty_file, capsys):
         main(["--no-cache", "--format", "sarif", str(dirty_file)])
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == "2.1.0"
-        assert payload["runs"][0]["results"][0]["ruleId"] == "CW103"
+        assert payload["runs"][0]["results"][0]["ruleId"] == "CW203"
 
 
 class TestFixAndDiff:
     def test_diff_previews_without_writing(self, dirty_file, capsys):
         assert main(["--diff", str(dirty_file)]) == 0
         out = capsys.readouterr().out
-        assert "+    return datetime.now(timezone.utc)" in out
+        assert "+    return list(sorted(found))" in out
         assert dirty_file.read_text(encoding="utf-8") == DIRTY  # untouched
 
     def test_fix_rewrites_in_place(self, dirty_file, capsys):
         assert main(["--fix", str(dirty_file)]) == 0
-        assert "datetime.now(timezone.utc)" in dirty_file.read_text(encoding="utf-8")
+        assert "list(sorted(found))" in dirty_file.read_text(encoding="utf-8")
         assert "fixed 1 finding(s)" in capsys.readouterr().err
 
     def test_fix_reports_unfixable_remainder(self, tmp_path, capsys):

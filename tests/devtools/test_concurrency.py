@@ -5,91 +5,6 @@ from __future__ import annotations
 from .conftest import rule_ids
 
 
-class TestUnpicklableTask:
-    def test_flags_lambda_task(self, lint):
-        findings = lint(
-            """
-            from repro.exec import ordered_map
-
-            def run(items):
-                return ordered_map(lambda x: x + 1, items)
-            """,
-            rule="CW301",
-        )
-        assert rule_ids(findings) == ["CW301"]
-
-    def test_flags_locally_defined_task(self, lint):
-        findings = lint(
-            """
-            from repro.exec import ordered_map
-
-            def run(items):
-                def work(x):
-                    return x + 1
-                return ordered_map(work, items)
-            """,
-            rule="CW301",
-        )
-        assert rule_ids(findings) == ["CW301"]
-
-    def test_flags_lambda_behind_assignment(self, lint):
-        findings = lint(
-            """
-            from repro.exec import ordered_map
-
-            def run(items):
-                task = lambda x: x + 1
-                return ordered_map(task, items)
-            """,
-            rule="CW301",
-        )
-        assert rule_ids(findings) == ["CW301"]
-
-    def test_module_level_function_is_clean(self, lint):
-        findings = lint(
-            """
-            from repro.exec import ordered_map
-
-            def work(x):
-                return x + 1
-
-            def run(items):
-                return ordered_map(work, items)
-            """,
-            rule="CW301",
-        )
-        assert findings == []
-
-    def test_partial_of_module_level_function_is_clean(self, lint):
-        findings = lint(
-            """
-            from functools import partial
-
-            from repro.exec import ordered_map
-
-            def work(cfg, x):
-                return x + cfg.offset
-
-            def run(cfg, items):
-                return ordered_map(partial(work, cfg), items)
-            """,
-            rule="CW301",
-        )
-        assert findings == []
-
-    def test_unresolvable_task_is_not_flagged(self, lint):
-        findings = lint(
-            """
-            from repro.exec import ordered_map
-
-            def run(tasks, items):
-                return ordered_map(tasks.best, items)
-            """,
-            rule="CW301",
-        )
-        assert findings == []
-
-
 class TestForkUnsafeModuleInit:
     def test_flags_module_level_lock(self, lint):
         findings = lint(
@@ -159,98 +74,5 @@ class TestForkUnsafeModuleInit:
             "import threading\n_LOCK = threading.Lock()\n",
             rule="CW302",
             module="tests.conftest",
-        )
-        assert findings == []
-
-
-class TestWorkerGlobalMutation:
-    def test_flags_task_rebinding_a_global(self, lint):
-        findings = lint(
-            """
-            from repro.exec import ordered_map
-
-            TOTAL = 0
-
-            def work(x):
-                global TOTAL
-                TOTAL += x
-                return x
-
-            def run(items):
-                return ordered_map(work, items)
-            """,
-            rule="CW303",
-        )
-        assert rule_ids(findings) == ["CW303"]
-
-    def test_flags_task_mutating_module_dict(self, lint):
-        findings = lint(
-            """
-            from repro.exec import ordered_map
-
-            CACHE = {}
-
-            def work(x):
-                CACHE[x] = x * 2
-                return CACHE[x]
-
-            def run(items):
-                return ordered_map(work, items)
-            """,
-            rule="CW303",
-        )
-        assert rule_ids(findings) == ["CW303"]
-
-    def test_flags_mutating_method_on_module_list(self, lint):
-        findings = lint(
-            """
-            from repro.exec import ordered_map
-
-            SEEN = []
-
-            def work(x):
-                SEEN.append(x)
-                return x
-
-            def run(items):
-                return ordered_map(work, items)
-            """,
-            rule="CW303",
-        )
-        assert rule_ids(findings) == ["CW303"]
-
-    def test_pure_task_is_clean(self, lint):
-        findings = lint(
-            """
-            from repro.exec import ordered_map
-
-            SCALE = 3
-
-            def work(x):
-                return x * SCALE
-
-            def run(items):
-                return ordered_map(work, items)
-            """,
-            rule="CW303",
-        )
-        assert findings == []
-
-    def test_local_shadow_of_global_name_is_clean(self, lint):
-        findings = lint(
-            """
-            from repro.exec import ordered_map
-
-            CACHE = {}
-
-            def work(x):
-                CACHE = {}
-                CACHE[x] = x
-                return CACHE[x]
-
-            def run(items):
-                return ordered_map(work, items)
-            """,
-            rule="CW303",
         )
         assert findings == []

@@ -5,57 +5,6 @@ from __future__ import annotations
 from .conftest import rule_ids
 
 
-class TestUnseededRandom:
-    def test_flags_global_random_api(self, lint):
-        findings = lint("import random\nx = random.random()\n", rule="CW201")
-        assert rule_ids(findings) == ["CW201"]
-
-    def test_flags_global_numpy_api(self, lint):
-        findings = lint(
-            "import numpy as np\nx = np.random.shuffle(items)\n", rule="CW201"
-        )
-        assert rule_ids(findings) == ["CW201"]
-
-    def test_flags_zero_arg_constructors_with_fix(self, lint):
-        findings = lint(
-            """
-            import random
-            import numpy as np
-
-            a = random.Random()
-            b = np.random.default_rng()
-            """,
-            rule="CW201",
-        )
-        assert rule_ids(findings) == ["CW201", "CW201"]
-        assert all(f.fix is not None for f in findings)
-
-    def test_seeded_constructors_are_clean(self, lint):
-        findings = lint(
-            """
-            import random
-            import numpy as np
-
-            a = random.Random(7)
-            b = np.random.default_rng(seed)
-            """,
-            rule="CW201",
-        )
-        assert findings == []
-
-    def test_instance_method_on_seeded_rng_is_clean(self, lint):
-        findings = lint(
-            """
-            import random
-
-            rng = random.Random(0)
-            x = rng.random()
-            """,
-            rule="CW201",
-        )
-        assert findings == []
-
-
 class TestWallclockData:
     def test_flags_wallclock_returned_as_data(self, lint):
         findings = lint(

@@ -16,7 +16,7 @@ from typing import Dict
 from repro.devtools.callgraph import ProjectAnalysis
 from repro.devtools.cli import main
 from repro.devtools.domains import extract_summary
-from repro.devtools.engine import LintEngine, iter_python_files, module_name_for
+from repro.devtools.engine import iter_python_files, module_name_for
 from repro.devtools.exceptions import ExceptionAnalysis
 
 
@@ -68,8 +68,7 @@ class TestExtraction:
         (raised,) = record["raises"]
         assert raised["type"] == "ValueError"
         assert raised["guards"] == [[0, 1]]  # both handlers guard the body
-        kinds = [(h["types"], h["uses"], h["silent"]) for h in record["handlers"]]
-        assert kinds == [(["KeyError"], False, True), (["Exception"], True, False)]
+        assert record["handlers"] == [["KeyError"], ["Exception"]]
 
     def test_project_class_hierarchy_collected(self):
         facts = facts_of(
@@ -90,8 +89,9 @@ class TestExtraction:
                     raise
             """
         )
-        (handler,) = facts["functions"]["f"]["handlers"]
-        assert handler["reraises"] is True
+        (raised,) = facts["functions"]["f"]["raises"]
+        assert raised["type"] is None
+        assert raised["handler"] == 0  # re-raises what handler 0 received
 
 
 class TestFixpoint:
@@ -152,10 +152,8 @@ class TestFixpoint:
         root = tmp_path / "tree"
         analysis = analyze(root, {"repro.mining.deep": source})
         assert analysis.may_raise("repro.mining.deep", "c00") == {"StaleCellError"}
-        handler_line = source.splitlines().index("    except Exception:") + 1
-        findings = LintEngine(select=["CW803"]).lint_paths([root])
-        assert [(f.rule_id, f.line) for f in findings] == [("CW803", handler_line)]
-        assert "entry()" in findings[0].message
+        assert analysis.incoming[(("repro.mining.deep", "entry"), 0)] == {"StaleCellError"}
+        assert analysis.may_raise("repro.mining.deep", "entry") == frozenset()
 
     def test_handler_subsumption_stops_subclasses(self, tmp_path):
         analysis = analyze(

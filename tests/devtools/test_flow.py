@@ -129,59 +129,6 @@ class TestReachingDefinitions:
         assert len(flow.definitions_for(use)) == 2
 
 
-class TestResolution:
-    def test_resolves_name_to_module_function(self):
-        flow = flow_of(
-            """
-            def work(item):
-                return item
-
-            task = work
-            result = runner(task)
-            """
-        )
-        (use,) = name_loads(flow, "task")
-        resolved = flow.resolve_callable(use)
-        assert isinstance(resolved, ast.FunctionDef) and resolved.name == "work"
-
-    def test_resolves_through_lambda_assignment(self):
-        flow = flow_of(
-            """
-            task = lambda item: item
-            runner(task)
-            """
-        )
-        (use,) = name_loads(flow, "task")
-        assert isinstance(flow.resolve_callable(use), ast.Lambda)
-
-    def test_ambiguous_name_does_not_resolve(self):
-        flow = flow_of(
-            """
-            def a(): ...
-            def b(): ...
-
-            def f(flag):
-                task = a if flag else b
-                return runner(task)
-            """
-        )
-        (use,) = name_loads(flow, "task")
-        assert flow.resolve_callable(use) is None
-
-    def test_sole_definition_requires_exactly_one(self):
-        flow = flow_of(
-            """
-            def f(flag):
-                x = 1
-                if flag:
-                    x = 2
-                return x
-            """
-        )
-        (use,) = name_loads(flow, "x")
-        assert flow.sole_definition(use) is None
-
-
 class TestModuleTopLevel:
     def test_toplevel_calls_skip_function_bodies_and_main_guard(self):
         flow = flow_of(

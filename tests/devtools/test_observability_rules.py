@@ -62,144 +62,3 @@ class TestMetricNameGrammar:
             module="tests.obs.test_runtime",
         )
         assert findings == []
-
-
-class TestMetricLayerMismatch:
-    def test_flags_wrong_layer_segment_with_fix(self, lint):
-        findings = lint(
-            'def f(obs):\n    obs.inc("repro_mining_requests_total", 1)\n',
-            rule="CW402",
-            module=MODULE,
-        )
-        assert rule_ids(findings) == ["CW402"]
-        assert "repro_web_requests_total" in findings[0].fix.edits[0].replacement
-
-    def test_flags_undeclared_layer_segment(self, lint):
-        findings = lint(
-            'def f(obs):\n    obs.inc("repro_nosuch_requests_total", 1)\n',
-            rule="CW402",
-            module=MODULE,
-        )
-        assert rule_ids(findings) == ["CW402"]
-
-    def test_matching_layer_is_clean(self, lint):
-        findings = lint(
-            'def f(obs):\n    obs.inc("repro_web_requests_total", 1)\n',
-            rule="CW402",
-            module=MODULE,
-        )
-        assert findings == []
-
-    def test_malformed_name_is_cw401_territory(self, lint):
-        findings = lint(
-            'def f(obs):\n    obs.inc("hits", 1)\n',
-            rule="CW402",
-            module=MODULE,
-        )
-        assert findings == []
-
-
-class TestUnbalancedSpan:
-    def test_flags_discarded_span(self, lint):
-        findings = lint(
-            'def f(obs):\n    obs.span("region")\n',
-            rule="CW403",
-            module=MODULE,
-        )
-        assert rule_ids(findings) == ["CW403"]
-
-    def test_flags_assigned_never_entered_span(self, lint):
-        findings = lint(
-            """
-            def f(obs):
-                s = obs.span("region")
-                do_work()
-            """,
-            rule="CW403",
-            module=MODULE,
-        )
-        assert rule_ids(findings) == ["CW403"]
-
-    def test_with_entered_span_is_clean(self, lint):
-        findings = lint(
-            """
-            def f(obs):
-                with obs.span("region"):
-                    do_work()
-            """,
-            rule="CW403",
-            module=MODULE,
-        )
-        assert findings == []
-
-    def test_assigned_then_entered_span_is_clean(self, lint):
-        findings = lint(
-            """
-            def f(obs):
-                s = obs.span("region")
-                with s:
-                    do_work()
-            """,
-            rule="CW403",
-            module=MODULE,
-        )
-        assert findings == []
-
-    def test_returned_span_is_clean(self, lint):
-        findings = lint(
-            """
-            def f(obs):
-                s = obs.span("region")
-                return s
-            """,
-            rule="CW403",
-            module=MODULE,
-        )
-        assert findings == []
-
-
-class TestUnguardedInstrumentation:
-    def test_flags_registry_bypass(self, lint):
-        findings = lint(
-            'def f(obs):\n    obs.registry.inc("repro_web_hits_total", 1)\n',
-            rule="CW404",
-            module=MODULE,
-        )
-        assert rule_ids(findings) == ["CW404"]
-
-    def test_flags_tracer_bypass(self, lint):
-        findings = lint(
-            'def f(obs):\n    with obs.tracer.span("region"):\n        pass\n',
-            rule="CW404",
-            module=MODULE,
-        )
-        assert rule_ids(findings) == ["CW404"]
-
-    def test_guarded_observer_calls_are_clean(self, lint):
-        findings = lint(
-            """
-            def f(obs):
-                obs.inc("repro_web_hits_total", 1)
-                with obs.span("region"):
-                    pass
-            """,
-            rule="CW404",
-            module=MODULE,
-        )
-        assert findings == []
-
-    def test_obs_layer_itself_is_exempt(self, lint):
-        findings = lint(
-            'def f(self):\n    self.registry.inc("repro_obs_events_total", 1)\n',
-            rule="CW404",
-            module="repro.obs.runtime",
-        )
-        assert findings == []
-
-    def test_reads_are_not_mutations(self, lint):
-        findings = lint(
-            "def f(obs):\n    return obs.registry.snapshot()\n",
-            rule="CW404",
-            module=MODULE,
-        )
-        assert findings == []

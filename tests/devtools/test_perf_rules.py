@@ -104,134 +104,6 @@ class TestListMembershipInLoop:
         assert [f.severity for f in findings] == ["warning"]
 
 
-class TestStringConcatInLoop:
-    def test_flags_string_accumulation(self, lint):
-        findings = lint(
-            """
-            def render(rows):
-                text = ""
-                for row in rows:
-                    text += str(row)
-                return text
-            """,
-            rule="CW502",
-        )
-        assert rule_ids(findings) == ["CW502"]
-
-    def test_numeric_accumulation_is_fine(self, lint):
-        findings = lint(
-            """
-            def total(rows):
-                acc = 0
-                for row in rows:
-                    acc += row
-                return acc
-            """,
-            rule="CW502",
-        )
-        assert findings == []
-
-    def test_concat_outside_a_loop_is_fine(self, lint):
-        findings = lint(
-            """
-            def greet(name):
-                text = "hello "
-                text += name
-                return text
-            """,
-            rule="CW502",
-        )
-        assert findings == []
-
-
-class TestRegexCompileInLoop:
-    def test_flags_constant_pattern_in_loop(self, lint):
-        findings = lint(
-            """
-            import re
-
-            def scan(lines):
-                for line in lines:
-                    rx = re.compile("x+")
-                    rx.search(line)
-            """,
-            rule="CW503",
-        )
-        assert rule_ids(findings) == ["CW503"]
-
-    def test_dynamic_pattern_is_fine(self, lint):
-        findings = lint(
-            """
-            import re
-
-            def scan(lines, patterns):
-                for pattern in patterns:
-                    re.compile(pattern)
-            """,
-            rule="CW503",
-        )
-        assert findings == []
-
-    def test_module_level_compile_is_fine(self, lint):
-        findings = lint(
-            """
-            import re
-
-            RX = re.compile("x+")
-            """,
-            rule="CW503",
-        )
-        assert findings == []
-
-
-class TestInvariantSortInLoop:
-    def test_flags_loop_invariant_sort(self, lint):
-        findings = lint(
-            """
-            def nearest(queries, stations):
-                for query in queries:
-                    ordered = sorted(stations)
-                    yield ordered[0]
-            """,
-            rule="CW504",
-        )
-        assert rule_ids(findings) == ["CW504"]
-
-    def test_sorting_a_mutated_list_is_fine(self, lint):
-        findings = lint(
-            """
-            def accumulate(rows):
-                acc = []
-                for row in rows:
-                    acc.append(row)
-                    yield sorted(acc)
-            """,
-            rule="CW504",
-        )
-        assert findings == []
-
-    def test_loop_dependent_key_is_fine(self, lint):
-        findings = lint(
-            """
-            def rank(queries, stations):
-                for query in queries:
-                    yield sorted(stations, key=lambda s: s - query)
-            """,
-            rule="CW504",
-        )
-        assert findings == []
-
-    def test_comprehension_source_iterable_is_exempt(self, lint):
-        findings = lint(
-            """
-            def pick(traces):
-                return {d: traces[d] for d in sorted(traces)[:22]}
-            """,
-            rule="CW504",
-        )
-        assert findings == []
-
-
 class TestTimedItemInHotLoop:
     def test_flags_construction_in_mining_loop(self, lint):
         findings = lint(

@@ -34,41 +34,59 @@ def test_cli_exits_nonzero_on_seeded_domain_bugs(tmp_path, capsys):
     (pkg / "seeded.py").write_text(
         textwrap.dedent(
             """\
-            import random
             import threading
-            from datetime import datetime
 
             from repro.web import api
-            from repro.exec import ordered_map
+
+            __all__ = ["place", "first_tag", "fanout", "count", "dedupe", "peek"]
 
             _LOCK = threading.Lock()
+            _SEEN = {}
 
 
             def place(venue):
-                p = GeoPoint(venue.lon, venue.lat)
-                stamped = datetime.now()
-                return p, stamped
+                return GeoPoint(venue.lon, venue.lat)
 
 
-            def shuffled(venues):
-                return random.sample(venues, len(venues))
+            def first_tag(tags):
+                return next(iter(set(tags)))
 
 
-            def fanout(items):
-                return ordered_map(lambda x: x + 1, items)
+            def _remember(key):
+                _SEEN[key] = True
+
+
+            def fanout(keys):
+                for key in keys:
+                    threading.Thread(target=_remember, args=(key,)).start()
 
 
             def count(obs, venues):
                 obs.inc("repro_mining_venues_counted", len(venues))
+
+
+            def dedupe(rows):
+                out = []
+                for row in rows:
+                    if row not in out:
+                        out.append(row)
+                return out
+
+
+            def peek(path):
+                handle = open(path)
+                return handle.read()
             """
         )
     )
     assert main(["--no-cache", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "CW101" in out  # CW1xx: lat/lon swap
-    assert "CW103" in out  # CW1xx: naive datetime
     assert "CW108" in out  # CW1xx: forbidden mining -> web import
-    assert "CW201" in out  # CW2xx: unseeded global RNG
-    assert "CW301" in out  # CW3xx: lambda shipped to ordered_map
+    assert "CW204" in out  # CW2xx: arbitrary set element
     assert "CW302" in out  # CW3xx: module-level lock
     assert "CW401" in out  # CW4xx: metric name missing its unit segment
+    assert "CW501" in out  # CW5xx: list membership inside a loop
+    assert "CW604" in out  # whole-program: exports nothing else references
+    assert "CW701" in out  # CW7xx: unguarded write from a thread
+    assert "CW801" in out  # whole-program: file handle never closed

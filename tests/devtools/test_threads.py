@@ -119,8 +119,6 @@ class TestExtraction:
             ("g:CACHE", ["g:LOCK"]),
             ("g:CACHE", []),
         ]
-        acquires = facts["functions"]["guarded"]["acquires"]
-        assert [(a["lock"], a["held"]) for a in acquires] == [("g:LOCK", [])]
 
     def test_acquire_release_toggle(self):
         facts = facts_of(
@@ -247,25 +245,24 @@ class TestExtraction:
         cta, = facts["functions"]["fill"]["cta"]
         assert cta["fix"] is None  # eager evaluation would change behaviour
 
-    def test_blocking_records_held(self):
+    def test_call_records_carry_held_locks(self):
         facts = facts_of(
             """
             import threading
-            import time
 
             LOCK = threading.Lock()
 
 
             def slow():
                 with LOCK:
-                    time.sleep(0.1)
-                time.sleep(0.2)
+                    helper(0.1)
+                helper(0.2)
             """
         )
-        blocking = facts["functions"]["slow"]["blocking"]
-        assert [(b["what"], b["held"]) for b in blocking] == [
-            ("time.sleep", ["g:LOCK"]),
-            ("time.sleep", []),
+        calls = facts["functions"]["slow"]["calls"]
+        assert [(c["sym"], c["held"]) for c in calls] == [
+            (["name", "helper"], ["g:LOCK"]),
+            (["name", "helper"], []),
         ]
 
 

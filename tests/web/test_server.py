@@ -61,6 +61,8 @@ class TestRouting:
         status, _, body = get(app, f"/user/{uid}")
         assert status == 200
         assert uid in body
+        # The figure draws this user's own places, not an empty graph.
+        assert "no places visited" not in body
 
     def test_unknown_user_404(self, app):
         status, _, body = get(app, "/user/ghost")
