@@ -60,6 +60,23 @@ class CrowdTimeline:
         """(window label, #users at `label` places) per window."""
         return [(s.window.label, s.label_counts().get(label, 0)) for s in self.snapshots]
 
+    def cell_occupancy_matrix(self) -> Dict[CellIndex, List[int]]:
+        """Per-cell occupancy across all windows (cells ever occupied only).
+
+        Reads this timeline's own snapshots, so serving it recomputes no
+        window.  Cells are interned to dense column ids for the fill, so
+        each window costs one pass over its *occupied* cells instead of a
+        dict probe per (window × ever-occupied cell).
+        """
+        window_counts = [snap.cell_counts() for snap in self.snapshots]
+        cells = sorted({cell for counts in window_counts for cell in counts})
+        cell_id = {cell: i for i, cell in enumerate(cells)}
+        columns = [[0] * len(window_counts) for _ in cells]
+        for window_index, counts in enumerate(window_counts):
+            for cell, count in counts.items():
+                columns[cell_id[cell]][window_index] = count
+        return {cell: columns[i] for i, cell in enumerate(cells)}
+
 
 class CrowdAggregator:
     """Synchronizes and aggregates all users' patterns over a city grid.
@@ -131,23 +148,6 @@ class CrowdAggregator:
         return CrowdTimeline(snapshots=tuple(snapshots))
 
     # ----------------------------------------------------------- aggregates
-
-    def cell_occupancy_matrix(self, bins_per_window: int = 1) -> Dict[CellIndex, List[int]]:
-        """Per-cell occupancy across all windows (cells ever occupied only).
-
-        Cells are interned to dense column ids for the fill, so each window
-        costs one pass over its *occupied* cells instead of a dict probe per
-        (window × ever-occupied cell); the returned mapping is unchanged.
-        """
-        timeline = self.timeline(bins_per_window)
-        window_counts = [snap.cell_counts() for snap in timeline]
-        cells = sorted({cell for counts in window_counts for cell in counts})
-        cell_id = {cell: i for i, cell in enumerate(cells)}
-        columns = [[0] * len(window_counts) for _ in cells]
-        for window_index, counts in enumerate(window_counts):
-            for cell, count in counts.items():
-                columns[cell_id[cell]][window_index] = count
-        return {cell: columns[i] for i, cell in enumerate(cells)}
 
     def busiest_window(self) -> CrowdSnapshot:
         """The window with the largest placed crowd."""

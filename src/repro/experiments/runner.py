@@ -202,7 +202,7 @@ def _event_detection(config: SynthConfig) -> Dict[str, object]:
 def _extra_figures(result: PipelineResult) -> Dict[str, str]:
     """The occupancy heatmap and the crowd animation, when there is a crowd."""
     figures: Dict[str, str] = {}
-    occupancy = result.aggregator.cell_occupancy_matrix()
+    occupancy = result.timeline.cell_occupancy_matrix()
     top_cells = sorted(occupancy, key=lambda c: -sum(occupancy[c]))[:25]
     if top_cells:
         figures["occupancy_heatmap.svg"] = Heatmap(

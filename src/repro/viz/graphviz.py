@@ -1,16 +1,16 @@
 """Place-graph rendering: the individual user's "graph of visited places".
 
-Lays out a networkx place graph with a spring embedding (seeded, so the
-same profile always renders identically) and draws nodes sized by visit
-count / pattern support with edges weighted by transition frequency.
+Lays out a networkx place graph on a circle, one node per place in sorted
+label order (the order the categorical colours are assigned in), so the
+same graph always renders identically with no seed and no iterations.
+Nodes are sized by visit count / pattern support and edges weighted by
+transition frequency.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .palette import (
     CATEGORICAL,
@@ -22,6 +22,9 @@ from .palette import (
     categorical_for,
 )
 from .svg import SvgCanvas
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["render_place_graph"]
 
@@ -37,7 +40,6 @@ def render_place_graph(
     width: float = 720.0,
     height: float = 560.0,
     title: Optional[str] = None,
-    seed: int = 42,
 ) -> str:
     """A user's place graph as SVG.
 
@@ -53,17 +55,18 @@ def render_place_graph(
                     fill=TEXT_SECONDARY, size=13, anchor="middle")
         return canvas.to_string()
 
-    positions = nx.spring_layout(graph, seed=seed, k=1.6 / max(1.0, math.sqrt(graph.number_of_nodes())))
+    # Places on an ellipse filling the plot area, clockwise from the top.
     pad = 60.0
-    xs = [p[0] for p in positions.values()]
-    ys = [p[1] for p in positions.values()]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-
-    def to_screen(pos) -> Tuple[float, float]:
-        fx = (pos[0] - x_lo) / ((x_hi - x_lo) or 1.0)
-        fy = (pos[1] - y_lo) / ((y_hi - y_lo) or 1.0)
-        return pad + fx * (width - 2 * pad), 40.0 + pad / 2 + fy * (height - 60.0 - pad)
+    cx, rx = width / 2, (width - 2 * pad) / 2
+    ry = (height - 60.0 - pad) / 2
+    cy = 40.0 + pad / 2 + ry
+    order = sorted(graph.nodes())
+    step = 2 * math.pi / len(order)
+    positions: Dict[str, Tuple[float, float]] = {
+        node: (cx + rx * math.cos(i * step - math.pi / 2),
+               cy + ry * math.sin(i * step - math.pi / 2))
+        for i, node in enumerate(order)
+    }
 
     def node_value(attrs: Dict) -> float:
         if "visits" in attrs:
@@ -72,12 +75,12 @@ def render_place_graph(
 
     vmax = max((node_value(a) for _, a in graph.nodes(data=True)), default=1.0)
     w_max = max((attrs.get("weight", 1.0) for _, _, attrs in graph.edges(data=True)), default=1.0)
-    colors = categorical_for(sorted(graph.nodes()))
+    colors = categorical_for(order)
 
     # Edges first (under the nodes), arrowheads as short chevrons.
     for u, v, attrs in graph.edges(data=True):
-        x1, y1 = to_screen(positions[u])
-        x2, y2 = to_screen(positions[v])
+        x1, y1 = positions[u]
+        x2, y2 = positions[v]
         weight = attrs.get("weight", 1.0)
         stroke_w = 1.0 + 3.0 * (weight / w_max)
         canvas.line(x1, y1, x2, y2, stroke=GRID, stroke_width=stroke_w, opacity=0.9)
@@ -92,7 +95,7 @@ def render_place_graph(
                         stroke=TEXT_SECONDARY, stroke_width=1.2)
 
     for node, attrs in graph.nodes(data=True):
-        x, y = to_screen(positions[node])
+        x, y = positions[node]
         value = node_value(attrs)
         r = _node_radius(value, vmax)
         detail = (f"{int(attrs['visits'])} visits" if "visits" in attrs

@@ -94,7 +94,7 @@ class CrowdWebAPI:
 
     def occupancy(self) -> Dict:
         """Per-microcell occupancy over all windows (the heatmap's data)."""
-        matrix = self.result.aggregator.cell_occupancy_matrix()
+        matrix = self.result.timeline.cell_occupancy_matrix()
         return {
             "windows": [snap.window.label for snap in self.result.timeline],
             "cells": [

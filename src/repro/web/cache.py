@@ -51,7 +51,6 @@ from ..pipeline import PipelineResult
 
 __all__ = [
     "CacheEntry",
-    "CacheKey",
     "MIN_GZIP_BYTES",
     "ResponseCache",
     "dataset_fingerprint",

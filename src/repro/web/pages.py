@@ -198,7 +198,7 @@ class Pages:
         """Per-microcell occupancy heatmap across the whole day."""
         from ..viz import Heatmap
 
-        matrix = self.result.aggregator.cell_occupancy_matrix()
+        matrix = self.result.timeline.cell_occupancy_matrix()
         top_cells = sorted(matrix, key=lambda c: -sum(matrix[c]))[:25]
         if not top_cells:
             body = "<h1>Occupancy</h1><p class=\"muted\">no crowd placed</p>"

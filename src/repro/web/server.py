@@ -66,13 +66,13 @@ import threading
 import time
 from email.utils import formatdate, parsedate_to_datetime
 from http import HTTPStatus
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
-from urllib.parse import parse_qs, urlencode, urlparse
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from urllib.parse import parse_qs, urlparse
 
 from ..obs import get_observer
 from ..pipeline import PipelineResult
 from .api import CrowdWebAPI
-from .cache import CacheEntry, CacheKey, ResponseCache, dataset_fingerprint
+from .cache import CacheEntry, ResponseCache, dataset_fingerprint
 from .pages import Pages
 
 __all__ = ["CrowdWebApp", "CrowdWebServer", "RETRY_AFTER_S"]
@@ -80,29 +80,18 @@ __all__ = ["CrowdWebApp", "CrowdWebServer", "RETRY_AFTER_S"]
 #: ``Retry-After`` seconds advertised while the pipeline precompute runs.
 RETRY_AFTER_S = 1
 
-#: Routes that must never be served from (or stored into) the cache.
-_UNCACHEABLE = frozenset({"/metrics", "/api/refresh", "/api/cache"})
-
 HeaderList = List[Tuple[str, str]]
 WebResponse = Tuple[int, HeaderList, bytes]
+RouteParams = Dict[str, Union[int, float]]
+
+#: Longest query string a request may carry; longer ones get ``414``
+#: before ``parse_qs`` runs (every route's own params fit in a few dozen).
+MAX_QUERY_BYTES = 1024
 
 
-def _route_params(segments: List[str]) -> Tuple[str, ...]:
-    """The query params :func:`_dispatch` reads for ``segments``, in key order.
-
-    Only these (first value each) enter the response-cache key, so a param
-    the matched route does not read (``/api/stats?window=3``) shares the
-    bare path's entry instead of adding its own.
-    """
-    if segments[:1] == ["city"]:
-        return ("window", "zoom")
-    if len(segments) == 5 and segments[:2] == ["api", "tiles"]:
-        return ("window",)
-    if segments == ["api", "communities"]:
-        return ("min_similarity",)
-    if segments == ["api", "spikes"]:
-        return ("z",)
-    return ()
+def _first(query: Mapping[str, List[str]], name: str, default: str) -> str:
+    """The first value of query param ``name``, or ``default``."""
+    return query.get(name, [default])[0]
 
 
 def _endpoint_of(segments: List[str]) -> str:
@@ -118,8 +107,13 @@ def _endpoint_of(segments: List[str]) -> str:
     return "/" + "/".join(parts)
 
 
-def _dispatch(api: CrowdWebAPI, pages: Pages, parsed, segments, query) -> Tuple[int, str, str]:
-    """The routing table proper: one render, behind :meth:`CrowdWebApp.handle`."""
+def _dispatch(
+    api: CrowdWebAPI, pages: Pages, parsed, segments, params: RouteParams
+) -> Tuple[int, str, str]:
+    """The routing table proper: one render, behind :meth:`CrowdWebApp.handle`.
+
+    ``params`` is :meth:`CrowdWebApp._route_params`' parsed view of the query.
+    """
 
     def ok_json(payload) -> Tuple[int, str, str]:
         return 200, "application/json", json.dumps(payload)
@@ -139,9 +133,7 @@ def _dispatch(api: CrowdWebAPI, pages: Pages, parsed, segments, query) -> Tuple[
             page = pages.user(segments[1])
             return ok_html(page) if page is not None else not_found(f"user {segments[1]}")
         if segments[0] == "city":
-            window = int(query.get("window", ["9"])[0])
-            zoom = int(query.get("zoom", ["2"])[0])
-            return ok_html(pages.city(window, zoom=zoom))
+            return ok_html(pages.city(params["window"], zoom=params["zoom"]))
         if segments[0] == "animation":
             return ok_html(pages.animation())
         if segments[0] == "occupancy":
@@ -167,11 +159,10 @@ def _dispatch(api: CrowdWebAPI, pages: Pages, parsed, segments, query) -> Tuple[
             if len(segments) == 2 and segments[1] == "tiles":
                 return ok_json(api.tile_scheme())
             if len(segments) == 5 and segments[1] == "tiles":
-                window = int(query.get("window", ["9"])[0])
                 return ok_json(
                     api.tile(
                         int(segments[2]), int(segments[3]), int(segments[4]),
-                        window=window,
+                        window=params["window"],
                     )
                 )
             if len(segments) == 2 and segments[1] == "animation":
@@ -181,11 +172,9 @@ def _dispatch(api: CrowdWebAPI, pages: Pages, parsed, segments, query) -> Tuple[
             if len(segments) == 2 and segments[1] == "occupancy":
                 return ok_json(api.occupancy())
             if len(segments) == 2 and segments[1] == "communities":
-                min_similarity = float(query.get("min_similarity", ["0.05"])[0])
-                return ok_json(api.communities(min_similarity))
+                return ok_json(api.communities(params["min_similarity"]))
             if len(segments) == 2 and segments[1] == "spikes":
-                z = float(query.get("z", ["4.0"])[0])
-                return ok_json(api.spikes(z))
+                return ok_json(api.spikes(params["z"]))
             if len(segments) == 3 and segments[1] == "metrics":
                 payload = api.user_metrics(segments[2])
                 return ok_json(payload) if payload is not None else not_found(
@@ -230,17 +219,16 @@ class CrowdWebApp:
         """Serve one request: cache lookup, conditional, content negotiation."""
         parsed = urlparse(path)
         segments = [s for s in parsed.path.split("/") if s]
-        query = parse_qs(parsed.query)
 
         observer = get_observer()
         if not observer.enabled:
-            return self._handle_inner(method, parsed, segments, query, headers)
+            return self._handle_inner(method, parsed, segments, headers)
 
         endpoint = _endpoint_of(segments)
         with observer.span("web.request", endpoint=endpoint) as span:
             start = time.perf_counter()
             status, out_headers, body = self._handle_inner(
-                method, parsed, segments, query, headers
+                method, parsed, segments, headers
             )
             elapsed_s = time.perf_counter() - start
             span.set("status", status)
@@ -252,8 +240,12 @@ class CrowdWebApp:
         return status, out_headers, body
 
     def _handle_inner(
-        self, method: str, parsed, segments, query, headers: Optional[Mapping]
+        self, method: str, parsed, segments, headers: Optional[Mapping]
     ) -> WebResponse:
+        if len(parsed.query) > MAX_QUERY_BYTES:
+            return self._json_response(
+                414, {"error": f"query string over {MAX_QUERY_BYTES} bytes"}
+            )
         normalized = "/" + "/".join(segments)
         if method == "POST":
             if normalized == "/api/refresh":
@@ -268,31 +260,60 @@ class CrowdWebApp:
             status, out_headers, body = self._json_response(200, payload)
             return status, out_headers + [("Cache-Control", "no-store")], body
 
-        key = self._cache_key(segments, query)
+        try:
+            params = self._route_params(segments, parsed.query)
+        except ValueError as exc:
+            # Unparsable params are a 400, never cached (as render errors).
+            return self._json_response(400, {"error": str(exc)})
+        # Names are fixed and values are int/float reprs: nothing to quote.
+        canonical_query = "&".join([f"{name}={value}" for name, value in params.items()])
+        key = self.cache.key("GET", normalized, canonical_query)
         entry = self.cache.lookup(key)
         if entry is None:
-            status, content_type, text = self._render(parsed, segments, query)
+            status, content_type, text = self._render(parsed, segments, params)
             if status != 200:
                 # Errors are never cached (and carry no validators).
                 return status, [("Content-Type", content_type)], text.encode("utf-8")
             entry = self.cache.store(key, text.encode("utf-8"), content_type)
         return self._serve_entry(entry, headers)
 
-    def _cache_key(self, segments, query) -> CacheKey:
-        canonical_query = urlencode(
-            [(name, query[name][0]) for name in _route_params(segments) if name in query]
-        )
-        return self.cache.key("GET", "/" + "/".join(segments), canonical_query)
+    def _route_params(self, segments: List[str], raw_query: str) -> RouteParams:
+        """The query params :func:`_dispatch` reads for ``segments``, parsed and clamped.
 
-    def _render(self, parsed, segments, query) -> Tuple[int, str, str]:
+        Defaults are filled in, ``window`` is clamped to the timeline and
+        ``zoom`` to the tile pyramid, as the renders clamp them, so the
+        response-cache key (built from these values) holds one entry per
+        distinct body: ``?window=1000`` shares the last window's entry,
+        ``0.1`` and ``0.10`` key alike, and a param the route does not read
+        (``/api/stats?window=3``) shares the bare path's entry.  Only a
+        route that reads params parses the query.  Raises ``ValueError``
+        for a value that does not parse.
+        """
+        if segments[:1] == ["city"]:
+            query = parse_qs(raw_query)
+            zoom = max(0, min(int(_first(query, "zoom", "2")), self.api.tiles.max_zoom))
+            return {"window": self._window(query), "zoom": zoom}
+        if len(segments) == 5 and segments[:2] == ["api", "tiles"]:
+            return {"window": self._window(parse_qs(raw_query))}
+        if segments == ["api", "communities"]:
+            return {"min_similarity": float(_first(parse_qs(raw_query), "min_similarity", "0.05"))}
+        if segments == ["api", "spikes"]:
+            return {"z": float(_first(parse_qs(raw_query), "z", "4.0"))}
+        return {}
+
+    def _window(self, query: Mapping[str, List[str]]) -> int:
+        """The ``window`` param (default 9), clamped to the timeline."""
+        return max(0, min(int(_first(query, "window", "9")), len(self.result.timeline) - 1))
+
+    def _render(self, parsed, segments, params: RouteParams) -> Tuple[int, str, str]:
         """One real render (a cache miss): traced and counted."""
         observer = get_observer()
         if not observer.enabled:
-            return _dispatch(self.api, self.pages, parsed, segments, query)
+            return _dispatch(self.api, self.pages, parsed, segments, params)
         endpoint = _endpoint_of(segments)
         with observer.span("web.render", endpoint=endpoint):
             start = time.perf_counter()
-            result = _dispatch(self.api, self.pages, parsed, segments, query)
+            result = _dispatch(self.api, self.pages, parsed, segments, params)
             observer.observe(
                 "repro_web_render_latency_s",
                 time.perf_counter() - start,

@@ -63,9 +63,10 @@ class TestAggregator:
         assert len(timeline3) == 8
 
     def test_occupancy_matrix_consistent(self, pipeline_result):
-        aggregator = pipeline_result.aggregator
-        matrix = aggregator.cell_occupancy_matrix()
-        timeline = aggregator.timeline()
+        matrix = pipeline_result.timeline.cell_occupancy_matrix()
+        timeline = pipeline_result.aggregator.timeline()
+        assert matrix == timeline.cell_occupancy_matrix()
+        assert set(matrix) == {cell for snap in timeline for cell in snap.cell_counts()}
         for cell, counts in matrix.items():
             assert len(counts) == len(timeline)
             for count, snap in zip(counts, timeline):

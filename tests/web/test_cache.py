@@ -2,6 +2,7 @@
 
 import gzip
 import threading
+from collections import OrderedDict
 
 import pytest
 
@@ -160,3 +161,52 @@ class TestThreadSafety:
         assert errors == []
         assert len(cache) <= 8
         assert cache.generation >= 4
+
+    def test_invalidate_between_check_and_read_cannot_break_lookup(self, cache):
+        """An ``invalidate()`` injected right after each dict access of ``lookup``.
+
+        If ``lookup`` touches ``_entries`` without holding ``_lock``, another
+        thread could empty it at that very point, so the injection runs
+        ``invalidate()`` there and then; if the lock is held, a racing
+        ``invalidate()`` has to wait, so the injection runs it once
+        ``lookup`` returns.  An unlocked check-then-act (``if key in
+        self._entries: entry = self._entries[key]``) then reads a dropped
+        key and raises ``KeyError``.
+        """
+        key = cache.key("GET", "/x", "")
+        cache.store(key, b"body", "text/plain")
+        armed = [True]
+        waiting = []
+
+        def interleave() -> None:
+            if not armed:
+                return
+            armed.clear()
+            if cache._lock.acquire(blocking=False):
+                cache._lock.release()
+                cache.invalidate()
+            else:
+                waiting.append(cache.invalidate)
+
+        class Interleaved(OrderedDict):
+            def __contains__(self, k):
+                found = super().__contains__(k)
+                interleave()
+                return found
+
+            def __getitem__(self, k):
+                value = super().__getitem__(k)
+                interleave()
+                return value
+
+            def get(self, k, default=None):
+                value = super().get(k, default)
+                interleave()
+                return value
+
+        cache._entries = Interleaved(cache._entries)
+        entry = cache.lookup(key)
+        assert not armed and len(waiting) == 1  # the injection did fire
+        waiting[0]()
+        assert entry is not None and entry.body == b"body"
+        assert cache.lookup(key) is None

@@ -3,7 +3,6 @@
 import json
 import urllib.error
 import urllib.request
-from urllib.parse import parse_qs
 
 import pytest
 
@@ -255,12 +254,138 @@ class TestCacheKey:
     def test_each_route_is_keyed_on_the_params_it_reads(self, app, path, read, unread):
         def key(query):
             segments = [s for s in path.split("/") if s]
-            return app._cache_key(segments, parse_qs(query))
+            return app._route_params(segments, query)
 
         assert key(unread) == key("")
         if read is not None:
             assert key(read) != key("")
             assert key(read + "&" + unread) == key(read)
+
+
+    def test_params_key_on_their_parsed_clamped_value(self, pipeline_result):
+        from repro.obs import observed
+
+        app = CrowdWebApp(pipeline_result)
+        last = len(pipeline_result.timeline) - 1
+        max_zoom = app.api.tiles.max_zoom
+        with observed() as o:
+            for i in range(50):
+                assert app.handle("GET", f"/api/tiles/0/0/0?window={1000 + i}", None)[0] == 200
+            assert app.handle("GET", f"/api/tiles/0/0/0?window={last}", None)[0] == 200
+            for value in ("0.1", "0.10", "1e-1", " 0.1"):
+                assert app.handle("GET", f"/api/communities?min_similarity={value}", None)[0] == 200
+            # The last window at the top zoom, then the default view.
+            for query in (f"window={last}&zoom={max_zoom}", "window=99&zoom=99",
+                          "window=+99&zoom=0099", "", "window=9&zoom=2", "window=09"):
+                assert app.handle("GET", f"/city?{query}", None)[0] == 200
+            assert o.registry.counter("repro_web_renders_total") == 4
+        assert len(app.cache) == 4
+
+    @pytest.mark.parametrize("path", [
+        "/api/tiles/0/0/0?window=abc",
+        "/city?zoom=1.5",
+        "/api/communities?min_similarity=often",
+        "/api/spikes?z=high",
+    ])
+    def test_unparsable_param_is_a_400_and_not_cached(self, pipeline_result, path):
+        from repro.obs import observed
+
+        app = CrowdWebApp(pipeline_result)
+        with observed() as o:
+            for _ in range(2):
+                status, _headers, body = app.handle("GET", path, None)
+                assert status == 400
+                assert "error" in json.loads(body)
+            assert o.registry.counter("repro_web_renders_total") == 0
+        assert len(app.cache) == 0
+
+    def test_oversized_query_string_is_rejected_before_parsing(self, pipeline_result, monkeypatch):
+        from repro.obs import observed
+        from repro.web import server
+
+        parses = []
+        real_parse_qs = server.parse_qs
+        monkeypatch.setattr(
+            server, "parse_qs", lambda q: parses.append(q) or real_parse_qs(q)
+        )
+        app = CrowdWebApp(pipeline_result)
+        at_limit = "utm=" + "x" * (server.MAX_QUERY_BYTES - 4)
+        with observed() as o:
+            assert app.handle("GET", f"/city?{at_limit}", None)[0] == 200
+            assert len(parses) == 1
+            for path in ("/api/stats", "/city", "/api/tiles/0/0/0"):
+                status, _headers, body = app.handle("GET", f"{path}?{at_limit}x", None)
+                assert status == 414
+                assert "error" in json.loads(body)
+            assert len(parses) == 1
+            assert o.registry.counter("repro_web_renders_total") == 1
+        assert len(app.cache) == 1
+
+
+class TestServedFromBuild:
+    """Renders read the build's outputs instead of recomputing them."""
+
+    def test_occupancy_bodies_equal_a_fresh_timelines(self, app, pipeline_result):
+        from dataclasses import replace
+
+        fresh = CrowdWebApp(
+            replace(pipeline_result, timeline=pipeline_result.aggregator.timeline())
+        )
+        for path in ("/api/occupancy", "/occupancy"):
+            status, _headers, body = app.handle("GET", path)
+            assert status == 200
+            assert body == fresh.handle("GET", path)[2]
+
+    def test_no_render_recomputes_the_timeline(self, pipeline_result, monkeypatch):
+        from repro.crowd import CrowdAggregator
+
+        calls = []
+        real_timeline = CrowdAggregator.timeline
+
+        def spy(self, *args, **kwargs):
+            calls.append(args)
+            return real_timeline(self, *args, **kwargs)
+
+        monkeypatch.setattr(CrowdAggregator, "timeline", spy)
+        app = CrowdWebApp(pipeline_result, cache_entries=10_000)
+        app.warm()
+        uid = sorted(pipeline_result.profiles)[0]
+        for path in ("/occupancy", "/api/occupancy", "/communities", "/analytics",
+                     "/animation", "/api/animation", "/api/communities", "/api/spikes",
+                     "/api/flows/0", f"/api/metrics/{uid}", "/city?window=3&zoom=1"):
+            assert app.handle("GET", path)[0] == 200, path
+        assert len(app.cache) > 100
+        assert calls == []
+
+
+class TestUserPageGolden:
+    """``/user/<id>`` on the small fixture: exact bytes, and the drawn content.
+
+    The place graph's nodes sit on a circle in sorted-label order; the
+    counts, labels and tooltips below are the ones the page had under the
+    earlier spring layout, where only the coordinates differed.
+    """
+
+    SHA256 = "be962883d8ff614fd3ee3774716bd3db68f633ff11dca341b8a7416168fc45f2"
+    LABELS = ["Places visited by u0006", "Entertainment", "Eatery", "Residence",
+              "Work", "Outdoors", "Shops"]
+    TOOLTIPS = ["CrowdWeb — u0006", "Entertainment: 5 visits", "Eatery: 84 visits",
+                "Residence: 48 visits", "Work: 20 visits", "Outdoors: 18 visits",
+                "Shops: 5 visits"]
+
+    def test_user_page_bytes_and_content(self, app, pipeline_result):
+        import hashlib
+        import re
+
+        assert sorted(pipeline_result.profiles)[0] == "u0006"
+        status, _headers, body = app.handle("GET", "/user/u0006")
+        assert status == 200
+        text = body.decode("utf-8")
+        assert text.count("<circle") == 6
+        assert text.count("<line") == 45
+        assert re.findall(r"<text[^>]*>(.*?)</text>", text) == self.LABELS
+        assert re.findall(r"<title>(.*?)</title>", text) == self.TOOLTIPS
+        assert hashlib.sha256(body).hexdigest() == self.SHA256
 
 
 class TestWarmCapacity:
