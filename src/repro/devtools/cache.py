@@ -108,7 +108,7 @@ class LintCache(LintCacheProtocol):
             return None
         try:
             findings = [
-                Finding.from_cache_dict({**item, "path": path})
+                Finding.from_dict({**item, "path": path})
                 for item in payload["findings"]
             ]
         except (KeyError, TypeError):
@@ -127,7 +127,7 @@ class LintCache(LintCacheProtocol):
         extra: str = "",
     ) -> None:
         entry = self._entry(source, path, module, rule_ids, extra)
-        payload = {"findings": [finding.to_cache_dict() for finding in findings]}
+        payload = {"findings": [finding.as_dict() for finding in findings]}
         self._write(entry, payload)
 
     # ---------------------------------------------------- module summaries

@@ -1,13 +1,13 @@
-"""Whole-program call graph and the project analysis core.
+"""The whole-program project analysis core.
 
 ``domains.extract_summary`` reduces each module to a symbolic digest in one
 definition walk; this module stitches the digests together.
 :class:`ProjectAnalysis` resolves the symbolic callee forms across module
-boundaries — through imports and their aliases, module attributes,
-``functools.partial`` wrappers, ``self`` dispatch, and methods on
-locally-constructed instances — links each analysis's call sites through one
-target resolver, and runs the thread, exception and lifecycle analyses,
-whose fixpoints all share :func:`~repro.devtools.solver.solve`.
+boundaries — through imports and their aliases, module attributes, ``self``
+dispatch, and methods on locally-constructed instances — links each
+analysis's call sites through one target resolver, and runs the thread,
+exception and lifecycle analyses, whose fixpoints all share
+:func:`~repro.devtools.solver.solve`.
 
 What the analyses find lands once in a per-module **records table**; each
 record is one finding and carries the ``rule`` id that reports it.  Three
@@ -17,10 +17,8 @@ consumers sit on top:
   :meth:`ProjectAnalysis.records` and keep the records of their own rule;
 * the **engine/cache** read :meth:`ProjectAnalysis.dep_key`, the digest of a
   module's records — the only project-dependent input of its findings — so a
-  file is re-analyzed only when its content *or* that digest changes, and
-  ``--jobs`` workers receive the records instead of re-solving anything;
-* the **CLI** renders :class:`CallGraph` (``--callgraph``, ``--dot``) and the
-  ``--threads``/``--raises`` views.
+  file is re-analyzed only when its content *or* that digest changes;
+* the **CLI** renders the ``--threads`` view.
 
 Resolution is deliberately conservative: a call that cannot be pinned to a
 single definition produces no edge, no record, and no cache dependency.
@@ -40,7 +38,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -49,81 +46,13 @@ from .exceptions import ExceptionAnalysis
 from .resources import LifecycleAnalysis
 from .threads import ThreadAnalysis
 
-__all__ = ["CallGraph", "ProjectAnalysis"]
+__all__ = ["ProjectAnalysis"]
 
 Node = Tuple[str, str]  # (module key, function qualname)
 
 #: ``("func", ref)`` / ``("class", cref)`` / ``("module", name)`` — what a
 #: name resolves to before call semantics (constructor vs. plain call) apply.
 _Target = Tuple[str, object]
-
-
-class CallGraph:
-    """A directed graph over ``"module:qualname"`` nodes."""
-
-    def __init__(self) -> None:
-        self.nodes: Set[str] = set()
-        self._out: Dict[str, Set[str]] = {}
-        self._in: Dict[str, Set[str]] = {}
-
-    def add_node(self, node: str) -> None:
-        self.nodes.add(node)
-
-    def add_edge(self, src: str, dst: str) -> None:
-        self.nodes.add(src)
-        self.nodes.add(dst)
-        self._out.setdefault(src, set()).add(dst)
-        self._in.setdefault(dst, set()).add(src)
-
-    @property
-    def edges(self) -> List[Tuple[str, str]]:
-        return sorted(
-            (src, dst) for src, dsts in self._out.items() for dst in dsts
-        )
-
-    def callers(self, node: str) -> Set[str]:
-        return set(self._in.get(node, set()))
-
-    def reachable(self, roots: Iterable[str]) -> Set[str]:
-        """Every node transitively callable from ``roots`` (roots included)."""
-        seen: Set[str] = set()
-        frontier = [root for root in roots if root in self.nodes]
-        while frontier:
-            node = frontier.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            frontier.extend(self._out.get(node, ()))
-        return seen
-
-    def render(self) -> str:
-        """Sorted ``caller -> callee`` lines (the ``--callgraph`` output)."""
-        lines = [f"{src} -> {dst}" for src, dst in self.edges]
-        isolated = sorted(
-            node
-            for node in self.nodes
-            if node not in self._out and node not in self._in
-        )
-        lines.extend(f"{node} (no resolved calls)" for node in isolated)
-        return "\n".join(lines)
-
-    def to_dot(self) -> str:
-        """Graphviz rendering, one subgraph cluster per module."""
-        by_module: Dict[str, List[str]] = {}
-        for node in sorted(self.nodes):
-            module, _, qualname = node.partition(":")
-            by_module.setdefault(module, []).append(qualname)
-        out = ["digraph crowdweb_calls {", "  rankdir=LR;", "  node [shape=box];"]
-        for index, (module, qualnames) in enumerate(sorted(by_module.items())):
-            out.append(f'  subgraph "cluster_{index}" {{')
-            out.append(f'    label="{module}";')
-            for qualname in qualnames:
-                out.append(f'    "{module}:{qualname}" [label="{qualname}"];')
-            out.append("  }")
-        for src, dst in self.edges:
-            out.append(f'  "{src}" -> "{dst}";')
-        out.append("}")
-        return "\n".join(out)
 
 
 class ProjectAnalysis:
@@ -217,12 +146,6 @@ class ProjectAnalysis:
             return self._resolve_attr(module_key, caller, sym[1], sym[2])  # type: ignore[arg-type]
         if kind == "dotted":
             return self._resolve_dotted(module_key, sym[1])  # type: ignore[arg-type]
-        if kind == "new":
-            cref = self._class_of_sym(module_key, caller, sym[1])  # type: ignore[arg-type]
-            if cref is None:
-                return None
-            ref = self._method_ref(cref, sym[2])  # type: ignore[arg-type]
-            return (ref, True) if ref else None
         return None
 
     def _resolve_attr(
@@ -423,21 +346,6 @@ class ProjectAnalysis:
                 target = self._resolve_target(node[0], node[1], call["sym"], nodes)
                 if target is not None:
                     yield node, call, target
-
-    # ------------------------------------------------------------ call graph
-
-    def call_graph(self) -> CallGraph:
-        graph = CallGraph()
-        for module_key in sorted(self.summaries):
-            summary = self.summaries[module_key]
-            for qualname in summary["functions"]:  # type: ignore[union-attr]
-                graph.add_node(f"{module_key}:{qualname}")
-            for call in summary["calls"]:  # type: ignore[union-attr]
-                resolved = self.resolve(module_key, call["caller"], call["callee"])
-                if resolved is not None:
-                    ref = resolved[0]
-                    graph.add_edge(f"{module_key}:{call['caller']}", f"{ref[0]}:{ref[1]}")
-        return graph
 
     # ------------------------------------------------------------ records
 

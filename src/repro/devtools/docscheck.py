@@ -79,13 +79,12 @@ def check_docs(root: Path, layers: Optional[Sequence[str]] = None) -> List[str]:
 def generate_catalog() -> str:
     """The rule table rendered from the live registry, markdown, newline-final."""
     lines = [
-        "| ID | Name | Fix | What it flags |",
-        "|----|------|:---:|---------------|",
+        "| ID | Name | What it flags |",
+        "|----|------|---------------|",
     ]
     for rule in sorted(all_rules(), key=lambda r: r.id):
-        fix = "`--fix`" if rule.fixable else "—"
         description = rule.description.replace("|", "\\|")
-        lines.append(f"| {rule.id} | `{rule.name}` | {fix} | {description} |")
+        lines.append(f"| {rule.id} | `{rule.name}` | {description} |")
     return "\n".join(lines) + "\n"
 
 

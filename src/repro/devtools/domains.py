@@ -70,20 +70,6 @@ def axis_of(name: Optional[str]) -> Optional[str]:
 #                         an imported module, a local object, or a class)
 #   ["dotted", "a.b.c"]   a longer attribute chain over plain names
 #   ["self", m]           self.m(...) inside a method
-#   ["new", sym, m]       method on a fresh instance:  Cls(...).m(...)
-#   ["partial", sym]      a locally-built ``functools.partial`` of ``sym``
-#                         (unwrapped to ``sym`` before a call is recorded)
-
-_PARTIAL_NAMES = {"partial"}
-
-
-def _is_partial_call(node: ast.Call) -> bool:
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id in _PARTIAL_NAMES
-    if isinstance(func, ast.Attribute):
-        return func.attr in _PARTIAL_NAMES
-    return False
 
 
 class _Scope:
@@ -169,15 +155,14 @@ def extract_summary(
 
 
 class _SummaryExtractor:
-    """The module-fact producer: the summary's functions, classes, calls,
-    imports, aliases, exports, and referenced identifiers."""
+    """The module-fact producer: the summary's functions, classes, imports,
+    aliases, exports, and referenced identifiers."""
 
     def __init__(self, tree: ast.Module, module: Optional[str], path: str, is_init: bool):
         self.module = module
         self.is_init = is_init
         self.functions: Dict[str, Dict[str, object]] = {}
         self.classes: Dict[str, Dict[str, object]] = {}
-        self.calls: List[Dict[str, object]] = []
         self.imports: Dict[str, List[object]] = {}
         self.aliases: Dict[str, str] = {}
         self.summary: Dict[str, object] = {
@@ -186,7 +171,6 @@ class _SummaryExtractor:
             "is_init": is_init,
             "functions": self.functions,
             "classes": self.classes,
-            "calls": self.calls,
             "imports": self.imports,
             "aliases": self.aliases,
             "exports": None,
@@ -265,11 +249,8 @@ class _SummaryExtractor:
         for var, value in scope.assigns.items():
             if isinstance(value, ast.Call):
                 sym = self._expr_sym(value.func, scope)
-                if sym is not None and sym[0] != "partial":
+                if sym is not None:
                     info["ctors"][var] = sym  # type: ignore[index]
-        for node in _scope_nodes(body):
-            if isinstance(node, ast.Call):
-                self._record_call(node, scope)
         self.functions[scope.qualname] = info
 
     def _extract_class(self, node: ast.ClassDef) -> None:
@@ -318,44 +299,18 @@ class _SummaryExtractor:
             else:
                 scope.assigns[target] = value
 
-    # ------------------------------------------------------- calls
-
-    def _record_call(self, node: ast.Call, scope: _Scope) -> None:
-        if _is_partial_call(node):
-            return  # partial(...) itself constructs, it does not invoke
-        sym = self._expr_sym(node.func, scope)
-        if sym is None:
-            return
-        if sym[0] == "partial":
-            sym = sym[1]  # a call through a local partial calls what it wraps
-        self.calls.append({"caller": scope.qualname, "callee": sym})
+    # ------------------------------------------------------- callees
 
     def _expr_sym(
         self, expr: ast.AST, scope: _Scope, depth: int = 3
     ) -> Optional[List[object]]:
+        """The symbolic callee of ``expr``, chasing simple local aliases."""
         if isinstance(expr, ast.Name):
-            name = expr.id
-            if depth > 0 and name not in scope.param_names:
-                value = scope.assigns.get(name)
-                if isinstance(value, ast.Call) and _is_partial_call(value):
-                    inner = (
-                        self._expr_sym(value.args[0], scope, depth - 1)
-                        if value.args
-                        else None
-                    )
-                    if inner is not None and inner[0] != "partial":
-                        return ["partial", inner]
-                elif isinstance(value, ast.Name):
-                    return self._expr_sym(value, scope, depth - 1)
-            return ["name", name]
-        if isinstance(expr, ast.Attribute):
-            sym = _call_sym(expr)
-            if sym is None and isinstance(expr.value, ast.Call):
-                inner = self._expr_sym(expr.value.func, scope, depth - 1)
-                if inner is not None and inner[0] in {"name", "attr", "dotted"}:
-                    return ["new", inner, expr.attr]
-            return sym
-        return None
+            value = scope.assigns.get(expr.id)
+            if depth > 0 and expr.id not in scope.param_names and isinstance(value, ast.Name):
+                return self._expr_sym(value, scope, depth - 1)
+            return ["name", expr.id]
+        return _call_sym(expr)
 
 
 def _literal_strings(node: ast.AST) -> Optional[List[str]]:

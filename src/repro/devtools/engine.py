@@ -24,18 +24,15 @@ The engine is stdlib-only on purpose (see package docstring).
 from __future__ import annotations
 
 import ast
-import concurrent.futures
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
 
 __all__ = [
-    "Edit",
     "Finding",
-    "Fix",
     "FileContext",
     "LintCacheProtocol",
     "LintEngine",
@@ -53,48 +50,15 @@ __all__ = [
 _PRAGMA_RE = re.compile(r"#\s*crowdlint:\s*(disable(?:-file)?)\s*=\s*([A-Za-z0-9_,\s]+)")
 
 
-@dataclass(frozen=True)
-class Edit:
-    """One exact-span source patch: replace ``source[start:end]`` with text."""
-
-    start: int
-    end: int
-    replacement: str
-
-
-@dataclass(frozen=True)
-class Fix:
-    """A safe rewrite for one finding: non-overlapping edits plus a note."""
-
-    edits: Tuple[Edit, ...]
-    note: str = ""
-
-    @property
-    def start(self) -> int:
-        return min(edit.start for edit in self.edits)
-
-    @property
-    def end(self) -> int:
-        return max(edit.end for edit in self.edits)
-
-
 @dataclass(frozen=True, order=True)
 class Finding:
-    """One lint finding, sortable into stable (path, line, col, rule) order.
-
-    ``fix`` (when present) is the rule's safe rewrite, applied by
-    ``crowdweb-lint --fix``; ``severity`` is ``"warning"`` or ``"error"``
-    (rules escalate hot-path findings).  Neither participates in ordering
-    or equality.
-    """
+    """One lint finding, sortable into stable (path, line, col, rule) order."""
 
     path: str
     line: int
     col: int
     rule_id: str
     message: str
-    fix: Optional[Fix] = field(default=None, compare=False)
-    severity: str = field(default="warning", compare=False)
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule_id} {self.message}"
@@ -106,39 +70,17 @@ class Finding:
             "col": self.col,
             "rule": self.rule_id,
             "message": self.message,
-            "severity": self.severity,
-            "fixable": self.fix is not None,
         }
 
-    # ------------------------------------------------ cache serialization
-
-    def to_cache_dict(self) -> Dict[str, object]:
-        payload = self.as_dict()
-        del payload["fixable"]
-        if self.fix is not None:
-            payload["fix"] = {
-                "note": self.fix.note,
-                "edits": [[e.start, e.end, e.replacement] for e in self.fix.edits],
-            }
-        return payload
-
     @classmethod
-    def from_cache_dict(cls, payload: Dict[str, object]) -> "Finding":
-        fix = None
-        raw_fix = payload.get("fix")
-        if raw_fix:
-            fix = Fix(
-                edits=tuple(Edit(int(s), int(e), str(r)) for s, e, r in raw_fix["edits"]),
-                note=str(raw_fix.get("note", "")),
-            )
+    def from_dict(cls, payload: Dict[str, object]) -> "Finding":
+        """The inverse of :meth:`as_dict` (how the result cache stores findings)."""
         return cls(
             path=str(payload["path"]),
             line=int(payload["line"]),
             col=int(payload["col"]),
             rule_id=str(payload["rule"]),
             message=str(payload["message"]),
-            fix=fix,
-            severity=str(payload.get("severity", "warning")),
         )
 
 
@@ -153,8 +95,6 @@ class Rule:
     id: str = ""
     name: str = ""
     description: str = ""
-    #: Whether the rule can attach a safe rewrite to (some of) its findings.
-    fixable: bool = False
     #: Whether the rule consumes whole-program facts (``ctx.project``).  The
     #: engine builds the project analysis only when a selected rule needs it,
     #: so per-file-only runs never pay for summary extraction.
@@ -217,16 +157,14 @@ class FileContext:
         #: is outside any importable package (e.g. a loose script).
         self.module = module
         self.tree = tree
-        #: Whole-program records — anything with ``records(module_key)``: a
-        #: ``callgraph.ProjectAnalysis``, or the table a pool worker was sent
-        #: — when the run built them; ``None`` on per-file-only runs, so
-        #: project rules must no-op without it.
+        #: The run's ``callgraph.ProjectAnalysis`` (rules read only its
+        #: ``records(module_key)``) when the run built one; ``None`` on
+        #: per-file-only runs, so project rules must no-op without it.
         self.project = project
         self.lines = source.splitlines()
         self.findings: List[Finding] = []
         self._line_disables, self._file_disables = _parse_pragmas(source)
         self._flow = None
-        self._line_offsets: Optional[List[int]] = None
 
     @property
     def is_init(self) -> bool:
@@ -250,45 +188,10 @@ class FileContext:
             self._flow = ModuleFlow(self.tree)
         return self._flow
 
-    # ------------------------------------------------------ source spans
-
-    def _offsets(self) -> List[int]:
-        if self._line_offsets is None:
-            offsets = [0]
-            for line in self.source.splitlines(keepends=True):
-                offsets.append(offsets[-1] + len(line))
-            self._line_offsets = offsets
-        return self._line_offsets
-
-    def offset(self, line: int, col: int) -> int:
-        """Character offset of a (1-based line, 0-based col) position."""
-        return self._offsets()[line - 1] + col
-
-    def span(self, node: ast.AST) -> Tuple[int, int]:
-        """The exact ``[start, end)`` character span of a node."""
-        return (
-            self.offset(node.lineno, node.col_offset),
-            self.offset(node.end_lineno, node.end_col_offset),
-        )
-
-    def text(self, node: ast.AST) -> str:
-        """The exact source text of a node."""
-        start, end = self.span(node)
-        return self.source[start:end]
-
-    def report(
-        self,
-        rule: Rule,
-        node: ast.AST,
-        message: str,
-        fix: Optional[Fix] = None,
-        severity: str = "warning",
-    ) -> None:
+    def report(self, rule: Rule, node: ast.AST, message: str) -> None:
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0) + 1
-        self.findings.append(
-            Finding(self.path, line, col, rule.id, message, fix=fix, severity=severity)
-        )
+        self.findings.append(Finding(self.path, line, col, rule.id, message))
 
     def suppressed(self, finding: Finding) -> bool:
         if _matches(self._file_disables, finding.rule_id):
@@ -403,18 +306,14 @@ class LintEngine:
     def lint_paths(
         self,
         paths: Iterable[Path],
-        jobs: int = 1,
         cache: Optional["LintCacheProtocol"] = None,
     ) -> List[Finding]:
         """Lint every Python file under ``paths``.
 
-        ``jobs > 1`` analyzes cache misses on a ``concurrent.futures``
-        process pool (crowdlint stays isolated from ``repro.exec`` per the
-        layer DAG, so it drives the pool directly).  ``cache`` is any object
-        with the :class:`repro.devtools.cache.LintCache` interface; hits
-        skip parsing and analysis entirely.  Either way the result is the
-        same sorted finding list, and :attr:`last_stats` records how much
-        work was actually done.
+        ``cache`` is any object with the :class:`repro.devtools.cache.LintCache`
+        interface; hits skip parsing and analysis entirely.  Either way the
+        result is the same sorted finding list, and :attr:`last_stats`
+        records how much work was actually done.
 
         When a selected rule declares ``requires_project``, every file is
         read up front and a whole-program :class:`~repro.devtools.callgraph.
@@ -422,11 +321,9 @@ class LintEngine:
         cache when file content is unchanged).  Each file's cache entry is
         then additionally keyed by its :meth:`dep_key` — the digest of the
         project records its findings read — so a warm run re-analyzes
-        exactly the files whose content *or* records changed.  Pool workers
-        receive those records, never the summaries: nothing is re-solved.
+        exactly the files whose content *or* records changed.
         """
         findings: List[Finding] = []
-        pending: List[Tuple[str, str, Optional[str]]] = []  # (path, source, module)
         stats = LintStats()
         rule_ids = [rule.id for rule in self.rules]
         sources: List[Tuple[str, str, Optional[str]]] = []
@@ -464,29 +361,9 @@ class LintEngine:
                     stats.cache_hits += 1
                     findings.extend(cached)
                     continue
-            pending.append((path, source, module))
-
-        stats.analyzed += len(pending)
-        if jobs > 1 and len(pending) > 1:
-            table = None
-            if project is not None:
-                keys = [module or path for path, _source, module in pending]
-                table = {key: project.records(key) for key in keys}
-            work = [(source, path, module, rule_ids) for path, source, module in pending]
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs,
-                initializer=_init_pool_worker,
-                initargs=(table,),
-            ) as pool:
-                analyzed = list(pool.map(_lint_one, work, chunksize=4))
-        else:
-            analyzed = [
-                self.lint_source(source, path, module, project=project)
-                for path, source, module in pending
-            ]
-        for (path, source, module), file_findings in zip(pending, analyzed):
+            stats.analyzed += 1
+            file_findings = self.lint_source(source, path, module, project=project)
             if cache is not None:
-                dep_key = project.dep_key(module or path) if project is not None else ""
                 cache.put(source, path, module, rule_ids, file_findings, extra=dep_key)
             findings.extend(file_findings)
         self.last_stats = stats
@@ -518,34 +395,6 @@ class LintCacheProtocol:
 
     def put(self, source, path, module, rule_ids, findings, extra=""):  # pragma: no cover
         raise NotImplementedError
-
-
-class _ShippedRecords:
-    """A worker's stand-in for the project: the records table it was sent."""
-
-    def __init__(self, table: Dict[str, List[Dict[str, object]]]):
-        self.table = table
-
-    def records(self, module_key: str) -> List[Dict[str, object]]:
-        return self.table.get(module_key, [])
-
-
-#: Per-process project records (see ``_init_pool_worker``).
-_POOL_PROJECT: Optional[_ShippedRecords] = None
-
-
-def _init_pool_worker(table: Optional[Dict[str, List[Dict[str, object]]]]) -> None:
-    """Pool initializer: install the shipped records table once per worker."""
-    global _POOL_PROJECT
-    _POOL_PROJECT = None if table is None else _ShippedRecords(table)
-
-
-def _lint_one(work: Tuple[str, str, Optional[str], List[str]]) -> List[Finding]:
-    """Process-pool worker: lint one in-memory source with the given rules."""
-    source, path, module, rule_ids = work
-    return LintEngine(select=rule_ids).lint_source(
-        source, path, module, project=_POOL_PROJECT
-    )
 
 
 _SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "build", "dist", ".venv", "venv"}

@@ -4,8 +4,8 @@ Per-function *may-raise* summaries computed to fixpoint over the existing
 whole-program call graph:
 
 1. **Fact extraction.**  Per-module *exception facts* ride inside the
-   module summaries (same content-addressed cache, same ``--jobs``
-   shipping): every explicit ``raise`` site, every call expression in the
+   module summaries (same content-addressed cache): every explicit
+   ``raise`` site, every call expression in the
    callgraph's symbolic-callee vocabulary, and every ``except`` handler —
    each annotated with the ordered stack of handlers lexically guarding
    it, so propagation respects Python's first-matching-handler rule and
@@ -25,16 +25,12 @@ whole-program call graph:
    the handlers guarding the call site, and routes bare ``raise``
    statements inside a handler back out with the types that handler
    actually received.  Sets only grow, so the shared worklist solver runs
-   it to convergence with no pass bound.  Provenance (the ``--raises``
-   chain) is a second solve that picks each escaping type's origin by a
-   fixed rank (see :meth:`ExceptionAnalysis._trace`), so the chain never
-   depends on the order the worklist happened to visit functions.
+   it to convergence with no pass bound.
 
 Unresolved callees (stdlib, third-party) contribute **nothing** — the
 analysis answers "which *project-raised* exceptions reach this frame",
-which is exactly what the CW801 leak-reachability check and the
-``--raises`` view need, and it keeps CW801 at zero false positives on code
-the resolver cannot see.
+which is exactly what the CW801 leak-reachability check needs, and it
+keeps CW801 at zero false positives on code the resolver cannot see.
 
 The fact producer is import-light (``ast`` + stdlib + the symbolic
 helpers shared with :mod:`repro.devtools.threads`) so
@@ -240,16 +236,12 @@ class _ExcWalker(_BlockWalker):
 # whole-program analysis: the may-raise fixpoint
 # --------------------------------------------------------------------------
 
-#: Where an escaping type came from: ``("raise"|"reraise", line, None)`` or
-#: ``("call", line, callee)``.
-Origin = Tuple[str, int, Optional[Node]]
-
 
 class ExceptionAnalysis:
-    """Interprocedural may-raise sets and their provenance.
+    """Interprocedural may-raise sets.
 
     Built from the per-module exception facts inside the summaries, linked
-    through the project's call resolution; both fixpoints run on the shared
+    through the project's call resolution; the fixpoint runs on the shared
     solver.
     """
 
@@ -264,9 +256,6 @@ class ExceptionAnalysis:
         self.nodes: Dict[Node, Dict[str, object]] = project.function_facts("exceptions")
         self.raises_out: Dict[Node, Set[str]] = {}
         self.incoming: Dict[Tuple[Node, int], Set[str]] = {}
-        self.origins: Dict[Tuple[Node, str], Origin] = {}
-        self._sweep: Dict[Tuple[Node, str], int] = {}
-        self._arrival: Dict[Tuple[Node, int, str], Tuple[int, int]] = {}
         self._call_targets: Dict[Node, List[Tuple[Dict[str, object], Node]]] = {}
         callers: Dict[Node, Set[Node]] = {}
         for node, call, target in project.linked_calls(self.nodes):
@@ -279,7 +268,6 @@ class ExceptionAnalysis:
             return [node, *sorted(callers.get(node, ()))]
 
         solve(sorted(self.nodes), self._propagate, dependents)
-        solve(sorted(self.nodes), self._trace, dependents)
 
     # -- the hierarchy -----------------------------------------------------
 
@@ -316,27 +304,20 @@ class ExceptionAnalysis:
                     return True
         return False
 
-    # -- the fixpoints -----------------------------------------------------
+    # -- the fixpoint ------------------------------------------------------
 
-    def _sites(self, node: Node) -> Iterator[Tuple[List[str], GuardGroups, Origin, int]]:
-        """Every throwing site of a function as (types, guards, origin, handler).
-
-        Raises come first, then calls, each in source-record order — the
-        order one visit of the function dispatches them in.  ``handler`` is
-        the handler a bare ``raise`` re-raises from (``-1`` otherwise).
-        """
+    def _sites(self, node: Node) -> Iterator[Tuple[List[str], GuardGroups]]:
+        """Every throwing site of a function as (types, guards): raises
+        (a bare ``raise`` re-raises what its handler received), then calls."""
         record = self.nodes[node]
         for entry in record["raises"]:  # type: ignore[union-attr]
-            line = int(entry["line"])
             if entry["type"] is not None:
-                yield [str(entry["type"])], entry["guards"], ("raise", line, None), -1
+                yield [str(entry["type"])], entry["guards"]
             else:
-                hid = int(entry["handler"])
-                received = sorted(self.incoming.get((node, hid), ()))
-                yield received, entry["guards"], ("reraise", line, None), hid
+                received = self.incoming.get((node, int(entry["handler"])), ())
+                yield sorted(received), entry["guards"]
         for call, target in self._call_targets.get(node, ()):
-            raised = sorted(self.raises_out.get(target, ()))
-            yield raised, call["guards"], ("call", int(call["line"]), target), -1  # type: ignore[misc]
+            yield sorted(self.raises_out.get(target, ())), call["guards"]  # type: ignore[misc]
 
     def _handler_for(self, node: Node, exc: str, guards: GuardGroups) -> Optional[int]:
         """The first guarding handler that catches ``exc``; ``None`` if it escapes."""
@@ -354,7 +335,7 @@ class ExceptionAnalysis:
     def _propagate(self, node: Node) -> bool:
         """Deliver every site's types to a handler or out of the function."""
         changed = False
-        for types, guards, _origin, _reraised in self._sites(node):
+        for types, guards in self._sites(node):
             for exc in types:
                 hid = self._handler_for(node, exc, guards)
                 if hid is None:
@@ -366,97 +347,6 @@ class ExceptionAnalysis:
                     changed = True
         return changed
 
-    def _trace(self, node: Node) -> bool:
-        """Pick each escaping type's origin: where a sorted sweep finds it first.
-
-        Picture visiting every function in sorted order, dispatching its
-        sites in order, pass after pass.  A site's *sweep* is the pass it
-        first throws a type in: pass 1 for a ``raise``; a call's callee's
-        pass, plus one when the callee sorts after the caller; a bare
-        ``raise`` once its handler has received the type.  The earliest
-        (sweep, site) wins.  Sweeps only fall, so the solve converges to the
-        same origins whatever order the worklist visits functions in, and a
-        chain's (sweep, function) strictly falls hop by hop, so it ends.
-        """
-        best: Dict[str, Tuple[Tuple[int, int], Origin]] = {}
-        changed = False
-        for index, (types, guards, origin, reraised) in enumerate(self._sites(node)):
-            kind, _line, callee = origin
-            for exc in types:
-                if kind == "raise":
-                    sweep = 1
-                elif kind == "call":
-                    if (callee, exc) not in self._sweep:
-                        continue  # the callee is not traced yet
-                    sweep = self._sweep[(callee, exc)] + (callee > node)  # type: ignore[operator]
-                else:
-                    got = self._arrival.get((node, reraised, exc))
-                    if got is None:
-                        continue
-                    sweep = got[0] + (got[1] > index)  # delivered later in the visit
-                rank = (sweep, index)
-                hid = self._handler_for(node, exc, guards)
-                if hid is not None:
-                    arrival = (node, hid, exc)
-                    if arrival not in self._arrival or rank < self._arrival[arrival]:
-                        self._arrival[arrival] = rank
-                        changed = True
-                elif exc not in best or rank < best[exc][0]:
-                    best[exc] = (rank, origin)
-        for exc, ((sweep, _index), origin) in best.items():
-            self.origins[(node, exc)] = origin
-            if self._sweep.get((node, exc)) != sweep:
-                self._sweep[(node, exc)] = sweep
-                changed = True
-        return changed
-
-    # -- results -----------------------------------------------------------
-
     def may_raise(self, module_key: str, qualname: str) -> frozenset:
         """The project-raised exception types escaping one function."""
         return frozenset(self.raises_out.get((module_key, qualname), set()))
-
-    # -- the --raises explain mode ----------------------------------------
-
-    def find_symbol(self, symbol: str) -> Optional[Node]:
-        """``module:qualname`` (or ``module.qualname``) → a known node."""
-        if ":" in symbol:
-            module_key, _, qualname = symbol.partition(":")
-            node = (module_key, qualname)
-            return node if node in self.nodes else None
-        parts = symbol.split(".")
-        for split in range(len(parts) - 1, 0, -1):
-            node = (".".join(parts[:split]), ".".join(parts[split:]))
-            if node in self.nodes:
-                return node
-        return None
-
-    def render_chain(self, symbol: str) -> str:
-        """The inferred propagation chain behind one function's raises."""
-        node = self.find_symbol(symbol)
-        if node is None:
-            known = ", ".join(sorted({mod for mod, _ in self.nodes})[:8])
-            return (
-                f"--raises: unknown symbol {symbol!r} "
-                f"(use module:qualname; modules include {known}, ...)"
-            )
-        lines = [f"{node[0]}:{node[1]}"]
-        escaped = sorted(self.raises_out.get(node, set()))
-        if not escaped:
-            lines.append("  no propagated project exceptions inferred")
-            return "\n".join(lines)
-        for exc in escaped:
-            lines.append(f"  may raise {exc}")
-            current = node
-            # Each hop's chain is one shorter, so the walk reaches a raise.
-            kind, line, target = self.origins[(current, exc)]
-            while target is not None:
-                lines.append(
-                    f"    via call at {current[0]}:{current[1]} line {line}"
-                    f" -> {target[0]}:{target[1]}"
-                )
-                current = target
-                kind, line, target = self.origins[(current, exc)]
-            verb = "re-raised" if kind == "reraise" else "raised"
-            lines.append(f"    {verb} at {current[0]}:{current[1]} line {line}")
-        return "\n".join(lines)

@@ -39,7 +39,6 @@ ROOT_PACKAGE = "repro"
 #: catalog, and the layer isolation check all walk this list.
 DEVTOOLS_MODULES: FrozenSet[str] = frozenset(
     {
-        "baseline",
         "cache",
         "callgraph",
         "cli",
@@ -47,7 +46,6 @@ DEVTOOLS_MODULES: FrozenSet[str] = frozenset(
         "domains",
         "engine",
         "exceptions",
-        "fix",
         "flow",
         "layers",
         "lint",
@@ -64,7 +62,6 @@ DEVTOOLS_MODULES: FrozenSet[str] = frozenset(
         "rules.perf",
         "rules.threadsafety",
         "resources",
-        "sarif",
         "solver",
         "threads",
     }

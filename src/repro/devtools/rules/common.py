@@ -9,11 +9,10 @@ whole-program rule uses to turn project records into findings.
 from __future__ import annotations
 
 import ast
-from typing import AbstractSet, Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..domains import axis_of  # noqa: F401  (re-exported)
-from ..engine import FileContext, Fix, Rule
-from ..layers import layer_of
+from ..engine import FileContext, Rule
 from ..threads import _last_name
 
 #: The trailing identifier of a name-like expression: ``lat`` → ``"lat"``,
@@ -39,37 +38,20 @@ class RecordRule(Rule):
     """A whole-program rule: one finding per project record of its rule id.
 
     The project's records table is the rule's only input beyond the file
-    itself.  Subclasses phrase a record (:meth:`message`, or
-    :meth:`describe` when the finding also carries a rewrite), may narrow
-    which records report (:meth:`reports`), and name the layers whose
-    findings are errors (``error_layers``; everywhere else they warn).
+    itself.  Subclasses phrase a record (:meth:`message`).
     """
 
     requires_project = True
-    error_layers: AbstractSet[str] = frozenset()
 
     def check_module(self, ctx: FileContext) -> None:
         if ctx.project is None:
             return  # per-file runs have no project records
         for record in ctx.project.records(ctx.module_key):
-            if record["rule"] != self.id or not self.reports(record):
-                continue
-            message, fix = self.describe(ctx, record)
-            ctx.report(self, anchor(record), message, fix=fix, severity=self.severity(ctx))
-
-    def reports(self, record: Dict[str, object]) -> bool:
-        return True
-
-    def describe(self, ctx: FileContext, record: Dict[str, object]) -> Tuple[str, Optional[Fix]]:
-        """The finding's message and optional rewrite."""
-        return self.message(record), None
+            if record["rule"] == self.id:
+                ctx.report(self, anchor(record), self.message(record))
 
     def message(self, record: Dict[str, object]) -> str:
         raise NotImplementedError
-
-    def severity(self, ctx: FileContext) -> str:
-        layer = layer_of(ctx.module) if ctx.module else None
-        return "error" if layer in self.error_layers else "warning"
 
 
 def anchor(record: Dict[str, object]) -> ast.AST:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Optional
 
-from ..engine import Edit, FileContext, Fix, Rule, register
+from ..engine import FileContext, Rule, register
 from ..layers import layer_of
 from .common import callee_name, identifier_of
 
@@ -257,14 +257,6 @@ def _inside_order_insensitive_call(ctx: FileContext, node: ast.AST) -> bool:
     return False
 
 
-def _sorted_wrap_fix(ctx: FileContext, iterable: ast.AST) -> Fix:
-    start, end = ctx.span(iterable)
-    return Fix(
-        edits=(Edit(start, end, f"sorted({ctx.text(iterable)})"),),
-        note="wrap the unordered iterable in sorted(...)",
-    )
-
-
 @register
 class UnorderedIterationRule(Rule):
     id = "CW203"
@@ -273,7 +265,6 @@ class UnorderedIterationRule(Rule):
         "Iteration over a set feeds ordered output (list/tuple/join/yield/"
         "append) without an explicit sorted(...)."
     )
-    fixable = True
 
     def visit_Call(self, ctx: FileContext, node: ast.Call) -> None:
         name = callee_name(node)
@@ -305,7 +296,6 @@ class UnorderedIterationRule(Rule):
             node,
             f"{name}() over a set is hash-ordered; wrap the set in "
             "sorted(...) for a stable order",
-            fix=_sorted_wrap_fix(ctx, iterable),
         )
 
     def visit_For(self, ctx: FileContext, node: ast.For) -> None:
@@ -318,7 +308,6 @@ class UnorderedIterationRule(Rule):
             node,
             "loop over a set feeds ordered output (append/yield inside the "
             "body); iterate over sorted(...) instead",
-            fix=_sorted_wrap_fix(ctx, node.iter),
         )
 
     def visit_ListComp(self, ctx: FileContext, node: ast.ListComp) -> None:
@@ -337,7 +326,6 @@ class UnorderedIterationRule(Rule):
                 node,
                 "comprehension over a set produces a hash-ordered sequence; "
                 "iterate over sorted(...) instead",
-                fix=_sorted_wrap_fix(ctx, generator.iter),
             )
             return
 

@@ -15,10 +15,6 @@ leak path is actually reachable.  It reports:
 Anything the analyses cannot prove — an escaped handle, an unresolved
 callee — produces no finding: zero false positives is the design budget,
 enforced by the clean-twin fixtures in the tests.
-
-Severity is ``error`` in the layers where a leaked handle corrupts the
-serving path (``web``, ``exec``, ``persistence``) and ``warning``
-elsewhere.
 """
 
 from __future__ import annotations
@@ -39,8 +35,6 @@ class LeakedResourceRule(RecordRule):
         "missing, or skipped on a reachable exception / early-return path "
         "with no `finally` protection."
     )
-    #: Layers where a leaked handle corrupts served output.
-    error_layers = frozenset({"web", "exec", "persistence"})
 
     def message(self, record: Dict[str, object]) -> str:
         return (

@@ -5,8 +5,7 @@
 The promise was a convention; this rule makes it mechanical:
 
 * **CW401** — metric-name grammar: a literal metric name must be
-  ``repro_<layer>_<name>_<unit>`` with a known unit segment.  Unit synonyms
-  (``_seconds``, ``_count``, ...) get an autofix to the canonical spelling.
+  ``repro_<layer>_<name>_<unit>`` with a known unit segment.
 
 Like CW108 the rule polices the library, not its consumers: files outside
 the ``repro`` package (tests, scripts) are exempt.
@@ -18,8 +17,7 @@ import ast
 import re
 from typing import List, Optional, Tuple
 
-from ..engine import Edit, FileContext, Fix, Rule, register
-from ..layers import LAYER_MAP
+from ..engine import FileContext, Rule, register
 
 #: Registry/observer mutators that take a metric name as their first argument.
 _METRIC_CALLS = frozenset({
@@ -30,14 +28,6 @@ _METRIC_CALLS = frozenset({
 CANONICAL_UNITS = frozenset({
     "bytes", "depth", "ms", "ns", "ratio", "s", "size", "total", "us",
 })
-
-#: Unit-synonym normalization used by the CW401 autofix.
-UNIT_SYNONYMS = {
-    "count": "total", "counts": "total", "num": "total",
-    "microseconds": "us", "millis": "ms", "milliseconds": "ms", "msec": "ms",
-    "nanoseconds": "ns", "pct": "ratio", "percent": "ratio",
-    "percentage": "ratio", "sec": "s", "seconds": "s", "secs": "s",
-}
 
 _SEGMENT_RE = re.compile(r"^[a-z][a-z0-9]*$")
 
@@ -61,26 +51,6 @@ def _in_repro_library(ctx: FileContext) -> bool:
     return bool(ctx.module) and ctx.module.split(".")[0] == "repro"
 
 
-def _normalize_name(name: str) -> str:
-    """Best-effort canonicalization of a metric name (the CW401 autofix)."""
-    normalized = name.lower().replace("-", "_").replace(".", "_")
-    parts = [part for part in normalized.split("_") if part]
-    if parts and parts[0] != "repro" and parts[0] in LAYER_MAP:
-        parts.insert(0, "repro")
-    if parts:
-        parts[-1] = UNIT_SYNONYMS.get(parts[-1], parts[-1])
-    return "_".join(parts)
-
-
-def _literal_replacement_fix(
-    ctx: FileContext, literal: ast.Constant, new_value: str, note: str
-) -> Fix:
-    start, end = ctx.span(literal)
-    original = ctx.text(literal)
-    quote = original[0] if original and original[0] in "'\"" else '"'
-    return Fix(edits=(Edit(start, end, f"{quote}{new_value}{quote}"),), note=note)
-
-
 def _split_metric(name: str) -> Optional[Tuple[str, List[str], str]]:
     """``repro_<layer>_<name...>_<unit>`` → (layer, name parts, unit)."""
     parts = name.split("_")
@@ -97,7 +67,6 @@ class MetricNameGrammarRule(Rule):
         "A literal metric name does not follow repro_<layer>_<name>_<unit> "
         "with a canonical unit segment."
     )
-    fixable = True
 
     def visit_Call(self, ctx: FileContext, node: ast.Call) -> None:
         if not _in_repro_library(ctx):
@@ -109,19 +78,12 @@ class MetricNameGrammarRule(Rule):
         problem = self._grammar_problem(name)
         if problem is None:
             return
-        normalized = _normalize_name(name)
-        fix = None
-        if normalized != name and self._grammar_problem(normalized) is None:
-            fix = _literal_replacement_fix(
-                ctx, literal, normalized, "normalize the metric name"
-            )
         ctx.report(
             self,
             node,
             f"metric name {name!r} {problem}; the convention is "
             "repro_<layer>_<name>_<unit> (units: "
             f"{', '.join(sorted(CANONICAL_UNITS))})",
-            fix=fix,
         )
 
     @staticmethod

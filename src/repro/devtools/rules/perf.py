@@ -13,10 +13,8 @@ profile reviews kept finding:
   allocation the interning refactor removed.  Decode at the boundary via
   the vocabulary instead.
 
-CW501 findings in the hot layers (``mining``, ``crowd``, ``exec``) escalate
-to ``error`` severity (CW505's are always errors); elsewhere they stay
-warnings.  List-ness is proven through reaching definitions: "don't know"
-means "don't flag".
+List-ness is proven through reaching definitions: "don't know" means
+"don't flag".
 """
 
 from __future__ import annotations
@@ -28,17 +26,9 @@ from ..engine import FileContext, Rule, register
 from ..layers import layer_of
 from .common import callee_name
 
-#: Layers where a per-item constant factor multiplies by millions of users.
-_HOT_LAYERS = frozenset({"mining", "crowd", "exec"})
-
 _LOOP_TYPES = (ast.For, ast.AsyncFor, ast.While)
 _COMP_TYPES = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 _SCOPE_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
-
-
-def hot_severity(ctx: FileContext) -> str:
-    """``error`` in the hot layers, ``warning`` everywhere else."""
-    return "error" if layer_of(ctx.module) in _HOT_LAYERS else "warning"
 
 
 def enclosing_loop(ctx: FileContext, node: ast.AST) -> Optional[ast.AST]:
@@ -138,7 +128,6 @@ class ListMembershipInLoopRule(Rule):
             f"membership test against list {haystack.id!r} inside a loop is "
             "O(len) per probe; keep a set alongside (or instead) for O(1) "
             "membership",
-            severity=hot_severity(ctx),
         )
 
 
@@ -176,5 +165,4 @@ class TimedItemInHotLoopRule(Rule):
             "TimedItem(...) inside a mining/crowd loop allocates a boxed "
             "item per iteration; operate on interned ids and decode once "
             "at the boundary (ItemVocab.decode)",
-            severity="error",
         )

@@ -11,8 +11,8 @@ project's records table, and report:
   domain) with no lock held and no guarded-by lock inferable at all.
 * **CW703** — check-then-act on a shared container (``if k in d: … d[k]``)
   outside any lock: the membership test and the access are not atomic.
-  The exact ``if k not in d: d[k] = v`` shape carries a mechanical
-  ``d.setdefault(k, v)`` autofix; anything else suggests widening a lock.
+  The exact ``if k not in d: d[k] = v`` shape (with an effect-free ``v``)
+  is pointed at ``d.setdefault(k, v)``; anything else at widening a lock.
 
 Findings anchor on **writes** (plus the CW703 check site); bare reads of a
 published reference are idiomatic under the GIL and stay silent.  Anything
@@ -20,30 +20,22 @@ the analysis cannot resolve — an unknown call target, an opaque lock
 expression, an attribute on a non-``self`` root — produces no finding:
 zero false positives is the design budget, enforced by the clean-twin
 fixtures in the tests.
-
-Severity is ``error`` in the layers that actually run concurrent code
-(``web``, ``obs``, ``exec``) and ``warning`` elsewhere.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
-from ..engine import Edit, FileContext, Fix, register
+from ..engine import register
 from .common import RecordRule
 
 
-class _ThreadRule(RecordRule):
-    #: Layers whose code runs on the serving path — findings there are errors.
-    error_layers = frozenset({"web", "obs", "exec"})
-
-
 @register
-class UnguardedSharedWriteRule(_ThreadRule):
+class UnguardedSharedWriteRule(RecordRule):
     id = "CW701"
     name = "unguarded-shared-write"
     description = (
-        "A write to state shared with a thread domain (handler threads, "
+        "A write to state shared with a thread domain (connection threads, "
         "worker threads) happens with no lock held, and no guarded-by lock "
         "could be inferred for the symbol at all."
     )
@@ -59,43 +51,23 @@ class UnguardedSharedWriteRule(_ThreadRule):
 
 
 @register
-class CheckThenActRule(_ThreadRule):
+class CheckThenActRule(RecordRule):
     id = "CW703"
     name = "shared-check-then-act"
     description = (
         "A membership test on a shared container followed by a keyed access "
         "inside the branch, outside any lock: another thread can change the "
         "container between the check and the act.  The `if k not in d: "
-        "d[k] = v` shape autofixes to `d.setdefault(k, v)`."
+        "d[k] = v` shape is pointed at `d.setdefault(k, v)`."
     )
-    fixable = True
 
-    def describe(self, ctx: FileContext, record: Dict[str, object]) -> Tuple[str, Optional[Fix]]:
-        fix = self._build_fix(ctx, record.get("fix"))  # type: ignore[arg-type]
+    def message(self, record: Dict[str, object]) -> str:
         hint = (
             "apply the setdefault rewrite"
-            if fix is not None
+            if record["setdefault"]
             else "widen the guarding lock over the whole check-then-act"
         )
         return (
             f"check-then-act on shared container {record['symbol']} in "
-            f"{record['function']}() is not atomic without a lock — {hint}",
-            fix,
-        )
-
-    @staticmethod
-    def _build_fix(ctx: FileContext, raw: Optional[Dict[str, object]]) -> Optional[Fix]:
-        if not raw:
-            return None
-        try:
-            start = ctx.offset(int(raw["l1"]), int(raw["c1"]))
-            end = ctx.offset(int(raw["l2"]), int(raw["c2"]))
-        except (KeyError, IndexError, TypeError, ValueError):
-            return None
-        replacement = str(raw["text"])
-        if ctx.source[start:end] == replacement:
-            return None
-        return Fix(
-            edits=(Edit(start, end, replacement),),
-            note="rewrite check-then-act as an atomic dict.setdefault",
+            f"{record['function']}() is not atomic without a lock — {hint}"
         )

@@ -1,21 +1,18 @@
 """The one worklist solver behind every crowdlint fixpoint.
 
-Each whole-program analysis states its fixpoint as keys (functions,
-classes), an ``update`` that recomputes one key's value from the current
-state, and the keys that read that value.  :func:`solve` runs the updates
+Each analysis states its fixpoint as keys (functions, CFG blocks), an
+``update`` that recomputes one key's value from the current state, and the
+keys that read that value.  :func:`solve` runs the updates
 to convergence.  There is no pass bound: every lattice the analyses use has
 finite height, so each key can change only finitely often.
 
 * entry locksets only shrink, from ⊤ (no caller seen) over a finite set of
   locks;
-* thread-domain marks, may-raise sets, handler-class sets and reaching
-  definitions only grow;
-* a ``--raises`` provenance rank only falls, and never below one.
+* thread-domain marks, may-raise sets and reaching definitions only grow.
 
 Results never depend on the order files are listed in: every analysis seeds
 the worklist from sorted keys, and each also ignores queue order outright —
-it iterates a monotone function to its unique fixpoint, and ties between
-equal ranks go to the earlier site in source order.
+it iterates a monotone function to its unique fixpoint.
 """
 
 from __future__ import annotations

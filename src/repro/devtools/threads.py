@@ -6,19 +6,19 @@ Three stages, mirroring the v3 whole-program pipeline:
    the module summaries, so they ride the same content-addressed cache)
    record every spawn site — ``threading.Thread(target=...)``,
    ``concurrent.futures`` submissions, ``exec.ordered_map`` worker fns,
-   executor ``initializer=`` hooks — and every request-handler subclass
-   (``socketserver.BaseRequestHandler``, ``BaseHTTPRequestHandler`` and
-   kin: the classes a threading server drives with one thread per
-   connection).  Targets resolve through the existing
+   executor ``initializer=`` hooks.  Request-handler classes are no roots
+   of their own: code is concurrent when a spawn reaches it (in this repo,
+   ``CrowdWebApp.handle`` through the ``warm`` thread).  Targets resolve
+   through the existing
    :meth:`~repro.devtools.callgraph.ProjectAnalysis.resolve`.
 
 2. **Escape analysis.**  BFS reachability from the roots assigns each
-   function a set of *concurrency domains* (``main``, ``handler``,
-   ``thread``, ``pool``).  Module globals and ``self`` attributes that are
+   function a set of *concurrency domains* (``main``, ``thread``,
+   ``pool``).  Module globals and ``self`` attributes that are
    **mutated** outside construction and **touched from a thread domain**
-   are *shared*: two handler threads already race each other, so a single
-   ``handler`` domain counts as concurrent.  ``pool`` (process workers) has
-   its own address space and never races ``main``.
+   are *shared*: two threads spawned from one site already race each
+   other, so a single ``thread`` domain counts as concurrent.  ``pool``
+   (process workers) has its own address space and never races ``main``.
 
 3. **Lockset inference.**  ``with <lock>:`` regions and
    ``acquire()``/``release()`` pairs produce per-site held-lock sets;
@@ -70,13 +70,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ThreadFacts", "ThreadAnalysis"]
 
 DOMAIN_MAIN = "main"          #: code not reachable from any spawn site
-DOMAIN_HANDLER = "handler"    #: per-connection threads of a threading server
 DOMAIN_THREAD = "thread"      #: threading.Thread / ThreadPoolExecutor work
 DOMAIN_POOL = "pool"          #: process-pool workers (own address space)
-
-#: Domains whose instances share this process's memory *and* run many at
-#: once — any access from one of these is concurrent with its twin.
-RACY_DOMAINS: FrozenSet[str] = frozenset({DOMAIN_HANDLER, DOMAIN_THREAD})
 
 _LOCK_CTORS = frozenset({"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"})
 _MUTABLE_CTORS = frozenset(
@@ -98,16 +93,6 @@ _MUTATING_METHODS = frozenset(
         "remove",
         "setdefault",
         "update",
-    }
-)
-_HANDLER_BASES = frozenset(
-    {
-        "BaseHTTPRequestHandler",
-        "SimpleHTTPRequestHandler",
-        "CGIHTTPRequestHandler",
-        "BaseRequestHandler",
-        "StreamRequestHandler",
-        "DatagramRequestHandler",
     }
 )
 _THREAD_CTORS = frozenset({"Thread", "Timer"})
@@ -271,7 +256,6 @@ class _ModuleInventory:
         self.class_bases: Dict[str, List[str]] = {}
         self.class_attrs: Dict[str, Set[str]] = {}
         self.attr_locks: Dict[str, Set[str]] = {}
-        self.handler_classes: Set[str] = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Global):
                 self.rebound_globals.update(node.names)
@@ -294,7 +278,6 @@ class _ModuleInventory:
             # stay out of the tables; their methods see no self attributes.
             if defn.is_class and defn.direct:
                 self._add_class(defn.node, defn.qualname)
-        self._close_handler_classes()
 
     def _add_class(self, node: ast.ClassDef, path: str) -> None:
         self.class_bases[path] = [
@@ -321,26 +304,6 @@ class _ModuleInventory:
                 self.class_attrs[class_path].add(attr)
                 if value is not None and _is_lock_ctor(value):
                     self.attr_locks[class_path].add(attr)
-
-    def _close_handler_classes(self) -> None:
-        """Handler classes: a handler base, or a base that is one (solved)."""
-        by_simple_name = {path.rsplit(".", 1)[-1]: path for path in self.class_bases}
-        subclasses: Dict[str, List[str]] = {}
-        for path, bases in self.class_bases.items():
-            for base in bases:
-                if base in by_simple_name:
-                    subclasses.setdefault(by_simple_name[base], []).append(path)
-
-        def update(path: str) -> bool:
-            if path in self.handler_classes or not any(
-                base in _HANDLER_BASES or by_simple_name.get(base) in self.handler_classes
-                for base in self.class_bases[path]
-            ):
-                return False
-            self.handler_classes.add(path)
-            return True
-
-        solve(self.class_bases, update, lambda path: subclasses.get(path, ()))
 
     # -- lookups -----------------------------------------------------------
 
@@ -416,7 +379,6 @@ class ThreadFacts:
         self.facts: Dict[str, object] = {
             "mutable_globals": dict(sorted(self.inv.mutable_globals.items())),
             "locks": sorted(self.inv.global_locks),
-            "handler_classes": sorted(self.inv.handler_classes),
             "functions": {},
         }
 
@@ -684,7 +646,7 @@ class _FunctionWalker(_BlockWalker):
                 "line": stmt.lineno,
                 "col": stmt.col_offset,
                 "held": sorted(set(held)),
-                "fix": self._setdefault_fix(stmt, test, container_text, key_text),
+                "setdefault": self._setdefault_shape(stmt, test, container_text, key_text),
             }
         )
 
@@ -699,43 +661,28 @@ class _FunctionWalker(_BlockWalker):
                 return True
         return False
 
-    def _setdefault_fix(
-        self, stmt: ast.If, test: ast.Compare, container_text: str, key_text: str
-    ) -> Optional[Dict[str, object]]:
-        """The mechanical rewrite ``if k not in d: d[k] = v`` → ``setdefault``.
+    @staticmethod
+    def _setdefault_shape(
+        stmt: ast.If, test: ast.Compare, container_text: str, key_text: str
+    ) -> bool:
+        """Is this exactly ``if k not in d: d[k] = v``, one ``d.setdefault(k, v)``?
 
-        Only offered when the value expression is effects-free enough that
-        eager evaluation cannot change behaviour (constants, names, empty
-        constructors, literal displays of those).
+        Only when ``v`` is effect-free enough that eager evaluation cannot
+        change behaviour (constants, names, empty constructors, literal
+        displays of those).
         """
         if not isinstance(test.ops[0], ast.NotIn) or stmt.orelse or len(stmt.body) != 1:
-            return None
+            return False
         body = stmt.body[0]
         if not (isinstance(body, ast.Assign) and len(body.targets) == 1):
-            return None
+            return False
         target = body.targets[0]
-        if not (
+        return (
             isinstance(target, ast.Subscript)
             and _safe_unparse(target.value) == container_text
             and _safe_unparse(target.slice) == key_text
-        ):
-            return None
-        if not _is_effect_free(body.value):
-            return None
-        value_text = _safe_unparse(body.value)
-        if value_text is None:
-            return None
-        end_lineno = getattr(stmt, "end_lineno", None)
-        end_col = getattr(stmt, "end_col_offset", None)
-        if end_lineno is None or end_col is None:
-            return None
-        return {
-            "l1": stmt.lineno,
-            "c1": stmt.col_offset,
-            "l2": end_lineno,
-            "c2": end_col,
-            "text": f"{container_text}.setdefault({key_text}, {value_text})",
-        }
+            and _is_effect_free(body.value)
+        )
 
 
 def _safe_unparse(node: ast.AST) -> Optional[str]:
@@ -804,10 +751,6 @@ class ThreadAnalysis:
                     continue
                 via = f"{module_key}:{spawn['line']} ({qualname})"
                 roots.append((target, str(spawn["domain"]), via))
-        for node, record in sorted(self.nodes.items()):
-            handler_classes = project.summaries[node[0]]["threads"]["handler_classes"]  # type: ignore[index]
-            if record["class"] in handler_classes:
-                roots.append((node, DOMAIN_HANDLER, f"handler class {record['class']}"))
         return roots
 
     def _callees(self, node: Node) -> List[Node]:
@@ -886,7 +829,7 @@ class ThreadAnalysis:
             live_writes = [w for w in info["writes"] if not w["exempt"]]  # type: ignore[union-attr]
             if not live_writes:
                 continue
-            if not info["domains"] & RACY_DOMAINS:  # type: ignore[operator]
+            if DOMAIN_THREAD not in info["domains"]:  # type: ignore[operator]
                 continue
             guard = self._infer_guard(live_writes)
             self.shared[key] = {
@@ -959,7 +902,7 @@ class ThreadAnalysis:
                         "col": cta["col"],
                         "symbol": self.pretty_symbol(key),
                         "function": node[1],
-                        "fix": cta.get("fix"),
+                        "setdefault": cta["setdefault"],
                     },
                 )
 

@@ -16,7 +16,7 @@ the experiment runner all consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
 from .crowd import CrowdAggregator, CrowdTimeline
 from .data import ActiveUserFilter, CheckInDataset, PreprocessReport, preprocess
@@ -91,8 +91,14 @@ def run_pipeline(
     dataset: CheckInDataset,
     config: PipelineConfig = PipelineConfig(),
     taxonomy: Optional[CategoryTree] = None,
+    profiles: Optional[Dict[str, UserPatternProfile]] = None,
 ) -> PipelineResult:
-    """Run all three phases on a dataset and return the bundled result."""
+    """Run all three phases on a dataset and return the bundled result.
+
+    ``profiles`` (e.g. from :func:`repro.persistence.load_profiles`) are
+    already-mined user profiles: phase 2 is skipped and phases 1 and 3 run
+    as configured.
+    """
     taxonomy = taxonomy or build_default_taxonomy()
     if config.obs:
         obs_enable()
@@ -118,19 +124,20 @@ def run_pipeline(
             phase.set("n_users_kept", filtered.n_users)
 
         # Phase 2 — individual mobility pattern detection.
-        with o.span("pipeline.detect") as phase:
-            profiles = detect_all_patterns(
-                filtered,
-                taxonomy,
-                level=config.level,
-                binning=config.binning,
-                config=config.mining,
-                closed_only=config.closed_only,
-                day_kind=config.day_kind,
-                exec_config=config.exec,
-            )
-            phase.set("n_users", len(profiles))
-            phase.set("n_patterns", sum(p.n_patterns for p in profiles.values()))
+        if profiles is None:
+            with o.span("pipeline.detect") as phase:
+                profiles = detect_all_patterns(
+                    filtered,
+                    taxonomy,
+                    level=config.level,
+                    binning=config.binning,
+                    config=config.mining,
+                    closed_only=config.closed_only,
+                    day_kind=config.day_kind,
+                    exec_config=config.exec,
+                )
+                phase.set("n_users", len(profiles))
+                phase.set("n_patterns", sum(p.n_patterns for p in profiles.values()))
 
         # Phase 3 — crowd synchronization & aggregation.
         with o.span("pipeline.aggregate") as phase:

@@ -10,31 +10,9 @@ from ..data import small_dataset, synthetic_dataset
 from ..exec import ExecConfig
 from ..experiments import small_pipeline_config
 from ..obs import enable as obs_enable
+from ..persistence import load_profiles
 from ..pipeline import PipelineConfig, run_pipeline
 from .server import CrowdWebServer
-
-
-def prepare_from_profiles(dataset, config: PipelineConfig, profiles_path):
-    """Build a :class:`PipelineResult` from persisted profiles — skips the
-    expensive mining phase entirely."""
-    from ..crowd import CrowdAggregator
-    from ..data import preprocess
-    from ..geo import MicrocellGrid
-    from ..persistence import load_profiles
-    from ..pipeline import PipelineResult
-    from ..taxonomy import build_default_taxonomy
-
-    taxonomy = build_default_taxonomy()
-    profiles = load_profiles(profiles_path)
-    filtered, report = preprocess(dataset, config.window_months, config.activity)
-    grid = MicrocellGrid(filtered.bounding_box().expand(0.002), config.cell_size_m)
-    aggregator = CrowdAggregator(profiles, filtered, grid, taxonomy,
-                                 binning=config.binning)
-    return PipelineResult(
-        dataset=filtered, report=report, profiles=profiles, grid=grid,
-        aggregator=aggregator, timeline=aggregator.timeline(),
-        taxonomy=taxonomy, config=config,
-    )
 
 
 def main(argv=None) -> int:
@@ -45,7 +23,7 @@ def main(argv=None) -> int:
                         help="synthetic dataset size (paper scale takes ~30 s to prepare)")
     parser.add_argument("--profiles", default=None,
                         help="load mined profiles from a save_profiles() JSON "
-                             "instead of re-mining (phases 1-2 are skipped)")
+                             "instead of re-mining (phase 2 is skipped)")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="worker processes for mining/aggregation "
                              "(1 = serial, 0 = all cores)")
@@ -65,11 +43,11 @@ def main(argv=None) -> int:
     config = replace(config, exec=ExecConfig.from_workers(args.workers))
 
     def build_result():
-        if args.profiles:
-            result = prepare_from_profiles(dataset, config, args.profiles)
-            print(f"loaded {result.n_users} profiles from {args.profiles}")
-            return result
-        return run_pipeline(dataset, config)
+        if not args.profiles:
+            return run_pipeline(dataset, config)
+        profiles = load_profiles(args.profiles)
+        print(f"loaded {len(profiles)} profiles from {args.profiles}")
+        return run_pipeline(dataset, config, profiles=profiles)
 
     # Bind the socket first: early requests get 503 + Retry-After while the
     # pipeline precompute runs, and the hot key space is warmed right after.

@@ -21,7 +21,7 @@ Routes
 ``GET /api/communities``         JSON behavioural communities
 ``GET /api/metrics/<id>``        JSON mobility analytics for one user
 ``GET /api/cache``               JSON cache state (entries, generation)
-``GET|POST /api/refresh``        invalidate the response cache
+``POST /api/refresh``            invalidate the response cache
 ``GET /metrics``                 JSON observability snapshot (never cached)
 ===============================  =======================================
 
@@ -112,7 +112,8 @@ def _dispatch(
 ) -> Tuple[int, str, str]:
     """The routing table proper: one render, behind :meth:`CrowdWebApp.handle`.
 
-    ``params`` is :meth:`CrowdWebApp._route_params`' parsed view of the query.
+    ``params`` is :meth:`CrowdWebApp._route`'s parsed view of the integer
+    path segments and the query.
     """
 
     def ok_json(payload) -> Tuple[int, str, str]:
@@ -153,17 +154,14 @@ def _dispatch(
             if len(segments) == 2 and segments[1] == "crowd":
                 return ok_json(api.crowd_summary())
             if len(segments) == 3 and segments[1] == "crowd":
-                return ok_json(api.crowd(int(segments[2])))
+                return ok_json(api.crowd(params["i"]))
             if len(segments) == 3 and segments[1] == "flows":
-                return ok_json(api.flows(int(segments[2])))
+                return ok_json(api.flows(params["i"]))
             if len(segments) == 2 and segments[1] == "tiles":
                 return ok_json(api.tile_scheme())
             if len(segments) == 5 and segments[1] == "tiles":
                 return ok_json(
-                    api.tile(
-                        int(segments[2]), int(segments[3]), int(segments[4]),
-                        window=params["window"],
-                    )
+                    api.tile(params["z"], params["x"], params["y"], window=params["window"])
                 )
             if len(segments) == 2 and segments[1] == "animation":
                 return ok_json(api.animation())
@@ -251,8 +249,6 @@ class CrowdWebApp:
             if normalized == "/api/refresh":
                 return self._refresh()
             return self._json_response(404, {"error": f"no POST route {normalized}"})
-        if normalized == "/api/refresh":
-            return self._refresh()
         if normalized == "/api/cache":
             return self._json_response(200, self.cache.info())
         if normalized == "/metrics":
@@ -261,13 +257,13 @@ class CrowdWebApp:
             return status, out_headers + [("Cache-Control", "no-store")], body
 
         try:
-            params = self._route_params(segments, parsed.query)
+            route, params = self._route(segments, normalized, parsed.query)
         except ValueError as exc:
             # Unparsable params are a 400, never cached (as render errors).
             return self._json_response(400, {"error": str(exc)})
         # Names are fixed and values are int/float reprs: nothing to quote.
         canonical_query = "&".join([f"{name}={value}" for name, value in params.items()])
-        key = self.cache.key("GET", normalized, canonical_query)
+        key = self.cache.key("GET", route, canonical_query)
         entry = self.cache.lookup(key)
         if entry is None:
             status, content_type, text = self._render(parsed, segments, params)
@@ -277,29 +273,44 @@ class CrowdWebApp:
             entry = self.cache.store(key, text.encode("utf-8"), content_type)
         return self._serve_entry(entry, headers)
 
-    def _route_params(self, segments: List[str], raw_query: str) -> RouteParams:
-        """The query params :func:`_dispatch` reads for ``segments``, parsed and clamped.
+    def _route(
+        self, segments: List[str], normalized: str, raw_query: str
+    ) -> Tuple[str, RouteParams]:
+        """The route words and the params :func:`_dispatch` reads, parsed.
 
-        Defaults are filled in, ``window`` is clamped to the timeline and
-        ``zoom`` to the tile pyramid, as the renders clamp them, so the
-        response-cache key (built from these values) holds one entry per
-        distinct body: ``?window=1000`` shares the last window's entry,
-        ``0.1`` and ``0.10`` key alike, and a param the route does not read
-        (``/api/stats?window=3``) shares the bare path's entry.  Only a
-        route that reads params parses the query.  Raises ``ValueError``
-        for a value that does not parse.
+        Integer path segments (``<i>`` of ``/api/crowd/<i>`` and
+        ``/api/flows/<i>``, ``<z>/<x>/<y>`` of a tile) leave the route and
+        become params.  Query defaults are filled in, ``window`` is clamped
+        to the timeline and ``zoom`` to the tile pyramid, as the renders
+        clamp them.  The response-cache key is built from the route and
+        these values, so it holds one entry per distinct body:
+        ``/api/crowd/007`` shares ``/api/crowd/7``'s entry, ``?window=1000``
+        shares the last window's, ``0.1`` and ``0.10`` key alike, and a
+        param the route does not read (``/api/stats?window=3``) shares the
+        bare path's entry.  Only a route that reads query params parses the
+        query.  Raises ``ValueError`` for a value that does not parse.
         """
-        if segments[:1] == ["city"]:
+        head = segments[:1]
+        if head == ["city"]:
             query = parse_qs(raw_query)
             zoom = max(0, min(int(_first(query, "zoom", "2")), self.api.tiles.max_zoom))
-            return {"window": self._window(query), "zoom": zoom}
-        if len(segments) == 5 and segments[:2] == ["api", "tiles"]:
-            return {"window": self._window(parse_qs(raw_query))}
-        if segments == ["api", "communities"]:
-            return {"min_similarity": float(_first(parse_qs(raw_query), "min_similarity", "0.05"))}
-        if segments == ["api", "spikes"]:
-            return {"z": float(_first(parse_qs(raw_query), "z", "4.0"))}
-        return {}
+            return normalized, {"window": self._window(query), "zoom": zoom}
+        if head != ["api"]:
+            return normalized, {}
+        n_segments = len(segments)
+        if n_segments == 3 and segments[1] in ("crowd", "flows"):
+            return "/api/" + segments[1], {"i": int(segments[2])}
+        if n_segments == 5 and segments[1] == "tiles":
+            z, x, y = (int(segment) for segment in segments[2:])
+            return "/api/tiles", {
+                "z": z, "x": x, "y": y, "window": self._window(parse_qs(raw_query)),
+            }
+        if n_segments == 2 and segments[1] == "communities":
+            query = parse_qs(raw_query)
+            return normalized, {"min_similarity": float(_first(query, "min_similarity", "0.05"))}
+        if n_segments == 2 and segments[1] == "spikes":
+            return normalized, {"z": float(_first(parse_qs(raw_query), "z", "4.0"))}
+        return normalized, {}
 
     def _window(self, query: Mapping[str, List[str]]) -> int:
         """The ``window`` param (default 9), clamped to the timeline."""

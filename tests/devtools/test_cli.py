@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import textwrap
 
 import pytest
 
@@ -53,22 +52,13 @@ class TestSelectIgnore:
 
 
 class TestListRules:
-    def test_human_listing_marks_fixable(self, capsys):
-        assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        assert "CW203*" in out  # fixable marker
-        assert "CW108 " in out
-
     def test_json_listing_is_the_full_catalog(self, capsys):
         assert main(["--list-rules", "--json"]) == 0
         catalog = json.loads(capsys.readouterr().out)
         assert [entry["id"] for entry in catalog] == sorted(
             rule.id for rule in all_rules()
         )
-        by_id = {entry["id"]: entry for entry in catalog}
-        assert by_id["CW203"]["fixable"] is True
-        assert by_id["CW108"]["fixable"] is False
-        assert all({"id", "name", "description", "fixable"} <= set(e) for e in catalog)
+        assert all(set(e) == {"id", "name", "description"} for e in catalog)
 
 
 class TestFormats:
@@ -77,43 +67,7 @@ class TestFormats:
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == 1
         assert payload["by_rule"] == {"CW203": 1}
-        assert payload["findings"][0]["fixable"] is True
-
-    def test_sarif_format(self, dirty_file, capsys):
-        main(["--no-cache", "--format", "sarif", str(dirty_file)])
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == "2.1.0"
-        assert payload["runs"][0]["results"][0]["ruleId"] == "CW203"
-
-
-class TestFixAndDiff:
-    def test_diff_previews_without_writing(self, dirty_file, capsys):
-        assert main(["--diff", str(dirty_file)]) == 0
-        out = capsys.readouterr().out
-        assert "+    return list(sorted(found))" in out
-        assert dirty_file.read_text(encoding="utf-8") == DIRTY  # untouched
-
-    def test_fix_rewrites_in_place(self, dirty_file, capsys):
-        assert main(["--fix", str(dirty_file)]) == 0
-        assert "list(sorted(found))" in dirty_file.read_text(encoding="utf-8")
-        assert "fixed 1 finding(s)" in capsys.readouterr().err
-
-    def test_fix_reports_unfixable_remainder(self, tmp_path, capsys):
-        path = tmp_path / "stuck.py"
-        path.write_text(
-            textwrap.dedent(
-                """\
-                def first(items):
-                    uniq = set(items)
-                    return next(iter(uniq))
-                """
-            ),
-            encoding="utf-8",
-        )
-        assert main(["--fix", str(path)]) == 1
-        captured = capsys.readouterr()
-        assert "CW204" in captured.out
-        assert "1 remaining" in captured.err
+        assert payload["findings"][0]["rule"] == "CW203"
 
 
 class TestCacheFlags:
@@ -121,13 +75,3 @@ class TestCacheFlags:
         cache_dir = tmp_path / "mycache"
         assert main(["--cache-dir", str(cache_dir), str(dirty_file)]) == 1
         assert list(cache_dir.rglob("*.json"))
-
-    def test_jobs_flag_matches_serial_output(self, tmp_path, capsys):
-        for index in range(4):
-            (tmp_path / f"mod_{index}.py").write_text(DIRTY, encoding="utf-8")
-        main(["--no-cache", "--format", "json", str(tmp_path)])
-        serial = json.loads(capsys.readouterr().out)
-        main(["--no-cache", "--jobs", "2", "--format", "json", str(tmp_path)])
-        parallel = json.loads(capsys.readouterr().out)
-        assert serial == parallel
-        assert parallel["count"] == 4

@@ -33,19 +33,6 @@ class TestSeedClassifiers:
 
 
 class TestSummaryExtraction:
-    def test_partial_calls_unwrap(self):
-        summary = summarize(
-            """
-            from functools import partial
-
-            def run(items):
-                task = partial(store, 1, 2)
-                task(items)
-            """
-        )
-        (call,) = [c for c in summary["calls"] if c["caller"] == "run"]
-        assert call == {"caller": "run", "callee": ["name", "store"]}
-
     def test_method_and_constructor_syms(self):
         summary = summarize(
             """
@@ -56,13 +43,11 @@ class TestSummaryExtraction:
             def use():
                 agg = Agg()
                 agg.add(7)
-                Agg().add(8)
             """
         )
-        callees = {tuple(map(str, c["callee"])) for c in summary["calls"]}
-        assert ("self", "flush") in callees
-        assert ("attr", "agg", "add") in callees
-        assert any(c[0] == "new" for c in (call["callee"] for call in summary["calls"]))
+        calls = summary["threads"]["functions"]
+        assert [c["sym"] for c in calls["Agg.add"]["calls"]] == [["self", "flush"]]
+        assert ["attr", "agg", "add"] in [c["sym"] for c in calls["use"]["calls"]]
         assert summary["functions"]["use"]["ctors"]["agg"] == ["name", "Agg"]
 
     def test_rebound_locals_are_never_chased(self):
@@ -71,11 +56,10 @@ class TestSummaryExtraction:
             def f():
                 g = first
                 g = second
-                g()
+                made = g()
             """
         )
-        (call,) = summary["calls"]
-        assert call["callee"] == ["name", "g"]
+        assert summary["functions"]["f"]["ctors"]["made"] == ["name", "g"]
 
     def test_exports_and_imports(self):
         summary = summarize(

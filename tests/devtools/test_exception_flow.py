@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Dict
 
 from repro.devtools.callgraph import ProjectAnalysis
-from repro.devtools.cli import main
 from repro.devtools.domains import extract_summary
 from repro.devtools.engine import iter_python_files, module_name_for
 from repro.devtools.exceptions import ExceptionAnalysis
@@ -282,40 +281,3 @@ class TestFixpoint:
             },
         )
         assert analysis.may_raise("repro.mining.orelse", "f") == {"ValueError"}
-
-
-class TestRaisesCLI:
-    MODULES = {
-        "repro.mining.deep": """
-            def fail():
-                raise ValueError("boom")
-            """,
-        "repro.mining.top": """
-            from repro.mining.deep import fail
-
-
-            def call():
-                return fail()
-            """,
-    }
-
-    def test_chain_is_rendered(self, tmp_path, capsys):
-        root = tmp_path / "tree"
-        write_tree(root, self.MODULES)
-        assert main([str(root), "--raises", "repro.mining.top:call"]) == 0
-        out = capsys.readouterr().out
-        assert "may raise ValueError" in out
-        assert "via call at repro.mining.top:call" in out
-        assert "raised at repro.mining.deep:fail" in out
-
-    def test_dotted_symbol_form_resolves(self, tmp_path, capsys):
-        root = tmp_path / "tree"
-        write_tree(root, self.MODULES)
-        assert main([str(root), "--raises", "repro.mining.deep.fail"]) == 0
-        assert "raised at repro.mining.deep:fail" in capsys.readouterr().out
-
-    def test_unknown_symbol_exits_two(self, tmp_path, capsys):
-        root = tmp_path / "tree"
-        write_tree(root, self.MODULES)
-        assert main([str(root), "--raises", "repro.mining.top:nope"]) == 2
-        assert "unknown symbol" in capsys.readouterr().out

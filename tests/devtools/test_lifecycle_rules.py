@@ -83,6 +83,7 @@ CLEAN_LEAK_TWIN = {
         """
 }
 
+
 class TestSeededOracles:
     def test_leak_pack_fires_exactly_once_per_seed(self, tmp_path):
         findings = lint_tree(tmp_path, SEEDED_LEAKS)
@@ -138,18 +139,7 @@ class TestLifetimeJudgment:
         assert "return" in findings[0].message
 
 
-class TestSeverityAndSuppression:
-    def test_error_in_web_layer_warning_elsewhere(self, tmp_path):
-        in_web = {"repro.web.leaky": SEEDED_LEAKS["repro.webapp.leaky"]}
-        web = lint_tree(tmp_path / "a", in_web)
-        assert {f.severity for f in web} == {"error"}
-        elsewhere = {
-            "repro.mining.leaky": SEEDED_LEAKS["repro.webapp.leaky"]
-        }
-        mining = lint_tree(tmp_path / "b", elsewhere)
-        assert {f.rule_id for f in mining} == {"CW801"}
-        assert {f.severity for f in mining} == {"warning"}
-
+class TestSuppression:
     def test_pragma_suppresses_with_justification(self, tmp_path):
         modules = {
             "repro.webapp.leaky": SEEDED_LEAKS["repro.webapp.leaky"].replace(

@@ -12,7 +12,6 @@ import textwrap
 from pathlib import Path
 from typing import Dict, List
 
-from repro.devtools import engine
 from repro.devtools.callgraph import ProjectAnalysis
 from repro.devtools.domains import extract_summary
 from repro.devtools.engine import iter_python_files, module_name_for
@@ -73,31 +72,6 @@ class TestExtraction:
         )
         assert set(facts["mutable_globals"]) == {"CACHE", "COUNTS"}
         assert facts["locks"] == ["LOCK"]
-
-    def test_handler_class_discovery_including_nested(self):
-        facts = facts_of(
-            """
-            from http.server import BaseHTTPRequestHandler
-
-
-            class Plain(BaseHTTPRequestHandler):
-                def do_GET(self):
-                    pass
-
-
-            class Derived(Plain):
-                pass
-
-
-            def make_server():
-                class Inner(BaseHTTPRequestHandler):
-                    def do_GET(self):
-                        pass
-                return Inner
-            """
-        )
-        assert facts["handler_classes"] == ["Derived", "Plain", "make_server.Inner"]
-        assert facts["functions"]["make_server.Inner.do_GET"]["class"] == "make_server.Inner"
 
     def test_with_lock_regions_and_writes(self):
         facts = facts_of(
@@ -209,7 +183,7 @@ class TestExtraction:
             ("pool", ["name", "work"]),
         ]
 
-    def test_check_then_act_with_and_without_fix(self):
+    def test_check_then_act_setdefault_shape(self):
         facts = facts_of(
             """
             CACHE = {}
@@ -227,11 +201,11 @@ class TestExtraction:
         )
         fill_cta, = facts["functions"]["fill"]["cta"]
         assert fill_cta["sym"] == "g:CACHE"
-        assert fill_cta["fix"]["text"] == "CACHE.setdefault(key, [])"
+        assert fill_cta["setdefault"] is True
         bump_cta, = facts["functions"]["bump"]["cta"]
-        assert bump_cta["fix"] is None
+        assert bump_cta["setdefault"] is False
 
-    def test_cta_fix_refused_for_effectful_values(self):
+    def test_cta_setdefault_refused_for_effectful_values(self):
         facts = facts_of(
             """
             CACHE = {}
@@ -243,7 +217,7 @@ class TestExtraction:
             """
         )
         cta, = facts["functions"]["fill"]["cta"]
-        assert cta["fix"] is None  # eager evaluation would change behaviour
+        assert cta["setdefault"] is False  # eager evaluation would change behaviour
 
     def test_call_records_carry_held_locks(self):
         facts = facts_of(
@@ -266,16 +240,20 @@ class TestExtraction:
         ]
 
 
-HANDLER_TREE = {
+THREAD_TREE = {
     "repro.webapp.serve": """
-        from http.server import BaseHTTPRequestHandler
+        import threading
 
         HITS = {}
 
 
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self):
-                record(self.path)
+        def serve(paths):
+            for path in paths:
+                threading.Thread(target=handle, args=(path,)).start()
+
+
+        def handle(path):
+            record(path)
 
 
         def record(path):
@@ -285,15 +263,15 @@ HANDLER_TREE = {
 
 
 class TestAnalysis:
-    def test_handler_roots_and_domains(self, tmp_path):
-        analysis = analyze(tmp_path, HANDLER_TREE)
+    def test_thread_roots_and_domains(self, tmp_path):
+        analysis = analyze(tmp_path, THREAD_TREE)
         roots = {(node[1], domain) for node, domain, _via in analysis.roots}
-        assert ("Handler.do_GET", "handler") in roots
+        assert roots == {("handle", "thread")}
         record_node = ("repro.webapp.serve", "record")
-        assert analysis.domains[record_node] == {"handler"}
+        assert analysis.domains[record_node] == {"thread"}
 
     def test_shared_symbol_and_missing_guard(self, tmp_path):
-        project = build_project(tmp_path, HANDLER_TREE)
+        project = build_project(tmp_path, THREAD_TREE)
         analysis = project.threads()
         info = analysis.shared["repro.webapp.serve::g:HITS"]
         assert info["guard"] is None
@@ -389,29 +367,33 @@ class TestAnalysis:
         assert functions == ["Store.run"]  # __init__ happens-before the escape
 
     def test_dep_digest_tracks_findings(self, tmp_path):
-        clean = dict(HANDLER_TREE)
+        clean = dict(THREAD_TREE)
         clean["repro.webapp.serve"] = clean["repro.webapp.serve"].replace(
             "HITS[path] = HITS.get(path, 0) + 1", "return HITS.get(path, 0)"
         )
-        buggy = build_project(tmp_path / "a", HANDLER_TREE)
+        buggy = build_project(tmp_path / "a", THREAD_TREE)
         fixed = build_project(tmp_path / "b", clean)
         assert buggy.dep_key("repro.webapp.serve") != fixed.dep_key(
             "repro.webapp.serve"
         )
 
     def test_render_lists_roots_and_shared_state(self, tmp_path):
-        rendered = analyze(tmp_path, HANDLER_TREE).render()
+        rendered = analyze(tmp_path, THREAD_TREE).render()
         assert "thread roots (" in rendered
-        assert "[handler] repro.webapp.serve:Handler.do_GET" in rendered
+        assert "[thread] repro.webapp.serve:handle" in rendered
         assert "repro.webapp.serve.HITS" in rendered
         assert "guarded_by=<none>" in rendered
 
-    def test_worker_receives_the_records_table(self, tmp_path):
-        project = build_project(tmp_path, HANDLER_TREE)
-        key = "repro.webapp.serve"
-        engine._init_pool_worker({key: project.records(key)})
-        try:
-            assert engine._POOL_PROJECT.records(key) == project.records(key)
-            assert thread_records(engine._POOL_PROJECT, key)[0]["rule"] == "CW701"
-        finally:
-            engine._init_pool_worker(None)
+
+class TestRealTree:
+    def test_request_path_is_in_the_thread_domain(self):
+        """No handler-class root: the app's request path is reached from a spawn."""
+        repo_src = Path(__file__).resolve().parents[2] / "src"
+        files = [
+            (str(path), path.read_text(encoding="utf-8"), module_name_for(path),
+             path.name == "__init__.py")
+            for path in iter_python_files([repo_src])
+        ]
+        domains = ProjectAnalysis.build(files).threads().domains
+        for qualname in ("CrowdWebApp.handle", "CrowdWebApp._refresh"):
+            assert "thread" in domains[("repro.web.server", qualname)], qualname

@@ -233,7 +233,9 @@ class TestCacheKey:
             assert app.handle("GET", f"/api/stats?window={i}", None)[0] == 200
         assert len(app.cache) == warmed
         with observed() as o:
-            assert app.handle("GET", "/api/crowd/9", None)[0] == 200
+            # A warmed window renders nothing, however its index is spelled.
+            for path in ("/api/crowd/9", "/api/crowd/09", "/api/crowd/+9"):
+                assert app.handle("GET", path, None)[0] == 200
             assert o.registry.counter("repro_web_renders_total") == 0
             # A param a route reads still keys its own entry.
             app.handle("GET", "/api/communities?utm=x", None)
@@ -254,7 +256,7 @@ class TestCacheKey:
     def test_each_route_is_keyed_on_the_params_it_reads(self, app, path, read, unread):
         def key(query):
             segments = [s for s in path.split("/") if s]
-            return app._route_params(segments, query)
+            return app._route(segments, "/" + "/".join(segments), query)
 
         assert key(unread) == key("")
         if read is not None:
@@ -281,7 +283,26 @@ class TestCacheKey:
             assert o.registry.counter("repro_web_renders_total") == 4
         assert len(app.cache) == 4
 
+    @pytest.mark.parametrize("spellings", [
+        [f"/api/crowd/{'0' * n}" for n in range(1, 40)] + ["/api/crowd/+0"],
+        [f"/api/flows/{'0' * n}1" for n in range(0, 39)],
+        [f"/api/tiles/0/0/{'0' * n}?window=3" for n in range(1, 40)]
+        + ["/api/tiles/00/000/0?window=03"],
+    ])
+    def test_integer_path_segments_key_on_their_parsed_value(self, pipeline_result, spellings):
+        app = CrowdWebApp(pipeline_result)
+        responses = set()
+        for path in spellings:
+            status, headers, body = app.handle("GET", path, None)
+            responses.add((status, tuple(headers), body))
+        (response,) = responses  # one status, header list (ETag included) and body
+        assert response[0] == 200
+        assert len(app.cache) == 1
+
     @pytest.mark.parametrize("path", [
+        "/api/crowd/nine",
+        "/api/flows/1.5",
+        "/api/tiles/0/x/0",
         "/api/tiles/0/0/0?window=abc",
         "/city?zoom=1.5",
         "/api/communities?min_similarity=often",
@@ -444,6 +465,20 @@ class TestCacheRoutes:
         assert info["generation"] == 0
         assert info["fingerprint"] == app.fingerprint
 
+    def test_only_post_refresh_invalidates(self, pipeline_result):
+        app = CrowdWebApp(pipeline_result)
+        warmed = app.warm()
+        generation = app.cache.generation
+        status, _headers, body = app.handle("GET", "/api/refresh", None)
+        assert status == 404
+        assert "error" in json.loads(body)
+        assert len(app.cache) == warmed
+        assert app.cache.generation == generation
+        status, _headers, body = app.handle("POST", "/api/refresh", None)
+        assert status == 200
+        assert json.loads(body) == {"invalidated": warmed, "generation": generation + 1}
+        assert len(app.cache) == 0
+
     def test_metrics_route_is_never_cached(self, pipeline_result):
         from repro.obs import observed
         app = CrowdWebApp(pipeline_result)
@@ -515,21 +550,59 @@ class TestObservability:
 
 
 class TestServeFromProfiles:
-    def test_prepare_from_profiles(self, pipeline_result, small_ds, tmp_path):
-        from repro.experiments import small_pipeline_config
-        from repro.persistence import save_profiles
-        from repro.web.__main__ import prepare_from_profiles
+    def test_prepare_from_profiles(self, small_ds, tmp_path):
+        """Loaded profiles go through run_pipeline's own phases 1 and 3."""
+        from dataclasses import replace
 
-        path = save_profiles(pipeline_result.profiles, tmp_path / "p.json")
-        result = prepare_from_profiles(small_ds, small_pipeline_config(), path)
-        assert result.n_users == pipeline_result.n_users
+        from repro.experiments import small_pipeline_config
+        from repro.persistence import load_profiles, save_profiles
+        from repro.pipeline import run_pipeline
+
+        config = replace(small_pipeline_config(), pattern_tolerance=1, evidence_tolerance=2)
+        mined = run_pipeline(small_ds, config)
+        path = save_profiles(mined.profiles, tmp_path / "p.json")
+        result = run_pipeline(small_ds, config, profiles=load_profiles(path))
+        assert result.n_users == mined.n_users
+        assert [snap.n_users for snap in result.timeline] == [
+            snap.n_users for snap in mined.timeline
+        ]
+        assert [snap.to_dict() for snap in result.timeline] == [
+            snap.to_dict() for snap in mined.timeline
+        ]
         # The rebuilt platform serves identically.
-        api = CrowdWebAPI(result)
-        payload = api.users()
-        assert payload["n_users"] == pipeline_result.n_users
+        assert CrowdWebAPI(result).crowd_summary() == CrowdWebAPI(mined).crowd_summary()
         server = CrowdWebServer(result, port=0).start()
         try:
             with urllib.request.urlopen(server.url + "/api/crowd", timeout=10) as resp:
                 assert resp.status == 200
         finally:
             server.stop()
+
+    def test_profiles_flag_hands_loaded_profiles_to_run_pipeline(
+        self, pipeline_result, tmp_path, monkeypatch
+    ):
+        from repro.persistence import save_profiles
+        from repro.web import __main__ as web_main
+
+        path = save_profiles(pipeline_result.profiles, tmp_path / "p.json")
+        calls = []
+        factories = []
+
+        class FakeServer:
+            def __init__(self, host, port, result_factory, warm):
+                factories.append(result_factory)
+                self.url = "http://fake"
+
+            def serve_forever(self):
+                pass
+
+        monkeypatch.setattr(web_main, "CrowdWebServer", FakeServer)
+        monkeypatch.setattr(
+            web_main, "run_pipeline",
+            lambda dataset, config, **kwargs: calls.append(kwargs) or pipeline_result,
+        )
+        assert web_main.main(["--profiles", str(path)]) == 0
+        (factory,) = factories
+        assert factory() is pipeline_result
+        (kwargs,) = calls
+        assert sorted(kwargs["profiles"]) == sorted(pipeline_result.profiles)
