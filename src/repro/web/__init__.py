@@ -3,7 +3,7 @@
 from .api import CrowdWebAPI
 from .cache import CacheEntry, ResponseCache, dataset_fingerprint
 from .pages import Pages
-from .server import RETRY_AFTER_S, CrowdWebApp, CrowdWebServer
+from .server import RETRY_AFTER_S, ROUTES, CrowdWebApp, CrowdWebServer
 from .tiles import DEFAULT_MAX_ZOOM, TileIndex
 
 __all__ = [
@@ -14,6 +14,7 @@ __all__ = [
     "DEFAULT_MAX_ZOOM",
     "Pages",
     "RETRY_AFTER_S",
+    "ROUTES",
     "ResponseCache",
     "TileIndex",
     "dataset_fingerprint",

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..analysis import user_mobility_metrics
-from ..crowd import build_animation, detect_communities, window_flows
+from ..crowd import build_animation, detect_communities, detect_spikes, window_flows
 from ..data import dataset_stats
 from ..pipeline import PipelineResult
 from .tiles import TileIndex
@@ -108,8 +108,6 @@ class CrowdWebAPI:
 
     def tile(self, z: int, x: int, y: int, window: int = 9) -> Dict:
         """One city-view tile: aggregated cells at zoom ``z`` (see tiles.py)."""
-        n = len(self.result.timeline)
-        window = max(0, min(window, n - 1))
         return self.tiles.tile(z, x, y, window)
 
     def tile_scheme(self) -> Dict:
@@ -132,8 +130,6 @@ class CrowdWebAPI:
 
     def spikes(self, z_threshold: float = 4.0) -> Dict:
         """Crowd-anomaly spikes detected in the pipeline's dataset."""
-        from ..crowd import detect_spikes
-
         found = detect_spikes(self.result.dataset, self.result.grid,
                               z_threshold=z_threshold)
         return {

@@ -192,9 +192,7 @@ class ResponseCache:
                 while len(self._entries) > self.max_entries:
                     self._entries.popitem(last=False)
                     evicted += 1
-                n_entries = len(self._entries)
-            else:
-                n_entries = len(self._entries)
+            n_entries = len(self._entries)
         observer = get_observer()
         if evicted:
             observer.inc("repro_web_cache_evictions_total", evicted)

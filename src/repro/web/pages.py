@@ -9,15 +9,18 @@ platform runs from the standard library.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Optional
 from xml.sax.saxutils import escape
 
+from ..analysis import user_mobility_metrics
+from ..crowd import build_animation, detect_communities
 from ..patterns import build_place_graph, summarize_profile
 from ..pipeline import PipelineResult
 from ..sequences import make_labeler
-from ..viz import render_place_graph
+from ..viz import Heatmap, render_place_graph
 from ..viz.palette import SURFACE, TEXT_PRIMARY, TEXT_SECONDARY
-from .tiles import TileIndex
+from .tiles import DEFAULT_MAX_ZOOM
 
 __all__ = ["Pages"]
 
@@ -118,12 +121,10 @@ class Pages:
         cells — each tile response is independently cacheable (ETag/gzip),
         so scrubbing the time slider re-downloads nothing that was already
         seen.  The old monolithic-SVG path lives on in ``repro.viz`` for
-        reports; this page is the serving-layer replacement.
+        reports; this page is the serving-layer replacement.  The route
+        clamps ``window_index`` to the timeline and ``zoom`` to the tiles'.
         """
         timeline = self.result.timeline
-        window_index = max(0, min(window_index, len(timeline) - 1))
-        max_zoom = TileIndex(self.result.grid, timeline).max_zoom
-        zoom = max(0, min(zoom, max_zoom))
         snap = timeline[window_index]
         slider_parts = []
         for i, s in enumerate(timeline):
@@ -134,7 +135,7 @@ class Pages:
             )
         slider = "".join(slider_parts)
         zoom_parts = []
-        for z in range(max_zoom + 1):
+        for z in range(DEFAULT_MAX_ZOOM + 1):
             active = ' class="active"' if z == zoom else ""
             zoom_parts.append(
                 f'<a href="/city?window={window_index}&amp;zoom={z}"{active}>z{z}</a>'
@@ -196,8 +197,6 @@ class Pages:
 
     def occupancy(self) -> str:
         """Per-microcell occupancy heatmap across the whole day."""
-        from ..viz import Heatmap
-
         matrix = self.result.timeline.cell_occupancy_matrix()
         top_cells = sorted(matrix, key=lambda c: -sum(matrix[c]))[:25]
         if not top_cells:
@@ -217,10 +216,6 @@ class Pages:
 
     def communities(self) -> str:
         """Behavioural communities over the profiled users."""
-        from collections import Counter
-
-        from ..crowd import detect_communities
-
         communities = detect_communities(self.result.profiles, min_similarity=0.05)
         rows = []
         for community in communities:
@@ -249,8 +244,6 @@ class Pages:
 
     def analytics(self) -> str:
         """Mobility analytics table for every profiled user."""
-        from ..analysis import user_mobility_metrics
-
         rows = []
         for uid in sorted(self.result.profiles):
             try:
@@ -282,8 +275,6 @@ class Pages:
         Frames are precomputed server-side; a few lines of vanilla JS cycle
         the dot positions.
         """
-        from ..crowd import build_animation
-
         frames = build_animation(self.result.timeline, steps_per_transition=3)
         grid = self.result.grid
         payload = {

@@ -2,33 +2,14 @@
 
 Routes
 ------
-===============================  =======================================
-``GET /``                        dashboard (preprocess summary, occupancy)
-``GET /users``                   user directory
-``GET /user/<id>``               one user's patterns + place graph
-``GET /city?window=<i>&zoom=<z>`` the tiled crowd view at one time window
-``GET /animation``               the automated crowd-movement animation
-``GET /api/users``               JSON user list
-``GET /api/user/<id>``           JSON profile
-``GET /api/crowd/<i>``           JSON snapshot
-``GET /api/crowd``               JSON occupancy summary
-``GET /api/flows/<i>``           JSON flows window i → i+1
-``GET /api/tiles``               JSON tile-scheme description
-``GET /api/tiles/<z>/<x>/<y>``   JSON tile (``?window=<i>``)
-``GET /api/animation``           JSON animation frames
-``GET /api/stats``               JSON dataset statistics
-``GET /api/occupancy``           JSON per-cell occupancy across all windows
-``GET /api/communities``         JSON behavioural communities
-``GET /api/metrics/<id>``        JSON mobility analytics for one user
-``GET /api/cache``               JSON cache state (entries, generation)
-``POST /api/refresh``            invalidate the response cache
-``GET /metrics``                 JSON observability snapshot (never cached)
-===============================  =======================================
+:data:`ROUTES` declares every route once: its shape, endpoint label,
+content type, the params it reads and its render.  ``docs/serving.md``
+(*Routes*) lists them.
 
 Service architecture (see ``docs/serving.md``)
 ----------------------------------------------
-:class:`CrowdWebApp` is the socket-free service core: a render function
-(:func:`_dispatch` over :class:`~repro.web.api.CrowdWebAPI` /
+:class:`CrowdWebApp` is the socket-free service core: the route table's
+renders (over :class:`~repro.web.api.CrowdWebAPI` /
 :class:`~repro.web.pages.Pages`) behind a
 :class:`~repro.web.cache.ResponseCache`.  The hot path is a dict lookup:
 cacheable routes render **once**, then serve pre-encoded bytes with strong
@@ -39,7 +20,7 @@ socket *before* the pipeline result exists: constructed with
 precompute is in flight instead of leaving the first client hanging.
 
 The HTTP layer is one small HTTP/1.1 connection loop, one thread per
-connection (:class:`_Connection` on a :class:`_ConnectionServer`).  It
+connection (:func:`_serve` on a :class:`_ConnectionServer`).  It
 splits each request head at its blank line, reads the request line and
 lower-cased headers, drains any ``Content-Length`` body, calls
 :meth:`CrowdWebApp.handle` and sends the response head and body in one
@@ -51,9 +32,9 @@ request line, header or ``Content-Length``, ``414`` for a request line over
 :meth:`CrowdWebServer.stop` closes the ones still open.
 
 Every request runs inside a ``web.request`` trace span with latency
-recorded per normalized endpoint (``/user/:id``); cache misses add a
-``web.render`` child span.  All of it is a no-op until observability is
-enabled.
+recorded per endpoint label (``/user/:id``), and a path no route matches
+is labelled :data:`UNROUTED`; cache misses add a ``web.render`` child
+span.  All of it is a no-op until observability is enabled.
 """
 
 from __future__ import annotations
@@ -66,7 +47,7 @@ import threading
 import time
 from email.utils import formatdate, parsedate_to_datetime
 from http import HTTPStatus
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
 from ..obs import get_observer
@@ -75,18 +56,21 @@ from .api import CrowdWebAPI
 from .cache import CacheEntry, ResponseCache, dataset_fingerprint
 from .pages import Pages
 
-__all__ = ["CrowdWebApp", "CrowdWebServer", "RETRY_AFTER_S"]
+__all__ = ["CrowdWebApp", "CrowdWebServer", "RETRY_AFTER_S", "ROUTES", "UNROUTED"]
 
 #: ``Retry-After`` seconds advertised while the pipeline precompute runs.
 RETRY_AFTER_S = 1
 
 HeaderList = List[Tuple[str, str]]
 WebResponse = Tuple[int, HeaderList, bytes]
-RouteParams = Dict[str, Union[int, float]]
+RouteParams = Dict[str, Union[int, float, str]]
 
 #: Longest query string a request may carry; longer ones get ``414``
 #: before ``parse_qs`` runs (every route's own params fit in a few dozen).
 MAX_QUERY_BYTES = 1024
+
+_HTML = "text/html; charset=utf-8"
+_JSON = "application/json"
 
 
 def _first(query: Mapping[str, List[str]], name: str, default: str) -> str:
@@ -94,93 +78,150 @@ def _first(query: Mapping[str, List[str]], name: str, default: str) -> str:
     return query.get(name, [default])[0]
 
 
-def _endpoint_of(segments: List[str]) -> str:
-    """Normalize a request path to a bounded-cardinality endpoint label.
+def _window(app: "CrowdWebApp", query: Mapping[str, List[str]]) -> int:
+    """The ``window`` param (default 9), clamped to the timeline."""
+    return max(0, min(int(_first(query, "window", "9")), len(app.result.timeline) - 1))
 
-    Keeps the leading route words (two after ``api``, one otherwise) and
-    collapses the trailing identifier segments to ``:id``.
+
+# Param parsers, ``(app, value segments, raw query) -> params``: what a route
+# reads, parsed and clamped, in its render's argument order.  A route that
+# reads no query never parses it.
+
+def _no_params(app: "CrowdWebApp", values: List[str], raw_query: str) -> RouteParams:
+    return {}
+
+
+def _id(app: "CrowdWebApp", values: List[str], raw_query: str) -> RouteParams:
+    return {"id": values[0]}
+
+
+def _index(app: "CrowdWebApp", values: List[str], raw_query: str) -> RouteParams:
+    return {"i": int(values[0])}
+
+
+def _tile(app: "CrowdWebApp", values: List[str], raw_query: str) -> RouteParams:
+    z, x, y = (int(value) for value in values)
+    return {"z": z, "x": x, "y": y, "window": _window(app, parse_qs(raw_query))}
+
+
+def _city(app: "CrowdWebApp", values: List[str], raw_query: str) -> RouteParams:
+    query = parse_qs(raw_query)
+    zoom = max(0, min(int(_first(query, "zoom", "2")), app.api.tiles.max_zoom))
+    return {"window": _window(app, query), "zoom": zoom}
+
+
+def _min_similarity(app: "CrowdWebApp", values: List[str], raw_query: str) -> RouteParams:
+    return {"min_similarity": float(_first(parse_qs(raw_query), "min_similarity", "0.05"))}
+
+
+def _z_threshold(app: "CrowdWebApp", values: List[str], raw_query: str) -> RouteParams:
+    return {"z": float(_first(parse_qs(raw_query), "z", "4.0"))}
+
+
+def _json_response(status: int, payload: Dict) -> WebResponse:
+    return status, [("Content-Type", _JSON)], json.dumps(payload).encode("utf-8")
+
+
+def _cache_info(app: "CrowdWebApp") -> WebResponse:
+    return _json_response(200, app.cache.info())
+
+
+def _metrics(app: "CrowdWebApp") -> WebResponse:
+    status, headers, body = _json_response(200, get_observer().metrics_payload())
+    return status, headers + [("Cache-Control", "no-store")], body
+
+
+class _Route(NamedTuple):
+    """One entry of :data:`ROUTES`."""
+
+    #: The endpoint label of the request's span and metrics (``/user/:id``).
+    label: str
+    #: The body's content type.  ``None`` on a route that is never cached,
+    #: whose render takes the app and answers the whole response.
+    content_type: Optional[str]
+    #: A :class:`Pages` method (HTML) or a :class:`CrowdWebAPI` one (JSON),
+    #: called on the app's instance with the params' values, in order.
+    render: Optional[Callable]
+    params: Callable[["CrowdWebApp", List[str], str], RouteParams] = _no_params
+    #: What a ``404`` says before the id when the render returns ``None``:
+    #: the id names nothing.
+    missing: str = ""
+    method: str = "GET"
+
+
+#: Every route, keyed by its shape: its words, then one ``...`` per value
+#: segment.  ``docs/serving.md`` lists them with their params.
+ROUTES: Dict[Tuple[object, ...], _Route] = {
+    (): _Route("/", _HTML, Pages.home),
+    ("users",): _Route("/users", _HTML, Pages.users),
+    ("user", ...): _Route("/user/:id", _HTML, Pages.user, _id, "user"),
+    ("city",): _Route("/city", _HTML, Pages.city, _city),
+    ("animation",): _Route("/animation", _HTML, Pages.animation),
+    ("occupancy",): _Route("/occupancy", _HTML, Pages.occupancy),
+    ("communities",): _Route("/communities", _HTML, Pages.communities),
+    ("analytics",): _Route("/analytics", _HTML, Pages.analytics),
+    ("api", "users"): _Route("/api/users", _JSON, CrowdWebAPI.users),
+    ("api", "user", ...): _Route("/api/user/:id", _JSON, CrowdWebAPI.user, _id, "user"),
+    ("api", "crowd"): _Route("/api/crowd", _JSON, CrowdWebAPI.crowd_summary),
+    ("api", "crowd", ...): _Route("/api/crowd/:id", _JSON, CrowdWebAPI.crowd, _index),
+    ("api", "flows", ...): _Route("/api/flows/:id", _JSON, CrowdWebAPI.flows, _index),
+    ("api", "tiles"): _Route("/api/tiles", _JSON, CrowdWebAPI.tile_scheme),
+    ("api", "tiles", ..., ..., ...): _Route("/api/tiles/:id", _JSON, CrowdWebAPI.tile, _tile),
+    ("api", "animation"): _Route("/api/animation", _JSON, CrowdWebAPI.animation),
+    ("api", "stats"): _Route("/api/stats", _JSON, CrowdWebAPI.stats),
+    ("api", "occupancy"): _Route("/api/occupancy", _JSON, CrowdWebAPI.occupancy),
+    ("api", "communities"): _Route("/api/communities", _JSON, CrowdWebAPI.communities,
+                                   _min_similarity),
+    ("api", "spikes"): _Route("/api/spikes", _JSON, CrowdWebAPI.spikes, _z_threshold),
+    ("api", "metrics", ...): _Route("/api/metrics/:id", _JSON, CrowdWebAPI.user_metrics, _id,
+                                    "metrics for"),
+    ("api", "cache"): _Route("/api/cache", None, _cache_info),
+    ("metrics",): _Route("/metrics", None, _metrics),
+    # Answered by CrowdWebApp._refresh, a call crowdlint's thread analysis follows.
+    ("api", "refresh"): _Route("/api/refresh", None, None, method="POST"),
+}
+
+#: The endpoint label of every path no route matches: one series for all.
+UNROUTED = "unrouted"
+
+#: Path length -> how many words lead the routes of that length that have
+#: value segments, most first.
+_WORD_COUNTS: Dict[int, List[int]] = {
+    length: sorted({shape.index(...) for shape in ROUTES if len(shape) == length and ... in shape},
+                   reverse=True)
+    for length in {len(shape) for shape in ROUTES}
+}
+
+
+def _match(segments: List[str]) -> Tuple[Optional[_Route], int]:
+    """The route of a path's segments, and how many of them are its words.
+
+    The longest run of leading words that names a route wins, so a value
+    segment can never be read as a route word.
     """
-    if not segments:
-        return "/"
-    keep = 2 if segments[0] == "api" else 1
-    parts = segments[:keep] + [":id"] * min(1, len(segments) - keep)
-    return "/" + "/".join(parts)
+    parts = tuple(segments)
+    route = ROUTES.get(parts)  # a route of words only
+    if route is not None:
+        return route, len(parts)
+    for n_words in _WORD_COUNTS.get(len(parts), ()):
+        route = ROUTES.get(parts[:n_words] + (...,) * (len(parts) - n_words))
+        if route is not None:
+            return route, n_words
+    return None, 0
 
 
-def _dispatch(
-    api: CrowdWebAPI, pages: Pages, parsed, segments, params: RouteParams
-) -> Tuple[int, str, str]:
-    """The routing table proper: one render, behind :meth:`CrowdWebApp.handle`.
-
-    ``params`` is :meth:`CrowdWebApp._route`'s parsed view of the integer
-    path segments and the query.
-    """
-
-    def ok_json(payload) -> Tuple[int, str, str]:
-        return 200, "application/json", json.dumps(payload)
-
-    def ok_html(body: str) -> Tuple[int, str, str]:
-        return 200, "text/html; charset=utf-8", body
-
-    def not_found(message: str = "not found") -> Tuple[int, str, str]:
-        return 404, "application/json", json.dumps({"error": message})
-
+def _body(app: "CrowdWebApp", route: _Route, params: RouteParams) -> Tuple[int, str, str]:
+    """One render: ``(status, content type, text)``."""
+    target = app.pages if route.content_type == _HTML else app.api
     try:
-        if not segments:
-            return ok_html(pages.home())
-        if segments[0] == "users":
-            return ok_html(pages.users())
-        if segments[0] == "user" and len(segments) == 2:
-            page = pages.user(segments[1])
-            return ok_html(page) if page is not None else not_found(f"user {segments[1]}")
-        if segments[0] == "city":
-            return ok_html(pages.city(params["window"], zoom=params["zoom"]))
-        if segments[0] == "animation":
-            return ok_html(pages.animation())
-        if segments[0] == "occupancy":
-            return ok_html(pages.occupancy())
-        if segments[0] == "communities":
-            return ok_html(pages.communities())
-        if segments[0] == "analytics":
-            return ok_html(pages.analytics())
-        if segments[0] == "api":
-            if len(segments) == 2 and segments[1] == "users":
-                return ok_json(api.users())
-            if len(segments) == 3 and segments[1] == "user":
-                payload = api.user(segments[2])
-                return ok_json(payload) if payload is not None else not_found(
-                    f"user {segments[2]}"
-                )
-            if len(segments) == 2 and segments[1] == "crowd":
-                return ok_json(api.crowd_summary())
-            if len(segments) == 3 and segments[1] == "crowd":
-                return ok_json(api.crowd(params["i"]))
-            if len(segments) == 3 and segments[1] == "flows":
-                return ok_json(api.flows(params["i"]))
-            if len(segments) == 2 and segments[1] == "tiles":
-                return ok_json(api.tile_scheme())
-            if len(segments) == 5 and segments[1] == "tiles":
-                return ok_json(
-                    api.tile(params["z"], params["x"], params["y"], window=params["window"])
-                )
-            if len(segments) == 2 and segments[1] == "animation":
-                return ok_json(api.animation())
-            if len(segments) == 2 and segments[1] == "stats":
-                return ok_json(api.stats())
-            if len(segments) == 2 and segments[1] == "occupancy":
-                return ok_json(api.occupancy())
-            if len(segments) == 2 and segments[1] == "communities":
-                return ok_json(api.communities(params["min_similarity"]))
-            if len(segments) == 2 and segments[1] == "spikes":
-                return ok_json(api.spikes(params["z"]))
-            if len(segments) == 3 and segments[1] == "metrics":
-                payload = api.user_metrics(segments[2])
-                return ok_json(payload) if payload is not None else not_found(
-                    f"metrics for {segments[2]}"
-                )
-        return not_found(parsed.path)
+        payload = route.render(target, *params.values())
     except (ValueError, IndexError) as exc:
-        return 400, "application/json", json.dumps({"error": str(exc)})
+        return 400, _JSON, json.dumps({"error": str(exc)})
+    if payload is None:
+        return 404, _JSON, json.dumps({"error": f"{route.missing} {params['id']}"})
+    if route.content_type == _JSON:
+        return 200, _JSON, json.dumps(payload)
+    return 200, _HTML, payload
 
 
 def _header(headers: Optional[Mapping], name: str) -> Optional[str]:
@@ -217,16 +258,17 @@ class CrowdWebApp:
         """Serve one request: cache lookup, conditional, content negotiation."""
         parsed = urlparse(path)
         segments = [s for s in parsed.path.split("/") if s]
+        route, n_words = _match(segments)
 
         observer = get_observer()
         if not observer.enabled:
-            return self._handle_inner(method, parsed, segments, headers)
+            return self._handle_inner(method, parsed, segments, route, n_words, headers)
 
-        endpoint = _endpoint_of(segments)
+        endpoint = UNROUTED if route is None else route.label
         with observer.span("web.request", endpoint=endpoint) as span:
             start = time.perf_counter()
             status, out_headers, body = self._handle_inner(
-                method, parsed, segments, headers
+                method, parsed, segments, route, n_words, headers
             )
             elapsed_s = time.perf_counter() - start
             span.set("status", status)
@@ -238,98 +280,49 @@ class CrowdWebApp:
         return status, out_headers, body
 
     def _handle_inner(
-        self, method: str, parsed, segments, headers: Optional[Mapping]
+        self, method: str, parsed, segments: List[str], route: Optional[_Route],
+        n_words: int, headers: Optional[Mapping],
     ) -> WebResponse:
         if len(parsed.query) > MAX_QUERY_BYTES:
-            return self._json_response(
-                414, {"error": f"query string over {MAX_QUERY_BYTES} bytes"}
-            )
-        normalized = "/" + "/".join(segments)
-        if method == "POST":
-            if normalized == "/api/refresh":
-                return self._refresh()
-            return self._json_response(404, {"error": f"no POST route {normalized}"})
-        if normalized == "/api/cache":
-            return self._json_response(200, self.cache.info())
-        if normalized == "/metrics":
-            payload = get_observer().metrics_payload()
-            status, out_headers, body = self._json_response(200, payload)
-            return status, out_headers + [("Cache-Control", "no-store")], body
-
+            return _json_response(414, {"error": f"query string over {MAX_QUERY_BYTES} bytes"})
+        if route is None or route.method != method:
+            if method == "POST":
+                return _json_response(404, {"error": f"no POST route /{'/'.join(segments)}"})
+            return _json_response(404, {"error": parsed.path})
+        if route.method == "POST":
+            return self._refresh()
+        if route.content_type is None:
+            return route.render(self)
         try:
-            route, params = self._route(segments, normalized, parsed.query)
+            params = route.params(self, segments[n_words:], parsed.query)
         except ValueError as exc:
             # Unparsable params are a 400, never cached (as render errors).
-            return self._json_response(400, {"error": str(exc)})
-        # Names are fixed and values are int/float reprs: nothing to quote.
-        canonical_query = "&".join([f"{name}={value}" for name, value in params.items()])
-        key = self.cache.key("GET", route, canonical_query)
+            return _json_response(400, {"error": str(exc)})
+        # The key is the route's words and the parsed params, so it holds one
+        # entry per distinct body.  An id names its own body: it stays in the path.
+        if "id" in params:
+            key = self.cache.key("GET", "/" + "/".join(segments), "")
+        else:
+            # Names are fixed and values are int/float reprs: nothing to quote.
+            query = "&".join([f"{name}={value}" for name, value in params.items()])
+            key = self.cache.key("GET", "/" + "/".join(segments[:n_words]), query)
         entry = self.cache.lookup(key)
         if entry is None:
-            status, content_type, text = self._render(parsed, segments, params)
+            status, content_type, text = self._render(route, params)
             if status != 200:
                 # Errors are never cached (and carry no validators).
                 return status, [("Content-Type", content_type)], text.encode("utf-8")
             entry = self.cache.store(key, text.encode("utf-8"), content_type)
         return self._serve_entry(entry, headers)
 
-    def _route(
-        self, segments: List[str], normalized: str, raw_query: str
-    ) -> Tuple[str, RouteParams]:
-        """The route words and the params :func:`_dispatch` reads, parsed.
-
-        Integer path segments (``<i>`` of ``/api/crowd/<i>`` and
-        ``/api/flows/<i>``, ``<z>/<x>/<y>`` of a tile) leave the route and
-        become params.  Query defaults are filled in, ``window`` is clamped
-        to the timeline and ``zoom`` to the tile pyramid, as the renders
-        clamp them.  The response-cache key is built from the route and
-        these values, so it holds one entry per distinct body:
-        ``/api/crowd/007`` shares ``/api/crowd/7``'s entry, ``?window=1000``
-        shares the last window's, ``0.1`` and ``0.10`` key alike, and a
-        param the route does not read (``/api/stats?window=3``) shares the
-        bare path's entry.  Only a route that reads query params parses the
-        query.  Raises ``ValueError`` for a value that does not parse.
-        """
-        head = segments[:1]
-        if head == ["city"]:
-            query = parse_qs(raw_query)
-            zoom = max(0, min(int(_first(query, "zoom", "2")), self.api.tiles.max_zoom))
-            return normalized, {"window": self._window(query), "zoom": zoom}
-        if head != ["api"]:
-            return normalized, {}
-        n_segments = len(segments)
-        if n_segments == 3 and segments[1] in ("crowd", "flows"):
-            return "/api/" + segments[1], {"i": int(segments[2])}
-        if n_segments == 5 and segments[1] == "tiles":
-            z, x, y = (int(segment) for segment in segments[2:])
-            return "/api/tiles", {
-                "z": z, "x": x, "y": y, "window": self._window(parse_qs(raw_query)),
-            }
-        if n_segments == 2 and segments[1] == "communities":
-            query = parse_qs(raw_query)
-            return normalized, {"min_similarity": float(_first(query, "min_similarity", "0.05"))}
-        if n_segments == 2 and segments[1] == "spikes":
-            return normalized, {"z": float(_first(parse_qs(raw_query), "z", "4.0"))}
-        return normalized, {}
-
-    def _window(self, query: Mapping[str, List[str]]) -> int:
-        """The ``window`` param (default 9), clamped to the timeline."""
-        return max(0, min(int(_first(query, "window", "9")), len(self.result.timeline) - 1))
-
-    def _render(self, parsed, segments, params: RouteParams) -> Tuple[int, str, str]:
+    def _render(self, route: _Route, params: RouteParams) -> Tuple[int, str, str]:
         """One real render (a cache miss): traced and counted."""
         observer = get_observer()
-        if not observer.enabled:
-            return _dispatch(self.api, self.pages, parsed, segments, params)
-        endpoint = _endpoint_of(segments)
-        with observer.span("web.render", endpoint=endpoint):
+        with observer.span("web.render", endpoint=route.label):
             start = time.perf_counter()
-            result = _dispatch(self.api, self.pages, parsed, segments, params)
-            observer.observe(
-                "repro_web_render_latency_s",
-                time.perf_counter() - start,
-                label=endpoint,
-            )
+            result = _body(self, route, params)
+            observer.observe("repro_web_render_latency_s", time.perf_counter() - start,
+                             label=route.label)
             observer.inc("repro_web_renders_total")
         return result
 
@@ -369,21 +362,11 @@ class CrowdWebApp:
             return our_time <= their_time
         return False
 
-    @staticmethod
-    def _json_response(status: int, payload: Dict) -> WebResponse:
-        return (
-            status,
-            [("Content-Type", "application/json")],
-            json.dumps(payload).encode("utf-8"),
-        )
-
     def _refresh(self) -> WebResponse:
         """Explicit invalidation: drop cached responses and tile aggregates."""
         dropped = self.cache.invalidate()
         self.api.tiles.invalidate()
-        return self._json_response(
-            200, {"invalidated": dropped, "generation": self.cache.generation}
-        )
+        return _json_response(200, {"invalidated": dropped, "generation": self.cache.generation})
 
     # -------------------------------------------------------------- warm-up
 
@@ -585,7 +568,7 @@ def _linger(sock: socket.socket) -> None:
         remaining = deadline - time.monotonic()
 
 
-class _Connection(socketserver.BaseRequestHandler):
+def _serve(sock: socket.socket, owner: "CrowdWebServer") -> None:
     """One client connection: a loop of HTTP/1.1 requests until it closes.
 
     Each pass reads one head, drains the body its ``Content-Length``
@@ -593,53 +576,46 @@ class _Connection(socketserver.BaseRequestHandler):
     the response in one write.  Bytes past the body stay buffered for the
     next pass, so pipelined requests are answered in order.
     """
-
-    server: "_ConnectionServer"
-
-    def handle(self) -> None:
-        sock = self.request
-        # Responses are single writes; Nagle + delayed ACK would add tens of
-        # milliseconds to each request on a reused connection.
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        owner = self.server.owner
-        buffer = b""
-        try:
-            while True:
-                try:
-                    head, buffer = _read_head(sock, buffer)
-                    if head is None:
-                        break
-                    method, target, keep_alive, headers = _parse_head(head)
-                    if method not in _METHODS:
-                        raise _HttpError(501, f"unsupported method {method[:200]!r}")
-                    length = _content_length(headers)
-                    if length:
-                        if headers.get("expect", "").lower() == "100-continue":
-                            sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
-                        buffer = _discard(sock, buffer, length)
-                except _HttpError as exc:
-                    status, out_headers, body = CrowdWebApp._json_response(
-                        exc.status, {"error": str(exc)})
-                    _send(sock, status, out_headers + _CLOSE, body)
+    # Responses are single writes; Nagle + delayed ACK would add tens of
+    # milliseconds to each request on a reused connection.
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    buffer = b""
+    try:
+        while True:
+            try:
+                head, buffer = _read_head(sock, buffer)
+                if head is None:
                     break
-                app = owner._app
-                if app is None:
-                    # Not ready (building, or the build failed): tell the
-                    # client to come back on a new connection.
-                    status, out_headers, body = owner._unready_response()
-                    _send(sock, status, out_headers + _CLOSE, body)
-                    break
-                try:
-                    status, out_headers, body = app.handle(method, target, headers)
-                except Exception as exc:  # noqa: BLE001 - keep the worker alive
-                    status, out_headers, body = CrowdWebApp._json_response(
-                        500, {"error": f"{type(exc).__name__}: {exc}"})
-                _send(sock, status, out_headers, body)
-                if not keep_alive:
-                    break
-            _linger(sock)
-        except OSError:
-            return  # the client went away, or stop() shut the socket
+                method, target, keep_alive, headers = _parse_head(head)
+                if method not in _METHODS:
+                    raise _HttpError(501, f"unsupported method {method[:200]!r}")
+                length = _content_length(headers)
+                if length:
+                    if headers.get("expect", "").lower() == "100-continue":
+                        sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+                    buffer = _discard(sock, buffer, length)
+            except _HttpError as exc:
+                status, out_headers, body = _json_response(exc.status, {"error": str(exc)})
+                _send(sock, status, out_headers + _CLOSE, body)
+                break
+            app = owner._app
+            if app is None:
+                # Not ready (building, or the build failed): tell the
+                # client to come back on a new connection.
+                status, out_headers, body = owner._unready_response()
+                _send(sock, status, out_headers + _CLOSE, body)
+                break
+            try:
+                status, out_headers, body = app.handle(method, target, headers)
+            except Exception as exc:  # noqa: BLE001 - keep the worker alive
+                status, out_headers, body = _json_response(
+                    500, {"error": f"{type(exc).__name__}: {exc}"})
+            _send(sock, status, out_headers, body)
+            if not keep_alive:
+                break
+        _linger(sock)
+    except OSError:
+        return  # the client went away, or stop() shut the socket
 
 
 class _ConnectionServer(socketserver.TCPServer):
@@ -655,7 +631,8 @@ class _ConnectionServer(socketserver.TCPServer):
         self.owner = owner
         self._lock = threading.Lock()
         self._connections: Dict[socket.socket, threading.Thread] = {}
-        super().__init__(address, _Connection)
+        # No handler class: _serve_connection runs _serve itself.
+        super().__init__(address, None)
 
     def process_request(self, request, client_address) -> None:
         thread = threading.Thread(target=self._serve_connection,
@@ -671,7 +648,7 @@ class _ConnectionServer(socketserver.TCPServer):
 
     def _serve_connection(self, request, client_address) -> None:
         try:
-            self.finish_request(request, client_address)
+            _serve(request, self.owner)
         except Exception:  # noqa: BLE001 - printed, as socketserver does
             self.handle_error(request, client_address)
         finally:
@@ -726,14 +703,11 @@ class CrowdWebServer:
         self._cache_entries = cache_entries
         self._server = _ConnectionServer((host, port), self)
         self._thread: Optional[threading.Thread] = None
-        self._builder: Optional[threading.Thread] = None
         if result is not None:
             self._install_result(result)
         else:
-            self._builder = threading.Thread(
-                target=self._build_and_install, args=(result_factory,), daemon=True
-            )
-            self._builder.start()
+            threading.Thread(target=self._build_and_install, args=(result_factory,),
+                             daemon=True).start()
 
     # ------------------------------------------------------------ readiness
 
@@ -758,19 +732,12 @@ class CrowdWebServer:
     def _unready_response(self) -> WebResponse:
         error = self._app_error
         if error is not None:
-            payload = json.dumps({"error": f"pipeline build failed: {error}"})
-            return 500, [("Content-Type", "application/json")], payload.encode("utf-8")
-        payload = json.dumps(
-            {
-                "error": "service warming up: pipeline precompute in flight",
-                "retry_after_s": RETRY_AFTER_S,
-            }
-        )
-        headers: HeaderList = [
-            ("Content-Type", "application/json"),
-            ("Retry-After", str(RETRY_AFTER_S)),
-        ]
-        return 503, headers, payload.encode("utf-8")
+            return _json_response(500, {"error": f"pipeline build failed: {error}"})
+        status, headers, body = _json_response(503, {
+            "error": "service warming up: pipeline precompute in flight",
+            "retry_after_s": RETRY_AFTER_S,
+        })
+        return status, headers + [("Retry-After", str(RETRY_AFTER_S))], body
 
     def wait_ready(self, timeout: Optional[float] = None) -> bool:
         """Block until the pipeline result is in (True) or failed/timed out."""
@@ -789,14 +756,6 @@ class CrowdWebServer:
                 f"({self._app_error or 'precompute in flight'})"
             )
         return app
-
-    @property
-    def api(self) -> CrowdWebAPI:
-        return self.app.api
-
-    @property
-    def pages(self) -> Pages:
-        return self.app.pages
 
     @property
     def address(self) -> Tuple[str, int]:

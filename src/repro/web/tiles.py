@@ -163,8 +163,8 @@ class TileIndex:
         ``cells`` lists only the tile's *occupied* blocks, sorted by
         ``(row, col)`` so the payload is deterministic and diffable.
         """
+        self.factor(z)  # validates z before 2 ** z is built from it
         n = 2 ** z
-        self.factor(z)  # validates z before x/y range checks use it
         if not (0 <= x < n and 0 <= y < n):
             raise ValueError(
                 f"tile ({x}, {y}) out of range [0, {n}) at zoom {z}"

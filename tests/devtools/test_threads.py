@@ -12,6 +12,8 @@ import textwrap
 from pathlib import Path
 from typing import Dict, List
 
+import pytest
+
 from repro.devtools.callgraph import ProjectAnalysis
 from repro.devtools.domains import extract_summary
 from repro.devtools.engine import iter_python_files, module_name_for
@@ -386,14 +388,22 @@ class TestAnalysis:
 
 
 class TestRealTree:
-    def test_request_path_is_in_the_thread_domain(self):
-        """No handler-class root: the app's request path is reached from a spawn."""
+    @pytest.fixture(scope="class")
+    def domains(self):
         repo_src = Path(__file__).resolve().parents[2] / "src"
         files = [
             (str(path), path.read_text(encoding="utf-8"), module_name_for(path),
              path.name == "__init__.py")
             for path in iter_python_files([repo_src])
         ]
-        domains = ProjectAnalysis.build(files).threads().domains
+        return ProjectAnalysis.build(files).threads().domains
+
+    def test_request_path_is_in_the_thread_domain(self, domains):
+        """No handler-class root: the app's request path is reached from a spawn."""
         for qualname in ("CrowdWebApp.handle", "CrowdWebApp._refresh"):
             assert "thread" in domains[("repro.web.server", qualname)], qualname
+
+    def test_connection_loop_is_in_the_thread_domain(self, domains):
+        """The per-connection thread calls the loop directly, not via socketserver."""
+        for qualname in ("_ConnectionServer._serve_connection", "_serve"):
+            assert domains[("repro.web.server", qualname)] == {"thread"}, qualname

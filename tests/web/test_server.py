@@ -246,23 +246,26 @@ class TestCacheKey:
 
     @pytest.mark.parametrize("path,read,unread", [
         ("/city", "window=3&zoom=1", "z=1&min_similarity=0.2"),
-        ("/city/extra", "window=3", "z=1"),
         ("/api/tiles/1/0/0", "window=3", "zoom=2&z=1&min_similarity=0.2"),
         ("/api/communities", "min_similarity=0.2", "window=3&zoom=1&z=1"),
         ("/api/spikes", "z=3.5", "window=3&zoom=1&min_similarity=0.2"),
         ("/api/crowd/9", None, "window=3&zoom=1&z=1&min_similarity=0.2"),
         ("/api/occupancy", None, "window=3&zoom=1&z=1&min_similarity=0.2"),
+        ("/user/u0006", None, "window=3&zoom=1&z=1&min_similarity=0.2"),
     ])
     def test_each_route_is_keyed_on_the_params_it_reads(self, app, path, read, unread):
+        from repro.web import server
+
         def key(query):
+            """What the cache key is built from: the route and its parsed params."""
             segments = [s for s in path.split("/") if s]
-            return app._route(segments, "/" + "/".join(segments), query)
+            route, n_words = server._match(segments)
+            return route, route.params(app, segments[n_words:], query)
 
         assert key(unread) == key("")
         if read is not None:
             assert key(read) != key("")
             assert key(read + "&" + unread) == key(read)
-
 
     def test_params_key_on_their_parsed_clamped_value(self, pipeline_result):
         from repro.obs import observed
@@ -341,6 +344,75 @@ class TestCacheKey:
             assert len(parses) == 1
             assert o.registry.counter("repro_web_renders_total") == 1
         assert len(app.cache) == 1
+
+
+class TestRouteTable:
+    """One table declares each route: its shape, label, params and render."""
+
+    @pytest.mark.parametrize("path", [
+        "/users/a", "/users/zzz", "/city/extra?window=3", "/animation/z", "/occupancy/2",
+        "/communities/1", "/analytics/q", "/x/y", "/user/u0006/x", "/api/users/x",
+        "/api/tiles/0/0/0/0", "/api/crowd/9/x",
+    ])
+    def test_a_path_with_an_extra_segment_is_a_404_that_renders_nothing(
+        self, pipeline_result, path
+    ):
+        from repro.obs import observed
+
+        app = CrowdWebApp(pipeline_result)
+        with observed() as o:
+            status, headers, body = app.handle("GET", path, None)
+            assert o.registry.counter("repro_web_renders_total") == 0
+        assert status == 404
+        assert headers == [("Content-Type", "application/json")]
+        assert json.loads(body) == {"error": path.split("?")[0]}
+        assert len(app.cache) == 0
+
+    def test_unknown_paths_share_one_endpoint_label(self, pipeline_result):
+        from repro.obs import observed
+        from repro.web import server
+
+        app = CrowdWebApp(pipeline_result)
+        with observed() as o:
+            for i in range(200):
+                assert app.handle("GET", f"/nope{i}", None)[0] == 404
+            assert app.handle("POST", "/nope", None)[0] == 404
+            payload = o.metrics_payload()
+        assert list(payload["counters"]["repro_web_requests_total"]) == [server.UNROUTED]
+        assert payload["counters"]["repro_web_requests_total"][server.UNROUTED] == 201
+        assert list(payload["histograms"]["repro_web_request_latency_s"]) == [server.UNROUTED]
+
+    def test_the_labels_perfbench_filters_on_are_unchanged(self, pipeline_result):
+        from repro.obs import observed
+
+        app = CrowdWebApp(pipeline_result)
+        with observed() as o:
+            assert app.handle("POST", "/api/refresh", None)[0] == 200
+            assert app.handle("GET", "/api/cache", None)[0] == 200
+            assert app.handle("GET", "/metrics", None)[0] == 200
+            requests = o.metrics_payload()["counters"]["repro_web_requests_total"]
+        assert sorted(requests) == ["/api/cache", "/api/refresh", "/metrics"]
+
+    def test_every_label_is_in_the_documented_route_list(self):
+        from pathlib import Path
+
+        from repro.web import ROUTES
+
+        serving = Path(__file__).resolve().parents[2] / "docs" / "serving.md"
+        section = serving.read_text(encoding="utf-8").split("\n## Routes\n", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("| `")]
+        documented = [row.split("|")[2].strip().strip("`") for row in rows]
+        assert sorted(documented) == sorted(route.label for route in ROUTES.values())
+
+    def test_shapes_put_words_before_values(self):
+        from repro.web import ROUTES
+
+        for shape, route in ROUTES.items():
+            n_words = sum(isinstance(part, str) for part in shape)
+            assert all(part is ... for part in shape[n_words:]), shape
+            words = "/" + "/".join(shape[:n_words])
+            assert route.label == (words if n_words == len(shape) else words + "/:id"), shape
 
 
 class TestServedFromBuild:

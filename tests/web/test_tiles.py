@@ -137,6 +137,19 @@ class TestTilePayloads:
         with pytest.raises(ValueError):
             tiles.tile(1, 0, -1, 0)
 
+    def test_zoom_is_validated_before_it_sizes_the_tile_grid(self, tiles):
+        """``/api/tiles/<z>/...`` takes any integer ``z`` from the path.
+
+        Building ``2 ** z`` first would make a 20-digit zoom allocate until
+        the process runs out of memory; the range check must come first.
+        """
+        class Zoom(int):
+            def __rpow__(self, base):
+                raise AssertionError("2 ** z built from an unchecked zoom")
+
+        with pytest.raises(ValueError, match="out of range"):
+            tiles.tile(Zoom(10 ** 19), 0, 0, 0)
+
     def test_scheme_payload(self, tiles, pipeline_result):
         scheme = tiles.scheme()
         assert scheme["max_zoom"] == tiles.max_zoom
