@@ -183,17 +183,20 @@ def max_predictability(entropy_bits: float, n_locations: int) -> float:
 
 def user_mobility_metrics(dataset: CheckInDataset, user_id: str) -> UserMobilityMetrics:
     """Compute the full metric bundle for one user (venue-level)."""
-    records = dataset.for_user(user_id)
-    if len(records) < 2:
+    lo, hi = dataset.user_span(user_id)
+    if hi - lo < 2:
         raise ValueError(f"user {user_id!r} needs at least two check-ins")
-    points = [c.location for c in records]
-    venues = [c.venue_id for c in records]
+    columns = dataset.columns
+    points = [GeoPoint(lat, lon) for lat, lon in zip(columns.lat[lo:hi].tolist(),
+                                                      columns.lon[lo:hi].tolist())]
+    venue_table = dataset.venue_table
+    venues = [venue_table[v] for v in columns.venue[lo:hi].tolist()]
     jumps = jump_lengths_m(points)
     freqs = visitation_frequencies(venues)
     n_venues = len({v for v in venues})
     return UserMobilityMetrics(
         user_id=user_id,
-        n_checkins=len(records),
+        n_checkins=hi - lo,
         n_distinct_venues=n_venues,
         radius_of_gyration_m=radius_of_gyration_m(points),
         median_jump_m=float(np.median(jumps)) if jumps else 0.0,

@@ -9,14 +9,13 @@ z-score outlier against that cell's own history.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import date
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..data.records import CheckInDataset
+from ..data.records import CheckInDataset, day_date
 from ..geo import CellIndex, MicrocellGrid
 
 __all__ = ["CellSpike", "daily_cell_counts", "detect_spikes"]
@@ -35,15 +34,34 @@ class CellSpike:
     n_users: int  # distinct users behind the spike
 
 
+def _cell_day_counts(
+    dataset: CheckInDataset, grid: MicrocellGrid
+) -> Tuple[Dict[CellIndex, Dict[date, int]], Dict[Tuple[CellIndex, date], int]]:
+    """Check-ins per microcell per local day, and the distinct users of each
+    (cell, day); cells and days in order."""
+    rows, cols = grid.cell_indexes_clamped(dataset.lat_array(), dataset.lon_array())
+    pairs, row_pair = np.unique(np.stack([rows, cols, dataset.local_days()], axis=1), axis=0,
+                                return_inverse=True)
+    row_pair = row_pair.reshape(-1)
+    n_users = max(dataset.n_users, 1)
+    user_pair = np.unique(row_pair * n_users + dataset.columns.user) // n_users
+    counts: Dict[CellIndex, Dict[date, int]] = {}
+    users: Dict[Tuple[CellIndex, date], int] = {}
+    for row, col, day, count, n in zip(
+        *pairs.T.tolist(), np.bincount(row_pair, minlength=len(pairs)).tolist(),
+        np.bincount(user_pair, minlength=len(pairs)).tolist(),
+    ):
+        day = day_date(day)
+        counts.setdefault((row, col), {})[day] = count
+        users[((row, col), day)] = n
+    return counts, users
+
+
 def daily_cell_counts(
     dataset: CheckInDataset, grid: MicrocellGrid
 ) -> Dict[CellIndex, Dict[date, int]]:
-    """Check-ins per microcell per local day."""
-    counts: Dict[CellIndex, Dict[date, int]] = defaultdict(lambda: defaultdict(int))
-    for record in dataset:
-        cell = grid.cell_index_clamped(record.lat, record.lon)
-        counts[cell][record.local_date] += 1
-    return {cell: dict(days) for cell, days in counts.items()}
+    """Check-ins per microcell per local day, cells and days in order."""
+    return _cell_day_counts(dataset, grid)[0]
 
 
 def detect_spikes(
@@ -69,13 +87,9 @@ def detect_spikes(
     if min_count < 1 or min_history_days < 2:
         raise ValueError("min_count must be >= 1 and min_history_days >= 2")
 
-    users_by_cell_day: Dict[Tuple[CellIndex, date], set] = defaultdict(set)
-    for record in dataset:
-        cell = grid.cell_index_clamped(record.lat, record.lon)
-        users_by_cell_day[(cell, record.local_date)].add(record.user_id)
-
+    by_cell, users_by_cell_day = _cell_day_counts(dataset, grid)
     spikes: List[CellSpike] = []
-    for cell, by_day in daily_cell_counts(dataset, grid).items():
+    for cell, by_day in by_cell.items():
         if len(by_day) < min_history_days:
             continue
         days = sorted(by_day)
@@ -99,7 +113,7 @@ def detect_spikes(
                         baseline_mean=mean,
                         baseline_std=std,
                         z_score=float(z),
-                        n_users=len(users_by_cell_day[(cell, day)]),
+                        n_users=users_by_cell_day[(cell, day)],
                     )
                 )
     spikes.sort(key=lambda s: (-s.z_score, s.day, s.cell))

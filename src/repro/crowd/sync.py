@@ -15,6 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..data.records import CheckInDataset
 from ..geo import CellIndex, MicrocellGrid
 from ..patterns import UserPatternProfile
@@ -70,16 +72,7 @@ class VisitIndex:
     decoding cells/venues back to objects just for the hits it returns.
     """
 
-    __slots__ = (
-        "grid",
-        "binning",
-        "_label_bits",
-        "_cells",
-        "_cell_ids",
-        "_venues",
-        "_venue_ids",
-        "_records",
-    )
+    __slots__ = ("grid", "binning", "_label_bits", "_cells", "_venues", "_records")
 
     def __init__(
         self,
@@ -90,57 +83,42 @@ class VisitIndex:
     ) -> None:
         self.grid = grid
         self.binning = binning
-        #: label name → bit position in record masks (first-seen order;
-        #: internal only, never exposed, so insertion order is fine).
+        #: label name → bit position in record masks (internal only, never
+        #: exposed, so any stable assignment order is fine).
         self._label_bits: Dict[str, int] = {}
-        self._cells: List[CellIndex] = []
-        self._cell_ids: Dict[CellIndex, int] = {}
-        self._venues: List[str] = []
-        self._venue_ids: Dict[str, int] = {}
+        columns = dataset.columns
+        # Label names are resolved once per category name, from the first
+        # row carrying it, so categories sharing a name share its mask.
+        _, first_rows = np.unique(columns.category, return_index=True)
+        mask_of_name: Dict[str, int] = {}
+        for row in np.sort(first_rows).tolist():
+            category_id, category_name = dataset.category_table[columns.category[row]]
+            if category_name in mask_of_name:
+                continue
+            mask = 0
+            for name in sorted(self._label_names(taxonomy, category_id, category_name)):
+                mask |= 1 << self._label_bits.setdefault(name, len(self._label_bits))
+            mask_of_name[category_name] = mask
+        category_masks = [mask_of_name.get(name, 0) for _, name in dataset.category_table]
+        rows, cols = grid.cell_indexes_clamped(columns.lat, columns.lon)
+        cell_keys, cell_codes = np.unique(rows * grid.n_cols + cols, return_inverse=True)
+        self._cells: List[CellIndex] = [divmod(key, grid.n_cols) for key in cell_keys.tolist()]
+        self._venues: List[str] = list(dataset.venue_table)
+        bins = binning.bins_of_seconds(dataset.local_times_us() // 1_000_000 % 86_400)
         # user → (bins, label masks, cell ids, venue ids, lats, lons),
         # parallel per-record arrays in dataset order.
         self._records: Dict[str, Tuple[array, List[int], array, array, array, array]] = {}
-        mask_cache: Dict[str, int] = {}
-        cell_ids = self._cell_ids
-        cells = self._cells
-        venue_ids = self._venue_ids
-        venues = self._venues
-        per_user: Dict[str, Tuple[List[int], List[int], List[int], List[int], List[float], List[float]]] = {}
-        for record in dataset:
-            mask = mask_cache.get(record.category_name)
-            if mask is None:
-                names = self._label_names(taxonomy, record.category_id, record.category_name)
-                mask = 0
-                for name in sorted(names):
-                    bit = self._label_bits.setdefault(name, len(self._label_bits))
-                    mask |= 1 << bit
-                mask_cache[record.category_name] = mask
-            cell = grid.cell_index_clamped(record.lat, record.lon)
-            cell_id = cell_ids.get(cell)
-            if cell_id is None:
-                cell_id = cell_ids[cell] = len(cells)
-                cells.append(cell)
-            venue_id = venue_ids.get(record.venue_id)
-            if venue_id is None:
-                venue_id = venue_ids[record.venue_id] = len(venues)
-                venues.append(record.venue_id)
-            columns = per_user.get(record.user_id)
-            if columns is None:
-                columns = per_user[record.user_id] = ([], [], [], [], [], [])
-            columns[0].append(binning.bin_of(record.local_time))
-            columns[1].append(mask)
-            columns[2].append(cell_id)
-            columns[3].append(venue_id)
-            columns[4].append(record.lat)
-            columns[5].append(record.lon)
-        for user_id, (bins, masks, cids, vids, lats, lons) in per_user.items():
+        offsets = dataset.user_offsets.tolist()
+        for code, user_id in enumerate(dataset.user_table):
+            lo, hi = offsets[code], offsets[code + 1]
             self._records[user_id] = (
-                array("i", bins),
-                masks,  # Python ints: masks outgrow fixed-width typecodes
-                array("i", cids),
-                array("i", vids),
-                array("d", lats),
-                array("d", lons),
+                array("i", bins[lo:hi].tolist()),
+                # Python ints: masks outgrow fixed-width typecodes
+                [category_masks[k] for k in columns.category[lo:hi].tolist()],
+                array("i", cell_codes.reshape(-1)[lo:hi].tolist()),
+                array("i", columns.venue[lo:hi].tolist()),
+                array("d", columns.lat[lo:hi].tolist()),
+                array("d", columns.lon[lo:hi].tolist()),
             )
 
     @staticmethod

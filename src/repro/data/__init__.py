@@ -19,7 +19,7 @@ from .preprocess import (
     select_densest_window,
 )
 from .quality import QualityIssue, QualityReport, Severity, audit_dataset
-from .records import CheckIn, CheckInDataset, Venue
+from .records import CheckIn, CheckInColumns, CheckInDataset, Venue
 from .stats import (
     DatasetStats,
     active_days_per_user,
@@ -41,6 +41,7 @@ from .synth import (
 __all__ = [
     "ActiveUserFilter",
     "CheckIn",
+    "CheckInColumns",
     "CityEvent",
     "CheckInDataset",
     "DatasetStats",

@@ -16,10 +16,14 @@ import csv
 import json
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from itertools import repeat
+from typing import Dict, Iterator, List, NamedTuple, Optional, TextIO, Union
+
+import numpy as np
 
 from ..geo import GeoPoint
-from .records import CheckIn, CheckInDataset, Venue
+from .records import (MAX_TZ_OFFSET_MIN, CheckIn, CheckInDataset, StoreBuilder, Venue,
+                      check_tz_offset, from_epoch_us, to_epoch_us)
 
 __all__ = [
     "read_foursquare_tsv",
@@ -47,51 +51,154 @@ _CSV_FIELDS = [
 ]
 
 
-_WEEKDAYS = frozenset(("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun"))
-_MONTHS = {
-    name: f"{number:02d}"
-    for number, name in enumerate(
-        ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"),
-        start=1,
-    )
-}
+_WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
 
 def _parse_foursquare_time(raw: str) -> datetime:
-    """Parse a dump timestamp into an aware UTC datetime.
-
-    The dump's fixed 30-character layout is sliced into an ISO string for
-    ``datetime.fromisoformat``, several times faster than ``strptime``.
-    Anything else, or anything ``fromisoformat`` rejects, goes through
-    ``strptime``, so accepted inputs and error messages are unchanged.
-    """
-    raw = raw.strip()
-    month = _MONTHS.get(raw[4:7])
-    if (
-        month is not None
-        and len(raw) == 30
-        and raw[:3] in _WEEKDAYS
-        and raw[3] == raw[7] == raw[10] == raw[19] == raw[25] == " "
-        and raw[13] == raw[16] == ":"
-        and raw[20] in "+-"
-        # strptime rejects hour 24 and offset minutes >= 60, which
-        # fromisoformat reads (hour 24 from Python 3.12).
-        and raw[11:13] < "24"
-        and raw[23] < "6"
-    ):
-        try:
-            ts = datetime.fromisoformat(
-                f"{raw[26:]}-{month}-{raw[8:10]}T{raw[11:19]}{raw[20:23]}:{raw[23:25]}"
-            )
-        except ValueError:
-            pass
-        else:
-            return ts if ts.tzinfo is timezone.utc else ts.astimezone(timezone.utc)
-    return datetime.strptime(raw, _FOURSQUARE_TIME_FORMAT).astimezone(timezone.utc)
+    """Parse a dump timestamp into an aware UTC datetime."""
+    return datetime.strptime(raw.strip(), _FOURSQUARE_TIME_FORMAT).astimezone(timezone.utc)
 
 
 def _format_foursquare_time(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).strftime(_FOURSQUARE_TIME_FORMAT)
+
+
+#: Characters of text the TSV reader parses at a time; bounds the transient
+#: strings a read holds.
+_CHUNK_CHARS = 1 << 18
+
+#: Positions of the dump layout's digits, and of its fixed separators.
+_DIGITS = [8, 9, 11, 12, 14, 15, 17, 18, 21, 22, 23, 24, 26, 27, 28, 29]
+_SEPARATORS = {3: " ", 7: " ", 10: " ", 13: ":", 16: ":", 19: " ", 25: " "}
+#: ``datetime.min`` and ``datetime.max`` (whole seconds) in UTC epoch seconds.
+_MIN_S, _MAX_S = -62_135_596_800, 253_402_300_799
+
+
+def _code3(name: str) -> int:
+    return ord(name[0]) << 16 | ord(name[1]) << 8 | ord(name[2])
+
+
+_WEEKDAY_CODES = np.array(sorted(map(_code3, _WEEKDAYS)))
+_MONTH_CODES = np.array(sorted(map(_code3, _MONTHS)))
+_MONTH_NUMBERS = np.array([_MONTHS.index(m) + 1 for m in sorted(_MONTHS, key=_code3)])
+
+
+def _stamps_us(stamps: List[str]) -> np.ndarray:
+    """UTC epoch microseconds of dump timestamps, as :func:`_parse_foursquare_time` reads them.
+
+    Stamps in the plain 30-character layout with in-range ASCII fields and
+    a UTC value inside ``datetime``'s range are converted with array
+    arithmetic; the rest go through :func:`_parse_foursquare_time` one by
+    one, whose exceptions propagate.
+    """
+    n = len(stamps)
+    fast = np.fromiter(map(len, stamps), dtype=np.int64, count=n) == 30
+    out = np.zeros(n, dtype=np.int64)
+    if fast.any():
+        # Longer stamps are cut to 30 characters here; ``fast`` already excludes them.
+        cp = np.array(stamps, dtype="U30").view(np.uint32).reshape(n, 30)
+        fast &= (cp < 128).all(axis=1)
+        for pos, char in _SEPARATORS.items():
+            fast &= cp[:, pos] == ord(char)
+        fast &= (cp[:, 20] == ord("+")) | (cp[:, 20] == ord("-"))
+        d = cp[:, _DIGITS].astype(np.int64) - ord("0")
+        fast &= ((d >= 0) & (d <= 9)).all(axis=1)
+        head = cp[:, :7].astype(np.int64)
+        fast &= np.isin(head[:, 0] << 16 | head[:, 1] << 8 | head[:, 2], _WEEKDAY_CODES)
+        month_code = head[:, 4] << 16 | head[:, 5] << 8 | head[:, 6]
+        slot = np.minimum(np.searchsorted(_MONTH_CODES, month_code), len(_MONTH_CODES) - 1)
+        fast &= _MONTH_CODES[slot] == month_code
+        day, hour = d[:, 0] * 10 + d[:, 1], d[:, 2] * 10 + d[:, 3]
+        minute, second = d[:, 4] * 10 + d[:, 5], d[:, 6] * 10 + d[:, 7]
+        off_hour, off_minute = d[:, 8] * 10 + d[:, 9], d[:, 10] * 10 + d[:, 11]
+        year = d[:, 12] * 1000 + d[:, 13] * 100 + d[:, 14] * 10 + d[:, 15]
+        fast &= ((year >= 1) & (day >= 1) & (hour < 24) & (minute < 60) & (second < 60)
+                 & (off_hour < 24) & (off_minute < 60))
+        months = np.where(fast, (year - 1970) * 12 + _MONTH_NUMBERS[slot] - 1, 0)
+        first_day = months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+        next_first = (months + 1).astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+        fast &= day <= next_first - first_day
+        offset = np.where(cp[:, 20] == ord("-"), -1, 1) * (off_hour * 3_600 + off_minute * 60)
+        seconds = (first_day + day - 1) * 86_400 + hour * 3_600 + minute * 60 + second - offset
+        fast &= (seconds >= _MIN_S) & (seconds <= _MAX_S)
+        out = np.where(fast, seconds * 1_000_000, 0)
+    for i in np.flatnonzero(~fast).tolist():
+        out[i] = to_epoch_us(_parse_foursquare_time(stamps[i]))
+    return out
+
+
+class _Chunk(NamedTuple):
+    """One chunk of parsed TSV lines: the flat fields and the numeric columns."""
+
+    fields: List[str]  # eight per record
+    lat: np.ndarray
+    lon: np.ndarray
+    tz_offset_min: np.ndarray
+    time_us: np.ndarray
+
+
+def _raise_first_error(path: Path, first_lineno: int, lines: List[str],
+                       venues: Dict[str, Venue]) -> None:
+    """Parse a chunk line by line, raising the first error in line order.
+
+    A venue not in ``venues`` is built at its first line, so a venue's
+    coordinate error surfaces in line order too.
+    """
+    seen = set(venues)
+    for lineno, line in enumerate(lines, start=first_lineno):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 8:
+            raise ValueError(f"{path}:{lineno}: expected 8 tab-separated fields, got {len(parts)}")
+        try:
+            lat, lon = float(parts[4]), float(parts[5])
+            check_tz_offset(int(parts[6]))
+            _parse_foursquare_time(parts[7])
+        except (ValueError, KeyError) as exc:
+            raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
+        if parts[1] not in seen:
+            seen.add(parts[1])
+            GeoPoint(lat, lon)
+
+
+def _parse_chunk(path: Path, first_lineno: int, lines: List[str],
+                 venues: Dict[str, Venue]) -> _Chunk:
+    """Parse a chunk with array operations, or line by line where they cannot."""
+    records = [line for line in lines if line] if "" in lines else lines
+    n = len(records)
+    try:
+        tabs = np.fromiter(map(str.count, records, repeat("\t")), dtype=np.int64, count=n)
+        if (tabs != 7).any():
+            raise ValueError("field count")
+        fields = "\t".join(records).split("\t")
+        lat = np.fromiter(map(float, fields[4::8]), dtype=np.float64, count=n)
+        lon = np.fromiter(map(float, fields[5::8]), dtype=np.float64, count=n)
+        tz = np.fromiter(map(int, fields[6::8]), dtype=np.int64, count=n)
+        time_us = _stamps_us(fields[7::8])
+        if n and not -MAX_TZ_OFFSET_MIN <= tz.min() <= tz.max() <= MAX_TZ_OFFSET_MIN:
+            raise ValueError("tz offset")
+    except (ValueError, KeyError, OverflowError):
+        _raise_first_error(path, first_lineno, lines, venues)
+        raise
+    for i, venue_id in enumerate(fields[1::8]):
+        if venue_id not in venues:
+            row = fields[8 * i:8 * i + 8]
+            venues[venue_id] = Venue(venue_id, venue_id, row[2], row[3],
+                                     GeoPoint(float(lat[i]), float(lon[i])))
+    return _Chunk(fields, lat, lon, tz.astype(np.int16), time_us)
+
+
+def _line_chunks(fh: TextIO) -> Iterator[List[str]]:
+    """The file's lines (without newlines, blank ones kept), in chunks."""
+    while True:
+        block = fh.read(_CHUNK_CHARS)
+        if not block:
+            return
+        if not block.endswith("\n"):
+            block += fh.readline()
+        yield (block[:-1] if block.endswith("\n") else block).split("\n")
 
 
 def read_foursquare_tsv(path: Union[str, Path], name: Optional[str] = None) -> CheckInDataset:
@@ -100,63 +207,36 @@ def read_foursquare_tsv(path: Union[str, Path], name: Optional[str] = None) -> C
     Columns: user id, venue id, venue category id, venue category name,
     latitude, longitude, timezone offset in minutes, UTC time.
     Malformed rows raise :class:`ValueError` with the offending line number.
+    The file is parsed in chunks straight into the dataset's columns.
     """
     path = Path(path)
-    checkins: List[CheckIn] = []
+    builder = StoreBuilder()
     venues: Dict[str, Venue] = {}
+    lineno = 1
     with path.open("r", encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 8:
-                raise ValueError(f"{path}:{lineno}: expected 8 tab-separated fields, got {len(parts)}")
-            try:
-                record = CheckIn(
-                    user_id=parts[0],
-                    venue_id=parts[1],
-                    category_id=parts[2],
-                    category_name=parts[3],
-                    lat=float(parts[4]),
-                    lon=float(parts[5]),
-                    tz_offset_min=int(parts[6]),
-                    timestamp=_parse_foursquare_time(parts[7]),
-                )
-            except (ValueError, KeyError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            checkins.append(record)
-            if record.venue_id not in venues:
-                venues[record.venue_id] = Venue(
-                    venue_id=record.venue_id,
-                    name=record.venue_id,
-                    category_id=record.category_id,
-                    category_name=record.category_name,
-                    location=GeoPoint(record.lat, record.lon),
-                )
-    return CheckInDataset(checkins, venues, name=name or path.stem)
+        for lines in _line_chunks(fh):
+            chunk = _parse_chunk(path, lineno, lines, venues)
+            lineno += len(lines)
+            fields = chunk.fields
+            builder.add(fields[0::8], fields[1::8], fields[2::8], fields[3::8],
+                        chunk.time_us, chunk.tz_offset_min, chunk.lat, chunk.lon)
+    return CheckInDataset.from_store(builder.build(), venues, name or path.stem)
 
 
 def write_foursquare_tsv(dataset: CheckInDataset, path: Union[str, Path]) -> None:
-    """Write a dataset in the Foursquare dump layout."""
+    """Write a dataset in the Foursquare dump layout, straight from its columns."""
     path = Path(path)
+    c = dataset.columns
+    users, venues, categories = dataset.user_table, dataset.venue_table, dataset.category_table
     with path.open("w", encoding="utf-8") as fh:
-        for c in dataset:
-            fh.write(
-                "\t".join(
-                    [
-                        c.user_id,
-                        c.venue_id,
-                        c.category_id,
-                        c.category_name,
-                        f"{c.lat:.8f}",
-                        f"{c.lon:.8f}",
-                        str(c.tz_offset_min),
-                        _format_foursquare_time(c.timestamp),
-                    ]
-                )
-                + "\n"
+        fh.writelines(
+            f"{users[u]}\t{venues[v]}\t{categories[k][0]}\t{categories[k][1]}\t"
+            f"{lat:.8f}\t{lon:.8f}\t{tz}\t{_format_foursquare_time(from_epoch_us(t))}\n"
+            for u, v, k, lat, lon, tz, t in zip(
+                c.user.tolist(), c.venue.tolist(), c.category.tolist(), c.lat.tolist(),
+                c.lon.tolist(), c.tz_offset_min.tolist(), c.time_us.tolist(),
             )
+        )
 
 
 def read_csv(path: Union[str, Path], name: Optional[str] = None) -> CheckInDataset:

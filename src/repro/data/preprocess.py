@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import Dict, List, Tuple  # noqa: F401 (List used in densest_window)
+from typing import List, Tuple
+
+import numpy as np
 
 from .records import CheckInDataset
 from .stats import monthly_counts
@@ -101,31 +103,37 @@ class ActiveUserFilter:
         if self.min_checkins_per_day < 1:
             raise ValueError("min_checkins_per_day must be >= 1")
 
+    def _qualifying_days(self, dataset: CheckInDataset, lo: int, hi: int) -> np.ndarray:
+        """Qualifying-day counts per user code for rows ``lo:hi``."""
+        users, days = dataset.columns.user[lo:hi], dataset.local_days(lo, hi)
+        order = np.lexsort((days, users))  # stable: chronological within a day
+        users, days, times = users[order], days[order], dataset.columns.time_us[lo:hi][order]
+        same = (users[1:] == users[:-1]) & (days[1:] == days[:-1])
+        starts = np.flatnonzero(np.concatenate(([True], ~same)))
+        group = np.cumsum(np.concatenate(([False], ~same)))
+        sizes = np.diff(np.append(starts, len(users)))
+        max_gap_us = timedelta(hours=self.max_gap_hours) // timedelta(microseconds=1)
+        close = same & (times[1:] - times[:-1] <= max_gap_us)
+        has_close = np.bincount(group[1:][close], minlength=len(starts)) > 0
+        if self.min_checkins_per_day == 1:
+            has_close |= sizes == 1
+        qualifies = (sizes >= self.min_checkins_per_day) & has_close
+        return np.bincount(users[starts[qualifies]], minlength=dataset.n_users)
+
     def qualifying_days(self, dataset: CheckInDataset, user_id: str) -> int:
         """Count the user's qualifying days in the dataset."""
-        by_day: Dict[object, List[datetime]] = {}
-        for record in dataset.for_user(user_id):
-            by_day.setdefault(record.local_date, []).append(record.timestamp)
-        max_gap = timedelta(hours=self.max_gap_hours)
-        count = 0
-        for times in by_day.values():
-            if len(times) < self.min_checkins_per_day:
-                continue
-            if self.min_checkins_per_day == 1 and len(times) == 1:
-                count += 1
-                continue
-            times.sort()
-            if any(b - a <= max_gap for a, b in zip(times, times[1:])):
-                count += 1
-        return count
+        lo, hi = dataset.user_span(user_id)
+        if lo == hi:
+            return 0
+        return int(self._qualifying_days(dataset, lo, hi).sum())
 
     def passing_users(self, dataset: CheckInDataset) -> List[str]:
         """Ids of users exceeding the qualifying-day threshold, sorted."""
-        return [
-            uid
-            for uid in dataset.user_ids()
-            if self.qualifying_days(dataset, uid) > self.min_qualifying_days
-        ]
+        if not len(dataset):
+            return []
+        counts = self._qualifying_days(dataset, 0, len(dataset))
+        return [dataset.user_table[i]
+                for i in np.flatnonzero(counts > self.min_qualifying_days).tolist()]
 
 
 def filter_active_users(

@@ -9,7 +9,7 @@ computes all of it for any :class:`~repro.data.records.CheckInDataset`.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Dict, List, Mapping, Tuple
@@ -87,7 +87,7 @@ def dataset_stats(dataset: CheckInDataset) -> DatasetStats:
     """Compute the full statistics bundle for a non-empty dataset."""
     if len(dataset) == 0:
         raise ValueError("cannot compute statistics of an empty dataset")
-    per_user = np.array(sorted(dataset.records_per_user().values()), dtype=float)
+    per_user = np.sort(np.diff(dataset.user_offsets)).astype(float)
     first, last = dataset.time_range()
     collection_days = max(1, (last.date() - first.date()).days + 1)
     mean_per_user = float(per_user.mean())
@@ -110,13 +110,11 @@ def dataset_stats(dataset: CheckInDataset) -> DatasetStats:
 
 
 def monthly_counts(dataset: CheckInDataset) -> Dict[str, int]:
-    """Check-ins per calendar month (UTC), keyed ``"YYYY-MM"`` in calendar order.
-
-    Records are counted per ``(year, month)`` pair, so only the few distinct
-    months are formatted into keys, not every record.
-    """
-    counts: Counter = Counter((c.timestamp.year, c.timestamp.month) for c in dataset)
-    return {f"{year:04d}-{month:02d}": n for (year, month), n in sorted(counts.items())}
+    """Check-ins per calendar month (UTC), keyed ``"YYYY-MM"`` in calendar order."""
+    months = dataset.columns.time_us.astype("datetime64[us]").astype("datetime64[M]")
+    values, counts = np.unique(months.astype(np.int64), return_counts=True)
+    return {f"{1970 + m // 12:04d}-{m % 12 + 1:02d}": n
+            for m, n in zip(values.tolist(), counts.tolist())}
 
 
 def records_per_user_histogram(dataset: CheckInDataset, bin_width: int = 50) -> Dict[str, int]:
@@ -132,7 +130,7 @@ def records_per_user_histogram(dataset: CheckInDataset, bin_width: int = 50) -> 
 
 def active_days_per_user(dataset: CheckInDataset) -> Dict[str, int]:
     """Number of distinct local dates each user checked in on."""
-    return {
-        uid: len({c.local_date for c in dataset.for_user(uid)})
-        for uid in dataset.user_ids()
-    }
+    pairs = np.unique(np.stack([dataset.columns.user.astype(np.int64), dataset.local_days()]),
+                      axis=1)
+    counts = np.bincount(pairs[0], minlength=dataset.n_users)
+    return dict(zip(dataset.user_ids(), counts.tolist()))

@@ -78,12 +78,21 @@ class _Scope:
     def __init__(self, qualname: str, node: Optional[ast.AST]):
         self.qualname = qualname
         self.param_names: Set[str] = set()
+        #: param -> its annotation expression (a string annotation parsed)
+        self.annotations: Dict[str, ast.expr] = {}
         if node is not None:
             args = node.args
-            self.param_names = {
-                arg.arg
-                for arg in list(getattr(args, "posonlyargs", [])) + args.args + args.kwonlyargs
-            }
+            params = list(getattr(args, "posonlyargs", [])) + args.args + args.kwonlyargs
+            self.param_names = {arg.arg for arg in params}
+            for arg in params:
+                annotation = arg.annotation
+                if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                    try:
+                        annotation = ast.parse(annotation.value, mode="eval").body
+                    except SyntaxError:
+                        annotation = None
+                if annotation is not None:
+                    self.annotations[arg.arg] = annotation
         #: var -> RHS expression of its single simple assignment, or None
         #: when the var is rebound (ambiguous — never chased).
         self.assigns: Dict[str, Optional[ast.expr]] = {}
@@ -251,6 +260,13 @@ class _SummaryExtractor:
                 sym = self._expr_sym(value.func, scope)
                 if sym is not None:
                     info["ctors"][var] = sym  # type: ignore[index]
+        # A parameter annotated with a class, and never rebound, holds an
+        # instance of it: ``owner: "Server"`` then ``owner.m()``.
+        for param, annotation in scope.annotations.items():
+            if param not in scope.assigns:
+                sym = _call_sym(annotation)
+                if sym is not None:
+                    info["ctors"][param] = sym  # type: ignore[index]
         self.functions[scope.qualname] = info
 
     def _extract_class(self, node: ast.ClassDef) -> None:

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
+import numpy as np
+
 from .bbox import BoundingBox
 from .point import GeoPoint
 
@@ -77,6 +79,19 @@ class MicrocellGrid:
         lat = min(max(lat, self.bbox.min_lat), self.bbox.max_lat)
         lon = min(max(lon, self.bbox.min_lon), self.bbox.max_lon)
         return self._index_unchecked(lat, lon)
+
+    def cell_indexes_clamped(
+        self, lat: np.ndarray, lon: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) of :meth:`cell_index_clamped` for arrays of points."""
+        bbox = self.bbox
+        lat = np.minimum(np.maximum(lat, bbox.min_lat), bbox.max_lat)
+        lon = np.minimum(np.maximum(lon, bbox.min_lon), bbox.max_lon)
+        rows = ((lat - bbox.min_lat) / self._dlat).astype(np.int64) if self._dlat \
+            else np.zeros(len(lat), dtype=np.int64)
+        cols = ((lon - bbox.min_lon) / self._dlon).astype(np.int64) if self._dlon \
+            else np.zeros(len(lon), dtype=np.int64)
+        return np.minimum(rows, self.n_rows - 1), np.minimum(cols, self.n_cols - 1)
 
     def _index_unchecked(self, lat: float, lon: float) -> CellIndex:
         row = int((lat - self.bbox.min_lat) / self._dlat) if self._dlat else 0

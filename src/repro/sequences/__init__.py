@@ -6,7 +6,7 @@ from .database import (
     build_user_database,
     is_subsequence,
 )
-from .items import Labeler, TimedItem, item_formatter, make_labeler
+from .items import Labeler, PlaceRef, TimedItem, item_formatter, make_labeler
 from .sessions import DailySession, sessionize_dataset, sessionize_user
 from .staypoints import Fix, StayPoint, detect_stay_points
 from .timebins import FOUR_HOURLY, HOURLY, TWO_HOURLY, TimeBinning
@@ -19,6 +19,7 @@ __all__ = [
     "HOURLY",
     "ItemVocab",
     "Labeler",
+    "PlaceRef",
     "SequenceDatabase",
     "StayPoint",
     "TWO_HOURLY",

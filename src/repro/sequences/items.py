@@ -8,13 +8,13 @@ abstraction).
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Union
 
 from ..data.records import CheckIn
 from ..taxonomy import AbstractionLevel, CategoryTree, UnknownCategoryError
 from .timebins import TimeBinning
 
-__all__ = ["TimedItem", "Labeler", "make_labeler", "item_formatter"]
+__all__ = ["TimedItem", "PlaceRef", "Labeler", "make_labeler", "item_formatter"]
 
 
 class TimedItem(NamedTuple):
@@ -27,8 +27,22 @@ class TimedItem(NamedTuple):
         return f"{binning.label(self.bin)} {self.label}"
 
 
-#: Maps a check-in to the place label mining will use.
-Labeler = Callable[[CheckIn], str]
+class PlaceRef(NamedTuple):
+    """The fields of a check-in a labeler may read.
+
+    Sessionization labels each distinct (venue, category) of a dataset
+    once, through one of these; a :class:`~repro.data.CheckIn` has the same
+    attributes, so labelers take either.
+    """
+
+    venue_id: str
+    category_id: str
+    category_name: str
+
+
+#: Maps a check-in's venue and category (a :class:`PlaceRef` or a
+#: :class:`~repro.data.CheckIn`) to the place label mining will use.
+Labeler = Callable[[Union[PlaceRef, CheckIn]], str]
 
 
 def make_labeler(taxonomy: CategoryTree, level: AbstractionLevel) -> Labeler:
@@ -45,7 +59,7 @@ def make_labeler(taxonomy: CategoryTree, level: AbstractionLevel) -> Labeler:
     if level is AbstractionLevel.LEAF:
         return lambda checkin: checkin.category_name
 
-    def root_labeler(checkin: CheckIn) -> str:
+    def root_labeler(checkin: Union[PlaceRef, CheckIn]) -> str:
         try:
             return taxonomy.root_of(taxonomy.resolve(checkin.category_id or checkin.category_name).category_id).name
         except UnknownCategoryError:

@@ -7,12 +7,14 @@ fraction of days on which it occurs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..data.records import CheckIn, CheckInDataset
-from .items import Labeler, TimedItem
+import numpy as np
+
+from ..data.records import CheckIn, CheckInDataset, day_date
+from .items import Labeler, PlaceRef, TimedItem
 from .timebins import HOURLY, TimeBinning
 
 # crowdlint: disable-file=CW604 -- DAY_KINDS is the documented set of valid
@@ -24,42 +26,105 @@ __all__ = ["DailySession", "sessionize_user", "sessionize_dataset", "DAY_KINDS"]
 DAY_KINDS = ("all", "weekday", "weekend")
 
 
-def _day_admitted(day: date, day_kind: str) -> bool:
-    if day_kind == "all":
-        return True
-    if day_kind == "weekday":
-        return day.weekday() < 5
-    if day_kind == "weekend":
-        return day.weekday() >= 5
-    raise ValueError(f"unknown day kind {day_kind!r} (expected one of {DAY_KINDS})")
-
-
 @dataclass(frozen=True)
 class DailySession:
-    """One user-day: the check-ins and the item sequence they map to."""
+    """One user-day: the item sequence its check-ins map to.
+
+    ``checkins`` builds the day's :class:`CheckIn` records from the
+    dataset's rows on request; sessions compare by user, day and items.
+    """
 
     user_id: str
     day: date
-    checkins: Tuple[CheckIn, ...]
     items: Tuple[TimedItem, ...]
+    rows: Optional[Tuple[CheckInDataset, np.ndarray]] = field(
+        default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.items)
 
+    @property
+    def checkins(self) -> Tuple[CheckIn, ...]:
+        """The day's check-ins in chronological order."""
+        if self.rows is None:
+            return ()
+        dataset, rows = self.rows
+        return tuple(dataset[i] for i in rows.tolist())
 
-def _to_items(
-    checkins: Sequence[CheckIn],
+
+def _sessionize_rows(
+    dataset: CheckInDataset,
+    lo: int,
+    hi: int,
     labeler: Labeler,
     binning: TimeBinning,
     dedupe_consecutive: bool,
-) -> Tuple[TimedItem, ...]:
-    items: List[TimedItem] = []
-    for c in checkins:
-        item = TimedItem(bin=binning.bin_of(c.local_time), label=labeler(c))
-        if dedupe_consecutive and items and items[-1] == item:
-            continue  # double check-in at the same place/bin adds no signal
-        items.append(item)
-    return tuple(items)
+    min_items: int,
+    day_kind: str,
+) -> List[DailySession]:
+    """Daily sessions of rows ``lo:hi``, grouped by (user, local day).
+
+    The labeler runs once per distinct (venue, category) pair of the rows.
+    """
+    if min_items < 1:
+        raise ValueError("min_items must be >= 1")
+    if day_kind not in DAY_KINDS:
+        raise ValueError(f"unknown day kind {day_kind!r} (expected one of {DAY_KINDS})")
+    columns = dataset.columns
+    n = hi - lo
+    if n <= 0:
+        return []
+    local_us = dataset.local_times_us(lo, hi)
+    days = local_us // 86_400_000_000  # local calendar days since 1970-01-01
+    bins = binning.bins_of_seconds(local_us // 1_000_000 % 86_400)
+    venue_table, category_table = dataset.venue_table, dataset.category_table
+    n_categories = len(category_table)
+    pairs, pair_code = np.unique(
+        columns.venue[lo:hi].astype(np.int64) * n_categories + columns.category[lo:hi],
+        return_inverse=True,
+    )
+    label_ids: Dict[str, int] = {}
+    pair_label = np.array([
+        label_ids.setdefault(labeler(PlaceRef(venue_table[p // n_categories],
+                                              *category_table[p % n_categories])), len(label_ids))
+        for p in pairs.tolist()
+    ], dtype=np.int64)
+    labels = list(label_ids)
+    users = columns.user[lo:hi]
+    order = np.lexsort((days, users))  # stable: chronological within a day
+    users, days = users[order], days[order]
+    items = bins[order] * len(labels) + pair_label[pair_code.reshape(-1)[order]]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (users[1:] != users[:-1]) | (days[1:] != days[:-1])
+    if dedupe_consecutive:  # a double check-in at one place and bin adds no signal
+        keep = first.copy()
+        keep[1:] |= items[1:] != items[:-1]
+    else:
+        keep = np.ones(n, dtype=bool)
+    starts = np.flatnonzero(first)
+    counts = np.add.reduceat(keep.astype(np.int64), starts)
+    admitted = counts >= min_items
+    if day_kind != "all":
+        weekend = (days[starts] + 3) % 7 >= 5  # 1970-01-01 was a Thursday
+        admitted &= weekend if day_kind == "weekend" else ~weekend
+    kept_codes, kept_index = np.unique(items[keep], return_inverse=True)
+    item_objects = [TimedItem(code // len(labels), labels[code % len(labels)])
+                    for code in kept_codes.tolist()]
+    row_items = [item_objects[i] for i in kept_index.reshape(-1).tolist()]
+    item_starts = np.concatenate(([0], np.cumsum(counts))).tolist()
+    ends = np.append(starts[1:], n).tolist()
+    rows = order + lo
+    user_table = dataset.user_table
+    sessions: List[DailySession] = []
+    for s in np.flatnonzero(admitted).tolist():
+        start = int(starts[s])
+        sessions.append(DailySession(
+            user_id=user_table[users[start]],
+            day=day_date(int(days[start])),
+            items=tuple(row_items[item_starts[s]:item_starts[s + 1]]),
+            rows=(dataset, rows[start:ends[s]]),
+        ))
+    return sessions
 
 
 def sessionize_user(
@@ -79,24 +144,9 @@ def sessionize_user(
     restricts which days count (weekday/weekend routines differ, so mining
     them separately sharpens both).
     """
-    if min_items < 1:
-        raise ValueError("min_items must be >= 1")
-    if day_kind not in DAY_KINDS:
-        raise ValueError(f"unknown day kind {day_kind!r} (expected one of {DAY_KINDS})")
-    by_day: Dict[date, List[CheckIn]] = {}
-    for record in dataset.for_user(user_id):
-        by_day.setdefault(record.local_date, []).append(record)
-    sessions: List[DailySession] = []
-    for day in sorted(by_day):
-        if not _day_admitted(day, day_kind):
-            continue
-        day_records = sorted(by_day[day], key=lambda c: c.timestamp)
-        items = _to_items(day_records, labeler, binning, dedupe_consecutive)
-        if len(items) >= min_items:
-            sessions.append(
-                DailySession(user_id=user_id, day=day, checkins=tuple(day_records), items=items)
-            )
-    return sessions
+    lo, hi = dataset.user_span(user_id)
+    return _sessionize_rows(dataset, lo, hi, labeler, binning, dedupe_consecutive,
+                            min_items, day_kind)
 
 
 def sessionize_dataset(
@@ -108,8 +158,8 @@ def sessionize_dataset(
     day_kind: str = "all",
 ) -> Dict[str, List[DailySession]]:
     """Sessionize every user; map user id → daily sessions."""
-    return {
-        uid: sessionize_user(dataset, uid, labeler, binning, dedupe_consecutive,
-                             min_items, day_kind)
-        for uid in dataset.user_ids()
-    }
+    by_user: Dict[str, List[DailySession]] = {uid: [] for uid in dataset.user_ids()}
+    for session in _sessionize_rows(dataset, 0, len(dataset), labeler, binning,
+                                    dedupe_consecutive, min_items, day_kind):
+        by_user[session.user_id].append(session)
+    return by_user

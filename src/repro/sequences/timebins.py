@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterator, List, Tuple
 
+import numpy as np
+
 __all__ = ["TimeBinning", "HOURLY", "TWO_HOURLY", "FOUR_HOURLY"]
 
 
@@ -44,6 +46,15 @@ class TimeBinning:
         """Bin index of a datetime's local time-of-day."""
         hour = local_time.hour + local_time.minute / 60.0 + local_time.second / 3600.0
         return self.bin_of_hour(hour)
+
+    def bins_of_seconds(self, seconds: np.ndarray) -> np.ndarray:
+        """Bin indexes of local times of day given in whole seconds.
+
+        The array form of :meth:`bin_of`: the same float hour, the same
+        truncation, so both agree on every second of the day.
+        """
+        hour = seconds // 3600 + (seconds // 60 % 60) / 60.0 + (seconds % 60) / 3600.0
+        return np.minimum((hour / self.width_hours).astype(np.int64), self.n_bins - 1)
 
     def bounds(self, bin_index: int) -> Tuple[float, float]:
         """(start_hour, end_hour) of a bin."""

@@ -110,12 +110,27 @@ def _city(app: "CrowdWebApp", values: List[str], raw_query: str) -> RouteParams:
     return {"window": _window(app, query), "zoom": zoom}
 
 
+#: Float params land on a grid before they key the cache: ``min_similarity``
+#: in [0, 1] on 2 decimals, a positive ``z`` on 1 decimal within
+#: [0.1, ``Z_MAX``].  Out-of-range values pass through, for the render's
+#: ``400``.  So each param keys at most 101 and 100 entries.
+MIN_SIMILARITY_DECIMALS = 2
+Z_DECIMALS = 1
+Z_MAX = 10.0
+
+
 def _min_similarity(app: "CrowdWebApp", values: List[str], raw_query: str) -> RouteParams:
-    return {"min_similarity": float(_first(parse_qs(raw_query), "min_similarity", "0.05"))}
+    value = float(_first(parse_qs(raw_query), "min_similarity", "0.05"))
+    if 0.0 <= value <= 1.0:
+        value = round(value, MIN_SIMILARITY_DECIMALS) + 0.0  # + 0.0: no -0.0 key
+    return {"min_similarity": value}
 
 
 def _z_threshold(app: "CrowdWebApp", values: List[str], raw_query: str) -> RouteParams:
-    return {"z": float(_first(parse_qs(raw_query), "z", "4.0"))}
+    value = float(_first(parse_qs(raw_query), "z", "4.0"))
+    if value > 0.0:
+        value = min(max(round(value, Z_DECIMALS), 0.1), Z_MAX)
+    return {"z": value}
 
 
 def _json_response(status: int, payload: Dict) -> WebResponse:

@@ -407,3 +407,7 @@ class TestRealTree:
         """The per-connection thread calls the loop directly, not via socketserver."""
         for qualname in ("_ConnectionServer._serve_connection", "_serve"):
             assert domains[("repro.web.server", qualname)] == {"thread"}, qualname
+
+    def test_calls_through_an_annotated_parameter_are_followed(self, domains):
+        """``_serve(sock, owner: "CrowdWebServer")`` calls ``owner._unready_response()``."""
+        assert domains[("repro.web.server", "CrowdWebServer._unready_response")] == {"thread"}

@@ -1,5 +1,6 @@
 """Tests for the microcell grid."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +53,16 @@ class TestIndexing:
         grid = MicrocellGrid(BoundingBox(40.0, -75.0, 41.0, -74.0), cell_size_m=5000.0)
         cell = grid.cell(grid.cell_index(lat, lon))
         assert cell.bbox.contains_lat_lon(lat, lon)
+
+    @given(st.lists(st.tuples(st.floats(min_value=39.0, max_value=42.0),
+                              st.floats(min_value=-76.0, max_value=-73.0)), min_size=1))
+    @settings(max_examples=60)
+    def test_array_clamped_indexes_equal_the_scalar_ones(self, points):
+        grid = MicrocellGrid(BoundingBox(40.0, -75.0, 41.0, -74.0), cell_size_m=5000.0)
+        lats, lons = (np.array(values) for values in zip(*points))
+        rows, cols = grid.cell_indexes_clamped(lats, lons)
+        assert list(zip(rows.tolist(), cols.tolist())) == [
+            grid.cell_index_clamped(lat, lon) for lat, lon in points]
 
     def test_cell_out_of_range_raises(self, grid):
         with pytest.raises(IndexError):

@@ -2,6 +2,7 @@
 
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
 from repro.sequences import FOUR_HOURLY, HOURLY, TWO_HOURLY, TimeBinning
@@ -43,6 +44,13 @@ class TestBinning:
     def test_two_hourly(self):
         assert TWO_HOURLY.bin_of_hour(9.5) == 4
         assert TWO_HOURLY.bin_of_hour(23.0) == 11
+
+    @pytest.mark.parametrize("width", [0.25, 1.0, 1.5, 2.0, 4.0, 8.0])
+    def test_array_bins_equal_bin_of_on_every_second(self, width):
+        binning = TimeBinning(width)
+        day = datetime(2012, 4, 1)
+        expected = [binning.bin_of(day + timedelta(seconds=s)) for s in range(86_400)]
+        assert binning.bins_of_seconds(np.arange(86_400)).tolist() == expected
 
 
 class TestLabelsAndBounds:

@@ -286,6 +286,39 @@ class TestCacheKey:
             assert o.registry.counter("repro_web_renders_total") == 4
         assert len(app.cache) == 4
 
+    def test_float_params_key_on_a_bounded_grid(self, pipeline_result):
+        """Distinct floats add at most their grid's entries and evict no warmed key."""
+        from repro.web import server
+
+        app = CrowdWebApp(pipeline_result)
+        warmed = app.warm()
+        warm_keys = set(app.cache._entries)
+        values = [f"{i / 997:.6f}" for i in range(0, 12_000, 37)]
+        values += ["-1", "-0", "1e9", "inf", "-inf", "nan", "1e-300", "0.0049", "0.0051"]
+        for prefix in ("/api/communities?min_similarity", "/api/spikes?z"):
+            for value in values:
+                app.handle("GET", f"{prefix}={value}", None)
+        n_points = 10 ** server.MIN_SIMILARITY_DECIMALS + 1  # [0, 1]
+        n_points += round(server.Z_MAX * 10 ** server.Z_DECIMALS)  # [0.1, Z_MAX]
+        n_points += 1  # z=nan: not positive, yet no error
+        assert warmed < len(app.cache) <= warmed + n_points
+        assert warm_keys <= set(app.cache._entries)
+
+    @pytest.mark.parametrize("path,off_grid,on_grid,value", [
+        ("/api/communities", "min_similarity=0.123", "min_similarity=0.12", 0.12),
+        ("/api/communities", "min_similarity=-0", "min_similarity=0", 0.0),
+        ("/api/spikes", "z=3.54", "z=3.5", 3.5),
+        ("/api/spikes", "z=0.01", "z=0.1", 0.1),
+        ("/api/spikes", "z=inf", "z=10", 10.0),
+    ])
+    def test_off_grid_floats_answer_as_their_grid_point(self, app, path, off_grid, on_grid,
+                                                        value):
+        status, _headers, body = app.handle("GET", f"{path}?{off_grid}", None)
+        assert status == 200
+        assert body == app.handle("GET", f"{path}?{on_grid}", None)[2]
+        render = app.api.communities if path.endswith("communities") else app.api.spikes
+        assert body == json.dumps(render(value)).encode("utf-8")
+
     @pytest.mark.parametrize("spellings", [
         [f"/api/crowd/{'0' * n}" for n in range(1, 40)] + ["/api/crowd/+0"],
         [f"/api/flows/{'0' * n}1" for n in range(0, 39)],
