@@ -23,7 +23,7 @@ import numpy as np
 
 from ..geo import GeoPoint
 from .records import (MAX_TZ_OFFSET_MIN, CheckIn, CheckInDataset, StoreBuilder, Venue,
-                      check_tz_offset, from_epoch_us, to_epoch_us)
+                      check_tz_offset, day_date, to_epoch_us)
 
 __all__ = [
     "read_foursquare_tsv",
@@ -60,8 +60,8 @@ def _parse_foursquare_time(raw: str) -> datetime:
     return datetime.strptime(raw.strip(), _FOURSQUARE_TIME_FORMAT).astimezone(timezone.utc)
 
 
-def _format_foursquare_time(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).strftime(_FOURSQUARE_TIME_FORMAT)
+#: ``"HH:MM:"`` of each minute of a day.
+_HOURS_MINUTES = tuple(f"{h:02d}:{m:02d}:" for h in range(24) for m in range(60))
 
 
 #: Characters of text the TSV reader parses at a time; bounds the transient
@@ -224,17 +224,30 @@ def read_foursquare_tsv(path: Union[str, Path], name: Optional[str] = None) -> C
 
 
 def write_foursquare_tsv(dataset: CheckInDataset, path: Union[str, Path]) -> None:
-    """Write a dataset in the Foursquare dump layout, straight from its columns."""
+    """Write a dataset in the Foursquare dump layout, straight from its columns.
+
+    Each distinct UTC day's date text is formatted once; a row adds its
+    ``HH:MM:SS`` from whole seconds of the day (floor division, so
+    microseconds truncate and pre-1970 stamps land on their own day, as
+    ``strftime`` has them).
+    """
     path = Path(path)
     c = dataset.columns
     users, venues, categories = dataset.user_table, dataset.venue_table, dataset.category_table
+    seconds = c.time_us // 1_000_000
+    days, day_rows = np.unique(seconds // 86_400, return_inverse=True)
+    day_texts = [(f"{day:%a %b %d} ", f" +0000 {day:%Y}")
+                 for day in map(day_date, days.tolist())]
+    minute_of_day = (seconds % 86_400) // 60
     with path.open("w", encoding="utf-8") as fh:
         fh.writelines(
             f"{users[u]}\t{venues[v]}\t{categories[k][0]}\t{categories[k][1]}\t"
-            f"{lat:.8f}\t{lon:.8f}\t{tz}\t{_format_foursquare_time(from_epoch_us(t))}\n"
-            for u, v, k, lat, lon, tz, t in zip(
+            f"{lat:.8f}\t{lon:.8f}\t{tz}\t{day_texts[d][0]}{_HOURS_MINUTES[m]}{s:02d}"
+            f"{day_texts[d][1]}\n"
+            for u, v, k, lat, lon, tz, d, m, s in zip(
                 c.user.tolist(), c.venue.tolist(), c.category.tolist(), c.lat.tolist(),
-                c.lon.tolist(), c.tz_offset_min.tolist(), c.time_us.tolist(),
+                c.lon.tolist(), c.tz_offset_min.tolist(), day_rows.tolist(),
+                minute_of_day.tolist(), (seconds % 60).tolist(),
             )
         )
 

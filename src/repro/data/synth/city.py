@@ -10,15 +10,17 @@ real ones do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from ...geo import BoundingBox, GeoPoint, QuadTree, equirectangular_m
+from ...geo import EARTH_RADIUS_M, BoundingBox, GeoPoint, QuadTree, equirectangular_m
 from ...taxonomy import CategoryTree, build_default_taxonomy
 from ..records import Venue
 
 __all__ = ["Neighborhood", "SyntheticCity", "build_city"]
+
+_DEG2RAD = np.pi / 180.0
 
 #: Neighborhood character → sampling weight of each root category.
 _CHARACTER_MIX: Dict[str, Dict[str, float]] = {
@@ -72,41 +74,70 @@ class SyntheticCity:
         self.venues = tuple(venues)
         self.taxonomy = taxonomy
         self.venues_by_id: Dict[str, Venue] = {v.venue_id: v for v in venues}
-        self._by_leaf: Dict[str, List[Venue]] = {}
-        self._by_root: Dict[str, List[Venue]] = {}
+        by_leaf: Dict[str, List[Venue]] = {}
+        by_root: Dict[str, List[Venue]] = {}
         for v in venues:
-            self._by_leaf.setdefault(v.category_name, []).append(v)
+            by_leaf.setdefault(v.category_name, []).append(v)
             root = taxonomy.root_of(v.category_id).name
-            self._by_root.setdefault(root, []).append(v)
+            by_root.setdefault(root, []).append(v)
+        self._by_leaf = {name: _Pool.of(pool) for name, pool in by_leaf.items()}
+        self._by_root = {name: _Pool.of(pool) for name, pool in by_root.items()}
         self.index: QuadTree[Venue] = QuadTree(bbox, capacity=32)
         for v in venues:
             self.index.insert(v.location, v)
 
     def venues_of_leaf(self, leaf_name: str) -> List[Venue]:
         """All venues of one leaf category (empty list if none exist)."""
-        return list(self._by_leaf.get(leaf_name, ()))
+        return list(self._by_leaf.get(leaf_name, _NO_POOL).venues)
 
     def venues_of_root(self, root_name: str) -> List[Venue]:
         """All venues under one root category."""
-        return list(self._by_root.get(root_name, ()))
+        return list(self._by_root.get(root_name, _NO_POOL).venues)
 
     def nearest_of_root(self, point: GeoPoint, root_name: str, k: int = 8) -> List[Venue]:
         """The ``k`` venues of a root category nearest to ``point``."""
-        return _nearest(self._by_root.get(root_name, ()), point, k)
+        return _nearest(self._by_root.get(root_name, _NO_POOL), point, k)
 
     def nearest_of_leaf(self, point: GeoPoint, leaf_name: str, k: int = 8) -> List[Venue]:
-        return _nearest(self._by_leaf.get(leaf_name, ()), point, k)
+        return _nearest(self._by_leaf.get(leaf_name, _NO_POOL), point, k)
 
 
-def _nearest(pool: Sequence[Venue], point: GeoPoint, k: int) -> List[Venue]:
+class _Pool(NamedTuple):
+    """The venues of one category, with their coordinates as arrays."""
+
+    venues: Tuple[Venue, ...]
+    lat: np.ndarray
+    lon: np.ndarray
+
+    @classmethod
+    def of(cls, venues: Sequence[Venue]) -> "_Pool":
+        return cls(tuple(venues), np.array([v.lat for v in venues], dtype=np.float64),
+                   np.array([v.lon for v in venues], dtype=np.float64))
+
+
+_NO_POOL = _Pool.of(())
+
+
+def _nearest(pool: _Pool, point: GeoPoint, k: int) -> List[Venue]:
     """The ``k`` venues of ``pool`` nearest to ``point`` (stable on ties).
 
-    The key is ``point.fast_distance_to(v.location)`` with the two method
-    calls inlined: the same floats, without their overhead per venue.
+    The result is ``sorted(pool.venues, key=...)[:k]`` with the key
+    ``equirectangular_m(point, venue)``.  An array distance picks the
+    candidates: every venue within the ``k``-th smallest array distance
+    plus a relative and an absolute (1 µm) slack, far above the few ulps numpy's
+    ``cos`` and ``hypot`` may differ from ``math``'s.  Only the candidates
+    are re-ranked with the exact scalar key, ties in pool order.
     """
+    venues = pool.venues
     lat, lon = point.lat, point.lon
-    return sorted(pool, key=lambda v: equirectangular_m(lat, lon, v.location.lat,
-                                                        v.location.lon))[:k]
+    if 0 < k < len(venues):
+        mean_phi = (lat + pool.lat) * 0.5 * _DEG2RAD
+        d = EARTH_RADIUS_M * np.hypot((pool.lon - lon) * _DEG2RAD * np.cos(mean_phi),
+                                      (pool.lat - lat) * _DEG2RAD)
+        kth = np.partition(d, k - 1)[k - 1]
+        venues = [venues[i] for i in np.flatnonzero(d <= kth * (1.0 + 1e-9) + 1e-6).tolist()]
+    return sorted(venues, key=lambda v: equirectangular_m(lat, lon, v.location.lat,
+                                                          v.location.lon))[:k]
 
 
 def _scatter_around(

@@ -13,17 +13,19 @@ from __future__ import annotations
 from bisect import bisect_right
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ...taxonomy import build_default_taxonomy
-from ..records import CheckIn, CheckInDataset, Venue
+from ..records import CheckInDataset, StoreBuilder, Venue, check_tz_offset, to_epoch_us
 from .agents import AgentProfile, RoutineStop, build_agents
 from .city import SyntheticCity, build_city
 from .config import SMALL_CONFIG, SynthConfig
 
 __all__ = ["GenerationResult", "generate", "synthetic_dataset", "small_dataset"]
+
+_US = timedelta(microseconds=1)
 
 #: Zipf-style weights over a preference pool of size n: 1/rank, normalized.
 def _preference_weights(n: int) -> np.ndarray:
@@ -121,43 +123,6 @@ def _stop_plans(
     return plans
 
 
-def _visit_venue(
-    plan: _StopPlan, random: Callable[[], float], integers: Callable[[int], int],
-    exploration_prob: float,
-) -> Optional[Venue]:
-    """Today's venue for a stop that happened (None if no venue exists).
-
-    ``random`` and ``integers`` are the bound methods of the simulation's
-    ``np.random.Generator``.
-    """
-    if plan.pool is None:
-        return plan.venue
-    if random() < exploration_prob:
-        # Explore: any venue of the category, anywhere in the city.
-        candidates = plan.candidates
-        return candidates[int(integers(len(candidates)))] if candidates else None
-    return plan.pool[bisect_right(plan.cdf, random())]
-
-
-def _local_timestamp(day_start: datetime, minutes: float) -> datetime:
-    """UTC time ``minutes`` after local midnight ``day_start``, clamped into the day."""
-    minutes = min(max(minutes, 0.0), 24 * 60 - 1.0)
-    return (day_start + timedelta(minutes=minutes)).astimezone(timezone.utc)
-
-
-def _checkin(agent: AgentProfile, venue: Venue, tz_offset_min: int, ts: datetime) -> CheckIn:
-    return CheckIn(
-        user_id=agent.user_id,
-        venue_id=venue.venue_id,
-        category_id=venue.category_id,
-        category_name=venue.category_name,
-        lat=venue.lat,
-        lon=venue.lon,
-        tz_offset_min=tz_offset_min,
-        timestamp=ts,
-    )
-
-
 def generate(config: SynthConfig = SynthConfig()) -> GenerationResult:
     """Run the full simulation for ``config`` (deterministic in ``config.seed``).
 
@@ -166,6 +131,7 @@ def generate(config: SynthConfig = SynthConfig()) -> GenerationResult:
     an explore ``integers`` or a preference double; the check-in double;
     the time-jitter normal.  Output at a seed depends on exactly that order.
     """
+    tz_offset_min = check_tz_offset(config.tz_offset_min)
     rng = np.random.default_rng(config.seed)
     taxonomy = build_default_taxonomy()
     city = build_city(
@@ -202,39 +168,65 @@ def generate(config: SynthConfig = SynthConfig()) -> GenerationResult:
     random, integers, normal = rng.random, rng.integers, rng.normal
     exploration_prob = config.exploration_prob
     jitter_min = config.time_jitter_min
-    tz_offset_min = config.tz_offset_min
     local_tz = timezone(timedelta(minutes=tz_offset_min))
-    checkins: List[CheckIn] = []
+    # One row per check-in: the agent's index, the venue, UTC epoch µs.
+    agent_rows: List[int] = []
+    venue_rows: List[Venue] = []
+    time_rows: List[int] = []
+    last_minute = 24 * 60 - 1.0
+    checkin_probs = [agent.checkin_prob for agent in agents]
     day0 = datetime(config.start_date.year, config.start_date.month, config.start_date.day)
     for day_index in range(config.n_days):
         day = day0 + timedelta(days=day_index)
-        day_start = day.replace(tzinfo=local_tz)
+        # A check-in ``minutes`` after local midnight, clamped into the day,
+        # is at ``day_us + timedelta(minutes=clamped) // _US`` UTC epoch µs:
+        # ``timedelta`` rounds the float minutes to whole µs, exactly as
+        # adding it to the aware local midnight does.
+        day_us = to_epoch_us(day.replace(tzinfo=local_tz))
         season = config.monthly_seasonality[day.month]
         is_weekend = day.weekday() >= 5
         todays_events = events_by_day.get(day.date(), ())
-        for agent, agent_plans in zip(agents, plans):
-            p_checkin = min(1.0, agent.checkin_prob * season)
+        for a, (agent_plans, checkin_prob) in enumerate(zip(plans, checkin_probs)):
+            p_checkin = min(1.0, checkin_prob * season)
             for event, event_venue in todays_events:
                 if random() >= event.attendance_prob:
                     continue
                 if random() >= min(1.0, p_checkin * event.checkin_boost):
                     continue
                 minutes = event.start_hour * 60.0 + normal(0.0, jitter_min)
-                checkins.append(_checkin(agent, event_venue, tz_offset_min,
-                                         _local_timestamp(day_start, minutes)))
-            for plan in agent_plans[is_weekend]:
-                if random() >= plan.threshold:
+                agent_rows.append(a)
+                venue_rows.append(event_venue)
+                time_rows.append(day_us + timedelta(
+                    minutes=min(max(minutes, 0.0), last_minute)) // _US)
+            for hour, threshold, venue, pool, cdf, candidates in agent_plans[is_weekend]:
+                if random() >= threshold:
                     continue  # the stop did not happen today
-                venue = _visit_venue(plan, random, integers, exploration_prob)
+                if pool is not None:  # a flexible stop: today's venue is drawn
+                    if random() < exploration_prob:
+                        # Explore: any venue of the category, anywhere in the city.
+                        venue = candidates[int(integers(len(candidates)))] if candidates else None
+                    else:
+                        venue = pool[bisect_right(cdf, random())]
                 if venue is None:
                     continue
                 if random() >= p_checkin:
                     continue  # visited, but did not check in (voluntary sparsity)
-                minutes = plan.hour * 60.0 + normal(0.0, jitter_min)
-                checkins.append(_checkin(agent, venue, tz_offset_min,
-                                         _local_timestamp(day_start, minutes)))
+                minutes = hour * 60.0 + normal(0.0, jitter_min)
+                agent_rows.append(a)
+                venue_rows.append(venue)
+                time_rows.append(day_us + timedelta(
+                    minutes=min(max(minutes, 0.0), last_minute)) // _US)
 
-    dataset = CheckInDataset(checkins, dict(city.venues_by_id), name="synthetic-nyc")
+    user_ids = [agent.user_id for agent in agents]
+    builder = StoreBuilder()
+    builder.add(
+        [user_ids[a] for a in agent_rows], [v.venue_id for v in venue_rows],
+        [v.category_id for v in venue_rows], [v.category_name for v in venue_rows],
+        time_rows, np.full(len(time_rows), tz_offset_min, dtype=np.int16),
+        [v.location.lat for v in venue_rows], [v.location.lon for v in venue_rows],
+    )
+    dataset = CheckInDataset.from_store(builder.build(), dict(city.venues_by_id),
+                                        name="synthetic-nyc")
     return GenerationResult(dataset, city, agents, config)
 
 

@@ -10,6 +10,7 @@ ground-truth routine the check-in generator samples.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date as date_type
 from datetime import datetime, timedelta, timezone
@@ -21,7 +22,7 @@ from ..records import Fix, Venue
 from .agents import AgentProfile
 from .city import SyntheticCity
 from .config import SynthConfig
-from .generator import _stop_plans, _visit_venue
+from .generator import _stop_plans
 
 __all__ = ["TraceConfig", "simulate_day_trace", "simulate_traces"]
 
@@ -75,7 +76,13 @@ def simulate_day_trace(
     for plan in _stop_plans(city, agent, routine, synth.stop_skip_noise, {}):
         if rng.random() >= plan.threshold:
             continue
-        venue = _visit_venue(plan, rng.random, rng.integers, synth.exploration_prob)
+        if plan.pool is None:
+            venue = plan.venue
+        elif rng.random() < synth.exploration_prob:
+            candidates = plan.candidates
+            venue = candidates[int(rng.integers(len(candidates)))] if candidates else None
+        else:
+            venue = plan.pool[bisect_right(plan.cdf, rng.random())]
         if venue is not None:
             visits.append((plan.hour, venue))
     if not visits:

@@ -26,7 +26,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tu
 from .exceptions import ExceptionFacts
 from .layers import resolve_import
 from .resources import ResourceFacts
-from .threads import ThreadFacts, _attr_chain, _blocks, _call_sym, _scope_nodes
+from .threads import ThreadFacts, _annotation, _attr_chain, _blocks, _call_sym, _scope_nodes
 
 __all__ = [
     "Definition",
@@ -85,12 +85,7 @@ class _Scope:
             params = list(getattr(args, "posonlyargs", [])) + args.args + args.kwonlyargs
             self.param_names = {arg.arg for arg in params}
             for arg in params:
-                annotation = arg.annotation
-                if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
-                    try:
-                        annotation = ast.parse(annotation.value, mode="eval").body
-                    except SyntaxError:
-                        annotation = None
+                annotation = _annotation(arg.annotation)
                 if annotation is not None:
                     self.annotations[arg.arg] = annotation
         #: var -> RHS expression of its single simple assignment, or None

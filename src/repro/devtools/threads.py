@@ -14,7 +14,9 @@ Three stages, mirroring the v3 whole-program pipeline:
 
 2. **Escape analysis.**  BFS reachability from the roots assigns each
    function a set of *concurrency domains* (``main``, ``thread``,
-   ``pool``).  Module globals and ``self`` attributes that are
+   ``pool``).  Module globals and instance attributes (reached through
+   ``self``, or through a parameter annotated with a class of the same
+   module, ``owner: "Server"``) that are
    **mutated** outside construction and **touched from a thread domain**
    are *shared*: two threads spawned from one site already race each
    other, so a single ``thread`` domain counts as concurrent.  ``pool``
@@ -176,6 +178,17 @@ def _self_attr(expr: ast.AST) -> Optional[str]:
     return None
 
 
+def _annotation(annotation: Optional[ast.expr]) -> Optional[ast.expr]:
+    """An annotation expression, a string annotation parsed (``None`` if absent
+    or unparsable)."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        try:
+            return ast.parse(annotation.value, mode="eval").body
+        except SyntaxError:
+            return None
+    return annotation
+
+
 def _scope_nodes(roots: Iterable[ast.AST]) -> Iterator[ast.AST]:
     """Every node under ``roots`` in one scope; nested scopes stay unopened.
 
@@ -330,13 +343,17 @@ class _ModuleInventory:
 
 
 class _FunctionScope:
-    """Per-function name tables (locals, global decls, simple aliases)."""
+    """Per-function name tables (locals, global decls, simple aliases, and
+    the parameters that hold an instance of one of ``classes``)."""
 
-    def __init__(self, fn: ast.AST):
+    def __init__(self, fn: ast.AST, classes: Iterable[str] = ()):
         self.globals_decl: Set[str] = set()
         self.locals: Set[str] = set()
         self.assigns: Dict[str, ast.expr] = {}
         self.executors: Dict[str, str] = {}
+        #: param -> the class of ``classes`` it is annotated with, when the
+        #: body never rebinds it: ``owner: "Server"`` then ``owner.x``.
+        self.owners: Dict[str, str] = {}
         args = getattr(fn, "args", None)
         if args is not None:
             for arg in (
@@ -347,11 +364,15 @@ class _FunctionScope:
                 + ([args.kwarg] if args.kwarg else [])
             ):
                 self.locals.add(arg.arg)
+                annotation = _annotation(arg.annotation)
+                if isinstance(annotation, ast.Name) and annotation.id in classes:
+                    self.owners[arg.arg] = annotation.id
         for node in _scope_nodes(ast.iter_child_nodes(fn)):
             if isinstance(node, ast.Global):
                 self.globals_decl.update(node.names)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 self.locals.add(node.id)
+                self.owners.pop(node.id, None)
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]
                 if isinstance(target, ast.Name):
@@ -395,7 +416,8 @@ class ThreadFacts:
             "spawns": [],
         }
         self.facts["functions"][defn.qualname] = record  # type: ignore[index]
-        walker = _FunctionWalker(self.inv, record, defn.owner, _FunctionScope(defn.node))
+        scope = _FunctionScope(defn.node, self.inv.class_bases)
+        walker = _FunctionWalker(self.inv, record, defn.owner, scope)
         walker.walk(defn.node.body, [])  # type: ignore[attr-defined]
 
 
@@ -425,20 +447,32 @@ class _FunctionWalker(_BlockWalker):
             return f"g:{name}"
         return None
 
-    def _attr_symbol(self, attr: str) -> Optional[str]:
-        owner = self.inv.attr_class(self.self_class, attr)
+    def _owned_attr(self, expr: ast.AST) -> Optional[Tuple[Optional[str], str]]:
+        """``(class, attr)`` of ``self.attr``, or of ``p.attr`` for a parameter
+        ``p`` annotated with a class of this module."""
+        if not (isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name)):
+            return None
+        name = expr.value.id
+        if name == "self":
+            return self.self_class, expr.attr
+        if name in self.scope.owners:
+            return self.scope.owners[name], expr.attr
+        return None
+
+    def _attr_symbol(self, expr: ast.AST) -> Optional[str]:
+        owned = self._owned_attr(expr)
+        if owned is None:
+            return None
+        owner = self.inv.attr_class(*owned)
         if owner is None:
             return None
-        return f"a:{owner}:{attr}"
+        return f"a:{owner}:{owned[1]}"
 
     def _container_symbol(self, expr: ast.AST) -> Optional[str]:
         """The shared symbol behind a mutated container, if it is one."""
         if isinstance(expr, ast.Name):
             return self._global_symbol(expr.id)
-        attr = _self_attr(expr)
-        if attr is not None:
-            return self._attr_symbol(attr)
-        return None
+        return self._attr_symbol(expr)
 
     def _lock_of(self, expr: ast.AST, depth: int = 2) -> Optional[str]:
         if isinstance(expr, ast.Name):
@@ -449,11 +483,11 @@ class _FunctionWalker(_BlockWalker):
             if depth > 0 and value is not None:
                 return self._lock_of(value, depth - 1)
             return None
-        attr = _self_attr(expr)
-        if attr is not None:
-            owner = self.inv.lock_class(self.self_class, attr)
+        owned = self._owned_attr(expr)
+        if owned is not None:
+            owner = self.inv.lock_class(*owned)
             if owner is not None:
-                return f"a:{owner}:{attr}"
+                return f"a:{owner}:{owned[1]}"
         return None
 
     # -- recording ---------------------------------------------------------
@@ -541,9 +575,8 @@ class _FunctionWalker(_BlockWalker):
             if symbol is not None and target.id in self.scope.globals_decl:
                 self._emit("writes", symbol, target, held)
             return
-        attr = _self_attr(target)
-        if attr is not None:
-            symbol = self._attr_symbol(attr)
+        if self._owned_attr(target) is not None:
+            symbol = self._attr_symbol(target)
             if symbol is not None:
                 self._emit("writes", symbol, target, held)
             return
@@ -556,7 +589,7 @@ class _FunctionWalker(_BlockWalker):
             self.scan(target.slice, held)
             return
         if isinstance(target, ast.Attribute):
-            # Attribute chains on non-self roots stay opaque (don't know).
+            # Attribute chains on other roots stay opaque (don't know).
             self.scan(target.value, held)
 
     def scan(self, expr: ast.AST, held: Sequence[str]) -> None:
@@ -568,11 +601,9 @@ class _FunctionWalker(_BlockWalker):
                 if symbol is not None:
                     self._emit("reads", symbol, node, held)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                attr = _self_attr(node)
-                if attr is not None:
-                    symbol = self._attr_symbol(attr)
-                    if symbol is not None:
-                        self._emit("reads", symbol, node, held)
+                symbol = self._attr_symbol(node)
+                if symbol is not None:
+                    self._emit("reads", symbol, node, held)
 
     def _record_call(self, call: ast.Call, held: Sequence[str]) -> None:
         sym = _call_sym(call.func)

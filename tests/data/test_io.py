@@ -3,6 +3,8 @@
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import (
     CheckIn,
@@ -17,6 +19,7 @@ from repro.data import (
     write_foursquare_tsv,
     write_jsonl,
 )
+from repro.data.records import StoreBuilder, from_epoch_us, to_epoch_us
 from repro.geo import GeoPoint
 
 UTC = timezone.utc
@@ -96,6 +99,86 @@ class TestFoursquareTsv:
         write_foursquare_tsv(dataset, path)
         path.write_text(path.read_text() + "\n\n")
         assert len(read_foursquare_tsv(path)) == len(dataset)
+
+
+def _columns_dataset(time_us, tz_offset_min) -> CheckInDataset:
+    """One row per stamp, each its own user, so rows stay in input order."""
+    n = len(time_us)
+    builder = StoreBuilder()
+    builder.add([f"u{i:05d}" for i in range(n)], ["v1"] * n, ["cat-1"] * n, ["Cafe"] * n,
+                time_us, tz_offset_min, [40.7 + i * 1e-5 for i in range(n)], [-74.0] * n)
+    return CheckInDataset.from_store(builder.build(), {}, "stamps")
+
+
+def _strftime_tsv(dataset: CheckInDataset) -> str:
+    """The dump layout with one ``strftime`` per row: the writer's reference."""
+    c = dataset.columns
+    users, venues, categories = dataset.user_table, dataset.venue_table, dataset.category_table
+    return "".join(
+        f"{users[u]}\t{venues[v]}\t{categories[k][0]}\t{categories[k][1]}\t"
+        f"{lat:.8f}\t{lon:.8f}\t{tz}\t"
+        f"{from_epoch_us(t).astimezone(UTC).strftime('%a %b %d %H:%M:%S %z %Y')}\n"
+        for u, v, k, lat, lon, tz, t in zip(
+            c.user.tolist(), c.venue.tolist(), c.category.tolist(), c.lat.tolist(),
+            c.lon.tolist(), c.tz_offset_min.tolist(), c.time_us.tolist(),
+        )
+    )
+
+
+def _us(*args) -> int:
+    return to_epoch_us(datetime(*args, tzinfo=UTC))
+
+
+#: Stamps where a formatter from integer arithmetic could part from ``strftime``.
+_EDGE_STAMPS_US = [
+    0, -1, 1, 999_999, 1_000_000, -999_999, -1_000_000, -1_000_001,
+    _us(1969, 12, 31, 23, 59, 59, 999_999), _us(1969, 7, 20, 20, 17, 40, 500_000),
+    _us(1900, 1, 1), _us(1900, 2, 28, 23, 59, 59), _us(1900, 3, 1),
+    _us(2000, 2, 29, 12, 0, 0, 1), _us(2012, 2, 29, 23, 59, 59, 999_999),
+    _us(2012, 3, 1), _us(2011, 12, 31, 23, 59, 59, 999_999), _us(2012, 1, 1),
+    _us(2012, 12, 31, 23, 59, 59), _us(2013, 1, 1, 0, 0, 0, 1),
+    _us(2100, 2, 28, 23, 59, 59, 999_999), _us(2100, 3, 1),
+    _us(1000, 1, 1), _us(9999, 12, 31, 23, 59, 59, 999_999), _us(2038, 1, 19, 3, 14, 8),
+    _us(2012, 4, 3, 18, 0, 9, 123_456),
+]
+
+
+class TestWriterParity:
+    """``write_foursquare_tsv`` writes the bytes a per-row ``strftime`` writes."""
+
+    @pytest.mark.parametrize("tz", [0, -240, 330, -1439, 1439])
+    def test_edge_stamps_equal_strftime_and_round_trip(self, tmp_path, tz):
+        dataset = _columns_dataset(_EDGE_STAMPS_US, [tz] * len(_EDGE_STAMPS_US))
+        path = tmp_path / "edges.tsv"
+        write_foursquare_tsv(dataset, path)
+        assert path.read_text(encoding="utf-8") == _strftime_tsv(dataset)
+        loaded = read_foursquare_tsv(path).columns
+        seconds = dataset.columns.time_us // 1_000_000
+        assert loaded.time_us.tolist() == (seconds * 1_000_000).tolist()
+        assert loaded.tz_offset_min.tolist() == [tz] * len(_EDGE_STAMPS_US)
+
+    def test_years_before_1000_equal_strftime(self, tmp_path):
+        """``%Y`` does not pad these; the dump reader does not take them back."""
+        stamps = [_us(1, 1, 1), _us(5, 3, 1, 1, 2, 3, 4), _us(999, 12, 31, 23, 59, 59)]
+        dataset = _columns_dataset(stamps, [0, -60, 60])
+        path = tmp_path / "old.tsv"
+        write_foursquare_tsv(dataset, path)
+        assert path.read_text(encoding="utf-8") == _strftime_tsv(dataset)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(min_value=_us(1000, 1, 1), max_value=_us(9999, 12, 31)),
+                    min_size=1, max_size=40),
+           st.integers(min_value=-1439, max_value=1439))
+    def test_random_stamps_equal_strftime(self, tmp_path_factory, time_us, tz):
+        dataset = _columns_dataset(time_us, [tz] * len(time_us))
+        path = tmp_path_factory.mktemp("stamps") / "random.tsv"
+        write_foursquare_tsv(dataset, path)
+        assert path.read_text(encoding="utf-8") == _strftime_tsv(dataset)
+
+    def test_empty_dataset_writes_nothing(self, tmp_path):
+        path = tmp_path / "empty.tsv"
+        write_foursquare_tsv(_columns_dataset([], []), path)
+        assert path.read_bytes() == b""
 
 
 class TestCsv:

@@ -7,9 +7,12 @@ from datetime import date
 
 import pytest
 
-from repro.data import SMALL_CONFIG, SynthConfig, dataset_stats, generate
+from repro.data import (SMALL_CONFIG, SynthConfig, Venue, dataset_stats, generate,
+                        write_foursquare_tsv)
 from repro.data.synth import CityEvent, build_agents, build_city
+from repro.data.synth.city import _Pool, _nearest
 from repro.data.synth.generator import _preference_cdf, _preference_weights
+from repro.geo import GeoPoint, equirectangular_m
 from repro.taxonomy import build_default_taxonomy
 
 import numpy as np
@@ -31,6 +34,11 @@ class TestConfig:
     def test_invalid_configs_raise(self, kwargs):
         with pytest.raises(ValueError):
             SynthConfig(**kwargs)
+
+    @pytest.mark.parametrize("minutes", [1440, -1440, 40_000])
+    def test_a_tz_offset_of_a_day_or_more_raises(self, minutes):
+        with pytest.raises(ValueError, match="tz offset"):
+            generate(replace(SMALL_CONFIG, n_users=2, tz_offset_min=minutes))
 
     def test_end_before_start_raises(self):
         from datetime import date
@@ -75,6 +83,54 @@ class TestCity:
 
     def test_unknown_category_empty(self, city):
         assert city.venues_of_leaf("Space Elevator") == []
+
+
+def _sorted_nearest(venues, point, k):
+    """The k nearest by a full stable sort: ``_nearest``'s reference."""
+    return sorted(venues, key=lambda v: equirectangular_m(point.lat, point.lon,
+                                                          v.lat, v.lon))[:k]
+
+
+def _random_pool(rng, n, n_sites):
+    """``n`` venues on ``n_sites`` distinct points, so many coordinates repeat."""
+    lat = 40.70 + rng.uniform(-0.05, 0.05, n_sites)
+    lon = -74.00 + rng.uniform(-0.05, 0.05, n_sites)
+    site = rng.integers(n_sites, size=n)
+    return [Venue(f"v{i:04d}", f"v{i}", "c", "Cafe", GeoPoint(float(lat[s]), float(lon[s])))
+            for i, s in enumerate(site.tolist())]
+
+
+class TestNearest:
+    """``_nearest`` re-ranks array-picked candidates; it must equal the full sort."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_the_stable_sort(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 300))
+        venues = _random_pool(rng, n, n_sites=int(rng.integers(1, n + 1)))
+        pool = _Pool.of(venues)
+        queries = [GeoPoint(40.70 + float(rng.uniform(-0.06, 0.06)),
+                            -74.00 + float(rng.uniform(-0.06, 0.06))) for _ in range(5)]
+        queries += [venues[int(rng.integers(n))].location for _ in range(5)]  # distance 0
+        for point in queries:
+            for k in {1, 2, 8, n // 2, n - 1, n, n + 5}:
+                assert _nearest(pool, point, k) == _sorted_nearest(venues, point, k)
+
+    def test_exact_ties_keep_pool_order(self):
+        spot = GeoPoint(40.71, -74.01)
+        venues = [Venue(f"v{i}", f"v{i}", "c", "Cafe", spot) for i in range(6)]
+        venues.insert(3, Venue("far", "far", "c", "Cafe", GeoPoint(40.75, -74.05)))
+        nearest = _nearest(_Pool.of(venues), spot, 4)
+        assert [v.venue_id for v in nearest] == ["v0", "v1", "v2", "v3"]
+
+    def test_empty_pool(self):
+        assert _nearest(_Pool.of(()), GeoPoint(40.7, -74.0), 8) == []
+
+    def test_k_at_least_the_pool(self):
+        venues = _random_pool(np.random.default_rng(0), 5, 5)
+        point = GeoPoint(40.7, -74.0)
+        assert _nearest(_Pool.of(venues), point, 5) == _sorted_nearest(venues, point, 5)
+        assert _nearest(_Pool.of(venues), point, 50) == _sorted_nearest(venues, point, 50)
 
 
 class TestAgents:
@@ -216,6 +272,18 @@ class TestGoldenOutput:
     ], ids=["small", "explore-always", "explore-never-one-pref", "six-prefs-seed3", "event"])
     def test_digest(self, config, digest):
         assert _generation_digest(config) == digest
+
+    def test_bench_city_tsv_digest(self, tmp_path):
+        """perfbench's city, as the bytes ``write_foursquare_tsv`` writes.
+
+        This pins the generator and the writer together on the city every
+        benchmark run serves (58,214 rows).
+        """
+        path = tmp_path / "bench.tsv"
+        write_foursquare_tsv(generate(SynthConfig(seed=20230701, n_users=300,
+                                                  n_venues=2500)).dataset, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "b49afa4082859f416f429eb89b502e6bf0c189fa565b28db4e9091f81a1432a5")
 
 
 class TestDrawHelpers:

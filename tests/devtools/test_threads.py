@@ -379,6 +379,64 @@ class TestAnalysis:
             "repro.webapp.serve"
         )
 
+    @staticmethod
+    def _owner_tree(lock: bool) -> Dict[str, str]:
+        """``serve(owner: "Server")`` runs in a thread and writes ``owner.hits``."""
+        guard = "with {}._lock:" if lock else "if True:"
+        return {"repro.webapp.owner": f"""
+            import threading
+
+
+            class Server:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self.hits = {{}}
+
+                def start(self):
+                    threading.Thread(target=serve, args=(self,)).start()
+
+                def reset(self):
+                    {guard.format("self")}
+                        self.hits.clear()
+
+
+            def serve(owner: "Server"):
+                {guard.format("owner")}
+                    owner.hits["/"] = 1
+            """}
+
+    def test_writes_through_an_annotated_owner_are_shared_state(self, tmp_path):
+        project = build_project(tmp_path, self._owner_tree(lock=False))
+        info = project.threads().shared["repro.webapp.owner::a:Server:hits"]
+        assert [w["node"][1] for w in info["writes"]] == ["Server.reset", "serve"]
+        records = thread_records(project, "repro.webapp.owner")
+        assert [(r["rule"], r["function"]) for r in records] == [
+            ("CW701", "Server.reset"), ("CW701", "serve")]
+
+    def test_a_lock_taken_through_an_annotated_owner_guards(self, tmp_path):
+        project = build_project(tmp_path, self._owner_tree(lock=True))
+        info = project.threads().shared["repro.webapp.owner::a:Server:hits"]
+        assert info["guard"] == "a:Server:_lock"
+        assert thread_records(project, "repro.webapp.owner") == []
+
+    def test_a_rebound_parameter_is_no_owner(self):
+        facts = facts_of(
+            """
+            class Server:
+                def __init__(self):
+                    self.hits = {}
+
+
+            def serve(owner: "Server", other: Server, plain):
+                other.hits["/"] = 1
+                plain.hits["/"] = 1
+                owner = plain
+                owner.hits["/"] = 1
+            """
+        )
+        writes = facts["functions"]["serve"]["writes"]
+        assert [(w["sym"], w["line"]) for w in writes] == [("a:Server:hits", 8)]
+
     def test_render_lists_roots_and_shared_state(self, tmp_path):
         rendered = analyze(tmp_path, THREAD_TREE).render()
         assert "thread roots (" in rendered
@@ -389,14 +447,18 @@ class TestAnalysis:
 
 class TestRealTree:
     @pytest.fixture(scope="class")
-    def domains(self):
+    def analysis(self):
         repo_src = Path(__file__).resolve().parents[2] / "src"
         files = [
             (str(path), path.read_text(encoding="utf-8"), module_name_for(path),
              path.name == "__init__.py")
             for path in iter_python_files([repo_src])
         ]
-        return ProjectAnalysis.build(files).threads().domains
+        return ProjectAnalysis.build(files).threads()
+
+    @pytest.fixture(scope="class")
+    def domains(self, analysis):
+        return analysis.domains
 
     def test_request_path_is_in_the_thread_domain(self, domains):
         """No handler-class root: the app's request path is reached from a spawn."""
@@ -411,3 +473,9 @@ class TestRealTree:
     def test_calls_through_an_annotated_parameter_are_followed(self, domains):
         """``_serve(sock, owner: "CrowdWebServer")`` calls ``owner._unready_response()``."""
         assert domains[("repro.web.server", "CrowdWebServer._unready_response")] == {"thread"}
+
+    def test_the_connection_loop_reads_the_app_its_owner_publishes(self, analysis):
+        """``_serve`` reads ``owner._app``, which the build thread writes under ``_app_lock``."""
+        info = analysis.shared["repro.web.server::a:CrowdWebServer:_app"]
+        assert info["guard"] == "a:CrowdWebServer:_app_lock"
+        assert ("repro.web.server", "_serve") in {read["node"] for read in info["reads"]}
