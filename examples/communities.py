@@ -12,8 +12,10 @@ Run:
 
 from collections import Counter
 
+import numpy as np
+
 from repro import small_dataset, run_pipeline, small_pipeline_config
-from repro.crowd import build_similarity_graph, detect_communities
+from repro.crowd import detect_communities, similarity_links
 from repro.patterns import pattern_set_similarity
 
 dataset = small_dataset()
@@ -21,14 +23,13 @@ result = run_pipeline(dataset, small_pipeline_config())
 profiles = result.profiles
 print(f"{len(profiles)} active users profiled")
 
-graph = build_similarity_graph(profiles, min_similarity=0.05)
-print(f"similarity graph: {graph.number_of_nodes()} nodes, "
-      f"{graph.number_of_edges()} links")
-strongest = max(graph.edges(data=True), key=lambda e: e[2]["weight"], default=None)
-if strongest:
-    a, b, attrs = strongest
-    print(f"strongest behavioural link: {a} <-> {b} "
-          f"(similarity {attrs['weight']:.2f})")
+user_ids, similarity, links = similarity_links(profiles, min_similarity=0.05)
+pairs = np.argwhere(np.triu(links))
+print(f"similarity graph: {len(user_ids)} nodes, {len(pairs)} links")
+if len(pairs):
+    a, b = pairs[similarity[pairs[:, 0], pairs[:, 1]].argmax()]
+    print(f"strongest behavioural link: {user_ids[a]} <-> {user_ids[b]} "
+          f"(similarity {similarity[a, b]:.2f})")
 
 communities = detect_communities(profiles, min_similarity=0.05)
 print(f"\n{len(communities)} communities found:")

@@ -41,7 +41,7 @@ if _TYPE_CHECKING:  # at run time, ``__getattr__`` below imports these on first 
 
 #: The subpackage each re-exported name comes from.  Names resolve on first
 #: access (PEP 562), so ``import repro.data`` imports neither the experiments
-#: nor the crowd layer nor networkx.
+#: nor the crowd layer.
 _EXPORTS = {
     "analysis": ("max_predictability", "user_mobility_metrics"),
     "data": ("CheckIn", "CheckInDataset", "SMALL_CONFIG", "SynthConfig", "Venue",

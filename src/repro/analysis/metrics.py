@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..data.records import CheckInDataset
-from ..geo import GeoPoint, centroid, haversine_m
+from ..geo import GeoPoint, centroid, centroid_lat_lon, haversine_pairs_m
 
 __all__ = [
     "radius_of_gyration_m",
@@ -174,6 +174,8 @@ def max_predictability(entropy_bits: float, n_locations: int) -> float:
         return lo
     for _ in range(80):
         mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:  # adjacent floats: every later step returns mid
+            return mid
         if fano(mid) > entropy_bits:
             lo = mid
         else:
@@ -182,25 +184,29 @@ def max_predictability(entropy_bits: float, n_locations: int) -> float:
 
 
 def user_mobility_metrics(dataset: CheckInDataset, user_id: str) -> UserMobilityMetrics:
-    """Compute the full metric bundle for one user (venue-level)."""
+    """Compute the full metric bundle for one user (venue-level).
+
+    Read from the user's columns; every value equals the one
+    :func:`radius_of_gyration_m`, :func:`jump_lengths_m` and the entropy
+    functions give on the user's points and venue ids.
+    """
     lo, hi = dataset.user_span(user_id)
-    if hi - lo < 2:
+    n = hi - lo
+    if n < 2:
         raise ValueError(f"user {user_id!r} needs at least two check-ins")
     columns = dataset.columns
-    points = [GeoPoint(lat, lon) for lat, lon in zip(columns.lat[lo:hi].tolist(),
-                                                      columns.lon[lo:hi].tolist())]
-    venue_table = dataset.venue_table
-    venues = [venue_table[v] for v in columns.venue[lo:hi].tolist()]
-    jumps = jump_lengths_m(points)
-    freqs = visitation_frequencies(venues)
-    n_venues = len({v for v in venues})
+    lat, lon = columns.lat[lo:hi], columns.lon[lo:hi]
+    to_center = haversine_pairs_m(*centroid_lat_lon(lat, lon), lat, lon)
+    jumps = haversine_pairs_m(lat[:-1], lon[:-1], lat[1:], lon[1:])
+    venues = columns.venue[lo:hi].tolist()
+    n_venues = len(set(venues))
     return UserMobilityMetrics(
         user_id=user_id,
-        n_checkins=hi - lo,
+        n_checkins=n,
         n_distinct_venues=n_venues,
-        radius_of_gyration_m=radius_of_gyration_m(points),
-        median_jump_m=float(np.median(jumps)) if jumps else 0.0,
-        top_location_share=freqs[0][1],
+        radius_of_gyration_m=math.sqrt(sum([d ** 2 for d in to_center]) / n),
+        median_jump_m=float(np.median(jumps)),
+        top_location_share=max(Counter(venues).values()) / n,
         s_random=random_entropy(n_venues),
         s_uncorrelated=uncorrelated_entropy(venues),
         s_estimated=lz_entropy_estimate(venues),

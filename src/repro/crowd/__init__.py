@@ -3,12 +3,7 @@
 from .aggregate import CrowdAggregator, CrowdTimeline
 from .animation import AnimatedDot, AnimationFrame, build_animation
 from .anomaly import CellSpike, daily_cell_counts, detect_spikes
-from .communities import (
-    Community,
-    build_similarity_graph,
-    detect_communities,
-    label_propagation,
-)
+from .communities import Community, detect_communities, similarity_links
 from .flows import Flow, flow_matrix, timeline_flows, window_flows
 from .forecast import ForecastEvaluation, evaluate_crowd_forecast, observed_occupancy
 from .snapshot import CrowdGroup, CrowdSnapshot
@@ -30,17 +25,16 @@ __all__ = [
     "UserPlacement",
     "VisitIndex",
     "build_animation",
-    "build_similarity_graph",
     "daily_cell_counts",
     "detect_communities",
     "detect_spikes",
     "evaluate_crowd_forecast",
     "flow_matrix",
     "observed_occupancy",
-    "label_propagation",
     "place_user",
     "place_user_at_bins",
     "rescale",
+    "similarity_links",
     "timeline_flows",
     "window_flows",
     "windows_for",

@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..patterns import UserPatternProfile, profile_similarity_matrix
 
-__all__ = ["Community", "build_similarity_graph", "label_propagation", "detect_communities"]
+__all__ = ["Community", "similarity_links", "detect_communities"]
 
 
 @dataclass(frozen=True)
@@ -32,33 +31,21 @@ class Community:
         return len(self.user_ids)
 
 
-def _similarity_links(
+def similarity_links(
     profiles: Mapping[str, UserPatternProfile], min_similarity: float
 ) -> Tuple[List[str], np.ndarray, np.ndarray]:
-    """Sorted user ids, the similarity matrix, and its qualifying-link mask."""
+    """The weighted user-similarity graph as arrays.
+
+    Sorted user ids, their pattern-set Jaccard matrix (the link strength),
+    and the mask of pairs that link: similarity at least
+    ``min_similarity``, never a user with itself.
+    """
     if not (0.0 <= min_similarity <= 1.0):
         raise ValueError("min_similarity must be a probability")
     user_ids, similarity = profile_similarity_matrix(profiles)
     links = similarity >= min_similarity
     np.fill_diagonal(links, False)
     return user_ids, similarity, links
-
-
-def build_similarity_graph(
-    profiles: Mapping[str, UserPatternProfile], min_similarity: float = 0.1
-) -> nx.Graph:
-    """Weighted user-similarity graph.
-
-    Nodes are users; an edge exists when pattern-set Jaccard similarity
-    reaches ``min_similarity``, weighted by that similarity (the "link
-    strength").  Users with no qualifying link stay as isolated nodes.
-    """
-    user_ids, similarity, links = _similarity_links(profiles, min_similarity)
-    graph = nx.Graph()
-    graph.add_nodes_from(user_ids)
-    for i, j in zip(*np.nonzero(np.triu(links))):
-        graph.add_edge(user_ids[i], user_ids[j], weight=float(similarity[i, j]))
-    return graph
 
 
 def _propagate(
@@ -96,39 +83,19 @@ def _propagate(
     return labels.tolist()
 
 
-def label_propagation(graph: nx.Graph, max_iterations: int = 100, seed: int = 0) -> Dict[str, int]:
-    """Link-strength-weighted label propagation.
-
-    Each node starts with its own label (its rank in sorted order); on
-    every sweep (random order, seeded) a node adopts the label with the
-    highest total incident edge weight (``weight``, default 1.0), ties
-    broken by the smallest label for determinism.  Converges when a full
-    sweep changes nothing.
-    """
-    nodes = sorted(graph.nodes)
-    index = {node: i for i, node in enumerate(nodes)}
-    neighbors = [np.array([index[nb] for nb in graph[node]], dtype=np.intp) for node in nodes]
-    weights = [
-        np.array([attrs.get("weight", 1.0) for attrs in graph[node].values()], dtype=float)
-        for node in nodes
-    ]
-    labels = _propagate(neighbors, weights, max_iterations, seed)
-    return dict(zip(nodes, labels))
-
-
 def detect_communities(
     profiles: Mapping[str, UserPatternProfile],
     min_similarity: float = 0.1,
     min_size: int = 1,
     seed: int = 0,
 ) -> List[Community]:
-    """Full pipeline: similarity graph → label propagation → communities.
+    """Full pipeline: similarity links → label propagation → communities.
 
     Returned largest-first with contiguous ids from 0.
     """
     if min_size < 1:
         raise ValueError("min_size must be >= 1")
-    user_ids, similarity, links = _similarity_links(profiles, min_similarity)
+    user_ids, similarity, links = similarity_links(profiles, min_similarity)
     labels = _propagate(
         [np.flatnonzero(row) for row in links],
         [similarity[i, row] for i, row in enumerate(links)],

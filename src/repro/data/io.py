@@ -291,47 +291,65 @@ def read_csv(path: Union[str, Path], name: Optional[str] = None) -> CheckInDatas
     return CheckInDataset(checkins, venues, name=name or path.stem)
 
 
+def _utc_isoformats(dataset: CheckInDataset) -> List[str]:
+    """Each row's UTC time as ``datetime.isoformat`` writes it.
+
+    ``YYYY-MM-DDTHH:MM:SS``, then ``.ffffff`` when the microseconds are not
+    zero, then ``+00:00``; each distinct day's date text is formatted once.
+    """
+    time_us = dataset.columns.time_us
+    seconds = time_us // 1_000_000
+    days, day_rows = np.unique(seconds // 86_400, return_inverse=True)
+    day_texts = [f"{day_date(day).isoformat()}T" for day in days.tolist()]
+    return [
+        f"{day_texts[d]}{_HOURS_MINUTES[m]}{s:02d}.{us:06d}+00:00" if us else
+        f"{day_texts[d]}{_HOURS_MINUTES[m]}{s:02d}+00:00"
+        for d, m, s, us in zip(day_rows.reshape(-1).tolist(),
+                               ((seconds % 86_400) // 60).tolist(), (seconds % 60).tolist(),
+                               (time_us % 1_000_000).tolist())
+    ]
+
+
 def write_csv(dataset: CheckInDataset, path: Union[str, Path]) -> None:
+    """Write the CSV export :func:`read_csv` loads, straight from the columns."""
     path = Path(path)
+    c = dataset.columns
+    users, venues, categories = dataset.user_table, dataset.venue_table, dataset.category_table
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_FIELDS)
-        for c in dataset:
-            writer.writerow(
-                [
-                    c.user_id,
-                    c.venue_id,
-                    c.category_id,
-                    c.category_name,
-                    f"{c.lat:.8f}",
-                    f"{c.lon:.8f}",
-                    c.tz_offset_min,
-                    c.timestamp.astimezone(timezone.utc).isoformat(),
-                ]
+        writer.writerows(
+            (users[u], venues[v], *categories[k], f"{lat:.8f}", f"{lon:.8f}", tz, utc)
+            for u, v, k, lat, lon, tz, utc in zip(
+                c.user.tolist(), c.venue.tolist(), c.category.tolist(), c.lat.tolist(),
+                c.lon.tolist(), c.tz_offset_min.tolist(), _utc_isoformats(dataset),
             )
+        )
 
 
 def write_jsonl(dataset: CheckInDataset, path: Union[str, Path]) -> None:
-    """Write one JSON object per check-in plus a ``.venues.json`` sidecar."""
+    """Write one JSON object per check-in plus a ``.venues.json`` sidecar.
+
+    The lines are the bytes ``json.dumps`` gives each record, formatted
+    from the columns: each table string is encoded once.
+    """
     path = Path(path)
+    c = dataset.columns
+    users = [json.dumps(u) for u in dataset.user_table]
+    venues = [json.dumps(v) for v in dataset.venue_table]
+    categories = [f'"category_id":{json.dumps(cid)},"category_name":{json.dumps(name)}'
+                  for cid, name in dataset.category_table]
+    # json.dumps writes a finite float as its repr.
+    number = repr if np.isfinite(c.lat).all() and np.isfinite(c.lon).all() else json.dumps
     with path.open("w", encoding="utf-8") as fh:
-        for c in dataset:
-            fh.write(
-                json.dumps(
-                    {
-                        "user_id": c.user_id,
-                        "venue_id": c.venue_id,
-                        "category_id": c.category_id,
-                        "category_name": c.category_name,
-                        "lat": c.lat,
-                        "lon": c.lon,
-                        "tz_offset_min": c.tz_offset_min,
-                        "utc_time": c.timestamp.astimezone(timezone.utc).isoformat(),
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
+        fh.writelines(
+            f'{{"user_id":{users[u]},"venue_id":{venues[v]},{categories[k]},'
+            f'"lat":{number(lat)},"lon":{number(lon)},"tz_offset_min":{tz},"utc_time":"{utc}"}}\n'
+            for u, v, k, lat, lon, tz, utc in zip(
+                c.user.tolist(), c.venue.tolist(), c.category.tolist(), c.lat.tolist(),
+                c.lon.tolist(), c.tz_offset_min.tolist(), _utc_isoformats(dataset),
             )
+        )
     sidecar = path.with_suffix(path.suffix + ".venues.json")
     with sidecar.open("w", encoding="utf-8") as fh:
         json.dump(

@@ -85,7 +85,7 @@ LAYER_MAP: Dict[str, FrozenSet[str]] = {
         {"data", "exec", "geo", "obs", "patterns", "sequences", "taxonomy"}
     ),
     # presentation
-    "viz": frozenset({"crowd", "data", "geo", "sequences"}),
+    "viz": frozenset({"crowd", "data", "geo", "patterns", "sequences"}),
     # top-level orchestration modules
     "pipeline": frozenset(
         {

@@ -31,12 +31,14 @@ from datetime import date, timedelta
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
+import numpy as np
+
 from ..crowd import (
     build_animation,
-    build_similarity_graph,
     detect_communities,
     detect_spikes,
     evaluate_crowd_forecast,
+    similarity_links,
 )
 from ..data import (
     ActiveUserFilter,
@@ -151,11 +153,11 @@ def _crowd_forecast(dataset: CheckInDataset, config: PipelineConfig) -> Dict[str
 
 def _communities(profiles: Dict[str, UserPatternProfile]) -> Dict[str, object]:
     communities = detect_communities(profiles, min_similarity=0.05)
-    graph = build_similarity_graph(profiles, min_similarity=0.05)
+    _, _, links = similarity_links(profiles, min_similarity=0.05)
     return {
         "n_profiled": len(profiles),
         "n_covered": len({uid for c in communities for uid in c.user_ids}),
-        "n_links": graph.number_of_edges(),
+        "n_links": int(np.triu(links).sum()),
         "sizes": [c.size for c in communities],
     }
 

@@ -30,7 +30,9 @@ from .point import (
 from .projection import (
     EquirectangularProjection,
     ScreenProjection,
+    centroid_lat_lon,
     haversine_matrix_m,
+    haversine_pairs_m,
     pairwise_haversine_m,
 )
 from .quadtree import QuadTree, QuadTreeEntry
@@ -51,6 +53,7 @@ __all__ = [
     "QuadTreeEntry",
     "ScreenProjection",
     "centroid",
+    "centroid_lat_lon",
     "dbscan",
     "destination_point",
     "equirectangular_m",
@@ -60,6 +63,7 @@ __all__ = [
     "geohash_neighbors",
     "haversine_m",
     "haversine_matrix_m",
+    "haversine_pairs_m",
     "initial_bearing_deg",
     "midpoint",
     "normalize_lon",

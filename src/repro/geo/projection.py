@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -18,11 +18,14 @@ from .point import EARTH_RADIUS_M, GeoPoint
 __all__ = [
     "EquirectangularProjection",
     "ScreenProjection",
+    "centroid_lat_lon",
     "haversine_matrix_m",
+    "haversine_pairs_m",
     "pairwise_haversine_m",
 ]
 
 _DEG2RAD = math.pi / 180.0
+_RAD2DEG = 180.0 / math.pi
 
 
 @dataclass(frozen=True)
@@ -113,3 +116,44 @@ def haversine_matrix_m(
 def pairwise_haversine_m(lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
     """Symmetric (n, n) haversine distance matrix of one point set."""
     return haversine_matrix_m(lats, lons, lats, lons)
+
+
+def haversine_pairs_m(
+    lats1: Union[float, np.ndarray], lons1: Union[float, np.ndarray],
+    lats2: np.ndarray, lons2: np.ndarray,
+) -> List[float]:
+    """:func:`~repro.geo.point.haversine_m` of each pair of points, bit for bit.
+
+    The same operations in the same order: ``float_power`` is the C ``pow``
+    that Python's ``** 2`` calls (``np.square`` rounds differently), and
+    the arcsine is ``math.asin``, from which numpy's may differ in the
+    last place.  ``lats1``/``lons1`` may be one point.
+    """
+    phi1 = lats1 * _DEG2RAD
+    phi2 = lats2 * _DEG2RAD
+    dphi = (lats2 - lats1) * _DEG2RAD
+    dlam = (lons2 - lons1) * _DEG2RAD
+    a = (np.float_power(np.sin(dphi / 2.0), 2)
+         + np.cos(phi1) * np.cos(phi2) * np.float_power(np.sin(dlam / 2.0), 2))
+    roots = np.sqrt(np.minimum(1.0, np.maximum(0.0, a))).tolist()
+    return [2.0 * EARTH_RADIUS_M * math.asin(root) for root in roots]
+
+
+def centroid_lat_lon(lats: np.ndarray, lons: np.ndarray) -> Tuple[float, float]:
+    """:func:`~repro.geo.point.centroid` of the points, bit for bit.
+
+    Its unit-vector components are added one by one from the left, as
+    ``centroid``'s loop adds them (``np.cumsum`` is sequential; ``np.sum``
+    and Python 3.12's ``sum`` are not).
+    """
+    n = len(lats)
+    if n == 0:
+        raise ValueError("centroid of an empty point set is undefined")
+    phi, lam = lats * _DEG2RAD, lons * _DEG2RAD
+    xs = float(np.cumsum(np.cos(phi) * np.cos(lam))[-1]) / n
+    ys = float(np.cumsum(np.cos(phi) * np.sin(lam))[-1]) / n
+    zs = float(np.cumsum(np.sin(phi))[-1]) / n
+    hyp = math.hypot(xs, ys)
+    if hyp == 0.0 and zs == 0.0:
+        raise ValueError("centroid is degenerate (antipodal points cancel out)")
+    return math.atan2(zs, hyp) * _RAD2DEG, math.atan2(ys, xs) * _RAD2DEG

@@ -1,6 +1,6 @@
 """Individual mobility patterns: profiles, graphs, similarity, summaries."""
 
-from .graph import build_pattern_graph, build_place_graph, place_importance, top_transitions
+from .graph import PlaceGraph, build_place_graph
 from .model import UserPatternProfile, detect_all_patterns, detect_user_patterns
 from .monitor import PatternMonitor, PatternProgress, PatternState
 from .similarity import (
@@ -15,17 +15,15 @@ __all__ = [
     "PatternMonitor",
     "PatternProgress",
     "PatternState",
+    "PlaceGraph",
     "UserPatternProfile",
-    "build_pattern_graph",
     "build_place_graph",
     "describe_pattern",
     "detect_all_patterns",
     "detect_user_patterns",
     "jaccard_similarity",
     "pattern_set_similarity",
-    "place_importance",
     "profile_similarity_matrix",
     "sequence_edit_similarity",
     "summarize_profile",
-    "top_transitions",
 ]

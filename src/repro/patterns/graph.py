@@ -2,26 +2,37 @@
 
 The individual view of the platform shows each user a directed graph whose
 nodes are the places (labels) they visit and whose edges are observed
-same-day transitions, weighted by frequency.  Built on networkx so standard
-graph analytics (PageRank, components) come for free.
+same-day transitions, weighted by frequency.  It is counted with array
+operations over the user's rows, ordered and deduplicated exactly as the
+sessionizer orders and deduplicates them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
-import networkx as nx
+import numpy as np
 
 from ..data.records import CheckInDataset
-from ..sequences import DailySession, Labeler, TimeBinning, HOURLY, sessionize_user
-from .model import UserPatternProfile
+from ..sequences import HOURLY, Labeler, TimeBinning
+from ..sequences.sessions import label_rows
 
-__all__ = [
-    "build_place_graph",
-    "build_pattern_graph",
-    "top_transitions",
-    "place_importance",
-]
+__all__ = ["PlaceGraph", "build_place_graph"]
+
+
+@dataclass(frozen=True)
+class PlaceGraph:
+    """A user's observed-transition graph.
+
+    ``nodes`` are ``(label, visits)`` in the order the labels are first
+    seen; ``edges`` are ``(src, dst, weight, days)`` grouped by source in
+    node order, then in the order each pair first occurs.
+    """
+
+    user_id: str
+    nodes: Tuple[Tuple[str, int], ...]
+    edges: Tuple[Tuple[str, str, int, int], ...]
 
 
 def build_place_graph(
@@ -29,80 +40,38 @@ def build_place_graph(
     user_id: str,
     labeler: Labeler,
     binning: TimeBinning = HOURLY,
-) -> nx.DiGraph:
-    """The user's observed-transition graph.
+) -> PlaceGraph:
+    """The user's place graph over their daily sessions.
 
-    Nodes carry ``visits`` (total check-ins with that label); edges carry
-    ``weight`` (number of observed consecutive same-day transitions) and
-    ``days`` (number of distinct days the transition occurred on).
+    ``visits`` counts the session items with that label; an edge's
+    ``weight`` counts consecutive same-day items with different labels, and
+    ``days`` the distinct days it occurs on.
     """
-    graph = nx.DiGraph(user_id=user_id)
-    sessions = sessionize_user(dataset, user_id, labeler, binning)
-    for session in sessions:
-        labels = [item.label for item in session.items]
-        for label in labels:
-            if graph.has_node(label):
-                graph.nodes[label]["visits"] += 1
-            else:
-                graph.add_node(label, visits=1)
-        for src, dst in zip(labels, labels[1:]):
-            if src == dst:
-                continue
-            if graph.has_edge(src, dst):
-                graph[src][dst]["weight"] += 1
-                graph[src][dst]["day_set"].add(session.day)
-            else:
-                graph.add_edge(src, dst, weight=1, day_set={session.day})
-    for _, _, attrs in graph.edges(data=True):
-        attrs["days"] = len(attrs.pop("day_set"))
-    return graph
+    lo, hi = dataset.user_span(user_id)
+    if hi <= lo:
+        return PlaceGraph(user_id, (), ())
+    rows = label_rows(dataset, lo, hi, labeler, binning, dedupe_consecutive=True)
+    labels = rows.labels
+    n_labels = len(labels)
+    label = rows.items[rows.keep] % n_labels
+    day = rows.days[rows.keep]
+    codes, first_at, visits = np.unique(label, return_index=True, return_counts=True)
+    seen = np.argsort(first_at)
+    rank = np.empty(n_labels, dtype=np.int64)
+    rank[codes[seen]] = np.arange(len(seen))
+    nodes = tuple((labels[c], v) for c, v in zip(codes[seen].tolist(), visits[seen].tolist()))
 
-
-def build_pattern_graph(profile: UserPatternProfile) -> nx.DiGraph:
-    """The graph implied by the user's *mined patterns* (not raw records).
-
-    Nodes are pattern item labels annotated with their best support and
-    typical time bins; edges link consecutive items of each pattern with the
-    pattern's support as weight (max over patterns sharing the edge).
-    """
-    graph = nx.DiGraph(user_id=profile.user_id)
-    for pattern in profile.patterns:
-        for item in pattern.items:
-            if graph.has_node(item.label):
-                node = graph.nodes[item.label]
-                node["support"] = max(node["support"], pattern.support)
-                node["bins"].add(item.bin)
-            else:
-                graph.add_node(item.label, support=pattern.support, bins={item.bin})
-        for a, b in zip(pattern.items, pattern.items[1:]):
-            if a.label == b.label:
-                continue
-            weight = pattern.support
-            if graph.has_edge(a.label, b.label):
-                graph[a.label][b.label]["weight"] = max(
-                    graph[a.label][b.label]["weight"], weight
-                )
-            else:
-                graph.add_edge(a.label, b.label, weight=weight)
-    for _, attrs in graph.nodes(data=True):
-        attrs["bins"] = sorted(attrs["bins"])
-    return graph
-
-
-def top_transitions(graph: nx.DiGraph, k: int = 10) -> List[Tuple[str, str, float]]:
-    """The ``k`` heaviest edges as (src, dst, weight)."""
-    edges = [(u, v, attrs.get("weight", 0)) for u, v, attrs in graph.edges(data=True)]
-    edges.sort(key=lambda e: (-e[2], e[0], e[1]))
-    return edges[:k]
-
-
-def place_importance(graph: nx.DiGraph) -> Dict[str, float]:
-    """PageRank importance of each place in the transition graph.
-
-    Falls back to degree centrality when the graph has no edges (PageRank
-    on an edgeless graph is just uniform and uninformative).
-    """
-    if graph.number_of_edges() == 0:
-        n = graph.number_of_nodes()
-        return {node: 1.0 / n for node in graph} if n else {}
-    return nx.pagerank(graph, weight="weight")
+    step = ~rows.first[rows.keep][1:] & (label[1:] != label[:-1])
+    pair = label[:-1][step] * n_labels + label[1:][step]
+    pairs, pair_first, pair_index, weight = np.unique(
+        pair, return_index=True, return_inverse=True, return_counts=True)
+    day_values, day_index = np.unique(day[1:][step], return_inverse=True)
+    pair_days = np.unique(pair_index.reshape(-1) * len(day_values) + day_index.reshape(-1))
+    days = np.bincount(pair_days // max(len(day_values), 1), minlength=len(pairs))
+    edge_order = np.lexsort((pair_first, rank[pairs // n_labels]))
+    edges = tuple(
+        (labels[p // n_labels], labels[p % n_labels], w, d)
+        for p, w, d in zip(pairs[edge_order].tolist(), weight[edge_order].tolist(),
+                           days[edge_order].tolist())
+    )
+    return PlaceGraph(user_id, nodes, edges)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -20,7 +20,8 @@ from .timebins import HOURLY, TimeBinning
 # crowdlint: disable-file=CW604 -- DAY_KINDS is the documented set of valid
 # day_kind arguments; it is exported for downstream callers even though the
 # repo itself only consumes it through the validation error paths.
-__all__ = ["DailySession", "sessionize_user", "sessionize_dataset", "DAY_KINDS"]
+__all__ = ["DailySession", "LabeledRows", "label_rows", "sessionize_user", "sessionize_dataset",
+           "DAY_KINDS"]
 
 #: Day-type filters: all days, Monday–Friday, or Saturday/Sunday.
 DAY_KINDS = ("all", "weekday", "weekend")
@@ -52,30 +53,40 @@ class DailySession:
         return tuple(dataset[i] for i in rows.tolist())
 
 
-def _sessionize_rows(
+class LabeledRows(NamedTuple):
+    """Rows ``lo:hi`` in (user, local day, time) order, labeled and deduplicated.
+
+    Position ``i`` is dataset row ``rows[i]``; its item code is
+    ``items[i] = bin * len(labels) + label index``.  ``first`` marks the
+    first position of each (user, day) and ``keep`` the positions that
+    survive deduplication (every ``first`` one does).
+    """
+
+    rows: np.ndarray
+    users: np.ndarray
+    days: np.ndarray  # local calendar days since 1970-01-01
+    items: np.ndarray
+    labels: List[str]
+    first: np.ndarray
+    keep: np.ndarray
+
+
+def label_rows(
     dataset: CheckInDataset,
     lo: int,
     hi: int,
     labeler: Labeler,
     binning: TimeBinning,
     dedupe_consecutive: bool,
-    min_items: int,
-    day_kind: str,
-) -> List[DailySession]:
-    """Daily sessions of rows ``lo:hi``, grouped by (user, local day).
+) -> LabeledRows:
+    """Order, label and deduplicate rows ``lo:hi``.
 
     The labeler runs once per distinct (venue, category) pair of the rows.
     """
-    if min_items < 1:
-        raise ValueError("min_items must be >= 1")
-    if day_kind not in DAY_KINDS:
-        raise ValueError(f"unknown day kind {day_kind!r} (expected one of {DAY_KINDS})")
     columns = dataset.columns
     n = hi - lo
-    if n <= 0:
-        return []
     local_us = dataset.local_times_us(lo, hi)
-    days = local_us // 86_400_000_000  # local calendar days since 1970-01-01
+    days = local_us // 86_400_000_000
     bins = binning.bins_of_seconds(local_us // 1_000_000 % 86_400)
     venue_table, category_table = dataset.venue_table, dataset.category_table
     n_categories = len(category_table)
@@ -101,6 +112,29 @@ def _sessionize_rows(
         keep[1:] |= items[1:] != items[:-1]
     else:
         keep = np.ones(n, dtype=bool)
+    return LabeledRows(order + lo, users, days, items, labels, first, keep)
+
+
+def _sessionize_rows(
+    dataset: CheckInDataset,
+    lo: int,
+    hi: int,
+    labeler: Labeler,
+    binning: TimeBinning,
+    dedupe_consecutive: bool,
+    min_items: int,
+    day_kind: str,
+) -> List[DailySession]:
+    """Daily sessions of rows ``lo:hi``, grouped by (user, local day)."""
+    if min_items < 1:
+        raise ValueError("min_items must be >= 1")
+    if day_kind not in DAY_KINDS:
+        raise ValueError(f"unknown day kind {day_kind!r} (expected one of {DAY_KINDS})")
+    n = hi - lo
+    if n <= 0:
+        return []
+    rows, users, days, items, labels, first, keep = label_rows(
+        dataset, lo, hi, labeler, binning, dedupe_consecutive)
     starts = np.flatnonzero(first)
     counts = np.add.reduceat(keep.astype(np.int64), starts)
     admitted = counts >= min_items
@@ -113,7 +147,6 @@ def _sessionize_rows(
     row_items = [item_objects[i] for i in kept_index.reshape(-1).tolist()]
     item_starts = np.concatenate(([0], np.cumsum(counts))).tolist()
     ends = np.append(starts[1:], n).tolist()
-    rows = order + lo
     user_table = dataset.user_table
     sessions: List[DailySession] = []
     for s in np.flatnonzero(admitted).tolist():

@@ -7,6 +7,7 @@ attributes, nested groups, ``<title>`` tooltips on marks, and file output.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 from xml.sax.saxutils import escape, quoteattr
@@ -20,8 +21,19 @@ Number = Union[int, float]
 _XML_INVALID = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
+#: Characters an attribute value cannot be written with as it is: what
+#: ``quoteattr`` escapes or picks its quote by, and what ``_sanitize`` strips.
+_NOT_VERBATIM = re.compile(r"[&<>\"'\t\n\r\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _sanitize(text: str) -> str:
     return _XML_INVALID.sub("", text)
+
+
+@lru_cache(maxsize=None)
+def _attr_name(key: str) -> str:
+    """``stroke_width`` → ``stroke-width``; the keys are the helpers' own keywords."""
+    return key.rstrip("_").replace("_", "-")
 
 
 def _fmt(value: Number) -> str:
@@ -55,11 +67,15 @@ class SvgCanvas:
         for key, value in attrs.items():
             if value is None:
                 continue
-            name = key.rstrip("_").replace("_", "-")
+            name = _attr_name(key)
             if isinstance(value, (int, float)):
                 chunks.append(f'{name}="{_fmt(value)}"')
             else:
-                chunks.append(f"{name}={quoteattr(_sanitize(str(value)))}")
+                text = str(value)
+                if _NOT_VERBATIM.search(text) is None:
+                    chunks.append(f'{name}="{text}"')
+                else:
+                    chunks.append(f"{name}={quoteattr(_sanitize(text))}")
         return " ".join(chunks)
 
     def _element(self, tag: str, attrs: Dict, tooltip: Optional[str] = None) -> None:

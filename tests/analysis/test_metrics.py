@@ -3,11 +3,13 @@
 import math
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
+    UserMobilityMetrics,
     jump_lengths_m,
     lz_entropy_estimate,
     max_predictability,
@@ -127,6 +129,74 @@ def oracle_lz_entropy_estimate(sequence):
     return (n / lambdas) * math.log2(n)
 
 
+def oracle_user_mobility_metrics(dataset, user_id):
+    """The scalar path the columns replaced: one ``GeoPoint`` per check-in,
+    ``centroid`` and ``haversine_m`` through :func:`radius_of_gyration_m` and
+    :func:`jump_lengths_m`, and venue-id strings for the entropies."""
+    records = dataset.for_user(user_id)
+    if len(records) < 2:
+        raise ValueError(f"user {user_id!r} needs at least two check-ins")
+    points = [GeoPoint(c.lat, c.lon) for c in records]
+    venues = [c.venue_id for c in records]
+    jumps = jump_lengths_m(points)
+    n_venues = len(set(venues))
+    return UserMobilityMetrics(
+        user_id=user_id,
+        n_checkins=len(records),
+        n_distinct_venues=n_venues,
+        radius_of_gyration_m=radius_of_gyration_m(points),
+        median_jump_m=float(np.median(jumps)),
+        top_location_share=visitation_frequencies(venues)[0][1],
+        s_random=random_entropy(n_venues),
+        s_uncorrelated=uncorrelated_entropy(venues),
+        s_estimated=lz_entropy_estimate(venues),
+    )
+
+
+class TestColumnsEqualTheScalarOracle:
+    """``user_mobility_metrics`` from the columns equals the scalar path, bit for bit."""
+
+    def test_every_user_of_the_small_city(self, small_ds):
+        for user_id in small_ds.user_ids():
+            assert user_mobility_metrics(small_ds, user_id) == \
+                oracle_user_mobility_metrics(small_ds, user_id)
+
+    def test_far_apart_and_repeated_points(self):
+        # Antimeridian, poles and repeats: jumps of zero, of half the globe,
+        # and a centroid far from every point.
+        spots = [(0.0, 179.9), (0.0, -179.9), (89.9, 10.0), (-89.9, -170.0), (40.7, -74.0),
+                 (40.7, -74.0), (-33.9, 151.2), (0.0, 0.0)]
+        ds = _user(spots * 3)
+        assert user_mobility_metrics(ds, "u") == oracle_user_mobility_metrics(ds, "u")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_points_over_the_globe(self, seed):
+        # Long jumps put arcsin and the squares where numpy's own kernels
+        # can round differently from ``math``'s.
+        rng = np.random.default_rng(seed)
+        spots = list(zip(rng.uniform(-90, 90, 300).tolist(), rng.uniform(-180, 180, 300).tolist()))
+        ds = _user(spots)
+        assert user_mobility_metrics(ds, "u") == oracle_user_mobility_metrics(ds, "u")
+
+    def test_served_bodies_equal_the_oracle_render(self, pipeline_result, monkeypatch):
+        from repro.web import CrowdWebApp
+
+        paths = [f"/api/metrics/{uid}" for uid in sorted(pipeline_result.profiles)]
+        served = [CrowdWebApp(pipeline_result).handle("GET", p)[2] for p in paths]
+        monkeypatch.setattr("repro.web.api.user_mobility_metrics", oracle_user_mobility_metrics)
+        oracle_app = CrowdWebApp(pipeline_result)
+        assert served == [oracle_app.handle("GET", p)[2] for p in paths]
+
+
+def _user(spots):
+    start = datetime(2012, 4, 1, tzinfo=UTC)
+    return CheckInDataset([
+        CheckIn(user_id="u", venue_id=f"v{lat}:{lon}", category_id="c", category_name="Cafe",
+                lat=lat, lon=lon, tz_offset_min=0, timestamp=start + timedelta(hours=i))
+        for i, (lat, lon) in enumerate(spots)
+    ])
+
+
 class TestServedMetrics:
     def test_bodies_equal_the_oracle_render(self, pipeline_result, monkeypatch):
         from repro.web import CrowdWebApp
@@ -173,6 +243,41 @@ class TestPredictability:
     def test_invalid(self):
         with pytest.raises(ValueError):
             max_predictability(1.0, 0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 20, 50, 137, 1000, 10**6])
+    def test_early_stop_equals_the_80_step_bisection(self, n):
+        saturated = fano_80(n, None)
+        grid = [0.0, 1e-300, 1e-12, 1e-6, 0.01, 0.1, 0.5, 0.8, 1.0, 1.5, 2.0, 3.3, 5.0,
+                saturated * (1 - 1e-12), saturated, saturated + 1.0]
+        grid += [saturated * k / 37 for k in range(1, 37)]
+        for entropy in grid:
+            assert max_predictability(entropy, n) == fano_80(n, entropy), entropy
+
+
+def fano_80(n_locations, entropy_bits):
+    """The bisection before its early stop: always 80 halvings.  With
+    ``entropy_bits=None`` it returns the entropy at which Π saturates."""
+    def fano(p):
+        h = 0.0
+        for q in (p, 1.0 - p):
+            if 0.0 < q < 1.0:
+                h -= q * math.log2(q)
+        return h + (1.0 - p) * math.log2(n_locations - 1)
+
+    lo, hi = 1.0 / n_locations, 1.0 - 1e-12
+    if entropy_bits is None:
+        return fano(lo)
+    if entropy_bits <= 0:
+        return 1.0
+    if entropy_bits >= fano(lo):
+        return lo
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        if fano(mid) > entropy_bits:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
 
 
 class TestUserMetrics:

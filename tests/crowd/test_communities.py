@@ -8,12 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crowd import (
-    Community,
-    build_similarity_graph,
-    detect_communities,
-    label_propagation,
-)
+from repro.crowd import Community, detect_communities, similarity_links
+from repro.crowd.communities import _propagate
 from repro.mining import SequentialPattern
 from repro.patterns import UserPatternProfile, pattern_set_similarity
 from repro.sequences import TimedItem
@@ -42,23 +38,51 @@ def two_cliques():
     }
 
 
+def similarity_graph(profiles, min_similarity):
+    """``similarity_links`` as a networkx graph, to compare with the oracle's."""
+    user_ids, similarity, links = similarity_links(profiles, min_similarity)
+    graph = nx.Graph()
+    graph.add_nodes_from(user_ids)
+    for i, j in zip(*np.nonzero(np.triu(links))):
+        graph.add_edge(user_ids[i], user_ids[j], weight=float(similarity[i, j]))
+    return graph
+
+
+def label_propagation(graph, max_iterations=100, seed=0):
+    """``detect_communities``' propagation run on a networkx graph's adjacency.
+
+    Nodes are ranked in sorted order; a missing ``weight`` counts 1.0.
+    """
+    nodes = sorted(graph.nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    neighbors = [np.array([index[nb] for nb in graph[node]], dtype=np.intp) for node in nodes]
+    weights = [
+        np.array([attrs.get("weight", 1.0) for attrs in graph[node].values()], dtype=float)
+        for node in nodes
+    ]
+    return dict(zip(nodes, _propagate(neighbors, weights, max_iterations, seed)))
+
+
 class TestSimilarityGraph:
     def test_structure(self, two_cliques):
-        graph = build_similarity_graph(two_cliques, min_similarity=0.3)
-        assert set(graph.nodes) == set(two_cliques)
-        assert graph.has_edge("w1", "w2")
-        assert graph.has_edge("n1", "n2")
-        assert not graph.has_edge("w1", "n1")
-        assert graph["w1"]["w2"]["weight"] == 1.0
+        user_ids, similarity, links = similarity_links(two_cliques, min_similarity=0.3)
+        assert user_ids == sorted(two_cliques)
+        at = {uid: i for i, uid in enumerate(user_ids)}
+        assert links[at["w1"], at["w2"]] and links[at["w2"], at["w1"]]
+        assert links[at["n1"], at["n2"]]
+        assert not links[at["w1"], at["n1"]]
+        assert not links.diagonal().any()
+        assert similarity[at["w1"], at["w2"]] == 1.0
 
     def test_threshold(self, two_cliques):
-        loose = build_similarity_graph(two_cliques, min_similarity=0.0)
-        tight = build_similarity_graph(two_cliques, min_similarity=0.9)
-        assert loose.number_of_edges() >= tight.number_of_edges()
+        _, _, loose = similarity_links(two_cliques, min_similarity=0.0)
+        _, _, tight = similarity_links(two_cliques, min_similarity=0.9)
+        assert loose.sum() >= tight.sum()
+        assert (loose | ~tight).all()
 
     def test_invalid_threshold(self, two_cliques):
         with pytest.raises(ValueError):
-            build_similarity_graph(two_cliques, min_similarity=1.5)
+            similarity_links(two_cliques, min_similarity=1.5)
 
 
 class TestLabelPropagation:
@@ -231,7 +255,7 @@ class TestOracleParity:
     @given(profiles=profile_sets, min_similarity=thresholds)
     @settings(max_examples=100, deadline=None)
     def test_similarity_graph_equals_oracle(self, profiles, min_similarity):
-        graph = build_similarity_graph(profiles, min_similarity)
+        graph = similarity_graph(profiles, min_similarity)
         oracle = oracle_similarity_graph(profiles, min_similarity)
         assert list(graph.nodes) == list(oracle.nodes)
         assert _edges(graph) == _edges(oracle)
@@ -272,7 +296,7 @@ class TestOracleParity:
 
     def test_zero_weight_links_at_threshold_zero(self, two_cliques):
         # At min_similarity=0 disjoint users link with weight 0.0.
-        graph = build_similarity_graph(two_cliques, min_similarity=0.0)
+        graph = similarity_graph(two_cliques, min_similarity=0.0)
         assert graph["w1"]["n1"]["weight"] == 0.0
         assert detect_communities(two_cliques, 0.0) == \
             oracle_detect_communities(two_cliques, 0.0)

@@ -1,5 +1,8 @@
 """Round-trip and error tests for dataset I/O."""
 
+import csv
+import json
+import math
 from datetime import datetime, timezone
 
 import pytest
@@ -179,6 +182,91 @@ class TestWriterParity:
         path = tmp_path / "empty.tsv"
         write_foursquare_tsv(_columns_dataset([], []), path)
         assert path.read_bytes() == b""
+
+
+def _checkin_csv(dataset: CheckInDataset, path) -> None:
+    """The CSV export written one :class:`CheckIn` at a time: the writer's reference."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["user_id", "venue_id", "category_id", "category_name", "lat", "lon",
+                         "tz_offset_min", "utc_time"])
+        for c in dataset:
+            writer.writerow([c.user_id, c.venue_id, c.category_id, c.category_name,
+                             f"{c.lat:.8f}", f"{c.lon:.8f}", c.tz_offset_min,
+                             c.timestamp.astimezone(UTC).isoformat()])
+
+
+def _checkin_jsonl(dataset: CheckInDataset, path) -> None:
+    """The JSONL lines written one :class:`CheckIn` at a time: the writer's reference."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for c in dataset:
+            fh.write(json.dumps({
+                "user_id": c.user_id, "venue_id": c.venue_id, "category_id": c.category_id,
+                "category_name": c.category_name, "lat": c.lat, "lon": c.lon,
+                "tz_offset_min": c.tz_offset_min,
+                "utc_time": c.timestamp.astimezone(UTC).isoformat(),
+            }, separators=(",", ":")) + "\n")
+
+
+def _text_dataset(time_us, tz_offset_min, texts=None, lat=None) -> CheckInDataset:
+    """One row per stamp; user, venue and category texts cycle through ``texts``."""
+    n = len(time_us)
+    texts = texts or ["v1"]
+    pick = [texts[i % len(texts)] for i in range(n)]
+    builder = StoreBuilder()
+    builder.add([f"u{i:05d}" + pick[i] for i in range(n)], pick, pick[::-1], pick,
+                time_us, tz_offset_min,
+                lat if lat is not None else [40.7 + i * 1e-5 for i in range(n)],
+                [-74.0 + i * 0.123456789 for i in range(n)])
+    return CheckInDataset.from_store(builder.build(), {}, "texts")
+
+
+#: Strings ``csv`` must quote and ``json`` must escape, and ones it must not.
+_AWKWARD_TEXTS = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "tab\there",
+                  "caf\u00e9 \u2615", "", " lead", "back\\slash", "\x00nul", "\U0001f600"]
+
+
+class TestCsvJsonlWriterParity:
+    """``write_csv`` and ``write_jsonl`` write the bytes a per-:class:`CheckIn` writer does."""
+
+    def _assert_same(self, dataset, tmp_path):
+        for write, reference in ((write_csv, _checkin_csv), (write_jsonl, _checkin_jsonl)):
+            ours, theirs = tmp_path / f"ours.{write.__name__}", tmp_path / "reference"
+            write(dataset, ours)
+            reference(dataset, theirs)
+            assert ours.read_bytes() == theirs.read_bytes(), write.__name__
+
+    @pytest.mark.parametrize("tz", [0, -240, 330, -1439, 1439])
+    def test_edge_stamps(self, tmp_path, tz):
+        self._assert_same(_text_dataset(_EDGE_STAMPS_US, [tz] * len(_EDGE_STAMPS_US)),
+                          tmp_path)
+
+    def test_years_before_1000_and_mixed_offsets(self, tmp_path):
+        stamps = [_us(1, 1, 1), _us(5, 3, 1, 1, 2, 3, 4), _us(999, 12, 31, 23, 59, 59)]
+        self._assert_same(_text_dataset(stamps, [0, -60, 60]), tmp_path)
+
+    def test_texts_that_need_quoting_or_escaping(self, tmp_path):
+        n = 3 * len(_AWKWARD_TEXTS)
+        stamps = [_us(2012, 4, 3, 18, 0, 9, i) for i in range(n)]
+        dataset = _text_dataset(stamps, [(-1) ** i * 7 * i for i in range(n)], _AWKWARD_TEXTS)
+        self._assert_same(dataset, tmp_path)
+
+    def test_non_finite_coordinates(self, tmp_path):
+        stamps = [_us(2012, 4, 3), _us(2012, 4, 4), _us(2012, 4, 5)]
+        dataset = _text_dataset(stamps, [0, 30, -30], lat=[math.nan, math.inf, -math.inf])
+        self._assert_same(dataset, tmp_path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(min_value=_us(1, 1, 1), max_value=_us(9999, 12, 31)),
+                              st.integers(min_value=-1439, max_value=1439)),
+                    min_size=1, max_size=30),
+           st.lists(st.text(max_size=6), min_size=1, max_size=4))
+    def test_random_rows(self, tmp_path_factory, rows, texts):
+        dataset = _text_dataset([t for t, _ in rows], [tz for _, tz in rows], texts)
+        self._assert_same(dataset, tmp_path_factory.mktemp("rows"))
+
+    def test_empty_dataset(self, tmp_path):
+        self._assert_same(_text_dataset([], []), tmp_path)
 
 
 class TestCsv:

@@ -10,8 +10,11 @@ from repro.geo import (
     EquirectangularProjection,
     GeoPoint,
     ScreenProjection,
+    centroid,
+    centroid_lat_lon,
     haversine_m,
     haversine_matrix_m,
+    haversine_pairs_m,
     pairwise_haversine_m,
 )
 
@@ -100,3 +103,45 @@ class TestVectorizedHaversine:
         matrix = pairwise_haversine_m(lats, lons)
         assert np.allclose(matrix, matrix.T)
         assert np.allclose(np.diag(matrix), 0.0)
+
+
+class TestBitIdenticalArrayForms:
+    """``haversine_pairs_m`` and ``centroid_lat_lon`` equal the scalar forms exactly."""
+
+    @staticmethod
+    def world(seed, n):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(-90, 90, n), rng.uniform(-180, 180, n)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pairs_equal_haversine_m(self, seed):
+        # Over the whole globe: long distances are where numpy's arcsin and
+        # squares can round differently from math's.
+        (lat1, lon1), (lat2, lon2) = self.world(seed, 20_000), self.world(seed + 100, 20_000)
+        expected = [haversine_m(*args) for args in zip(lat1.tolist(), lon1.tolist(),
+                                                      lat2.tolist(), lon2.tolist())]
+        assert haversine_pairs_m(lat1, lon1, lat2, lon2) == expected
+
+    def test_one_point_to_many(self):
+        lat, lon = self.world(7, 2_000)
+        expected = [haversine_m(40.7, -74.0, a, b) for a, b in zip(lat.tolist(), lon.tolist())]
+        assert haversine_pairs_m(40.7, -74.0, lat, lon) == expected
+
+    def test_edge_pairs(self):
+        pairs = [(0.0, 0.0, 0.0, 0.0), (90.0, 0.0, -90.0, 0.0), (0.0, 179.999, 0.0, -179.999),
+                 (0.0, 0.0, 0.0, 180.0), (40.7, -74.0, 40.7 + 1e-12, -74.0)]
+        lat1, lon1, lat2, lon2 = (np.array(column) for column in zip(*pairs))
+        assert haversine_pairs_m(lat1, lon1, lat2, lon2) == [haversine_m(*p) for p in pairs]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_centroid_equals_centroid(self, seed):
+        lat, lon = self.world(seed, 1 + 97 * seed)
+        expected = centroid(GeoPoint(a, b) for a, b in zip(lat.tolist(), lon.tolist()))
+        assert centroid_lat_lon(lat, lon) == (expected.lat, expected.lon)
+
+    def test_centroid_of_nothing_raises_and_of_antipodes_equals(self):
+        with pytest.raises(ValueError, match="empty"):
+            centroid_lat_lon(np.zeros(0), np.zeros(0))
+        expected = centroid([GeoPoint(0.0, 0.0), GeoPoint(0.0, 180.0)])
+        assert centroid_lat_lon(np.zeros(2), np.array([0.0, 180.0])) == \
+            (expected.lat, expected.lon)

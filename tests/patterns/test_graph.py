@@ -1,28 +1,24 @@
 """Tests for place graphs."""
 
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import CheckIn, CheckInDataset
-from repro.mining import SequentialPattern
-from repro.patterns import (
-    UserPatternProfile,
-    build_pattern_graph,
-    build_place_graph,
-    place_importance,
-    top_transitions,
-)
-from repro.sequences import TimedItem, make_labeler
+from repro.patterns import PlaceGraph, build_place_graph
+from repro.sequences import HOURLY, TWO_HOURLY, make_labeler, sessionize_user
 from repro.taxonomy import AbstractionLevel
 
 UTC = timezone.utc
 
 
-def checkin(user, day, hour, cat):
+def checkin(user, day, hour, cat, tz=0, venue=None):
     return CheckIn(
-        user_id=user, venue_id=f"v-{cat}", category_id="", category_name=cat,
-        lat=40.7, lon=-74.0, tz_offset_min=0,
+        user_id=user, venue_id=venue or f"v-{cat}", category_id="", category_name=cat,
+        lat=40.7, lon=-74.0, tz_offset_min=tz,
         timestamp=datetime(2012, 4, day, hour, 0, 0, tzinfo=UTC),
     )
 
@@ -43,15 +39,14 @@ def crafted_graph(taxonomy):
 
 class TestPlaceGraph:
     def test_nodes_and_visits(self, crafted_graph):
-        assert set(crafted_graph.nodes) == {"Residence", "Work", "Eatery"}
-        assert crafted_graph.nodes["Residence"]["visits"] == 3
-        assert crafted_graph.nodes["Work"]["visits"] == 2
+        assert crafted_graph.nodes == (("Residence", 3), ("Work", 2), ("Eatery", 3))
 
     def test_edge_weights_and_days(self, crafted_graph):
-        assert crafted_graph["Residence"]["Work"]["weight"] == 2
-        assert crafted_graph["Residence"]["Work"]["days"] == 2
-        assert crafted_graph["Residence"]["Eatery"]["weight"] == 1
-        assert crafted_graph["Work"]["Eatery"]["weight"] == 2
+        assert crafted_graph.edges == (
+            ("Residence", "Work", 2, 2),
+            ("Residence", "Eatery", 1, 1),
+            ("Work", "Eatery", 2, 2),
+        )
 
     def test_self_loops_excluded(self, taxonomy):
         ds = CheckInDataset([
@@ -60,58 +55,86 @@ class TestPlaceGraph:
         ])
         labeler = make_labeler(taxonomy, AbstractionLevel.ROOT)
         graph = build_place_graph(ds, "u", labeler)
-        assert graph.number_of_edges() == 0
-
-    def test_top_transitions(self, crafted_graph):
-        transitions = top_transitions(crafted_graph, k=2)
-        assert transitions[0][:2] in {("Residence", "Work"), ("Work", "Eatery")}
-        assert transitions[0][2] == 2
-
-    def test_place_importance_sums_to_one(self, crafted_graph):
-        importance = place_importance(crafted_graph)
-        assert sum(importance.values()) == pytest.approx(1.0)
-        assert importance["Eatery"] > importance["Residence"]  # sink of all paths
-
-    def test_importance_edgeless_graph(self, taxonomy):
-        ds = CheckInDataset([checkin("u", 1, 8, "Thai Restaurant")])
-        labeler = make_labeler(taxonomy, AbstractionLevel.ROOT)
-        graph = build_place_graph(ds, "u", labeler)
-        assert place_importance(graph) == {"Eatery": 1.0}
+        assert graph.nodes == (("Eatery", 2),)
+        assert graph.edges == ()
 
     def test_empty_user(self, taxonomy):
         ds = CheckInDataset([checkin("u", 1, 8, "Thai Restaurant")])
         labeler = make_labeler(taxonomy, AbstractionLevel.ROOT)
-        graph = build_place_graph(ds, "ghost", labeler)
-        assert graph.number_of_nodes() == 0
-        assert place_importance(graph) == {}
+        assert build_place_graph(ds, "ghost", labeler) == PlaceGraph("ghost", (), ())
 
 
-class TestPatternGraph:
-    def test_from_patterns(self):
-        profile = UserPatternProfile(
-            user_id="u",
-            patterns=(
-                SequentialPattern(items=(TimedItem(9, "Work"), TimedItem(12, "Eatery")),
-                                  count=30, support=0.6),
-                SequentialPattern(items=(TimedItem(12, "Eatery"),), count=40, support=0.8),
-            ),
-            n_days=50,
-        )
-        graph = build_pattern_graph(profile)
-        assert set(graph.nodes) == {"Work", "Eatery"}
-        assert graph.nodes["Eatery"]["support"] == pytest.approx(0.8)
-        assert graph.nodes["Eatery"]["bins"] == [12]
-        assert graph["Work"]["Eatery"]["weight"] == pytest.approx(0.6)
+# ------------------------------------------------------------------ oracle
+#
+# The networkx builder the array path replaced: one DiGraph per user over
+# its daily sessions.  The array path must give the same nodes and edges in
+# the order networkx iterates them.
 
-    def test_same_label_edges_skipped(self):
-        profile = UserPatternProfile(
-            user_id="u",
-            patterns=(
-                SequentialPattern(items=(TimedItem(9, "Eatery"), TimedItem(12, "Eatery")),
-                                  count=5, support=0.5),
-            ),
-            n_days=10,
-        )
-        graph = build_pattern_graph(profile)
-        assert graph.number_of_edges() == 0
-        assert graph.nodes["Eatery"]["bins"] == [9, 12]
+
+def oracle_place_graph(dataset, user_id, labeler, binning=HOURLY):
+    graph = nx.DiGraph(user_id=user_id)
+    for session in sessionize_user(dataset, user_id, labeler, binning):
+        labels = [item.label for item in session.items]
+        for label in labels:
+            if graph.has_node(label):
+                graph.nodes[label]["visits"] += 1
+            else:
+                graph.add_node(label, visits=1)
+        for src, dst in zip(labels, labels[1:]):
+            if src == dst:
+                continue
+            if graph.has_edge(src, dst):
+                graph[src][dst]["weight"] += 1
+                graph[src][dst]["day_set"].add(session.day)
+            else:
+                graph.add_edge(src, dst, weight=1, day_set={session.day})
+    return PlaceGraph(
+        user_id,
+        tuple((node, attrs["visits"]) for node, attrs in graph.nodes(data=True)),
+        tuple((u, v, attrs["weight"], len(attrs["day_set"]))
+              for u, v, attrs in graph.edges(data=True)),
+    )
+
+
+#: Few categories over several levels, so labels repeat, merge and tie.
+_CATEGORIES = ["Home (private)", "Corporate Office", "Thai Restaurant", "Chinese Restaurant",
+               "Gym", "Coffee Shop", "Bar"]
+
+random_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b"]),  # user
+        st.integers(min_value=0, max_value=3 * 24 * 60),  # minutes from the first midnight
+        st.sampled_from(_CATEGORIES),
+        st.sampled_from([0, -300, 330]),  # tz offset: local days differ from UTC days
+        st.integers(min_value=0, max_value=2),  # venue variant of the category
+    ),
+    max_size=40,
+)
+
+
+class TestOracleParity:
+    """``build_place_graph`` equals the networkx builder, order included."""
+
+    @pytest.mark.parametrize("level", list(AbstractionLevel))
+    def test_every_user_of_the_small_city(self, small_ds, taxonomy, level):
+        labeler = make_labeler(taxonomy, level)
+        for user_id in small_ds.user_ids():
+            assert build_place_graph(small_ds, user_id, labeler) == \
+                oracle_place_graph(small_ds, user_id, labeler)
+
+    @given(rows=random_rows,
+           level=st.sampled_from(list(AbstractionLevel)),
+           binning=st.sampled_from([HOURLY, TWO_HOURLY]))
+    @settings(max_examples=150, deadline=None)
+    def test_random_rows(self, taxonomy, rows, level, binning):
+        start = datetime(2012, 4, 1, tzinfo=UTC)
+        ds = CheckInDataset([
+            CheckIn(user_id=user, venue_id=f"v-{cat}-{variant}", category_id="",
+                    category_name=cat, lat=40.7, lon=-74.0, tz_offset_min=tz,
+                    timestamp=start + timedelta(minutes=minute))
+            for user, minute, cat, tz, variant in rows
+        ])
+        labeler = make_labeler(taxonomy, level)
+        for user_id in ("a", "b"):
+            assert build_place_graph(ds, user_id, labeler, binning) == \
+                oracle_place_graph(ds, user_id, labeler, binning)

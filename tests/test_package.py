@@ -33,6 +33,12 @@ class TestLazyRoot:
         )
         assert out.strip() == "[]"
 
+    @pytest.mark.parametrize("module", ["repro.web", "repro.cli.main"])
+    def test_the_served_process_never_imports_networkx(self, module):
+        # networkx is a test dependency only: serving and the CLI run without it.
+        out = _run(f"import sys, {module}\nprint('networkx' in sys.modules)\n")
+        assert out.strip() == "False"
+
     def test_every_exported_name_resolves_from_a_cold_start(self):
         out = _run(
             "import repro\n"

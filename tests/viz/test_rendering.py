@@ -2,10 +2,9 @@
 
 import xml.dom.minidom
 
-import networkx as nx
 import pytest
 
-from repro.patterns import build_place_graph
+from repro.patterns import PlaceGraph, build_place_graph
 from repro.sequences import make_labeler
 from repro.taxonomy import AbstractionLevel
 from repro.viz import (
@@ -62,21 +61,21 @@ class TestPlaceGraphRendering:
         graph = build_place_graph(pipeline_result.dataset, uid, labeler)
         svg = render_place_graph(graph)
         doc = parse(svg)
-        assert len(doc.getElementsByTagName("circle")) == graph.number_of_nodes()
+        assert len(doc.getElementsByTagName("circle")) == len(graph.nodes)
 
     def test_empty_graph_placeholder(self):
-        svg = render_place_graph(nx.DiGraph(user_id="ghost"))
+        svg = render_place_graph(PlaceGraph("ghost", (), ()))
         assert "no places visited" in svg
+        assert "user ghost" in svg
 
     def test_deterministic_layout(self, pipeline_result, taxonomy):
         uid = sorted(pipeline_result.profiles)[0]
         labeler = make_labeler(taxonomy, AbstractionLevel.ROOT)
         graph = build_place_graph(pipeline_result.dataset, uid, labeler)
         assert render_place_graph(graph) == render_place_graph(graph)
-        # Positions follow the sorted labels, not the graph's insertion order.
-        shuffled = nx.DiGraph(**graph.graph)
-        shuffled.add_nodes_from(reversed(list(graph.nodes(data=True))))
-        shuffled.add_edges_from(graph.edges(data=True))
+        # Positions follow the sorted labels, not the graph's node order.
+        shuffled = PlaceGraph(graph.user_id, graph.nodes[::-1], graph.edges)
+        assert shuffled.nodes != graph.nodes
 
         def circles(svg):
             return sorted(

@@ -4,8 +4,13 @@ import xml.dom.minidom
 
 import pytest
 
+from xml.sax.saxutils import quoteattr
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.viz import SvgCanvas
-from repro.viz.svg import _sanitize
+from repro.viz.svg import _fmt, _sanitize
 
 
 def parse(svg: str):
@@ -134,3 +139,38 @@ class TestSanitize:
     def test_mixed_text_matches_the_spec(self):
         text = "".join(self.EDGES) * 3 + "Café → Park"
         assert _sanitize(text) == per_character_sanitize(text)
+
+
+def quoteattr_attrs(attrs):
+    """Every string attribute through ``quoteattr``: the writer's reference."""
+    chunks = []
+    for key, value in attrs.items():
+        if value is None:
+            continue
+        name = key.rstrip("_").replace("_", "-")
+        if isinstance(value, (int, float)):
+            chunks.append(f'{name}="{_fmt(value)}"')
+        else:
+            chunks.append(f"{name}={quoteattr(_sanitize(str(value)))}")
+    return " ".join(chunks)
+
+
+class TestAttributes:
+    """A value with nothing to escape or strip is written as it is, the rest as before."""
+
+    VALUES = ["#2a78d6", "system-ui, sans-serif", "rotate(-90 12 30)", "", "Café → Park",
+              "a&b", "a<b", "a>b", 'say "hi"', "it's", "both \" and '", "tab\there",
+              "new\nline", "cr\rhere", "nul\x00", "\ud800", "\ufffe", "\uffff", "\U0001f600",
+              0, 1, -3, 2.5, 0.125, 1e-9, True, None]
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    def test_each_value_equals_quoteattr(self, value):
+        attrs = {"fill": value, "stroke_width": value, "class_": value}
+        assert SvgCanvas(1, 1)._attrs(attrs) == quoteattr_attrs(attrs)
+
+    @given(st.dictionaries(st.sampled_from(["x", "fill", "font_family", "text_anchor", "d"]),
+                           st.one_of(st.text(max_size=12), st.integers(), st.floats(),
+                                     st.none())))
+    @settings(max_examples=200, deadline=None)
+    def test_random_attributes_equal_quoteattr(self, attrs):
+        assert SvgCanvas(1, 1)._attrs(attrs) == quoteattr_attrs(attrs)

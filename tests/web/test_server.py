@@ -513,6 +513,18 @@ class TestUserPageGolden:
         assert re.findall(r"<title>(.*?)</title>", text) == self.TOOLTIPS
         assert hashlib.sha256(body).hexdigest() == self.SHA256
 
+    def test_each_refresh_renders_once_more(self, pipeline_result):
+        from repro.obs import observed
+
+        app = CrowdWebApp(pipeline_result)
+        with observed() as o:
+            for expected in (1, 2, 3):
+                first = app.handle("GET", "/user/u0006")
+                assert first[0] == 200
+                assert app.handle("GET", "/user/u0006")[2] == first[2]
+                assert o.registry.counter("repro_web_renders_total") == expected
+                app.handle("POST", "/api/refresh")
+
 
 class TestWarmCapacity:
     """Warm never outgrows the cache and keeps the hottest keys resident."""
