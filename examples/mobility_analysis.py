@@ -18,7 +18,7 @@ from repro.analysis import (
     user_mobility_metrics,
     visitation_frequencies,
 )
-from repro.viz import BarChart, Histogram, HtmlReport, LineChart
+from repro.viz import Histogram, HtmlReport, LineChart
 
 dataset = small_dataset()
 user_ids = [uid for uid in dataset.user_ids() if len(dataset.for_user(uid)) >= 30]

@@ -2,7 +2,6 @@
 motivation rests on (Gonzalez et al. 2008; Song et al. 2010)."""
 
 from .metrics import (
-    fit_zipf_exponent,
     UserMobilityMetrics,
     jump_lengths_m,
     lz_entropy_estimate,
@@ -16,7 +15,6 @@ from .metrics import (
 )
 
 __all__ = [
-    "fit_zipf_exponent",
     "UserMobilityMetrics",
     "jump_lengths_m",
     "lz_entropy_estimate",

@@ -33,7 +33,6 @@ __all__ = [
     "lz_entropy_estimate",
     "UserMobilityMetrics",
     "user_mobility_metrics",
-    "fit_zipf_exponent",
     "max_predictability",
 ]
 
@@ -211,22 +210,3 @@ def user_mobility_metrics(dataset: CheckInDataset, user_id: str) -> UserMobility
         s_uncorrelated=uncorrelated_entropy(venues),
         s_estimated=lz_entropy_estimate(venues),
     )
-
-
-def fit_zipf_exponent(frequencies: Sequence[Tuple[str, float]]) -> float:
-    """Fit the visitation-frequency power law f_k ∝ k^(−ζ).
-
-    Gonzalez et al. report ζ ≈ 1.2 for the visitation Zipf profile.  The
-    exponent is the negated slope of a log-log least-squares fit over the
-    ranked shares; needs at least three ranked locations.
-    """
-    if len(frequencies) < 3:
-        raise ValueError("need at least three ranked locations to fit")
-    from scipy.stats import linregress
-
-    ranks = np.log(np.arange(1, len(frequencies) + 1, dtype=float))
-    shares = np.array([share for _, share in frequencies], dtype=float)
-    if np.any(shares <= 0):
-        raise ValueError("shares must be positive")
-    result = linregress(ranks, np.log(shares))
-    return float(-result.slope)

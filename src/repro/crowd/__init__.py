@@ -2,13 +2,13 @@
 
 from .aggregate import CrowdAggregator, CrowdTimeline
 from .animation import AnimatedDot, AnimationFrame, build_animation
-from .anomaly import CellSpike, daily_cell_counts, detect_spikes
+from .anomaly import CellSpike, detect_spikes
 from .communities import Community, detect_communities, similarity_links
-from .flows import Flow, flow_matrix, timeline_flows, window_flows
+from .flows import Flow, timeline_flows, window_flows
 from .forecast import ForecastEvaluation, evaluate_crowd_forecast, observed_occupancy
 from .snapshot import CrowdGroup, CrowdSnapshot
-from .sync import UserPlacement, VisitIndex, place_user, place_user_at_bins
-from .windows import TimeWindow, rescale, windows_for
+from .sync import UserPlacement, VisitIndex, place_user
+from .windows import TimeWindow, windows_for
 
 __all__ = [
     "AnimatedDot",
@@ -25,15 +25,11 @@ __all__ = [
     "UserPlacement",
     "VisitIndex",
     "build_animation",
-    "daily_cell_counts",
     "detect_communities",
     "detect_spikes",
     "evaluate_crowd_forecast",
-    "flow_matrix",
     "observed_occupancy",
     "place_user",
-    "place_user_at_bins",
-    "rescale",
     "similarity_links",
     "timeline_flows",
     "window_flows",

@@ -18,7 +18,7 @@ import numpy as np
 from ..data.records import CheckInDataset, day_date
 from ..geo import CellIndex, MicrocellGrid
 
-__all__ = ["CellSpike", "daily_cell_counts", "detect_spikes"]
+__all__ = ["CellSpike", "detect_spikes"]
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,6 @@ def _cell_day_counts(
         counts.setdefault((row, col), {})[day] = count
         users[((row, col), day)] = n
     return counts, users
-
-
-def daily_cell_counts(
-    dataset: CheckInDataset, grid: MicrocellGrid
-) -> Dict[CellIndex, Dict[date, int]]:
-    """Check-ins per microcell per local day, cells and days in order."""
-    return _cell_day_counts(dataset, grid)[0]
 
 
 def detect_spikes(

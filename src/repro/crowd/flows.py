@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..geo import CellIndex
 from .aggregate import CrowdTimeline
 from .snapshot import CrowdSnapshot
 
-__all__ = ["Flow", "window_flows", "timeline_flows", "flow_matrix"]
+__all__ = ["Flow", "window_flows", "timeline_flows"]
 
 
 @dataclass(frozen=True)
@@ -69,13 +69,3 @@ def timeline_flows(timeline: CrowdTimeline, include_stays: bool = False) -> List
     return [
         window_flows(a, b, include_stays) for a, b in zip(snaps, snaps[1:])
     ]
-
-
-def flow_matrix(flows: Sequence[Flow]) -> Dict[CellIndex, Dict[CellIndex, int]]:
-    """Nested OD counts: matrix[origin][destination] = moving users."""
-    matrix: Dict[CellIndex, Dict[CellIndex, int]] = {}
-    for f in flows:
-        matrix.setdefault(f.origin, {})[f.destination] = (
-            matrix.get(f.origin, {}).get(f.destination, 0) + f.size
-        )
-    return matrix

@@ -170,9 +170,9 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 def _spearman(a: np.ndarray, b: np.ndarray) -> float:
     """Spearman rank correlation, 0.0 for degenerate input.
 
-    Pearson correlation of average ranks, as ``scipy.stats.spearmanr``
-    computes it, without paying the ``scipy.stats`` import on every cold
-    start.
+    Pearson correlation of average ranks (ties share their mean rank);
+    ``tests/crowd/test_forecast.py`` checks it against the reference
+    ``spearmanr``.
     """
     if len(a) < 3 or np.all(a == a[0]) or np.all(b == b[0]):
         return 0.0

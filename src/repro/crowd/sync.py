@@ -13,7 +13,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from ..patterns import UserPatternProfile
 from ..sequences import TimeBinning, HOURLY
 from ..taxonomy import CategoryTree, UnknownCategoryError
 
-__all__ = ["UserPlacement", "VisitIndex", "place_user", "place_user_at_bins"]
+__all__ = ["UserPlacement", "VisitIndex", "place_user"]
 
 
 @dataclass(frozen=True)
@@ -204,20 +204,3 @@ def place_user(
                 n_evidence=len(evidence),
             )
     return best
-
-
-def place_user_at_bins(
-    profile: UserPatternProfile,
-    index: VisitIndex,
-    bins: Sequence[int],
-    pattern_tolerance: int = 0,
-    evidence_tolerance: int = 1,
-    min_support: float = 0.0,
-) -> Dict[int, UserPlacement]:
-    """Placements for every bin where the user's routine says something."""
-    out: Dict[int, UserPlacement] = {}
-    for b in bins:
-        placement = place_user(profile, index, b, pattern_tolerance, evidence_tolerance, min_support)
-        if placement is not None:
-            out[b] = placement
-    return out

@@ -1,19 +1,19 @@
 """Time windows for the city-scale crowd view.
 
 The crowd view steps through windows like "9–10 am" (Figs. 3–4).  Windows
-are just labeled spans of time bins; :func:`rescale` implements the paper's
-future-work feature of letting the operator scale the time frame (e.g. from
-hourly to 3-hour windows) without re-mining anything.
+are just labeled spans of time bins; :func:`windows_for`'s ``bins_per_window``
+implements the paper's future-work feature of letting the operator scale the
+time frame (e.g. from hourly to 3-hour windows) without re-mining anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Tuple
 
 from ..sequences import TimeBinning
 
-__all__ = ["TimeWindow", "windows_for", "rescale"]
+__all__ = ["TimeWindow", "windows_for"]
 
 
 @dataclass(frozen=True)
@@ -71,20 +71,3 @@ def windows_for(binning: TimeBinning, bins_per_window: int = 1) -> List[TimeWind
         TimeWindow(start, start + bins_per_window, binning)
         for start in range(0, binning.n_bins, bins_per_window)
     ]
-
-
-def rescale(windows: Sequence[TimeWindow], factor: int) -> List[TimeWindow]:
-    """Merge consecutive windows ``factor`` at a time (the time-frame scaling
-    feature).  ``len(windows)`` must be divisible by ``factor``."""
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    if len(windows) % factor != 0:
-        raise ValueError(f"cannot merge {len(windows)} windows in groups of {factor}")
-    merged = []
-    for i in range(0, len(windows), factor):
-        group = windows[i:i + factor]
-        first, last = group[0], group[-1]
-        if any(a.end_bin != b.start_bin for a, b in zip(group, group[1:])):
-            raise ValueError("windows must be consecutive to merge")
-        merged.append(TimeWindow(first.start_bin, last.end_bin, first.binning))
-    return merged

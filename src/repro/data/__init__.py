@@ -16,16 +16,13 @@ from .preprocess import (
     densest_window,
     filter_active_users,
     preprocess,
-    select_densest_window,
 )
 from .quality import QualityIssue, QualityReport, Severity, audit_dataset
 from .records import CheckIn, CheckInColumns, CheckInDataset, Venue
 from .stats import (
     DatasetStats,
-    active_days_per_user,
     dataset_stats,
     monthly_counts,
-    records_per_user_histogram,
 )
 from .synth import (
     PAPER_CONFIG,
@@ -54,7 +51,6 @@ __all__ = [
     "Severity",
     "SynthConfig",
     "Venue",
-    "active_days_per_user",
     "audit_dataset",
     "dataset_stats",
     "densest_window",
@@ -66,9 +62,7 @@ __all__ = [
     "read_csv",
     "read_foursquare_tsv",
     "read_jsonl",
-    "records_per_user_histogram",
     "save_dataset",
-    "select_densest_window",
     "small_dataset",
     "synthetic_dataset",
     "write_csv",

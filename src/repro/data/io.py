@@ -172,7 +172,7 @@ def _parse_chunk(path: Path, first_lineno: int, lines: List[str],
         tabs = np.fromiter(map(str.count, records, repeat("\t")), dtype=np.int64, count=n)
         if (tabs != 7).any():
             raise ValueError("field count")
-        fields = "\t".join(records).split("\t")
+        fields = "\t".join(records).split("\t") if records else []
         lat = np.fromiter(map(float, fields[4::8]), dtype=np.float64, count=n)
         lon = np.fromiter(map(float, fields[5::8]), dtype=np.float64, count=n)
         tz = np.fromiter(map(int, fields[6::8]), dtype=np.int64, count=n)

@@ -25,7 +25,6 @@ from .stats import monthly_counts
 
 __all__ = [
     "densest_window",
-    "select_densest_window",
     "ActiveUserFilter",
     "filter_active_users",
     "preprocess",
@@ -70,14 +69,6 @@ def densest_window(dataset: CheckInDataset, months: int = 3) -> Tuple[datetime, 
     start = _month_start(keys[best_i])
     end = _month_start(keys[best_i + span - 1])
     return start, _month_after(end)
-
-
-def select_densest_window(dataset: CheckInDataset, months: int = 3) -> CheckInDataset:
-    """Restrict the dataset to its densest consecutive ``months``-month window."""
-    start, end = densest_window(dataset, months)
-    return dataset.filter_time(start, end).with_name(
-        f"{dataset.name}/densest-{months}mo"
-    )
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ computes all of it for any :class:`~repro.data.records.CheckInDataset`.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Dict, List, Mapping, Tuple
@@ -20,10 +19,8 @@ from .records import CheckInDataset
 
 __all__ = [
     "DatasetStats",
-    "active_days_per_user",
     "dataset_stats",
     "monthly_counts",
-    "records_per_user_histogram",
 ]
 
 
@@ -115,22 +112,3 @@ def monthly_counts(dataset: CheckInDataset) -> Dict[str, int]:
     values, counts = np.unique(months.astype(np.int64), return_counts=True)
     return {f"{1970 + m // 12:04d}-{m % 12 + 1:02d}": n
             for m, n in zip(values.tolist(), counts.tolist())}
-
-
-def records_per_user_histogram(dataset: CheckInDataset, bin_width: int = 50) -> Dict[str, int]:
-    """Histogram of per-user record counts, keyed ``"lo-hi"`` in count order."""
-    if bin_width < 1:
-        raise ValueError("bin_width must be >= 1")
-    histogram: Dict[str, int] = defaultdict(int)
-    for count in dataset.records_per_user().values():
-        lo = (count // bin_width) * bin_width
-        histogram[f"{lo}-{lo + bin_width - 1}"] += 1
-    return dict(sorted(histogram.items(), key=lambda kv: int(kv[0].split("-")[0])))
-
-
-def active_days_per_user(dataset: CheckInDataset) -> Dict[str, int]:
-    """Number of distinct local dates each user checked in on."""
-    pairs = np.unique(np.stack([dataset.columns.user.astype(np.int64), dataset.local_days()]),
-                      axis=1)
-    counts = np.bincount(pairs[0], minlength=dataset.n_users)
-    return dict(zip(dataset.user_ids(), counts.tolist()))

@@ -14,7 +14,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from ...geo import EARTH_RADIUS_M, BoundingBox, GeoPoint, QuadTree, equirectangular_m
+from ...geo import EARTH_RADIUS_M, BoundingBox, GeoPoint, equirectangular_m
 from ...taxonomy import CategoryTree, build_default_taxonomy
 from ..records import Venue
 
@@ -82,9 +82,6 @@ class SyntheticCity:
             by_root.setdefault(root, []).append(v)
         self._by_leaf = {name: _Pool.of(pool) for name, pool in by_leaf.items()}
         self._by_root = {name: _Pool.of(pool) for name, pool in by_root.items()}
-        self.index: QuadTree[Venue] = QuadTree(bbox, capacity=32)
-        for v in venues:
-            self.index.insert(v.location, v)
 
     def venues_of_leaf(self, leaf_name: str) -> List[Venue]:
         """All venues of one leaf category (empty list if none exist)."""

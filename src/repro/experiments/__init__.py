@@ -3,7 +3,6 @@
 from .ablations import (
     AblationRow,
     abstraction_ablation,
-    activity_filter_ablation,
     binning_ablation,
     cell_size_ablation,
     day_kind_ablation,
@@ -38,7 +37,6 @@ __all__ = [
     "UserValidation",
     "ValidationSummary",
     "abstraction_ablation",
-    "activity_filter_ablation",
     "binning_ablation",
     "calibration_misses",
     "cell_size_ablation",

@@ -5,7 +5,8 @@ Each function sweeps one knob and returns comparable rows:
 * abstraction level (venue / leaf / root) — the paper's core trick;
 * time-bin width (1h / 2h / 4h);
 * microcell size (crowd-view grid resolution);
-* activity-filter threshold (qualifying days).
+* day kind (all / weekday / weekend);
+* matching time tolerance.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from ..crowd import CrowdAggregator
-from ..data import ActiveUserFilter, CheckInDataset, filter_active_users
+from ..data import CheckInDataset
 from ..geo import MicrocellGrid
 from ..mining import ModifiedPrefixSpanConfig, modified_prefixspan, user_mining_stats, aggregate_stats
 from ..patterns import detect_all_patterns
@@ -26,7 +27,6 @@ __all__ = [
     "abstraction_ablation",
     "binning_ablation",
     "cell_size_ablation",
-    "activity_filter_ablation",
     "day_kind_ablation",
     "tolerance_ablation",
 ]
@@ -130,32 +130,6 @@ def cell_size_ablation(
             "largest_group": float(groups[0].size) if groups else 0.0,
             "n_groups": float(len(groups)),
         }))
-    return rows
-
-
-def activity_filter_ablation(
-    dataset: CheckInDataset,
-    taxonomy: CategoryTree,
-    binning: TimeBinning,
-    thresholds: Sequence[int] = (20, 35, 50, 65),
-    config: ModifiedPrefixSpanConfig = ModifiedPrefixSpanConfig(),
-) -> List[AblationRow]:
-    """Sensitivity of the pipeline to the >N-qualifying-days user filter.
-
-    ``dataset`` should be the densest-window (unfiltered) data.  A threshold
-    that keeps nobody reports only ``users_kept``.
-    """
-    rows = []
-    for threshold in thresholds:
-        filtered = filter_active_users(
-            dataset, ActiveUserFilter(min_qualifying_days=threshold)
-        )
-        metrics = {"users_kept": float(filtered.n_users)}
-        if filtered.n_users:
-            metrics.update(_mine_and_aggregate(
-                filtered, taxonomy, AbstractionLevel.ROOT, binning, config
-            ))
-        rows.append(AblationRow("min_qualifying_days", str(threshold), metrics))
     return rows
 
 

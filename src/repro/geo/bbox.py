@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator
 
 from .point import GeoPoint, haversine_m, validate_lat_lon
 
@@ -47,22 +47,6 @@ class BoundingBox:
             min_lon = min(min_lon, p.lon)
             max_lon = max(max_lon, p.lon)
         return cls(min_lat, min_lon, max_lat, max_lon)
-
-    @classmethod
-    def around(cls, center: GeoPoint, radius_m: float) -> "BoundingBox":
-        """A box that conservatively contains the circle of ``radius_m`` meters."""
-        if radius_m < 0:
-            raise ValueError("radius must be non-negative")
-        north = center.offset(0.0, radius_m)
-        south = center.offset(180.0, radius_m)
-        east = center.offset(90.0, radius_m)
-        west = center.offset(270.0, radius_m)
-        return cls(
-            min(south.lat, center.lat),
-            min(west.lon, center.lon),
-            max(north.lat, center.lat),
-            max(east.lon, center.lon),
-        )
 
     @property
     def center(self) -> GeoPoint:
@@ -132,17 +116,6 @@ class BoundingBox:
             max(-180.0, self.min_lon - margin_deg),
             min(90.0, self.max_lat + margin_deg),
             min(180.0, self.max_lon + margin_deg),
-        )
-
-    def quadrants(self) -> Tuple["BoundingBox", "BoundingBox", "BoundingBox", "BoundingBox"]:
-        """Split into (SW, SE, NW, NE) quadrants — used by the quadtree."""
-        mid_lat = (self.min_lat + self.max_lat) / 2.0
-        mid_lon = (self.min_lon + self.max_lon) / 2.0
-        return (
-            BoundingBox(self.min_lat, self.min_lon, mid_lat, mid_lon),
-            BoundingBox(self.min_lat, mid_lon, mid_lat, self.max_lon),
-            BoundingBox(mid_lat, self.min_lon, self.max_lat, mid_lon),
-            BoundingBox(mid_lat, mid_lon, self.max_lat, self.max_lon),
         )
 
     def corners(self) -> Iterator[GeoPoint]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Tuple
 
 __all__ = [
     "EARTH_RADIUS_M",
@@ -19,10 +19,8 @@ __all__ = [
     "equirectangular_m",
     "initial_bearing_deg",
     "destination_point",
-    "midpoint",
     "centroid",
     "normalize_lon",
-    "path_length_m",
     "validate_lat_lon",
 ]
 
@@ -143,22 +141,6 @@ def destination_point(
     return phi2 * _RAD2DEG, normalize_lon(lam2 * _RAD2DEG)
 
 
-def midpoint(a: GeoPoint, b: GeoPoint) -> GeoPoint:
-    """Great-circle midpoint of ``a`` and ``b``."""
-    phi1 = a.lat * _DEG2RAD
-    lam1 = a.lon * _DEG2RAD
-    phi2 = b.lat * _DEG2RAD
-    dlam = (b.lon - a.lon) * _DEG2RAD
-    bx = math.cos(phi2) * math.cos(dlam)
-    by = math.cos(phi2) * math.sin(dlam)
-    phi3 = math.atan2(
-        math.sin(phi1) + math.sin(phi2),
-        math.hypot(math.cos(phi1) + bx, by),
-    )
-    lam3 = lam1 + math.atan2(by, math.cos(phi1) + bx)
-    return GeoPoint(phi3 * _RAD2DEG, normalize_lon(lam3 * _RAD2DEG))
-
-
 def centroid(points: Iterable[GeoPoint]) -> GeoPoint:
     """Spherical centroid (mean of unit vectors) of a non-empty point set."""
     xs = ys = zs = 0.0
@@ -179,8 +161,3 @@ def centroid(points: Iterable[GeoPoint]) -> GeoPoint:
     if hyp == 0.0 and zs == 0.0:
         raise ValueError("centroid is degenerate (antipodal points cancel out)")
     return GeoPoint(math.atan2(zs, hyp) * _RAD2DEG, math.atan2(ys, xs) * _RAD2DEG)
-
-
-def path_length_m(points: Sequence[GeoPoint]) -> float:
-    """Total haversine length of a polyline, in meters."""
-    return sum(points[i].distance_to(points[i + 1]) for i in range(len(points) - 1))

@@ -19,9 +19,7 @@ __all__ = [
     "EquirectangularProjection",
     "ScreenProjection",
     "centroid_lat_lon",
-    "haversine_matrix_m",
     "haversine_pairs_m",
-    "pairwise_haversine_m",
 ]
 
 _DEG2RAD = math.pi / 180.0
@@ -98,24 +96,6 @@ class ScreenProjection:
         lat = self.bbox.min_lat + fy * self.bbox.lat_span
         lon = self.bbox.min_lon + fx * self.bbox.lon_span
         return lat, lon
-
-
-def haversine_matrix_m(
-    lats1: np.ndarray, lons1: np.ndarray, lats2: np.ndarray, lons2: np.ndarray
-) -> np.ndarray:
-    """Full (n, m) haversine distance matrix in meters between two point sets."""
-    phi1 = np.asarray(lats1, dtype=float)[:, None] * _DEG2RAD
-    phi2 = np.asarray(lats2, dtype=float)[None, :] * _DEG2RAD
-    dphi = phi2 - phi1
-    dlam = (np.asarray(lons2, dtype=float)[None, :] - np.asarray(lons1, dtype=float)[:, None]) * _DEG2RAD
-    a = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
-    np.clip(a, 0.0, 1.0, out=a)
-    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(a))
-
-
-def pairwise_haversine_m(lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
-    """Symmetric (n, n) haversine distance matrix of one point set."""
-    return haversine_matrix_m(lats, lons, lats, lons)
 
 
 def haversine_pairs_m(

@@ -2,17 +2,10 @@
 
 from .base import MiningLimits, SequentialPattern, sort_patterns, sorted_candidates
 from .bruteforce import bruteforce_mine
-from .filters import closed_patterns, maximal_patterns, top_k_patterns
+from .filters import closed_patterns
 from .index import MatchIndex, build_match_index
-from .interop import (
-    ItemCodec,
-    read_spmf_database,
-    read_spmf_patterns,
-    write_spmf_database,
-    write_spmf_patterns,
-)
+from .interop import ItemCodec, write_spmf_database, write_spmf_patterns
 from .modified import (
-    ExactMatcher,
     FlexibleMatcher,
     ModifiedPrefixSpanConfig,
     modified_prefixspan,
@@ -22,7 +15,6 @@ from .prefixspan import prefixspan
 from .stats import MiningAggregate, UserMiningStats, aggregate_stats, user_mining_stats
 
 __all__ = [
-    "ExactMatcher",
     "FlexibleMatcher",
     "ItemCodec",
     "MatchIndex",
@@ -35,15 +27,11 @@ __all__ = [
     "bruteforce_mine",
     "build_match_index",
     "closed_patterns",
-    "maximal_patterns",
     "modified_prefixspan",
     "modified_prefixspan_reference",
     "prefixspan",
-    "read_spmf_database",
-    "read_spmf_patterns",
     "sort_patterns",
     "sorted_candidates",
-    "top_k_patterns",
     "user_mining_stats",
     "write_spmf_database",
     "write_spmf_patterns",

@@ -1,9 +1,8 @@
-"""Post-mining pattern filters: closed and maximal pattern reduction.
+"""Post-mining pattern filter: closed pattern reduction.
 
 Frequent-pattern output is heavily redundant — every prefix of a frequent
 pattern is frequent.  The UI and the crowd aggregator work on *closed*
-patterns (no super-pattern with the same support) or *maximal* patterns
-(no frequent super-pattern at all).
+patterns (no super-pattern with the same support).
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from typing import List, Sequence, TypeVar
 
 from .base import SequentialPattern, sort_patterns
 
-__all__ = ["closed_patterns", "maximal_patterns", "top_k_patterns"]
+__all__ = ["closed_patterns"]
 
 P = TypeVar("P", bound=SequentialPattern)
 
@@ -35,23 +34,3 @@ def closed_patterns(patterns: Sequence[P]) -> List[P]:
         if not absorbed:
             kept.append(p)
     return sort_patterns(kept)
-
-
-def maximal_patterns(patterns: Sequence[P]) -> List[P]:
-    """Keep patterns with no (frequent) super-pattern in the result set."""
-    kept: List[P] = []
-    for p in patterns:
-        dominated = any(
-            q is not p and len(q.items) > len(p.items) and p.is_subpattern_of(q)
-            for q in patterns
-        )
-        if not dominated:
-            kept.append(p)
-    return sort_patterns(kept)
-
-
-def top_k_patterns(patterns: Sequence[P], k: int) -> List[P]:
-    """The ``k`` best patterns in canonical order (support, then length)."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    return sort_patterns(patterns)[:k]

@@ -3,9 +3,9 @@
 `SPMF <https://www.philippe-fournier-viger.com/spmf/>`_ is the de-facto
 toolbox for sequential-pattern mining; its text format (items as integers,
 ``-1`` closes an itemset, ``-2`` closes a sequence) is the lingua franca of
-the field.  These functions let CrowdWeb databases round-trip through SPMF
-(e.g. to cross-check the miners against SPMF's PrefixSpan) and let SPMF
-output be loaded back as :class:`SequentialPattern` objects.
+the field.  These functions write a CrowdWeb database and its mined
+patterns in that format (``crowdweb export-spmf``), e.g. to cross-check the
+miners against SPMF's PrefixSpan.
 
 Items here are atomic, so every itemset holds exactly one item.
 """
@@ -13,24 +13,22 @@ Items here are atomic, so every itemset holds exactly one item.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Hashable, List, Sequence, Tuple, TypeVar, Union
+from typing import Dict, Hashable, List, Sequence, TypeVar, Union
 
-from ..sequences import SequenceDatabase, TimedItem
+from ..sequences import SequenceDatabase
 from .base import SequentialPattern, sort_patterns
 
 __all__ = [
     "ItemCodec",
     "write_spmf_database",
-    "read_spmf_database",
     "write_spmf_patterns",
-    "read_spmf_patterns",
 ]
 
 Item = TypeVar("Item", bound=Hashable)
 
 
 class ItemCodec:
-    """Stable bidirectional mapping between items and SPMF integer ids.
+    """Stable mapping from items to SPMF integer ids.
 
     Ids start at 1 (SPMF reserves non-positive integers as separators) and
     are assigned in sorted-repr order, so the same database always produces
@@ -40,7 +38,6 @@ class ItemCodec:
     def __init__(self, items: Sequence[Item]) -> None:
         ordered = sorted(set(items), key=repr)
         self._to_id: Dict[Item, int] = {item: i + 1 for i, item in enumerate(ordered)}
-        self._from_id: Dict[int, Item] = {i: item for item, i in self._to_id.items()}
 
     @classmethod
     def for_database(cls, db: SequenceDatabase) -> "ItemCodec":
@@ -52,12 +49,6 @@ class ItemCodec:
         except KeyError:
             raise KeyError(f"item {item!r} not in codec") from None
 
-    def decode(self, item_id: int) -> Item:
-        try:
-            return self._from_id[item_id]
-        except KeyError:
-            raise KeyError(f"id {item_id} not in codec") from None
-
     def __len__(self) -> int:
         return len(self._to_id)
 
@@ -66,7 +57,7 @@ class ItemCodec:
 
     def mapping_lines(self) -> List[str]:
         """Human-readable ``id<TAB>repr(item)`` lines (the sidecar format)."""
-        return [f"{i}\t{self._from_id[i]!r}" for i in sorted(self._from_id)]
+        return [f"{i}\t{item!r}" for item, i in self._to_id.items()]
 
 
 def write_spmf_database(
@@ -93,35 +84,6 @@ def write_spmf_database(
     return codec
 
 
-def read_spmf_database(path: Union[str, Path]) -> SequenceDatabase[int]:
-    """Load an SPMF sequence file as a database of integer items.
-
-    Multi-item itemsets are flattened in file order (this library's items
-    are atomic).  Malformed tokens raise :class:`ValueError` with location.
-    """
-    path = Path(path)
-    sequences: List[List[int]] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith(("#", "@")):
-            continue
-        seq: List[int] = []
-        for token in line.split():
-            try:
-                value = int(token)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad token {token!r}") from None
-            if value == -1:
-                continue
-            if value == -2:
-                break
-            if value <= 0:
-                raise ValueError(f"{path}:{lineno}: invalid item id {value}")
-            seq.append(value)
-        sequences.append(seq)
-    return SequenceDatabase(sequences, name=path.stem)
-
-
 def write_spmf_patterns(
     patterns: Sequence[SequentialPattern],
     codec: ItemCodec,
@@ -134,35 +96,3 @@ def write_spmf_patterns(
         ids = " -1 ".join(str(codec.encode(item)) for item in p.items)
         lines.append(f"{ids} -1 #SUP: {p.count}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_spmf_patterns(
-    path: Union[str, Path], codec: ItemCodec, n_sequences: int
-) -> List[SequentialPattern]:
-    """Load SPMF pattern output back into :class:`SequentialPattern`s.
-
-    ``n_sequences`` supplies the denominator for relative support.
-    """
-    if n_sequences < 1:
-        raise ValueError("n_sequences must be >= 1")
-    path = Path(path)
-    patterns: List[SequentialPattern] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        if "#SUP:" not in line:
-            raise ValueError(f"{path}:{lineno}: missing #SUP: marker")
-        items_part, support_part = line.split("#SUP:", 1)
-        try:
-            count = int(support_part.strip())
-            ids = [int(tok) for tok in items_part.split() if tok != "-1"]
-            items = tuple(codec.decode(i) for i in ids)
-        except (ValueError, KeyError) as exc:
-            raise ValueError(f"{path}:{lineno}: malformed pattern line: {exc}") from exc
-        if not items:
-            raise ValueError(f"{path}:{lineno}: empty pattern")
-        patterns.append(
-            SequentialPattern(items=items, count=count, support=count / n_sequences)
-        )
-    return sort_patterns(patterns)

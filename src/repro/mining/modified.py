@@ -33,22 +33,11 @@ from .base import MiningLimits, SequentialPattern, candidate_sort_key, sort_patt
 from .index import build_match_index
 
 __all__ = [
-    "ExactMatcher",
     "FlexibleMatcher",
     "ModifiedPrefixSpanConfig",
     "modified_prefixspan",
     "modified_prefixspan_reference",
 ]
-
-
-class ExactMatcher:
-    """Degenerate matcher: the modified algorithm collapses to PrefixSpan."""
-
-    def candidates_for(self, item: TimedItem) -> Iterable[TimedItem]:
-        return (item,)
-
-    def matches(self, pattern_item: TimedItem, item: TimedItem) -> bool:
-        return pattern_item == item
 
 
 class FlexibleMatcher:

@@ -7,7 +7,6 @@ from .similarity import (
     jaccard_similarity,
     pattern_set_similarity,
     profile_similarity_matrix,
-    sequence_edit_similarity,
 )
 from .summarize import describe_pattern, summarize_profile
 
@@ -24,6 +23,5 @@ __all__ = [
     "jaccard_similarity",
     "pattern_set_similarity",
     "profile_similarity_matrix",
-    "sequence_edit_similarity",
     "summarize_profile",
 ]

@@ -8,7 +8,7 @@ similarity).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Set, Tuple
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .model import UserPatternProfile
 __all__ = [
     "jaccard_similarity",
     "pattern_set_similarity",
-    "sequence_edit_similarity",
     "profile_similarity_matrix",
 ]
 
@@ -41,23 +40,6 @@ def pattern_set_similarity(p1: UserPatternProfile, p2: UserPatternProfile) -> fl
     items1 = {item for p in p1.patterns for item in p.items}
     items2 = {item for p in p2.patterns for item in p.items}
     return jaccard_similarity(items1, items2)
-
-
-def sequence_edit_similarity(a: Sequence[TimedItem], b: Sequence[TimedItem]) -> float:
-    """Normalized Levenshtein similarity of two item sequences in [0, 1]."""
-    if not a and not b:
-        return 1.0
-    n, m = len(a), len(b)
-    # Classic DP over a rolling row.
-    previous = list(range(m + 1))
-    for i in range(1, n + 1):
-        current = [i] + [0] * m
-        for j in range(1, m + 1):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            current[j] = min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
-        previous = current
-    distance = previous[m]
-    return 1.0 - distance / max(n, m)
 
 
 def profile_similarity_matrix(

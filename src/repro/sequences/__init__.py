@@ -6,7 +6,7 @@ from .database import (
     build_user_database,
     is_subsequence,
 )
-from .items import Labeler, PlaceRef, TimedItem, item_formatter, make_labeler
+from .items import Labeler, PlaceRef, TimedItem, make_labeler
 from .sessions import DailySession, sessionize_dataset, sessionize_user
 from .staypoints import Fix, StayPoint, detect_stay_points
 from .timebins import FOUR_HOURLY, HOURLY, TWO_HOURLY, TimeBinning
@@ -29,7 +29,6 @@ __all__ = [
     "build_user_database",
     "detect_stay_points",
     "is_subsequence",
-    "item_formatter",
     "make_labeler",
     "sessionize_dataset",
     "sessionize_user",

@@ -14,7 +14,7 @@ from ..data.records import CheckIn
 from ..taxonomy import AbstractionLevel, CategoryTree, UnknownCategoryError
 from .timebins import TimeBinning
 
-__all__ = ["TimedItem", "PlaceRef", "Labeler", "make_labeler", "item_formatter"]
+__all__ = ["TimedItem", "PlaceRef", "Labeler", "make_labeler"]
 
 
 class TimedItem(NamedTuple):
@@ -66,8 +66,3 @@ def make_labeler(taxonomy: CategoryTree, level: AbstractionLevel) -> Labeler:
             return checkin.category_name
 
     return root_labeler
-
-
-def item_formatter(binning: TimeBinning) -> Callable[[TimedItem], str]:
-    """A display function for items under a given binning."""
-    return lambda item: item.format(binning)

@@ -1,7 +1,7 @@
 """Place-category taxonomy: the venue → labeled-place abstraction."""
 
-from .category import AbstractionLevel, Category, CategoryTree, UnknownCategoryError, subtree_names
-from .foursquare import DEFAULT_TAXONOMY_SPEC, build_default_taxonomy, leaf_names, root_names
+from .category import AbstractionLevel, Category, CategoryTree, UnknownCategoryError
+from .foursquare import DEFAULT_TAXONOMY_SPEC, build_default_taxonomy, root_names
 
 __all__ = [
     "AbstractionLevel",
@@ -10,7 +10,5 @@ __all__ = [
     "DEFAULT_TAXONOMY_SPEC",
     "UnknownCategoryError",
     "build_default_taxonomy",
-    "leaf_names",
     "root_names",
-    "subtree_names",
 ]

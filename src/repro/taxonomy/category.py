@@ -18,7 +18,6 @@ __all__ = [
     "Category",
     "CategoryTree",
     "UnknownCategoryError",
-    "subtree_names",
 ]
 
 
@@ -207,9 +206,3 @@ class CategoryTree:
                 hops += 1
                 if hops > limit:
                     raise ValueError(f"cycle detected at {node.category_id}")
-
-
-def subtree_names(tree: CategoryTree, root_name: str) -> List[str]:
-    """Names of a root category and everything under it (helper for filters)."""
-    root = tree.get_by_name(root_name)
-    return [root.name] + [c.name for c in tree.descendants(root.category_id)]

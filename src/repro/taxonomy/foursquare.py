@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .category import CategoryTree
 
-__all__ = ["build_default_taxonomy", "DEFAULT_TAXONOMY_SPEC", "root_names", "leaf_names"]
+__all__ = ["build_default_taxonomy", "DEFAULT_TAXONOMY_SPEC", "root_names"]
 
 # root name -> {mid-level name or None -> [leaf names]}
 # ``None`` keys attach leaves directly to the root.
@@ -147,12 +147,3 @@ def build_default_taxonomy() -> CategoryTree:
 def root_names() -> List[str]:
     """Names of the top-level categories in spec order."""
     return list(DEFAULT_TAXONOMY_SPEC)
-
-
-def leaf_names() -> List[str]:
-    """Names of every leaf category in spec order."""
-    out: List[str] = []
-    for groups in DEFAULT_TAXONOMY_SPEC.values():
-        for leaves in groups.values():
-            out.extend(leaves)
-    return out

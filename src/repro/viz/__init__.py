@@ -1,8 +1,8 @@
 """Visualization: SVG chart kit, city map, place graphs, HTML reports."""
 
 from .animation_svg import render_animated_crowd
-from .charts import BarChart, Heatmap, Histogram, LineChart, ScatterChart, nice_ticks
-from .citymap import label_color_order, render_snapshot, render_venue_map
+from .charts import Heatmap, Histogram, LineChart, nice_ticks
+from .citymap import label_color_order, render_snapshot
 from .graphviz import render_place_graph
 from .palette import (
     CATEGORICAL,
@@ -24,7 +24,6 @@ from .svg import SvgCanvas
 from .tracemap import render_trace
 
 __all__ = [
-    "BarChart",
     "CATEGORICAL",
     "DARK",
     "GRID",
@@ -36,7 +35,6 @@ __all__ = [
     "OTHER",
     "SEQUENTIAL",
     "SURFACE",
-    "ScatterChart",
     "SvgCanvas",
     "TEXT_MUTED",
     "TEXT_PRIMARY",
@@ -49,6 +47,5 @@ __all__ = [
     "render_place_graph",
     "render_snapshot",
     "render_trace",
-    "render_venue_map",
     "sequential_color",
 ]

@@ -1,4 +1,4 @@
-"""The SVG chart kit: line, bar, histogram, scatter, heatmap.
+"""The SVG chart kit: line, histogram, heatmap.
 
 Shared visual grammar: recessive grid, thin marks (2px lines, ≥8px dots,
 rounded bar ends), ink-colored text (never series-colored), a legend only
@@ -19,7 +19,7 @@ from .palette import (
 )
 from .svg import SvgCanvas
 
-__all__ = ["LineChart", "BarChart", "Histogram", "ScatterChart", "Heatmap", "nice_ticks"]
+__all__ = ["LineChart", "Histogram", "Heatmap", "nice_ticks"]
 
 _MARGIN_LEFT = 62.0
 _MARGIN_RIGHT = 18.0
@@ -189,56 +189,6 @@ class LineChart(_ChartBase):
         return canvas.to_string()
 
 
-class BarChart(_ChartBase):
-    """Categorical bar chart (single series), rounded data ends."""
-
-    def __init__(self, title: str, x_label: str = "", y_label: str = "",
-                 width: float = 640.0, height: float = 400.0,
-                 color: str = "", theme: Theme = LIGHT) -> None:
-        super().__init__(title, x_label, y_label, width, height, theme)
-        self.color = color or theme.categorical[0]
-        self._categories: List[str] = []
-        self._values: List[float] = []
-
-    def add(self, category: str, value: float) -> "BarChart":
-        self._categories.append(category)
-        self._values.append(value)
-        return self
-
-    def add_many(self, pairs: Sequence[Tuple[str, float]]) -> "BarChart":
-        for category, value in pairs:
-            self.add(category, value)
-        return self
-
-    def render(self) -> str:
-        if not self._values:
-            raise ValueError("no bars added")
-        y_ticks_v = nice_ticks(0.0, max(self._values) or 1.0)
-        n = len(self._values)
-        frame = _Frame(self.width, self.height, 0.0, float(n), y_ticks_v[0], y_ticks_v[-1])
-        canvas = SvgCanvas(self.width, self.height, background=self.theme.surface)
-        rotate = len(self._categories) > 7 or max(len(c) for c in self._categories) > 8
-        self._scaffold(canvas, frame, [], [(v, _fmt_val(v)) for v in y_ticks_v])
-        base_y = frame.py(max(0.0, y_ticks_v[0]))
-        slot_w = frame.plot_w / n
-        bar_w = max(2.0, slot_w - 2.0)  # 2px surface gap between bars
-        for i, (category, value) in enumerate(zip(self._categories, self._values)):
-            x = _MARGIN_LEFT + i * slot_w + (slot_w - bar_w) / 2
-            y = frame.py(value)
-            canvas.rect(x, min(y, base_y), bar_w, abs(base_y - y), fill=self.color,
-                        rx=2, tooltip=f"{category}: {_fmt_val(value)}")
-            label_x = x + bar_w / 2
-            if rotate:
-                canvas.text(label_x + 4, base_y + 14, category,
-                            fill=self.theme.text_secondary,
-                            size=10, anchor="end", rotate=-35)
-            else:
-                canvas.text(label_x, base_y + 18, category,
-                            fill=self.theme.text_secondary,
-                            size=11, anchor="middle")
-        return canvas.to_string()
-
-
 class Histogram(_ChartBase):
     """Distribution plot of a sample (the paper's Figs. 6 and 8)."""
 
@@ -291,47 +241,6 @@ class Histogram(_ChartBase):
         canvas.text(self.width - _MARGIN_RIGHT, 24,
                     f"n={len(self._values)}", fill=self.theme.text_muted,
                     size=11, anchor="end")
-        return canvas.to_string()
-
-
-class ScatterChart(_ChartBase):
-    """Scatter with optional per-point categories (fixed-slot colors)."""
-
-    def __init__(self, title: str, x_label: str = "", y_label: str = "",
-                 width: float = 640.0, height: float = 400.0,
-                 theme: Theme = LIGHT) -> None:
-        super().__init__(title, x_label, y_label, width, height, theme)
-        self._points: List[Tuple[float, float, str]] = []
-        self._category_order: List[str] = []
-
-    def add_point(self, x: float, y: float, category: str = "") -> "ScatterChart":
-        self._points.append((float(x), float(y), category))
-        if category and category not in self._category_order:
-            self._category_order.append(category)
-        return self
-
-    def render(self) -> str:
-        if not self._points:
-            raise ValueError("no points added")
-        xs = [p[0] for p in self._points]
-        ys = [p[1] for p in self._points]
-        x_ticks_v = nice_ticks(min(xs), max(xs))
-        y_ticks_v = nice_ticks(min(ys), max(ys))
-        frame = _Frame(self.width, self.height, x_ticks_v[0], x_ticks_v[-1],
-                       y_ticks_v[0], y_ticks_v[-1])
-        canvas = SvgCanvas(self.width, self.height, background=self.theme.surface)
-        self._scaffold(canvas, frame,
-                       [(v, f"{v:g}") for v in x_ticks_v],
-                       [(v, _fmt_val(v)) for v in y_ticks_v])
-        colors = self.theme.categorical_for(self._category_order)
-        for x, y, category in self._points:
-            color = colors.get(category, self.theme.categorical[0])
-            label = f"{category}: " if category else ""
-            canvas.circle(frame.px(x), frame.py(y), 4, fill=color, opacity=0.85,
-                          stroke=self.theme.surface, stroke_width=1,
-                          tooltip=f"{label}({x:g}, {y:g})")
-        if len(self._category_order) >= 2:
-            self._legend(canvas, [(n, colors[n]) for n in self._category_order])
         return canvas.to_string()
 
 

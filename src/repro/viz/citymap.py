@@ -12,8 +12,7 @@ from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..crowd import CrowdSnapshot
-from ..data.records import CheckInDataset
-from ..geo import MicrocellGrid, ScreenProjection
+from ..geo import ScreenProjection
 from .palette import (
     GRID,
     OTHER,
@@ -26,7 +25,7 @@ from .palette import (
 )
 from .svg import SvgCanvas
 
-__all__ = ["render_snapshot", "render_venue_map", "label_color_order"]
+__all__ = ["render_snapshot", "label_color_order"]
 
 
 def label_color_order(snapshots: Sequence[CrowdSnapshot]) -> List[str]:
@@ -98,32 +97,4 @@ def render_snapshot(
         canvas.circle(x + 5, y - 4, 5, fill=colors[label])
         canvas.text(x + 14, y, label, fill=TEXT_SECONDARY, size=11)
         x += 14 + 7 * len(label) + 18
-    return canvas.to_string()
-
-
-def render_venue_map(
-    dataset: CheckInDataset,
-    grid: MicrocellGrid,
-    width: float = 760.0,
-    height: float = 640.0,
-    max_venues: int = 3000,
-) -> str:
-    """All venues of a dataset as a faint density backdrop map."""
-    projection = ScreenProjection(grid.bbox, width, height - 40.0, padding_px=8.0)
-    canvas = SvgCanvas(width, height, background=SURFACE)
-    canvas.text(12, 22, f"Venues: {dataset.name}", fill=TEXT_PRIMARY, size=14, weight="600")
-    canvas.group(transform="translate(0 30)")
-    for cell in grid:
-        x0, y0 = projection.to_screen(cell.bbox.max_lat, cell.bbox.min_lon)
-        x1, y1 = projection.to_screen(cell.bbox.min_lat, cell.bbox.max_lon)
-        canvas.rect(x0, y0, x1 - x0, y1 - y0, fill="none", stroke=GRID, stroke_width=0.5)
-    for i, venue in enumerate(dataset.venues.values()):
-        if i >= max_venues:
-            break
-        if not grid.bbox.contains_lat_lon(venue.lat, venue.lon):
-            continue
-        x, y = projection.to_screen(venue.lat, venue.lon)
-        canvas.circle(x, y, 1.6, fill=TEXT_MUTED, opacity=0.5,
-                      tooltip=f"{venue.name} ({venue.category_name})")
-    canvas.endgroup()
     return canvas.to_string()

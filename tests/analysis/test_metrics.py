@@ -331,37 +331,3 @@ class TestRegularity:
 
     def test_unknown_user(self, small_ds):
         assert regularity_by_hour(small_ds, "ghost") == {}
-
-
-class TestZipfFit:
-    def test_exact_power_law_recovered(self):
-        from repro.analysis import fit_zipf_exponent
-
-        zeta = 1.2
-        freqs = [(f"v{k}", k ** (-zeta)) for k in range(1, 30)]
-        assert fit_zipf_exponent(freqs) == pytest.approx(zeta, abs=1e-6)
-
-    def test_uniform_distribution_zero_exponent(self):
-        from repro.analysis import fit_zipf_exponent
-
-        freqs = [(f"v{k}", 0.1) for k in range(10)]
-        assert fit_zipf_exponent(freqs) == pytest.approx(0.0, abs=1e-9)
-
-    def test_too_few_raises(self):
-        from repro.analysis import fit_zipf_exponent
-
-        with pytest.raises(ValueError):
-            fit_zipf_exponent([("a", 0.6), ("b", 0.4)])
-
-    def test_nonpositive_share_raises(self):
-        from repro.analysis import fit_zipf_exponent
-
-        with pytest.raises(ValueError):
-            fit_zipf_exponent([("a", 0.5), ("b", 0.5), ("c", 0.0)])
-
-    def test_synthetic_user_has_positive_exponent(self, small_ds):
-        from repro.analysis import fit_zipf_exponent, visitation_frequencies
-
-        uid = max(small_ds.user_ids(), key=lambda u: len(small_ds.for_user(u)))
-        freqs = visitation_frequencies([c.venue_id for c in small_ds.for_user(uid)])
-        assert fit_zipf_exponent(freqs) > 0.3

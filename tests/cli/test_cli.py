@@ -170,6 +170,31 @@ class TestExportSpmf:
         first = out.read_text().splitlines()[0]
         assert first.endswith("-2")
 
+    def test_written_text_of_a_fixed_dataset(self, tmp_path, capsys):
+        # Three days of one user; Thai Restaurant and Coffee Shop share the
+        # root Eatery, so at the default root level noon recurs twice.
+        rows = [
+            ("A", "4sq-root-02-m00", "Office", "Mon Apr 02 09:00:00"),
+            ("B", "4sq-root-00-m00-l00", "Thai Restaurant", "Mon Apr 02 12:30:00"),
+            ("A", "4sq-root-02-m00", "Office", "Tue Apr 03 09:10:00"),
+            ("C", "4sq-root-00-m03-l00", "Coffee Shop", "Wed Apr 04 12:05:00"),
+            ("D", "4sq-root-08-m01-l00", "Gym", "Wed Apr 04 18:00:00"),
+        ]
+        dataset = tmp_path / "fixed.tsv"
+        dataset.write_text("".join(
+            f"u\t{venue}\t{cat_id}\t{cat}\t40.75\t-73.98\t0\t{stamp} +0000 2012\n"
+            for venue, cat_id, cat, stamp in rows))
+        out = tmp_path / "u.spmf"
+        assert main(["export-spmf", str(dataset), "u", str(out)]) == 0
+        assert out.read_text() == "3 -1 1 -1 -2\n3 -1 -2\n1 -1 2 -1 -2\n"
+        assert (tmp_path / "u.spmf.dict").read_text() == (
+            "1\tTimedItem(bin=12, label='Eatery')\n"
+            "2\tTimedItem(bin=18, label='Outdoors')\n"
+            "3\tTimedItem(bin=9, label='Work')\n"
+        )
+        # min_support 0.5 of three days: Eatery@12 and Work@9 (two days each).
+        assert (tmp_path / "u.spmf.patterns").read_text() == "1 -1 #SUP: 2\n3 -1 #SUP: 2\n"
+
     def test_unknown_user(self, dataset_file, tmp_path):
-        assert main(["export-spmf", str(dataset_file), "ghost",
+        assert main(["export-spmf",str(dataset_file), "ghost",
                      str(tmp_path / "x.spmf")]) == 2

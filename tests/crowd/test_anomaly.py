@@ -5,7 +5,8 @@ from datetime import date, datetime, timedelta, timezone
 import pytest
 
 from repro.data import CheckIn, CheckInDataset, CityEvent, SMALL_CONFIG, SynthConfig, generate
-from repro.crowd import daily_cell_counts, detect_spikes
+from repro.crowd import detect_spikes
+from repro.crowd.anomaly import _cell_day_counts
 from repro.geo import MicrocellGrid
 
 UTC = timezone.utc
@@ -39,13 +40,13 @@ def spiky_world():
 class TestDailyCounts:
     def test_counts_partition_records(self, spiky_world):
         ds, grid = spiky_world
-        counts = daily_cell_counts(ds, grid)
+        counts, _ = _cell_day_counts(ds, grid)
         total = sum(c for days in counts.values() for c in days.values())
         assert total == len(ds)
 
     def test_per_day_values(self, spiky_world):
         ds, grid = spiky_world
-        counts = daily_cell_counts(ds, grid)
+        counts, _ = _cell_day_counts(ds, grid)
         hot_cell = grid.cell_index_clamped(40.70, -74.00)
         assert counts[hot_cell][date(2012, 4, 5)] == 2
         assert counts[hot_cell][date(2012, 4, 21)] == 30

@@ -6,7 +6,6 @@ from repro.crowd import (
     CrowdSnapshot,
     TimeWindow,
     UserPlacement,
-    flow_matrix,
     timeline_flows,
     window_flows,
 )
@@ -77,11 +76,3 @@ class TestTimelineFlows:
         snaps = [snap(grid, b, [placement("u1", (b % 3, 0), b)]) for b in range(4)]
         per_pair = timeline_flows(CrowdTimeline(snapshots=tuple(snaps)))
         assert len(per_pair) == 3
-
-
-class TestFlowMatrix:
-    def test_aggregation(self, grid):
-        a = snap(grid, 9, [placement("u1", (1, 1)), placement("u2", (1, 1))])
-        b = snap(grid, 10, [placement("u1", (2, 2), 10), placement("u2", (3, 3), 10)])
-        matrix = flow_matrix(window_flows(a, b))
-        assert matrix == {(1, 1): {(2, 2): 1, (3, 3): 1}}

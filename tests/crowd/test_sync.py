@@ -4,7 +4,7 @@ from datetime import datetime, timezone
 
 import pytest
 
-from repro.crowd import VisitIndex, place_user, place_user_at_bins
+from repro.crowd import VisitIndex, place_user
 from repro.data import CheckIn, CheckInDataset
 from repro.geo import MicrocellGrid
 from repro.mining import SequentialPattern
@@ -114,6 +114,7 @@ class TestPlacement:
     def test_place_at_bins(self, world):
         _, _, index = world
         profile = profile_with(pat(9, "Work"), pat(12, "Eatery"))
-        placements = place_user_at_bins(profile, index, range(24))
-        assert set(placements) == {9, 12}
+        placements = {b: place_user(profile, index, b) for b in range(24)}
+        assert {b for b, p in placements.items() if p is not None} == {9, 12}
         assert placements[9].label == "Work"
+        assert placements[12].label == "Eatery"

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.crowd import TimeWindow, rescale, windows_for
-from repro.sequences import HOURLY, TWO_HOURLY
+from repro.crowd import TimeWindow, windows_for
+from repro.sequences import HOURLY
 
 
 class TestTimeWindow:
@@ -46,30 +46,3 @@ class TestWindowsFor:
             windows_for(HOURLY, bins_per_window=5)
         with pytest.raises(ValueError):
             windows_for(HOURLY, bins_per_window=0)
-
-
-class TestRescale:
-    def test_merge(self):
-        windows = windows_for(HOURLY)
-        merged = rescale(windows, 4)
-        assert len(merged) == 6
-        assert merged[0].label == "00:00-04:00"
-        assert merged[-1].label == "20:00-24:00"
-
-    def test_factor_one_identity(self):
-        windows = windows_for(TWO_HOURLY)
-        assert rescale(windows, 1) == list(windows)
-
-    def test_indivisible_raises(self):
-        with pytest.raises(ValueError):
-            rescale(windows_for(HOURLY), 5)
-
-    def test_non_consecutive_raises(self):
-        windows = windows_for(HOURLY)
-        shuffled = [windows[0], windows[2]]
-        with pytest.raises(ValueError):
-            rescale(shuffled, 2)
-
-    def test_invalid_factor(self):
-        with pytest.raises(ValueError):
-            rescale(windows_for(HOURLY), 0)

@@ -6,7 +6,7 @@ import dataclasses
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data import (
@@ -68,6 +68,7 @@ class TestRoundtripProperty:
 
 class TestGarbageRejection:
     @given(garbage=st.text(max_size=200))
+    @example(garbage="\n")  # a chunk of blank lines only
     @settings(max_examples=40, deadline=None)
     def test_tsv_reader_raises_valueerror_only(self, garbage, tmp_path_factory):
         path = tmp_path_factory.mktemp("fuzz") / "garbage.tsv"

@@ -11,7 +11,6 @@ from repro.data import (
     densest_window,
     filter_active_users,
     preprocess,
-    select_densest_window,
 )
 
 UTC = timezone.utc
@@ -62,12 +61,15 @@ class TestDensestWindow:
             densest_window(CheckInDataset([]), months=3)
 
     def test_select_restricts_records(self):
-        records = [checkin("u", m, 1, 12) for m in (1, 4, 5, 6, 9)] + [
-            checkin("u", 4, d, 12) for d in range(2, 10)
+        # Two check-ins an hour apart each day, so every day qualifies and
+        # the active-user filter keeps the whole window.
+        records = [checkin("u", m, 1, h) for m in (1, 4, 5, 6, 9) for h in (12, 13)] + [
+            checkin("u", 4, d, h) for d in range(2, 10) for h in (12, 13)
         ]
-        windowed = select_densest_window(CheckInDataset(records), months=3)
-        months = {c.timestamp.month for c in windowed}
-        assert months <= {4, 5, 6}
+        out, report = preprocess(CheckInDataset(records), months=3,
+                                 criteria=ActiveUserFilter(min_qualifying_days=0))
+        assert {c.timestamp.month for c in out} == {4, 5, 6}
+        assert report.window_checkins == len(out) == 22
 
 
 class TestActiveUserFilter:

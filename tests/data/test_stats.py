@@ -5,7 +5,6 @@ from datetime import datetime, timezone
 import pytest
 
 from repro.data import CheckIn, CheckInDataset, dataset_stats, monthly_counts
-from repro.data.stats import active_days_per_user, records_per_user_histogram
 
 UTC = timezone.utc
 
@@ -86,21 +85,6 @@ class TestDatasetStats:
         rows = dict(dataset_stats(crafted).as_rows())
         assert rows["check-ins"] == "7"
         assert rows["sparse (<1/user/day)"] == "yes"
-
-
-class TestHistograms:
-    def test_records_histogram(self, crafted):
-        hist = records_per_user_histogram(crafted, bin_width=2)
-        # u3 (1) and u2 (2) land in different bins: 1 -> 0-1, 2 -> 2-3, 4 -> 4-5.
-        assert hist == {"0-1": 1, "2-3": 1, "4-5": 1}
-
-    def test_histogram_invalid_width(self, crafted):
-        with pytest.raises(ValueError):
-            records_per_user_histogram(crafted, bin_width=0)
-
-    def test_active_days(self, crafted):
-        days = active_days_per_user(crafted)
-        assert days == {"u1": 4, "u2": 2, "u3": 1}
 
 
 class TestSmallSynthetic:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments import (
     abstraction_ablation,
-    activity_filter_ablation,
     binning_ablation,
     cell_size_ablation,
 )
@@ -64,16 +63,6 @@ class TestCellSizeAblation:
         assert "mean_avg_length" not in as_dict
         assert as_dict["knob"] == "cell_size_m"
         assert {"users_placed", "occupied_cells", "largest_group", "n_groups"} <= set(as_dict)
-
-
-class TestActivityAblation:
-    def test_stricter_threshold_fewer_users(self, small_ds, taxonomy, cfg):
-        from repro.data import select_densest_window
-
-        windowed = select_densest_window(small_ds, months=2)
-        rows = activity_filter_ablation(windowed, taxonomy, HOURLY,
-                                        thresholds=(10, 40), config=cfg)
-        assert rows[0].metrics["users_kept"] >= rows[1].metrics["users_kept"]
 
 
 class TestDayKindAblation:

@@ -35,16 +35,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BoundingBox.from_points([])
 
-    def test_around_contains_circle(self):
-        center = GeoPoint(40.7, -74.0)
-        box = BoundingBox.around(center, 5000.0)
-        for bearing in (0, 45, 90, 135, 180, 225, 270, 315):
-            assert box.contains(center.offset(bearing, 4999.0))
-
-    def test_around_negative_radius_raises(self):
-        with pytest.raises(ValueError):
-            BoundingBox.around(GeoPoint(0, 0), -1.0)
-
 
 class TestQueries:
     def test_contains(self, box):
@@ -83,15 +73,6 @@ class TestQueries:
         assert bigger.min_lat == 39.5
         near_pole = BoundingBox(89.5, 0.0, 90.0, 1.0)
         assert near_pole.expand(1.0).max_lat == 90.0
-
-    def test_quadrants_tile_exactly(self, box):
-        quadrants = box.quadrants()
-        assert len(quadrants) == 4
-        assert sum(q.lat_span * q.lon_span for q in quadrants) == pytest.approx(
-            box.lat_span * box.lon_span
-        )
-        assert quadrants[0].min_lat == box.min_lat
-        assert quadrants[3].max_lat == box.max_lat
 
     def test_nyc_constant_sane(self):
         assert NYC_BBOX.contains(GeoPoint(40.7580, -73.9855))  # Times Square

@@ -14,11 +14,9 @@ from repro.geo import (
     equirectangular_m,
     haversine_m,
     initial_bearing_deg,
-    midpoint,
     normalize_lon,
     validate_lat_lon,
 )
-from repro.geo.point import path_length_m
 
 lat_strategy = st.floats(min_value=-89.0, max_value=89.0)
 lon_strategy = st.floats(min_value=-179.0, max_value=179.0)
@@ -106,16 +104,6 @@ class TestBearingAndDestination:
 
 
 class TestMidpointCentroid:
-    def test_midpoint_on_equator(self):
-        m = midpoint(GeoPoint(0.0, 0.0), GeoPoint(0.0, 10.0))
-        assert m.lat == pytest.approx(0.0, abs=1e-9)
-        assert m.lon == pytest.approx(5.0, abs=1e-9)
-
-    def test_midpoint_equidistant(self):
-        a, b = GeoPoint(40.7, -74.0), GeoPoint(41.2, -73.5)
-        m = midpoint(a, b)
-        assert a.distance_to(m) == pytest.approx(b.distance_to(m), rel=1e-9)
-
     def test_centroid_of_single_point(self):
         p = GeoPoint(40.0, -74.0)
         c = centroid([p])
@@ -147,15 +135,3 @@ class TestNormalizeLon:
     def test_always_in_range(self, lon):
         wrapped = normalize_lon(lon)
         assert -180.0 <= wrapped < 180.0
-
-
-class TestPathLength:
-    def test_empty_and_single(self):
-        assert path_length_m([]) == 0.0
-        assert path_length_m([GeoPoint(0, 0)]) == 0.0
-
-    def test_two_legs_sum(self):
-        a, b, c = GeoPoint(0, 0), GeoPoint(0, 1), GeoPoint(1, 1)
-        assert path_length_m([a, b, c]) == pytest.approx(
-            a.distance_to(b) + b.distance_to(c)
-        )

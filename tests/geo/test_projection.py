@@ -13,9 +13,7 @@ from repro.geo import (
     centroid,
     centroid_lat_lon,
     haversine_m,
-    haversine_matrix_m,
     haversine_pairs_m,
-    pairwise_haversine_m,
 )
 
 
@@ -81,28 +79,6 @@ class TestScreenProjection:
             ScreenProjection(self.bbox, 0, 100)
         with pytest.raises(ValueError):
             ScreenProjection(self.bbox, 100, 100, padding_px=60)
-
-
-class TestVectorizedHaversine:
-    def test_matches_scalar(self):
-        lats1 = np.array([40.7, 40.8])
-        lons1 = np.array([-74.0, -73.9])
-        lats2 = np.array([40.75, 40.85, 40.9])
-        lons2 = np.array([-74.05, -73.85, -73.8])
-        matrix = haversine_matrix_m(lats1, lons1, lats2, lons2)
-        assert matrix.shape == (2, 3)
-        for i in range(2):
-            for j in range(3):
-                assert matrix[i, j] == pytest.approx(
-                    haversine_m(lats1[i], lons1[i], lats2[j], lons2[j]), rel=1e-9
-                )
-
-    def test_pairwise_symmetric_zero_diagonal(self):
-        lats = np.array([40.7, 40.8, 40.9])
-        lons = np.array([-74.0, -73.9, -73.8])
-        matrix = pairwise_haversine_m(lats, lons)
-        assert np.allclose(matrix, matrix.T)
-        assert np.allclose(np.diag(matrix), 0.0)
 
 
 class TestBitIdenticalArrayForms:

@@ -1,4 +1,4 @@
-"""Tests for closed/maximal filtering and pattern statistics."""
+"""Tests for closed filtering and pattern statistics."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +10,8 @@ from repro.mining import (
     SequentialPattern,
     aggregate_stats,
     closed_patterns,
-    maximal_patterns,
     modified_prefixspan,
     sort_patterns,
-    top_k_patterns,
     user_mining_stats,
 )
 from repro.sequences import SequenceDatabase, TimedItem
@@ -59,23 +57,6 @@ class TestClosed:
         assert closed_patterns([]) == []
 
 
-class TestMaximal:
-    def test_all_subpatterns_dropped(self):
-        patterns = [pattern("a", 8), pattern("b", 6), pattern("ab", 5)]
-        maximal = maximal_patterns(patterns)
-        assert {p.items for p in maximal} == {("a", "b")}
-
-    def test_incomparable_patterns_kept(self):
-        patterns = [pattern("ab", 5), pattern("ba", 4)]
-        assert len(maximal_patterns(patterns)) == 2
-
-    def test_maximal_subset_of_closed(self):
-        patterns = [pattern("a", 8), pattern("ab", 5), pattern("abc", 5), pattern("c", 9)]
-        closed = {p.items for p in closed_patterns(patterns)}
-        maximal = {p.items for p in maximal_patterns(patterns)}
-        assert maximal <= closed
-
-
 N_BINS = 6
 
 # Small worlds: a handful of days, each a bin-ordered run of labelled visits.
@@ -96,16 +77,18 @@ worlds = st.lists(
 class TestFilterInvariants:
     @given(worlds, st.sampled_from([0.25, 0.5, 1.0]))
     @settings(max_examples=60, deadline=None)
-    def test_maximal_within_closed_within_all(self, days, min_support):
+    def test_closed_within_all(self, days, min_support):
         config = ModifiedPrefixSpanConfig(
             min_support=min_support, limits=MiningLimits(max_length=3)
         )
         mined = modified_prefixspan(SequenceDatabase(days), config, n_bins=N_BINS)
         everything = {(p.items, p.count) for p in mined}
-        closed = {(p.items, p.count) for p in closed_patterns(mined)}
-        maximal = {(p.items, p.count) for p in maximal_patterns(mined)}
-        assert closed <= everything
-        assert maximal <= closed
+        closed = closed_patterns(mined)
+        assert {(p.items, p.count) for p in closed} <= everything
+        for p in mined:
+            if p not in closed:
+                assert any(q.count == p.count and len(q.items) > len(p.items)
+                           and p.is_subpattern_of(q) for q in closed)
 
 
 class TestTopKAndSort:
@@ -114,15 +97,6 @@ class TestTopKAndSort:
         ordered = sort_patterns(patterns)
         assert ordered[0].items == ("b", "c")
         assert ordered[1].items == ("d",)
-
-    def test_top_k(self):
-        patterns = [pattern("a", i) for i in range(1, 6)]
-        top = top_k_patterns(patterns, 2)
-        assert [p.count for p in top] == [5, 4]
-
-    def test_top_k_invalid(self):
-        with pytest.raises(ValueError):
-            top_k_patterns([], -1)
 
 
 class TestStats:

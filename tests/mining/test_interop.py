@@ -4,9 +4,8 @@ import pytest
 
 from repro.mining import (
     ItemCodec,
+    SequentialPattern,
     prefixspan,
-    read_spmf_database,
-    read_spmf_patterns,
     write_spmf_database,
     write_spmf_patterns,
 )
@@ -30,17 +29,10 @@ class TestCodec:
         assert min(ids) == 1
         assert max(ids) == 3
 
-    def test_roundtrip(self, db):
-        codec = ItemCodec.for_database(db)
-        item = TimedItem(9, "Work")
-        assert codec.decode(codec.encode(item)) == item
-
     def test_unknown_raises(self, db):
         codec = ItemCodec.for_database(db)
         with pytest.raises(KeyError):
             codec.encode(TimedItem(3, "Nope"))
-        with pytest.raises(KeyError):
-            codec.decode(99)
 
     def test_deterministic(self, db):
         a = ItemCodec.for_database(db)
@@ -48,16 +40,18 @@ class TestCodec:
         assert a.mapping_lines() == b.mapping_lines()
 
 
-class TestDatabaseRoundtrip:
-    def test_write_then_read(self, db, tmp_path):
+class TestDatabaseWriter:
+    def test_written_text(self, db, tmp_path):
         path = tmp_path / "db.spmf"
         codec = write_spmf_database(db, path)
-        assert (tmp_path / "db.spmf.dict").exists()
-        loaded = read_spmf_database(path)
-        assert len(loaded) == len(db)
-        # Decode back to the original items.
-        for original, encoded in zip(db, loaded):
-            assert tuple(codec.decode(i) for i in encoded) == original
+        # Ids follow sorted repr: "bin=12" < "bin=18" < "bin=9".
+        assert path.read_text() == "3 -1 1 -1 -2\n3 -1 -2\n1 -1 2 -1 -2\n"
+        assert (tmp_path / "db.spmf.dict").read_text() == (
+            "1\tTimedItem(bin=12, label='Eatery')\n"
+            "2\tTimedItem(bin=18, label='Gym')\n"
+            "3\tTimedItem(bin=9, label='Work')\n"
+        )
+        assert codec.mapping_lines() == (tmp_path / "db.spmf.dict").read_text().splitlines()
 
     def test_spmf_format_shape(self, db, tmp_path):
         path = tmp_path / "db.spmf"
@@ -66,37 +60,25 @@ class TestDatabaseRoundtrip:
         assert first.endswith("-2")
         assert "-1" in first
 
-    def test_comments_skipped(self, tmp_path):
-        path = tmp_path / "db.spmf"
-        path.write_text("# comment\n1 -1 2 -1 -2\n@META x\n3 -1 -2\n")
-        loaded = read_spmf_database(path)
-        assert loaded.sequences == ((1, 2), (3,))
 
-    def test_bad_token_raises(self, tmp_path):
-        path = tmp_path / "db.spmf"
-        path.write_text("1 -1 banana -2\n")
-        with pytest.raises(ValueError, match="bad token"):
-            read_spmf_database(path)
-
-    def test_invalid_id_raises(self, tmp_path):
-        path = tmp_path / "db.spmf"
-        path.write_text("0 -1 -2\n")
-        with pytest.raises(ValueError, match="invalid item id"):
-            read_spmf_database(path)
-
-
-class TestPatternRoundtrip:
-    def test_mined_patterns_roundtrip(self, db, tmp_path):
-        codec = ItemCodec.for_database(db)
-        patterns = prefixspan(db, 0.34)
+class TestPatternWriter:
+    def test_written_text(self, db, tmp_path):
+        work, eatery, gym = TimedItem(9, "Work"), TimedItem(12, "Eatery"), TimedItem(18, "Gym")
+        patterns = [
+            SequentialPattern(items=(work, eatery), count=1, support=1 / 3),
+            SequentialPattern(items=(work,), count=2, support=2 / 3),
+            SequentialPattern(items=(eatery, gym), count=1, support=1 / 3),
+            SequentialPattern(items=(eatery,), count=2, support=2 / 3),
+        ]
         path = tmp_path / "patterns.txt"
-        write_spmf_patterns(patterns, codec, path)
-        loaded = read_spmf_patterns(path, codec, n_sequences=len(db))
-        assert {(p.items, p.count) for p in loaded} == {
-            (p.items, p.count) for p in patterns
-        }
-        for p in loaded:
-            assert p.support == pytest.approx(p.count / len(db))
+        write_spmf_patterns(patterns, ItemCodec.for_database(db), path)
+        # Report order: count desc, length desc, then item reprs.
+        assert path.read_text() == (
+            "1 -1 #SUP: 2\n"
+            "3 -1 #SUP: 2\n"
+            "1 -1 2 -1 #SUP: 1\n"
+            "3 -1 1 -1 #SUP: 1\n"
+        )
 
     def test_spmf_pattern_line_format(self, db, tmp_path):
         codec = ItemCodec.for_database(db)
@@ -105,30 +87,3 @@ class TestPatternRoundtrip:
         write_spmf_patterns(patterns, codec, path)
         for line in path.read_text().splitlines():
             assert "#SUP:" in line
-
-    def test_missing_sup_raises(self, db, tmp_path):
-        codec = ItemCodec.for_database(db)
-        path = tmp_path / "patterns.txt"
-        path.write_text("1 -1 2 -1\n")
-        with pytest.raises(ValueError, match="missing #SUP"):
-            read_spmf_patterns(path, codec, n_sequences=3)
-
-    def test_invalid_n_sequences(self, db, tmp_path):
-        codec = ItemCodec.for_database(db)
-        path = tmp_path / "patterns.txt"
-        path.write_text("1 -1 #SUP: 2\n")
-        with pytest.raises(ValueError):
-            read_spmf_patterns(path, codec, n_sequences=0)
-
-    def test_cross_check_via_integer_database(self, db, tmp_path):
-        """Mining the SPMF-encoded integer database yields the same pattern
-        structure as mining the original — the interop is faithful."""
-        path = tmp_path / "db.spmf"
-        codec = write_spmf_database(db, path)
-        int_db = read_spmf_database(path)
-        original = {
-            tuple(codec.encode(i) for i in p.items): p.count
-            for p in prefixspan(db, 0.34)
-        }
-        integer = {p.items: p.count for p in prefixspan(int_db, 0.34)}
-        assert original == integer

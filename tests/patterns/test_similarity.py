@@ -11,7 +11,6 @@ from repro.patterns import (
     jaccard_similarity,
     pattern_set_similarity,
     profile_similarity_matrix,
-    sequence_edit_similarity,
 )
 from repro.sequences import TimedItem
 
@@ -54,30 +53,6 @@ class TestPatternSetSimilarity:
         a = profile("a", [(12, "Eatery")])
         b = profile("b", [(13, "Eatery")])
         assert pattern_set_similarity(a, b) == 0.0
-
-
-class TestEditSimilarity:
-    def test_identical(self):
-        seq = (TimedItem(1, "a"), TimedItem(2, "b"))
-        assert sequence_edit_similarity(seq, seq) == 1.0
-
-    def test_empty_pair(self):
-        assert sequence_edit_similarity((), ()) == 1.0
-
-    def test_completely_different(self):
-        a = (TimedItem(1, "a"),)
-        b = (TimedItem(2, "b"),)
-        assert sequence_edit_similarity(a, b) == 0.0
-
-    def test_one_substitution(self):
-        a = (TimedItem(1, "a"), TimedItem(2, "b"), TimedItem(3, "c"))
-        b = (TimedItem(1, "a"), TimedItem(2, "x"), TimedItem(3, "c"))
-        assert sequence_edit_similarity(a, b) == pytest.approx(2 / 3)
-
-    def test_symmetry(self):
-        a = (TimedItem(1, "a"), TimedItem(2, "b"))
-        b = (TimedItem(1, "a"),)
-        assert sequence_edit_similarity(a, b) == sequence_edit_similarity(b, a)
 
 
 class TestSimilarityMatrix:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.taxonomy import AbstractionLevel, CategoryTree, UnknownCategoryError
-from repro.taxonomy.category import subtree_names
 
 
 @pytest.fixture
@@ -125,9 +124,3 @@ class TestValidation:
         tree.get("food").parent_id = "thai"
         with pytest.raises(ValueError):
             tree.validate()
-
-
-def test_subtree_names(tree):
-    names = subtree_names(tree, "Eatery")
-    assert "Eatery" in names and "Thai Restaurant" in names
-    assert "Supermarket" not in names

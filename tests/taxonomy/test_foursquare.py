@@ -4,7 +4,6 @@ from repro.taxonomy import (
     DEFAULT_TAXONOMY_SPEC,
     AbstractionLevel,
     build_default_taxonomy,
-    leaf_names,
     root_names,
 )
 
@@ -31,7 +30,6 @@ class TestStructure:
             for leaves in groups.values()
         )
         assert len(taxonomy.leaves()) == spec_leaves
-        assert len(leaf_names()) == spec_leaves
 
     def test_thai_restaurant_roots_to_eatery(self, taxonomy):
         node = taxonomy.get_by_name("Thai Restaurant")

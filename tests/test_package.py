@@ -35,9 +35,11 @@ class TestLazyRoot:
 
     @pytest.mark.parametrize("module", ["repro.web", "repro.cli.main"])
     def test_the_served_process_never_imports_networkx(self, module):
-        # networkx is a test dependency only: serving and the CLI run without it.
-        out = _run(f"import sys, {module}\nprint('networkx' in sys.modules)\n")
-        assert out.strip() == "False"
+        # networkx and scipy are test dependencies only: serving and the CLI
+        # run without them.
+        out = _run(f"import sys, {module}\n"
+                   "print([m for m in ('networkx', 'scipy') if m in sys.modules])\n")
+        assert out.strip() == "[]"
 
     def test_every_exported_name_resolves_from_a_cold_start(self):
         out = _run(

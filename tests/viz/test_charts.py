@@ -5,13 +5,11 @@ import xml.dom.minidom
 import pytest
 
 from repro.viz import (
-    BarChart,
     CATEGORICAL,
     Heatmap,
     Histogram,
     LineChart,
     OTHER,
-    ScatterChart,
     categorical_for,
     nice_ticks,
     sequential_color,
@@ -99,22 +97,6 @@ class TestLineChart:
         assert "<title>s: (1, 2)</title>" in svg
 
 
-class TestBarChart:
-    def test_bar_per_category(self):
-        chart = BarChart("T").add_many([("a", 1), ("b", 2), ("c", 3)])
-        doc = parse(chart.render())
-        bars = [r for r in doc.getElementsByTagName("rect")
-                if r.getElementsByTagName("title")]
-        assert len(bars) == 3
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            BarChart("T").render()
-
-    def test_zero_values_render(self):
-        parse(BarChart("T").add("a", 0).render())
-
-
 class TestHistogram:
     def test_binning_exact(self):
         hist = Histogram("T", bins=4).add_values([0, 1, 2, 3, 4, 4, 4])
@@ -140,18 +122,6 @@ class TestHistogram:
         svg = Histogram("T", bins=3).add_values([1, 2, 3]).render()
         parse(svg)
         assert "n=3" in svg
-
-
-class TestScatter:
-    def test_points_and_categories(self):
-        chart = ScatterChart("T")
-        chart.add_point(1, 2, "a").add_point(3, 4, "b").add_point(5, 6, "a")
-        doc = parse(chart.render())
-        assert len(doc.getElementsByTagName("circle")) == 3
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            ScatterChart("T").render()
 
 
 class TestHeatmap:

@@ -12,7 +12,6 @@ from repro.viz import (
     label_color_order,
     render_place_graph,
     render_snapshot,
-    render_venue_map,
 )
 
 
@@ -45,13 +44,6 @@ class TestSnapshotRendering:
     def test_empty_snapshot_renders(self, pipeline_result):
         empty = pipeline_result.timeline.at_hour(4.2)
         parse(render_snapshot(empty))
-
-
-class TestVenueMap:
-    def test_renders(self, pipeline_result):
-        svg = render_venue_map(pipeline_result.dataset, pipeline_result.grid)
-        doc = parse(svg)
-        assert doc.getElementsByTagName("circle")
 
 
 class TestPlaceGraphRendering:
