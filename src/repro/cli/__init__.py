@@ -1,5 +1,5 @@
-"""Command-line interface."""
+"""Command-line interface: ``repro.cli.main`` (the ``crowdweb`` command).
 
-from .main import build_parser, main
-
-__all__ = ["build_parser", "main"]
+The package does not import ``.main`` so that ``python -m repro.cli.main``
+runs the module once, as ``__main__``, without a ``RuntimeWarning``.
+"""

@@ -28,7 +28,7 @@ from ..data import (
     synthetic_dataset,
 )
 from ..exec import ExecConfig
-from ..experiments import prediction_comparison, run_all, small_pipeline_config
+from ..experiments import prediction_comparison, run_all
 from ..mining import ModifiedPrefixSpanConfig
 from ..obs import enable as obs_enable, get_observer, render_metrics, \
     render_trace_tree, save_dump
@@ -179,7 +179,7 @@ def _pipeline_for(args):
     config = PipelineConfig(
         window_months=args.months,
         activity=ActiveUserFilter(min_qualifying_days=args.min_days),
-        exec=ExecConfig.from_workers(getattr(args, "workers", 1)),
+        exec=ExecConfig(workers=getattr(args, "workers", 1)),
     )
     return run_pipeline(dataset, config)
 

@@ -8,9 +8,9 @@ time slider.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from ..data.records import CheckInDataset
 from ..exec import ExecConfig, ordered_map
@@ -55,10 +55,6 @@ class CrowdTimeline:
     def occupancy_series(self) -> List[Tuple[str, int]]:
         """(window label, crowd size) per window — the day's activity curve."""
         return [(s.window.label, s.n_users) for s in self.snapshots]
-
-    def label_series(self, label: str) -> List[Tuple[str, int]]:
-        """(window label, #users at `label` places) per window."""
-        return [(s.window.label, s.label_counts().get(label, 0)) for s in self.snapshots]
 
     def cell_occupancy_matrix(self) -> Dict[CellIndex, List[int]]:
         """Per-cell occupancy across all windows (cells ever occupied only).

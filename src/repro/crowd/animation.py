@@ -9,7 +9,7 @@ or the web UI to play back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .aggregate import CrowdTimeline
 

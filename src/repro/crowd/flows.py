@@ -8,9 +8,8 @@ movement animation.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..geo import CellIndex
 from .aggregate import CrowdTimeline
@@ -32,10 +31,6 @@ class Flow:
     @property
     def size(self) -> int:
         return len(self.user_ids)
-
-    @property
-    def is_stay(self) -> bool:
-        return self.origin == self.destination
 
 
 def window_flows(a: CrowdSnapshot, b: CrowdSnapshot, include_stays: bool = False) -> List[Flow]:

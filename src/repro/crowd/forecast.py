@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date as date_type
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 import numpy as np
 
@@ -49,14 +49,6 @@ class ForecastEvaluation:
     #: above-average *hours* for the cells it targets — the timing skill a
     #: time-blind baseline cannot have by construction (its lift is 1).
     time_lift: float
-
-    @property
-    def skill(self) -> float:
-        """1 − MAE_forecast / MAE_baseline; positive means the time-aware
-        pattern forecast beats the time-blind per-cell average."""
-        if self.mae_baseline == 0:
-            return 0.0
-        return 1.0 - self.mae_forecast / self.mae_baseline
 
 
 def observed_occupancy(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..geo import CellIndex, MicrocellGrid
 from .sync import UserPlacement
@@ -48,10 +48,6 @@ class CrowdSnapshot:
         """Occupancy per microcell."""
         return dict(Counter(p.cell for p in self.placements))
 
-    def label_counts(self) -> Dict[str, int]:
-        """How many users are at each kind of place."""
-        return dict(Counter(p.label for p in self.placements))
-
     def groups(self, min_size: int = 1) -> List[CrowdGroup]:
         """Co-located same-label user groups, largest first."""
         if min_size < 1:
@@ -66,17 +62,6 @@ class CrowdSnapshot:
         ]
         groups.sort(key=lambda g: (-g.size, g.label, g.cell))
         return groups
-
-    def hottest_cells(self, k: int = 5) -> List[Tuple[CellIndex, int]]:
-        """The ``k`` most occupied microcells."""
-        counts = self.cell_counts()
-        return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-
-    def placement_of(self, user_id: str) -> Optional[UserPlacement]:
-        for p in self.placements:
-            if p.user_id == user_id:
-                return p
-        return None
 
     def to_dict(self) -> Dict:
         """JSON-ready representation for the web API."""

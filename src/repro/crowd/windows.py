@@ -9,7 +9,7 @@ time frame (e.g. from hourly to 3-hour windows) without re-mining anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List
 
 from ..sequences import TimeBinning
 
@@ -47,9 +47,6 @@ class TimeWindow:
     def label(self) -> str:
         """Label like ``"09:00-10:00"``."""
         return f"{TimeBinning._fmt(self.start_hour)}-{TimeBinning._fmt(self.end_hour)}"
-
-    def contains_bin(self, bin_index: int) -> bool:
-        return self.start_bin <= bin_index < self.end_bin
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.bins)

@@ -94,11 +94,11 @@ class ActiveUserFilter:
         if self.min_checkins_per_day < 1:
             raise ValueError("min_checkins_per_day must be >= 1")
 
-    def _qualifying_days(self, dataset: CheckInDataset, lo: int, hi: int) -> np.ndarray:
-        """Qualifying-day counts per user code for rows ``lo:hi``."""
-        users, days = dataset.columns.user[lo:hi], dataset.local_days(lo, hi)
+    def _qualifying_days(self, dataset: CheckInDataset) -> np.ndarray:
+        """Qualifying-day counts per user code."""
+        users, days = dataset.columns.user, dataset.local_days(0, len(dataset))
         order = np.lexsort((days, users))  # stable: chronological within a day
-        users, days, times = users[order], days[order], dataset.columns.time_us[lo:hi][order]
+        users, days, times = users[order], days[order], dataset.columns.time_us[order]
         same = (users[1:] == users[:-1]) & (days[1:] == days[:-1])
         starts = np.flatnonzero(np.concatenate(([True], ~same)))
         group = np.cumsum(np.concatenate(([False], ~same)))
@@ -111,18 +111,11 @@ class ActiveUserFilter:
         qualifies = (sizes >= self.min_checkins_per_day) & has_close
         return np.bincount(users[starts[qualifies]], minlength=dataset.n_users)
 
-    def qualifying_days(self, dataset: CheckInDataset, user_id: str) -> int:
-        """Count the user's qualifying days in the dataset."""
-        lo, hi = dataset.user_span(user_id)
-        if lo == hi:
-            return 0
-        return int(self._qualifying_days(dataset, lo, hi).sum())
-
     def passing_users(self, dataset: CheckInDataset) -> List[str]:
         """Ids of users exceeding the qualifying-day threshold, sorted."""
         if not len(dataset):
             return []
-        counts = self._qualifying_days(dataset, 0, len(dataset))
+        counts = self._qualifying_days(dataset)
         return [dataset.user_table[i]
                 for i in np.flatnonzero(counts > self.min_qualifying_days).tolist()]
 

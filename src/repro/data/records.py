@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -111,11 +110,6 @@ class CheckIn:
     @property
     def local_date(self):
         return self.local_time.date()
-
-    @property
-    def local_hour(self) -> float:
-        lt = self.local_time
-        return lt.hour + lt.minute / 60.0 + lt.second / 3600.0
 
 
 class CheckInColumns(NamedTuple):
@@ -279,8 +273,8 @@ class CheckInDataset:
     sorted by ``(user_id, timestamp, venue_id)``; a user's rows are the
     contiguous range :meth:`user_span`.  ``CheckInDataset(checkins)``
     converts :class:`CheckIn` objects once; iteration, indexing,
-    :attr:`records`, :meth:`for_user` and :meth:`filter` build them back on
-    request.  All filter methods return new datasets from boolean masks.
+    :attr:`records` and :meth:`for_user` build them back on request.  The
+    filter methods return new datasets from boolean masks.
     """
 
     def __init__(
@@ -430,9 +424,6 @@ class CheckInDataset:
         table = self._store.category_table
         return sorted({table[k][1] for k in np.unique(self._store.columns.category).tolist()})
 
-    def venue_for(self, checkin: CheckIn) -> Optional[Venue]:
-        return self.venues.get(checkin.venue_id)
-
     # --------------------------------------------------------- numpy columns
 
     def lat_array(self) -> np.ndarray:
@@ -440,10 +431,6 @@ class CheckInDataset:
 
     def lon_array(self) -> np.ndarray:
         return self._store.columns.lon
-
-    def epoch_array(self) -> np.ndarray:
-        """UTC timestamps as float seconds since the epoch."""
-        return self._store.columns.time_us / 1e6
 
     # -------------------------------------------------------------- filters
 
@@ -476,41 +463,8 @@ class CheckInDataset:
         keep = np.array([uid in wanted for uid in self._store.user_table], dtype=bool)
         return self._derive(keep[self._store.columns.user], f"users[{len(wanted)}]")
 
-    def filter_bbox(self, bbox: BoundingBox) -> "CheckInDataset":
-        c = self._store.columns
-        return self._derive(
-            (bbox.min_lat <= c.lat) & (c.lat <= bbox.max_lat)
-            & (bbox.min_lon <= c.lon) & (c.lon <= bbox.max_lon),
-            "bbox",
-        )
-
-    def filter_categories(self, category_names: Iterable[str]) -> "CheckInDataset":
-        wanted = {n.strip().lower() for n in category_names}
-        keep = np.array([name.strip().lower() in wanted for _, name in self._store.category_table],
-                        dtype=bool)
-        return self._derive(keep[self._store.columns.category], "categories")
-
-    def filter(self, predicate: Callable[[CheckIn], bool], suffix: str = "custom") -> "CheckInDataset":
-        mask = np.fromiter(map(predicate, self), dtype=bool, count=len(self))
-        return self._derive(mask, suffix)
-
     def with_name(self, name: str) -> "CheckInDataset":
         return CheckInDataset.from_store(self._store, self.venues, name)
-
-    def merge(self, other: "CheckInDataset") -> "CheckInDataset":
-        """Union of two datasets (venue maps merged, other wins on conflict)."""
-        venues = dict(self.venues)
-        venues.update(other.venues)
-        builder = StoreBuilder()
-        for dataset in (self, other):
-            store = dataset._store
-            c = store.columns
-            categories = [store.category_table[k] for k in c.category.tolist()]
-            builder.add([store.user_table[u] for u in c.user.tolist()],
-                        [store.venue_table[v] for v in c.venue.tolist()],
-                        [k[0] for k in categories], [k[1] for k in categories],
-                        c.time_us, c.tz_offset_min, c.lat, c.lon)
-        return CheckInDataset.from_store(builder.build(), venues, f"{self.name}+{other.name}")
 
     def __repr__(self) -> str:
         return (

@@ -46,8 +46,6 @@ _CHARACTER_MIX: Dict[str, Dict[str, float]] = {
     },
 }
 
-_CHARACTERS = tuple(_CHARACTER_MIX)
-
 
 @dataclass(frozen=True)
 class Neighborhood:

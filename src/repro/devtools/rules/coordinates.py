@@ -19,7 +19,6 @@ from .common import axis_of, callee_name
 GEO_SIGNATURES = {
     "haversine_m": ("lat", "lon", "lat", "lon"),
     "equirectangular_m": ("lat", "lon", "lat", "lon"),
-    "initial_bearing_deg": ("lat", "lon", "lat", "lon"),
     "destination_point": ("lat", "lon", None, None),
     "validate_lat_lon": ("lat", "lon"),
     "GeoPoint": ("lat", "lon"),

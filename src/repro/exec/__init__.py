@@ -12,7 +12,7 @@ rest of ``repro``); callers pass an :class:`ExecConfig` down from
 :class:`repro.pipeline.PipelineConfig` or the CLI's ``--workers`` flag.
 """
 
-from .config import BACKENDS, ExecConfig
+from .config import ExecConfig
 from .pool import ordered_map
 
-__all__ = ["BACKENDS", "ExecConfig", "ordered_map"]
+__all__ = ["ExecConfig", "ordered_map"]

@@ -5,10 +5,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-__all__ = ["BACKENDS", "ExecConfig"]
-
-#: Supported execution backends.
-BACKENDS = ("serial", "process")
+__all__ = ["ExecConfig"]
 
 
 @dataclass(frozen=True)
@@ -17,56 +14,23 @@ class ExecConfig:
 
     Parameters
     ----------
-    backend:
-        ``"serial"`` runs in-process (the default — zero overhead, exact
-        legacy behaviour); ``"process"`` fans items out over a
-        ``ProcessPoolExecutor`` with a deterministic ordered merge.
-    n_workers:
-        Worker-process count for the process backend; ``0`` means
-        ``os.cpu_count()``.  A resolved count of one falls back to the
-        serial path (a single worker would only add pickling overhead).
-    chunk_size:
-        Items per pickled work unit; ``0`` picks a chunk that gives each
-        worker a handful of chunks (amortizes argument pickling while
-        keeping the pool load-balanced).
+    workers:
+        What a ``--workers N`` CLI flag means: ``1`` (the default) runs
+        in-process, ``N > 1`` fans items out over ``N`` worker processes
+        with a deterministic ordered merge, and ``0`` uses every core.  A
+        resolved count of one runs in-process (a single worker would only
+        add pickling overhead).
     """
 
-    backend: str = "serial"
-    n_workers: int = 0
-    chunk_size: int = 0
+    workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown exec backend {self.backend!r} (expected one of {BACKENDS})"
-            )
-        if self.n_workers < 0:
-            raise ValueError("n_workers must be non-negative (0 = all cores)")
-        if self.chunk_size < 0:
-            raise ValueError("chunk_size must be non-negative (0 = auto)")
-
-    @property
-    def parallel(self) -> bool:
-        """Could this config ever use more than one process?"""
-        return self.backend == "process" and self.n_workers != 1
+        if self.workers < 0:
+            raise ValueError("workers must be non-negative (0 = all cores)")
 
     def resolve_workers(self, n_items: int) -> int:
         """Effective worker count for ``n_items`` work items."""
-        if self.backend == "serial" or n_items <= 1:
+        if self.workers == 1 or n_items <= 1:
             return 1
-        workers = self.n_workers or (os.cpu_count() or 1)
+        workers = self.workers or (os.cpu_count() or 1)
         return max(1, min(workers, n_items))
-
-    def resolve_chunk_size(self, n_items: int, n_workers: int) -> int:
-        """Effective chunk size: explicit, or ~4 chunks per worker."""
-        if self.chunk_size:
-            return self.chunk_size
-        return max(1, -(-n_items // (n_workers * 4)))
-
-    @classmethod
-    def from_workers(cls, workers: int) -> "ExecConfig":
-        """The config a ``--workers N`` CLI flag means: ``1`` stays serial,
-        ``0`` uses every core, ``N > 1`` uses ``N`` worker processes."""
-        if workers == 1:
-            return cls()
-        return cls(backend="process", n_workers=workers)

@@ -3,18 +3,17 @@
 ``ordered_map`` is the execution layer's single primitive: apply a picklable
 function to every item and return the results *in input order*, regardless
 of which worker finished first.  Because each item is processed
-independently and the merge is ordered, the process backend is
-output-identical to the serial one — the parity suite asserts this for the
-mining fan-out.
+independently and the merge is ordered, the process pool is
+output-identical to the in-process loop — the parity suite asserts this for
+the mining fan-out.
 
-When observability is on (:mod:`repro.obs`), every call is wrapped in an
-``exec.ordered_map`` span and each task's latency lands in the
-``repro_exec_task_latency_s`` histogram; the process backend measures task
-time *inside* the worker (the wrapper returns ``(elapsed, result)`` pairs,
-unwrapped at the parent), so pickling overhead is visible as the gap between
-summed task time and wall clock — surfaced as the
-``repro_exec_worker_utilization_ratio`` gauge.  With observability off the
-code path is byte-identical to the uninstrumented original.
+Every call runs in an ``exec.ordered_map`` span and each task's latency
+lands in the ``repro_exec_task_latency_s`` histogram (both no-ops when
+observability is off, :mod:`repro.obs`).  Task time is measured wherever
+the task runs, inside the worker for the process pool (the wrapper returns
+``(elapsed, result)`` pairs, unwrapped at the parent), so pickling overhead
+is visible as the gap between summed task time and wall clock — surfaced as
+the ``repro_exec_worker_utilization_ratio`` gauge.
 """
 
 from __future__ import annotations
@@ -51,28 +50,39 @@ def _apply_worker_fn(item):
 def _timed_call(fn: Callable[[ItemT], ResultT], item: ItemT) -> Tuple[float, ResultT]:
     """Apply ``fn`` and return ``(elapsed_seconds, result)``.
 
-    Module-level so the process backend can ship it as a partial; the
-    timing happens wherever the work happens (worker process included).
+    Module-level so the process pool can ship it as a partial; the timing
+    happens wherever the work happens (worker process included).
     """
     start = time.perf_counter()
     result = fn(item)
     return time.perf_counter() - start, result
 
 
-def _consume_map(
-    pool: ProcessPoolExecutor, fn: Callable, items: List, chunk_size: int
-) -> List:
-    """Drain ``pool.map`` in order, cancelling queued chunks on failure.
+def _chunk_size(n_items: int, workers: int) -> int:
+    """Items per pickled work unit: about four chunks per worker (amortizes
+    argument pickling while keeping the pool load-balanced)."""
+    return max(1, -(-n_items // (workers * 4)))
 
-    Without this, the ``with`` block's ``shutdown(wait=True)`` finishes
-    every queued chunk before the worker's exception re-raises — at real
-    scale that is minutes of doomed work after the first failure.
+
+def _pool_map(fn: Callable, items: List, workers: int) -> List:
+    """Map ``fn`` over ``items`` on ``workers`` processes, in input order.
+
+    On failure the queued chunks are cancelled: without that, the ``with``
+    block's ``shutdown(wait=True)`` finishes every queued chunk before the
+    worker's exception re-raises — at real scale that is minutes of doomed
+    work after the first failure.
     """
-    try:
-        return list(pool.map(fn, items, chunksize=chunk_size))
-    except BaseException:
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
+    chunk_size = _chunk_size(len(items), workers)
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_install_worker_fn, initargs=(fn,)
+    ) as pool:
+        try:
+            # Executor.map preserves submission order, which is all the
+            # determinism guarantee needs.
+            return list(pool.map(_apply_worker_fn, items, chunksize=chunk_size))
+        except BaseException:
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
 
 
 def _task_label(fn: Callable, label: str) -> str:
@@ -89,50 +99,29 @@ def ordered_map(
 ) -> List[ResultT]:
     """Apply ``fn`` to every item, returning results in input order.
 
-    The serial backend (or a resolved worker count of one) simply loops
-    in-process.  The process backend requires ``fn`` and the items to be
-    picklable: pass a module-level function, or a ``functools.partial`` of
-    one carrying the shared read-only context — it is shipped once per
-    worker via the pool initializer, so only the items and results cross
-    the process boundary per chunk.
+    A resolved worker count of one simply loops in-process.  More workers
+    require ``fn`` and the items to be picklable: pass a module-level
+    function, or a ``functools.partial`` of one carrying the shared
+    read-only context — it is shipped once per worker via the pool
+    initializer, so only the items and results cross the process boundary
+    per chunk.
 
     ``label`` names the task family in observability output (metric labels,
-    span attributes); it defaults to the mapped function's name and has no
-    effect when observability is off.
+    span attributes); it defaults to the mapped function's name.
     """
     items = list(items)
     workers = config.resolve_workers(len(items))
     observer = get_observer()
-    if not observer.enabled:
-        if workers <= 1:
-            return [fn(item) for item in items]
-        chunk_size = config.resolve_chunk_size(len(items), workers)
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_install_worker_fn, initargs=(fn,)
-        ) as pool:
-            # Executor.map preserves submission order, which is all the
-            # determinism guarantee needs.
-            return _consume_map(pool, _apply_worker_fn, items, chunk_size)
-
-    # Observed path: identical work and merge order; each task additionally
-    # reports its own latency through a (elapsed, result) wrapper.
     name = _task_label(fn, label)
     with observer.span(
-        "exec.ordered_map", label=name, n_items=len(items), workers=workers,
-        backend=config.backend if workers > 1 else "serial",
+        "exec.ordered_map", label=name, n_items=len(items), workers=workers
     ) as span:
         wall0 = time.perf_counter()
         timed_fn = partial(_timed_call, fn)
         if workers <= 1:
             timed = [timed_fn(item) for item in items]
         else:
-            chunk_size = config.resolve_chunk_size(len(items), workers)
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_install_worker_fn,
-                initargs=(timed_fn,),
-            ) as pool:
-                timed = _consume_map(pool, _apply_worker_fn, items, chunk_size)
+            timed = _pool_map(timed_fn, items, workers)
         wall_s = time.perf_counter() - wall0
 
         busy_s = 0.0

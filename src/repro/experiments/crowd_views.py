@@ -8,9 +8,9 @@ crowd locations may change to other microcells".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from ..crowd import CrowdSnapshot, CrowdTimeline, window_flows
+from ..crowd import CrowdSnapshot, CrowdTimeline
 from ..viz import label_color_order, render_snapshot
 
 __all__ = ["CrowdViewResult", "crowd_views", "crowd_shift"]

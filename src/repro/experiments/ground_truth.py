@@ -17,7 +17,7 @@ that the modified PrefixSpan detects *actual* behaviour rather than noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Set, Tuple
 
 from ..data.synth import AgentProfile, GenerationResult, RoutineStop
 from ..patterns import UserPatternProfile

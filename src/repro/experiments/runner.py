@@ -268,8 +268,7 @@ def run_all(
     views = crowd_views(result.timeline, hours=(9.5, 13.5))
 
     results: Dict[str, object] = {"dataset_stats": [list(r) for r in stats.as_rows()]}
-    if result.report:  # absent when the config skips pre-processing
-        results["preprocess"] = [list(r) for r in result.report.as_rows()]
+    results["preprocess"] = [list(r) for r in result.report.as_rows()]
     results.update({
         "sweep_rows": sweep.to_rows(),
         "fig6_counts": sweep.sequence_counts_at(0.5),

@@ -15,7 +15,6 @@ from .point import (
     destination_point,
     equirectangular_m,
     haversine_m,
-    initial_bearing_deg,
     normalize_lon,
     validate_lat_lon,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "equirectangular_m",
     "haversine_m",
     "haversine_pairs_m",
-    "initial_bearing_deg",
     "normalize_lon",
     "perpendicular_distance_m",
     "simplify_polyline",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .point import GeoPoint, haversine_m, validate_lat_lon
 
@@ -72,33 +72,8 @@ class BoundingBox:
         """North-south extent in meters."""
         return haversine_m(self.min_lat, self.min_lon, self.max_lat, self.min_lon)
 
-    def contains(self, point: GeoPoint) -> bool:
-        return (
-            self.min_lat <= point.lat <= self.max_lat
-            and self.min_lon <= point.lon <= self.max_lon
-        )
-
     def contains_lat_lon(self, lat: float, lon: float) -> bool:
         return self.min_lat <= lat <= self.max_lat and self.min_lon <= lon <= self.max_lon
-
-    def intersects(self, other: "BoundingBox") -> bool:
-        return not (
-            other.min_lat > self.max_lat
-            or other.max_lat < self.min_lat
-            or other.min_lon > self.max_lon
-            or other.max_lon < self.min_lon
-        )
-
-    def intersection(self, other: "BoundingBox") -> "BoundingBox | None":
-        """The overlapping box, or ``None`` when disjoint."""
-        if not self.intersects(other):
-            return None
-        return BoundingBox(
-            max(self.min_lat, other.min_lat),
-            max(self.min_lon, other.min_lon),
-            min(self.max_lat, other.max_lat),
-            min(self.max_lon, other.max_lon),
-        )
 
     def union(self, other: "BoundingBox") -> "BoundingBox":
         """Smallest box covering both."""
@@ -117,12 +92,6 @@ class BoundingBox:
             min(90.0, self.max_lat + margin_deg),
             min(180.0, self.max_lon + margin_deg),
         )
-
-    def corners(self) -> Iterator[GeoPoint]:
-        yield GeoPoint(self.min_lat, self.min_lon)
-        yield GeoPoint(self.min_lat, self.max_lon)
-        yield GeoPoint(self.max_lat, self.max_lon)
-        yield GeoPoint(self.max_lat, self.min_lon)
 
 
 #: The rough New York City study area of the Foursquare NYC dataset.

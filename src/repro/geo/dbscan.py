@@ -32,18 +32,6 @@ class DBSCANResult:
     labels: Tuple[int, ...]
     n_clusters: int
 
-    def cluster_members(self) -> Dict[int, List[int]]:
-        """Map cluster label → input indexes (noise excluded)."""
-        members: Dict[int, List[int]] = defaultdict(list)
-        for i, label in enumerate(self.labels):
-            if label != NOISE:
-                members[label].append(i)
-        return dict(members)
-
-    @property
-    def n_noise(self) -> int:
-        return sum(1 for label in self.labels if label == NOISE)
-
 
 class _CellHash:
     """Uniform-grid spatial hash in degrees, sized to eps."""

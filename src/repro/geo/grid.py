@@ -8,9 +8,8 @@ microcell as one cell of a regular lat/lon grid laid over the study area.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -47,8 +46,8 @@ class MicrocellGrid:
     Parameters
     ----------
     bbox:
-        Study area.  Points outside raise :class:`ValueError` from
-        :meth:`cell_index` (use :meth:`cell_index_clamped` to snap instead).
+        Study area.  :meth:`cell_index_clamped` snaps points outside it to
+        the nearest cell.
     cell_size_m:
         Target edge length of a cell in meters.  Rows/cols are chosen so the
         actual cell size is as close as possible while tiling exactly.
@@ -67,12 +66,6 @@ class MicrocellGrid:
         self._dlon = bbox.lon_span / self.n_cols if bbox.lon_span else 0.0
 
     # ---------------------------------------------------------------- lookup
-
-    def cell_index(self, lat: float, lon: float) -> CellIndex:
-        """Cell address of a point strictly inside the study area."""
-        if not self.bbox.contains_lat_lon(lat, lon):
-            raise ValueError(f"point ({lat}, {lon}) outside grid bbox {self.bbox}")
-        return self._index_unchecked(lat, lon)
 
     def cell_index_clamped(self, lat: float, lon: float) -> CellIndex:
         """Cell address of the nearest cell — never raises."""
@@ -111,17 +104,6 @@ class MicrocellGrid:
         )
         return Microcell((row, col), cell_bbox)
 
-    def cell_for_point(self, point: GeoPoint) -> Microcell:
-        return self.cell(self.cell_index(point.lat, point.lon))
-
-    def cell_by_id(self, cell_id: str) -> Microcell:
-        """Parse a ``"r###c###"`` id back into a cell."""
-        try:
-            row_part, col_part = cell_id.lstrip("r").split("c")
-            return self.cell((int(row_part), int(col_part)))
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"malformed cell id {cell_id!r}") from exc
-
     # ------------------------------------------------------------- traversal
 
     def __len__(self) -> int:
@@ -131,43 +113,6 @@ class MicrocellGrid:
         for row in range(self.n_rows):
             for col in range(self.n_cols):
                 yield self.cell((row, col))
-
-    def neighbors(self, index: CellIndex, diagonal: bool = True) -> List[CellIndex]:
-        """Adjacent cell addresses (8-connected by default, 4 otherwise)."""
-        row, col = index
-        offsets = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-        if diagonal:
-            offsets += [(-1, -1), (-1, 1), (1, -1), (1, 1)]
-        out = []
-        for dr, dc in offsets:
-            r, c = row + dr, col + dc
-            if 0 <= r < self.n_rows and 0 <= c < self.n_cols:
-                out.append((r, c))
-        return out
-
-    def bin_points(self, points: Iterable[GeoPoint]) -> Dict[CellIndex, int]:
-        """Histogram of points per cell (points outside the bbox are clamped)."""
-        counts: Dict[CellIndex, int] = {}
-        for p in points:
-            idx = self.cell_index_clamped(p.lat, p.lon)
-            counts[idx] = counts.get(idx, 0) + 1
-        return counts
-
-    def cells_within(self, center: GeoPoint, radius_m: float) -> List[Microcell]:
-        """Cells whose center lies within ``radius_m`` of ``center``."""
-        if radius_m < 0:
-            raise ValueError("radius must be non-negative")
-        # Conservative candidate window in cell units, then exact filter.
-        rows_span = math.ceil(radius_m / max(self.cell_height_m(), 1e-9)) + 1
-        cols_span = math.ceil(radius_m / max(self.cell_width_m(), 1e-9)) + 1
-        c_row, c_col = self.cell_index_clamped(center.lat, center.lon)
-        hits = []
-        for row in range(max(0, c_row - rows_span), min(self.n_rows, c_row + rows_span + 1)):
-            for col in range(max(0, c_col - cols_span), min(self.n_cols, c_col + cols_span + 1)):
-                cell = self.cell((row, col))
-                if center.distance_to(cell.center) <= radius_m:
-                    hits.append(cell)
-        return hits
 
     # ------------------------------------------------------------ dimensions
 

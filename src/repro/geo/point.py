@@ -17,7 +17,6 @@ __all__ = [
     "GeoPoint",
     "haversine_m",
     "equirectangular_m",
-    "initial_bearing_deg",
     "destination_point",
     "centroid",
     "normalize_lon",
@@ -69,17 +68,10 @@ class GeoPoint:
         """Equirectangular-approximation distance in meters (fast, ~city scale)."""
         return equirectangular_m(self.lat, self.lon, other.lat, other.lon)
 
-    def bearing_to(self, other: "GeoPoint") -> float:
-        """Initial great-circle bearing toward ``other`` in degrees [0, 360)."""
-        return initial_bearing_deg(self.lat, self.lon, other.lat, other.lon)
-
     def offset(self, bearing_deg: float, distance_m: float) -> "GeoPoint":
         """The point ``distance_m`` meters away along ``bearing_deg``."""
         lat, lon = destination_point(self.lat, self.lon, bearing_deg, distance_m)
         return GeoPoint(lat, lon)
-
-    def as_tuple(self) -> Tuple[float, float]:
-        return (self.lat, self.lon)
 
     def __iter__(self) -> Iterator[float]:
         yield self.lat
@@ -110,17 +102,6 @@ def equirectangular_m(lat1: float, lon1: float, lat2: float, lon2: float) -> flo
     x = (lon2 - lon1) * _DEG2RAD * math.cos(mean_phi)
     y = (lat2 - lat1) * _DEG2RAD
     return EARTH_RADIUS_M * math.hypot(x, y)
-
-
-def initial_bearing_deg(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Initial bearing from point 1 toward point 2, degrees in [0, 360)."""
-    phi1 = lat1 * _DEG2RAD
-    phi2 = lat2 * _DEG2RAD
-    dlam = (lon2 - lon1) * _DEG2RAD
-    y = math.sin(dlam) * math.cos(phi2)
-    x = math.cos(phi1) * math.sin(phi2) - math.sin(phi1) * math.cos(phi2) * math.cos(dlam)
-    theta = math.atan2(y, x) * _RAD2DEG
-    return theta % 360.0
 
 
 def destination_point(

@@ -42,20 +42,6 @@ class EquirectangularProjection:
         y = (lat - self.origin.lat) * _DEG2RAD * EARTH_RADIUS_M
         return x, y
 
-    def inverse(self, x_m: float, y_m: float) -> Tuple[float, float]:
-        """(x_m, y_m) → (lat, lon)."""
-        cos_phi0 = math.cos(self.origin.lat * _DEG2RAD)
-        lat = self.origin.lat + (y_m / EARTH_RADIUS_M) / _DEG2RAD
-        lon = self.origin.lon + (x_m / (EARTH_RADIUS_M * cos_phi0)) / _DEG2RAD
-        return lat, lon
-
-    def forward_arrays(self, lats: np.ndarray, lons: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`forward` for numpy arrays."""
-        cos_phi0 = math.cos(self.origin.lat * _DEG2RAD)
-        x = (np.asarray(lons, dtype=float) - self.origin.lon) * _DEG2RAD * cos_phi0 * EARTH_RADIUS_M
-        y = (np.asarray(lats, dtype=float) - self.origin.lat) * _DEG2RAD * EARTH_RADIUS_M
-        return x, y
-
 
 @dataclass(frozen=True)
 class ScreenProjection:
@@ -86,16 +72,6 @@ class ScreenProjection:
         fx = (lon - self.bbox.min_lon) / lon_span
         fy = (lat - self.bbox.min_lat) / lat_span
         return self.padding_px + fx * inner_w, self.padding_px + (1.0 - fy) * inner_h
-
-    def to_geo(self, x_px: float, y_px: float) -> Tuple[float, float]:
-        """(x_px, y_px) → (lat, lon); inverse of :meth:`to_screen`."""
-        inner_w = self.width_px - 2 * self.padding_px
-        inner_h = self.height_px - 2 * self.padding_px
-        fx = (x_px - self.padding_px) / (inner_w or 1e-12)
-        fy = 1.0 - (y_px - self.padding_px) / (inner_h or 1e-12)
-        lat = self.bbox.min_lat + fy * self.bbox.lat_span
-        lon = self.bbox.min_lon + fx * self.bbox.lon_span
-        return lat, lon
 
 
 def haversine_pairs_m(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generic, Hashable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Generic, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 __all__ = [
     "SequentialPattern",
@@ -69,11 +69,6 @@ class SequentialPattern(Generic[Item]):
         """True when this pattern is a (gappy) subsequence of ``other``."""
         it = iter(other.items)
         return all(any(item == candidate for candidate in it) for item in self.items)
-
-    def format(self, item_fmt: Optional[Callable[[Item], str]] = None) -> str:
-        fmt = item_fmt or str
-        arrow = " → ".join(fmt(i) for i in self.items)
-        return f"[{arrow}] (support {self.support:.2f}, n={self.count})"
 
 
 @dataclass(frozen=True)

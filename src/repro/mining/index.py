@@ -5,9 +5,7 @@ re-scans the *entire* candidate pool at every recursion node and re-matches
 each candidate against every projected sequence with an O(|seq|) inner loop.
 Almost all of that work is redundant: :class:`~repro.mining.modified.FlexibleMatcher`
 is *prefix-independent* — whether a candidate pattern item matches a sequence
-item never depends on the prefix mined so far.  Only the *gap constraint*
-looks backwards, and it only needs the bin of the item the projection resumed
-after, which is a cheap position filter.
+item never depends on the prefix mined so far.
 
 :class:`MatchIndex` therefore precomputes, once per user database,
 
@@ -39,8 +37,8 @@ Everything the grow loop touches is an int:
   slower at every realistic sequence length, see docs/performance.md.)
 * **Suffix masks are precomputed per (candidate, sequence)**: one backward
   pass builds the resume mask for *every* suffix offset at once, so the
-  gap-free fast path is a binary search plus a list index — no set or mask
-  is ever rebuilt at grow time.
+  exact scan is one list index per projected sequence — no set or mask is
+  ever rebuilt at grow time.
 
 The index is only ever consulted for candidates drawn from the same global
 pool the reference miner uses (observed ``(bin, ancestor-label)`` items), so
@@ -52,8 +50,7 @@ from __future__ import annotations
 
 import weakref
 from array import array
-from bisect import bisect_left
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..sequences.database import SequenceDatabase
 from ..sequences.items import TimedItem
@@ -70,11 +67,9 @@ class MatchIndex:
 
     Parameters
     ----------
-    encoded:
-        The database's interned sequences (one ``array('i')`` of item ids
-        per user-day).
-    vocab:
-        The :class:`ItemVocab` those ids refer to.
+    db:
+        The user database; its interned sequences (one ``array('i')`` of
+        item ids per user-day) and vocabulary are adopted directly.
     matcher:
         The flexible matcher whose ``matches`` predicate the index inverts.
         Matching must be prefix-independent (it is: time tolerance and label
@@ -83,29 +78,19 @@ class MatchIndex:
 
     __slots__ = (
         "seq_lens",
-        "vocab",
         "candidate_vocab",
         "candidate_items",
         "positions",
         "seq_candidates",
-        "seq_bins",
         "n_matched",
         "_suffix_masks",
     )
 
-    def __init__(
-        self,
-        encoded: Sequence[array],
-        vocab: ItemVocab[TimedItem],
-        matcher: "FlexibleMatcher",
-    ) -> None:
-        encoded: Tuple[array, ...] = (
-            encoded if isinstance(encoded, tuple) else tuple(encoded)
-        )
+    def __init__(self, db: SequenceDatabase, matcher: "FlexibleMatcher") -> None:
+        encoded: Tuple[array, ...] = db.encoded
         #: Per-sequence lengths — all the index needs from the raw data
         #: after construction (the arrays themselves are not retained).
         self.seq_lens: array = array("i", [len(arr) for arr in encoded])
-        self.vocab = vocab
 
         # The candidate pool mirrors the reference miner exactly: every
         # observed item plus its taxonomy-ancestor relabelings, at the
@@ -114,7 +99,7 @@ class MatchIndex:
         for arr in encoded:
             distinct_ids.update(arr)
         pool: Set[TimedItem] = set()
-        decode = vocab.decode
+        decode = db.vocab.decode
         for item_id in distinct_ids:
             pool.update(matcher.candidates_for(decode(item_id)))
 
@@ -190,19 +175,9 @@ class MatchIndex:
             array("i", cids) for cids in seq_candidates
         )
 
-        #: sequence index → per-position time bins (the gap constraint's
-        #: only backward look); shares the sequences' id arrays' shape.
-        bin_of_item = array(
-            "i", [getattr(item, "bin", 0) for item in vocab.items]
-        )
-        self.seq_bins: Tuple[array, ...] = tuple(
-            array("i", [bin_of_item[item_id] for item_id in arr])
-            for arr in encoded
-        )
-
         # (candidate id, seq index) → resume-mask-by-start table:
         # masks[s] has bit k+1 set for every match position k >= s, so the
-        # gap-free exact scan is a single list index at the projection's
+        # exact scan is a single list index at the projection's
         # minimum start.  Built lazily in one backward pass per pair (upper-
         # bound-pruned candidates never pay for it), shared across every
         # recursion node that projects into the same pair.
@@ -210,30 +185,14 @@ class MatchIndex:
 
     # ------------------------------------------------------------------ api
 
-    @property
-    def pool(self) -> FrozenSet[TimedItem]:
-        """The candidate pool as items (mirrors the reference miner's)."""
-        return frozenset(self.candidate_items)
-
     def n_candidates(self) -> int:
         """Number of pool candidates with at least one match anywhere."""
         return self.n_matched
-
-    def suffix_masks(self, cid: int, seq_index: int, plist: List[int]) -> List[int]:
-        """Resume-mask-by-start table for one (candidate, sequence) pair."""
-        key = (cid, seq_index)
-        masks = self._suffix_masks.get(key)
-        if masks is None:
-            masks = self._suffix_masks[key] = _masks_by_start(
-                plist, self.seq_lens[seq_index]
-            )
-        return masks
 
     def supporters_of(
         self,
         cid: int,
         projections: Dict[int, int],
-        max_gap_bins: Optional[int],
         min_count: int,
         upper: int,
     ) -> Optional[Dict[int, int]]:
@@ -254,95 +213,45 @@ class MatchIndex:
         pos_map = self.positions[cid]
         supporters: Dict[int, int] = {}
         remaining = upper
-        if max_gap_bins is None:
-            suffix = self._suffix_masks
-            seq_lens = self.seq_lens
-            if len(pos_map) < len(projections):
-                projections_get = projections.get
-                for seq_index, plist in pos_map.items():
-                    starts = projections_get(seq_index)
-                    if starts is None:
-                        continue
-                    remaining -= 1
-                    key = (cid, seq_index)
-                    masks = suffix.get(key)
-                    if masks is None:
-                        masks = suffix[key] = _masks_by_start(
-                            plist, seq_lens[seq_index]
-                        )
-                    mask = masks[(starts & -starts).bit_length() - 1]
-                    if mask:
-                        supporters[seq_index] = mask
-                    elif len(supporters) + remaining < min_count:
-                        return None  # remaining-support upper bound
-            else:
-                pos_get = pos_map.get
-                for seq_index, starts in projections.items():
-                    plist = pos_get(seq_index)
-                    if plist is None:
-                        continue
-                    remaining -= 1
-                    key = (cid, seq_index)
-                    masks = suffix.get(key)
-                    if masks is None:
-                        masks = suffix[key] = _masks_by_start(
-                            plist, seq_lens[seq_index]
-                        )
-                    mask = masks[(starts & -starts).bit_length() - 1]
-                    if mask:
-                        supporters[seq_index] = mask
-                    elif len(supporters) + remaining < min_count:
-                        return None
+        suffix = self._suffix_masks
+        seq_lens = self.seq_lens
+        if len(pos_map) < len(projections):
+            projections_get = projections.get
+            for seq_index, plist in pos_map.items():
+                starts = projections_get(seq_index)
+                if starts is None:
+                    continue
+                remaining -= 1
+                key = (cid, seq_index)
+                masks = suffix.get(key)
+                if masks is None:
+                    masks = suffix[key] = _masks_by_start(
+                        plist, seq_lens[seq_index]
+                    )
+                mask = masks[(starts & -starts).bit_length() - 1]
+                if mask:
+                    supporters[seq_index] = mask
+                elif len(supporters) + remaining < min_count:
+                    return None  # remaining-support upper bound
         else:
-            seq_bins = self.seq_bins
-            if len(pos_map) < len(projections):
-                projections_get = projections.get
-                for seq_index, plist in pos_map.items():
-                    starts = projections_get(seq_index)
-                    if starts is None:
-                        continue
-                    remaining -= 1
-                    mask = _gap_mask(plist, seq_bins[seq_index], starts, max_gap_bins)
-                    if mask:
-                        supporters[seq_index] = mask
-                    elif len(supporters) + remaining < min_count:
-                        return None
-            else:
-                pos_get = pos_map.get
-                for seq_index, starts in projections.items():
-                    plist = pos_get(seq_index)
-                    if plist is None:
-                        continue
-                    remaining -= 1
-                    mask = _gap_mask(plist, seq_bins[seq_index], starts, max_gap_bins)
-                    if mask:
-                        supporters[seq_index] = mask
-                    elif len(supporters) + remaining < min_count:
-                        return None
+            pos_get = pos_map.get
+            for seq_index, starts in projections.items():
+                plist = pos_get(seq_index)
+                if plist is None:
+                    continue
+                remaining -= 1
+                key = (cid, seq_index)
+                masks = suffix.get(key)
+                if masks is None:
+                    masks = suffix[key] = _masks_by_start(
+                        plist, seq_lens[seq_index]
+                    )
+                mask = masks[(starts & -starts).bit_length() - 1]
+                if mask:
+                    supporters[seq_index] = mask
+                elif len(supporters) + remaining < min_count:
+                    return None
         return supporters if len(supporters) >= min_count else None
-
-    def resume_positions(
-        self,
-        cid: int,
-        seq_index: int,
-        starts: int,
-        max_gap_bins: Optional[int],
-    ) -> int:
-        """Resume mask after every admissible match of candidate ``cid``.
-
-        Mirrors the reference miner's ``all_match_positions`` exactly:
-        a match at position ``k`` reached from resume point ``start`` is
-        admissible when ``k >= start`` and, under a gap constraint, the
-        matched item's bin is within ``max_gap_bins`` of the bin of the item
-        just before ``start`` (the one the prefix last consumed).
-        """
-        plist = self.positions[cid].get(seq_index)
-        if plist is None or not starts:
-            return 0
-        if max_gap_bins is None:
-            min_start = (starts & -starts).bit_length() - 1
-            return self.suffix_masks(cid, seq_index, plist)[min_start]
-        return _gap_mask(plist, self.seq_bins[seq_index], starts, max_gap_bins)
 
 
 def _masks_by_start(plist: List[int], seq_len: int) -> List[int]:
@@ -350,7 +259,7 @@ def _masks_by_start(plist: List[int], seq_len: int) -> List[int]:
 
     ``masks[s]`` has bit ``k + 1`` set for every match position ``k >= s``
     (``masks[seq_len]`` is empty).  One backward pass builds the whole
-    table, so gap-free projection is a list index — no per-node set or mask
+    table, so projection is a list index — no per-node set or mask
     construction, no binary search.
     """
     masks = [0] * (seq_len + 1)
@@ -362,29 +271,6 @@ def _masks_by_start(plist: List[int], seq_len: int) -> List[int]:
             j -= 1
         masks[s] = acc
     return masks
-
-
-def _gap_mask(
-    plist: List[int], bins: array, starts: int, max_gap_bins: int
-) -> int:
-    """Admissible resume mask under the gap constraint.
-
-    Semantics mirror the reference miner: for each start, matches at
-    ``k >= start`` qualify unless the (non-circular) bin distance from the
-    item just before the start exceeds ``max_gap_bins``.
-    """
-    out = 0
-    remaining = starts
-    while remaining:
-        low_bit = remaining & -remaining
-        remaining ^= low_bit
-        start = low_bit.bit_length() - 1
-        prev_bin = bins[start - 1] if start > 0 else None
-        for k in plist[bisect_left(plist, start):]:
-            if prev_bin is not None and bins[k] - prev_bin > max_gap_bins:
-                continue
-            out |= 1 << (k + 1)
-    return out
 
 
 # Per-database index memo, keyed weakly on the database so entries die with
@@ -406,33 +292,20 @@ def _matcher_signature(matcher: "FlexibleMatcher") -> tuple:
     )
 
 
-def build_match_index(
-    sequences: Union[SequenceDatabase, Sequence[Tuple[TimedItem, ...]]],
-    matcher: "FlexibleMatcher",
-) -> MatchIndex:
+def build_match_index(db: SequenceDatabase, matcher: "FlexibleMatcher") -> MatchIndex:
     """Build (or reuse) the inverted match index for one user database.
 
-    Accepts either a :class:`SequenceDatabase` — whose interned arrays and
-    vocabulary are adopted directly, no re-encoding, and whose index is
-    memoized per matcher configuration — or raw item-tuple sequences, which
-    are interned here first (and never memoized: there is nothing stable to
-    key on).
+    The database's interned arrays and vocabulary are adopted directly, no
+    re-encoding, and its index is memoized per matcher configuration.
     """
     global _INDEX_MEMO
-    if isinstance(sequences, SequenceDatabase):
-        if _INDEX_MEMO is None:
-            _INDEX_MEMO = weakref.WeakKeyDictionary()
-        per_db = _INDEX_MEMO.get(sequences)
-        if per_db is None:
-            per_db = _INDEX_MEMO[sequences] = {}
-        signature = _matcher_signature(matcher)
-        index = per_db.get(signature)
-        if index is None:
-            index = per_db[signature] = MatchIndex(
-                sequences.encoded, sequences.vocab, matcher
-            )
-        return index
-    seqs = tuple(tuple(seq) for seq in sequences)
-    vocab: ItemVocab[TimedItem] = ItemVocab(item for seq in seqs for item in seq)
-    encoded = tuple(vocab.encode_sequence(seq) for seq in seqs)
-    return MatchIndex(encoded, vocab, matcher)
+    if _INDEX_MEMO is None:
+        _INDEX_MEMO = weakref.WeakKeyDictionary()
+    per_db = _INDEX_MEMO.get(db)
+    if per_db is None:
+        per_db = _INDEX_MEMO[db] = {}
+    signature = _matcher_signature(matcher)
+    index = per_db.get(signature)
+    if index is None:
+        index = per_db[signature] = MatchIndex(db, matcher)
+    return index

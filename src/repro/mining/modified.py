@@ -4,17 +4,14 @@ The paper's motivation is that humans are consistent in *kind* but flexible
 in *detail*: lunch is always "a Thai place around noon", never the same
 venue, never the exact same minute.  Classic PrefixSpan over raw items
 cannot see such a routine.  The modified algorithm works on
-(time-bin, place-label) items and relaxes matching in three directions:
+(time-bin, place-label) items and relaxes matching in two directions:
 
 * **time tolerance** — a pattern item at bin 12 matches visits at bins
   11–13 (circular, configurable);
 * **label flexibility** — optionally, a pattern item labeled with an
   *ancestor* category ("Eatery") matches visits to any descendant
   ("Thai Restaurant"); candidate pattern items are generated at every
-  abstraction level, so the most supported level wins;
-* **gap constraint** — optionally, consecutive pattern items must occur
-  within ``max_gap_bins`` of each other, keeping patterns within one
-  routine episode rather than spanning breakfast-to-midnight.
+  abstraction level, so the most supported level wins.
 
 Support stays sequence-relative (fraction of user-days), matching the
 paper's ``min_support`` sweeps.
@@ -124,7 +121,6 @@ class ModifiedPrefixSpanConfig:
     min_support: float = 0.5
     limits: MiningLimits = field(default_factory=MiningLimits)
     time_tolerance_bins: int = 1
-    max_gap_bins: Optional[int] = None
     include_ancestor_labels: bool = False
     #: Merge pattern-item candidates that differ only in bin but support the
     #: exact same user-days (keeps reports free of near-duplicate patterns).
@@ -135,8 +131,6 @@ class ModifiedPrefixSpanConfig:
             raise ValueError("min_support must be in (0, 1]")
         if self.time_tolerance_bins < 0:
             raise ValueError("time_tolerance_bins must be non-negative")
-        if self.max_gap_bins is not None and self.max_gap_bins < 0:
-            raise ValueError("max_gap_bins must be non-negative")
 
 
 def modified_prefixspan(
@@ -175,7 +169,6 @@ def modified_prefixspan(
     candidate_items = index.candidate_items
     seq_candidates = index.seq_candidates
     supporters_of = index.supporters_of
-    max_gap_bins = config.max_gap_bins
     min_length = config.limits.min_length
     admits_longer_than = config.limits.admits_longer_than
     canonicalize_bins = config.canonicalize_bins
@@ -203,7 +196,6 @@ def modified_prefixspan(
         n_nodes += 1
         if observing:
             node_depths.append(len(prefix))
-        gap = max_gap_bins if (prefix and max_gap_bins is not None) else None
         # Upper-bound tally: in how many projected sequences does each
         # candidate occur at all (at any position)?  Only candidates that
         # could still reach min_count get the exact position check.
@@ -221,7 +213,7 @@ def modified_prefixspan(
             if upper < min_count:
                 n_pruned_upper += 1
                 continue
-            supporters = supporters_of(cid, projections, gap, min_count, upper)
+            supporters = supporters_of(cid, projections, min_count, upper)
             if supporters is not None:
                 supported[cid] = supporters
             else:
@@ -284,18 +276,13 @@ def modified_prefixspan_reference(
     results: List[SequentialPattern[TimedItem]] = []
 
     def all_match_positions(
-        candidate: TimedItem, seq: Tuple[TimedItem, ...], starts: FrozenSet[int], with_gap: bool
+        candidate: TimedItem, seq: Tuple[TimedItem, ...], starts: FrozenSet[int]
     ) -> FrozenSet[int]:
-        """Resume positions after every admissible match of ``candidate``."""
+        """Resume positions after every match of ``candidate``."""
         out: Set[int] = set()
         for start in starts:
-            prev_bin = seq[start - 1].bin if (with_gap and start > 0) else None
             for k in range(start, len(seq)):
-                item = seq[k]
-                if prev_bin is not None and config.max_gap_bins is not None:
-                    if item.bin - prev_bin > config.max_gap_bins:
-                        continue
-                if matcher.matches(candidate, item):
+                if matcher.matches(candidate, seq[k]):
                     out.add(k + 1)
         return frozenset(out)
 
@@ -309,13 +296,12 @@ def modified_prefixspan_reference(
             global_pool.update(matcher.candidates_for(item))
 
     def grow(prefix: Tuple[TimedItem, ...], projections: Dict[int, FrozenSet[int]]) -> None:
-        with_gap = bool(prefix) and config.max_gap_bins is not None
         # Exact support of every pool candidate via the match predicate.
         supported: Dict[TimedItem, Dict[int, FrozenSet[int]]] = {}
         for candidate in global_pool:
             supporters: Dict[int, FrozenSet[int]] = {}
             for seq_index, starts in projections.items():
-                positions = all_match_positions(candidate, sequences[seq_index], starts, with_gap)
+                positions = all_match_positions(candidate, sequences[seq_index], starts)
                 if positions:
                     supporters[seq_index] = positions
             if len(supporters) >= min_count:

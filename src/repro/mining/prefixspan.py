@@ -8,7 +8,7 @@ It serves as the exact-matching baseline the paper's *modified* PrefixSpan
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Hashable, List, Sequence, Tuple, TypeVar
 
 from ..sequences.database import SequenceDatabase
 from .base import MiningLimits, SequentialPattern, sort_patterns, sorted_candidates

@@ -8,7 +8,7 @@ over users per ``min_support`` and the distribution at ``min_support=0.5``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, Mapping, Sequence
 
 import numpy as np
 

@@ -50,7 +50,7 @@ def build_place_graph(
     lo, hi = dataset.user_span(user_id)
     if hi <= lo:
         return PlaceGraph(user_id, (), ())
-    rows = label_rows(dataset, lo, hi, labeler, binning, dedupe_consecutive=True)
+    rows = label_rows(dataset, lo, hi, labeler, binning)
     labels = rows.labels
     n_labels = len(labels)
     label = rows.items[rows.keep] % n_labels

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..data.records import CheckInDataset
 from ..exec import ExecConfig, ordered_map
@@ -73,15 +73,6 @@ class UserPatternProfile:
                 if min(d, n_bins - d) <= tolerance:
                     hits.append((item, pattern))
         return hits
-
-    def strongest_label_at_bin(self, bin_index: int, tolerance: int = 0) -> Optional[str]:
-        """The best-supported place label at a bin, or ``None``."""
-        best: Optional[Tuple[float, str]] = None
-        for item, pattern in self.items_at_bin(bin_index, tolerance):
-            key = (pattern.support, item.label)
-            if best is None or key > best:
-                best = key
-        return best[1] if best else None
 
     def to_dict(self) -> Dict:
         """JSON-ready representation (used by the web API)."""

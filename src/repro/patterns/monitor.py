@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..mining import SequentialPattern
 from ..sequences import TimedItem
@@ -65,7 +65,6 @@ class PatternMonitor:
         self.tolerance_bins = tolerance_bins
         self._matched: Dict[int, int] = {i: 0 for i in range(len(profile.patterns))}
         self._current_bin: Optional[int] = None
-        self._observations: List[TimedItem] = []
 
     # ------------------------------------------------------------ feeding
 
@@ -77,7 +76,6 @@ class PatternMonitor:
                 f"after {self._current_bin})"
             )
         self._current_bin = item.bin
-        self._observations.append(item)
         for index, pattern in enumerate(self.profile.patterns):
             matched = self._matched[index]
             if matched >= len(pattern.items):
@@ -85,10 +83,6 @@ class PatternMonitor:
             expected = pattern.items[matched]
             if expected.label == item.label and abs(expected.bin - item.bin) <= self.tolerance_bins:
                 self._matched[index] = matched + 1
-
-    def observe_all(self, items: Sequence[TimedItem]) -> None:
-        for item in items:
-            self.observe(item)
 
     def advance_to(self, bin_index: int) -> None:
         """Move the clock forward without a visit (time passing)."""
@@ -149,10 +143,3 @@ class PatternMonitor:
         )
         return live / total
 
-    @property
-    def current_bin(self) -> Optional[int]:
-        return self._current_bin
-
-    @property
-    def observations(self) -> Tuple[TimedItem, ...]:
-        return tuple(self._observations)

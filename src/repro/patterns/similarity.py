@@ -12,7 +12,6 @@ from typing import Dict, FrozenSet, List, Mapping, Set, Tuple
 
 import numpy as np
 
-from ..mining import SequentialPattern
 from ..sequences import TimedItem
 from .model import UserPatternProfile
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import List
 
 from ..mining import SequentialPattern
-from ..sequences import TimedItem
 from .model import UserPatternProfile
 
 __all__ = ["describe_pattern", "summarize_profile"]

@@ -46,11 +46,9 @@ class PipelineConfig:
     cell_size_m: float = 750.0
     pattern_tolerance: int = 0
     evidence_tolerance: int = 1
-    #: Skip preprocessing entirely (for already-filtered datasets).
-    skip_preprocess: bool = False
-    #: Execution backend for per-user mining and per-window aggregation
-    #: (serial by default; ``ExecConfig.from_workers(n)`` fans out over
-    #: ``n`` worker processes with identical output).
+    #: Worker processes for per-user mining and per-window aggregation
+    #: (in-process by default; ``ExecConfig(workers=n)`` fans out over ``n``
+    #: worker processes with identical output).
     exec: ExecConfig = field(default_factory=ExecConfig)
     #: Turn on observability (:mod:`repro.obs`) for this run: one trace
     #: span per phase plus pipeline metrics, readable afterwards via
@@ -67,7 +65,7 @@ class PipelineResult:
     """Everything the pipeline produced."""
 
     dataset: CheckInDataset  # the filtered dataset the later phases used
-    report: Optional[PreprocessReport]
+    report: PreprocessReport
     profiles: Dict[str, UserPatternProfile]
     grid: MicrocellGrid
     aggregator: CrowdAggregator
@@ -109,12 +107,9 @@ def run_pipeline(
 
         # Phase 1 — data acquisition & pre-processing.
         with o.span("pipeline.preprocess") as phase:
-            if config.skip_preprocess:
-                filtered, report = dataset, None
-            else:
-                filtered, report = preprocess(
-                    dataset, config.window_months, config.activity
-                )
+            filtered, report = preprocess(
+                dataset, config.window_months, config.activity
+            )
             if len(filtered) == 0:
                 raise ValueError(
                     "preprocessing removed every record; relax the activity criteria "

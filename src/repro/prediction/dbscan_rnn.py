@@ -10,13 +10,13 @@ This module wires those stages together from this library's own substrates
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as date_type
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..geo import GeoPoint, NOISE, dbscan
 from ..sequences.staypoints import Fix, StayPoint, detect_stay_points
-from .base import NextPlacePredictor, prediction_examples, split_sequences
+from .base import NextPlacePredictor, prediction_examples
 from .evaluate import PredictionReport
 from .markov import MarkovPredictor
 from .rnn import RNNPredictor
@@ -126,10 +126,6 @@ class DBSCANRNNPipeline:
     @property
     def n_places(self) -> int:
         return len(self.cluster_centers)
-
-    @property
-    def day_sequences(self) -> Dict[date_type, List[int]]:
-        return dict(self._day_sequences)
 
     # ----------------------------------------------------------- inference
 

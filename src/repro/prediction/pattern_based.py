@@ -10,7 +10,7 @@ pattern speaks — demonstrating that the artifact CrowdWeb computes for
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import Hashable, List, Sequence, Set, Tuple, TypeVar
 
 from ..mining import SequentialPattern
 from .base import NextPlacePredictor

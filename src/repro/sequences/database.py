@@ -28,12 +28,12 @@ untouched; the miners bypass decoding entirely and consume ``db.encoded`` /
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Generic, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Generic, Hashable, Iterable, Iterator, Optional, Sequence, Tuple, TypeVar
 
 from ..data.records import CheckInDataset
 from ..taxonomy import AbstractionLevel, CategoryTree
-from .items import Labeler, TimedItem, make_labeler
-from .sessions import DailySession, sessionize_dataset, sessionize_user
+from .items import TimedItem, make_labeler
+from .sessions import sessionize_dataset, sessionize_user
 from .timebins import HOURLY, TimeBinning
 from .vocab import ENCODED_TYPECODE, ItemVocab
 
@@ -116,21 +116,6 @@ class SequenceDatabase(Generic[Item]):
         db._decoded = None
         return db
 
-    @classmethod
-    def from_encoded(
-        cls,
-        encoded: Iterable[Sequence[int]],
-        vocab: ItemVocab[Item],
-        name: str = "seqdb",
-    ) -> "SequenceDatabase[Item]":
-        """Build from per-sequence id arrays (packed into flat storage)."""
-        flat = array(ENCODED_TYPECODE)
-        offsets = array(ENCODED_TYPECODE, [0])
-        for arr in encoded:
-            flat.extend(arr)
-            offsets.append(len(flat))
-        return cls.from_storage(flat, offsets, vocab, name=name)
-
     # --------------------------------------------------------------- pickle
 
     def __getstate__(self):
@@ -192,40 +177,8 @@ class SequenceDatabase(Generic[Item]):
 
     # -------------------------------------------------------------- queries
 
-    def support_count(self, pattern: Sequence[Item]) -> int:
-        """Number of sequences containing ``pattern`` as a subsequence."""
-        return sum(1 for seq in self.sequences if is_subsequence(pattern, seq))
-
-    def support(self, pattern: Sequence[Item]) -> float:
-        """Relative support in [0, 1]; 0 for an empty database."""
-        n = len(self)
-        if not n:
-            return 0.0
-        return self.support_count(pattern) / n
-
-    def item_frequencies(self) -> Dict[Item, int]:
-        """Per-item sequence frequency (each sequence counts an item once)."""
-        decode = self._vocab.decode
-        flat, offsets = self._flat, self._offsets
-        freq_ids: Dict[int, int] = {}
-        for i in range(len(offsets) - 1):
-            for item_id in set(flat[offsets[i]:offsets[i + 1]]):
-                freq_ids[item_id] = freq_ids.get(item_id, 0) + 1
-        return {decode(item_id): count for item_id, count in freq_ids.items()}
-
-    def alphabet(self) -> List[Item]:
-        """All distinct items, in deterministic sorted order."""
-        decode = self._vocab.decode
-        return sorted(decode(item_id) for item_id in set(self._flat))
-
     def total_items(self) -> int:
         return len(self._flat)
-
-    def avg_sequence_length(self) -> float:
-        n = len(self)
-        if not n:
-            return 0.0
-        return len(self._flat) / n
 
     def min_count(self, min_support: float) -> int:
         """Absolute sequence count a pattern needs to reach ``min_support``.

@@ -12,7 +12,6 @@ from typing import Callable, NamedTuple, Union
 
 from ..data.records import CheckIn
 from ..taxonomy import AbstractionLevel, CategoryTree, UnknownCategoryError
-from .timebins import TimeBinning
 
 __all__ = ["TimedItem", "PlaceRef", "Labeler", "make_labeler"]
 
@@ -22,9 +21,6 @@ class TimedItem(NamedTuple):
 
     bin: int
     label: str
-
-    def format(self, binning: TimeBinning) -> str:
-        return f"{binning.label(self.bin)} {self.label}"
 
 
 class PlaceRef(NamedTuple):

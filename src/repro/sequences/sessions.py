@@ -7,13 +7,13 @@ fraction of days on which it occurs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
-from ..data.records import CheckIn, CheckInDataset, day_date
+from ..data.records import CheckInDataset, day_date
 from .items import Labeler, PlaceRef, TimedItem
 from .timebins import HOURLY, TimeBinning
 
@@ -29,40 +29,25 @@ DAY_KINDS = ("all", "weekday", "weekend")
 
 @dataclass(frozen=True)
 class DailySession:
-    """One user-day: the item sequence its check-ins map to.
-
-    ``checkins`` builds the day's :class:`CheckIn` records from the
-    dataset's rows on request; sessions compare by user, day and items.
-    """
+    """One user-day: the item sequence its check-ins map to."""
 
     user_id: str
     day: date
     items: Tuple[TimedItem, ...]
-    rows: Optional[Tuple[CheckInDataset, np.ndarray]] = field(
-        default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.items)
-
-    @property
-    def checkins(self) -> Tuple[CheckIn, ...]:
-        """The day's check-ins in chronological order."""
-        if self.rows is None:
-            return ()
-        dataset, rows = self.rows
-        return tuple(dataset[i] for i in rows.tolist())
 
 
 class LabeledRows(NamedTuple):
     """Rows ``lo:hi`` in (user, local day, time) order, labeled and deduplicated.
 
-    Position ``i`` is dataset row ``rows[i]``; its item code is
-    ``items[i] = bin * len(labels) + label index``.  ``first`` marks the
-    first position of each (user, day) and ``keep`` the positions that
-    survive deduplication (every ``first`` one does).
+    Position ``i``'s item code is ``items[i] = bin * len(labels) + label
+    index``.  ``first`` marks the first position of each (user, day) and
+    ``keep`` the positions that survive deduplication (every ``first`` one
+    does): a repeat of the previous item of the same day adds no signal.
     """
 
-    rows: np.ndarray
     users: np.ndarray
     days: np.ndarray  # local calendar days since 1970-01-01
     items: np.ndarray
@@ -77,7 +62,6 @@ def label_rows(
     hi: int,
     labeler: Labeler,
     binning: TimeBinning,
-    dedupe_consecutive: bool,
 ) -> LabeledRows:
     """Order, label and deduplicate rows ``lo:hi``.
 
@@ -107,12 +91,9 @@ def label_rows(
     items = bins[order] * len(labels) + pair_label[pair_code.reshape(-1)[order]]
     first = np.ones(n, dtype=bool)
     first[1:] = (users[1:] != users[:-1]) | (days[1:] != days[:-1])
-    if dedupe_consecutive:  # a double check-in at one place and bin adds no signal
-        keep = first.copy()
-        keep[1:] |= items[1:] != items[:-1]
-    else:
-        keep = np.ones(n, dtype=bool)
-    return LabeledRows(order + lo, users, days, items, labels, first, keep)
+    keep = first.copy()
+    keep[1:] |= items[1:] != items[:-1]
+    return LabeledRows(users, days, items, labels, first, keep)
 
 
 def _sessionize_rows(
@@ -121,7 +102,6 @@ def _sessionize_rows(
     hi: int,
     labeler: Labeler,
     binning: TimeBinning,
-    dedupe_consecutive: bool,
     min_items: int,
     day_kind: str,
 ) -> List[DailySession]:
@@ -130,11 +110,9 @@ def _sessionize_rows(
         raise ValueError("min_items must be >= 1")
     if day_kind not in DAY_KINDS:
         raise ValueError(f"unknown day kind {day_kind!r} (expected one of {DAY_KINDS})")
-    n = hi - lo
-    if n <= 0:
+    if hi <= lo:
         return []
-    rows, users, days, items, labels, first, keep = label_rows(
-        dataset, lo, hi, labeler, binning, dedupe_consecutive)
+    users, days, items, labels, first, keep = label_rows(dataset, lo, hi, labeler, binning)
     starts = np.flatnonzero(first)
     counts = np.add.reduceat(keep.astype(np.int64), starts)
     admitted = counts >= min_items
@@ -146,7 +124,6 @@ def _sessionize_rows(
                     for code in kept_codes.tolist()]
     row_items = [item_objects[i] for i in kept_index.reshape(-1).tolist()]
     item_starts = np.concatenate(([0], np.cumsum(counts))).tolist()
-    ends = np.append(starts[1:], n).tolist()
     user_table = dataset.user_table
     sessions: List[DailySession] = []
     for s in np.flatnonzero(admitted).tolist():
@@ -155,7 +132,6 @@ def _sessionize_rows(
             user_id=user_table[users[start]],
             day=day_date(int(days[start])),
             items=tuple(row_items[item_starts[s]:item_starts[s + 1]]),
-            rows=(dataset, rows[start:ends[s]]),
         ))
     return sessions
 
@@ -165,7 +141,6 @@ def sessionize_user(
     user_id: str,
     labeler: Labeler,
     binning: TimeBinning = HOURLY,
-    dedupe_consecutive: bool = True,
     min_items: int = 1,
     day_kind: str = "all",
 ) -> List[DailySession]:
@@ -178,21 +153,19 @@ def sessionize_user(
     them separately sharpens both).
     """
     lo, hi = dataset.user_span(user_id)
-    return _sessionize_rows(dataset, lo, hi, labeler, binning, dedupe_consecutive,
-                            min_items, day_kind)
+    return _sessionize_rows(dataset, lo, hi, labeler, binning, min_items, day_kind)
 
 
 def sessionize_dataset(
     dataset: CheckInDataset,
     labeler: Labeler,
     binning: TimeBinning = HOURLY,
-    dedupe_consecutive: bool = True,
     min_items: int = 1,
     day_kind: str = "all",
 ) -> Dict[str, List[DailySession]]:
     """Sessionize every user; map user id → daily sessions."""
     by_user: Dict[str, List[DailySession]] = {uid: [] for uid in dataset.user_ids()}
     for session in _sessionize_rows(dataset, 0, len(dataset), labeler, binning,
-                                    dedupe_consecutive, min_items, day_kind):
+                                    min_items, day_kind):
         by_user[session.user_id].append(session)
     return by_user

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -77,14 +77,6 @@ class TimeBinning:
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self.n_bins))
-
-    def all_labels(self) -> List[str]:
-        return [self.label(i) for i in self]
-
-    def distance(self, a: int, b: int) -> int:
-        """Circular distance between two bins (23:00 is next to 00:00)."""
-        d = abs(a - b)
-        return min(d, self.n_bins - d)
 
 
 #: The paper's crowd views step in one-hour windows ("9–10 am").

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional
 
 __all__ = [
     "AbstractionLevel",
@@ -147,45 +147,8 @@ class CategoryTree:
             stack.extend(reversed(node.children_ids))
         return out
 
-    def leaves(self) -> List[Category]:
-        return [c for c in self._by_id.values() if c.is_leaf]
-
     def roots(self) -> List[Category]:
         return [c for c in self._by_id.values() if c.is_root]
-
-    def depth(self, category_id: str) -> int:
-        """0 for roots, 1 for their children, and so on."""
-        return len(self.ancestors(category_id))
-
-    def is_ancestor(self, ancestor_id: str, descendant_id: str) -> bool:
-        """True when ``ancestor_id`` lies on ``descendant_id``'s path to its root."""
-        node = self.get(descendant_id)
-        while node.parent_id is not None:
-            if node.parent_id == ancestor_id:
-                return True
-            node = self._by_id[node.parent_id]
-        return False
-
-    def abstract(self, category_id: str, level: AbstractionLevel) -> str:
-        """The label a venue of ``category_id`` gets at ``level``.
-
-        ``VENUE`` is handled by the caller (it needs the venue id, not the
-        category); asking for it here is an error.
-        """
-        if level is AbstractionLevel.VENUE:
-            raise ValueError("VENUE-level abstraction needs the venue id, not a category")
-        if level is AbstractionLevel.ROOT:
-            return self.root_of(category_id).name
-        return self.get(category_id).name
-
-    def lowest_common_ancestor(self, a_id: str, b_id: str) -> Optional[Category]:
-        """Deepest shared ancestor (inclusive), or ``None`` across different roots."""
-        a_path = [self.get(a_id)] + self.ancestors(a_id)
-        b_ids = {c.category_id for c in [self.get(b_id)] + self.ancestors(b_id)}
-        for node in a_path:
-            if node.category_id in b_ids:
-                return node
-        return None
 
     def validate(self) -> None:
         """Check structural invariants; raises :class:`ValueError` on corruption."""

@@ -14,7 +14,7 @@ Restaurant).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .category import CategoryTree
 

@@ -9,14 +9,10 @@ slot order.  Every mark carries a browser-native ``<title>`` tooltip.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
-from .palette import (
-    CATEGORICAL,
-    LIGHT,
-    Theme,
-)
+from .palette import LIGHT, Theme
 from .svg import SvgCanvas
 
 __all__ = ["LineChart", "Histogram", "Heatmap", "nice_ticks"]

@@ -9,7 +9,7 @@ slots), and a legend of the labels present.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..crowd import CrowdSnapshot
 from ..geo import ScreenProjection

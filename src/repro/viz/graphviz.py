@@ -12,7 +12,6 @@ import math
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .palette import (
-    CATEGORICAL,
     GRID,
     OTHER,
     SURFACE,

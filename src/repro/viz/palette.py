@@ -13,7 +13,7 @@ dark surface and validated against it, not an automatic inversion.  Use
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 __all__ = [
@@ -86,13 +86,6 @@ class Theme:
     other: str
     categorical: Tuple[str, ...]
     sequential: Tuple[str, ...]
-
-    def categorical_for(self, names: Sequence[str]) -> Dict[str, str]:
-        """Fixed-slot assignment under this theme (overflow → ``other``)."""
-        return {
-            name: (self.categorical[i] if i < len(self.categorical) else self.other)
-            for i, name in enumerate(names)
-        }
 
     def sequential_color(self, value: float, vmin: float, vmax: float) -> str:
         ramp = self.sequential

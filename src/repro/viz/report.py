@@ -7,7 +7,7 @@ self-contained HTML file (all SVG inline, no external assets).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Union
 from xml.sax.saxutils import escape
 
 from .palette import SURFACE, TEXT_PRIMARY, TEXT_SECONDARY
@@ -45,10 +45,6 @@ class HtmlReport:
 
     def add_heading(self, text: str) -> "HtmlReport":
         self._chunks.append(f"<h2>{escape(text)}</h2>")
-        return self
-
-    def add_paragraph(self, text: str) -> "HtmlReport":
-        self._chunks.append(f"<p>{escape(text)}</p>")
         return self
 
     def add_svg(self, svg: str, caption: str = "") -> "HtmlReport":

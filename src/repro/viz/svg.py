@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 from xml.sax.saxutils import escape, quoteattr
 
@@ -167,9 +166,3 @@ class SvgCanvas:
             f'height="{_fmt(self.height)}" viewBox="0 0 {_fmt(self.width)} {_fmt(self.height)}" '
             f'role="img">\n{body}\n</svg>'
         )
-
-    def save(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_string(), encoding="utf-8")
-        return path

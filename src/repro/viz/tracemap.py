@@ -7,11 +7,11 @@ the significant-place cluster centers.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..geo import BoundingBox, GeoPoint, ScreenProjection, simplify_polyline
 from ..sequences.staypoints import Fix, StayPoint
-from .palette import CATEGORICAL, LIGHT, Theme
+from .palette import LIGHT, Theme
 from .svg import SvgCanvas
 
 __all__ = ["render_trace"]

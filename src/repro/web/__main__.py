@@ -40,7 +40,7 @@ def main(argv=None) -> int:
     else:
         dataset = small_dataset()
         config = small_pipeline_config()
-    config = replace(config, exec=ExecConfig.from_workers(args.workers))
+    config = replace(config, exec=ExecConfig(workers=args.workers))
 
     def build_result():
         if not args.profiles:

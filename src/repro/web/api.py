@@ -6,7 +6,7 @@ testable; :mod:`repro.web.server` only adds HTTP plumbing on top.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..analysis import user_mobility_metrics
 from ..crowd import build_animation, detect_communities, detect_spikes, window_flows
@@ -177,6 +177,5 @@ class CrowdWebAPI:
         """Dataset statistics of the filtered dataset the pipeline used."""
         stats = dataset_stats(self.result.dataset)
         payload = {key: value for key, value in stats.as_rows()}
-        if self.result.report is not None:
-            payload["preprocess"] = {k: v for k, v in self.result.report.as_rows()}
+        payload["preprocess"] = {k: v for k, v in self.result.report.as_rows()}
         return payload

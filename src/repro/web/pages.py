@@ -60,7 +60,7 @@ class Pages:
         r = self.result
         rows = "".join(
             f"<tr><td>{escape(k)}</td><td>{escape(v)}</td></tr>"
-            for k, v in (r.report.as_rows() if r.report else [])
+            for k, v in r.report.as_rows()
         )
         occupancy = "".join(
             f"<tr><td>{escape(label)}</td><td>{n}</td></tr>"

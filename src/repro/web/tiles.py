@@ -20,8 +20,9 @@ membership is exact (no floating-point edge ambiguity):
   grid's south-west origin like the grid itself).
 
 Every block — and therefore every microcell — belongs to **exactly one**
-tile per zoom level (:meth:`TileIndex.tile_of_block` is that function),
-which is what the tile-boundary tests assert.
+tile per zoom level (block ``(row, col)`` is in tile
+``(col // tpc, row // tpr)``), which is what the tile-boundary tests
+assert.
 
 Aggregates per ``(window, zoom)`` are computed once from the window's
 :class:`~repro.crowd.CrowdSnapshot` and memoized under a lock; the HTTP
@@ -90,12 +91,6 @@ class TileIndex:
         b_rows, b_cols = self.block_dims(z)
         n = 2 ** z
         return _ceil_div(b_rows, n), _ceil_div(b_cols, n)
-
-    def tile_of_block(self, z: int, block: BlockIndex) -> Tuple[int, int]:
-        """The unique ``(x, y)`` tile containing a block at zoom ``z``."""
-        tpr, tpc = self.tile_span(z)
-        row, col = block
-        return col // tpc, row // tpr
 
     def block_bbox(self, z: int, block: BlockIndex) -> Tuple[float, float, float, float]:
         """``[min_lat, min_lon, max_lat, max_lon]`` of a block's microcells."""

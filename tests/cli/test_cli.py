@@ -1,8 +1,14 @@
 """Tests for the crowdweb CLI (driving main() directly)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cli import build_parser, main
+import repro
+from repro.cli.main import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +26,19 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_without_a_runtime_warning(self):
+        # The package must not import ``.main``: runpy would then find the
+        # module in ``sys.modules`` before executing it and warn.
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.cli.main", "--help"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
 
 
 class TestGenerate:

@@ -49,12 +49,6 @@ class TestTimeline:
             assert label == snap.window.label
             assert count == snap.n_users
 
-    def test_label_series(self, pipeline_result):
-        series = pipeline_result.timeline.label_series("Eatery")
-        total = sum(n for _, n in series)
-        assert total >= 0
-        assert len(series) == 24
-
 
 class TestAggregator:
     def test_grouped_windows(self, pipeline_result):

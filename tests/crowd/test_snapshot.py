@@ -32,9 +32,6 @@ class TestSnapshot:
         assert snapshot.cell_counts() == {(2, 3): 3, (5, 5): 1}
         assert snapshot.n_users == 4
 
-    def test_label_counts(self, snapshot):
-        assert snapshot.label_counts() == {"Eatery": 3, "Shops": 1}
-
     def test_groups_by_cell_and_label(self, snapshot):
         groups = snapshot.groups()
         assert len(groups) == 3
@@ -47,13 +44,6 @@ class TestSnapshot:
         assert len(snapshot.groups(min_size=2)) == 1
         with pytest.raises(ValueError):
             snapshot.groups(min_size=0)
-
-    def test_hottest_cells(self, snapshot):
-        assert snapshot.hottest_cells(1) == [((2, 3), 3)]
-
-    def test_placement_of(self, snapshot):
-        assert snapshot.placement_of("u4").cell == (5, 5)
-        assert snapshot.placement_of("ghost") is None
 
     def test_to_dict_shape(self, snapshot):
         payload = snapshot.to_dict()

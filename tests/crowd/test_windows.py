@@ -18,8 +18,6 @@ class TestTimeWindow:
         w = TimeWindow(8, 12, HOURLY)
         assert w.label == "08:00-12:00"
         assert list(w.bins) == [8, 9, 10, 11]
-        assert w.contains_bin(11)
-        assert not w.contains_bin(12)
 
     @pytest.mark.parametrize("start,end", [(-1, 5), (5, 5), (10, 9), (23, 25)])
     def test_invalid(self, start, end):

@@ -82,13 +82,14 @@ class TestActiveUserFilter:
             checkin("u", 4, 2, 9), checkin("u", 4, 2, 14),
             checkin("u", 4, 3, 9),
         ])
-        criteria = ActiveUserFilter(min_qualifying_days=0, max_gap_hours=2.0)
-        assert criteria.qualifying_days(ds, "u") == 1
+        # Exactly one qualifying day: more than 0, not more than 1.
+        assert ActiveUserFilter(min_qualifying_days=0, max_gap_hours=2.0).passing_users(ds) == ["u"]
+        assert ActiveUserFilter(min_qualifying_days=1, max_gap_hours=2.0).passing_users(ds) == []
 
     def test_gap_boundary_inclusive(self):
         ds = CheckInDataset([checkin("u", 4, 1, 9, 0), checkin("u", 4, 1, 11, 0)])
-        criteria = ActiveUserFilter(max_gap_hours=2.0)
-        assert criteria.qualifying_days(ds, "u") == 1
+        criteria = ActiveUserFilter(min_qualifying_days=0, max_gap_hours=2.0)
+        assert criteria.passing_users(ds) == ["u"]
 
     def test_threshold_is_strict_greater(self):
         ds = CheckInDataset([
@@ -102,7 +103,8 @@ class TestActiveUserFilter:
     def test_min_checkins_one_counts_single_visit_days(self):
         ds = CheckInDataset([checkin("u", 4, 1, 9)])
         lenient = ActiveUserFilter(min_qualifying_days=0, min_checkins_per_day=1)
-        assert lenient.qualifying_days(ds, "u") == 1
+        assert lenient.passing_users(ds) == ["u"]
+        assert ActiveUserFilter(min_qualifying_days=0).passing_users(ds) == []
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

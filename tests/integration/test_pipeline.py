@@ -25,13 +25,6 @@ class TestPipeline:
         with pytest.raises(KeyError, match="activity filter"):
             pipeline_result.profile("ghost")
 
-    def test_skip_preprocess(self, pipeline_result):
-        inner = pipeline_result.dataset
-        config = PipelineConfig(skip_preprocess=True)
-        again = run_pipeline(inner, config)
-        assert again.report is None
-        assert again.dataset.n_users == inner.n_users
-
     def test_over_strict_filter_raises(self, small_ds):
         config = PipelineConfig(
             window_months=2,

@@ -34,10 +34,6 @@ class TestSequentialPattern:
         assert pattern("ac", 1).is_subpattern_of(pattern("abc", 1))
         assert not pattern("ca", 1).is_subpattern_of(pattern("abc", 1))
 
-    def test_format(self):
-        text = pattern(("a", "b"), 5).format()
-        assert "a → b" in text and "n=5" in text
-
     def test_len(self):
         assert len(pattern("abc", 1)) == 3
 

@@ -27,7 +27,6 @@ class TestConfig:
         {"min_support": 0.0},
         {"min_support": 1.5},
         {"time_tolerance_bins": -1},
-        {"max_gap_bins": -1},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -119,32 +118,6 @@ class TestAncestorLabels:
                     if len(p.items) == 1}
         assert patterns["Eatery"] == 3
         assert patterns["Thai Restaurant"] == 2
-
-
-class TestGapConstraint:
-    def test_gap_blocks_distant_pairs(self):
-        db = db_of(*[[(8, "Work"), (20, "Nightlife")]] * 4)
-        unconstrained = modified_prefixspan(db, ModifiedPrefixSpanConfig(
-            min_support=0.9, time_tolerance_bins=0))
-        assert any(len(p.items) == 2 for p in unconstrained)
-        constrained = modified_prefixspan(db, ModifiedPrefixSpanConfig(
-            min_support=0.9, time_tolerance_bins=0, max_gap_bins=4))
-        assert all(len(p.items) == 1 for p in constrained)
-
-    def test_gap_allows_close_pairs(self):
-        db = db_of(*[[(12, "Eatery"), (14, "Work")]] * 4)
-        patterns = modified_prefixspan(db, ModifiedPrefixSpanConfig(
-            min_support=0.9, time_tolerance_bins=0, max_gap_bins=4))
-        assert any(len(p.items) == 2 for p in patterns)
-
-    def test_gap_uses_best_occurrence_not_greedy(self):
-        # Pattern (A then B) only satisfiable through the *later* A.
-        db = db_of(*[[(1, "A"), (8, "A"), (9, "B")]] * 3)
-        patterns = modified_prefixspan(db, ModifiedPrefixSpanConfig(
-            min_support=0.9, time_tolerance_bins=0, max_gap_bins=2))
-        two_item = [p for p in patterns
-                    if [i.label for i in p.items] == ["A", "B"]]
-        assert two_item and two_item[0].count == 3
 
 
 class TestCanonicalization:

@@ -38,28 +38,23 @@ databases = st.lists(
 )
 
 
-def flexible_contains(pattern, sequence, matcher, max_gap):
+def flexible_contains(pattern, sequence, matcher):
     """Direct recursive check: does ``sequence`` contain ``pattern`` under
-    the flexible semantics (order preserved, per-item match predicate,
-    optional bin-gap constraint between consecutive matched items)?"""
+    the flexible semantics (order preserved, per-item match predicate)?"""
 
-    def helper(p_idx, s_start, prev_bin):
+    def helper(p_idx, s_start):
         if p_idx == len(pattern):
             return True
         for k in range(s_start, len(sequence)):
-            item = sequence[k]
-            if prev_bin is not None and max_gap is not None:
-                if item.bin - prev_bin > max_gap:
-                    continue
-            if matcher.matches(pattern[p_idx], item):
-                if helper(p_idx + 1, k + 1, item.bin):
+            if matcher.matches(pattern[p_idx], sequence[k]):
+                if helper(p_idx + 1, k + 1):
                     return True
         return False
 
-    return helper(0, 0, None)
+    return helper(0, 0)
 
 
-def oracle(db, min_support, matcher, max_length, max_gap):
+def oracle(db, min_support, matcher, max_length):
     """All frequent flexible patterns up to ``max_length`` by enumeration."""
     candidate_items = sorted(
         {cand for seq in db for item in seq for cand in matcher.candidates_for(item)}
@@ -70,28 +65,26 @@ def oracle(db, min_support, matcher, max_length, max_gap):
     for length in range(1, max_length + 1):
         for combo in product(candidate_items, repeat=length):
             count = sum(
-                1 for seq in db if flexible_contains(combo, seq, matcher, max_gap)
+                1 for seq in db if flexible_contains(combo, seq, matcher)
             )
             if count >= min_count:
                 found[combo] = count
     return found
 
 
-@given(databases, st.sampled_from([0.34, 0.5, 1.0]),
-       st.sampled_from([0, 1]), st.sampled_from([None, 2]))
+@given(databases, st.sampled_from([0.34, 0.5, 1.0]), st.sampled_from([0, 1]))
 @settings(max_examples=50, deadline=None)
-def test_modified_matches_flexible_oracle(raw, min_support, tolerance, max_gap):
+def test_modified_matches_flexible_oracle(raw, min_support, tolerance):
     db = SequenceDatabase(raw)
     matcher = FlexibleMatcher(n_bins=N_BINS, time_tolerance_bins=tolerance)
     config = ModifiedPrefixSpanConfig(
         min_support=min_support,
         limits=MiningLimits(max_length=2),
         time_tolerance_bins=tolerance,
-        max_gap_bins=max_gap,
         canonicalize_bins=False,
     )
     mined = {p.items: p.count for p in modified_prefixspan(db, config, n_bins=N_BINS)}
-    expected = oracle(db, min_support, matcher, max_length=2, max_gap=max_gap)
+    expected = oracle(db, min_support, matcher, max_length=2)
     assert mined == expected
 
 
@@ -102,7 +95,7 @@ def test_oracle_sanity_handcrafted():
         (TimedItem(2, "A"),),
     ])
     matcher = FlexibleMatcher(n_bins=N_BINS, time_tolerance_bins=1)
-    found = oracle(db, 0.9, matcher, max_length=2, max_gap=None)
+    found = oracle(db, 0.9, matcher, max_length=2)
     # (1,A) matches seq1 item (1,A) and seq2 item (2,A); (2,A) matches both too.
     assert found[(TimedItem(1, "A"),)] == 2
     assert found[(TimedItem(2, "A"),)] == 2

@@ -108,7 +108,7 @@ class TestProcessBackendDeterminism:
 
         config = replace(
             small_pipeline_config(),
-            exec=ExecConfig(backend="process", n_workers=2),
+            exec=ExecConfig(workers=2),
         )
         with observed() as o:
             run_pipeline(dataset, config)

@@ -42,11 +42,6 @@ class TestProfile:
         hits = profile.items_at_bin(23, tolerance=3)
         assert {item.label for item, _ in hits} == {"Nightlife"}
 
-    def test_strongest_label(self):
-        profile = make_profile()
-        assert profile.strongest_label_at_bin(12) == "Eatery"
-        assert profile.strongest_label_at_bin(3) is None
-
     def test_to_dict_shape(self):
         payload = make_profile().to_dict()
         assert payload["user_id"] == "u1"

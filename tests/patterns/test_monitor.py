@@ -151,6 +151,7 @@ class TestIntegrationWithMinedProfiles:
         day = next(s for s in sessions
                    if any(i.label == target.label for i in s.items))
         monitor = PatternMonitor(profile, tolerance_bins=1)
-        monitor.observe_all(day.items)
+        for item in day.items:
+            monitor.observe(item)
         states = {p.state for p in monitor.status()}
         assert PatternState.COMPLETED in states or PatternState.IN_PROGRESS in states

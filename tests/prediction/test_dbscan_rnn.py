@@ -82,8 +82,8 @@ class TestPipeline:
 
     def test_day_sequences_tokenized(self, fitted):
         pipe, _ = fitted
-        assert pipe.day_sequences
-        for tokens in pipe.day_sequences.values():
+        assert pipe._day_sequences
+        for tokens in pipe._day_sequences.values():
             assert all(0 <= t < pipe.n_places for t in tokens)
             # No immediate repeats after dedup.
             assert all(a != b for a, b in zip(tokens, tokens[1:]))

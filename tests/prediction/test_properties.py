@@ -57,8 +57,11 @@ class TestTimeBinningProperties:
     @given(st.integers(0, 23), st.integers(0, 23))
     @settings(max_examples=60, deadline=None)
     def test_circular_distance_symmetric_and_bounded(self, a, b):
-        from repro.sequences import HOURLY
+        from repro.mining import FlexibleMatcher
+        from repro.sequences import TimedItem
 
-        d = HOURLY.distance(a, b)
-        assert d == HOURLY.distance(b, a)
-        assert 0 <= d <= 12
+        x, y = TimedItem(a, "x"), TimedItem(b, "x")
+        for tol in range(13):
+            matcher = FlexibleMatcher(24, tol)
+            assert matcher.matches(x, y) == matcher.matches(y, x)
+        assert FlexibleMatcher(24, 12).matches(x, y)  # no two bins are over 12 apart

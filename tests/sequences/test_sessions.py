@@ -76,12 +76,6 @@ class TestSessionize:
         sessions = sessionize_user(self.make_dataset(), "u", labeler)
         assert sessions[1].items == (TimedItem(9, "Thai Restaurant"),)
 
-    def test_dedupe_disabled(self, taxonomy):
-        labeler = make_labeler(taxonomy, AbstractionLevel.LEAF)
-        sessions = sessionize_user(self.make_dataset(), "u", labeler,
-                                   dedupe_consecutive=False)
-        assert len(sessions[1].items) == 2
-
     def test_min_items_drops_thin_days(self, taxonomy):
         labeler = make_labeler(taxonomy, AbstractionLevel.LEAF)
         sessions = sessionize_user(self.make_dataset(), "u", labeler, min_items=2)
@@ -110,11 +104,10 @@ class TestSessionize:
         by_user = sessionize_dataset(self.make_dataset(), labeler)
         assert set(by_user) == {"u", "w"}
 
-    def test_session_keeps_raw_checkins(self, taxonomy):
+    def test_session_length_is_its_item_count(self, taxonomy):
         labeler = make_labeler(taxonomy, AbstractionLevel.LEAF)
         sessions = sessionize_user(self.make_dataset(), "u", labeler)
-        assert len(sessions[0].checkins) == 2
-        assert len(sessions[0]) == 2
+        assert len(sessions[0]) == len(sessions[0].items) == 2
 
 
 class TestDayKinds:

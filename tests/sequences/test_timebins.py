@@ -5,7 +5,8 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from repro.sequences import FOUR_HOURLY, HOURLY, TWO_HOURLY, TimeBinning
+from repro.mining import FlexibleMatcher
+from repro.sequences import FOUR_HOURLY, HOURLY, TWO_HOURLY, TimedItem, TimeBinning
 
 
 class TestConstruction:
@@ -66,20 +67,22 @@ class TestLabelsAndBounds:
         assert HOURLY.label(9) == "09:00-10:00"
         assert TimeBinning(0.5).label(19) == "09:30-10:00"
 
-    def test_all_labels(self):
-        labels = HOURLY.all_labels()
-        assert len(labels) == 24
-        assert labels[0] == "00:00-01:00"
+
+def bin_distance(a: int, b: int) -> int:
+    """The bin distance the miner matches under: the least tolerance at
+    which ``FlexibleMatcher`` lets bin ``a`` match bin ``b``."""
+    return next(tol for tol in range(HOURLY.n_bins)
+                if FlexibleMatcher(HOURLY.n_bins, tol).matches(TimedItem(a, "x"), TimedItem(b, "x")))
 
 
 class TestDistance:
     def test_plain_distance(self):
-        assert HOURLY.distance(9, 11) == 2
+        assert bin_distance(9, 11) == 2
 
     def test_circular_wraps_midnight(self):
-        assert HOURLY.distance(23, 0) == 1
-        assert HOURLY.distance(0, 23) == 1
-        assert HOURLY.distance(1, 22) == 3
+        assert bin_distance(23, 0) == 1
+        assert bin_distance(0, 23) == 1
+        assert bin_distance(1, 22) == 3
 
     def test_max_distance_is_half_day(self):
-        assert HOURLY.distance(0, 12) == 12
+        assert bin_distance(0, 12) == 12

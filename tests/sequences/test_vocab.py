@@ -99,13 +99,6 @@ class TestDatabasePackedStorage:
         assert len(clone) == 3
         assert clone[1] == ()
 
-    def test_from_encoded_matches_object_construction(self):
-        sequences = [[TimedItem(9, "Work")], [TimedItem(9, "Work"), TimedItem(7, "Home")]]
-        db = SequenceDatabase(sequences)
-        rebuilt = SequenceDatabase.from_encoded(db.encoded, db.vocab, name=db.name)
-        assert rebuilt.sequences == db.sequences
-        assert rebuilt.storage == db.storage
-
     def test_pickle_ships_only_packed_state(self):
         db = SequenceDatabase([[TimedItem(9, "Work")], [TimedItem(7, "Home")]])
         _ = db.sequences  # populate the decoded cache; it must not travel

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sequences import PlaceRef, make_labeler
 from repro.taxonomy import AbstractionLevel, CategoryTree, UnknownCategoryError
 
 
@@ -76,38 +77,26 @@ class TestHierarchy:
 
     def test_roots_and_leaves(self, tree):
         assert {c.name for c in tree.roots()} == {"Eatery", "Shops"}
-        assert {c.name for c in tree.leaves()} == {
+        assert {c.name for c in tree if c.is_leaf} == {
             "Thai Restaurant", "Chinese Restaurant", "Coffee Shop", "Supermarket"
         }
 
     def test_depth(self, tree):
-        assert tree.depth("food") == 0
-        assert tree.depth("asian") == 1
-        assert tree.depth("thai") == 2
-
-    def test_is_ancestor(self, tree):
-        assert tree.is_ancestor("food", "thai")
-        assert tree.is_ancestor("asian", "thai")
-        assert not tree.is_ancestor("thai", "food")
-        assert not tree.is_ancestor("shops", "thai")
-
-    def test_lca(self, tree):
-        assert tree.lowest_common_ancestor("thai", "chinese").category_id == "asian"
-        assert tree.lowest_common_ancestor("thai", "cafe").category_id == "food"
-        assert tree.lowest_common_ancestor("thai", "grocery") is None
-        assert tree.lowest_common_ancestor("thai", "thai").category_id == "thai"
+        assert len(tree.ancestors("food")) == 0
+        assert len(tree.ancestors("asian")) == 1
+        assert len(tree.ancestors("thai")) == 2
 
 
 class TestAbstraction:
+    """The labels sessionization gives a place at each abstraction level."""
+
     def test_root_level(self, tree):
-        assert tree.abstract("thai", AbstractionLevel.ROOT) == "Eatery"
+        place = PlaceRef("v1", "thai", "Thai Restaurant")
+        assert make_labeler(tree, AbstractionLevel.ROOT)(place) == "Eatery"
 
     def test_leaf_level(self, tree):
-        assert tree.abstract("thai", AbstractionLevel.LEAF) == "Thai Restaurant"
-
-    def test_venue_level_raises(self, tree):
-        with pytest.raises(ValueError):
-            tree.abstract("thai", AbstractionLevel.VENUE)
+        place = PlaceRef("v1", "thai", "Thai Restaurant")
+        assert make_labeler(tree, AbstractionLevel.LEAF)(place) == "Thai Restaurant"
 
 
 class TestValidation:

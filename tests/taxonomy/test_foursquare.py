@@ -1,5 +1,6 @@
 """Tests for the built-in Foursquare-style taxonomy."""
 
+from repro.sequences import PlaceRef, make_labeler
 from repro.taxonomy import (
     DEFAULT_TAXONOMY_SPEC,
     AbstractionLevel,
@@ -21,20 +22,21 @@ class TestStructure:
             taxonomy.get_by_name(name)
 
     def test_all_leaves_are_depth_two(self, taxonomy):
-        for leaf in taxonomy.leaves():
-            assert taxonomy.depth(leaf.category_id) == 2
+        for leaf in (c for c in taxonomy if c.is_leaf):
+            assert len(taxonomy.ancestors(leaf.category_id)) == 2
 
     def test_leaf_count_matches_spec(self, taxonomy):
         spec_leaves = sum(
             len(leaves) for groups in DEFAULT_TAXONOMY_SPEC.values()
             for leaves in groups.values()
         )
-        assert len(taxonomy.leaves()) == spec_leaves
+        assert sum(c.is_leaf for c in taxonomy) == spec_leaves
 
     def test_thai_restaurant_roots_to_eatery(self, taxonomy):
         node = taxonomy.get_by_name("Thai Restaurant")
         assert taxonomy.root_of(node.category_id).name == "Eatery"
-        assert taxonomy.abstract(node.category_id, AbstractionLevel.ROOT) == "Eatery"
+        place = PlaceRef("v1", node.category_id, node.name)
+        assert make_labeler(taxonomy, AbstractionLevel.ROOT)(place) == "Eatery"
 
     def test_every_root_has_multiple_leaves(self, taxonomy):
         # Flexibility requires choice within every root category.

@@ -156,14 +156,6 @@ class TestThemes:
         assert DARK.surface in svg
         assert DARK.categorical[0] in svg
 
-    def test_theme_slot_assignment(self):
-        from repro.viz.palette import DARK, LIGHT
-
-        colors = DARK.categorical_for(["x", "y"])
-        assert colors["x"] == DARK.categorical[0]
-        many = LIGHT.categorical_for([f"n{i}" for i in range(12)])
-        assert many["n11"] == LIGHT.other
-
     def test_theme_sequential_clamped(self):
         from repro.viz.palette import DARK
 

@@ -84,8 +84,7 @@ class TestHtmlReport:
         report = (
             HtmlReport("Title", "sub")
             .add_heading("Section")
-            .add_paragraph("Some <text> & stuff")
-            .add_table(["a", "b"], [[1, 2], [3, 4]], caption="cap")
+            .add_table(["a", "b"], [[1, 2], [3, 4]], caption="Some <text> & stuff")
             .add_preformatted("raw < pre >")
             .add_svg('<svg xmlns="http://www.w3.org/2000/svg"/>', caption="fig")
         )

@@ -80,12 +80,6 @@ class TestCanvas:
         canvas.text(10, 10, "tilt", fill="#000", rotate=-90)
         assert "rotate(-90 10 10)" in canvas.to_string()
 
-    def test_save(self, tmp_path):
-        canvas = SvgCanvas(10, 10)
-        out = canvas.save(tmp_path / "sub" / "x.svg")
-        assert out.exists()
-        parse(out.read_text())
-
     def test_negative_rect_clamped(self):
         canvas = SvgCanvas(100, 100)
         canvas.rect(0, 0, -5, -5, fill="#000")

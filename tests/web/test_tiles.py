@@ -35,14 +35,18 @@ class TestGeometry:
         """The partition property the tile-boundary HTTP test relies on."""
         for z in range(tiles.max_zoom + 1):
             b_rows, b_cols = tiles.block_dims(z)
+            tpr, tpc = tiles.tile_span(z)
             n = 2 ** z
-            seen = {}
-            for row in range(b_rows):
-                for col in range(b_cols):
-                    x, y = tiles.tile_of_block(z, (row, col))
-                    assert 0 <= x < n and 0 <= y < n
-                    seen[(row, col)] = (x, y)
-            assert len(seen) == b_rows * b_cols
+            # Tile (x, y) serves block rows [y*tpr, (y+1)*tpr) and block
+            # cols [x*tpc, (x+1)*tpc), clipped to the block grid.
+            owners = {}
+            for x in range(n):
+                for y in range(n):
+                    for row in range(y * tpr, min((y + 1) * tpr, b_rows)):
+                        for col in range(x * tpc, min((x + 1) * tpc, b_cols)):
+                            assert (row, col) not in owners
+                            owners[(row, col)] = (x, y)
+            assert len(owners) == b_rows * b_cols
 
     def test_block_bbox_nested_in_grid_bbox(self, tiles):
         grid_bbox = tiles.grid.bbox
