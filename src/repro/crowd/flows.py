@@ -33,15 +33,13 @@ class Flow:
         return len(self.user_ids)
 
 
-def window_flows(a: CrowdSnapshot, b: CrowdSnapshot, include_stays: bool = False) -> List[Flow]:
-    """Flows between two snapshots (users placed in both), largest first."""
+def window_flows(a: CrowdSnapshot, b: CrowdSnapshot) -> List[Flow]:
+    """Flows between two snapshots (users placed in both, in another cell), largest first."""
     at_a = {p.user_id: p.cell for p in a.placements}
     moves: Dict[Tuple[CellIndex, CellIndex], List[str]] = {}
     for p in b.placements:
         origin = at_a.get(p.user_id)
-        if origin is None:
-            continue
-        if origin == p.cell and not include_stays:
+        if origin is None or origin == p.cell:
             continue
         moves.setdefault((origin, p.cell), []).append(p.user_id)
     flows = [
@@ -58,9 +56,9 @@ def window_flows(a: CrowdSnapshot, b: CrowdSnapshot, include_stays: bool = False
     return flows
 
 
-def timeline_flows(timeline: CrowdTimeline, include_stays: bool = False) -> List[List[Flow]]:
+def timeline_flows(timeline: CrowdTimeline) -> List[List[Flow]]:
     """Flows between every consecutive pair of windows."""
     snaps = list(timeline)
     return [
-        window_flows(a, b, include_stays) for a, b in zip(snaps, snaps[1:])
+        window_flows(a, b) for a, b in zip(snaps, snaps[1:])
     ]

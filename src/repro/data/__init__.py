@@ -25,7 +25,6 @@ from .stats import (
     monthly_counts,
 )
 from .synth import (
-    PAPER_CONFIG,
     SMALL_CONFIG,
     CityEvent,
     GenerationResult,
@@ -43,7 +42,6 @@ __all__ = [
     "CheckInDataset",
     "DatasetStats",
     "GenerationResult",
-    "PAPER_CONFIG",
     "PreprocessReport",
     "QualityIssue",
     "QualityReport",

@@ -2,7 +2,7 @@
 
 from .agents import AgentProfile, RoutineStop, build_agents
 from .city import Neighborhood, SyntheticCity, build_city
-from .config import PAPER_CONFIG, SMALL_CONFIG, CityEvent, SynthConfig
+from .config import SMALL_CONFIG, CityEvent, SynthConfig
 from .generator import GenerationResult, generate, small_dataset, synthetic_dataset
 from .traces import TraceConfig, simulate_day_trace, simulate_traces
 
@@ -11,7 +11,6 @@ __all__ = [
     "CityEvent",
     "GenerationResult",
     "Neighborhood",
-    "PAPER_CONFIG",
     "RoutineStop",
     "SMALL_CONFIG",
     "SyntheticCity",

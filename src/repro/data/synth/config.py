@@ -15,7 +15,7 @@ from typing import Dict, Tuple
 
 from ...geo import NYC_BBOX, BoundingBox
 
-__all__ = ["CityEvent", "SynthConfig", "SMALL_CONFIG", "PAPER_CONFIG"]
+__all__ = ["CityEvent", "SynthConfig", "SMALL_CONFIG"]
 
 
 @dataclass(frozen=True)
@@ -131,9 +131,6 @@ class SynthConfig:
     def n_days(self) -> int:
         return (self.end_date - self.start_date).days + 1
 
-
-#: Full paper-scale dataset (~1k users, ~227k check-ins, 11 months).
-PAPER_CONFIG = SynthConfig()
 
 #: A small fast dataset for tests and examples (~60 users, ~2.5 months).
 SMALL_CONFIG = SynthConfig(

@@ -50,6 +50,105 @@ def _preference_cdf(n: int) -> Tuple[float, ...]:
     return tuple(cdf.tolist())
 
 
+class _RawReader:
+    """``Generator.random``/``integers``/``normal`` draws from PCG64 raw blocks.
+
+    The day loop makes ~1.4M scalar draws, and numpy's per-call overhead
+    would be most of their cost.  The reader takes the raw 64-bit
+    outputs in blocks of ``block`` (``bit_generator.random_raw``) and keeps
+    them twice: as ints, and as the doubles numpy's PCG64 ``next_double``
+    makes of them, ``(raw >> 11) * 2**-53``.  A caller holds ``dbl`` and a
+    read index ``i`` and reads ``u = dbl[i]; i += 1`` inline: that is
+    ``Generator.random()`` bit for bit, at the same place in the stream.
+
+    * :meth:`integers` is numpy's scalar ``integers(n)``: Lemire's bounded
+      draw over ``next_uint32``, with its rejection loop.  ``next_uint32``
+      halves a raw output and buffers the high half, so the reader carries
+      that half, starting from the one ``bg.state`` holds on entry; the
+      doubles never touch it.  ``n == 1`` draws nothing.
+    * :meth:`normal` is numpy's own ``normal``, called on a second PCG64
+      moved forward (``advance``) to the read position.  How many raw
+      outputs the ziggurat used is found by matching that generator's next
+      raw output in the block; numpy does not expose its tables.
+
+    ``rng`` must be a PCG64 ``Generator`` (``default_rng`` makes one).  The
+    reader moves it forward a whole block at a time, so it is only valid if
+    nothing draws from ``rng`` after it: it must be the last user of the
+    generator.  :meth:`room` refills when fewer than ``margin``
+    outputs are left past ``i``; the helpers call it before they return, so
+    a caller that reads at most ``margin`` doubles between two calls never
+    runs off the end.  A refill drops the part already read and appends a
+    new block, in place, so ``dbl`` stays the list the caller holds and
+    never grows past ``block + margin``.
+    ``TestRawReader`` pins all of this against numpy's methods.
+    """
+
+    def __init__(self, rng: np.random.Generator, margin: int, block: int = 1 << 14) -> None:
+        bit_generator = rng.bit_generator
+        state = bit_generator.state
+        self._random_raw = bit_generator.random_raw
+        self._margin = margin
+        self._block = max(block, margin)
+        self._half: Optional[int] = state["uinteger"] if state["has_uint32"] else None
+        self._shadow = np.random.Generator(np.random.PCG64())
+        self._shadow.bit_generator.state = state
+        self._shadow_pos = 0  # stream position of the shadow's next output
+        self._base = 0  # stream position of ``dbl[0]``
+        self.dbl: List[float] = []
+        self._raw: List[int] = []
+
+    def room(self, i: int) -> int:
+        """``i``, or 0 after a refill if fewer than ``margin`` outputs are left."""
+        return i if len(self.dbl) - i >= self._margin else self._refill(i)
+
+    def _refill(self, i: int) -> int:
+        del self.dbl[:i], self._raw[:i]
+        self._base += i
+        raw = self._random_raw(self._block)
+        self._raw.extend(raw.tolist())
+        self.dbl.extend(((raw >> 11) * 2.0**-53).tolist())
+        return 0
+
+    def integers(self, i: int, n: int) -> Tuple[int, int]:
+        """``(int(rng.integers(n)), i')`` for ``1 <= n <= 2**32``."""
+        if n == 1:
+            return 0, i
+        threshold = (1 << 32) % n
+        raw = self._raw
+        while True:
+            half = self._half
+            if half is None:
+                if i == len(raw):
+                    i = self._refill(i)
+                word = raw[i]
+                i += 1
+                half, self._half = word & 0xFFFFFFFF, word >> 32
+            else:
+                self._half = None
+            scaled = half * n
+            if scaled & 0xFFFFFFFF >= threshold:
+                return scaled >> 32, self.room(i)
+
+    def normal(self, i: int, scale: float) -> Tuple[float, int]:
+        """``(rng.normal(0.0, scale), i')``."""
+        if i == len(self._raw):
+            i = self._refill(i)
+        shadow = self._shadow.bit_generator
+        shadow.advance(self._base + i - self._shadow_pos)
+        value = self._shadow.normal(0.0, scale)
+        following = shadow.random_raw()
+        raw = self._raw
+        i += 1
+        while True:
+            if i == len(raw):
+                i = self._refill(i)
+            if raw[i] == following:
+                break
+            i += 1
+        self._shadow_pos = self._base + i + 1
+        return value, self.room(i)
+
+
 class GenerationResult:
     """Everything the simulation produced: data plus ground truth.
 
@@ -130,6 +229,8 @@ def generate(config: SynthConfig = SynthConfig()) -> GenerationResult:
     occurrence double; for a flexible stop the explore double, then either
     an explore ``integers`` or a preference double; the check-in double;
     the time-jitter normal.  Output at a seed depends on exactly that order.
+    The loop reads them through a :class:`_RawReader`, the last user of
+    ``rng``.
     """
     tz_offset_min = check_tz_offset(config.tz_offset_min)
     rng = np.random.default_rng(config.seed)
@@ -165,7 +266,13 @@ def generate(config: SynthConfig = SynthConfig()) -> GenerationResult:
         for agent in agents
     ]
 
-    random, integers, normal = rng.random, rng.integers, rng.normal
+    # The most doubles one agent-day reads inline: two per event, and four
+    # per stop (occurrence, explore, preference, check-in).
+    margin = (2 * max(map(len, events_by_day.values()), default=0)
+              + 4 * max((len(p) for agent_plans in plans for p in agent_plans), default=0))
+    reader = _RawReader(rng, margin)
+    dbl, room, integers, normal = reader.dbl, reader.room, reader.integers, reader.normal
+    i = 0
     exploration_prob = config.exploration_prob
     jitter_min = config.time_jitter_min
     local_tz = timezone(timedelta(minutes=tz_offset_min))
@@ -188,30 +295,48 @@ def generate(config: SynthConfig = SynthConfig()) -> GenerationResult:
         todays_events = events_by_day.get(day.date(), ())
         for a, (agent_plans, checkin_prob) in enumerate(zip(plans, checkin_probs)):
             p_checkin = min(1.0, checkin_prob * season)
+            if len(dbl) - i < margin:
+                i = room(i)
             for event, event_venue in todays_events:
-                if random() >= event.attendance_prob:
+                u = dbl[i]
+                i += 1
+                if u >= event.attendance_prob:
                     continue
-                if random() >= min(1.0, p_checkin * event.checkin_boost):
+                u = dbl[i]
+                i += 1
+                if u >= min(1.0, p_checkin * event.checkin_boost):
                     continue
-                minutes = event.start_hour * 60.0 + normal(0.0, jitter_min)
+                jitter, i = normal(i, jitter_min)
+                minutes = event.start_hour * 60.0 + jitter
                 agent_rows.append(a)
                 venue_rows.append(event_venue)
                 time_rows.append(day_us + timedelta(
                     minutes=min(max(minutes, 0.0), last_minute)) // _US)
             for hour, threshold, venue, pool, cdf, candidates in agent_plans[is_weekend]:
-                if random() >= threshold:
+                u = dbl[i]
+                i += 1
+                if u >= threshold:
                     continue  # the stop did not happen today
                 if pool is not None:  # a flexible stop: today's venue is drawn
-                    if random() < exploration_prob:
+                    u = dbl[i]
+                    i += 1
+                    if u < exploration_prob:
                         # Explore: any venue of the category, anywhere in the city.
-                        venue = candidates[int(integers(len(candidates)))] if candidates else None
+                        venue = None
+                        if candidates:
+                            k, i = integers(i, len(candidates))
+                            venue = candidates[k]
                     else:
-                        venue = pool[bisect_right(cdf, random())]
+                        venue = pool[bisect_right(cdf, dbl[i])]
+                        i += 1
                 if venue is None:
                     continue
-                if random() >= p_checkin:
+                u = dbl[i]
+                i += 1
+                if u >= p_checkin:
                     continue  # visited, but did not check in (voluntary sparsity)
-                minutes = hour * 60.0 + normal(0.0, jitter_min)
+                jitter, i = normal(i, jitter_min)
+                minutes = hour * 60.0 + jitter
                 agent_rows.append(a)
                 venue_rows.append(venue)
                 time_rows.append(day_us + timedelta(

@@ -9,12 +9,11 @@ from .database import (
 from .items import Labeler, PlaceRef, TimedItem, make_labeler
 from .sessions import DailySession, sessionize_dataset, sessionize_user
 from .staypoints import Fix, StayPoint, detect_stay_points
-from .timebins import FOUR_HOURLY, HOURLY, TWO_HOURLY, TimeBinning
+from .timebins import HOURLY, TimeBinning
 from .vocab import ItemVocab
 
 __all__ = [
     "DailySession",
-    "FOUR_HOURLY",
     "Fix",
     "HOURLY",
     "ItemVocab",
@@ -22,7 +21,6 @@ __all__ = [
     "PlaceRef",
     "SequenceDatabase",
     "StayPoint",
-    "TWO_HOURLY",
     "TimeBinning",
     "TimedItem",
     "build_all_databases",

@@ -13,7 +13,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-__all__ = ["TimeBinning", "HOURLY", "TWO_HOURLY", "FOUR_HOURLY"]
+__all__ = ["TimeBinning", "HOURLY"]
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,3 @@ class TimeBinning:
 
 #: The paper's crowd views step in one-hour windows ("9–10 am").
 HOURLY = TimeBinning(1.0)
-#: Coarser binnings used by the time-bin-width ablation.
-TWO_HOURLY = TimeBinning(2.0)
-FOUR_HOURLY = TimeBinning(4.0)

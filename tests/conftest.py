@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import settings
 
-from repro.data import ActiveUserFilter, generate, SMALL_CONFIG
+from repro.data import generate, SMALL_CONFIG
 from repro.experiments import small_pipeline_config
 from repro.pipeline import run_pipeline
 from repro.sequences import build_all_databases

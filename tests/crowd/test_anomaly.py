@@ -1,6 +1,6 @@
 """Tests for crowd-anomaly detection and the event-injection substrate."""
 
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timezone
 
 import pytest
 

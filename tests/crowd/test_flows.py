@@ -50,12 +50,10 @@ class TestWindowFlows:
         assert flow.origin != flow.destination
         assert flow.from_window == "09:00-10:00"
 
-    def test_stays_optional(self, grid):
+    def test_stays_are_not_flows(self, grid):
         a = snap(grid, 9, [placement("u1", (1, 1))])
         b = snap(grid, 10, [placement("u1", (1, 1), 10)])
         assert window_flows(a, b) == []
-        stays = window_flows(a, b, include_stays=True)
-        assert len(stays) == 1 and stays[0].origin == stays[0].destination
 
     def test_users_only_in_one_window_ignored(self, grid):
         a = snap(grid, 9, [placement("u1", (1, 1))])

@@ -1,6 +1,6 @@
 """Tests for the dataset quality audit."""
 
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 import pytest
 

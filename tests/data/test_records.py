@@ -1,6 +1,6 @@
 """Tests for the record model and dataset container."""
 
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 import pytest
 

@@ -23,7 +23,7 @@ from repro.data import records as records_module
 from repro.experiments import small_pipeline_config
 from repro.geo import BoundingBox
 from repro.pipeline import run_pipeline
-from repro.sequences import TWO_HOURLY, make_labeler, sessionize_user
+from repro.sequences import TimeBinning, make_labeler, sessionize_user
 from repro.taxonomy import AbstractionLevel
 from repro.web import CrowdWebApp
 
@@ -128,6 +128,7 @@ class TestStoreMatchesObjects:
     @settings(max_examples=40, deadline=None)
     def test_sessions_equal_grouping_the_objects(self, taxonomy, xs, kind):
         labeler = make_labeler(taxonomy, AbstractionLevel.ROOT)
+        binning = TimeBinning(2.0)
         ds = CheckInDataset(xs)
         for uid in ds.user_ids():
             by_day = {}
@@ -140,11 +141,11 @@ class TestStoreMatchesObjects:
                     continue
                 items = []
                 for c in by_day[day]:
-                    item = (TWO_HOURLY.bin_of(c.local_time), labeler(c))
+                    item = (binning.bin_of(c.local_time), labeler(c))
                     if not (items and items[-1] == item):
                         items.append(item)
                 expected.append((day, items))
-            got = sessionize_user(ds, uid, labeler, TWO_HOURLY, day_kind=kind)
+            got = sessionize_user(ds, uid, labeler, binning, day_kind=kind)
             assert [(s.day, [tuple(i) for i in s.items]) for s in got] == expected
 
 

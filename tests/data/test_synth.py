@@ -2,6 +2,7 @@
 
 import hashlib
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import replace
 from datetime import date
 
@@ -11,7 +12,7 @@ from repro.data import (SMALL_CONFIG, SynthConfig, Venue, dataset_stats, generat
                         write_foursquare_tsv)
 from repro.data.synth import CityEvent, build_agents, build_city
 from repro.data.synth.city import _Pool, _nearest
-from repro.data.synth.generator import _preference_cdf, _preference_weights
+from repro.data.synth.generator import _preference_cdf, _preference_weights, _RawReader
 from repro.geo import GeoPoint, equirectangular_m
 from repro.taxonomy import build_default_taxonomy
 
@@ -252,11 +253,11 @@ class TestGoldenOutput:
     The digests pin numpy's ``Generator`` stream *and* the order and kind of
     every draw the simulation makes.  Under NEP 19 the PCG64 bit stream is
     stable, but how ``Generator`` methods turn bits into values may change
-    between numpy releases; ``TestDrawHelpers`` tells whether ``choice`` is
-    the cause when a numpy upgrade breaks these digests.  A speed-up of the
-    generator must keep them unchanged; a deliberate change to the draw
-    order must re-record them and regenerate every artifact built from
-    generated data.
+    between numpy releases; ``TestDrawHelpers`` and ``TestRawReader`` tell
+    whether ``choice`` or the raw-output reader is the cause when a numpy
+    upgrade breaks these digests.  A speed-up of the generator must keep
+    them unchanged; a deliberate change to the draw order must re-record
+    them and regenerate every artifact built from generated data.
     """
 
     @pytest.mark.parametrize("config, digest", [
@@ -300,3 +301,82 @@ class TestDrawHelpers:
         picks = [bisect_right(cdf, ours.random()) for _ in range(3000)]
         assert picks == [int(numpys.choice(n, p=weights)) for _ in range(3000)]
         assert ours.random() == numpys.random()
+
+
+#: ``integers`` bounds: no draw (1), small ranges, and 3·2**30, where
+#: Lemire's rejection loop redraws about one time in four.
+_BOUNDS = (1, 2, 3, 7, 3 << 30)
+#: Ends every replay: a double, then two full-range ints, which take the
+#: buffered uint32 half first if there is one, then a double again.
+_TAIL = [("random", None), ("integers", 1 << 32), ("integers", 1 << 32), ("random", None)]
+
+
+def _reader_draws(reader, ops):
+    """Replay ``ops`` through ``reader`` as the day loop does; values and positions."""
+    i, values, positions = 0, [], []
+    for kind, arg in ops:
+        if kind == "random":
+            i = reader.room(i)
+            value = reader.dbl[i]
+            i += 1
+        elif kind == "integers":
+            value, i = reader.integers(i, arg)
+        else:
+            value, i = reader.normal(i, arg)
+        values.append(value)
+        positions.append(reader._base + i)
+    return values, positions
+
+
+def _numpy_draws(rng, ops):
+    draw = {"random": lambda _: rng.random(), "integers": lambda n: int(rng.integers(n)),
+            "normal": lambda scale: rng.normal(0.0, scale)}
+    return [draw[kind](arg) for kind, arg in ops]
+
+
+class TestRawReader:
+    """The day loop's reader is numpy's ``random``, ``integers`` and ``normal``.
+
+    Twin generators start at one seed: one feeds a :class:`_RawReader`, the
+    other answers with numpy's own methods.  Values must match bit for bit,
+    and so must where each stream stands afterwards (``_TAIL``), buffered
+    uint32 half included.  Like ``TestDrawHelpers``, this names the cause
+    when a numpy release breaks the golden digests.
+    """
+
+    def _check(self, seed, ops, block, warm=()):
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in warm:
+            assert ours.integers(n) == numpys.integers(n)
+        values, positions = _reader_draws(_RawReader(ours, margin=1, block=block), ops + _TAIL)
+        assert values == _numpy_draws(numpys, ops + _TAIL)
+        return positions
+
+    @pytest.mark.parametrize("block", [1, 5, 1 << 14])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_interleavings(self, seed, block):
+        """Long mixed runs; blocks of 1 and 5 put reads across every boundary."""
+        picker = np.random.default_rng(1000 + seed)
+        ops = []
+        for kind in picker.choice(["random", "integers", "normal"], size=6000, p=[0.6, 0.2, 0.2]):
+            arg = {"random": None, "integers": int(picker.choice(_BOUNDS)),
+                   "normal": float(picker.choice([1.0, 20.0]))}[str(kind)]
+            ops.append((str(kind), arg))
+        self._check(seed, ops, block)
+
+    @pytest.mark.parametrize("n", _BOUNDS)
+    def test_entry_with_a_buffered_half(self, n):
+        """``build_agents`` may leave a uint32 half in ``bg.state``; it is drawn first."""
+        rng = np.random.default_rng(11)
+        rng.integers(5)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        self._check(11, [("integers", n)] * 50 + [("random", None), ("integers", n)] * 50,
+                    block=5, warm=(5,))
+
+    def test_normal_slow_paths(self):
+        """Enough normals that the ziggurat's wedge and tail use 2 and 3+ outputs."""
+        ops = [("normal", 20.0), ("random", None)] * 40000
+        positions = self._check(5, ops, block=1 << 14)
+        used = Counter(positions[k] - positions[k - 1] for k in range(2, 2 * 40000, 2))
+        assert used[1] > used[2] > 0
+        assert any(count for k, count in used.items() if k >= 3)

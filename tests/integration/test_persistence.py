@@ -71,10 +71,10 @@ class TestErrors:
 
     def test_mixed_binnings_rejected(self, pipeline_result, tmp_path):
         from repro.patterns import UserPatternProfile
-        from repro.sequences import TWO_HOURLY
+        from repro.sequences import TimeBinning
 
         mixed = dict(pipeline_result.profiles)
-        mixed["odd"] = UserPatternProfile("odd", (), 5, binning=TWO_HOURLY)
+        mixed["odd"] = UserPatternProfile("odd", (), 5, binning=TimeBinning(2.0))
         with pytest.raises(ValueError, match="share one binning"):
             save_profiles(mixed, tmp_path / "p.json")
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.data import ActiveUserFilter, small_dataset
+from repro.data import ActiveUserFilter
 from repro.experiments import run_all
 from repro.pipeline import PipelineConfig, run_pipeline
 
@@ -103,11 +103,11 @@ class TestPipelineVariants:
 
     def test_two_hourly_pipeline(self, small_ds):
         from repro.data import ActiveUserFilter
-        from repro.sequences import TWO_HOURLY
+        from repro.sequences import TimeBinning
 
         config = PipelineConfig(window_months=2,
                                 activity=ActiveUserFilter(min_qualifying_days=25),
-                                binning=TWO_HOURLY)
+                                binning=TimeBinning(2.0))
         result = run_pipeline(small_ds, config)
         assert len(result.timeline) == 12
         for snap in result.timeline:

@@ -9,7 +9,6 @@ matching semantics.  The miner must produce exactly the same
 
 from itertools import product
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

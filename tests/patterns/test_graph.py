@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.data import CheckIn, CheckInDataset
 from repro.patterns import PlaceGraph, build_place_graph
-from repro.sequences import HOURLY, TWO_HOURLY, make_labeler, sessionize_user
+from repro.sequences import HOURLY, TimeBinning, make_labeler, sessionize_user
 from repro.taxonomy import AbstractionLevel
 
 UTC = timezone.utc
@@ -124,7 +124,7 @@ class TestOracleParity:
 
     @given(rows=random_rows,
            level=st.sampled_from(list(AbstractionLevel)),
-           binning=st.sampled_from([HOURLY, TWO_HOURLY]))
+           binning=st.sampled_from([HOURLY, TimeBinning(2.0)]))
     @settings(max_examples=150, deadline=None)
     def test_random_rows(self, taxonomy, rows, level, binning):
         start = datetime(2012, 4, 1, tzinfo=UTC)

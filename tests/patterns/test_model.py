@@ -1,11 +1,8 @@
 """Tests for user pattern profiles."""
 
-import pytest
-
 from repro.mining import ModifiedPrefixSpanConfig, SequentialPattern
-from repro.patterns import UserPatternProfile, detect_all_patterns, detect_user_patterns
-from repro.sequences import HOURLY, TimedItem
-from repro.taxonomy import AbstractionLevel
+from repro.patterns import UserPatternProfile, detect_user_patterns
+from repro.sequences import TimedItem
 
 
 def make_profile():

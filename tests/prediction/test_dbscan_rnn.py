@@ -5,7 +5,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from repro.data.synth import TraceConfig, simulate_day_trace, simulate_traces
+from repro.data.synth import TraceConfig, simulate_traces
 from repro.prediction import DBSCANRNNConfig, DBSCANRNNPipeline
 from repro.sequences import detect_stay_points
 

@@ -1,7 +1,5 @@
 """Tests for the prediction evaluation harness."""
 
-import pytest
-
 from repro.prediction import (
     FrequencyPredictor,
     MarkovPredictor,

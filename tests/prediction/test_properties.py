@@ -1,6 +1,5 @@
 """Property-based tests on predictor contracts."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

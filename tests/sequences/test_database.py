@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sequences import SequenceDatabase, build_all_databases, build_user_database, is_subsequence
+from repro.sequences import SequenceDatabase, build_user_database, is_subsequence
 from repro.taxonomy import AbstractionLevel
 
 items = st.integers(min_value=0, max_value=5)

@@ -1,12 +1,11 @@
 """Tests for sessionization and item labeling."""
 
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 import pytest
 
 from repro.data import CheckIn, CheckInDataset
 from repro.sequences import (
-    HOURLY,
     TimedItem,
     make_labeler,
     sessionize_dataset,

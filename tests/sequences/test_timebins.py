@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from repro.mining import FlexibleMatcher
-from repro.sequences import FOUR_HOURLY, HOURLY, TWO_HOURLY, TimedItem, TimeBinning
+from repro.sequences import HOURLY, TimedItem, TimeBinning
 
 
 class TestConstruction:
     def test_presets(self):
         assert HOURLY.n_bins == 24
-        assert TWO_HOURLY.n_bins == 12
-        assert FOUR_HOURLY.n_bins == 6
+        assert TimeBinning(2.0).n_bins == 12
+        assert TimeBinning(4.0).n_bins == 6
 
     @pytest.mark.parametrize("width", [0, -1, 5, 7, 24.5])
     def test_invalid_widths(self, width):
@@ -43,8 +43,8 @@ class TestBinning:
         assert HOURLY.bin_of(local) == 9
 
     def test_two_hourly(self):
-        assert TWO_HOURLY.bin_of_hour(9.5) == 4
-        assert TWO_HOURLY.bin_of_hour(23.0) == 11
+        assert TimeBinning(2.0).bin_of_hour(9.5) == 4
+        assert TimeBinning(2.0).bin_of_hour(23.0) == 11
 
     @pytest.mark.parametrize("width", [0.25, 1.0, 1.5, 2.0, 4.0, 8.0])
     def test_array_bins_equal_bin_of_on_every_second(self, width):
@@ -57,7 +57,7 @@ class TestBinning:
 class TestLabelsAndBounds:
     def test_bounds(self):
         assert HOURLY.bounds(9) == (9.0, 10.0)
-        assert FOUR_HOURLY.bounds(5) == (20.0, 24.0)
+        assert TimeBinning(4.0).bounds(5) == (20.0, 24.0)
 
     def test_bounds_out_of_range(self):
         with pytest.raises(ValueError):
