@@ -9,7 +9,6 @@ Run:
     python examples/individual_patterns.py
 """
 
-from repro import small_dataset
 from repro.data import generate, SMALL_CONFIG
 from repro.mining import ModifiedPrefixSpanConfig
 from repro.patterns import build_place_graph, detect_user_patterns, summarize_profile

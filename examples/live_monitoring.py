@@ -9,7 +9,7 @@ Run:
     python examples/live_monitoring.py
 """
 
-from datetime import timedelta, timezone, datetime
+from datetime import timedelta
 
 from repro import small_dataset
 from repro.data import CheckInDataset
@@ -22,7 +22,8 @@ dataset = small_dataset()
 taxonomy = build_default_taxonomy()
 
 # Busiest user; hold out their final recorded week.
-user_id = max(dataset.user_ids(), key=lambda u: len(dataset.for_user(u)))
+counts = dataset.records_per_user()
+user_id = max(counts, key=counts.get)
 records = dataset.for_user(user_id)
 cutoff = records[-1].timestamp - timedelta(days=7)
 history = CheckInDataset([c for c in records if c.timestamp < cutoff],

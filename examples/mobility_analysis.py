@@ -21,7 +21,7 @@ from repro.analysis import (
 from repro.viz import Histogram, HtmlReport, LineChart
 
 dataset = small_dataset()
-user_ids = [uid for uid in dataset.user_ids() if len(dataset.for_user(uid)) >= 30]
+user_ids = [uid for uid, n in dataset.records_per_user().items() if n >= 30]
 print(f"analyzing {len(user_ids)} users with >=30 check-ins\n")
 
 metrics = [user_mobility_metrics(dataset, uid) for uid in user_ids]

@@ -72,14 +72,15 @@ def regularity_by_hour(dataset: CheckInDataset, user_id: str) -> Dict[int, float
     The signature regularity finding: R(t) peaks at night/work hours and
     dips during midday flexibility windows.
     """
-    records = dataset.for_user(user_id)
-    if not records:
+    lo, hi = dataset.user_span(user_id)
+    if lo == hi:
         return {}
-    top_venue, _ = Counter(c.venue_id for c in records).most_common(1)[0]
-    by_hour: Dict[int, List[bool]] = {}
-    for c in records:
-        by_hour.setdefault(c.local_time.hour, []).append(c.venue_id == top_venue)
-    return {hour: sum(hits) / len(hits) for hour, hits in sorted(by_hour.items())}
+    venues = dataset.columns.venue[lo:hi]
+    top_venue, _ = Counter(venues.tolist()).most_common(1)[0]
+    hours = dataset.local_times_us(lo, hi) // 3_600_000_000 % 24
+    checkins = np.bincount(hours, minlength=24).tolist()
+    hits = np.bincount(hours[venues == top_venue], minlength=24).tolist()
+    return {hour: hits[hour] / n for hour, n in enumerate(checkins) if n}
 
 
 def random_entropy(n_distinct_locations: int) -> float:

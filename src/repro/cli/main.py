@@ -159,7 +159,8 @@ def _cmd_stats(args) -> int:
 
 def _cmd_mine(args) -> int:
     dataset = load_dataset(args.dataset)
-    if not dataset.for_user(args.user_id):
+    lo, hi = dataset.user_span(args.user_id)
+    if lo == hi:
         print(f"error: user {args.user_id!r} not in dataset", file=sys.stderr)
         return 2
     taxonomy = build_default_taxonomy()
@@ -235,7 +236,8 @@ def _cmd_export_spmf(args) -> int:
     from ..sequences import build_user_database
 
     dataset = load_dataset(args.dataset)
-    if not dataset.for_user(args.user_id):
+    lo, hi = dataset.user_span(args.user_id)
+    if lo == hi:
         print(f"error: user {args.user_id!r} not in dataset", file=sys.stderr)
         return 2
     taxonomy = build_default_taxonomy()
@@ -319,10 +321,8 @@ def _cmd_analyze(args) -> int:
     from ..analysis import user_mobility_metrics
 
     dataset = load_dataset(args.dataset)
-    rows = []
-    for uid in dataset.user_ids():
-        if len(dataset.for_user(uid)) >= args.min_checkins:
-            rows.append(user_mobility_metrics(dataset, uid))
+    rows = [user_mobility_metrics(dataset, uid)
+            for uid, n in dataset.records_per_user().items() if n >= args.min_checkins]
     if not rows:
         print("no users with enough check-ins")
         return 1

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from datetime import date as date_type
-from typing import Dict, Set, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -58,22 +57,22 @@ def observed_occupancy(
 
     For each local day, each (cell, bin) counts the distinct users who
     checked in there then; values are averaged over the dataset's days.
+    Keys come in the order their first row does.
     """
-    days: Set[date_type] = set()
-    per_day: Dict[Tuple[CellIndex, int, date_type], Set[str]] = defaultdict(set)
-    for record in dataset:
-        cell = grid.cell_index_clamped(record.lat, record.lon)
-        bin_index = binning.bin_of(record.local_time)
-        day = record.local_date
-        days.add(day)
-        per_day[(cell, bin_index, day)].add(record.user_id)
-    if not days:
+    if not len(dataset):
         return {}
-    totals: Dict[Tuple[CellIndex, int], float] = defaultdict(float)
-    for (cell, bin_index, _), users in per_day.items():
-        totals[(cell, bin_index)] += len(users)
-    n_days = len(days)
-    return {key: total / n_days for key, total in totals.items()}
+    columns = dataset.columns
+    rows, cols = grid.cell_indexes_clamped(columns.lat, columns.lon)
+    bins = binning.bins_of_seconds(dataset.local_times_us() // 1_000_000 % 86_400)
+    days = dataset.local_days()
+    keys, first, key_of_row = np.unique(np.stack([rows, cols, bins], axis=1), axis=0,
+                                        return_index=True, return_inverse=True)
+    visits = np.unique(np.stack([key_of_row.reshape(-1), days, columns.user], axis=1), axis=0)
+    totals = np.bincount(visits[:, 0], minlength=len(keys)).tolist()
+    n_days = len(np.unique(days))
+    order = np.argsort(first).tolist()
+    keys = keys.tolist()
+    return {((keys[k][0], keys[k][1]), keys[k][2]): totals[k] / n_days for k in order}
 
 
 def evaluate_crowd_forecast(
@@ -123,7 +122,7 @@ def evaluate_crowd_forecast(
     actual_vector = np.array([actual.get(k, 0.0) for k in keys])
     errors_forecast = np.abs(forecast_vector - actual_vector)
     errors_baseline = np.abs(baseline_vector - actual_vector)
-    n_days = len({c.local_date for c in holdout})
+    n_days = len(np.unique(holdout.local_days()))
 
     # Timing lift: over the forecast's targeted (cell, bin) keys, how much
     # denser is the actual occupancy than that cell's own all-bin average?

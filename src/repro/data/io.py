@@ -17,13 +17,14 @@ import json
 from datetime import datetime, timezone
 from pathlib import Path
 from itertools import repeat
-from typing import Dict, Iterator, List, NamedTuple, Optional, TextIO, Union
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, TextIO, \
+    Tuple, Union
 
 import numpy as np
 
-from ..geo import GeoPoint
-from .records import (MAX_TZ_OFFSET_MIN, CheckIn, CheckInDataset, StoreBuilder, Venue,
-                      check_tz_offset, day_date, to_epoch_us)
+from ..geo import GeoPoint, validate_lat_lon
+from .records import (MAX_TZ_OFFSET_MIN, CheckInDataset, StoreBuilder, Venue, check_tz_offset,
+                      day_date, to_epoch_us)
 
 __all__ = [
     "read_foursquare_tsv",
@@ -138,6 +139,20 @@ class _Chunk(NamedTuple):
     time_us: np.ndarray
 
 
+def _add_first_seen_venues(venues: Dict[str, Venue], venue_ids: Sequence[str],
+                           category_ids: Sequence[str], category_names: Sequence[str],
+                           lat: Sequence[float], lon: Sequence[float]) -> None:
+    """Add each venue not in ``venues`` yet, from its first row in file order.
+
+    Every reader derives its venues here, so a venue whose rows disagree
+    keeps the category and location of the row that comes first in the file.
+    """
+    for i, venue_id in enumerate(venue_ids):
+        if venue_id not in venues:
+            venues[venue_id] = Venue(venue_id, venue_id, category_ids[i], category_names[i],
+                                     GeoPoint(float(lat[i]), float(lon[i])))
+
+
 def _raise_first_error(path: Path, first_lineno: int, lines: List[str],
                        venues: Dict[str, Venue]) -> None:
     """Parse a chunk line by line, raising the first error in line order.
@@ -182,11 +197,6 @@ def _parse_chunk(path: Path, first_lineno: int, lines: List[str],
     except (ValueError, KeyError, OverflowError):
         _raise_first_error(path, first_lineno, lines, venues)
         raise
-    for i, venue_id in enumerate(fields[1::8]):
-        if venue_id not in venues:
-            row = fields[8 * i:8 * i + 8]
-            venues[venue_id] = Venue(venue_id, venue_id, row[2], row[3],
-                                     GeoPoint(float(lat[i]), float(lon[i])))
     return _Chunk(fields, lat, lon, tz.astype(np.int16), time_us)
 
 
@@ -218,7 +228,10 @@ def read_foursquare_tsv(path: Union[str, Path], name: Optional[str] = None) -> C
             chunk = _parse_chunk(path, lineno, lines, venues)
             lineno += len(lines)
             fields = chunk.fields
-            builder.add(fields[0::8], fields[1::8], fields[2::8], fields[3::8],
+            venue_ids, category_ids, category_names = fields[1::8], fields[2::8], fields[3::8]
+            _add_first_seen_venues(venues, venue_ids, category_ids, category_names,
+                                   chunk.lat, chunk.lon)
+            builder.add(fields[0::8], venue_ids, category_ids, category_names,
                         chunk.time_us, chunk.tz_offset_min, chunk.lat, chunk.lon)
     return CheckInDataset.from_store(builder.build(), venues, name or path.stem)
 
@@ -252,43 +265,62 @@ def write_foursquare_tsv(dataset: CheckInDataset, path: Union[str, Path]) -> Non
         )
 
 
+#: Rows the CSV and JSONL readers parse into one ``StoreBuilder`` batch.
+_ROW_BATCH = 1 << 14
+
+
+def _ingest_rows(path: Path, rows: Iterable[Tuple[int, Dict[str, Any]]],
+                 venues: Optional[Dict[str, Venue]]) -> StoreBuilder:
+    """``(lineno, row)`` pairs parsed in batches into a :class:`StoreBuilder`.
+
+    A row maps the :data:`_CSV_FIELDS` names to values (``category_id``,
+    ``category_name`` and ``tz_offset_min`` may be absent).  Unless
+    ``venues`` is ``None``, venues are derived into it, and every row's
+    coordinates must be valid for a venue's location.
+    """
+    builder = StoreBuilder()
+    batch: List[tuple] = []
+
+    def add_batch() -> None:
+        if batch:
+            users, venue_ids, category_ids, category_names, time_us, tz, lat, lon = zip(*batch)
+            if venues is not None:
+                _add_first_seen_venues(venues, venue_ids, category_ids, category_names, lat, lon)
+            builder.add(users, venue_ids, category_ids, category_names, time_us, tz, lat, lon)
+            batch.clear()
+
+    for lineno, row in rows:
+        try:
+            user, venue = row["user_id"], row["venue_id"]
+            category_id, category_name = row.get("category_id", ""), row.get("category_name", "")
+            lat, lon = float(row["lat"]), float(row["lon"])
+            tz = check_tz_offset(int(row.get("tz_offset_min", 0)))
+            stamp = datetime.fromisoformat(row["utc_time"])
+            if stamp.tzinfo is None:
+                raise ValueError("check-in timestamps must be timezone-aware (UTC)")
+        except (ValueError, KeyError, TypeError) as exc:
+            # TypeError covers DictReader's None fills for short rows.
+            raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
+        if venues is not None:
+            validate_lat_lon(lat, lon)
+        batch.append((user, venue, category_id, category_name, to_epoch_us(stamp), tz, lat, lon))
+        if len(batch) == _ROW_BATCH:
+            add_batch()
+    add_batch()
+    return builder
+
+
 def read_csv(path: Union[str, Path], name: Optional[str] = None) -> CheckInDataset:
     """Load the CSV export produced by :func:`write_csv`."""
     path = Path(path)
-    checkins: List[CheckIn] = []
     venues: Dict[str, Venue] = {}
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(_CSV_FIELDS) - set(reader.fieldnames or [])
         if missing:
             raise ValueError(f"{path}: missing CSV columns {sorted(missing)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                record = CheckIn(
-                    user_id=row["user_id"],
-                    venue_id=row["venue_id"],
-                    category_id=row["category_id"],
-                    category_name=row["category_name"],
-                    lat=float(row["lat"]),
-                    lon=float(row["lon"]),
-                    tz_offset_min=int(row["tz_offset_min"]),
-                    timestamp=datetime.fromisoformat(row["utc_time"]),
-                )
-            except (ValueError, KeyError, TypeError) as exc:
-                # TypeError covers DictReader's None fills for short rows.
-                raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            checkins.append(record)
-            venues.setdefault(
-                record.venue_id,
-                Venue(
-                    venue_id=record.venue_id,
-                    name=record.venue_id,
-                    category_id=record.category_id,
-                    category_name=record.category_name,
-                    location=GeoPoint(record.lat, record.lon),
-                ),
-            )
-    return CheckInDataset(checkins, venues, name=name or path.stem)
+        builder = _ingest_rows(path, enumerate(reader, start=2), venues)
+    return CheckInDataset.from_store(builder.build(), venues, name or path.stem)
 
 
 def _utc_isoformats(dataset: CheckInDataset) -> List[str]:
@@ -369,52 +401,36 @@ def write_jsonl(dataset: CheckInDataset, path: Union[str, Path]) -> None:
         )
 
 
+def _json_objects(path: Path, fh: TextIO) -> Iterator[Tuple[int, Dict[str, Any]]]:
+    """``(lineno, object)`` for each non-blank line of a JSONL file."""
+    for lineno, line in enumerate(fh, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+            if not isinstance(row, dict):
+                raise ValueError(f"expected a JSON object, got {type(row).__name__}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
+        yield lineno, row
+
+
 def read_jsonl(path: Union[str, Path], name: Optional[str] = None) -> CheckInDataset:
     """Load a JSONL export (venue sidecar is used when present)."""
     path = Path(path)
-    checkins: List[CheckIn] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                if not isinstance(row, dict):
-                    raise ValueError(f"expected a JSON object, got {type(row).__name__}")
-                checkins.append(
-                    CheckIn(
-                        user_id=row["user_id"],
-                        venue_id=row["venue_id"],
-                        category_id=row.get("category_id", ""),
-                        category_name=row.get("category_name", ""),
-                        lat=float(row["lat"]),
-                        lon=float(row["lon"]),
-                        tz_offset_min=int(row.get("tz_offset_min", 0)),
-                        timestamp=datetime.fromisoformat(row["utc_time"]),
-                    )
-                )
-            except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
-    venues: Dict[str, Venue] = {}
     sidecar = path.with_suffix(path.suffix + ".venues.json")
-    if sidecar.exists():
+    has_sidecar = sidecar.exists()
+    venues: Dict[str, Venue] = {}
+    with path.open("r", encoding="utf-8") as fh:
+        builder = _ingest_rows(path, _json_objects(path, fh), None if has_sidecar else venues)
+    if has_sidecar:
         with sidecar.open("r", encoding="utf-8") as fh:
-            for vid, row in json.load(fh).items():
-                venues[vid] = Venue(
-                    venue_id=vid,
-                    name=row.get("name", vid),
-                    category_id=row.get("category_id", ""),
-                    category_name=row.get("category_name", ""),
-                    location=GeoPoint(float(row["lat"]), float(row["lon"])),
-                )
-    else:
-        for c in checkins:
-            venues.setdefault(
-                c.venue_id,
-                Venue(c.venue_id, c.venue_id, c.category_id, c.category_name, c.location),
-            )
-    return CheckInDataset(checkins, venues, name=name or path.stem)
+            venues = {vid: Venue(vid, row.get("name", vid), row.get("category_id", ""),
+                                 row.get("category_name", ""),
+                                 GeoPoint(float(row["lat"]), float(row["lon"])))
+                      for vid, row in json.load(fh).items()}
+    return CheckInDataset.from_store(builder.build(), venues, name or path.stem)
 
 
 _READERS = {".tsv": read_foursquare_tsv, ".txt": read_foursquare_tsv, ".csv": read_csv, ".jsonl": read_jsonl}

@@ -10,15 +10,17 @@ a structured report with severities instead of crashing mid-pipeline.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Iterable, List, Optional
+
+import numpy as np
 
 from ..geo import BoundingBox
 from ..taxonomy import CategoryTree, UnknownCategoryError
-from .records import CheckInDataset
+from .records import CheckInDataset, to_epoch_us
 
 __all__ = ["Severity", "QualityIssue", "QualityReport", "audit_dataset"]
 
@@ -84,97 +86,68 @@ def audit_dataset(
     if min_records_per_user < 1:
         raise ValueError("min_records_per_user must be >= 1")
     report = QualityReport(dataset_name=dataset.name, n_checkins=len(dataset))
+
+    def flag(severity: Severity, code: str, message: str, count) -> None:
+        if count:
+            report.issues.append(QualityIssue(severity, code, message, int(count)))
+
     if len(dataset) == 0:
-        report.issues.append(QualityIssue(
-            Severity.ERROR, "empty", "dataset contains no check-ins"))
+        flag(Severity.ERROR, "empty", "dataset contains no check-ins", 1)
         return report
+    c = dataset.columns
 
     # --- coordinates ---------------------------------------------------
-    at_null_island = sum(1 for c in dataset if abs(c.lat) < 1e-9 and abs(c.lon) < 1e-9)
-    if at_null_island:
-        report.issues.append(QualityIssue(
-            Severity.ERROR, "null-island",
-            "records at (0, 0) — missing GPS encoded as zeros", at_null_island))
+    flag(Severity.ERROR, "null-island", "records at (0, 0) — missing GPS encoded as zeros",
+         np.count_nonzero((np.abs(c.lat) < 1e-9) & (np.abs(c.lon) < 1e-9)))
     if expected_bbox is not None:
-        outside = sum(
-            1 for c in dataset if not expected_bbox.contains_lat_lon(c.lat, c.lon)
-        )
-        if outside:
-            severity = Severity.ERROR if outside > len(dataset) * 0.05 else Severity.WARNING
-            report.issues.append(QualityIssue(
-                severity, "outside-study-area",
-                f"records outside the expected bounding box", outside))
+        outside = len(dataset) - np.count_nonzero(expected_bbox.contains_lat_lon(c.lat, c.lon))
+        flag(Severity.ERROR if outside > len(dataset) * 0.05 else Severity.WARNING,
+             "outside-study-area", "records outside the expected bounding box", outside)
 
     # --- timestamps ------------------------------------------------------
-    now = datetime.now(timezone.utc)
-    future = sum(1 for c in dataset if c.timestamp > now)
-    if future:
-        report.issues.append(QualityIssue(
-            Severity.ERROR, "future-timestamps",
-            "records timestamped in the future", future))
-    ancient = sum(1 for c in dataset if c.timestamp.year < 2000)
-    if ancient:
-        report.issues.append(QualityIssue(
-            Severity.WARNING, "pre-2000-timestamps",
-            "records before the year 2000 (epoch bugs?)", ancient))
-    odd_tz = sum(1 for c in dataset if not (-14 * 60 <= c.tz_offset_min <= 14 * 60))
-    if odd_tz:
-        report.issues.append(QualityIssue(
-            Severity.ERROR, "invalid-tz-offset",
-            "timezone offsets outside ±14 h", odd_tz))
+    flag(Severity.ERROR, "future-timestamps", "records timestamped in the future",
+         np.count_nonzero(c.time_us > to_epoch_us(datetime.now(timezone.utc))))
+    flag(Severity.WARNING, "pre-2000-timestamps", "records before the year 2000 (epoch bugs?)",
+         np.count_nonzero(c.time_us < to_epoch_us(datetime(2000, 1, 1, tzinfo=timezone.utc))))
+    flag(Severity.ERROR, "invalid-tz-offset", "timezone offsets outside ±14 h",
+         np.count_nonzero(np.abs(c.tz_offset_min.astype(np.int32)) > 14 * 60))
 
-    # --- duplicates ------------------------------------------------------
-    seen = Counter(
-        (c.user_id, c.venue_id, c.timestamp) for c in dataset
-    )
-    duplicates = sum(count - 1 for count in seen.values() if count > 1)
-    if duplicates:
-        report.issues.append(QualityIssue(
-            Severity.WARNING, "duplicate-records",
-            "identical (user, venue, time) records", duplicates))
+    # --- duplicates: rows are sorted by (user, time, venue), so equal triples are adjacent
+    flag(Severity.WARNING, "duplicate-records", "identical (user, venue, time) records",
+         np.count_nonzero((c.user[1:] == c.user[:-1]) & (c.time_us[1:] == c.time_us[:-1])
+                          & (c.venue[1:] == c.venue[:-1])))
 
     # --- venue consistency -------------------------------------------------
-    venue_locations: Dict[str, set] = defaultdict(set)
-    venue_categories: Dict[str, set] = defaultdict(set)
-    for c in dataset:
-        venue_locations[c.venue_id].add((round(c.lat, 4), round(c.lon, 4)))
-        venue_categories[c.venue_id].add(c.category_name)
-    wandering = sum(1 for locs in venue_locations.values() if len(locs) > 1)
-    if wandering:
-        report.issues.append(QualityIssue(
-            Severity.WARNING, "venue-location-conflict",
-            "venue ids observed at more than one location", wandering))
-    recategorized = sum(1 for cats in venue_categories.values() if len(cats) > 1)
-    if recategorized:
-        report.issues.append(QualityIssue(
-            Severity.WARNING, "venue-category-conflict",
-            "venue ids with more than one category name", recategorized))
+    # Python's round on each distinct (venue, lat, lon): np.round can part from it at ties.
+    locations = {(v, round(lat, 4), round(lon, 4))
+                 for v, lat, lon in set(zip(c.venue.tolist(), c.lat.tolist(), c.lon.tolist()))}
+    flag(Severity.WARNING, "venue-location-conflict",
+         "venue ids observed at more than one location", _repeated(v for v, _, _ in locations))
+    table = dataset.category_table
+    pairs = np.unique(c.venue.astype(np.int64) * len(table) + c.category).tolist()
+    names = {(p // len(table), table[p % len(table)][1]) for p in pairs}
+    flag(Severity.WARNING, "venue-category-conflict",
+         "venue ids with more than one category name", _repeated(v for v, _ in names))
 
     # --- taxonomy coverage ---------------------------------------------
     if taxonomy is not None:
-        unknown: Counter = Counter()
+        unknown = []
         for name in dataset.category_names():
             try:
                 taxonomy.resolve(name)
             except UnknownCategoryError:
-                unknown[name] += 1
-        if unknown:
-            report.issues.append(QualityIssue(
-                Severity.INFO, "unknown-categories",
-                f"category names missing from the taxonomy (fall back to "
-                f"their own label): {', '.join(sorted(unknown)[:5])}"
-                + ("…" if len(unknown) > 5 else ""),
-                len(unknown)))
+                unknown.append(name)
+        flag(Severity.INFO, "unknown-categories",
+             f"category names missing from the taxonomy (fall back to their own label): "
+             f"{', '.join(unknown[:5])}" + ("…" if len(unknown) > 5 else ""), len(unknown))
 
     # --- per-user volume --------------------------------------------------
-    thin_users = sum(
-        1 for count in dataset.records_per_user().values()
-        if count < min_records_per_user
-    )
-    if thin_users:
-        report.issues.append(QualityIssue(
-            Severity.INFO, "thin-users",
-            f"users with fewer than {min_records_per_user} records "
-            f"(no pattern can be mined)", thin_users))
-
+    flag(Severity.INFO, "thin-users",
+         f"users with fewer than {min_records_per_user} records (no pattern can be mined)",
+         np.count_nonzero(np.diff(dataset.user_offsets) < min_records_per_user))
     return report
+
+
+def _repeated(values: Iterable[int]) -> int:
+    """How many values occur more than once."""
+    return sum(1 for n in Counter(values).values() if n > 1)

@@ -5,8 +5,11 @@ The dataset mirrors the Foursquare NYC dump the paper uses: each record is a
 stores the records as parallel numpy columns, sorted by
 ``(user_id, timestamp, venue_id)`` with per-user row offsets, which is the
 access pattern of every downstream stage (sessionization, mining, crowd
-aggregation).  :class:`CheckIn` objects are built only on request, at the
-container's edges (iteration, indexing, :meth:`CheckInDataset.for_user`).
+aggregation), of the readers, the writers and the quality audit.
+:class:`CheckIn` objects exist only at the container's object edge: a
+caller that has objects builds a dataset from them (``CheckInDataset(checkins)``),
+and one that wants them back iterates the dataset or asks for a user's
+records (:meth:`CheckInDataset.for_user`).  Each call builds them anew.
 """
 
 from __future__ import annotations
@@ -99,10 +102,6 @@ class CheckIn:
             raise ValueError("check-in timestamps must be timezone-aware (UTC)")
 
     @property
-    def location(self) -> GeoPoint:
-        return GeoPoint(self.lat, self.lon)
-
-    @property
     def local_time(self) -> datetime:
         """Timestamp shifted into the venue's local timezone."""
         return self.timestamp.astimezone(timezone(timedelta(minutes=self.tz_offset_min)))
@@ -175,7 +174,7 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 class _Store:
     """The shared, immutable part of a dataset: tables, columns, offsets."""
 
-    __slots__ = ("user_table", "venue_table", "category_table", "columns", "offsets", "records",
+    __slots__ = ("user_table", "venue_table", "category_table", "columns", "offsets",
                  "bad_tz_offset")
 
     def __init__(self, user_table, venue_table, category_table, columns: CheckInColumns) -> None:
@@ -187,7 +186,6 @@ class _Store:
         offsets = np.zeros(len(user_table) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         self.offsets = _frozen(offsets)
-        self.records: Optional[Tuple[CheckIn, ...]] = None  # built on first request
         bad = np.flatnonzero(np.abs(columns.tz_offset_min.astype(np.int32)) > MAX_TZ_OFFSET_MIN)
         #: An offset no local time can use, kept so a quality audit can report it.
         self.bad_tz_offset = int(columns.tz_offset_min[bad[0]]) if len(bad) else None
@@ -272,9 +270,9 @@ class CheckInDataset:
     The records live in :attr:`columns` (see :class:`CheckInColumns`),
     sorted by ``(user_id, timestamp, venue_id)``; a user's rows are the
     contiguous range :meth:`user_span`.  ``CheckInDataset(checkins)``
-    converts :class:`CheckIn` objects once; iteration, indexing,
-    :attr:`records` and :meth:`for_user` build them back on request.  The
-    filter methods return new datasets from boolean masks.
+    converts :class:`CheckIn` objects once; iteration and :meth:`for_user`
+    build them back on request.  The filter methods return new datasets
+    from boolean masks.
     """
 
     def __init__(
@@ -367,29 +365,7 @@ class CheckInDataset:
         return len(self._store.columns.time_us)
 
     def __iter__(self) -> Iterator[CheckIn]:
-        if self._store.records is not None:
-            return iter(self._store.records)
         return self._records(0, len(self))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            rows = range(len(self))[i]
-            if rows.step == 1:
-                return tuple(self._records(rows.start, rows.stop))
-            return tuple(self[r] for r in rows)
-        n = len(self)
-        index = i + n if i < 0 else i
-        if not 0 <= index < n:
-            raise IndexError("check-in index out of range")
-        return next(self._records(index, index + 1))
-
-    @property
-    def records(self) -> Tuple[CheckIn, ...]:
-        """Every record as a :class:`CheckIn`, built once per store."""
-        store = self._store
-        if store.records is None:
-            store.records = tuple(self._records(0, len(self)))
-        return store.records
 
     def user_ids(self) -> List[str]:
         """All user ids, sorted."""

@@ -56,8 +56,9 @@ class _RawReader:
     The day loop makes ~1.4M scalar draws, and numpy's per-call overhead
     would be most of their cost.  The reader takes the raw 64-bit
     outputs in blocks of ``block`` (``bit_generator.random_raw``) and keeps
-    them twice: as ints, and as the doubles numpy's PCG64 ``next_double``
-    makes of them, ``(raw >> 11) * 2**-53``.  A caller holds ``dbl`` and a
+    them twice: as a ``uint64`` array, which only the two helpers below
+    read, and as a list of the doubles numpy's PCG64 ``next_double`` makes
+    of them, ``(raw >> 11) * 2**-53``.  A caller holds ``dbl`` and a
     read index ``i`` and reads ``u = dbl[i]; i += 1`` inline: that is
     ``Generator.random()`` bit for bit, at the same place in the stream.
 
@@ -95,17 +96,17 @@ class _RawReader:
         self._shadow_pos = 0  # stream position of the shadow's next output
         self._base = 0  # stream position of ``dbl[0]``
         self.dbl: List[float] = []
-        self._raw: List[int] = []
+        self._raw = np.zeros(0, dtype=np.uint64)
 
     def room(self, i: int) -> int:
         """``i``, or 0 after a refill if fewer than ``margin`` outputs are left."""
         return i if len(self.dbl) - i >= self._margin else self._refill(i)
 
     def _refill(self, i: int) -> int:
-        del self.dbl[:i], self._raw[:i]
+        del self.dbl[:i]
         self._base += i
         raw = self._random_raw(self._block)
-        self._raw.extend(raw.tolist())
+        self._raw = np.concatenate((self._raw[i:], raw))
         self.dbl.extend(((raw >> 11) * 2.0**-53).tolist())
         return 0
 
@@ -114,13 +115,12 @@ class _RawReader:
         if n == 1:
             return 0, i
         threshold = (1 << 32) % n
-        raw = self._raw
         while True:
             half = self._half
             if half is None:
-                if i == len(raw):
+                if i == len(self.dbl):
                     i = self._refill(i)
-                word = raw[i]
+                word = int(self._raw[i])
                 i += 1
                 half, self._half = word & 0xFFFFFFFF, word >> 32
             else:
@@ -131,18 +131,17 @@ class _RawReader:
 
     def normal(self, i: int, scale: float) -> Tuple[float, int]:
         """``(rng.normal(0.0, scale), i')``."""
-        if i == len(self._raw):
+        if i == len(self.dbl):
             i = self._refill(i)
         shadow = self._shadow.bit_generator
         shadow.advance(self._base + i - self._shadow_pos)
         value = self._shadow.normal(0.0, scale)
         following = shadow.random_raw()
-        raw = self._raw
         i += 1
         while True:
-            if i == len(raw):
+            if i == len(self.dbl):
                 i = self._refill(i)
-            if raw[i] == following:
+            if int(self._raw[i]) == following:
                 break
             i += 1
         self._shadow_pos = self._base + i + 1

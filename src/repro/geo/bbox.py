@@ -72,8 +72,10 @@ class BoundingBox:
         """North-south extent in meters."""
         return haversine_m(self.min_lat, self.min_lon, self.max_lat, self.min_lon)
 
-    def contains_lat_lon(self, lat: float, lon: float) -> bool:
-        return self.min_lat <= lat <= self.max_lat and self.min_lon <= lon <= self.max_lon
+    def contains_lat_lon(self, lat, lon):
+        """Whether the point is inside, edges included; element-wise for arrays."""
+        return (self.min_lat <= lat) & (lat <= self.max_lat) & (self.min_lon <= lon) & (
+            lon <= self.max_lon)
 
     def union(self, other: "BoundingBox") -> "BoundingBox":
         """Smallest box covering both."""

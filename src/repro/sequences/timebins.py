@@ -8,7 +8,6 @@ indexes; bins are half-open ``[start, end)`` and tile the 24-hour day.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime
 from typing import Iterator, Tuple
 
 import numpy as np
@@ -42,16 +41,12 @@ class TimeBinning:
             raise ValueError(f"hour {hour} out of range [0, 24)")
         return min(int(hour / self.width_hours), self.n_bins - 1)
 
-    def bin_of(self, local_time: datetime) -> int:
-        """Bin index of a datetime's local time-of-day."""
-        hour = local_time.hour + local_time.minute / 60.0 + local_time.second / 3600.0
-        return self.bin_of_hour(hour)
-
     def bins_of_seconds(self, seconds: np.ndarray) -> np.ndarray:
         """Bin indexes of local times of day given in whole seconds.
 
-        The array form of :meth:`bin_of`: the same float hour, the same
-        truncation, so both agree on every second of the day.
+        Each second's float hour ``h + m / 60 + s / 3600``, truncated into
+        its bin as :meth:`bin_of_hour` does; ``tests/sequences/test_timebins.py``
+        checks every second of the day against a scalar ``datetime`` reading.
         """
         hour = seconds // 3600 + (seconds // 60 % 60) / 60.0 + (seconds % 60) / 3600.0
         return np.minimum((hour / self.width_hours).astype(np.int64), self.n_bins - 1)

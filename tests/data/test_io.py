@@ -77,8 +77,7 @@ class TestFoursquareTsv:
         path = tmp_path / "nyc.txt"
         path.write_text(line)
         ds = read_foursquare_tsv(path)
-        assert len(ds) == 1
-        record = ds[0]
+        (record,) = ds
         assert record.user_id == "470"
         assert record.category_name == "Arts & Crafts Store"
         assert record.timestamp == datetime(2012, 4, 3, 18, 0, 9, tzinfo=UTC)
