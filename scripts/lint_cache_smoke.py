@@ -12,8 +12,8 @@ asserts, at the engine level (no interpreter startup noise):
 3. both runs produce identical findings;
 4. the whole-program facts ride the cached summaries: a project rebuilt
    warm from the same cache extracts zero summaries and still discovers
-   the tree's thread roots, exception summaries, and resource facts from
-   the cached payloads, and fills its records table from them.
+   the tree's thread roots from the cached payloads, and fills its records
+   table from them.
 
 Work done is counted structurally (files re-analyzed, summaries rebuilt),
 never by wall-clock: a loaded CI runner can stall either run arbitrarily,
@@ -32,16 +32,15 @@ from repro.devtools.callgraph import ProjectAnalysis
 from repro.devtools.engine import LintEngine, iter_python_files, module_name_for
 
 MIN_WORK_RATIO = 5.0
-PATHS = [Path("src"), Path("tests")]
+PATHS = [Path(name) for name in ("src", "tests", "perfbench", "examples", "scripts")]
 
 
 def _warm_facts_probe(cache: LintCache):
     """Rebuild the whole-program view from the warm cache only.
 
-    Returns ``(summaries_built, missing_facts, thread_roots, may_raise)`` —
-    the thread, exception, and resource facts all live inside the module
-    summaries, so a warm rebuild must extract nothing and still see every
-    spawn site and a non-trivial may-raise fixpoint.
+    Returns ``(summaries_built, missing_facts, thread_roots)`` — the thread
+    facts live inside the module summaries, so a warm rebuild must extract
+    nothing and still see every spawn site.
     """
     files = []
     for file_path in iter_python_files(PATHS):
@@ -51,16 +50,13 @@ def _warm_facts_probe(cache: LintCache):
         )
     project = ProjectAnalysis.build(files, cache=cache)
     missing = [
-        f"{key}:{fact}"
+        key
         for key, summary in project.summaries.items()
-        for fact in ("threads", "exceptions", "resources")
-        if not isinstance(summary.get(fact), dict)
+        if not isinstance(summary.get("threads"), dict)
     ]
-    exceptions = project.exceptions()
-    may_raise = sum(1 for node in exceptions.nodes if exceptions.may_raise(*node))
     for module_key in project.summaries:
         project.records(module_key)  # every analysis must also run clean off the cache
-    return project.summaries_built, missing, len(project.threads().roots), may_raise
+    return project.summaries_built, missing, len(project.threads().roots)
 
 
 def main() -> int:
@@ -78,9 +74,7 @@ def main() -> int:
         warm_s = time.perf_counter() - t0
         warm_stats = engine.last_stats
 
-        facts_rebuilds, facts_missing, thread_roots, may_raise = (
-            _warm_facts_probe(cache)
-        )
+        facts_rebuilds, facts_missing, thread_roots = _warm_facts_probe(cache)
 
     ratio = (
         cold_stats.analyzed / warm_stats.analyzed
@@ -98,8 +92,8 @@ def main() -> int:
     )
     print(f"work ratio: {ratio:.1f}x analyzed (timing is informational only)")
     print(
-        f"facts: {thread_roots} thread roots and {may_raise} may-raise "
-        f"functions from cached facts, {facts_rebuilds} summaries rebuilt"
+        f"facts: {thread_roots} thread roots from cached facts, "
+        f"{facts_rebuilds} summaries rebuilt"
     )
 
     problems = []
@@ -109,13 +103,11 @@ def main() -> int:
         )
     if facts_missing:
         problems.append(
-            f"{len(facts_missing)} cached summaries lack whole-program facts "
+            f"{len(facts_missing)} cached summaries lack thread facts "
             f"(e.g. {facts_missing[0]})"
         )
     if thread_roots == 0:
         problems.append("thread analysis found no roots on the real tree")
-    if may_raise == 0:
-        problems.append("exception fixpoint found no may-raise functions")
     if cold_stats.analyzed != cold_stats.files:
         problems.append("cold run did not analyze every file")
     if warm_stats.analyzed != 0:

@@ -46,7 +46,7 @@ def radius_of_gyration_m(points: Sequence[GeoPoint]) -> float:
     return math.sqrt(sum(squared) / len(squared))
 
 
-def jump_lengths_m(points: Sequence[GeoPoint]) -> List[float]:
+def jump_lengths_m(points: Sequence[GeoPoint]) -> List[float]:  # crowdlint: disable=CW604 -- test oracle
     """Displacements between consecutive fixes, in meters."""
     return [a.distance_to(b) for a, b in zip(points, points[1:])]
 

@@ -153,14 +153,8 @@ def _add_first_seen_venues(venues: Dict[str, Venue], venue_ids: Sequence[str],
                                      GeoPoint(float(lat[i]), float(lon[i])))
 
 
-def _raise_first_error(path: Path, first_lineno: int, lines: List[str],
-                       venues: Dict[str, Venue]) -> None:
-    """Parse a chunk line by line, raising the first error in line order.
-
-    A venue not in ``venues`` is built at its first line, so a venue's
-    coordinate error surfaces in line order too.
-    """
-    seen = set(venues)
+def _raise_first_error(path: Path, first_lineno: int, lines: List[str]) -> None:
+    """Parse a chunk line by line, raising the first error in line order."""
     for lineno, line in enumerate(lines, start=first_lineno):
         if not line:
             continue
@@ -168,18 +162,14 @@ def _raise_first_error(path: Path, first_lineno: int, lines: List[str],
         if len(parts) != 8:
             raise ValueError(f"{path}:{lineno}: expected 8 tab-separated fields, got {len(parts)}")
         try:
-            lat, lon = float(parts[4]), float(parts[5])
+            validate_lat_lon(float(parts[4]), float(parts[5]))
             check_tz_offset(int(parts[6]))
             _parse_foursquare_time(parts[7])
         except (ValueError, KeyError) as exc:
             raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
-        if parts[1] not in seen:
-            seen.add(parts[1])
-            GeoPoint(lat, lon)
 
 
-def _parse_chunk(path: Path, first_lineno: int, lines: List[str],
-                 venues: Dict[str, Venue]) -> _Chunk:
+def _parse_chunk(path: Path, first_lineno: int, lines: List[str]) -> _Chunk:
     """Parse a chunk with array operations, or line by line where they cannot."""
     records = [line for line in lines if line] if "" in lines else lines
     n = len(records)
@@ -190,12 +180,15 @@ def _parse_chunk(path: Path, first_lineno: int, lines: List[str],
         fields = "\t".join(records).split("\t") if records else []
         lat = np.fromiter(map(float, fields[4::8]), dtype=np.float64, count=n)
         lon = np.fromiter(map(float, fields[5::8]), dtype=np.float64, count=n)
+        # One range check for every row; NaN fails it.
+        if not ((np.abs(lat) <= 90.0).all() and (np.abs(lon) <= 180.0).all()):
+            raise ValueError("coordinates")
         tz = np.fromiter(map(int, fields[6::8]), dtype=np.int64, count=n)
         time_us = _stamps_us(fields[7::8])
         if n and not -MAX_TZ_OFFSET_MIN <= tz.min() <= tz.max() <= MAX_TZ_OFFSET_MIN:
             raise ValueError("tz offset")
     except (ValueError, KeyError, OverflowError):
-        _raise_first_error(path, first_lineno, lines, venues)
+        _raise_first_error(path, first_lineno, lines)
         raise
     return _Chunk(fields, lat, lon, tz.astype(np.int16), time_us)
 
@@ -225,7 +218,7 @@ def read_foursquare_tsv(path: Union[str, Path], name: Optional[str] = None) -> C
     lineno = 1
     with path.open("r", encoding="utf-8", errors="replace") as fh:
         for lines in _line_chunks(fh):
-            chunk = _parse_chunk(path, lineno, lines, venues)
+            chunk = _parse_chunk(path, lineno, lines)
             lineno += len(lines)
             fields = chunk.fields
             venue_ids, category_ids, category_names = fields[1::8], fields[2::8], fields[3::8]

@@ -6,7 +6,8 @@ import from the packages it lints (``repro.geo``, ``repro.crowd``, ...).
 
 Entry points:
 
-* ``python -m repro.devtools.lint src/ tests/`` — lint one or more trees.
+* ``python -m repro.devtools.lint src/ tests/ perfbench/ examples/ scripts/``
+  — lint one or more trees.
 * ``crowdweb-lint`` — the same CLI as a console script.
 
 The engine lives in :mod:`repro.devtools.engine`, the import-layer map in
@@ -14,7 +15,7 @@ The engine lives in :mod:`repro.devtools.engine`, the import-layer map in
 :mod:`repro.devtools.rules`.
 """
 
-from .engine import Finding, LintEngine, Rule, all_rules, get_rule, rule_registry
+from .engine import Finding, LintEngine, Rule, all_rules, rule_registry
 from .layers import LAYER_MAP, layer_of, resolve_import
 
 __all__ = [
@@ -23,7 +24,6 @@ __all__ = [
     "LintEngine",
     "Rule",
     "all_rules",
-    "get_rule",
     "layer_of",
     "resolve_import",
     "rule_registry",

@@ -4,16 +4,15 @@
 definition walk; this module stitches the digests together.
 :class:`ProjectAnalysis` resolves the symbolic callee forms across module
 boundaries — through imports and their aliases, module attributes, ``self``
-dispatch, and methods on locally-constructed instances — links each
-analysis's call sites through one target resolver, and runs the thread,
-exception and lifecycle analyses, whose fixpoints all share
-:func:`~repro.devtools.solver.solve`.
+dispatch, and methods on locally-constructed instances — links the thread
+analysis's call sites through one target resolver, runs it, and judges which
+public names product code reaches.
 
 What the analyses find lands once in a per-module **records table**; each
 record is one finding and carries the ``rule`` id that reports it.  Three
 consumers sit on top:
 
-* the **whole-program rules** (CW604, CW701, CW703, CW801) read
+* the **whole-program rules** (CW604, CW701, CW703) read
   :meth:`ProjectAnalysis.records` and keep the records of their own rule;
 * the **engine/cache** read :meth:`ProjectAnalysis.dep_key`, the digest of a
   module's records — the only project-dependent input of its findings — so a
@@ -29,6 +28,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+from pathlib import PurePath
 from typing import (
     Callable,
     Container,
@@ -38,12 +38,11 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
 from .domains import FunctionRef, extract_summary
-from .exceptions import ExceptionAnalysis
-from .resources import LifecycleAnalysis
 from .threads import ThreadAnalysis
 
 __all__ = ["ProjectAnalysis"]
@@ -71,7 +70,6 @@ class ProjectAnalysis:
         self._resolve_cache: Dict[Tuple[str, str, str], Optional[Tuple[FunctionRef, bool]]] = {}
         self._table: Optional[Dict[str, List[Dict[str, object]]]] = None
         self._thread_analysis: Optional[ThreadAnalysis] = None
-        self._exception_analysis: Optional[ExceptionAnalysis] = None
 
     # ------------------------------------------------------------ lifecycle
 
@@ -104,6 +102,8 @@ class ProjectAnalysis:
                     cache.put_summary(source, module, is_init, summary)
             else:
                 cached += 1
+                # The cache keys summaries by content, not by location.
+                summary["path"] = str(path)
             summaries[key] = summary
         project = cls(summaries)
         project.summaries_built = built
@@ -310,8 +310,8 @@ class ProjectAnalysis:
 
         :meth:`resolve` first; then a ``self.m()`` sibling method and a bare
         name defined in the same module, which cover definitions that only
-        the thread and exception facts model (nested functions, classes
-        nested in functions).
+        the thread facts model (nested functions, classes nested in
+        functions).
         """
         if not sym:
             return None
@@ -363,8 +363,7 @@ class ProjectAnalysis:
                 table.setdefault(key, []).append(record)
 
             self._emit_dead_exports(emit)
-            for analysis in (self.threads(), LifecycleAnalysis(self)):
-                analysis.emit_records(emit)
+            self.threads().emit_records(emit)
             for records in table.values():
                 records.sort(key=lambda r: (r["line"], r["col"], r["rule"]))
             self._table = table
@@ -381,39 +380,40 @@ class ProjectAnalysis:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def _emit_dead_exports(self, emit: Callable[[str, Dict[str, object]], None]) -> None:
-        """CW604: ``__all__`` entries of a module no other module references.
+        """CW604: public surface that no product code reaches.
 
-        Conservative: ``__init__.py`` re-export surfaces and ``_``-prefixed
-        names are exempt, and any textual reference (call, attribute, or
-        import) from another module keeps a symbol alive.
+        A *product* module is a linted file outside any ``tests`` directory.
+        A public name is reached only through a ``Name`` or ``Attribute`` use
+        in a product module, its own included; imports, re-exports and
+        ``__all__`` lists are not uses.  Two kinds of public name are judged,
+        both matched by bare name: the ``__all__`` entries of a product
+        module that is not a package ``__init__``, and the methods of its
+        module-level classes.  ``_``-prefixed names are exempt, and
+        ``visit_<Node>`` methods are reached: the engine dispatches them by
+        name.
         """
-        for module_key in sorted(self.summaries):
+        product = [
+            key
+            for key, summary in self.summaries.items()
+            if "tests" not in PurePath(str(summary["path"])).parts
+        ]
+        used: Set[str] = set()
+        for key in product:
+            used.update(self.summaries[key]["refs"])  # type: ignore[arg-type]
+        for module_key in sorted(product):
             summary = self.summaries[module_key]
-            if not summary["exports"] or summary["is_init"]:
-                continue
-            for name in summary["exports"]:  # type: ignore[union-attr]
-                if name.startswith("_") or self._referenced_elsewhere(module_key, name):
-                    continue
-                info = summary["functions"].get(name) or summary["classes"].get(name)  # type: ignore[union-attr]
-                emit(
-                    module_key,
-                    {"rule": "CW604", "name": name, "line": info["line"] if info else 1, "col": 0},
-                )
-
-    def _referenced_elsewhere(self, module_key: str, name: str) -> bool:
-        for other_key, other in self.summaries.items():
-            if other_key == module_key:
-                continue
-            if name in other["refs"]:  # type: ignore[operator]
-                return True
-            for imported in other["imports"].values():  # type: ignore[union-attr]
-                if (
-                    imported[0] == "symbol"
-                    and imported[1] == module_key
-                    and imported[2] == name
-                ):
-                    return True
-        return False
+            functions: Dict[str, Dict[str, object]] = summary["functions"]  # type: ignore[assignment]
+            classes: Dict[str, Dict[str, object]] = summary["classes"]  # type: ignore[assignment]
+            if not summary["is_init"]:
+                for name in summary["exports"] or ():  # type: ignore[union-attr]
+                    if not name.startswith("_") and name not in used:
+                        info = functions.get(name) or classes.get(name)
+                        emit(module_key, _dead(name, info["line"] if info else 1))
+            for class_name, info in classes.items():
+                for method in info["methods"]:  # type: ignore[union-attr]
+                    if not method.startswith(("_", "visit_")) and method not in used:
+                        qualname = f"{class_name}.{method}"
+                        emit(module_key, _dead(qualname, functions[qualname]["line"]))
 
     # ------------------------------------------------------------ views
 
@@ -423,8 +423,7 @@ class ProjectAnalysis:
             self._thread_analysis = ThreadAnalysis(self)
         return self._thread_analysis
 
-    def exceptions(self) -> ExceptionAnalysis:
-        """The interprocedural may-raise view, built lazily like threads()."""
-        if self._exception_analysis is None:
-            self._exception_analysis = ExceptionAnalysis(self)
-        return self._exception_analysis
+
+def _dead(name: str, line: object) -> Dict[str, object]:
+    """The CW604 record of a public name no product code uses."""
+    return {"rule": "CW604", "name": name, "line": line, "col": 0}

@@ -32,8 +32,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "paths",
         nargs="*",
-        default=["src", "tests"],
-        help="files or directories to lint (default: src tests)",
+        default=["src", "tests", "perfbench", "examples", "scripts"],
+        help="files or directories to lint (default: src tests perfbench examples scripts)",
     )
     parser.add_argument(
         "--format",

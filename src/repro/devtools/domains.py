@@ -8,9 +8,9 @@ classifier.
 * **Module summaries** — a per-module, JSON-serializable digest of exactly
   the facts the project analysis needs: functions, classes, symbolic call
   records, imports, aliases, exports, and referenced identifiers, plus the
-  thread, exception and resource facts.  :func:`extract_summary` makes
-  **one** definition walk per module (``_walk_definitions``) and hands every
-  function and class to the four fact producers.  Summaries depend only on
+  thread facts.  :func:`extract_summary` makes **one** definition walk per
+  module (``_walk_definitions``) and hands every function and class to the
+  two fact producers.  Summaries depend only on
   the module's own source, so they cache by content hash (see
   ``cache.LintCache.get_summary``).
 
@@ -23,9 +23,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .exceptions import ExceptionFacts
 from .layers import resolve_import
-from .resources import ResourceFacts
 from .threads import ThreadFacts, _annotation, _attr_chain, _blocks, _call_sym, _scope_nodes
 
 __all__ = [
@@ -142,19 +140,17 @@ def extract_summary(
 ) -> Dict[str, object]:
     """The whole-program-relevant digest of one module, as plain JSON data.
 
-    The thread, exception, and resource facts ride inside the summary, so
-    they share its content-addressed cache entry.
+    The thread facts ride inside the summary, so they share its
+    content-addressed cache entry.
     """
     defs = list(_walk_definitions(tree))
     module_facts = _SummaryExtractor(tree, module, path, is_init)
-    threads, exceptions, resources = ThreadFacts(tree, defs), ExceptionFacts(), ResourceFacts()
+    threads = ThreadFacts(tree, defs)
     for defn in defs:
-        for producer in (module_facts, threads, exceptions, resources):
-            producer.add(defn)
+        module_facts.add(defn)
+        threads.add(defn)
     summary = module_facts.summary
     summary["threads"] = threads.facts
-    summary["exceptions"] = exceptions.facts
-    summary["resources"] = resources.facts
     return summary
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "LintStats",
     "Rule",
     "all_rules",
-    "get_rule",
     "iter_python_files",
     "module_name_for",
     "register",
@@ -131,13 +130,6 @@ def rule_registry() -> Dict[str, Type[Rule]]:
 
 def all_rules() -> List[Type[Rule]]:
     return [_REGISTRY[rule_id] for rule_id in sorted(rule_registry())]
-
-
-def get_rule(rule_id: str) -> Type[Rule]:
-    try:
-        return rule_registry()[rule_id.upper()]
-    except KeyError:
-        raise KeyError(f"unknown rule id {rule_id!r}") from None
 
 
 class FileContext:
@@ -292,14 +284,6 @@ class LintEngine:
                 for method in dispatch.get(type(node).__name__, ()):
                     method(ctx, node)
         return sorted(f for f in ctx.findings if not ctx.suppressed(f))
-
-    def lint_file(self, path: Path) -> List[Finding]:
-        path = Path(path)
-        try:
-            source = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            return [Finding(str(path), 1, 1, "CW100", f"unreadable file: {exc}")]
-        return self.lint_source(source, str(path), module_name_for(path))
 
     # -- trees -------------------------------------------------------------
 

@@ -45,7 +45,6 @@ DEVTOOLS_MODULES: FrozenSet[str] = frozenset(
         "docscheck",
         "domains",
         "engine",
-        "exceptions",
         "flow",
         "layers",
         "lint",
@@ -56,12 +55,10 @@ DEVTOOLS_MODULES: FrozenSet[str] = frozenset(
         "rules.determinism",
         "rules.exports",
         "rules.imports",
-        "rules.lifecycle",
         "rules.mutable_defaults",
         "rules.observability",
         "rules.perf",
         "rules.threadsafety",
-        "resources",
         "solver",
         "threads",
     }

@@ -10,7 +10,6 @@ from . import (  # noqa: F401  (imported for registration side effects)
     determinism,
     exports,
     imports,
-    lifecycle,
     mutable_defaults,
     observability,
     perf,

@@ -12,10 +12,13 @@ failure modes for a package this size:
 Modules without ``__all__`` are skipped — the rule enforces consistency where
 the author opted into an explicit export list, it does not mandate one.
 
-**CW604** needs the whole program: an ``__all__`` entry that no other module
-references or imports is dead public surface.  ``__init__.py`` re-export
-hubs and ``_``-prefixed names are exempt.  The project analysis
-(``devtools/callgraph``) computes these records; the rule reports them.
+**CW604** needs the whole program: a public name that no product code uses
+is dead surface, even when tests call it or a package re-exports it.  The
+names judged are the ``__all__`` entries of a module (package
+``__init__.py`` re-export hubs aside) and the methods of its module-level
+classes; a use is a ``Name`` or ``Attribute`` node in a linted file outside
+any ``tests`` directory.  The project analysis (``devtools/callgraph``)
+computes these records; the rule reports them.
 """
 
 from __future__ import annotations
@@ -136,12 +139,13 @@ class DeadExportRule(RecordRule):
     id = "CW604"
     name = "dead-export"
     description = (
-        "An __all__ entry no other module references, imports, or calls: "
-        "dead public surface the call graph proves unreachable from outside."
+        "A public name (an __all__ entry, or a method of a module-level "
+        "class) that no product code uses: a use from tests/, an import or "
+        "a re-export does not reach it."
     )
 
     def message(self, record: Dict[str, object]) -> str:
         return (
-            f"{record['name']!r} is exported in __all__ but nothing else "
-            "in the project references it; drop the export or the symbol"
+            f"{record['name']!r} is public but no product code uses it; delete "
+            "it, or keep it with `# crowdlint: disable=CW604 -- <reason>`"
         )

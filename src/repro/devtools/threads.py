@@ -41,8 +41,8 @@ noise; reads still contribute domain evidence and appear in the
 
 The fact producer is import-light (``ast`` + stdlib + the solver) so
 :mod:`repro.devtools.domains` can hand it each definition of its one
-extraction walk without an import cycle.  The AST helpers at the top are
-shared by every producer.
+extraction walk without an import cycle.  The module-fact producer there
+shares the AST helpers at the top.
 """
 
 from __future__ import annotations
@@ -227,38 +227,6 @@ def _headers(stmt: ast.stmt) -> List[ast.expr]:
     return [child for child in ast.iter_child_nodes(stmt) if isinstance(child, ast.expr)]
 
 
-class _BlockWalker:
-    """The statement-walk skeleton of the thread, exception and resource
-    producers.
-
-    :meth:`walk` visits one block in order and skips nested definitions
-    (the extraction walk hands them over itself).  A subclass's
-    :meth:`statement` handles what it models and returns ``True``; anything
-    else falls through: the statement's own expressions go to :meth:`scan`,
-    then each of its blocks is walked in :meth:`enter` of the state.
-    """
-
-    def walk(self, stmts: Sequence[ast.stmt], state) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if self.statement(stmt, state):
-                continue
-            for expr in _headers(stmt):
-                self.scan(expr, state)
-            for block in _blocks(stmt):
-                self.walk(block, self.enter(state))
-
-    def statement(self, stmt: ast.stmt, state) -> bool:
-        return False
-
-    def enter(self, state):
-        return state
-
-    def scan(self, expr: ast.AST, state) -> None:
-        raise NotImplementedError
-
-
 class _ModuleInventory:
     """The module-level tables every function record consults."""
 
@@ -421,8 +389,15 @@ class ThreadFacts:
         walker.walk(defn.node.body, [])  # type: ignore[attr-defined]
 
 
-class _FunctionWalker(_BlockWalker):
-    """Statement walk of one function body tracking lexically-held locks."""
+class _FunctionWalker:
+    """Statement walk of one function body tracking lexically-held locks.
+
+    :meth:`walk` visits one block in order and skips nested definitions (the
+    extraction walk hands them over itself).  :meth:`statement` handles what
+    the walk models and returns ``True``; anything else falls through: the
+    statement's own expressions go to :meth:`scan`, then each of its blocks
+    is walked with a copy of the held locks.
+    """
 
     def __init__(
         self,
@@ -504,8 +479,17 @@ class _FunctionWalker(_BlockWalker):
 
     # -- the walk ----------------------------------------------------------
 
-    def enter(self, held: List[str]) -> List[str]:
-        return list(held)  # acquire()/release() only toggle within a block
+    def walk(self, stmts: Sequence[ast.stmt], held: List[str]) -> None:
+        for stmt in stmts:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if self.statement(stmt, held):
+                continue
+            for expr in _headers(stmt):
+                self.scan(expr, held)
+            for block in _blocks(stmt):
+                # acquire()/release() only toggle within a block
+                self.walk(block, list(held))
 
     def statement(self, stmt: ast.stmt, held: List[str]) -> bool:
         if isinstance(stmt, (ast.With, ast.AsyncWith)):

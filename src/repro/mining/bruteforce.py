@@ -36,7 +36,7 @@ def _subsequences_upto(
     return found
 
 
-def bruteforce_mine(
+def bruteforce_mine(  # crowdlint: disable=CW604 -- exhaustive oracle the miner is tested against
     db: SequenceDatabase[Item],
     min_support: float,
     limits: MiningLimits = MiningLimits(max_length=4),

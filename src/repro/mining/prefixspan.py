@@ -21,7 +21,7 @@ Item = TypeVar("Item", bound=Hashable)
 _Projection = Tuple[int, int]
 
 
-def prefixspan(
+def prefixspan(  # crowdlint: disable=CW604 -- classic PrefixSpan, the modified miner's oracle
     db: SequenceDatabase[Item],
     min_support: float,
     limits: MiningLimits = MiningLimits(),

@@ -156,7 +156,7 @@ class Tracer:
         with self._lock:
             return list(self._roots)
 
-    def last_root(self) -> Optional[Span]:
+    def last_root(self) -> Optional[Span]:  # crowdlint: disable=CW604 -- obs read surface
         """The most recently completed root span, if any."""
         with self._lock:
             return self._roots[-1] if self._roots else None
@@ -165,7 +165,7 @@ class Tracer:
         """Every retained root span as a plain dict tree."""
         return [span.to_dict() for span in self.roots()]
 
-    def reset(self) -> None:
+    def reset(self) -> None:  # crowdlint: disable=CW604 -- obs read surface
         """Drop all retained root spans (in-flight spans are unaffected)."""
         with self._lock:
             self._roots.clear()

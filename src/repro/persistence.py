@@ -25,7 +25,7 @@ __all__ = ["save_profiles", "load_profiles", "SCHEMA_VERSION"]
 SCHEMA_VERSION = 1
 
 
-def save_profiles(
+def save_profiles(  # crowdlint: disable=CW604 -- writes the file `repro.web --profiles` reads
     profiles: Mapping[str, UserPatternProfile], path: Union[str, Path]
 ) -> Path:
     """Write all profiles to one JSON file, atomically.

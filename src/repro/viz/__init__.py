@@ -6,16 +6,13 @@ from .citymap import label_color_order, render_snapshot
 from .graphviz import render_place_graph
 from .palette import (
     CATEGORICAL,
-    DARK,
     GRID,
-    LIGHT,
     OTHER,
     SEQUENTIAL,
     SURFACE,
     TEXT_MUTED,
     TEXT_PRIMARY,
     TEXT_SECONDARY,
-    Theme,
     categorical_for,
     sequential_color,
 )
@@ -25,9 +22,7 @@ from .tracemap import render_trace
 
 __all__ = [
     "CATEGORICAL",
-    "DARK",
     "GRID",
-    "LIGHT",
     "Heatmap",
     "Histogram",
     "HtmlReport",
@@ -39,7 +34,6 @@ __all__ = [
     "TEXT_MUTED",
     "TEXT_PRIMARY",
     "TEXT_SECONDARY",
-    "Theme",
     "categorical_for",
     "label_color_order",
     "nice_ticks",

@@ -12,7 +12,16 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .palette import LIGHT, Theme
+from .palette import (
+    CATEGORICAL,
+    GRID,
+    OTHER,
+    SURFACE,
+    TEXT_MUTED,
+    TEXT_PRIMARY,
+    TEXT_SECONDARY,
+    sequential_color,
+)
 from .svg import SvgCanvas
 
 __all__ = ["LineChart", "Histogram", "Heatmap", "nice_ticks"]
@@ -88,40 +97,38 @@ class _ChartBase:
     """Scaffolding shared by the coordinate charts."""
 
     def __init__(self, title: str, x_label: str = "", y_label: str = "",
-                 width: float = 640.0, height: float = 400.0,
-                 theme: Theme = LIGHT) -> None:
+                 width: float = 640.0, height: float = 400.0) -> None:
         self.title = title
         self.x_label = x_label
         self.y_label = y_label
         self.width = width
         self.height = height
-        self.theme = theme
 
     def _scaffold(self, canvas: SvgCanvas, frame: _Frame,
                   x_ticks: Sequence[Tuple[float, str]],
                   y_ticks: Sequence[Tuple[float, str]]) -> None:
         # Title + axis labels in ink, never series color.
-        canvas.text(_MARGIN_LEFT, 24, self.title, fill=self.theme.text_primary, size=14, weight="600")
+        canvas.text(_MARGIN_LEFT, 24, self.title, fill=TEXT_PRIMARY, size=14, weight="600")
         if self.x_label:
             canvas.text(frame.px((frame.x_min + frame.x_max) / 2), self.height - 10,
-                        self.x_label, fill=self.theme.text_secondary, size=12, anchor="middle")
+                        self.x_label, fill=TEXT_SECONDARY, size=12, anchor="middle")
         if self.y_label:
             canvas.text(16, _MARGIN_TOP + frame.plot_h / 2, self.y_label,
-                        fill=self.theme.text_secondary, size=12, anchor="middle", rotate=-90)
+                        fill=TEXT_SECONDARY, size=12, anchor="middle", rotate=-90)
         # Recessive horizontal grid + y tick labels.
         for value, label in y_ticks:
             y = frame.py(value)
-            canvas.line(_MARGIN_LEFT, y, self.width - _MARGIN_RIGHT, y, stroke=self.theme.grid)
-            canvas.text(_MARGIN_LEFT - 8, y + 4, label, fill=self.theme.text_secondary,
+            canvas.line(_MARGIN_LEFT, y, self.width - _MARGIN_RIGHT, y, stroke=GRID)
+            canvas.text(_MARGIN_LEFT - 8, y + 4, label, fill=TEXT_SECONDARY,
                         size=11, anchor="end")
         # Baseline + x tick labels.
         base_y = _MARGIN_TOP + frame.plot_h
         canvas.line(_MARGIN_LEFT, base_y, self.width - _MARGIN_RIGHT, base_y,
-                    stroke=self.theme.text_muted)
+                    stroke=TEXT_MUTED)
         for value, label in x_ticks:
             x = frame.px(value)
-            canvas.line(x, base_y, x, base_y + 4, stroke=self.theme.text_muted)
-            canvas.text(x, base_y + 18, label, fill=self.theme.text_secondary, size=11,
+            canvas.line(x, base_y, x, base_y + 4, stroke=TEXT_MUTED)
+            canvas.text(x, base_y + 18, label, fill=TEXT_SECONDARY, size=11,
                         anchor="middle")
 
     def _legend(self, canvas: SvgCanvas, names_colors: Sequence[Tuple[str, str]]) -> None:
@@ -131,7 +138,7 @@ class _ChartBase:
             width_estimate = 7 * len(name) + 22
             x -= width_estimate
             canvas.rect(x, 16, 10, 10, fill=color, rx=2)
-            canvas.text(x + 14, 25, name, fill=self.theme.text_secondary, size=11)
+            canvas.text(x + 14, 25, name, fill=TEXT_SECONDARY, size=11)
 
 
 class LineChart(_ChartBase):
@@ -139,8 +146,8 @@ class LineChart(_ChartBase):
 
     def __init__(self, title: str, x_label: str = "", y_label: str = "",
                  width: float = 640.0, height: float = 400.0,
-                 y_zero: bool = True, theme: Theme = LIGHT) -> None:
-        super().__init__(title, x_label, y_label, width, height, theme)
+                 y_zero: bool = True) -> None:
+        super().__init__(title, x_label, y_label, width, height)
         self.y_zero = y_zero
         self._series: List[Tuple[str, List[float], List[float]]] = []
 
@@ -161,25 +168,24 @@ class LineChart(_ChartBase):
         y_ticks_v = nice_ticks(y_floor, max(all_y) or 1.0)
         frame = _Frame(self.width, self.height, min(all_x), max(all_x),
                        y_ticks_v[0], y_ticks_v[-1])
-        canvas = SvgCanvas(self.width, self.height, background=self.theme.surface)
+        canvas = SvgCanvas(self.width, self.height, background=SURFACE)
         x_tick_vals = sorted(set(all_x)) if len(set(all_x)) <= 8 else nice_ticks(min(all_x), max(all_x))
         self._scaffold(
             canvas, frame,
             [(v, f"{v:g}") for v in x_tick_vals],
             [(v, _fmt_val(v)) for v in y_ticks_v],
         )
-        slots = self.theme.categorical
         for i, (name, xs, ys) in enumerate(self._series):
-            color = slots[i] if i < len(slots) else self.theme.other
+            color = CATEGORICAL[i] if i < len(CATEGORICAL) else OTHER
             points = [(frame.px(x), frame.py(y)) for x, y in zip(xs, ys)]
             if len(points) > 1:
                 canvas.polyline(points, stroke=color, stroke_width=2)
             for (x, y), (vx, vy) in zip(points, zip(xs, ys)):
-                canvas.circle(x, y, 4, fill=color, stroke=self.theme.surface,
+                canvas.circle(x, y, 4, fill=color, stroke=SURFACE,
                               stroke_width=2, tooltip=f"{name}: ({vx:g}, {vy:g})")
         if len(self._series) >= 2:
             self._legend(canvas, [
-                (name, slots[i] if i < len(slots) else self.theme.other)
+                (name, CATEGORICAL[i] if i < len(CATEGORICAL) else OTHER)
                 for i, (name, _, _) in enumerate(self._series)
             ])
         return canvas.to_string()
@@ -190,12 +196,12 @@ class Histogram(_ChartBase):
 
     def __init__(self, title: str, x_label: str = "", y_label: str = "count",
                  width: float = 640.0, height: float = 400.0, bins: int = 20,
-                 color: str = "", theme: Theme = LIGHT) -> None:
-        super().__init__(title, x_label, y_label, width, height, theme)
+                 color: str = "") -> None:
+        super().__init__(title, x_label, y_label, width, height)
         if bins < 1:
             raise ValueError("bins must be >= 1")
         self.bins = bins
-        self.color = color or theme.categorical[0]
+        self.color = color or CATEGORICAL[0]
         self._values: List[float] = []
 
     def add_values(self, values: Sequence[float]) -> "Histogram":
@@ -222,7 +228,7 @@ class Histogram(_ChartBase):
         y_ticks_v = nice_ticks(0.0, max(counts) or 1.0)
         frame = _Frame(self.width, self.height, edges[0], edges[-1],
                        y_ticks_v[0], y_ticks_v[-1])
-        canvas = SvgCanvas(self.width, self.height, background=self.theme.surface)
+        canvas = SvgCanvas(self.width, self.height, background=SURFACE)
         x_ticks = nice_ticks(edges[0], edges[-1])
         self._scaffold(canvas, frame,
                        [(v, f"{v:g}") for v in x_ticks if edges[0] <= v <= edges[-1]],
@@ -235,7 +241,7 @@ class Histogram(_ChartBase):
                         fill=self.color, rx=2,
                         tooltip=f"[{edges[i]:g}, {edges[i+1]:g}): {count}")
         canvas.text(self.width - _MARGIN_RIGHT, 24,
-                    f"n={len(self._values)}", fill=self.theme.text_muted,
+                    f"n={len(self._values)}", fill=TEXT_MUTED,
                     size=11, anchor="end")
         return canvas.to_string()
 
@@ -246,9 +252,7 @@ class Heatmap:
     def __init__(self, title: str, row_labels: Sequence[str],
                  col_labels: Sequence[str], values: Sequence[Sequence[float]],
                  width: float = 720.0, cell_h: float = 18.0,
-                 x_label: str = "", y_label: str = "",
-                 theme: Theme = LIGHT) -> None:
-        self.theme = theme
+                 x_label: str = "", y_label: str = "") -> None:
         self.title = title
         self.row_labels = list(row_labels)
         self.col_labels = list(col_labels)
@@ -271,8 +275,8 @@ class Heatmap:
         if n_rows == 0 or n_cols == 0:
             raise ValueError("heatmap needs at least one row and one column")
         height = top + n_rows * self.cell_h + bottom
-        canvas = SvgCanvas(self.width, height, background=self.theme.surface)
-        canvas.text(left, 24, self.title, fill=self.theme.text_primary,
+        canvas = SvgCanvas(self.width, height, background=SURFACE)
+        canvas.text(left, 24, self.title, fill=TEXT_PRIMARY,
                     size=14, weight="600")
         cell_w = (self.width - left - 18.0) / n_cols
         flat = [v for row in self.values for v in row]
@@ -280,19 +284,19 @@ class Heatmap:
         for r, row_label in enumerate(self.row_labels):
             y = top + r * self.cell_h
             canvas.text(left - 8, y + self.cell_h * 0.7, row_label,
-                        fill=self.theme.text_secondary, size=10, anchor="end")
+                        fill=TEXT_SECONDARY, size=10, anchor="end")
             for c in range(n_cols):
                 value = self.values[r][c]
                 canvas.rect(left + c * cell_w + 1, y + 1, cell_w - 2, self.cell_h - 2,
-                            fill=self.theme.sequential_color(value, vmin, vmax), rx=2,
+                            fill=sequential_color(value, vmin, vmax), rx=2,
                             tooltip=f"{row_label} / {self.col_labels[c]}: {value:g}")
         step = max(1, n_cols // 12)
         base_y = top + n_rows * self.cell_h
         for c in range(0, n_cols, step):
             canvas.text(left + c * cell_w + cell_w / 2, base_y + 16,
-                        self.col_labels[c], fill=self.theme.text_secondary, size=10,
+                        self.col_labels[c], fill=TEXT_SECONDARY, size=10,
                         anchor="middle")
         if self.x_label:
             canvas.text(left + (self.width - left) / 2, height - 12, self.x_label,
-                        fill=self.theme.text_secondary, size=12, anchor="middle")
+                        fill=TEXT_SECONDARY, size=12, anchor="middle")
         return canvas.to_string()

@@ -11,7 +11,7 @@ from typing import Sequence
 
 from ..geo import BoundingBox, GeoPoint, ScreenProjection, simplify_polyline
 from ..sequences.staypoints import Fix, StayPoint
-from .palette import LIGHT, Theme
+from .palette import CATEGORICAL, GRID, SURFACE, TEXT_MUTED, TEXT_PRIMARY
 from .svg import SvgCanvas
 
 __all__ = ["render_trace"]
@@ -25,7 +25,6 @@ def render_trace(
     height: float = 560.0,
     simplify_tolerance_m: float = 25.0,
     title: str = "GPS trace",
-    theme: Theme = LIGHT,
 ) -> str:
     """One trace as SVG: path, stay points (dwell-sized), cluster centers."""
     if not fixes:
@@ -35,21 +34,21 @@ def render_trace(
         list(points) + [s.location for s in stay_points] + list(cluster_centers)
     ).expand(0.003)
     projection = ScreenProjection(bbox, width, height - 40.0, padding_px=12.0)
-    canvas = SvgCanvas(width, height, background=theme.surface)
-    canvas.text(12, 22, title, fill=theme.text_primary, size=14, weight="600")
-    canvas.text(width - 12, 22, f"{len(fixes)} fixes", fill=theme.text_muted,
+    canvas = SvgCanvas(width, height, background=SURFACE)
+    canvas.text(12, 22, title, fill=TEXT_PRIMARY, size=14, weight="600")
+    canvas.text(width - 12, 22, f"{len(fixes)} fixes", fill=TEXT_MUTED,
                 size=11, anchor="end")
     canvas.group(transform="translate(0 30)")
 
     simplified = simplify_polyline(points, simplify_tolerance_m)
     path = [projection.to_screen(p.lat, p.lon) for p in simplified]
     if len(path) > 1:
-        canvas.polyline(path, stroke=theme.grid, stroke_width=2, opacity=0.9)
+        canvas.polyline(path, stroke=GRID, stroke_width=2, opacity=0.9)
 
     # Cluster centers (significant places) as rings underneath the stays.
     for center in cluster_centers:
         x, y = projection.to_screen(center.lat, center.lon)
-        canvas.circle(x, y, 11, fill="none", stroke=theme.categorical[1],
+        canvas.circle(x, y, 11, fill="none", stroke=CATEGORICAL[1],
                       stroke_width=2, opacity=0.8,
                       tooltip=f"significant place ({center.lat:.4f}, {center.lon:.4f})")
 
@@ -58,8 +57,8 @@ def render_trace(
         x, y = projection.to_screen(stay.location.lat, stay.location.lon)
         radius = 4.0 + 6.0 * (stay.duration_s / max_dwell)
         canvas.circle(
-            x, y, radius, fill=theme.categorical[0], opacity=0.85,
-            stroke=theme.surface, stroke_width=2,
+            x, y, radius, fill=CATEGORICAL[0], opacity=0.85,
+            stroke=SURFACE, stroke_width=2,
             tooltip=(f"stay {stay.arrival:%H:%M}-{stay.departure:%H:%M} "
                      f"({stay.duration_s / 60:.0f} min, {stay.n_fixes} fixes)"),
         )
@@ -67,7 +66,7 @@ def render_trace(
     # Start/end markers.
     sx, sy = projection.to_screen(points[0].lat, points[0].lon)
     ex, ey = projection.to_screen(points[-1].lat, points[-1].lon)
-    canvas.circle(sx, sy, 4, fill=theme.categorical[3], tooltip="start")
-    canvas.circle(ex, ey, 4, fill=theme.categorical[5], tooltip="end")
+    canvas.circle(sx, sy, 4, fill=CATEGORICAL[3], tooltip="start")
+    canvas.circle(ex, ey, 4, fill=CATEGORICAL[5], tooltip="end")
     canvas.endgroup()
     return canvas.to_string()

@@ -649,7 +649,7 @@ class _ConnectionServer(socketserver.TCPServer):
         # No handler class: _serve_connection runs _serve itself.
         super().__init__(address, None)
 
-    def process_request(self, request, client_address) -> None:
+    def process_request(self, request, client_address) -> None:  # crowdlint: disable=CW604 -- socketserver hook
         thread = threading.Thread(target=self._serve_connection,
                                   args=(request, client_address), daemon=True)
         with self._lock:

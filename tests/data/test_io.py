@@ -91,10 +91,18 @@ class TestFoursquareTsv:
 
     def test_bad_latitude_raises_with_line_number(self, tmp_path):
         path = tmp_path / "bad.tsv"
-        path.write_text("u\tv\tc\tCafe\tNOT_A_NUMBER\t-74.0\t-240\t"
-                        "Tue Apr 03 18:00:09 +0000 2012\n")
+        stamp = "Tue Apr 03 18:00:09 +0000 2012"
+        path.write_text(f"u\tv\tc\tCafe\tNOT_A_NUMBER\t-74.0\t-240\t{stamp}\n")
         with pytest.raises(ValueError, match=":1:"):
             read_foursquare_tsv(path)
+        # A venue's later line is range-checked too, not only its first.
+        for lat, lon, message in [("nan", "-74.0", "latitude nan out of range"),
+                                  ("95", "-74.0", "latitude 95.0 out of range"),
+                                  ("40.7", "181", "longitude 181.0 out of range")]:
+            path.write_text(f"u\tv\tc\tCafe\t40.7\t-74.0\t-240\t{stamp}\n"
+                            f"u\tv\tc\tCafe\t{lat}\t{lon}\t-240\t{stamp}\n")
+            with pytest.raises(ValueError, match=f":2: malformed record: {message}"):
+                read_foursquare_tsv(path)
 
     def test_blank_lines_skipped(self, dataset, tmp_path):
         path = tmp_path / "data.tsv"

@@ -172,14 +172,11 @@ class TestDeadExports:
 
 class TestDepKeys:
     MODULES = {
-        "repro.a": (
-            "from repro.b import store\n"
-            "def f(path):\n"
-            "    handle = open(path)\n"
-            "    store(handle.read())\n"
-            "    handle.close()\n"
+        "repro.a": "from repro.b import store\ndef f(value):\n    store(value)\n",
+        "repro.b": (
+            "__all__ = [\"load\", \"store\"]\n\n"
+            "def load():\n    pass\n\n\ndef store(value):\n    pass\n"
         ),
-        "repro.b": "def store(value):\n    pass\n",
         "repro.c": "def unrelated():\n    pass\n",
     }
 
@@ -189,69 +186,48 @@ class TestDepKeys:
         for key in self.MODULES:
             assert first.dep_key(key) == second.dep_key(key)
 
-    def test_callee_raise_change_invalidates_caller_only(self):
+    def test_new_use_invalidates_the_used_module_only(self):
         before = project_of(self.MODULES)
         changed = dict(self.MODULES)
-        changed["repro.b"] = "def store(value):\n    raise ValueError(value)\n"
+        changed["repro.a"] = (
+            "from repro.b import load, store\ndef f(value):\n    store(load())\n"
+        )
         after = project_of(changed)
-        assert records_of(before, "repro.a", "CW801") == []
-        assert len(records_of(after, "repro.a", "CW801")) == 1
-        assert before.dep_key("repro.a") != after.dep_key("repro.a")
+        assert [r["name"] for r in records_of(before, "repro.b", "CW604")] == ["load"]
+        assert records_of(after, "repro.b", "CW604") == []
+        assert before.dep_key("repro.b") != after.dep_key("repro.b")
         assert before.dep_key("repro.c") == after.dep_key("repro.c")
 
 
 class TestOrderIndependence:
     MODULES = {
         "repro.a": """
-            from repro.b import deep_b, fail_b
-            from repro.c import fail_c, via_c
-            from repro.d import fail_d
+            from repro.b import start
+            from repro.c import via_c
 
-
-            def load(path):
-                handle = open(path)
-                both()
-                handle.close()
+            __all__ = ["fan_out", "orphan"]
 
 
             def fan_out():
-                deep_b()
-                fail_d()
+                start()
                 via_c()
-                fail_c()
 
 
-            def both():
-                fail_b()
-                fail_c()
-
-
-            def guarded():
-                try:
-                    both()
-                except Exception:
-                    return None
+            def orphan():
+                return None
             """,
         "repro.b": """
             import threading
 
-            from repro.c import fail_c
+            from repro.c import note
 
             LOCK = threading.Lock()
             CACHE = {}
 
 
-            def fail_b():
-                fail_c()
-                raise KeyError("b")
-
-
-            def deep_b():
-                fail_b()
-
-
             def write(key):
                 CACHE[key] = 1
+                note(key)
 
 
             def worker(key):
@@ -264,33 +240,42 @@ class TestOrderIndependence:
                 threading.Thread(target=worker, args=(1,)).start()
             """,
         "repro.c": """
-            from repro.d import fail_d
+            from repro.d import deep
+
+            SEEN = []
 
 
-            def fail_c():
-                raise ValueError("c")
+            def note(key):
+                SEEN.append(key)
+                deep()
 
 
             def via_c():
-                fail_d()
+                deep()
             """,
         "repro.d": """
-            def fail_d():
-                raise ValueError("d")
+            class Sink:
+                def drain(self):
+                    return None
+
+
+            def deep():
+                return None
             """,
     }
 
     @staticmethod
     def observed(project: ProjectAnalysis):
-        exceptions = project.exceptions()
+        threads = project.threads()
         records = {key: project.records(key) for key in sorted(project.summaries)}
-        raises = {node: exceptions.may_raise(*node) for node in sorted(exceptions.nodes)}
-        return records, raises
+        domains = {node: sorted(marks) for node, marks in sorted(threads.domains.items())}
+        return records, domains
 
-    def test_shuffled_input_gives_identical_records_and_raise_sets(self):
+    def test_shuffled_input_gives_identical_records_and_domains(self):
         expected = self.observed(project_of(dict(sorted(self.MODULES.items()))))
         rules = {r["rule"] for records in expected[0].values() for r in records}
-        assert {"CW701", "CW801"} <= rules
+        assert {"CW604", "CW701"} <= rules
+        assert expected[1][("repro.d", "deep")] == ["thread"]
         for seed in range(8):
             items = list(self.MODULES.items())
             random.Random(seed).shuffle(items)

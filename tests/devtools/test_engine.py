@@ -8,9 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-from repro.devtools import Finding, LintEngine, all_rules, get_rule, rule_registry
+from repro.devtools import Finding, LintEngine, all_rules, rule_registry
 from repro.devtools.cli import main
 from repro.devtools.engine import module_name_for
 
@@ -32,17 +30,9 @@ def test_registry_has_every_rule_pack():
         "CW604",
         # CW7xx: thread-safety (whole-program race detection)
         "CW701", "CW703",
-        # CW801: resource lifetime (whole-program)
-        "CW801",
     ]
     for rule_cls in all_rules():
         assert rule_cls.name and rule_cls.description
-
-
-def test_get_rule_is_case_insensitive_and_raises_on_unknown():
-    assert get_rule("cw104").id == "CW104"
-    with pytest.raises(KeyError):
-        get_rule("CW999")
 
 
 def test_syntax_error_becomes_cw100_finding():

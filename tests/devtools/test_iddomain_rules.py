@@ -82,6 +82,127 @@ class TestDeadExports:
         assert findings == []
 
 
+class TestProductReach:
+    """CW604 counts a use only from a linted file outside ``tests/``."""
+
+    API = {
+        "repro.mining.api": """
+            __all__ = ["helper"]
+
+
+            def helper():
+                return 1
+            """,
+    }
+
+    def lint_with(self, root: Path, extra: Dict[str, str]) -> List[Finding]:
+        write_tree(root, self.API)
+        for relative, source in extra.items():
+            target = root / relative
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(textwrap.dedent(source))
+        return LintEngine(select=["CW604"]).lint_paths([root])
+
+    def test_function_used_only_from_tests_is_reported(self, tmp_path):
+        findings = self.lint_with(
+            tmp_path,
+            {
+                "tests/test_api.py": """
+                    from repro.mining.api import helper
+
+
+                    def test_helper():
+                        assert helper() == 1
+                    """
+            },
+        )
+        assert [(f.rule_id, f.line) for f in findings] == [("CW604", 5)]
+        assert "'helper'" in findings[0].message
+
+    def test_function_used_from_examples_is_reached(self, tmp_path):
+        findings = self.lint_with(
+            tmp_path,
+            {
+                "examples/demo.py": """
+                    from repro.mining.api import helper
+
+                    print(helper())
+                    """
+            },
+        )
+        assert findings == []
+
+    def test_a_cached_summary_is_judged_where_the_file_is(self, tmp_path):
+        # Loose files outside any package share a summary cache entry when
+        # their content is equal; the copy under tools/ is product code.
+        use = """
+            from repro.mining.api import helper
+
+            print(helper())
+            """
+        (tmp_path / "tree").mkdir()
+        write_tree(tmp_path / "tree", self.API)
+        for directory in ("tests", "tools"):
+            (tmp_path / "tree" / directory).mkdir()
+            (tmp_path / "tree" / directory / "use.py").write_text(textwrap.dedent(use))
+        engine = LintEngine(select=["CW604"])
+        cache = LintCache(root=tmp_path / "cache")
+        assert engine.lint_paths([tmp_path / "tree"], cache=cache) == []
+        assert engine.last_stats.summaries_cached == 1
+
+    def test_method_used_only_from_tests_is_reported(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {
+                "repro.mining.store": """
+                    class Store:
+                        def put(self, item):
+                            self.item = item
+
+                        def peek(self):
+                            return self.item
+
+
+                    def fill(item):
+                        Store().put(item)
+                    """,
+                "tests.test_store": """
+                    from repro.mining.store import Store
+
+
+                    def test_peek():
+                        store = Store()
+                        store.put(1)
+                        assert store.peek() == 1
+                    """,
+            },
+            select=["CW604"],
+        )
+        assert [(f.path.endswith("store.py"), f.line) for f in findings] == [(True, 6)]
+        assert "'Store.peek'" in findings[0].message
+
+    def test_visitor_methods_and_pragma_keepers_are_not_reported(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {
+                "repro.mining.walker": """
+                    class Walker:
+                        def visit_Call(self, node):
+                            return node
+
+                        def snapshot(self):  # crowdlint: disable=CW604 -- read by tests
+                            return None
+
+
+                    def walk(node):
+                        return Walker(), node
+                    """,
+            },
+            select=["CW604"],
+        )
+        assert findings == []
+
+
 class TestProjectRulesWithoutProject:
     def test_cross_call_rules_noop_on_lint_source(self, lint):
         # lint_source has no project; CW604 must stay silent, not crash.

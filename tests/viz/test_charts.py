@@ -143,27 +143,3 @@ class TestHeatmap:
         with pytest.raises(ValueError):
             Heatmap("T", [], [], []).render()
 
-
-class TestThemes:
-    def test_dark_theme_renders_valid_svg(self):
-        from repro.viz.palette import DARK
-
-        svg = (LineChart("T", theme=DARK)
-               .add_series("a", [1, 2], [3, 4])
-               .add_series("b", [1, 2], [4, 3])
-               .render())
-        parse(svg)
-        assert DARK.surface in svg
-        assert DARK.categorical[0] in svg
-
-    def test_theme_sequential_clamped(self):
-        from repro.viz.palette import DARK
-
-        assert DARK.sequential_color(99, 0, 10) == DARK.sequential[-1]
-        assert DARK.sequential_color(5, 5, 5) in DARK.sequential
-
-    def test_light_remains_default(self):
-        from repro.viz.palette import LIGHT
-
-        chart = Histogram("T", bins=3)
-        assert chart.theme is LIGHT
